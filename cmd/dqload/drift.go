@@ -6,7 +6,7 @@ package main
 // the pre-drift truth — clients do not know the services drifted) while
 // the scenario plays the role of the execution layer: it synthesizes
 // noise-free execution reports from a hidden ground truth and POSTs them
-// to /observe. Mid-run the ground truth is perturbed hard enough that the
+// to /v1/observe. Mid-run the ground truth is perturbed hard enough that the
 // server's cached plan becomes measurably suboptimal; the scenario then
 // asserts the loop closes — served plans re-converge to within 1% regret
 // of the post-drift oracle optimum inside a fixed observation budget, and
@@ -18,14 +18,11 @@ package main
 // not the serving path).
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"sort"
 	"time"
 
@@ -144,7 +141,8 @@ func perturbUntilPlanBreaks(truth *model.Query, oldPlan model.Plan, spec driftSp
 	return nil, nil, 0, 0, fmt.Errorf("drift: no perturbation at scale %v broke the incumbent plan within 64 seeds", spec.perturbScale)
 }
 
-// driftHTTP wraps the few endpoint interactions the scenario needs.
+// driftHTTP times the scenario's requests against its server, over the
+// shared /v1 client helpers.
 type driftHTTP struct {
 	target *loadTarget
 	lats   []time.Duration
@@ -153,66 +151,33 @@ type driftHTTP struct {
 
 func (d *driftHTTP) optimize(body []byte) (solvedProbe, error) {
 	t0 := time.Now()
-	probe, err := postSingle(d.target, body)
-	if err != nil {
-		return probe, err
-	}
-	d.lats = append(d.lats, time.Since(t0))
-	d.reqs++
-	return probe, nil
+	probe, err := postV1Optimize(d.target.client, d.target.url, body)
+	d.record(t0, err)
+	return probe, err
 }
 
-func (d *driftHTTP) observe(rep *adapt.Report) (serveObserveProbe, error) {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return serveObserveProbe{}, err
-	}
+func (d *driftHTTP) observe(rep *adapt.Report) error {
 	t0 := time.Now()
-	resp, err := d.target.client.Post(d.target.url+"/observe", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serveObserveProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return serveObserveProbe{}, fmt.Errorf("/observe: status %d: %s", resp.StatusCode, msg)
-	}
-	var probe serveObserveProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-		return serveObserveProbe{}, err
-	}
-	d.lats = append(d.lats, time.Since(t0))
-	d.reqs++
-	return probe, nil
+	err := postV1Observe(d.target.client, d.target.url, rep)
+	d.record(t0, err)
+	return err
 }
 
-// drain issues one /optimize request and discards the body undecoded —
-// the measurement-phase counterpart of the suite's unverified requests,
-// keeping client-side work light and constant.
+// drain is optimize without decoding the answer — the measurement-phase
+// counterpart of the suite's unverified requests.
 func (d *driftHTTP) drain(body []byte) error {
 	t0 := time.Now()
-	resp, err := d.target.client.Post(d.target.url+"/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("/optimize: status %d: %s", resp.StatusCode, msg)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return err
-	}
-	d.lats = append(d.lats, time.Since(t0))
-	d.reqs++
-	return nil
+	err := drainV1Optimize(d.target.client, d.target.url, body)
+	d.record(t0, err)
+	return err
 }
 
-// serveObserveProbe mirrors serve.ObserveResponse.
-type serveObserveProbe struct {
-	Generation uint64  `json:"generation"`
-	Drift      float64 `json:"drift"`
-	Published  bool    `json:"published"`
+// record counts one successful request and its latency since t0.
+func (d *driftHTTP) record(t0 time.Time, err error) {
+	if err == nil {
+		d.lats = append(d.lats, time.Since(t0))
+		d.reqs++
+	}
 }
 
 // runDriftScenario executes the scenario and returns its metrics. It
@@ -297,7 +262,7 @@ func runDriftScenario(spec driftSpec, opts loadOpts) (*driftResult, error) {
 	res.verifiedSamples++
 	for round := 0; round < 2; round++ {
 		for _, plan := range covering {
-			if _, err := h.observe(analyticReport(truth, plan, spec.tuples)); err != nil {
+			if err := h.observe(analyticReport(truth, plan, spec.tuples)); err != nil {
 				return nil, err
 			}
 		}
@@ -320,7 +285,7 @@ func runDriftScenario(spec driftSpec, opts loadOpts) (*driftResult, error) {
 	obs := 0
 	for obs < spec.obsBudget {
 		plan := covering[obs%len(covering)]
-		if _, err := h.observe(analyticReport(newTruth, plan, spec.tuples)); err != nil {
+		if err := h.observe(analyticReport(newTruth, plan, spec.tuples)); err != nil {
 			return nil, err
 		}
 		obs++

@@ -1,7 +1,7 @@
 package main
 
 // The -execute and -chaos scenarios: end-to-end proofs of the
-// fault-tolerant streaming executor behind POST /execute.
+// fault-tolerant streaming executor behind POST /v1/execute.
 //
 // -execute closes the full production loop in one round trip per request:
 // optimize (or reuse the cached plan) -> execute against a deterministic
@@ -10,7 +10,7 @@ package main
 // (costs and selectivities only — the executor deliberately reports no
 // transfer observations) and the scenario asserts served plans re-converge
 // to the post-drift optimum purely from execution feedback, with no
-// explicit /observe traffic at all.
+// explicit /v1/observe traffic at all.
 //
 // -chaos wraps the same backend in a deterministic fault plan (error
 // rates, latency spikes past the call timeout, a breaker-opening blackout,
@@ -18,20 +18,17 @@ package main
 // every response is a 200; complete responses processed every tuple;
 // degraded responses carry a typed reason and still satisfy the pipeline
 // monotonicity invariant (partial, never wrong); breakers open and appear
-// in /healthz; latency stays bounded; and no goroutines leak across the
+// in /v1/healthz; latency stays bounded; and no goroutines leak across the
 // run.
 //
 // The suite runs both as BENCH_serve.json cells ("execute-loop",
 // "exec-chaos") under the standard -compare regression gate.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http"
 	"runtime"
 	"sort"
 	"time"
@@ -42,18 +39,19 @@ import (
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
+	"serviceordering/internal/serve"
 )
 
 // execSpec fixes the -execute scenario shape; count-driven, so the
 // scenario is deterministic across machines.
 type execSpec struct {
 	n            int     // services in the query
-	tuples       int64   // tuples streamed per /execute request
+	tuples       int64   // tuples streamed per /v1/execute request
 	perturbScale float64 // log-scale perturbation of costs/selectivities
 	minOldRegret float64 // the drift must make the old plan at least this suboptimal
 	minRelChange float64 // ... and move some parameter at least this much (drift detectability)
 	regretBudget float64 // convergence target vs the post-drift optimum
-	execBudget   int     // /execute requests allowed to reach convergence
+	execBudget   int     // /v1/execute requests allowed to reach convergence
 	stability    int     // post-convergence requests that must stay within budget
 	measureReqs  int     // measurement-window requests behind the cell's rps/latency
 }
@@ -84,58 +82,11 @@ type execResult struct {
 	preDriftCost  float64
 	postDriftCost float64
 	oldPlanRegret float64
-	execsToConv   int // /execute requests after the drift until convergence
+	execsToConv   int // /v1/execute requests after the drift until convergence
 	generations   uint64
 	replans       int64
 	executions    int64 // executor-side completed runs
 	verified      int64
-}
-
-// execProbe decodes the slice of serve.ExecuteResponse the scenarios
-// assert on.
-type execProbe struct {
-	Plan      model.Plan       `json:"plan"`
-	Cached    bool             `json:"cached"`
-	TuplesIn  int64            `json:"tuplesIn"`
-	TuplesOut int64            `json:"tuplesOut"`
-	Degraded  *execProbeDegr   `json:"degraded"`
-	Retries   int64            `json:"retries"`
-	Stages    []execProbeStage `json:"stages"`
-	Observed  bool             `json:"observed"`
-}
-
-type execProbeDegr struct {
-	Service  string `json:"service"`
-	Position int    `json:"position"`
-	Reason   string `json:"reason"`
-	Err      string `json:"error"`
-}
-
-type execProbeStage struct {
-	Service   string `json:"service"`
-	Position  int    `json:"position"`
-	TuplesIn  int64  `json:"tuplesIn"`
-	TuplesOut int64  `json:"tuplesOut"`
-	Calls     int64  `json:"calls"`
-	Retries   int64  `json:"retries"`
-}
-
-// postExecute issues one POST /execute and decodes the probe.
-func postExecute(target *loadTarget, body []byte) (execProbe, error) {
-	resp, err := target.client.Post(target.url+"/execute", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return execProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return execProbe{}, fmt.Errorf("/execute: status %d: %s", resp.StatusCode, msg)
-	}
-	var probe execProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-		return execProbe{}, err
-	}
-	return probe, nil
 }
 
 // checkStageInvariants enforces the partial-never-wrong pipeline shape on
@@ -143,7 +94,7 @@ func postExecute(target *loadTarget, body []byte) (execProbe, error) {
 // emit tuples it never received, a stage cannot receive more than its
 // predecessor emitted), and the first stage never sees more than the
 // request streamed.
-func checkStageInvariants(probe *execProbe, tuples int64) error {
+func checkStageInvariants(probe *serve.ExecuteResponse, tuples int64) error {
 	for i, st := range probe.Stages {
 		if st.Position != i {
 			return fmt.Errorf("stage %d reports position %d", i, st.Position)
@@ -275,9 +226,9 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 		return q.Cost(plan)/opt - 1
 	}
 	var lats []time.Duration
-	timedExecute := func() (execProbe, error) {
+	timedExecute := func() (serve.ExecuteResponse, error) {
 		t0 := time.Now()
-		probe, err := postExecute(target, body)
+		probe, err := postV1Execute(target.client, target.url, body)
 		if err != nil {
 			return probe, err
 		}
@@ -363,7 +314,7 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 		}
 	}
 
-	// Phase 4 — measurement: settled post-replan /execute traffic.
+	// Phase 4 — measurement: settled post-replan /v1/execute traffic.
 	lats = lats[:0]
 	measureStart := time.Now()
 	for i := 0; i < spec.measureReqs; i++ {
@@ -402,7 +353,7 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 type chaosSpec struct {
 	n          int
 	tuples     int64
-	requests   int           // /execute requests fired through the fault plan
+	requests   int           // /v1/execute requests fired through the fault plan
 	shedPause  time.Duration // pause after a breaker-open shed (lets probes run)
 	p99Bound   time.Duration // hard latency ceiling under chaos
 	settleWait time.Duration // goroutine-leak settle window
@@ -432,10 +383,10 @@ type chaosResult struct {
 	retries      int64
 	breakerOpens int64
 	injected     faultinject.Stats
-	sawBreakerHz bool // /healthz reported breaker-open mid-run
+	sawBreakerHz bool // /v1/healthz reported breaker-open mid-run
 }
 
-// runChaosScenario drives /execute through a deterministic fault plan and
+// runChaosScenario drives /v1/execute through a deterministic fault plan and
 // asserts the fault-tolerance ladder holds end to end.
 func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 	if opts.target != "" {
@@ -495,10 +446,10 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 		return nil, err
 	}
 
-	knownReasons := map[string]bool{
-		string(exec.ReasonRetryBudget): true,
-		string(exec.ReasonBreakerOpen): true,
-		string(exec.ReasonDeadline):    true,
+	knownReasons := map[exec.Reason]bool{
+		exec.ReasonRetryBudget: true,
+		exec.ReasonBreakerOpen: true,
+		exec.ReasonDeadline:    true,
 	}
 	names := make(map[string]bool, spec.n)
 	for _, svc := range truth.Services {
@@ -510,7 +461,7 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 	firstBreakerShed, lastComplete := -1, -1
 	for i := 0; i < spec.requests; i++ {
 		t0 := time.Now()
-		probe, err := postExecute(target, body)
+		probe, err := postV1Execute(target.client, target.url, body)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: request %d: %w", i, err)
 		}
@@ -527,7 +478,7 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 			continue
 		}
 		res.degraded++
-		res.reasons[probe.Degraded.Reason]++
+		res.reasons[string(probe.Degraded.Reason)]++
 		if !knownReasons[probe.Degraded.Reason] {
 			return nil, fmt.Errorf("chaos: request %d degraded with unknown reason %q", i, probe.Degraded.Reason)
 		}
@@ -535,14 +486,14 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 			return nil, fmt.Errorf("chaos: request %d degraded at unknown service %q", i, probe.Degraded.Service)
 		}
 		// A breaker-open degrade means the breaker is open right now (the
-		// cooldown far exceeds the response round trip): /healthz must name
+		// cooldown far exceeds the response round trip): /v1/healthz must name
 		// it while it lasts.
-		if probe.Degraded.Reason == string(exec.ReasonBreakerOpen) {
+		if probe.Degraded.Reason == exec.ReasonBreakerOpen {
 			if firstBreakerShed < 0 {
 				firstBreakerShed = i
 			}
 			if !res.sawBreakerHz {
-				hz, err := scrapeHealthz(target)
+				hz, err := getV1Healthz(target.client, target.url)
 				if err != nil {
 					return nil, fmt.Errorf("chaos: healthz during breaker-open: %w", err)
 				}
@@ -577,7 +528,7 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 		return nil, fmt.Errorf("chaos: the blackout never opened a breaker")
 	}
 	if !res.sawBreakerHz {
-		return nil, fmt.Errorf("chaos: /healthz never reported an open breaker")
+		return nil, fmt.Errorf("chaos: /v1/healthz never reported an open breaker")
 	}
 	// The ladder must also come back down: after the first breaker-open
 	// shed, the half-open probes have to burn through the blackout window
@@ -624,28 +575,6 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	return res, nil
-}
-
-// scrapeHealthz decodes GET /healthz.
-type healthzProbe struct {
-	Status  string   `json:"status"`
-	Reasons []string `json:"reasons"`
-}
-
-func scrapeHealthz(target *loadTarget) (healthzProbe, error) {
-	resp, err := target.client.Get(target.url + "/healthz")
-	if err != nil {
-		return healthzProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return healthzProbe{}, fmt.Errorf("/healthz: status %d", resp.StatusCode)
-	}
-	var hz healthzProbe
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		return healthzProbe{}, err
-	}
-	return hz, nil
 }
 
 func sumDurations(ds []time.Duration) time.Duration {

@@ -10,7 +10,7 @@ package main
 //  1. Determinism — two identically seeded executor stacks replay the
 //     same spike plan; every request must make byte-identical hedge
 //     decisions and produce identical outputs.
-//  2. Chaos — POST /execute through a fault plan that error-injects and
+//  2. Chaos — POST /v1/execute through a fault plan that error-injects and
 //     mid-run blacks out the victim while spiking the hedged service.
 //     Every non-degraded response must carry the exact full answer (a
 //     rescue is only a rescue if nothing is missing), at least half of
@@ -25,11 +25,8 @@ package main
 // BENCH_serve.json cell under the standard -compare regression gate.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"runtime"
 	"sort"
 	"time"
@@ -40,7 +37,6 @@ import (
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
-	"serviceordering/internal/serve"
 )
 
 // failoverSpec fixes the -failover scenario shape; count-driven, so runs
@@ -48,7 +44,7 @@ import (
 type failoverSpec struct {
 	n         int
 	tuples    int64 // tuples per chaos-phase request
-	requests  int   // chaos-phase /execute requests
+	requests  int   // chaos-phase /v1/execute requests
 	detReqs   int   // determinism-probe requests per replayed stack
 	detTuples int64
 
@@ -61,7 +57,7 @@ type failoverSpec struct {
 
 	rescueFloor float64 // min rescued fraction of attempted failovers
 	driftError  float64 // victim error rate during the drift phase
-	driftBudget int     // /execute requests allowed for the demotion to land
+	driftBudget int     // /v1/execute requests allowed for the demotion to land
 	settleWait  time.Duration
 }
 
@@ -174,26 +170,6 @@ func pickFailoverQuery(spec failoverSpec, seed int64) (*model.Query, model.Plan,
 		}
 	}
 	return nil, nil, 0, 0, fmt.Errorf("failover: no instance with a mid-plan, inflation-demotable victim within 64 seeds")
-}
-
-// postFailoverExecute issues one POST /execute and decodes the full
-// response (this scenario asserts on the failover and hedge blocks the
-// leaner execProbe drops).
-func postFailoverExecute(target *loadTarget, body []byte) (serve.ExecuteResponse, error) {
-	resp, err := target.client.Post(target.url+"/execute", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serve.ExecuteResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return serve.ExecuteResponse{}, fmt.Errorf("/execute: status %d: %s", resp.StatusCode, msg)
-	}
-	var probe serve.ExecuteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-		return serve.ExecuteResponse{}, err
-	}
-	return probe, nil
 }
 
 // runFailoverScenario drives all three phases and returns the
@@ -346,7 +322,7 @@ func runFailoverScenario(spec failoverSpec, opts loadOpts) (*failoverResult, err
 	var lats []time.Duration
 	for i := 0; i < spec.requests; i++ {
 		t0 := time.Now()
-		probe, err := postFailoverExecute(target, body)
+		probe, err := postV1Execute(target.client, target.url, body)
 		if err != nil {
 			return nil, fmt.Errorf("failover: request %d: %w", i, err)
 		}
@@ -405,23 +381,17 @@ func runFailoverScenario(spec failoverSpec, opts loadOpts) (*failoverResult, err
 		return nil, fmt.Errorf("failover: no request completed cleanly (%d degraded)", res.degraded)
 	}
 
-	// /stats must account for the same ladder the executor reports.
-	stResp, err := target.client.Get(target.url + "/stats")
+	// /v1/stats must account for the same ladder the executor reports.
+	stats, err := getV1Stats(target.client, target.url)
 	if err != nil {
-		return nil, fmt.Errorf("failover: /stats: %w", err)
-	}
-	var stats serve.StatsResponse
-	serr := json.NewDecoder(stResp.Body).Decode(&stats)
-	stResp.Body.Close()
-	if serr != nil {
-		return nil, fmt.Errorf("failover: decoding /stats: %w", serr)
+		return nil, fmt.Errorf("failover: %w", err)
 	}
 	if stats.Exec == nil || stats.Exec.Failovers.Attempted != res.attempted || stats.Exec.Hedges.Launched != res.hedgesLaunched {
-		return nil, fmt.Errorf("failover: /stats exec block %+v disagrees with the executor (%d failovers, %d hedges)",
+		return nil, fmt.Errorf("failover: /v1/stats exec block %+v disagrees with the executor (%d failovers, %d hedges)",
 			stats.Exec, res.attempted, res.hedgesLaunched)
 	}
 	if len(stats.Exec.Failovers.Active) != 0 {
-		return nil, fmt.Errorf("failover: /stats reports rescues still active after the run: %v", stats.Exec.Failovers.Active)
+		return nil, fmt.Errorf("failover: /v1/stats reports rescues still active after the run: %v", stats.Exec.Failovers.Active)
 	}
 
 	// Phase 3 — drift: an adaptive server fits the victim's error rate
@@ -454,7 +424,7 @@ func runFailoverScenario(spec failoverSpec, opts loadOpts) (*failoverResult, err
 	registry := driftTarget.planner.Adaptive()
 	oracle := planner.New(planner.Config{})
 	for n := 1; n <= spec.driftBudget; n++ {
-		probe, err := postFailoverExecute(driftTarget, body)
+		probe, err := postV1Execute(driftTarget.client, driftTarget.url, body)
 		if err != nil {
 			return nil, fmt.Errorf("failover: drift request %d: %w", n, err)
 		}

@@ -30,10 +30,8 @@ package main
 // must control the ground truth its reports describe).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -214,85 +212,6 @@ func startFleetNodes(n, replication int, adaptive adapt.Config) ([]*fleetNode, f
 	return nodes, closeAll, nil
 }
 
-// postV1Optimize posts one instance to /v1/optimize and decodes the
-// envelope into the verification probe.
-func postV1Optimize(client *http.Client, baseURL string, body []byte) (solvedProbe, error) {
-	resp, err := client.Post(baseURL+"/v1/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return solvedProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return solvedProbe{}, fmt.Errorf("/v1/optimize: status %d: %s", resp.StatusCode, msg)
-	}
-	var env struct {
-		Data  json.RawMessage `json:"data"`
-		Error *struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return solvedProbe{}, err
-	}
-	if env.Error != nil {
-		return solvedProbe{}, fmt.Errorf("/v1/optimize: %s: %s", env.Error.Code, env.Error.Message)
-	}
-	var probe solvedProbe
-	if err := json.Unmarshal(env.Data, &probe); err != nil {
-		return solvedProbe{}, err
-	}
-	return probe, nil
-}
-
-// drainV1Optimize posts and discards the response undecoded — the
-// unverified counterpart, keeping client work light and constant.
-func drainV1Optimize(client *http.Client, baseURL string, body []byte) error {
-	resp, err := client.Post(baseURL+"/v1/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("/v1/optimize: status %d: %s", resp.StatusCode, msg)
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	return err
-}
-
-// postV1Observe posts an execution report to /v1/observe and decodes the
-// outcome envelope.
-func postV1Observe(client *http.Client, baseURL string, rep *adapt.Report) (serveObserveProbe, error) {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return serveObserveProbe{}, err
-	}
-	resp, err := client.Post(baseURL+"/v1/observe", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serveObserveProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return serveObserveProbe{}, fmt.Errorf("/v1/observe: status %d: %s", resp.StatusCode, msg)
-	}
-	var env struct {
-		Data  serveObserveProbe `json:"data"`
-		Error *struct {
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return serveObserveProbe{}, err
-	}
-	if env.Error != nil {
-		return serveObserveProbe{}, fmt.Errorf("/v1/observe: %s", env.Error.Message)
-	}
-	return env.Data, nil
-}
-
 // fleetWindow runs one closed-loop measurement window against a single
 // peer's /v1/optimize, zipf-picked over the warm corpus, with the standard
 // 1-in-verifyEvery responses oracle-verified.
@@ -397,7 +316,7 @@ func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetRes
 			return nil, err
 		}
 		for i := range corp.bodies {
-			probe, err := postSingle(single, corp.bodies[i])
+			probe, err := postV1Optimize(single.client, single.url, corp.bodies[i])
 			if err != nil {
 				single.close()
 				return nil, fmt.Errorf("reference warmup %d: %w", i, err)
@@ -589,7 +508,7 @@ func runFleetDrift(spec fleetSpec, seed int64, client *http.Client, res *fleetRe
 	covering := calibrate.CoveringPlans(spec.driftN)
 	for round := 0; round < 2; round++ {
 		for _, plan := range covering {
-			if _, err := postV1Observe(client, observer.url, analyticReport(truth, plan, spec.tuples)); err != nil {
+			if err := postV1Observe(client, observer.url, analyticReport(truth, plan, spec.tuples)); err != nil {
 				return err
 			}
 		}
@@ -607,7 +526,7 @@ func runFleetDrift(spec fleetSpec, seed int64, client *http.Client, res *fleetRe
 	finalRegret := 0.0
 	for obs := 0; obs < spec.obsBudget; obs++ {
 		plan := covering[obs%len(covering)]
-		if _, err := postV1Observe(client, observer.url, analyticReport(newTruth, plan, spec.tuples)); err != nil {
+		if err := postV1Observe(client, observer.url, analyticReport(newTruth, plan, spec.tuples)); err != nil {
 			return err
 		}
 		probe, err = postV1Optimize(client, observer.url, clientBody)
@@ -714,30 +633,16 @@ func runFleetDrift(spec fleetSpec, seed int64, client *http.Client, res *fleetRe
 	return nil
 }
 
-// fleetStatsProbe mirrors the fleet block of /v1/stats for remote scraping.
-type fleetStatsProbe struct {
-	ReplicaHits       int64 `json:"replicaHits"`
-	ForwardServedWarm int64 `json:"forwardServedWarm"`
-}
-
-func scrapeV1Fleet(client *http.Client, baseURL string) (fleetStatsProbe, error) {
-	resp, err := client.Get(baseURL + "/v1/stats")
+// scrapeV1Fleet reads the fleet block of a peer's /v1/stats.
+func scrapeV1Fleet(client *http.Client, baseURL string) (fleet.Stats, error) {
+	st, err := getV1Stats(client, baseURL)
 	if err != nil {
-		return fleetStatsProbe{}, err
+		return fleet.Stats{}, err
 	}
-	defer resp.Body.Close()
-	var env struct {
-		Data struct {
-			Fleet *fleetStatsProbe `json:"fleet"`
-		} `json:"data"`
+	if st.Fleet == nil {
+		return fleet.Stats{}, fmt.Errorf("%s/v1/stats reports no fleet block (not a fleet member?)", baseURL)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return fleetStatsProbe{}, err
-	}
-	if env.Data.Fleet == nil {
-		return fleetStatsProbe{}, fmt.Errorf("%s/v1/stats reports no fleet block (not a fleet member?)", baseURL)
-	}
-	return *env.Data.Fleet, nil
+	return *st.Fleet, nil
 }
 
 // runFleetRemote drives an externally hosted fleet: warm through the first
@@ -802,7 +707,7 @@ func runFleetRemote(targets []string, spec fleetSpec, opts loadOpts) (*fleetResu
 		if err != nil {
 			return nil, err
 		}
-		cross += after.ReplicaHits + after.ForwardServedWarm - before.ReplicaHits - before.ForwardServedWarm
+		cross += crossNodeHits(after) - crossNodeHits(before)
 		rps := float64(win.requests) / win.elapsed.Seconds()
 		res.perPeerRps = append(res.perPeerRps, rps)
 		res.aggregate += rps

@@ -75,7 +75,6 @@ type serveReport struct {
 	GoVersion   string `json:"goVersion"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Quick       bool   `json:"quick"`
-	Legacy      bool   `json:"legacy,omitempty"`
 
 	Entries []serveEntry `json:"entries"`
 
@@ -90,7 +89,7 @@ type serveReport struct {
 type cellSpec struct {
 	Name   string
 	Mode   string // warm | cold
-	Batch  int    // 0 = single /optimize requests
+	Batch  int    // 0 = single /v1/optimize requests
 	Conc   int    // closed-loop worker count
 	Corpus int    // distinct queries (warm) or unique-query pool (cold)
 	N      int    // base service count; corpus entries use N, N-1, N-2
@@ -117,7 +116,6 @@ func defaultSuite(quick bool) ([]cellSpec, time.Duration) {
 // loadOpts are the knobs shared by suite and ad-hoc runs.
 type loadOpts struct {
 	seed       int64
-	legacy     bool
 	target     string // external server URL; empty = self-host
 	duration   time.Duration
 	open       bool           // open-loop arrivals instead of closed-loop workers
@@ -126,7 +124,7 @@ type loadOpts struct {
 	admission  *admit.Options // non-nil: self-host behind an admission controller
 	staleServe bool           // with admission: serve stale plans instead of shedding
 	snapshot   []byte         // non-nil: restore this plan-cache snapshot into the self-hosted planner before serving
-	executor   *exec.Executor // non-nil: self-host with POST /execute over this executor
+	executor   *exec.Executor // non-nil: self-host with POST /v1/execute over this executor
 	sequential bool           // self-host with parallel search disabled (deterministic service times)
 	verbose    io.Writer
 }
@@ -156,7 +154,7 @@ func startTarget(opts loadOpts) (*loadTarget, error) {
 			return nil, err
 		}
 	}
-	cfg := planner.Config{LegacyLRUCache: opts.legacy, Adaptive: registry}
+	cfg := planner.Config{Adaptive: registry}
 	if opts.sequential {
 		cfg.ParallelThreshold = -1
 	}
@@ -171,11 +169,10 @@ func startTarget(opts loadOpts) (*loadTarget, error) {
 		admission = admit.New(*opts.admission)
 	}
 	srv := &http.Server{Handler: serve.NewHandler(p, serve.Options{
-		MaxBody:      64 << 20,
-		LegacyEncode: opts.legacy,
-		Admission:    admission,
-		StaleServe:   opts.staleServe,
-		Executor:     opts.executor,
+		MaxBody:    64 << 20,
+		Admission:  admission,
+		StaleServe: opts.staleServe,
+		Executor:   opts.executor,
 	})}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -254,10 +251,12 @@ type solvedProbe struct {
 	Optimal bool       `json:"optimal"`
 }
 
+// batchProbe is the verification target of a /v1/optimize/batch answer:
+// per instance, a solved probe or a {code,message} error.
 type batchProbe struct {
 	Results []struct {
 		solvedProbe
-		Error string `json:"error"`
+		Error *v1Error `json:"error"`
 	} `json:"results"`
 }
 
@@ -300,7 +299,7 @@ func runCell(spec cellSpec, opts loadOpts) (serveEntry, error) {
 		// Populate the plan cache and cross-check every corpus optimum
 		// once before the clock starts.
 		for i := range corp.bodies {
-			probe, err := postSingle(target, corp.bodies[i])
+			probe, err := postV1Optimize(target.client, target.url, corp.bodies[i])
 			if err != nil {
 				return serveEntry{}, fmt.Errorf("warming corpus entry %d: %w", i, err)
 			}
@@ -572,50 +571,39 @@ func nextRequest(pick picker, spec cellSpec, corp *corpus, rng *rand.Rand) ([]in
 // issue performs one request and drains (or, when verify is set, decodes
 // and cross-checks) the response.
 func issue(target *loadTarget, spec cellSpec, corp *corpus, idxs []int, body []byte, verify bool) error {
-	endpoint := target.url + "/optimize"
-	if spec.Batch > 0 {
-		endpoint = target.url + "/optimize/batch"
+	// Cold responses are consistency-checked (feasible plan reproducing
+	// the reported cost) but not oracle-checked: solving every unique
+	// query twice would halve cold throughput.
+	oracle := spec.Mode == "warm"
+	if spec.Batch <= 0 {
+		if !verify {
+			return drainV1Optimize(target.client, target.url, body)
+		}
+		probe, err := postV1Optimize(target.client, target.url, body)
+		if err != nil {
+			return err
+		}
+		return checkProbe(corp, idxs[0], probe, oracle)
 	}
-	resp, err := target.client.Post(endpoint, "application/json", bytes.NewReader(body))
+	if !verify {
+		return drainV1(target.client, target.url, "/v1/optimize/batch", body)
+	}
+	probe, err := postV1Batch(target.client, target.url, body)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("%s: status %d: %s", endpoint, resp.StatusCode, msg)
+	if len(probe.Results) != len(idxs) {
+		return fmt.Errorf("batch returned %d results for %d instances", len(probe.Results), len(idxs))
 	}
-	// Cold responses are consistency-checked (feasible plan reproducing
-	// the reported cost) but not oracle-checked: solving every unique
-	// query twice would halve cold throughput for both sides of an A/B.
-	oracle := spec.Mode == "warm"
-	if !verify {
-		_, err := io.Copy(io.Discard, resp.Body)
-		return err
-	}
-	if spec.Batch > 0 {
-		var probe batchProbe
-		if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
+	for k, r := range probe.Results {
+		if r.Error != nil {
+			return fmt.Errorf("batch instance %d failed: %s: %s", k, r.Error.Code, r.Error.Message)
+		}
+		if err := checkProbe(corp, idxs[k], r.solvedProbe, oracle); err != nil {
 			return err
 		}
-		if len(probe.Results) != len(idxs) {
-			return fmt.Errorf("batch returned %d results for %d instances", len(probe.Results), len(idxs))
-		}
-		for k, r := range probe.Results {
-			if r.Error != "" {
-				return fmt.Errorf("batch instance %d failed: %s", k, r.Error)
-			}
-			if err := checkProbe(corp, idxs[k], r.solvedProbe, oracle); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	var probe solvedProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-		return err
-	}
-	return checkProbe(corp, idxs[0], probe, oracle)
+	return nil
 }
 
 func checkProbe(corp *corpus, idx int, probe solvedProbe, oracle bool) error {
@@ -632,26 +620,7 @@ func checkProbe(corp *corpus, idx int, probe solvedProbe, oracle bool) error {
 	return nil
 }
 
-// postSingle issues one /optimize request and decodes the verification
-// probe (warmup path: every response is checked).
-func postSingle(target *loadTarget, body []byte) (solvedProbe, error) {
-	resp, err := target.client.Post(target.url+"/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return solvedProbe{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return solvedProbe{}, fmt.Errorf("status %d: %s", resp.StatusCode, msg)
-	}
-	var probe solvedProbe
-	if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-		return solvedProbe{}, err
-	}
-	return probe, nil
-}
-
-// hitCounters is the /stats subset used for cell hit rates.
+// hitCounters is the /v1/stats subset used for cell hit rates.
 type hitCounters struct{ hits, misses int64 }
 
 func scrapeHitCounters(target *loadTarget) (hitCounters, bool) {
@@ -659,13 +628,8 @@ func scrapeHitCounters(target *loadTarget) (hitCounters, bool) {
 		s := target.planner.Stats()
 		return hitCounters{hits: s.Hits, misses: s.Misses}, true
 	}
-	resp, err := target.client.Get(target.url + "/stats")
+	st, err := getV1Stats(target.client, target.url)
 	if err != nil {
-		return hitCounters{}, false
-	}
-	defer resp.Body.Close()
-	var st serve.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return hitCounters{}, false
 	}
 	return hitCounters{hits: st.Hits, misses: st.Misses}, true
@@ -691,7 +655,6 @@ func runServeBench(quick bool, opts loadOpts) (*serveReport, error) {
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Quick:       quick,
-		Legacy:      opts.legacy,
 	}
 	for _, spec := range specs {
 		cellOpts := opts
@@ -737,7 +700,7 @@ func runServeBench(quick bool, opts loadOpts) (*serveReport, error) {
 		}
 
 		// The execute cell: the full optimize -> execute -> observe ->
-		// replan loop through POST /execute, recovering from a backend
+		// replan loop through POST /v1/execute, recovering from a backend
 		// drift on execution feedback alone.
 		eres, err := runExecuteScenario(defaultExecSpec(quick), opts)
 		if err != nil {
@@ -750,7 +713,7 @@ func runServeBench(quick bool, opts loadOpts) (*serveReport, error) {
 				eres.execsToConv, eres.generations, eres.replans, eres.entry.Verified)
 		}
 
-		// The chaos cell: the same /execute path under a deterministic
+		// The chaos cell: the same /v1/execute path under a deterministic
 		// fault plan — retries, breaker transitions, typed degrades,
 		// bounded latency, no goroutine leaks.
 		cres, err := runChaosScenario(defaultChaosSpec(quick), opts)
@@ -765,7 +728,7 @@ func runServeBench(quick bool, opts loadOpts) (*serveReport, error) {
 		}
 
 		// The failover cell: hedged calls, plan-aware failover, and
-		// reliability-priced replanning — the same /execute path with a
+		// reliability-priced replanning — the same /v1/execute path with a
 		// replicated backend, a blacked-out mid-plan service, and an
 		// adaptive registry pricing the flakiness into served plans.
 		fres, err := runFailoverScenario(defaultFailoverSpec(quick), opts)

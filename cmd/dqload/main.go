@@ -23,15 +23,14 @@
 // plans must recover from, run standalone with -drift), overload-shed
 // (admission control + stale-serve at 4x the calibrated saturation rate,
 // run standalone with -overload), execute-loop (the optimize -> execute ->
-// observe -> replan loop through POST /execute, recovering from a backend
+// observe -> replan loop through POST /v1/execute, recovering from a backend
 // drift on execution feedback alone, run standalone with -execute),
 // exec-chaos (the same path under a deterministic fault-injection plan:
 // typed degrades, breaker transitions, bounded p99, no goroutine leaks,
 // run standalone with -chaos), and restart-warmboot (plan-cache snapshot
 // round-trip, full suite only, run standalone with -restart) — each
-// against a fresh self-hosted server. -legacy measures the pre-v4
-// serving path (mutex LRU cache + encoding/json responses) for A/B
-// comparison; the committed baseline embeds its predecessor as the
+// against a fresh self-hosted server, spoken to over dqserve's /v1
+// surface. The committed baseline embeds its predecessor as the
 // "previous" block.
 package main
 
@@ -63,7 +62,7 @@ func run(args []string) error {
 
 		// Workload flags (ad-hoc mode; -duration also overrides suite cells).
 		mode     = fs.String("mode", "warm", "workload mode: warm (zipf over a pre-warmed corpus) or cold (every request first-sight)")
-		batch    = fs.Int("batch", 0, "instances per request via /optimize/batch (0 = single /optimize)")
+		batch    = fs.Int("batch", 0, "instances per request via /v1/optimize/batch (0 = single /v1/optimize)")
 		conc     = fs.Int("conc", 8, "closed-loop worker count")
 		corpus   = fs.Int("corpus", 64, "distinct corpus queries (warm) or unique-query pool (cold)")
 		nSvc     = fs.Int("n", 12, "base service count per query")
@@ -72,12 +71,11 @@ func run(args []string) error {
 		open     = fs.Bool("open", false, "open-loop arrivals at -rate instead of closed-loop workers")
 		rate     = fs.Float64("rate", 1000, "open-loop arrivals per second")
 		target   = fs.String("target", "", "external dqserve base URL (default: self-host the handler in-process)")
-		legacy   = fs.Bool("legacy", false, "measure the pre-v4 serving path: mutex LRU cache + encoding/json responses")
 		drift    = fs.Bool("drift", false, "run the adaptive-replanning drift scenario: perturb the oracle mid-run and assert served plans re-converge to the new optima")
 		overload = fs.Bool("overload", false, "run the overload-survival scenario: drive an admission-controlled server past saturation and assert every shed is a typed 429 and every admitted response is correct")
 		restart  = fs.Bool("restart", false, "run the restart scenario: snapshot a primed plan cache, warm-boot a fresh server from it, and assert a >= 90% first-window hit rate")
-		execute  = fs.Bool("execute", false, "run the execute scenario: drive POST /execute end to end — optimize, stream tuples through the fault-tolerant executor, observe, and re-converge from a mid-run backend drift on execution feedback alone")
-		chaos    = fs.Bool("chaos", false, "run the chaos scenario: POST /execute through a deterministic fault-injection plan and assert typed degrades, breaker transitions, bounded p99, and no goroutine leaks")
+		execute  = fs.Bool("execute", false, "run the execute scenario: drive POST /v1/execute end to end — optimize, stream tuples through the fault-tolerant executor, observe, and re-converge from a mid-run backend drift on execution feedback alone")
+		chaos    = fs.Bool("chaos", false, "run the chaos scenario: POST /v1/execute through a deterministic fault-injection plan and assert typed degrades, breaker transitions, bounded p99, and no goroutine leaks")
 		failover = fs.Bool("failover", false, "run the failover scenario: hedged calls against a spiking service, plan-aware failover through a victim blackout (every non-degraded response the exact full answer), and reliability-priced replanning demoting the flaky service")
 		fleetRun = fs.Bool("fleet", false, "run the fleet scenario: three consistent-hash-sharded dqserve peers (self-hosted, or >= 2 comma-separated -target URLs), measuring aggregate throughput, cross-node cache hits, and drift convergence with the observer and replanner on different nodes")
 		quickAd  = fs.Bool("drift-quick", false, "with -drift/-overload/-restart/-execute/-chaos/-failover: the CI-sized scenario (smaller budgets and windows)")
@@ -89,7 +87,6 @@ func run(args []string) error {
 
 	opts := loadOpts{
 		seed:     *seed,
-		legacy:   *legacy,
 		target:   *target,
 		duration: *duration,
 		open:     *open,
@@ -174,7 +171,7 @@ func run(args []string) error {
 		fmt.Printf("  outcomes   %d complete, %d degraded (typed: %v)\n", res.complete, res.degraded, res.reasons)
 		fmt.Printf("  injected   %d errors, %d blackout failures, %d spikes, %d trickles over %d backend calls\n",
 			res.injected.Errors, res.injected.Blackouts, res.injected.Spikes, res.injected.Trickles, res.injected.Calls)
-		fmt.Printf("  survived   %d retries, %d breaker opens (surfaced in /healthz), p50 %.1fµs p99 %.1fµs, no goroutine leaks\n",
+		fmt.Printf("  survived   %d retries, %d breaker opens (surfaced in /v1/healthz), p50 %.1fµs p99 %.1fµs, no goroutine leaks\n",
 			res.retries, res.breakerOpens, res.entry.P50Micros, res.entry.P99Micros)
 		return nil
 	}
@@ -282,11 +279,7 @@ func runServeBenchCmd(jsonOut, comparePath string, quick bool, thr serveThreshol
 			return err
 		}
 		rep.Previous = old.Entries
-		note := fmt.Sprintf("baseline from %s (generated %s)", comparePath, old.GeneratedAt)
-		if old.Legacy {
-			note += " [legacy serving path: mutex LRU + encoding/json]"
-		}
-		rep.PreviousNote = note
+		rep.PreviousNote = fmt.Sprintf("baseline from %s (generated %s)", comparePath, old.GeneratedAt)
 	}
 	if jsonOut != "" {
 		if err := writeServeReport(rep, jsonOut); err != nil {

@@ -11,7 +11,7 @@ package main
 // and a typed reason, every admitted response is a correct plan (shed,
 // but never wrong), stale-served responses carry "stale": true with the
 // previous generation's exact answer, and the background replan shows up
-// in /stats. Admitted latency stays bounded by construction (the
+// in /v1/stats. Admitted latency stays bounded by construction (the
 // admission queue is bounded); the cell records it so the -compare gate
 // catches regressions.
 //
@@ -22,9 +22,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -38,7 +36,6 @@ import (
 	"serviceordering/internal/admit"
 	"serviceordering/internal/calibrate"
 	"serviceordering/internal/planner"
-	"serviceordering/internal/serve"
 )
 
 // overloadSpec fixes the overload cell's shape.
@@ -84,20 +81,13 @@ type overloadResult struct {
 	admitted    int64
 	sheds       int64
 	staleServed int64 // responses flagged "stale": true (client-observed)
-	bgReplans   int64 // background replans visible in /stats afterwards
+	bgReplans   int64 // background replans visible in /v1/stats afterwards
 }
 
 // overloadProbe decodes the full survival-relevant response surface.
 type overloadProbe struct {
 	solvedProbe
 	Stale bool `json:"stale"`
-}
-
-// shedProbe decodes a 429 body.
-type shedProbe struct {
-	Error             string  `json:"error"`
-	Reason            string  `json:"reason"`
-	RetryAfterSeconds float64 `json:"retryAfterSeconds"`
 }
 
 func typedShedReason(r string) bool {
@@ -151,7 +141,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		return nil, err
 	}
 	for i := range warmCorp.bodies {
-		probe, err := postSingle(target, warmCorp.bodies[i])
+		probe, err := postV1Optimize(target.client, target.url, warmCorp.bodies[i])
 		if err != nil {
 			return nil, fmt.Errorf("warming corpus entry %d: %w", i, err)
 		}
@@ -179,7 +169,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		}
 		calStart := time.Now()
 		for i := range probeCorp.bodies {
-			if _, err := postSingle(target, probeCorp.bodies[i]); err != nil {
+			if _, err := postV1Optimize(target.client, target.url, probeCorp.bodies[i]); err != nil {
 				return nil, fmt.Errorf("calibration request %d (n=%d): %w", i, coldN, err)
 			}
 		}
@@ -254,7 +244,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		}
 		if !drifted && time.Now().After(driftTime) {
 			// The generation bump: ONE observation of the drifted truth,
-			// POSTed through /observe like production. A single report
+			// POSTed through /v1/observe like production. A single report
 			// (Alpha 1, MinObservations 1) publishes a single generation,
 			// which keeps the oracle sharp: every stale-served answer then
 			// comes verbatim from a generation-0 entry whose cost the
@@ -264,7 +254,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 			// correct behavior, but unverifiable from the client.
 			driftFlag.Store(true)
 			plan := calibrate.CoveringPlans(len(driftQuery.Services))[0]
-			if err := postObserve(target, analyticReport(driftQuery, plan, 100000)); err != nil {
+			if err := postV1Observe(target.client, target.url, analyticReport(driftQuery, plan, 100000)); err != nil {
 				fail(fmt.Errorf("overload: drift observe: %w", err))
 				break
 			}
@@ -300,20 +290,20 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 			// from the scheduled arrival would mostly measure the client's
 			// own backlog once the offered schedule is infeasible.
 			dispatch := time.Now()
-			resp, err := target.client.Post(target.url+"/optimize", "application/json", bytes.NewReader(body))
+			resp, err := target.client.Post(target.url+"/v1/optimize", "application/json", bytes.NewReader(body))
 			if err != nil {
 				fail(err)
 				return
 			}
 			defer resp.Body.Close()
 			lat := time.Since(dispatch)
+			probe, shed, err := readV1[overloadProbe](resp.Body)
+			if err != nil {
+				fail(fmt.Errorf("overload: undecodable status %d answer: %w", resp.StatusCode, err))
+				return
+			}
 			switch resp.StatusCode {
 			case http.StatusOK:
-				var probe overloadProbe
-				if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-					fail(err)
-					return
-				}
 				corp := coldCorp
 				if !cold {
 					corp = warmCorp
@@ -360,19 +350,13 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 					fail(fmt.Errorf("overload: 429 without a positive Retry-After header (%q)", resp.Header.Get("Retry-After")))
 					return
 				}
-				var probe shedProbe
-				if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
-					fail(fmt.Errorf("overload: undecodable 429 body: %w", err))
-					return
-				}
-				if !typedShedReason(probe.Reason) {
-					fail(fmt.Errorf("overload: 429 with untyped reason %q", probe.Reason))
+				if shed == nil || shed.Code != "overloaded" || !typedShedReason(shed.Reason) {
+					fail(fmt.Errorf("overload: 429 without a typed overloaded error: %+v", shed))
 					return
 				}
 				sheds.Add(1)
 			default:
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				fail(fmt.Errorf("overload: status %d under load: %s", resp.StatusCode, msg))
+				fail(fmt.Errorf("overload: status %d under load: %+v", resp.StatusCode, shed))
 			}
 		}(idx, body, cold, preDrift)
 	}
@@ -395,7 +379,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		return nil, fmt.Errorf("overload: zero admitted requests — admission shed everything")
 	}
 	if res.sheds == 0 {
-		st, _ := fetchServeStats(target)
+		st, _ := getV1Stats(target.client, target.url)
 		return nil, fmt.Errorf("overload: %.0f req/s offered (%.1fx calibrated saturation) never shed — no overload was created (dispatched %d in %v, admitted %d, coldN %d, meanCold %v, overload %+v)",
 			offered, spec.rateMultiple, dispatched, elapsed, res.admitted, coldN, meanCold, st.Overload)
 	}
@@ -410,19 +394,19 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 	// single replan worker for seconds without meaning anything is wrong.
 	statsDeadline := time.Now().Add(15 * time.Second)
 	for {
-		st, err := fetchServeStats(target)
+		st, err := getV1Stats(target.client, target.url)
 		if err != nil {
 			return nil, err
 		}
 		if st.Overload == nil {
-			return nil, fmt.Errorf("overload: /stats has no overload block")
+			return nil, fmt.Errorf("overload: /v1/stats has no overload block")
 		}
 		res.bgReplans = st.Overload.BackgroundReplans
 		if res.bgReplans >= 1 {
 			break
 		}
 		if time.Now().After(statsDeadline) {
-			return nil, fmt.Errorf("overload: %d stale-served responses but no background replan in /stats", res.staleServed)
+			return nil, fmt.Errorf("overload: %d stale-served responses but no background replan in /v1/stats", res.staleServed)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -482,7 +466,7 @@ func runRestartScenario(spec restartSpec, opts loadOpts) (*restartResult, error)
 		return nil, err
 	}
 	for i := range corp.bodies {
-		probe, err := postSingle(first, corp.bodies[i])
+		probe, err := postV1Optimize(first.client, first.url, corp.bodies[i])
 		if err != nil {
 			first.close()
 			return nil, fmt.Errorf("priming corpus entry %d: %w", i, err)
@@ -513,7 +497,7 @@ func runRestartScenario(spec restartSpec, opts loadOpts) (*restartResult, error)
 	// cache (no searches).
 	before := second.planner.Stats()
 	for i := range corp.bodies {
-		probe, err := postSingle(second, corp.bodies[i])
+		probe, err := postV1Optimize(second.client, second.url, corp.bodies[i])
 		if err != nil {
 			return nil, fmt.Errorf("restart: first-window request %d: %w", i, err)
 		}
@@ -567,37 +551,4 @@ type writeCounter struct{ buf []byte }
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.buf = append(w.buf, p...)
 	return len(p), nil
-}
-
-// postObserve POSTs one execution report to /observe.
-func postObserve(target *loadTarget, rep *adapt.Report) error {
-	body, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	resp, err := target.client.Post(target.url+"/observe", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("/observe: status %d: %s", resp.StatusCode, msg)
-	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	return err
-}
-
-// fetchServeStats scrapes the full /stats document.
-func fetchServeStats(target *loadTarget) (*serve.StatsResponse, error) {
-	resp, err := target.client.Get(target.url + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st serve.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }

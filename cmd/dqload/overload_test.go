@@ -166,10 +166,10 @@ func TestQuantileMicrosEdges(t *testing.T) {
 	}
 }
 
-// TestProbeHelpers exercises the HTTP plumbing the scenarios stand on:
-// postSingle's non-200 path, the external-target /stats scrape,
-// fetchServeStats, and postObserve against a server without the
-// adaptive loop (which must surface the 404, not swallow it).
+// TestProbeHelpers exercises the /v1 client plumbing the scenarios stand
+// on: success and error envelopes, the drain path's non-200 handling, the
+// external-target stats scrape, and disabled endpoints (which must
+// surface their 404, not swallow it).
 func TestProbeHelpers(t *testing.T) {
 	target, err := startTarget(loadOpts{seed: 1})
 	if err != nil {
@@ -180,35 +180,48 @@ func TestProbeHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := postSingle(target, corp.bodies[0]); err != nil {
+	c, u := target.client, target.url
+	if _, err := postV1Optimize(c, u, corp.bodies[0]); err != nil {
 		t.Fatalf("valid post failed: %v", err)
 	}
-	if _, err := postSingle(target, []byte("{not json")); err == nil {
-		t.Error("malformed body accepted")
+	if _, err := postV1Optimize(c, u, []byte("{not json")); err == nil || !strings.Contains(err.Error(), "bad_request") {
+		t.Errorf("malformed body: %v, want a bad_request error", err)
+	}
+	if err := drainV1Optimize(c, u, corp.bodies[0]); err != nil {
+		t.Errorf("valid drain failed: %v", err)
+	}
+	if err := drainV1Optimize(c, u, []byte("{not json")); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Errorf("malformed drain: %v, want a status 400 error", err)
+	}
+	// Outside /v1 the mux answers plain text: the error still names the
+	// path and status.
+	if err := drainV1(c, u, "/optimize", corp.bodies[0]); err == nil || !strings.Contains(err.Error(), "/optimize: status 404") {
+		t.Errorf("unversioned path: %v, want a plain 404", err)
 	}
 
-	// The external-target scrape path reads /stats over HTTP instead of
+	// The external-target scrape path reads /v1/stats over HTTP instead of
 	// the in-process planner handle.
-	ext := &loadTarget{url: target.url, client: target.client}
+	ext := &loadTarget{url: u, client: c}
 	hc, ok := scrapeHitCounters(ext)
 	if !ok || hc.hits+hc.misses == 0 {
 		t.Errorf("external scrape = %+v, %v", hc, ok)
 	}
-	if _, ok := scrapeHitCounters(&loadTarget{url: "http://127.0.0.1:1", client: target.client}); ok {
+	if _, ok := scrapeHitCounters(&loadTarget{url: "http://127.0.0.1:1", client: c}); ok {
 		t.Error("unreachable target scraped successfully")
 	}
-
-	st, err := fetchServeStats(target)
-	if err != nil || st == nil {
-		t.Fatalf("fetchServeStats = %v, %v", st, err)
+	st, err := getV1Stats(c, u)
+	if err != nil || st.Misses == 0 {
+		t.Errorf("getV1Stats = %+v, %v; want misses after a cold optimize", st.Stats, err)
 	}
-	if st.Misses == 0 {
-		t.Errorf("stats misses = 0 after a cold optimize")
+	if hz, err := getV1Healthz(c, u); err != nil || hz.Status != "ok" {
+		t.Errorf("getV1Healthz = %+v, %v", hz, err)
 	}
 
-	// No -adaptive on this target: /observe 404s and postObserve must
-	// report it.
-	if err := postObserve(target, &adapt.Report{}); err == nil {
-		t.Error("postObserve against a non-adaptive server succeeded")
+	// No -adaptive and no executor on this target: both endpoints 404.
+	if err := postV1Observe(c, u, &adapt.Report{}); err == nil || !strings.Contains(err.Error(), "not_found") {
+		t.Errorf("observe against a non-adaptive server: %v, want not_found", err)
+	}
+	if _, err := postV1Execute(c, u, corp.bodies[0]); err == nil || !strings.Contains(err.Error(), "not_found") {
+		t.Errorf("execute without an executor: %v, want not_found", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestExecuteFlagEndToEnd drives the real server with -exec-backend mock
-// -adaptive: POST /execute must optimize, run the plan, and feed the
+// -adaptive: POST /v1/execute must optimize, run the plan, and feed the
 // execution report into the drift detector, all in one round trip.
 func TestExecuteFlagEndToEnd(t *testing.T) {
 	url, stop := startServer(t, "-exec-backend", "mock", "-adaptive")
@@ -26,7 +26,7 @@ func TestExecuteFlagEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/execute", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/execute", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +35,7 @@ func TestExecuteFlagEndToEnd(t *testing.T) {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	var got serve.ExecuteResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, resp, &got)
 	if len(got.Plan) != 2 || got.TuplesIn != 300 || got.Degraded != nil {
 		t.Fatalf("unexpected execute response: %+v", got)
 	}
@@ -45,16 +43,14 @@ func TestExecuteFlagEndToEnd(t *testing.T) {
 		t.Fatal("-adaptive server did not observe the execution")
 	}
 
-	// The executor block shows up in /stats.
-	sresp, err := http.Get(url + "/stats")
+	// The executor block shows up in /v1/stats.
+	sresp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
 	var stats serve.StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, sresp, &stats)
 	if stats.Exec == nil || stats.Exec.Executions != 1 {
 		t.Fatalf("stats exec = %+v, want 1 execution", stats.Exec)
 	}
@@ -64,7 +60,7 @@ func TestExecuteFlagEndToEnd(t *testing.T) {
 func TestExecuteDisabledWithoutFlag(t *testing.T) {
 	url, stop := startServer(t)
 	defer stop()
-	resp, err := http.Post(url+"/execute", "application/json", bytes.NewReader([]byte(`{"tuples":1}`)))
+	resp, err := http.Post(url+"/v1/execute", "application/json", bytes.NewReader([]byte(`{"tuples":1}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +71,7 @@ func TestExecuteDisabledWithoutFlag(t *testing.T) {
 }
 
 // TestHealthzReportsCorruptSnapshot: a damaged snapshot still boots the
-// node cold, and /healthz says so.
+// node cold, and /v1/healthz says so.
 func TestHealthzReportsCorruptSnapshot(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "plans.snap")
 	if err := os.WriteFile(snap, []byte("garbage"), 0o644); err != nil {
@@ -83,7 +79,7 @@ func TestHealthzReportsCorruptSnapshot(t *testing.T) {
 	}
 	url, stop := startServer(t, "-snapshot-path", snap)
 	defer stop()
-	resp, err := http.Get(url + "/healthz")
+	resp, err := http.Get(url + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +88,7 @@ func TestHealthzReportsCorruptSnapshot(t *testing.T) {
 		t.Fatalf("healthz status = %d, want 200", resp.StatusCode)
 	}
 	var health serve.HealthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, resp, &health)
 	if health.Status != "degraded" || len(health.Reasons) != 1 || health.Reasons[0] != "snapshot-restore-failed" {
 		t.Fatalf("healthz = %+v, want degraded/snapshot-restore-failed", health)
 	}

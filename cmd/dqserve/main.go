@@ -5,52 +5,56 @@
 // internal/serve (shared with the cmd/dqload load generator); this command
 // binds it to a hardened http.Server.
 //
-// Endpoints:
+// Endpoints, all under /v1 and all speaking one envelope — a newline-
+// terminated JSON document {"data":<payload>,"error":null} on success and
+// {"data":null,"error":{"code","message"}} on failure, where an admission
+// shed (429) also carries "reason" and "retryAfterSeconds" next to its
+// Retry-After header:
 //
-//	POST /optimize        body: one JSON instance {"query": {...}}
-//	                      reply: the instance with "plan" and "cost" filled
-//	                      in, plus planner provenance and search stats.
-//	POST /optimize/batch  body: {"instances": [{...}, ...]}
-//	                      reply: {"results": [...]} in input order; a bad
-//	                      instance fails alone, not the batch.
-//	POST /observe         body: one execution report {"services": [...],
-//	                      "transfers": [...]} (only with -adaptive); feeds
-//	                      the drift detector. Reply: current generation,
-//	                      live drift, and whether this report published a
-//	                      new generation.
-//	POST /execute         body: {"query": {...}, "tuples": N} (only with
-//	                      -exec-backend); optimizes (or reuses the cached
-//	                      plan), streams N tuples through the plan on the
-//	                      fault-tolerant executor, and — with -adaptive —
-//	                      feeds the execution report back into the drift
-//	                      detector. Reply: the plan plus per-stage counts;
-//	                      backend failures degrade to a typed partial
-//	                      result ("degraded": {...}), never a wrong one.
-//	GET  /stats           cache hit/miss/eviction/touch and dedup counters,
-//	                      the plan-cache hit rate, optimize-latency
-//	                      quantiles (p50/p90/p99), aggregate search stats
-//	                      (nodes expanded, search micros), and — with
-//	                      -adaptive — generation/drift/replan counters.
-//	GET  /healthz         readiness JSON: {"status": "ok"} or {"status":
-//	                      "degraded", "reasons": [...]} (snapshot restore
-//	                      failed, replan queue saturated, circuit breaker
-//	                      open). Always 200 while the process serves.
-//	GET  /debug/pprof/*   runtime profiling, only with -pprof.
-//
-// Every endpoint above also exists under /v1/ (plus POST /v1/call/{service}
-// when a backend is configured) speaking the versioned envelope —
-// {"data":...,"error":null} on success, {"data":null,"error":{"code",
-// "message","retryAfterSeconds"}} on failure. The unversioned paths are
-// deprecation aliases: identical bodies, plus a Deprecation header.
+//	POST /v1/optimize        body: one JSON instance {"query": {...}}
+//	                         data: the instance with "plan" and "cost"
+//	                         filled in, plus planner provenance and search
+//	                         stats.
+//	POST /v1/optimize/batch  body: {"instances": [{...}, ...]}
+//	                         data: {"results": [...]} in input order; a bad
+//	                         instance fails alone, as an item
+//	                         {"error":{"code","message"}}, not the batch.
+//	POST /v1/observe         body: one execution report {"services": [...],
+//	                         "transfers": [...]} (only with -adaptive);
+//	                         feeds the drift detector. Data: current
+//	                         generation, live drift, and whether this report
+//	                         published a new generation.
+//	POST /v1/execute         body: {"query": {...}, "tuples": N} (only with
+//	                         -exec-backend); optimizes (or reuses the cached
+//	                         plan), streams N tuples through the plan on the
+//	                         fault-tolerant executor, and — with -adaptive —
+//	                         feeds the execution report back into the drift
+//	                         detector. Data: the plan plus per-stage counts;
+//	                         backend failures degrade to a typed partial
+//	                         result ("degraded": {...}), never a wrong one.
+//	POST /v1/call/{service}  body: {"tuples": [...]} (only with
+//	                         -exec-backend); one call of the configured
+//	                         service backend.
+//	GET  /v1/stats           cache hit/miss/eviction/touch and dedup
+//	                         counters, the plan-cache hit rate,
+//	                         optimize-latency quantiles (p50/p90/p99),
+//	                         aggregate search stats (nodes expanded, search
+//	                         micros), and — with -adaptive — generation/
+//	                         drift/replan counters.
+//	GET  /v1/healthz         readiness: {"status": "ok"} or {"status":
+//	                         "degraded", "reasons": [...]} (snapshot restore
+//	                         failed, replan queue saturated, circuit breaker
+//	                         open). Always 200 while the process serves.
+//	GET  /debug/pprof/*      runtime profiling, only with -pprof.
 //
 // Usage:
 //
 //	dqserve -addr :8080 -cache 4096 -batch-workers 8
 //	dqserve -pprof       # expose /debug/pprof for production profiling
-//	dqserve -legacy      # pre-v4 serving path (mutex LRU + encoding/json)
-//	dqserve -adaptive    # online adaptive replanning: POST /observe feeds
-//	                     # EWMA statistics; drift past -drift-delta bumps
-//	                     # the generation and lazily replans cached plans
+//	dqserve -adaptive    # online adaptive replanning: POST /v1/observe
+//	                     # feeds EWMA statistics; drift past -drift-delta
+//	                     # bumps the generation and lazily replans cached
+//	                     # plans
 //	dqserve -heuristic-threshold 20   # route n >= 20 to the heuristic tier
 //	dqserve -heuristic-threshold -1   # exact only: n > 64 rejected with 422
 //	dqserve -admit-max-concurrent 8   # overload survival: bounded admission
@@ -64,7 +68,7 @@
 //	dqserve -snapshot-path plans.snap # warm boot: restore the plan cache at
 //	                                  # startup, dump it periodically and on
 //	                                  # SIGTERM (atomic rename)
-//	dqserve -exec-backend mock        # enable POST /execute against the
+//	dqserve -exec-backend mock        # enable POST /v1/execute against the
 //	                                  # deterministic in-process backend
 //	                                  # (-exec-seed); pass a base URL
 //	                                  # instead to call real service hosts
@@ -92,7 +96,7 @@
 //
 // Example:
 //
-//	curl -s -X POST localhost:8080/optimize -d @query.json
+//	curl -s -X POST localhost:8080/v1/optimize -d @query.json
 package main
 
 import (
@@ -141,15 +145,12 @@ func run(args []string, ready chan<- string) error {
 		nodeLimit    = fs.Int64("node-limit", 0, "per-search node budget (0 = none)")
 		maxBody      = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
 		pprofOn      = fs.Bool("pprof", false, "expose /debug/pprof endpoints for live profiling")
-		legacy       = fs.Bool("legacy", false, "pre-v4 serving path: mutex LRU cache + encoding/json responses (A/B measurement)")
 
 		// Heuristic planning tier (large n).
 		htThreshold = fs.Int("heuristic-threshold", 0, "instance size routed to the heuristic tier (0 = default 15, -1 disables: queries past the 64-service exact limit are rejected)")
 		htBeamWidth = fs.Int("beam-width", 0, "heuristic tier beam width (0 = default, -1 disables the beam member)")
 		htBBBudget  = fs.Int64("heuristic-bb-nodes", 0, "node budget for the heuristic tier's anytime branch-and-bound member on n <= 64 (0 = default, -1 disables)")
 
-		// Adaptive replanning loop (POST /observe + generation-versioned
-		// cache invalidation).
 		// Overload survival: admission control, stale-serve, warm-boot
 		// snapshots.
 		admitMax    = fs.Int("admit-max-concurrent", 0, "admission control: max concurrently served optimize requests (0 disables admission entirely)")
@@ -162,21 +163,21 @@ func run(args []string, ready chan<- string) error {
 		snapEvery   = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot dump interval (0 = dump only on shutdown)")
 		replanQueue = fs.Int("replan-queue", 0, "background replan queue depth for stale-served requests (0 = default 64)")
 
-		// Fault-tolerant streaming execution (POST /execute).
-		execBackend = fs.String("exec-backend", "", "execution backend enabling POST /execute: \"mock\" (deterministic in-process, seeded by -exec-seed) or the base URL of a service host speaking POST /call/{service} (empty disables the route)")
+		// Fault-tolerant streaming execution (POST /v1/execute).
+		execBackend = fs.String("exec-backend", "", "execution backend enabling POST /v1/execute: \"mock\" (deterministic in-process, seeded by -exec-seed) or the base URL of a service host speaking POST /call/{service} (empty disables the route)")
 		execSeed    = fs.Int64("exec-seed", 1, "seed for the mock execution backend and the retry-jitter stream")
 		execTimeout = fs.Duration("exec-call-timeout", 0, "per-service call timeout; a timed-out call is retried like a failure (0 = 1s default)")
-		execRetries = fs.Int("exec-retry-budget", 0, "retries one /execute request may spend across all its services before degrading (0 = default 8, -1 disables retries)")
+		execRetries = fs.Int("exec-retry-budget", 0, "retries one /v1/execute request may spend across all its services before degrading (0 = default 8, -1 disables retries)")
 		execBrkN    = fs.Int("exec-breaker-threshold", 0, "consecutive failures opening a service's circuit breaker (0 = default 5, -1 disables breakers)")
 		execBrkCool = fs.Duration("exec-breaker-cooldown", 0, "how long an open breaker sheds before admitting a half-open probe (0 = 1s default)")
-		execDeadln  = fs.Duration("exec-deadline", 0, "end-to-end execution deadline per /execute request, propagated to every call (0 = none; the server write timeout still applies)")
+		execDeadln  = fs.Duration("exec-deadline", 0, "end-to-end execution deadline per /v1/execute request, propagated to every call (0 = none; the server write timeout still applies)")
 		execBlock   = fs.Int("exec-block", 0, "tuples per streamed block between pipeline stages (0 = 64 default)")
 
 		// Hedged calls and plan-aware failover.
 		execReplicas   = fs.Int("exec-replicas", 0, "replica count the mock backend reports per service; >= 2 arms hedged calls (0 = 1, no hedging; ignored for HTTP backends)")
 		execHedgeDelay = fs.Duration("exec-hedge-delay", 0, "fixed delay before a slow call is hedged against a replica (0 = adapt per service to the -exec-hedge-quantile latency, -1 disables hedging)")
 		execHedgeQ     = fs.Float64("exec-hedge-quantile", 0, "latency quantile the adaptive hedge delay tracks (0 = 0.95 default)")
-		execHedgeBudg  = fs.Int("exec-hedge-budget", 0, "hedged attempts one /execute request may launch (0 = default 2, -1 disables)")
+		execHedgeBudg  = fs.Int("exec-hedge-budget", 0, "hedged attempts one /v1/execute request may launch (0 = default 2, -1 disables)")
 		execHedgeCap   = fs.Float64("exec-hedge-cap", 0, "global cap on hedges as a fraction of all call attempts (0 = 0.25 default, -1 uncapped)")
 		execFailover   = fs.Bool("exec-failover", false, "enable plan-aware failover: re-solve the residual query around a failed stage and rescue the request instead of degrading")
 		execFailRetry  = fs.Int("exec-failover-retries", 0, "fresh retry budget a failover rescue pipeline runs under (0 = default 4, -1 disables rescue retries)")
@@ -189,7 +190,7 @@ func run(args []string, ready chan<- string) error {
 		fleetID     = fs.String("fleet-id", "dqfleet", "fleet name; peers refuse frames from another fleet")
 		replication = fs.Int("replication", 2, "peers (owner included) holding each warm plan entry")
 
-		adaptiveOn = fs.Bool("adaptive", false, "enable online adaptive replanning: ingest execution reports on POST /observe, overlay fitted statistics onto queries, replan on drift")
+		adaptiveOn = fs.Bool("adaptive", false, "enable online adaptive replanning: ingest execution reports on POST /v1/observe, overlay fitted statistics onto queries, replan on drift")
 		driftDelta = fs.Float64("drift-delta", adapt.DefaultDriftDelta, "relative parameter drift that publishes a new statistics generation (derive from a regret budget with adapt.ThresholdFromRegret)")
 		ewmaAlpha  = fs.Float64("ewma-alpha", adapt.DefaultAlpha, "EWMA smoothing factor for observed statistics, in (0, 1]")
 		minObs     = fs.Int("min-obs", adapt.DefaultMinObservations, "observations per parameter before its estimate is trusted")
@@ -230,7 +231,6 @@ func run(args []string, ready chan<- string) error {
 		SearchWorkers:      *workers,
 		BatchWorkers:       *batchWorkers,
 		Search:             core.Options{TimeLimit: *timeLimit, NodeLimit: *nodeLimit},
-		LegacyLRUCache:     *legacy,
 		Adaptive:           registry,
 		HeuristicThreshold: *htThreshold,
 		Heuristic: htier.Options{
@@ -242,7 +242,7 @@ func run(args []string, ready chan<- string) error {
 	// Warm boot: replay the previous process's plan cache. A missing file
 	// is a normal first boot; a corrupt one is logged and ignored (the
 	// node just starts cold — a snapshot is an optimization, never a
-	// dependency), but /healthz reports the cold start as degraded so
+	// dependency), but /v1/healthz reports the cold start as degraded so
 	// operators notice.
 	snapRestoreFailed := false
 	if *snapPath != "" {
@@ -342,7 +342,6 @@ func run(args []string, ready chan<- string) error {
 		Handler: serve.NewHandler(p, serve.Options{
 			MaxBody:               *maxBody,
 			Pprof:                 *pprofOn,
-			LegacyEncode:          *legacy,
 			Admission:             admission,
 			StaleServe:            *staleServe,
 			ReplanQueue:           *replanQueue,

@@ -52,6 +52,28 @@ func startServer(t *testing.T, extraArgs ...string) (string, func()) {
 	return "http://" + addr, stop
 }
 
+// decodeV1 decodes a /v1 success envelope's data payload into v; an error
+// envelope fails the test.
+func decodeV1(t *testing.T, resp *http.Response, v any) {
+	t.Helper()
+	var env struct {
+		Data  json.RawMessage `json:"data"`
+		Error *struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error != nil {
+		t.Fatalf("status %d: error envelope %+v", resp.StatusCode, *env.Error)
+	}
+	if err := json.Unmarshal(env.Data, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func fixtureBody(t *testing.T) []byte {
 	t.Helper()
 	q, err := model.NewQuery(
@@ -79,7 +101,7 @@ func TestServeEndToEnd(t *testing.T) {
 	url, stop := startServer(t)
 	defer stop()
 
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(fixtureBody(t)))
+	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(fixtureBody(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +110,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	var got serve.OptimizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, resp, &got)
 	if len(got.Plan) != 2 || !got.Optimal {
 		t.Fatalf("unexpected response: %+v", got)
 	}
@@ -113,7 +133,7 @@ func TestLargeInstancesEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +142,8 @@ func TestLargeInstancesEndToEnd(t *testing.T) {
 			t.Fatalf("n=%d: status = %d, want 200", n, resp.StatusCode)
 		}
 		var got serve.OptimizeResponse
-		err = json.NewDecoder(resp.Body).Decode(&got)
+		decodeV1(t, resp, &got)
 		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !strings.HasPrefix(got.Tier, "heuristic/") {
 			t.Errorf("n=%d: tier = %q, want heuristic/*", n, got.Tier)
 		}
@@ -154,7 +171,7 @@ func TestExactOnlyModeRejectsLargeInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +190,7 @@ func TestSlowBodyRequestsAreCutOff(t *testing.T) {
 	defer stop()
 
 	// Sanity: a prompt request on the same server succeeds.
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(fixtureBody(t)))
+	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(fixtureBody(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +205,7 @@ func TestSlowBodyRequestsAreCutOff(t *testing.T) {
 	}
 	defer conn.Close()
 	// Declare a large body, deliver one byte, then stall.
-	fmt.Fprintf(conn, "POST /optimize HTTP/1.1\r\nHost: dqserve\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{")
+	fmt.Fprintf(conn, "POST /v1/optimize HTTP/1.1\r\nHost: dqserve\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{")
 
 	start := time.Now()
 	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {

@@ -34,7 +34,7 @@ func seededBody(t *testing.T, n int, seed int64) []byte {
 
 func postInstance(t *testing.T, url string, body []byte) serve.OptimizeResponse {
 	t.Helper()
-	resp, err := http.Post(url+"/optimize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +43,12 @@ func postInstance(t *testing.T, url string, body []byte) serve.OptimizeResponse 
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	var got serve.OptimizeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, resp, &got)
 	return got
 }
 
 // TestAdmissionFlagsEndToEnd: the admission flags reach the handler — the
-// server answers normally under light load and /stats carries the
+// server answers normally under light load and /v1/stats carries the
 // overload block with admission counters.
 func TestAdmissionFlagsEndToEnd(t *testing.T) {
 	url, stop := startServer(t,
@@ -64,17 +62,15 @@ func TestAdmissionFlagsEndToEnd(t *testing.T) {
 	if len(got.Plan) != 8 {
 		t.Fatalf("plan length %d, want 8", len(got.Plan))
 	}
-	resp, err := http.Get(url + "/stats")
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var st serve.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	decodeV1(t, resp, &st)
 	if st.Overload == nil {
-		t.Fatal("/stats missing overload block with admission enabled")
+		t.Fatal("/v1/stats missing overload block with admission enabled")
 	}
 	if st.Overload.Admission.Admitted < 1 {
 		t.Fatalf("admitted = %d, want >= 1", st.Overload.Admission.Admitted)
@@ -152,7 +148,7 @@ func TestClientDisconnectLeavesServerHealthy(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/optimize",
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/optimize",
 		bytes.NewReader(seededBody(t, 12, 5150)))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +161,7 @@ func TestClientDisconnectLeavesServerHealthy(t *testing.T) {
 	if len(got.Plan) != 8 {
 		t.Fatalf("post-disconnect request: plan length %d, want 8", len(got.Plan))
 	}
-	resp, err := http.Get(url + "/healthz")
+	resp, err := http.Get(url + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

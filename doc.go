@@ -41,7 +41,7 @@
 // service layer (NewPlanner) amortizes the search: every query is reduced
 // to a canonical signature — services re-sorted under a cost-preserving
 // normalization, the transfer matrix permuted to match — and resolved
-// through a sharded, bounded LRU plan cache. Structurally identical
+// through a sharded, bounded plan cache. Structurally identical
 // queries hash equal even when callers number their services differently;
 // concurrent requests for the same signature are collapsed into a single
 // branch-and-bound by singleflight deduplication; and OptimizeBatch fans
@@ -51,11 +51,12 @@
 //	res, err := pl.Optimize(ctx, q)   // cold: runs the search
 //	res, err = pl.Optimize(ctx, q)    // warm: cache hit, zero nodes expanded
 //
-// cmd/dqserve exposes the same planner over HTTP (POST /optimize,
-// POST /optimize/batch, GET /stats) for long-lived optimizer processes;
-// GET /stats reports the plan-cache hit rate, optimize-latency quantiles,
-// and aggregate search work (nodes expanded, search microseconds), and
-// -pprof exposes /debug/pprof for live profiling of the search hot path.
+// cmd/dqserve exposes the same planner over HTTP (POST /v1/optimize,
+// POST /v1/optimize/batch, GET /v1/stats) for long-lived optimizer
+// processes; GET /v1/stats reports the plan-cache hit rate,
+// optimize-latency quantiles, and aggregate search work (nodes expanded,
+// search microseconds), and -pprof exposes /debug/pprof for live
+// profiling of the search hot path.
 //
 // # The planning tiers
 //
@@ -87,7 +88,7 @@
 // canonical signature cache as exact ones (they are deterministic given
 // the budgets, so byte-identical resubmissions hit warm); only a
 // wall-clock-truncated branch-and-bound member marks a result
-// non-shareable. GET /stats reports executed searches per tier in
+// non-shareable. GET /v1/stats reports executed searches per tier in
 // tierCounts. Setting HeuristicThreshold to -1 restores the exact-only
 // planner, whose oversized queries fail with ErrQueryTooLarge (HTTP 422
 // through dqserve).
@@ -102,27 +103,28 @@
 //
 // At scale the common request is not a search but a warm cache hit, so
 // the planner->HTTP read path is engineered to be contention-free and
-// allocation-lean end to end. A warm /optimize hit is: hash the raw query
+// allocation-lean end to end. A warm /v1/optimize hit is: hash the raw query
 // bytes, probe two lock-free caches, permute the cached plan's indices
 // into the caller's numbering, and copy pre-serialized buffers.
 //
 //   - Read-lock-free caches. The plan cache and canonicalization memo
-//     (internal/ccache) dropped the promote-on-read mutex LRU: a lookup
-//     now loads an atomically published map and sets a CLOCK touch bit
-//     with at most one CAS per entry per eviction sweep, so concurrent
-//     warm hits never serialize on a lock. Promotion-on-read was the
-//     price of exact LRU ordering; the second-chance clock sweep (clear
-//     touched entries, evict untouched ones in insertion order) buys the
-//     same hot-set retention for zero read-side writes, and a recorded
-//     trace replay against the retained LRU proves hit-for-hit identical
-//     behavior below capacity. Inserts copy the shard map
+//     (internal/ccache) take no lock on a lookup: it loads an atomically
+//     published map and sets a CLOCK touch bit with at most one CAS per
+//     entry per eviction sweep, so concurrent warm hits never serialize.
+//     A promote-on-read LRU would pay a lock per hit for exact recency
+//     ordering; the second-chance clock sweep (clear touched entries,
+//     evict untouched ones in insertion order) buys the same hot-set
+//     retention for zero read-side writes, and recorded trace replays
+//     against a map model pin the store hit-for-hit below capacity and
+//     value-for-value above it. Inserts copy the shard map
 //     (copy-on-write), a deliberate O(shard) trade — they only happen
 //     after a search or a parse, both orders of magnitude dearer.
 //   - Pre-serialized responses. Every cached plan stores its JSON
 //     fragment `"cost":...,"optimal":...,"signature":"...","tier":"..."`
-//     built once at record time; responses are assembled in pooled append-based buffers
-//     from the request's own raw query bytes (echoed verbatim, never
-//     re-marshaled), the permuted plan, and the spliced fragment. The one
+//     built once at record time; responses are assembled in pooled
+//     append-based buffers from the request's own raw query bytes (echoed
+//     verbatim, never re-marshaled), the permuted plan, and the spliced
+//     fragment, wrapped in the /v1 envelope on the same buffer. The one
 //     field that cannot be pre-serialized is the plan itself: cached
 //     plans live in canonical index space, and two callers submitting
 //     relabelings of the same structure each get the plan expressed in
@@ -138,11 +140,11 @@
 //     AllocsPerRun budget.
 //
 // The serving baseline lives in BENCH_serve.json (regenerate with
-// cmd/dqload -json; the committed file embeds the pre-overhaul legacy
-// path as its "previous": 2.4-2.7x the warm-hit throughput at half the
-// p99). cmd/dqload replays zipf-skewed closed- and open-loop workloads
-// with every sampled response cross-checked against independently
-// computed optima, and CI diffs every push against the baseline.
+// cmd/dqload -json; the committed file embeds the baseline it was
+// compared against as its "previous"). cmd/dqload replays zipf-skewed
+// closed- and open-loop workloads with every sampled response
+// cross-checked against independently computed optima, and CI diffs
+// every push against the baseline.
 //
 // # The adaptive loop
 //
@@ -153,7 +155,7 @@
 // The adaptive loop (internal/adapt, enabled with dqserve -adaptive)
 // closes this online, in four stages that never stop the serving path:
 //
-//   - Observe. Execution layers POST /observe reports of what their
+//   - Observe. Execution layers POST /v1/observe reports of what their
 //     services actually did — tuples in/out and busy times per service,
 //     tuples and sending time per transfer edge. The registry fits them
 //     with the exact formulas of the offline calibrator
@@ -181,7 +183,7 @@
 //     upper bound, so the replan prunes hard from node one. The result is
 //     re-cached under the new generation.
 //
-// GET /stats exposes the loop end to end: generation, driftEvents,
+// GET /v1/stats exposes the loop end to end: generation, driftEvents,
 // observations, live drift, and replans. The dqload -drift scenario
 // proves convergence against the production stack: it perturbs a hidden
 // ground truth mid-run, streams execution reports of the new reality, and
@@ -211,7 +213,7 @@
 //     Per-tenant fairness caps any one X-Tenant's share of the queue.
 //     Every shed is an HTTP 429 with a Retry-After header and a typed
 //     machine-readable reason (queue-full, cold-shed, tenant-over-share,
-//     wait-timeout), counted per reason in the /stats overload block —
+//     wait-timeout), counted per reason in the /v1/stats overload block —
 //     load shedding is a contract, not an accident.
 //   - Stale-serve degraded mode (-stale-serve). Under the adaptive loop
 //     a generation publish turns the whole cache stale at once; at high
@@ -248,12 +250,12 @@
 // queues — the same credit-based backpressure discipline the simulator
 // models — against a pluggable Backend (an HTTP backend POSTs each block
 // to /call/{service} on a base URL; a deterministic in-process mock
-// hash-filters tuples for tests and load scenarios). POST /execute
+// hash-filters tuples for tests and load scenarios). POST /v1/execute
 // optimizes (or reuses the cached plan for) the submitted query, streams
 // the requested tuple count through the resulting plan, and feeds the
 // per-stage execution report straight into the adaptive registry — with
 // -adaptive, serving traffic alone closes the observe-detect-replan
-// loop, no synthetic /observe payloads required.
+// loop, no synthetic /v1/observe payloads required.
 //
 // Real backends fail, so every call is guarded by an escalation ladder
 // — hedge, retry, break, fail over, degrade — where each rung is
@@ -299,7 +301,7 @@
 // them, pricing unreliability into the effective cost as
 // cost x E[attempts] — a flaky service gets demoted in subsequent plans
 // by the same machinery that reacts to cost drift, and reliability
-// drift alone publishes a new statistics generation. GET /healthz
+// drift alone publishes a new statistics generation. GET /v1/healthz
 // reports readiness the same way degradation works: always 200, with
 // status "degraded" and machine-readable reasons (breaker-open:
 // <service>, failover-active:<service>, hedge-rate-saturated, replan-
@@ -312,12 +314,12 @@
 // (seed, service, call index), with independent per-replica streams so
 // hedges against healthy replicas replay identically — so failure
 // behavior is testable byte-for-byte reproducibly. Three dqload
-// scenarios gate the stack in CI: -execute drives POST /execute traffic
+// scenarios gate the stack in CI: -execute drives POST /v1/execute traffic
 // through a mock backend whose ground truth drifts mid-run and asserts
 // served plans re-converge on execution feedback alone; -chaos runs a
 // fault plan (flaky, spiky, and blacked-out services at once) and
 // asserts every response is a 200, every degraded result is typed and
-// stage-consistent, breakers open and recover, /healthz surfaces the
+// stage-consistent, breakers open and recover, /v1/healthz surfaces the
 // open breaker while it lasts, and no goroutines leak; and -failover
 // blacks out a mid-plan service while spiking a replicated one and
 // asserts hedge decisions replay deterministically, every non-degraded
@@ -357,7 +359,7 @@
 // rebalancing because ownership is a pure function of the peer list.
 //
 // The adaptive loop crosses nodes the same way: when any peer's
-// registry publishes a new statistics generation (an /observe ingest
+// registry publishes a new statistics generation (a /v1/observe ingest
 // that crossed the drift threshold), the fitted anchor snapshot is
 // broadcast to every peer. Installing it bumps the local generation,
 // and the generation-stamped cache gives lazy fleet-wide invalidation
@@ -376,14 +378,10 @@
 // (/v1/optimize, /v1/optimize/batch, /v1/execute, /v1/observe,
 // /v1/stats, /v1/healthz, /v1/call/{service}) and answers one envelope
 // — {"data":...,"error":null} on success, {"data":null,"error":
-// {"code","message","retryAfterSeconds"}} on failure — with one
-// error-mapping table shared by the local and forwarded paths. The
-// legacy unversioned paths remain as thin aliases that emit a
-// Deprecation header and a Link to their successor. The facade
-// consolidates server construction into NewServeHandler(ServeOptions)
-// and NewFleetPeer(FleetOptions); the scattered compatibility knobs
-// (serve.Options.LegacyEncode, planner.Config.LegacyLRUCache) are
-// deprecated in favor of the single ServeOptions.Compat CompatMode.
+// {"code","message"}} on failure, plus "reason" and "retryAfterSeconds"
+// on an admission shed — with one error-mapping table shared by the
+// local and forwarded paths. The facade consolidates server construction
+// into NewServeHandler(ServeOptions) and NewFleetPeer(FleetOptions).
 //
 // # The search hot path
 //

@@ -137,13 +137,13 @@ type (
 
 	// ExecutionReport is one observed execution: per-service tuple
 	// counts and busy times, per-edge transfer observations — the POST
-	// /observe payload of dqserve.
+	// /v1/observe payload of dqserve.
 	ExecutionReport = adapt.Report
 )
 
 // Streaming-executor types, re-exported from internal/exec and
 // internal/faultinject: the production plan runner behind dqserve
-// -exec-backend and POST /execute, and its deterministic fault harness.
+// -exec-backend and POST /v1/execute, and its deterministic fault harness.
 type (
 	// Executor runs optimized plans as pipelined, credit-backpressured
 	// streams of real per-service calls, with per-call timeouts, budgeted
@@ -338,23 +338,6 @@ func Generate(p GenParams) (*Query, error) { return p.Generate() }
 // services.
 func DefaultGenParams(n int, seed int64) GenParams { return gen.Default(n, seed) }
 
-// CompatMode selects how much pre-v1 behavior a component replays. The
-// loose per-layer knobs (serve.Options.LegacyEncode and
-// PlannerConfig.LegacyLRUCache) remain as the wire-level switches, but new
-// code states its intent once, here, and the facade maps it down.
-type CompatMode int
-
-const (
-	// CompatOff is the production mode: fast encoder, clock caches, /v1
-	// envelope everywhere.
-	CompatOff CompatMode = iota
-
-	// CompatLegacy replays the pre-v4 serving stack — encoding/json
-	// responses with two-space indentation and the promote-on-read mutex
-	// LRU — for differential tests and A/B load measurement.
-	CompatLegacy
-)
-
 // Serving-layer types, re-exported from internal/serve, internal/admit,
 // and internal/fleet: the dqserve HTTP handler, its admission controller,
 // and the multi-node fleet runtime.
@@ -388,8 +371,7 @@ type (
 // ServeOptions configures NewServeHandler: the production dqserve HTTP
 // handler hosted in-process. It groups the serving knobs that grew up as
 // loose fields — body limits, admission, stale-serve, execution, fleet
-// membership — into one document, with compatibility behavior named once
-// via Compat.
+// membership — into one document.
 type ServeOptions struct {
 	// MaxBody bounds request body size in bytes (0 = 8 MiB).
 	MaxBody int64
@@ -401,8 +383,8 @@ type ServeOptions struct {
 	// negative disables).
 	QueryMemoCapacity int
 
-	// Admission, when non-nil, gates /optimize and /optimize/batch (and
-	// their /v1 forms) through the admission controller.
+	// Admission, when non-nil, gates /v1/optimize, /v1/optimize/batch and
+	// /v1/execute through the admission controller.
 	Admission *AdmissionController
 
 	// StaleServe answers admission-shed requests from a resident
@@ -413,24 +395,19 @@ type ServeOptions struct {
 	// ReplanQueue bounds the stale-serve background replan queue (0 = 64).
 	ReplanQueue int
 
-	// Executor, when non-nil, enables POST /execute and /v1/execute.
+	// Executor, when non-nil, enables POST /v1/execute.
 	Executor *Executor
 
 	// Backend, when non-nil, exposes POST /v1/call/{service}.
 	Backend ExecBackend
 
 	// Fleet, when non-nil, attaches this handler to a fleet peer:
-	// /v1/optimize routes by signature ownership; legacy paths always
-	// serve locally.
+	// /v1/optimize routes by signature ownership.
 	Fleet *FleetPeer
 
 	// SnapshotRestoreFailed marks a failed warm-boot snapshot restore so
-	// /healthz reports degraded.
+	// /v1/healthz reports degraded.
 	SnapshotRestoreFailed bool
-
-	// Compat selects the serving compatibility mode. CompatLegacy maps
-	// onto the deprecated serve.Options.LegacyEncode wire knob.
-	Compat CompatMode
 }
 
 // FleetOptions configures NewFleetPeer. Self must appear in Peers, and the
@@ -473,14 +450,13 @@ type FleetOptions struct {
 func NewAdmissionController(opts AdmissionOptions) *AdmissionController { return admit.New(opts) }
 
 // NewServeHandler builds the production dqserve HTTP handler over a
-// planner: the full route table (versioned /v1 surface plus the deprecated
-// unversioned aliases), the allocation-lean response fast path, and — when
-// configured — admission control, execution, and fleet routing.
+// planner: the versioned /v1 route table, the allocation-lean response
+// fast path, and — when configured — admission control, execution, and
+// fleet routing.
 func NewServeHandler(p *Planner, o ServeOptions) http.Handler {
 	return serve.NewHandler(p, serve.Options{
 		MaxBody:               o.MaxBody,
 		Pprof:                 o.Pprof,
-		LegacyEncode:          o.Compat == CompatLegacy,
 		QueryMemoCapacity:     o.QueryMemoCapacity,
 		Admission:             o.Admission,
 		StaleServe:            o.StaleServe,

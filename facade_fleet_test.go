@@ -10,60 +10,28 @@ import (
 )
 
 // TestFacadeServeHandler exercises the consolidated ServeOptions
-// constructor: the /v1 surface answers in the envelope, the legacy path
-// still works and carries the deprecation steer, and CompatLegacy yields
-// the same documents as the default mode.
+// constructor: /v1/optimize answers in the envelope with the solved plan.
 func TestFacadeServeHandler(t *testing.T) {
 	body := []byte(`{"query":{"services":[{"name":"a","cost":2,"selectivity":0.5},{"name":"b","cost":1,"selectivity":0.8}],"transfer":[[0,1],[2,0]]}}`)
-
-	post := func(compat serviceordering.CompatMode, path string) *httptest.ResponseRecorder {
-		t.Helper()
-		p := serviceordering.NewPlanner(serviceordering.PlannerConfig{})
-		handler := serviceordering.NewServeHandler(p, serviceordering.ServeOptions{Compat: compat})
-		req := httptest.NewRequest("POST", path, bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		handler.ServeHTTP(w, req)
-		return w
-	}
-
-	wV1 := post(serviceordering.CompatOff, "/v1/optimize")
-	if wV1.Code != 200 {
-		t.Fatalf("/v1/optimize status %d: %s", wV1.Code, wV1.Body)
+	handler := serviceordering.NewServeHandler(serviceordering.NewPlanner(serviceordering.PlannerConfig{}), serviceordering.ServeOptions{})
+	req := httptest.NewRequest("POST", "/v1/optimize", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	handler.ServeHTTP(w, req)
+	if w.Code != 200 {
+		t.Fatalf("/v1/optimize status %d: %s", w.Code, w.Body)
 	}
 	var env struct {
-		Data  json.RawMessage `json:"data"`
+		Data struct {
+			Plan    []int `json:"plan"`
+			Optimal bool  `json:"optimal"`
+		} `json:"data"`
 		Error json.RawMessage `json:"error"`
 	}
-	if err := json.Unmarshal(wV1.Body.Bytes(), &env); err != nil || string(env.Error) != "null" {
-		t.Fatalf("v1 envelope: %v %s", err, wV1.Body)
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || string(env.Error) != "null" {
+		t.Fatalf("v1 envelope: %v %s", err, w.Body)
 	}
-
-	wLegacy := post(serviceordering.CompatOff, "/optimize")
-	if wLegacy.Code != 200 {
-		t.Fatalf("/optimize status %d: %s", wLegacy.Code, wLegacy.Body)
-	}
-	if wLegacy.Header().Get("Deprecation") != "true" {
-		t.Fatal("legacy path missing Deprecation header")
-	}
-
-	wCompat := post(serviceordering.CompatLegacy, "/optimize")
-	if wCompat.Code != 200 {
-		t.Fatalf("CompatLegacy status %d: %s", wCompat.Code, wCompat.Body)
-	}
-	var a, b map[string]any
-	if err := json.Unmarshal(wLegacy.Body.Bytes(), &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(wCompat.Body.Bytes(), &b); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"plan", "cost", "signature", "optimal"} {
-		av, bv := a[k], b[k]
-		aj, _ := json.Marshal(av)
-		bj, _ := json.Marshal(bv)
-		if !bytes.Equal(aj, bj) {
-			t.Fatalf("CompatLegacy diverged on %q: %s vs %s", k, aj, bj)
-		}
+	if len(env.Data.Plan) != 2 || !env.Data.Optimal {
+		t.Fatalf("v1 payload %+v, want an optimal two-service plan", env.Data)
 	}
 }
 

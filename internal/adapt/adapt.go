@@ -128,7 +128,7 @@ type TransferObservation struct {
 	BusySending float64 `json:"busySending"`
 }
 
-// Report is one execution report — the POST /observe payload of dqserve.
+// Report is one execution report — the POST /v1/observe payload of dqserve.
 // Services are matched by name (the one identity that survives the
 // client's arbitrary index numbering); unknown names simply start new
 // estimates.
@@ -604,7 +604,7 @@ type Stats struct {
 	// threshold: any observation pushing drift beyond the threshold
 	// publishes within the same call and resets it to 0, so infinity
 	// (a confident parameter with no anchor) never survives to a
-	// snapshot here — /stats can serialize it with encoding/json.
+	// snapshot here — /v1/stats can serialize it with encoding/json.
 	Drift float64 `json:"drift"`
 
 	// TrackedServices and TrackedEdges count parameters with at least one

@@ -342,7 +342,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// Example of the /observe payload shape (documented in
+// Example of the /v1/observe payload shape (documented in
 // internal/exper/README.md).
 func ExampleRegistry_Observe() {
 	r := MustNew(Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})

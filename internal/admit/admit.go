@@ -49,7 +49,7 @@ func (c Class) String() string {
 }
 
 // Reason is the typed cause of a shed, surfaced verbatim in 429 bodies
-// and /stats counters.
+// and /v1/stats counters.
 type Reason string
 
 const (
@@ -127,7 +127,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats is a point-in-time snapshot of the controller's counters,
-// JSON-shaped for the /stats endpoint.
+// JSON-shaped for the /v1/stats endpoint.
 type Stats struct {
 	Admitted       int64 `json:"admitted"`
 	AdmittedQueued int64 `json:"admittedQueued"` // admitted after waiting
@@ -210,8 +210,12 @@ type Ticket struct {
 }
 
 // Release returns the slot and feeds the observed service time into the
-// class's EWMA (which prices future Retry-After estimates).
+// class's EWMA (which prices future Retry-After estimates). Releasing a
+// nil ticket — what an ungated caller holds — is a no-op.
 func (t *Ticket) Release() {
+	if t == nil {
+		return
+	}
 	c := t.c
 	elapsed := time.Since(t.start).Seconds()
 	c.mu.Lock()

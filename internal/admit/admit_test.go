@@ -48,6 +48,8 @@ func TestAdmitUncontended(t *testing.T) {
 	if s := c.Stats(); s.Inflight != 0 {
 		t.Fatalf("inflight %d after releases, want 0", s.Inflight)
 	}
+	var ungated *Ticket
+	ungated.Release() // an ungated caller's nil ticket: no-op, no panic
 }
 
 // TestQueueThenPromote: with slots full, an arrival queues and is

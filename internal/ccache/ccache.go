@@ -1,18 +1,15 @@
-// Package ccache provides the bounded concurrent caches behind the
-// serving hot path: a read-lock-free CLOCK / S3-FIFO-style store (the
-// default everywhere) and the legacy promote-on-read mutex LRU it
-// replaced (kept for differential tests and A/B load measurement).
+// Package ccache provides the bounded concurrent store behind the serving
+// hot path: a read-lock-free CLOCK / S3-FIFO-style cache.
 //
-// Both implement Cache and shard their key space so writers on different
-// shards never contend. The clock store's defining property is that a
-// lookup takes no lock and writes nothing on a steady-state hit: it loads
-// an atomically published map and, at most once per eviction sweep, CASes
-// a per-entry touch bit. Inserts and evictions serialize on a shard mutex
-// and publish a fresh map copy (copy-on-write) — O(shard) per insert, the
-// deliberate trade for a zero-contention read path, acceptable because
-// planner inserts only happen after work that is orders of magnitude
-// dearer (a branch-and-bound search, a color-refinement pass, a JSON
-// parse).
+// The store shards its key space so writers on different shards never
+// contend. Its defining property is that a lookup takes no lock and writes
+// nothing on a steady-state hit: it loads an atomically published map and,
+// at most once per eviction sweep, CASes a per-entry touch bit. Inserts and
+// evictions serialize on a shard mutex and publish a fresh map copy
+// (copy-on-write) — O(shard) per insert, the deliberate trade for a
+// zero-contention read path, acceptable because planner inserts only happen
+// after work that is orders of magnitude dearer (a branch-and-bound search,
+// a color-refinement pass, a JSON parse).
 //
 // Eviction is a second-chance sweep over the shard ring: touched entries
 // get their bit cleared and one more round, untouched entries leave in
@@ -21,46 +18,9 @@
 package ccache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
-
-// Cache is a bounded concurrent map. Get reports the value, whether it
-// was present, and whether this lookup freshly set the entry's touch bit
-// (always false for the LRU, which has no touch bits); Put reports how
-// many entries capacity displaced.
-//
-// Every entry additionally carries an immutable generation stamp, the
-// invalidation mechanism behind adaptive replanning: a caller that
-// versions its key space (the planner stamps entries with the statistics
-// generation they were computed under) reads the stamp back from GetGen
-// and treats a mismatched entry as stale — typically a miss whose resident
-// value still serves as a warm-start incumbent. The store itself never
-// interprets the stamp: there is no stop-the-world flush on a generation
-// bump, stale entries simply stop matching and age out through the normal
-// eviction sweep (or are overwritten in place by their fresh-generation
-// replacement). Get/Put are the gen-oblivious forms: Put stamps generation
-// zero, Get drops the stamp.
-type Cache[K comparable, V any] interface {
-	Get(key K) (val V, ok bool, touched bool)
-	GetGen(key K) (val V, gen uint64, ok bool, touched bool)
-	Put(key K, val V) (evicted int)
-	PutGen(key K, val V, gen uint64) (evicted int)
-	Len() int
-
-	// Range calls f for every resident entry until f returns false. The
-	// iteration is a consistent point-in-time view per shard (the clock
-	// store walks one published map snapshot; the LRU holds the shard
-	// mutex for its walk) but not across shards: entries inserted or
-	// evicted on other shards while the walk runs may or may not appear.
-	// That is exactly the guarantee a snapshot dump needs — every entry
-	// seen is a coherent (key, val, gen) triple that was resident at some
-	// instant during the call. Order is unspecified. f must not call back
-	// into the cache on the LRU (shard mutex held); on the clock store
-	// re-entry is safe but sees the pre-walk snapshot of the same shard.
-	Range(f func(key K, val V, gen uint64) bool)
-}
 
 // effectiveShards clamps the shard count so a small capacity is still
 // honored: with more shards than entries, per-shard rounding would retain
@@ -207,7 +167,22 @@ func (s *clockShard[K, V]) len() int {
 	return len(s.ring)
 }
 
-// Clock is the sharded read-lock-free store.
+// Clock is the sharded read-lock-free store: a bounded concurrent map.
+// Get reports the value, whether it was present, and whether this lookup
+// freshly set the entry's touch bit; Put reports how many entries capacity
+// displaced.
+//
+// Every entry additionally carries an immutable generation stamp, the
+// invalidation mechanism behind adaptive replanning: a caller that
+// versions its key space (the planner stamps entries with the statistics
+// generation they were computed under) reads the stamp back from GetGen
+// and treats a mismatched entry as stale — typically a miss whose resident
+// value still serves as a warm-start incumbent. The store itself never
+// interprets the stamp: there is no stop-the-world flush on a generation
+// bump, stale entries simply stop matching and age out through the normal
+// eviction sweep (or are overwritten in place by their fresh-generation
+// replacement). Get/Put are the gen-oblivious forms: Put stamps generation
+// zero, Get drops the stamp.
 type Clock[K comparable, V any] struct {
 	shards  []*clockShard[K, V]
 	shardOf func(K) int
@@ -250,10 +225,16 @@ func (c *Clock[K, V]) Len() int {
 	return total
 }
 
-// Range iterates resident entries shard by shard. Each shard contributes
-// one atomically published map snapshot, so the walk takes no locks and
-// never blocks writers; entries replaced mid-walk appear with the (val,
-// gen) they had when their shard's snapshot was loaded.
+// Range calls f for every resident entry until f returns false, shard by
+// shard. Each shard contributes one atomically published map snapshot, so
+// the walk takes no locks and never blocks writers; entries replaced
+// mid-walk appear with the (val, gen) they had when their shard's snapshot
+// was loaded. The view is consistent per shard but not across shards:
+// entries inserted or evicted on other shards while the walk runs may or
+// may not appear. That is exactly the guarantee a snapshot dump needs —
+// every entry seen is a coherent (key, val, gen) triple that was resident
+// at some instant during the call. Order is unspecified. f may call back
+// into the store; it sees the pre-walk snapshot of the current shard.
 func (c *Clock[K, V]) Range(f func(key K, val V, gen uint64) bool) {
 	for _, sh := range c.shards {
 		for k, e := range *sh.live.Load() {
@@ -264,138 +245,8 @@ func (c *Clock[K, V]) Range(f func(key K, val V, gen uint64) bool) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// legacy LRU store
-
-// lruShard is one lock-striped segment of the legacy store: a map for
-// O(1) lookup plus an intrusive recency list for O(1) eviction. Every get
-// takes the shard mutex to promote the entry — the read-path contention
-// the clock store exists to remove.
-type lruShard[K comparable, V any] struct {
-	mu    sync.Mutex
-	cap   int
-	items map[K]*list.Element
-	order *list.List // front = most recently used
-}
-
-type lruNode[K comparable, V any] struct {
-	key K
-	val V
-	gen uint64
-}
-
-func newLRUShard[K comparable, V any](capacity int) *lruShard[K, V] {
-	return &lruShard[K, V]{
-		cap:   capacity,
-		items: make(map[K]*list.Element, capacity),
-		order: list.New(),
-	}
-}
-
-// get returns the value for key, promoting it to most-recently-used.
-func (s *lruShard[K, V]) get(key K) (V, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		var zero V
-		return zero, 0, false
-	}
-	s.order.MoveToFront(el)
-	n := el.Value.(*lruNode[K, V])
-	return n.val, n.gen, true
-}
-
-// put inserts or refreshes key, reporting how many entries were evicted.
-// A refresh restamps the node's generation together with its value (both
-// are mutated under the shard mutex, matching the clock store's
-// whole-entry replacement).
-func (s *lruShard[K, V]) put(key K, val V, gen uint64) (evicted int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		n := el.Value.(*lruNode[K, V])
-		n.val, n.gen = val, gen
-		s.order.MoveToFront(el)
-		return 0
-	}
-	s.items[key] = s.order.PushFront(&lruNode[K, V]{key: key, val: val, gen: gen})
-	for s.order.Len() > s.cap {
-		back := s.order.Back()
-		s.order.Remove(back)
-		delete(s.items, back.Value.(*lruNode[K, V]).key)
-		evicted++
-	}
-	return evicted
-}
-
-func (s *lruShard[K, V]) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
-
-// LRU is the sharded legacy store.
-type LRU[K comparable, V any] struct {
-	shards  []*lruShard[K, V]
-	shardOf func(K) int
-	mask    int // len(shards)-1; masks shardOf down when shards were clamped
-}
-
-// NewLRU builds a mutex-LRU store with the given total capacity, clamping
-// the shard count exactly as NewClock does.
-func NewLRU[K comparable, V any](capacity, shards int, shardOf func(K) int) *LRU[K, V] {
-	shards = effectiveShards(capacity, shards)
-	perShard := perShardCapacity(capacity, shards)
-	c := &LRU[K, V]{shards: make([]*lruShard[K, V], shards), shardOf: shardOf, mask: shards - 1}
-	for i := range c.shards {
-		c.shards[i] = newLRUShard[K, V](perShard)
-	}
-	return c
-}
-
-func (c *LRU[K, V]) Get(key K) (V, bool, bool) {
-	v, _, ok := c.shards[c.shardOf(key)&c.mask].get(key)
-	return v, ok, false // the LRU has no touch bits; promotion is implicit
-}
-
-func (c *LRU[K, V]) GetGen(key K) (V, uint64, bool, bool) {
-	v, gen, ok := c.shards[c.shardOf(key)&c.mask].get(key)
-	return v, gen, ok, false
-}
-
-func (c *LRU[K, V]) Put(key K, val V) int { return c.PutGen(key, val, 0) }
-
-func (c *LRU[K, V]) PutGen(key K, val V, gen uint64) int {
-	return c.shards[c.shardOf(key)&c.mask].put(key, val, gen)
-}
-func (c *LRU[K, V]) Len() int {
-	total := 0
-	for _, sh := range c.shards {
-		total += sh.len()
-	}
-	return total
-}
-
-// Range iterates resident entries shard by shard, holding each shard's
-// mutex for the duration of its walk (no recency promotion happens). f
-// must not call back into the cache.
-func (c *LRU[K, V]) Range(f func(key K, val V, gen uint64) bool) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; el = el.Next() {
-			n := el.Value.(*lruNode[K, V])
-			if !f(n.key, n.val, n.gen) {
-				sh.mu.Unlock()
-				return
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // FNV64 is FNV-1a over b: cheap, allocation-free, and deterministic
-// across processes (unlike hash/maphash). Callers key clock/LRU stores by
+// across processes (unlike hash/maphash). Callers key clock stores by
 // it and must tolerate collisions, e.g. by verifying stored bytes.
 func FNV64(b []byte) uint64 {
 	const (

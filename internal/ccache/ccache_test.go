@@ -89,24 +89,6 @@ func TestEvictionOnlyAtCapacity(t *testing.T) {
 	}
 }
 
-// TestLRUKeepsHotEntries pins the legacy policy: promotion on read.
-func TestLRUKeepsHotEntries(t *testing.T) {
-	t.Parallel()
-	s := newLRUShard[int, int](2)
-	s.put(1, 10, 0)
-	s.put(2, 20, 0)
-	s.get(1) // promote 1
-	if s.put(3, 30, 0) != 1 {
-		t.Fatal("inserting above capacity did not evict")
-	}
-	if _, _, ok := s.get(2); ok {
-		t.Fatal("least-recently-used entry 2 survived")
-	}
-	if v, _, ok := s.get(1); !ok || v != 10 {
-		t.Fatal("recently-used entry 1 was evicted")
-	}
-}
-
 // TestClockConcurrentStress hammers one small shard from concurrent
 // readers and writers under -race. Values encode their keys, so any torn
 // or misfiled publish shows up as a key/value mismatch.
@@ -156,38 +138,33 @@ func TestClockConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestShardedStores drives the exported sharded wrappers end to end.
+// TestShardedStores drives the exported sharded store end to end.
 func TestShardedStores(t *testing.T) {
 	t.Parallel()
-	shardOf := func(k uint64) int { return int(k & 7) }
-	for name, c := range map[string]Cache[uint64, uint64]{
-		"clock": NewClock[uint64, uint64](64, 8, shardOf),
-		"lru":   NewLRU[uint64, uint64](64, 8, shardOf),
-	} {
-		for k := uint64(0); k < 64; k++ {
-			if ev := c.Put(k, k*7); ev != 0 {
-				t.Fatalf("%s: eviction below capacity inserting key %d", name, k)
-			}
+	c := NewClock[uint64, uint64](64, 8, func(k uint64) int { return int(k & 7) })
+	for k := uint64(0); k < 64; k++ {
+		if ev := c.Put(k, k*7); ev != 0 {
+			t.Fatalf("eviction below capacity inserting key %d", k)
 		}
-		if c.Len() != 64 {
-			t.Fatalf("%s: len = %d, want 64", name, c.Len())
+	}
+	if c.Len() != 64 {
+		t.Fatalf("len = %d, want 64", c.Len())
+	}
+	for k := uint64(0); k < 64; k++ {
+		v, ok, _ := c.Get(k)
+		if !ok || v != k*7 {
+			t.Fatalf("key %d -> %v/%v, want %d", k, v, ok, k*7)
 		}
-		for k := uint64(0); k < 64; k++ {
-			v, ok, _ := c.Get(k)
-			if !ok || v != k*7 {
-				t.Fatalf("%s: key %d -> %v/%v, want %d", name, k, v, ok, k*7)
-			}
-		}
-		evicted := 0
-		for k := uint64(64); k < 128; k++ {
-			evicted += c.Put(k, k*7)
-		}
-		if evicted != 64 {
-			t.Fatalf("%s: evicted %d entries inserting a second full population, want 64", name, evicted)
-		}
-		if c.Len() != 64 {
-			t.Fatalf("%s: len = %d after churn, want 64", name, c.Len())
-		}
+	}
+	evicted := 0
+	for k := uint64(64); k < 128; k++ {
+		evicted += c.Put(k, k*7)
+	}
+	if evicted != 64 {
+		t.Fatalf("evicted %d entries inserting a second full population, want 64", evicted)
+	}
+	if c.Len() != 64 {
+		t.Fatalf("len = %d after churn, want 64", c.Len())
 	}
 }
 
@@ -196,21 +173,16 @@ func TestShardedStores(t *testing.T) {
 // rounding every shard up to one entry.
 func TestSmallCapacityHonored(t *testing.T) {
 	t.Parallel()
-	shardOf := func(k uint64) int { return int(k & 63) }
-	for name, c := range map[string]Cache[uint64, uint64]{
-		"clock": NewClock[uint64, uint64](8, 64, shardOf),
-		"lru":   NewLRU[uint64, uint64](8, 64, shardOf),
-	} {
-		evicted := 0
-		for k := uint64(0); k < 256; k++ {
-			evicted += c.Put(k, k)
-		}
-		if got := c.Len(); got > 8 {
-			t.Errorf("%s: capacity 8 retains %d entries", name, got)
-		}
-		if evicted < 256-8 {
-			t.Errorf("%s: only %d evictions over 256 inserts at capacity 8", name, evicted)
-		}
+	c := NewClock[uint64, uint64](8, 64, func(k uint64) int { return int(k & 63) })
+	evicted := 0
+	for k := uint64(0); k < 256; k++ {
+		evicted += c.Put(k, k)
+	}
+	if got := c.Len(); got > 8 {
+		t.Errorf("capacity 8 retains %d entries", got)
+	}
+	if evicted < 256-8 {
+		t.Errorf("only %d evictions over 256 inserts at capacity 8", evicted)
 	}
 }
 

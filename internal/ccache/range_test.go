@@ -14,40 +14,39 @@ import (
 // extend the values-encode-gen invariant from gen_test.go to the snapshot
 // path.
 
-// TestRangeBasics pins the quiescent contract on both stores: every
+// TestRangeBasics pins the quiescent contract: every
 // resident entry is visited exactly once with the stamp it was written
 // under, and an early false stops the walk.
 func TestRangeBasics(t *testing.T) {
-	for name, c := range genStores(256, 4) {
-		t.Run(name, func(t *testing.T) {
-			const keys = 100
-			for k := uint64(0); k < keys; k++ {
-				c.PutGen(k, k*10, k%5)
+	t.Run("clock", func(t *testing.T) {
+		c := newGenStore(256, 4)
+		const keys = 100
+		for k := uint64(0); k < keys; k++ {
+			c.PutGen(k, k*10, k%5)
+		}
+		seen := make(map[uint64]int, keys)
+		c.Range(func(k, v, gen uint64) bool {
+			if v != k*10 || gen != k%5 {
+				t.Fatalf("Range gave key %d -> (%d, %d), want (%d, %d)", k, v, gen, k*10, k%5)
 			}
-			seen := make(map[uint64]int, keys)
-			c.Range(func(k, v, gen uint64) bool {
-				if v != k*10 || gen != k%5 {
-					t.Fatalf("Range gave key %d -> (%d, %d), want (%d, %d)", k, v, gen, k*10, k%5)
-				}
-				seen[k]++
-				return true
-			})
-			if len(seen) != keys {
-				t.Fatalf("Range visited %d keys, want %d", len(seen), keys)
-			}
-			for k, n := range seen {
-				if n != 1 {
-					t.Fatalf("Range visited key %d %d times", k, n)
-				}
-			}
-			// Early termination: the walk stops at the first false.
-			calls := 0
-			c.Range(func(uint64, uint64, uint64) bool { calls++; return false })
-			if calls != 1 {
-				t.Fatalf("Range made %d calls after false, want 1", calls)
-			}
+			seen[k]++
+			return true
 		})
-	}
+		if len(seen) != keys {
+			t.Fatalf("Range visited %d keys, want %d", len(seen), keys)
+		}
+		for k, n := range seen {
+			if n != 1 {
+				t.Fatalf("Range visited key %d %d times", k, n)
+			}
+		}
+		// Early termination: the walk stops at the first false.
+		calls := 0
+		c.Range(func(uint64, uint64, uint64) bool { calls++; return false })
+		if calls != 1 {
+			t.Fatalf("Range made %d calls after false, want 1", calls)
+		}
+	})
 }
 
 // TestRangeRacingEvictionAndBumps is the snapshot-path stress: a tiny
@@ -65,103 +64,101 @@ func TestRangeRacingEvictionAndBumps(t *testing.T) {
 		ops      = 20000
 		walks    = 400
 	)
-	for name, c := range genStores(capacity, 4) {
-		t.Run(name, func(t *testing.T) {
-			var current atomic.Uint64
-			current.Store(1)
-			encode := func(key, gen uint64) uint64 { return key<<32 | gen&0xffffffff }
+	t.Run("clock", func(t *testing.T) {
+		c := newGenStore(capacity, 4)
+		var current atomic.Uint64
+		current.Store(1)
+		encode := func(key, gen uint64) uint64 { return key<<32 | gen&0xffffffff }
 
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)*6151 + 3))
-					for i := 0; i < ops; i++ {
-						k := rng.Uint64() % keys
-						gen := current.Load()
-						c.PutGen(k, encode(k, gen), gen)
-					}
-				}(w)
-			}
-			for r := 0; r < walkers; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < walks; i++ {
-						n := 0
-						c.Range(func(k, v, gen uint64) bool {
-							n++
-							if v != encode(k, gen) {
-								t.Errorf("snapshot walk saw key %d -> value %#x under stamp %d: (value, gen) never published together", k, v, gen)
-								return false
-							}
-							return true
-						})
-						if n > capacity {
-							t.Errorf("snapshot walk visited %d entries, capacity is %d", n, capacity)
-							return
-						}
-					}
-				}()
-			}
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)*6151 + 3))
+				for i := 0; i < ops; i++ {
+					k := rng.Uint64() % keys
+					gen := current.Load()
+					c.PutGen(k, encode(k, gen), gen)
+				}
+			}(w)
+		}
+		for r := 0; r < walkers; r++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					current.Add(1)
+				for i := 0; i < walks; i++ {
+					n := 0
+					c.Range(func(k, v, gen uint64) bool {
+						n++
+						if v != encode(k, gen) {
+							t.Errorf("snapshot walk saw key %d -> value %#x under stamp %d: (value, gen) never published together", k, v, gen)
+							return false
+						}
+						return true
+					})
+					if n > capacity {
+						t.Errorf("snapshot walk visited %d entries, capacity is %d", n, capacity)
+						return
+					}
 				}
 			}()
-			wg.Wait()
-
-			// Post-quiescence: a final walk sees exactly the resident set
-			// with coherent stamps.
-			resident := 0
-			c.Range(func(k, v, gen uint64) bool {
-				resident++
-				if v != encode(k, gen) {
-					t.Fatalf("post-quiescence walk: key %d -> %#x under stamp %d", k, v, gen)
-				}
-				return true
-			})
-			if resident != c.Len() {
-				t.Fatalf("quiescent Range saw %d entries, Len reports %d", resident, c.Len())
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				current.Add(1)
 			}
+		}()
+		wg.Wait()
+
+		// Post-quiescence: a final walk sees exactly the resident set
+		// with coherent stamps.
+		resident := 0
+		c.Range(func(k, v, gen uint64) bool {
+			resident++
+			if v != encode(k, gen) {
+				t.Fatalf("post-quiescence walk: key %d -> %#x under stamp %d", k, v, gen)
+			}
+			return true
 		})
-	}
+		if resident != c.Len() {
+			t.Fatalf("quiescent Range saw %d entries, Len reports %d", resident, c.Len())
+		}
+	})
 }
 
 // TestRangeSeesReplacementAtomically replaces one key in a loop while a
 // walker snapshots: every observation of that key must be one of the
 // published (val, gen) pairs, never a torn mix.
 func TestRangeSeesReplacementAtomically(t *testing.T) {
-	for name, c := range genStores(8, 4) {
-		t.Run(name, func(t *testing.T) {
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gen := uint64(1); ; gen++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					c.PutGen(7, gen*1000, gen)
+	t.Run("clock", func(t *testing.T) {
+		c := newGenStore(8, 4)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for gen := uint64(1); ; gen++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}()
-			for i := 0; i < 2000; i++ {
-				c.Range(func(k, v, gen uint64) bool {
-					if k == 7 && v != gen*1000 {
-						t.Errorf("torn replacement: key 7 -> value %d under stamp %d", v, gen)
-						return false
-					}
-					return true
-				})
+				c.PutGen(7, gen*1000, gen)
 			}
-			close(stop)
-			wg.Wait()
-		})
-	}
+		}()
+		for i := 0; i < 2000; i++ {
+			c.Range(func(k, v, gen uint64) bool {
+				if k == 7 && v != gen*1000 {
+					t.Errorf("torn replacement: key 7 -> value %d under stamp %d", v, gen)
+					return false
+				}
+				return true
+			})
+		}
+		close(stop)
+		wg.Wait()
+	})
 }

@@ -51,7 +51,7 @@
 // attempt/failure/spike tallies) convert to adapt.Report via
 // Result.Report, which is how the serve layer feeds drift detection —
 // including reliability drift — from real observations rather than
-// synthetic /observe payloads.
+// synthetic /v1/observe payloads.
 package exec
 
 import (
@@ -425,7 +425,7 @@ type HedgeStats struct {
 
 	// Saturated is true while the global rate cap is blocking hedges
 	// (set on a cap suppression, cleared by the next successful launch)
-	// — the /healthz hedge-rate-saturated signal.
+	// — the /v1/healthz hedge-rate-saturated signal.
 	Saturated bool `json:"saturated,omitempty"`
 }
 
@@ -438,7 +438,7 @@ type FailoverStats struct {
 	Infeasible int64 `json:"infeasible"`
 
 	// Active lists services with a rescue currently in flight, sorted —
-	// the /healthz failover-active:<svc> signal.
+	// the /v1/healthz failover-active:<svc> signal.
 	Active []string `json:"active,omitempty"`
 }
 

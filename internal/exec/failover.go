@@ -225,7 +225,7 @@ func (e *Executor) rescue(ctx context.Context, q *model.Query, plan model.Plan, 
 }
 
 // setFailoverActive tracks rescues in flight per failed service (the
-// /healthz failover-active:<svc> gauge).
+// /v1/healthz failover-active:<svc> gauge).
 func (e *Executor) setFailoverActive(name string, delta int) {
 	e.fmu.Lock()
 	e.failoverActive[name] += delta

@@ -78,94 +78,85 @@ func observeCovering(t *testing.T, reg *adapt.Registry, truth *model.Query, roun
 	}
 }
 
-// TestAdaptiveReplanOnDrift is the planner-level loop test, run for both
-// cache implementations (the legacy LRU must honor generations
-// identically): serve, drift, detect the stale generation, replan from the
-// incumbent, re-cache, serve warm again.
+// TestAdaptiveReplanOnDrift is the planner-level loop test: serve, drift,
+// detect the stale generation, replan from the incumbent, re-cache, serve
+// warm again.
 func TestAdaptiveReplanOnDrift(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		legacy bool
-	}{
-		{name: "clock", legacy: false},
-		{name: "legacyLRU", legacy: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
-			p := New(Config{Adaptive: reg, LegacyLRUCache: tc.legacy})
-			q := namedQuery(t, 8, 511, "svc-")
-			ctx := context.Background()
+	t.Run("clock", func(t *testing.T) {
+		reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
+		p := New(Config{Adaptive: reg})
+		q := namedQuery(t, 8, 511, "svc-")
+		ctx := context.Background()
 
-			first, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !warm.Cached || warm.Signature != first.Signature {
-				t.Fatalf("pre-drift warm hit: cached=%v", warm.Cached)
-			}
+		first, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Cached || warm.Signature != first.Signature {
+			t.Fatalf("pre-drift warm hit: cached=%v", warm.Cached)
+		}
 
-			// The deployed services drift: double every cost, halve one
-			// selectivity.
-			truth := q.Clone()
-			for i := range truth.Services {
-				truth.Services[i].Cost *= 2
-			}
-			truth.Services[0].Selectivity *= 0.5
-			observeCovering(t, reg, truth, 1)
-			if reg.Generation() == 0 {
-				t.Fatal("drift observations did not publish a generation")
-			}
+		// The deployed services drift: double every cost, halve one
+		// selectivity.
+		truth := q.Clone()
+		for i := range truth.Services {
+			truth.Services[i].Cost *= 2
+		}
+		truth.Services[0].Selectivity *= 0.5
+		observeCovering(t, reg, truth, 1)
+		if reg.Generation() == 0 {
+			t.Fatal("drift observations did not publish a generation")
+		}
 
-			replanned, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if replanned.Cached || replanned.Shared {
-				t.Fatalf("post-drift request served stale: cached=%v shared=%v", replanned.Cached, replanned.Shared)
-			}
-			if !replanned.Replanned {
-				t.Fatal("post-drift search was not seeded from the incumbent plan")
-			}
-			if replanned.Signature == first.Signature {
-				t.Fatal("effective signature unchanged although overlay parameters drifted")
-			}
+		replanned, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replanned.Cached || replanned.Shared {
+			t.Fatalf("post-drift request served stale: cached=%v shared=%v", replanned.Cached, replanned.Shared)
+		}
+		if !replanned.Replanned {
+			t.Fatal("post-drift search was not seeded from the incumbent plan")
+		}
+		if replanned.Signature == first.Signature {
+			t.Fatal("effective signature unchanged although overlay parameters drifted")
+		}
 
-			// The replanned result is exactly the optimum of the overlaid
-			// query.
-			eff, changed := reg.Current().Overlay(q)
-			if !changed {
-				t.Fatal("published snapshot does not overlay the query")
-			}
-			want, err := core.Optimize(eff)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if replanned.Cost != want.Cost {
-				t.Fatalf("replanned cost %v, overlaid optimum %v", replanned.Cost, want.Cost)
-			}
-			if got := eff.Cost(replanned.Plan); got != want.Cost {
-				t.Fatalf("replanned plan evaluates to %v on the overlaid query, want %v", got, want.Cost)
-			}
+		// The replanned result is exactly the optimum of the overlaid
+		// query.
+		eff, changed := reg.Current().Overlay(q)
+		if !changed {
+			t.Fatal("published snapshot does not overlay the query")
+		}
+		want, err := core.Optimize(eff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replanned.Cost != want.Cost {
+			t.Fatalf("replanned cost %v, overlaid optimum %v", replanned.Cost, want.Cost)
+		}
+		if got := eff.Cost(replanned.Plan); got != want.Cost {
+			t.Fatalf("replanned plan evaluates to %v on the overlaid query, want %v", got, want.Cost)
+		}
 
-			// The replan was re-cached under the new generation.
-			again, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !again.Cached || again.Signature != replanned.Signature {
-				t.Fatalf("post-replan request missed the refreshed cache: cached=%v", again.Cached)
-			}
+		// The replan was re-cached under the new generation.
+		again, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Cached || again.Signature != replanned.Signature {
+			t.Fatalf("post-replan request missed the refreshed cache: cached=%v", again.Cached)
+		}
 
-			st := p.Stats()
-			if st.Generation == 0 || st.Replans == 0 {
-				t.Fatalf("stats did not record the loop: generation %d, replans %d", st.Generation, st.Replans)
-			}
-		})
-	}
+		st := p.Stats()
+		if st.Generation == 0 || st.Replans == 0 {
+			t.Fatalf("stats did not record the loop: generation %d, replans %d", st.Generation, st.Replans)
+		}
+	})
 }
 
 // TestAdaptiveUntrackedQueryReplansOnce: a query whose service names the
@@ -220,21 +211,22 @@ func TestAdaptiveUntrackedQueryReplansOnce(t *testing.T) {
 	}
 }
 
-// TestAdaptiveClockVsLRUDifferential feeds two planners — clock and legacy
-// LRU caches, separate but identically-configured registries — the same
-// interleaved request/observation trace. Every outcome must match: the
-// generation machinery may not behave differently on the legacy store.
-func TestAdaptiveClockVsLRUDifferential(t *testing.T) {
+// TestAdaptiveCacheMatchesModel feeds one planner an interleaved
+// request/observation trace across three drift phases and checks every
+// outcome against a map model of the generation-stamped cache: a request
+// hits exactly when the model holds its effective signature at the
+// registry's current generation, every miss after the first is an
+// incumbent-seeded replan, and every answer is the optimum of the
+// registry's overlay.
+func TestAdaptiveCacheMatchesModel(t *testing.T) {
 	t.Parallel()
-	mk := func(legacy bool) (*Planner, *adapt.Registry) {
-		reg := adapt.MustNew(adapt.Config{Alpha: 0.5, MinObservations: 2, DriftDelta: 0.05})
-		return New(Config{Adaptive: reg, LegacyLRUCache: legacy}), reg
-	}
-	clock, clockReg := mk(false)
-	legacy, legacyReg := mk(true)
+	reg := adapt.MustNew(adapt.Config{Alpha: 0.5, MinObservations: 2, DriftDelta: 0.05})
+	p := New(Config{Adaptive: reg})
 	q := namedQuery(t, 7, 2024, "d-")
 	ctx := context.Background()
+	stamps := map[Signature]uint64{} // effective signature -> generation it was cached under
 
+	var hits, misses, replans int64
 	phases := []float64{1, 1.6, 0.7} // cost multipliers per drift phase
 	for _, scale := range phases {
 		truth := q.Clone()
@@ -242,29 +234,45 @@ func TestAdaptiveClockVsLRUDifferential(t *testing.T) {
 			truth.Services[i].Cost *= scale
 		}
 		for round := 0; round < 3; round++ {
-			observeCovering(t, clockReg, truth, 1)
-			observeCovering(t, legacyReg, truth, 1)
-			cr, cerr := clock.Optimize(ctx, q)
-			lr, lerr := legacy.Optimize(ctx, q)
-			if cerr != nil || lerr != nil {
-				t.Fatalf("optimize: clock %v, legacy %v", cerr, lerr)
+			observeCovering(t, reg, truth, 1)
+			gen := reg.Generation()
+			r, err := p.Optimize(ctx, q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if cr.Cached != lr.Cached || cr.Replanned != lr.Replanned {
-				t.Fatalf("scale %v round %d: provenance diverges: clock cached=%v replanned=%v, legacy cached=%v replanned=%v",
-					scale, round, cr.Cached, cr.Replanned, lr.Cached, lr.Replanned)
+			stamp, ok := stamps[r.Signature]
+			wantCached := ok && stamp == gen
+			wantReplanned := !wantCached && hits+misses > 0
+			if r.Cached != wantCached || r.Replanned != wantReplanned {
+				t.Fatalf("scale %v round %d: cached=%v replanned=%v, model says cached=%v replanned=%v",
+					scale, round, r.Cached, r.Replanned, wantCached, wantReplanned)
 			}
-			if cr.Cost != lr.Cost || !reflect.DeepEqual(cr.Plan, lr.Plan) || cr.Signature != lr.Signature {
-				t.Fatalf("scale %v round %d: outcomes diverge", scale, round)
+			stamps[r.Signature] = gen
+			if r.Cached {
+				hits++
+			} else {
+				misses++
+			}
+			if r.Replanned {
+				replans++
+			}
+			eff, _ := reg.Current().Overlay(q)
+			want, err := core.Optimize(eff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Cost != want.Cost {
+				t.Fatalf("scale %v round %d: cost %v, overlay optimum %v", scale, round, r.Cost, want.Cost)
 			}
 		}
 	}
-	cs, ls := clock.Stats(), legacy.Stats()
-	if cs.Generation != ls.Generation || cs.Replans != ls.Replans || cs.Hits != ls.Hits || cs.Misses != ls.Misses {
-		t.Fatalf("stats diverge: clock gen=%d replans=%d %d/%d, legacy gen=%d replans=%d %d/%d",
-			cs.Generation, cs.Replans, cs.Hits, cs.Misses, ls.Generation, ls.Replans, ls.Hits, ls.Misses)
+	st := p.Stats()
+	if st.Generation != reg.Generation() || st.Replans != replans || st.Hits != hits || st.Misses != misses {
+		t.Fatalf("stats gen=%d replans=%d %d/%d, model gen=%d replans=%d %d/%d",
+			st.Generation, st.Replans, st.Hits, st.Misses, reg.Generation(), replans, hits, misses)
 	}
-	if cs.Generation == 0 || cs.Replans == 0 {
-		t.Fatalf("trace exercised no drift: gen %d, replans %d", cs.Generation, cs.Replans)
+	if st.Generation == 0 || st.Replans == 0 {
+		t.Fatalf("trace exercised no drift: gen %d, replans %d", st.Generation, st.Replans)
 	}
 }
 
@@ -272,39 +280,31 @@ func TestAdaptiveClockVsLRUDifferential(t *testing.T) {
 // loop enabled: the generation machinery costs one atomic snapshot load
 // and two stamp compares, never an allocation.
 func TestAdaptiveWarmHitAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		legacy bool
-	}{
-		{name: "clock", legacy: false},
-		{name: "legacyLRU", legacy: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := adapt.MustNew(adapt.Config{})
-			p := New(Config{Adaptive: reg, LegacyLRUCache: tc.legacy})
-			q := namedQuery(t, 10, 424243, "alloc-")
-			ctx := context.Background()
-			if _, err := p.Optimize(ctx, q); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !warm.Cached {
-				t.Fatal("second request not served from cache")
-			}
-			allocs := testing.AllocsPerRun(300, func() {
-				res, err := p.Optimize(ctx, q)
-				if err != nil || !res.Cached {
-					t.Fatalf("warm hit failed mid-measurement: err=%v cached=%v", err, res.Cached)
-				}
-			})
-			if allocs > warmHitAllocBudget {
-				t.Errorf("adaptive warm-hit Optimize allocates %.1f/op, budget %d", allocs, warmHitAllocBudget)
+	t.Run("clock", func(t *testing.T) {
+		reg := adapt.MustNew(adapt.Config{})
+		p := New(Config{Adaptive: reg})
+		q := namedQuery(t, 10, 424243, "alloc-")
+		ctx := context.Background()
+		if _, err := p.Optimize(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Cached {
+			t.Fatal("second request not served from cache")
+		}
+		allocs := testing.AllocsPerRun(300, func() {
+			res, err := p.Optimize(ctx, q)
+			if err != nil || !res.Cached {
+				t.Fatalf("warm hit failed mid-measurement: err=%v cached=%v", err, res.Cached)
 			}
 		})
-	}
+		if allocs > warmHitAllocBudget {
+			t.Errorf("adaptive warm-hit Optimize allocates %.1f/op, budget %d", allocs, warmHitAllocBudget)
+		}
+	})
 }
 
 // TestAdaptiveZeroStaleAfterPublish: after a generation publish, no

@@ -15,43 +15,33 @@ import (
 // allocation-free. Raising this number means the warm path regressed.
 const warmHitAllocBudget = 2
 
-// TestOptimizeWarmHitAllocs pins the warm-hit allocation budget for both
-// cache implementations: the clock store (default) and the legacy
-// promote-on-read LRU, which shares the same zero-alloc canonicalization
-// and response-fragment machinery.
+// TestOptimizeWarmHitAllocs pins the warm-hit allocation budget on the
+// clock-store plan cache.
 func TestOptimizeWarmHitAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		legacy bool
-	}{
-		{name: "clock", legacy: false},
-		{name: "legacyLRU", legacy: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := New(Config{LegacyLRUCache: tc.legacy})
-			q := testQuery(t, gen.Default(10, 424242))
-			ctx := context.Background()
-			if _, err := p.Optimize(ctx, q); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := p.Optimize(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !warm.Cached {
-				t.Fatal("second request not served from cache; the measurement below would time a search")
-			}
-			allocs := testing.AllocsPerRun(300, func() {
-				res, err := p.Optimize(ctx, q)
-				if err != nil || !res.Cached {
-					t.Fatalf("warm hit failed mid-measurement: err=%v cached=%v", err, res.Cached)
-				}
-			})
-			if allocs > warmHitAllocBudget {
-				t.Errorf("warm-hit Optimize allocates %.1f/op, budget %d", allocs, warmHitAllocBudget)
+	t.Run("clock", func(t *testing.T) {
+		p := New(Config{})
+		q := testQuery(t, gen.Default(10, 424242))
+		ctx := context.Background()
+		if _, err := p.Optimize(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Cached {
+			t.Fatal("second request not served from cache; the measurement below would time a search")
+		}
+		allocs := testing.AllocsPerRun(300, func() {
+			res, err := p.Optimize(ctx, q)
+			if err != nil || !res.Cached {
+				t.Fatalf("warm hit failed mid-measurement: err=%v cached=%v", err, res.Cached)
 			}
 		})
-	}
+		if allocs > warmHitAllocBudget {
+			t.Errorf("warm-hit Optimize allocates %.1f/op, budget %d", allocs, warmHitAllocBudget)
+		}
+	})
 }
 
 // TestOptimizeWarmHitAllocsLargerInstance guards the budget where slices

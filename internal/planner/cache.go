@@ -9,11 +9,9 @@ import (
 
 // This file binds the planner's two caches — the plan cache (Signature ->
 // cached plan) and the canonicalization memo (raw byte hash -> signature +
-// permutation) — to the bounded concurrent stores in internal/ccache. The
-// default is the read-lock-free clock store (one atomic map load per warm
-// hit, no mutex, no promotion); Config.LegacyLRUCache restores the pre-v4
-// promote-on-read mutex LRU for differential tests and A/B load
-// measurement. Counters are atomics aggregated on read.
+// permutation) — to the read-lock-free clock store in internal/ccache: one
+// atomic map load per warm hit, no mutex, no promotion. Counters are
+// atomics aggregated on read.
 //
 // Both caches are generation-versioned for adaptive replanning: every
 // entry is stamped (via ccache.PutGen) with the statistics generation it
@@ -75,7 +73,7 @@ func keyShard(k uint64) int    { return int(k & (cacheShardCount - 1)) }
 // planCache is the sharded signature-keyed plan cache with
 // hit/miss/eviction/touch accounting.
 type planCache struct {
-	store ccache.Cache[Signature, *cacheEntry]
+	store *ccache.Clock[Signature, *cacheEntry]
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -83,14 +81,8 @@ type planCache struct {
 	touches   atomic.Int64
 }
 
-func newPlanCache(capacity int, legacyLRU bool) *planCache {
-	c := &planCache{}
-	if legacyLRU {
-		c.store = ccache.NewLRU[Signature, *cacheEntry](capacity, cacheShardCount, sigShard)
-	} else {
-		c.store = ccache.NewClock[Signature, *cacheEntry](capacity, cacheShardCount, sigShard)
-	}
-	return c
+func newPlanCache(capacity int) *planCache {
+	return &planCache{store: ccache.NewClock[Signature, *cacheEntry](capacity, cacheShardCount, sigShard)}
 }
 
 // get looks sig up at the given generation. A resident entry stamped with
@@ -161,17 +153,11 @@ func (c *planCache) len() int { return c.store.Len() }
 // comparing the stored bytes; a mismatch is treated as a miss and the
 // bucket is overwritten (the newer query is the hotter one).
 type rawMemo struct {
-	store ccache.Cache[uint64, *rawEntry]
+	store *ccache.Clock[uint64, *rawEntry]
 }
 
-func newRawMemo(capacity int, legacyLRU bool) *rawMemo {
-	m := &rawMemo{}
-	if legacyLRU {
-		m.store = ccache.NewLRU[uint64, *rawEntry](capacity, cacheShardCount, keyShard)
-	} else {
-		m.store = ccache.NewClock[uint64, *rawEntry](capacity, cacheShardCount, keyShard)
-	}
-	return m
+func newRawMemo(capacity int) *rawMemo {
+	return &rawMemo{store: ccache.NewClock[uint64, *rawEntry](capacity, cacheShardCount, keyShard)}
 }
 
 // get resolves the memoized canonicalization of raw at the given

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"serviceordering/internal/gen"
@@ -20,140 +19,160 @@ func sigFor(i uint64) Signature {
 	return s
 }
 
-// TestClockVsLRUDifferentialNoEviction replays one recorded trace through
-// the legacy LRU and the clock cache with capacity above the key universe:
-// with eviction impossible the two policies are observationally identical —
-// same hit/miss outcome on every lookup, same value on every hit, same
-// final population.
-func TestClockVsLRUDifferentialNoEviction(t *testing.T) {
+// planModel is the map-backed oracle for the plan cache: the last entry
+// and generation stamp put under each signature, with no capacity bound.
+type planModel map[Signature]modelEntry
+
+type modelEntry struct {
+	e   *cacheEntry
+	gen uint64
+}
+
+// TestPlanCacheMatchesModelNoEviction replays one recorded trace through
+// the clock-backed plan cache and the map model with capacity above the
+// key universe: with eviction impossible the cache must equal the model —
+// a fresh hit exactly when the model holds the key at the requested
+// generation, the model's entry on every hit, the model's entry handed back
+// as stale on a generation mismatch, and the same population and counters.
+func TestPlanCacheMatchesModelNoEviction(t *testing.T) {
 	t.Parallel()
 	const keys = 200
 	capacity := cacheShardCount * 8 // 512 >= keys, per-shard headroom
-	legacy := newPlanCache(capacity, true)
-	clock := newPlanCache(capacity, false)
+	c := newPlanCache(capacity)
+	model := planModel{}
 
 	rng := rand.New(rand.NewSource(41))
-	entries := make(map[uint64]*cacheEntry)
+	var hits, misses int64
 	for op := 0; op < 20000; op++ {
 		k := uint64(rng.Intn(keys))
 		sig := sigFor(k)
+		gen := uint64(rng.Intn(3))
 		if rng.Intn(100) < 25 {
 			e := &cacheEntry{cost: float64(k), plan: []int{int(k)}}
-			entries[k] = e
-			legacy.put(sig, e, 0)
-			clock.put(sig, e, 0)
+			c.put(sig, e, gen)
+			model[sig] = modelEntry{e, gen}
 			continue
 		}
-		le, lok, _ := legacy.get(sig, 0)
-		ce, cok, _ := clock.get(sig, 0)
-		if lok != cok {
-			t.Fatalf("op %d key %d: legacy hit=%v, clock hit=%v (no eviction possible)", op, k, lok, cok)
+		e, fresh, stale := c.get(sig, gen)
+		want, ok := model[sig]
+		switch {
+		case ok && want.gen == gen:
+			if !fresh || e != want.e {
+				t.Fatalf("op %d key %d: fresh=%v entry %p, model %p at gen %d", op, k, fresh, e, want.e, gen)
+			}
+			hits++
+		case ok:
+			if fresh || stale != want.e {
+				t.Fatalf("op %d key %d: gen %d lookup of a gen-%d entry: fresh=%v stale %p, want stale %p", op, k, gen, want.gen, fresh, stale, want.e)
+			}
+			misses++
+		default:
+			if fresh || stale != nil {
+				t.Fatalf("op %d key %d: absent key returned fresh=%v stale %p", op, k, fresh, stale)
+			}
+			misses++
 		}
-		if lok && (le != ce || le != entries[k]) {
-			t.Fatalf("op %d key %d: hit values diverge: legacy %p clock %p want %p", op, k, le, ce, entries[k])
-		}
 	}
-	if l, c := legacy.len(), clock.len(); l != c || l != len(entries) {
-		t.Fatalf("final population: legacy %d, clock %d, want %d", l, c, len(entries))
+	if c.len() != len(model) {
+		t.Fatalf("final population %d, model %d", c.len(), len(model))
 	}
-	if legacy.hits.Load() != clock.hits.Load() || legacy.misses.Load() != clock.misses.Load() {
-		t.Fatalf("counter divergence: legacy %d/%d, clock %d/%d",
-			legacy.hits.Load(), legacy.misses.Load(), clock.hits.Load(), clock.misses.Load())
+	if c.hits.Load() != hits || c.misses.Load() != misses {
+		t.Fatalf("counters %d/%d, model %d/%d", c.hits.Load(), c.misses.Load(), hits, misses)
 	}
-	if legacy.evictions.Load() != 0 || clock.evictions.Load() != 0 {
-		t.Fatalf("evictions below capacity: legacy %d, clock %d", legacy.evictions.Load(), clock.evictions.Load())
+	if c.evictions.Load() != 0 {
+		t.Fatalf("%d evictions below capacity", c.evictions.Load())
 	}
 }
 
-// TestClockVsLRUDifferentialUnderEviction drives both stores past capacity.
-// Hit/miss PATTERNS may legitimately diverge (LRU promotes exactly, the
-// clock gives one second chance per sweep — the documented policy
-// difference), but the contracts both must keep: a hit always returns the
-// exact value last stored for that key, the population never exceeds
-// capacity, and evictions happen only once capacity is reached.
-func TestClockVsLRUDifferentialUnderEviction(t *testing.T) {
+// TestPlanCacheMatchesModelUnderEviction drives the cache past capacity.
+// Eviction may turn a model hit into a miss, but the contracts must hold:
+// every hit returns the model's last-put entry at its generation, the
+// population never exceeds capacity, and evictions happen only once
+// capacity is reached.
+func TestPlanCacheMatchesModelUnderEviction(t *testing.T) {
 	t.Parallel()
 	const keys = 512
 	capacity := cacheShardCount // one entry per shard: maximal eviction pressure
-	legacy := newPlanCache(capacity, true)
-	clock := newPlanCache(capacity, false)
+	c := newPlanCache(capacity)
+	model := planModel{}
 
 	rng := rand.New(rand.NewSource(43))
-	entries := make(map[uint64]*cacheEntry)
 	zipf := rand.NewZipf(rng, 1.3, 1, keys-1)
 	for op := 0; op < 30000; op++ {
 		k := zipf.Uint64()
 		sig := sigFor(k)
+		gen := uint64(rng.Intn(2))
 		if rng.Intn(100) < 30 {
 			e := &cacheEntry{cost: float64(k), plan: []int{int(k)}}
-			entries[k] = e
-			legacy.put(sig, e, 0)
-			clock.put(sig, e, 0)
+			c.put(sig, e, gen)
+			model[sig] = modelEntry{e, gen}
 			continue
 		}
-		if le, ok, _ := legacy.get(sig, 0); ok && le != entries[k] {
-			t.Fatalf("op %d key %d: legacy returned a stale entry", op, k)
+		e, fresh, stale := c.get(sig, gen)
+		want := model[sig]
+		if fresh && (e != want.e || want.gen != gen) {
+			t.Fatalf("op %d key %d: hit returned %p at gen %d, model holds %p at gen %d", op, k, e, gen, want.e, want.gen)
 		}
-		if ce, ok, _ := clock.get(sig, 0); ok && ce != entries[k] {
-			t.Fatalf("op %d key %d: clock returned a stale entry", op, k)
+		if stale != nil && (stale != want.e || want.gen == gen) {
+			t.Fatalf("op %d key %d: stale %p at gen %d, model holds %p at gen %d", op, k, stale, gen, want.e, want.gen)
 		}
-		if l := clock.len(); l > capacity {
-			t.Fatalf("op %d: clock population %d exceeds capacity %d", op, l, capacity)
+		if l := c.len(); l > capacity {
+			t.Fatalf("op %d: population %d exceeds capacity %d", op, l, capacity)
 		}
 	}
-	if legacy.evictions.Load() == 0 || clock.evictions.Load() == 0 {
-		t.Fatalf("trace above capacity evicted nothing: legacy %d, clock %d",
-			legacy.evictions.Load(), clock.evictions.Load())
+	if c.evictions.Load() == 0 {
+		t.Fatal("trace above capacity evicted nothing")
 	}
 }
 
-// TestPlannerClockVsLRUDifferential is the end-to-end recorded-trace proof:
-// one zipf request sequence served by a legacy-LRU planner and a clock
-// planner with ample capacity must produce identical results on every
-// request — same plan, same cost, same optimality, same Cached flag (the
-// hit/miss outcome), same signature — and identical hit/miss totals.
-func TestPlannerClockVsLRUDifferential(t *testing.T) {
+// TestPlannerCacheMatchesModel is the end-to-end recorded-trace check: one
+// zipf request sequence served by a planner with ample capacity must hit
+// exactly when the model has seen the query's signature, and every hit
+// must return the outcome the model recorded on its miss — same cost,
+// optimality and response fragment, with a plan that reproduces the cost.
+func TestPlannerCacheMatchesModel(t *testing.T) {
 	t.Parallel()
 	const corpus = 32
 	queries := make([]*model.Query, corpus)
 	for i := range queries {
 		queries[i] = testQuery(t, gen.Default(5+i%4, int64(9000+i)))
 	}
-	legacy := New(Config{LegacyLRUCache: true})
-	clock := New(Config{})
+	p := New(Config{})
+	seen := map[Signature]Result{}
 	ctx := context.Background()
 
 	rng := rand.New(rand.NewSource(47))
 	zipf := rand.NewZipf(rng, 1.2, 1, corpus-1)
+	var hits, misses int64
 	for op := 0; op < 400; op++ {
 		q := queries[zipf.Uint64()]
-		lr, lerr := legacy.Optimize(ctx, q)
-		cr, cerr := clock.Optimize(ctx, q)
-		if lerr != nil || cerr != nil {
-			t.Fatalf("op %d: legacy err %v, clock err %v", op, lerr, cerr)
+		r, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatalf("op %d: %v", op, err)
 		}
-		if !reflect.DeepEqual(lr.Plan, cr.Plan) || lr.Cost != cr.Cost || lr.Optimal != cr.Optimal {
-			t.Fatalf("op %d: results diverge: legacy %v/%v clock %v/%v", op, lr.Plan, lr.Cost, cr.Plan, cr.Cost)
+		first, ok := seen[r.Signature]
+		if r.Cached != ok {
+			t.Fatalf("op %d: cached=%v, model has seen the signature: %v", op, r.Cached, ok)
 		}
-		if lr.Cached != cr.Cached {
-			t.Fatalf("op %d: hit/miss outcome diverges: legacy cached=%v, clock cached=%v", op, lr.Cached, cr.Cached)
+		if !ok {
+			seen[r.Signature] = r
+			misses++
+			continue
 		}
-		if lr.Signature != cr.Signature {
-			t.Fatalf("op %d: signatures diverge", op)
+		hits++
+		if r.Cost != first.Cost || r.Optimal != first.Optimal || string(r.ResponseFragment) != string(first.ResponseFragment) {
+			t.Fatalf("op %d: hit %v/%v/%s diverges from the recorded miss %v/%v/%s",
+				op, r.Cost, r.Optimal, r.ResponseFragment, first.Cost, first.Optimal, first.ResponseFragment)
 		}
-		if string(lr.ResponseFragment) != string(cr.ResponseFragment) {
-			t.Fatalf("op %d: response fragments diverge:\n%s\n%s", op, lr.ResponseFragment, cr.ResponseFragment)
+		if got := q.Cost(r.Plan); got != r.Cost {
+			t.Fatalf("op %d: hit plan re-evaluates to %v, response says %v", op, got, r.Cost)
 		}
 	}
-	ls, cs := legacy.Stats(), clock.Stats()
-	if ls.Hits != cs.Hits || ls.Misses != cs.Misses || ls.Searches != cs.Searches {
-		t.Fatalf("stats diverge: legacy %d/%d/%d, clock %d/%d/%d",
-			ls.Hits, ls.Misses, ls.Searches, cs.Hits, cs.Misses, cs.Searches)
+	st := p.Stats()
+	if st.Hits != hits || st.Misses != misses || st.Searches != int64(len(seen)) {
+		t.Fatalf("stats %d/%d/%d, model %d/%d/%d", st.Hits, st.Misses, st.Searches, hits, misses, len(seen))
 	}
-	if ls.Touches != 0 {
-		t.Fatalf("legacy LRU reported %d touches, want 0", ls.Touches)
-	}
-	if cs.Touches == 0 {
+	if st.Touches == 0 {
 		t.Fatal("clock cache recorded no touches over a warm trace")
 	}
 }

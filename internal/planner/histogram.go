@@ -71,7 +71,7 @@ func histBucketUpperNanos(i int) float64 {
 
 // quantiles returns the latencies at the given ascending quantile points,
 // in microseconds (upper bucket bounds). With no recorded observations it
-// returns zeros — /stats serializes these values, and encoding/json
+// returns zeros — /v1/stats serializes these values, and encoding/json
 // rejects NaN outright.
 func (h *latencyHist) quantiles(qs ...float64) []float64 {
 	var counts [histBucketCount]int64

@@ -102,7 +102,7 @@ func TestHistQuantiles(t *testing.T) {
 }
 
 // TestHistQuantilesEmpty: a fresh histogram reports zeros (never NaN —
-// the values are serialized into /stats JSON).
+// the values are serialized into /v1/stats JSON).
 func TestHistQuantilesEmpty(t *testing.T) {
 	t.Parallel()
 	var h latencyHist

@@ -103,18 +103,6 @@ type Config struct {
 	// goroutines concurrently.
 	OnSearch func(Signature)
 
-	// LegacyLRUCache selects the pre-v4 promote-on-read mutex LRU for the
-	// plan cache and canonicalization memo instead of the read-lock-free
-	// clock store. Every warm hit then takes a per-shard lock to promote
-	// the entry. Kept for the clock-vs-LRU differential tests and for A/B
-	// load measurement (cmd/dqload -legacy); production planners should
-	// leave it false.
-	//
-	// Deprecated: new code should state compatibility intent once through
-	// serviceordering.CompatMode; this field remains the wire-level knob
-	// the facade maps onto.
-	LegacyLRUCache bool
-
 	// Adaptive attaches the online statistics registry (internal/adapt)
 	// and with it the adaptive replanning loop: every request resolves
 	// against the registry's current generation snapshot — published
@@ -208,7 +196,7 @@ func New(cfg Config) *Planner {
 	}
 	p := &Planner{cfg: cfg}
 	if capacity > 0 {
-		p.cache = newPlanCache(capacity, cfg.LegacyLRUCache)
+		p.cache = newPlanCache(capacity)
 	}
 	memoCap := cfg.MemoCapacity
 	if memoCap <= 0 {
@@ -218,7 +206,7 @@ func New(cfg Config) *Planner {
 			memoCap = 2 * DefaultCacheCapacity
 		}
 	}
-	p.memo = newRawMemo(memoCap, cfg.LegacyLRUCache)
+	p.memo = newRawMemo(memoCap)
 	p.rawBufs.New = func() any { b := make([]byte, 0, 2048); return &b }
 	return p
 }
@@ -294,7 +282,7 @@ type Stats struct {
 	// touched at most once per eviction sweep, so under a stable working
 	// set Touches grows far slower than Hits; a Touches rate approaching
 	// the Hits rate means the clock hand is sweeping constantly — the
-	// cache is thrashing. Always zero with Config.LegacyLRUCache.
+	// cache is thrashing.
 	Touches int64 `json:"touches"`
 
 	// MemoHits counts canonicalization-memo hits (byte-identical
@@ -341,7 +329,7 @@ type Stats struct {
 // HitRate returns the plan-cache hit fraction in [0, 1]. The
 // zero-denominator case (no lookups yet — a freshly started planner, or
 // caching disabled) returns 0, not NaN: dqserve serializes this value
-// into /stats, and encoding/json refuses NaN outright, which would turn
+// into /v1/stats, and encoding/json refuses NaN outright, which would turn
 // the endpoint's first scrape into an empty body.
 func (s Stats) HitRate() float64 {
 	total := s.Hits + s.Misses
@@ -430,7 +418,7 @@ func overlay(q *model.Query, snap *adapt.Snapshot) *model.Query {
 
 // Adaptive returns the attached statistics registry (nil when the
 // adaptive loop is disabled). The serve layer uses it to ingest POST
-// /observe reports and surface drift counters.
+// /v1/observe reports and surface drift counters.
 func (p *Planner) Adaptive() *adapt.Registry { return p.cfg.Adaptive }
 
 // optimize is the uninstrumented request path. The warm hit costs: one

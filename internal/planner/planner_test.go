@@ -363,7 +363,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	ctx := context.Background()
 
 	// Fresh planner: zero lookups must yield a 0 hit rate, never NaN —
-	// dqserve serializes this straight into /stats JSON.
+	// dqserve serializes this straight into /v1/stats JSON.
 	if fresh := p.Stats().HitRate(); fresh != 0 {
 		t.Fatalf("fresh hit rate = %v, want exactly 0", fresh)
 	}
@@ -393,7 +393,7 @@ func TestSearchStatsAccumulate(t *testing.T) {
 
 // TestLatencyQuantilesSurface pins the Stats view of the latency
 // histogram: all-zero on a fresh planner (the values serialize straight
-// into /stats JSON, so NaN is forbidden), positive and ordered once
+// into /v1/stats JSON, so NaN is forbidden), positive and ordered once
 // requests have flowed.
 func TestLatencyQuantilesSurface(t *testing.T) {
 	t.Parallel()

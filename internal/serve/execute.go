@@ -2,33 +2,31 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
-	"serviceordering/internal/admit"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/model"
-	"serviceordering/internal/planner"
 )
 
 // maxExecuteTuples bounds the synthetic input stream a single POST
-// /execute may request. The executor streams in blocks so memory stays
+// /v1/execute may request. The executor streams in blocks so memory stays
 // bounded regardless, but a run's wall time is linear in the tuple count
 // and holds an admission ticket throughout.
 const maxExecuteTuples = 1 << 20
 
-// ExecuteRequest is the body of POST /execute: an instance envelope (the
-// query, same shape as /optimize) plus how many synthetic input tuples to
-// stream through the optimized plan.
+// ExecuteRequest is the body of POST /v1/execute: an instance document
+// (the query, same shape as /v1/optimize) plus how many synthetic input
+// tuples to stream through the optimized plan.
 type ExecuteRequest struct {
 	Comment string       `json:"comment,omitempty"`
 	Query   *model.Query `json:"query"`
 	Tuples  int64        `json:"tuples"`
 }
 
-// ExecuteResponse is the reply of POST /execute: the plan that ran (with
-// the planner provenance /optimize reports) and the execution's outcome.
+// ExecuteResponse is the data payload of POST /v1/execute: the plan that
+// ran (with the planner provenance /v1/optimize reports) and the
+// execution's outcome.
 // A Degraded marker means the output is a partial, subset-of-truth result
 // — every emitted tuple passed every service, some input was never fully
 // processed. Observe reports the adaptive registry's outcome when the
@@ -60,7 +58,7 @@ type ExecuteResponse struct {
 }
 
 // executeRequest is the wire decode target: the query stays raw so the
-// memo path in finishInstanceDecode is shared with /optimize.
+// memo path in finishInstanceDecode is shared with /v1/optimize.
 type executeRequest struct {
 	Comment json.RawMessage `json:"comment"`
 	Query   json.RawMessage `json:"query"`
@@ -69,118 +67,75 @@ type executeRequest struct {
 	inner optimizeRequest
 }
 
-// apiFailure is a classified request failure: the table code plus the
-// original error. Legacy handlers map it back through codeStatus and the
-// legacy body shapes; /v1 handlers write the envelope.
-type apiFailure struct {
-	code       apiCode
-	retryAfter int64
-	err        error
-}
-
-func failure(code apiCode, err error) *apiFailure {
-	return &apiFailure{code: code, err: err}
-}
-
-func classifiedFailure(err error) *apiFailure {
-	code, ra := classifyError(err)
-	return &apiFailure{code: code, retryAfter: ra, err: err}
-}
-
-// writeLegacyFailure emits f in the pre-v1 body shapes: sheds get the
-// Retry-After header and the typed 429 body, everything else the bare
-// {"error": ...} document at the table's status.
-func writeLegacyFailure(w http.ResponseWriter, f *apiFailure) {
-	var se *admit.ShedError
-	if errors.As(f.err, &se) {
-		writeShed(w, se)
-		return
-	}
-	httpError(w, codeStatus[f.code], f.err)
-}
-
-// execute runs one query end to end: optimize (or reuse the cached plan),
-// stream tuples through the plan against the configured backend, and feed
-// the execution report into the adaptive registry when there is one. A
-// degraded execution is still a 200 — the response carries the typed
-// marker; errors are reserved for invalid requests and canceled callers.
-func (h *handler) execute(w http.ResponseWriter, r *http.Request) {
-	resp, fail := h.executeCore(w, r)
-	if fail != nil {
-		writeLegacyFailure(w, fail)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// executeCore is the shared /execute implementation behind both surfaces.
-func (h *handler) executeCore(w http.ResponseWriter, r *http.Request) (*ExecuteResponse, *apiFailure) {
+// v1Execute serves POST /v1/execute: it runs one query end to end —
+// optimize (or reuse the cached plan), stream tuples through the plan
+// against the configured backend, and feed the execution report into the
+// adaptive registry when there is one. A degraded execution is still a
+// 200 — the response carries the typed marker; errors are reserved for
+// invalid requests, sheds, and canceled callers.
+func (h *handler) v1Execute(w http.ResponseWriter, r *http.Request) {
 	ex := h.opts.Executor
 	if ex == nil {
-		return nil, failure(codeNotFound, errors.New("execution disabled (start the server with -exec-backend)"))
+		h.v1Error(w, codeNotFound, "execution disabled (start the server with -exec-backend)", nil)
+		return
 	}
 	var req executeRequest
 	if err := decodeJSON(w, r, h.opts.MaxBody, &req); err != nil {
-		return nil, failure(codeBadRequest, err)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
+		return
 	}
 	if req.Tuples < 0 || req.Tuples > maxExecuteTuples {
-		return nil, failure(codeBadRequest, fmt.Errorf("tuples must be in [0, %d]", maxExecuteTuples))
+		h.v1Error(w, codeBadRequest, fmt.Sprintf("tuples must be in [0, %d]", maxExecuteTuples), nil)
+		return
 	}
 	req.inner.Comment, req.inner.Query = req.Comment, req.Query
 	if err := h.finishInstanceDecode(&req.inner); err != nil {
-		return nil, failure(codeBadRequest, err)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
+		return
+	}
+	if err := h.finishOptimizeDecode(&req.inner); err != nil {
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
+		return
 	}
 	q := req.inner.query
-	if q == nil {
-		return nil, failure(codeBadRequest, errors.New("instance has no query"))
-	}
-	if !req.inner.validated {
-		if err := q.Validate(); err != nil {
-			return nil, failure(codeBadRequest, err)
-		}
-	}
 
-	if h.admission != nil {
-		// Same gate as /optimize: the planning half is the admission-
-		// relevant cost and classifies identically; the execution half
-		// holds the ticket so a melting backend also sheds load here.
-		temp := h.p.Classify(q)
-		class := admit.Cold
-		if temp == planner.TempWarm {
-			class = admit.Warm
-		}
-		ticket, err := h.admission.Acquire(r.Context(), class, r.Header.Get("X-Tenant"))
-		if err != nil {
-			return nil, classifiedFailure(err)
-		}
-		defer ticket.Release()
+	// Same gate as /v1/optimize: the planning half is the admission-
+	// relevant cost and classifies identically; the execution half holds
+	// the ticket so a melting backend also sheds load here.
+	ticket, _, err := h.admitQuery(r.Context(), q, r.Header.Get("X-Tenant"))
+	if err != nil {
+		h.v1Fail(w, err)
+		return
 	}
+	defer ticket.Release()
 
 	res, err := h.p.Optimize(r.Context(), q)
 	if err != nil {
-		return nil, classifiedFailure(err)
+		h.v1Fail(w, err)
+		return
 	}
 	result, err := ex.Execute(r.Context(), q, res.Plan, exec.Tuples(int(req.Tuples)))
 	if err != nil {
-		return nil, classifiedFailure(err)
+		h.v1Fail(w, err)
+		return
 	}
 
 	resp := &ExecuteResponse{
-		Plan:          res.Plan,
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Cached:        res.Cached,
-		Tier:          res.Tier,
-		Signature:     res.Signature.String(),
-		TuplesIn:      result.TuplesIn,
-		TuplesOut:     result.TuplesOut,
-		Degraded:      result.Degraded,
-		Retries:       result.Retries,
-		Stages:        result.Stages,
-		ElapsedMicros: result.Elapsed.Microseconds(),
+		Plan:           res.Plan,
+		Cost:           res.Cost,
+		Optimal:        res.Optimal,
+		Cached:         res.Cached,
+		Tier:           res.Tier,
+		Signature:      res.Signature.String(),
+		TuplesIn:       result.TuplesIn,
+		TuplesOut:      result.TuplesOut,
+		Degraded:       result.Degraded,
+		Retries:        result.Retries,
+		Stages:         result.Stages,
+		ElapsedMicros:  result.Elapsed.Microseconds(),
+		Failover:       result.Failover,
+		FailoverStages: result.FailoverStages,
 	}
-	resp.Failover = result.Failover
-	resp.FailoverStages = result.FailoverStages
 	if result.Hedges.Launched > 0 {
 		hr := result.Hedges
 		resp.Hedges = &hr
@@ -193,13 +148,13 @@ func (h *handler) executeCore(w http.ResponseWriter, r *http.Request) (*ExecuteR
 			}
 		}
 	}
-	return resp, nil
+	h.writeV1Data(w, resp)
 }
 
-// HealthzResponse is the GET /healthz document. The status code is always
-// 200 while the process serves traffic: "degraded" plus reasons is the
-// load balancer's cue to deprioritize, not to kill — a node with an open
-// breaker or a saturated replan queue is impaired, not dead.
+// HealthzResponse is the GET /v1/healthz data payload. The status code is
+// always 200 while the process serves traffic: "degraded" plus reasons is
+// the load balancer's cue to deprioritize, not to kill — a node with an
+// open breaker or a saturated replan queue is impaired, not dead.
 type HealthzResponse struct {
 	// Status is "ok" or "degraded".
 	Status string `json:"status"`
@@ -213,12 +168,7 @@ type HealthzResponse struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.buildHealthz())
-}
-
-// buildHealthz assembles the health document served by both /healthz and
-// /v1/healthz.
+// buildHealthz assembles the /v1/healthz document.
 func (h *handler) buildHealthz() HealthzResponse {
 	var reasons []string
 	if h.opts.SnapshotRestoreFailed {

@@ -17,13 +17,6 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// executeBody is the request envelope POST /execute expects.
-type executeBody struct {
-	Comment string       `json:"comment,omitempty"`
-	Query   *model.Query `json:"query"`
-	Tuples  int64        `json:"tuples"`
-}
-
 // newExecServer hosts the handler with an executor over backend.
 func newExecServer(t testing.TB, backend exec.Backend, eopts exec.Options, opts Options) (*httptest.Server, *exec.Executor) {
 	t.Helper()
@@ -36,7 +29,7 @@ func newExecServer(t testing.TB, backend exec.Backend, eopts exec.Options, opts 
 
 func TestExecuteDisabled(t *testing.T) {
 	srv := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: fixtureInstance(t).Query, Tuples: 10})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: fixtureInstance(t).Query, Tuples: 10})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404 without an executor", resp.StatusCode)
 	}
@@ -48,11 +41,11 @@ func TestExecuteEndToEnd(t *testing.T) {
 	mock.SetQuery(q)
 	srv, _ := newExecServer(t, mock, exec.Options{}, Options{MaxBody: 1 << 20})
 
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Comment: "e2e", Query: q, Tuples: 200})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Comment: "e2e", Query: q, Tuples: 200})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[ExecuteResponse](t, resp)
+	got := decodeData[ExecuteResponse](t, resp)
 	if !got.Plan.Equal(model.Plan{0, 1, 2}) {
 		t.Errorf("plan = %v, want the fixture optimum [0 1 2]", got.Plan)
 	}
@@ -77,8 +70,8 @@ func TestExecuteEndToEnd(t *testing.T) {
 	}
 
 	// Second run: the plan comes from the cache, execution still happens.
-	resp2 := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: 100})
-	got2 := decodeBody[ExecuteResponse](t, resp2)
+	resp2 := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: 100})
+	got2 := decodeData[ExecuteResponse](t, resp2)
 	if !got2.Cached {
 		t.Error("second execute did not reuse the cached plan")
 	}
@@ -86,13 +79,13 @@ func TestExecuteEndToEnd(t *testing.T) {
 		t.Errorf("tuplesIn = %d, want 100", got2.TuplesIn)
 	}
 
-	// /stats exposes the executor block.
-	st, err := http.Get(srv.URL + "/stats")
+	// /v1/stats exposes the executor block.
+	st, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Body.Close()
-	stats := decodeBody[StatsResponse](t, st)
+	stats := decodeData[StatsResponse](t, st)
 	if stats.Exec == nil || stats.Exec.Executions != 2 || stats.Exec.Calls == 0 {
 		t.Fatalf("stats exec block = %+v, want 2 executions", stats.Exec)
 	}
@@ -108,11 +101,11 @@ func TestExecuteFeedsAdaptiveRegistry(t *testing.T) {
 		Options{MaxBody: 1 << 20, Executor: ex}))
 	t.Cleanup(srv.Close)
 
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: 500})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: 500})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[ExecuteResponse](t, resp)
+	got := decodeData[ExecuteResponse](t, resp)
 	if !got.Observed {
 		t.Fatal("adaptive server did not observe the execution report")
 	}
@@ -132,11 +125,11 @@ func TestExecuteDegradedIsTypedAnd200(t *testing.T) {
 		exec.Options{RetryBudget: 2, RetryBase: time.Millisecond, BreakerThreshold: 2, BreakerCooldown: time.Hour},
 		Options{MaxBody: 1 << 20})
 
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: 100})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: 100})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200 with a typed degraded marker", resp.StatusCode)
 	}
-	got := decodeBody[ExecuteResponse](t, resp)
+	got := decodeData[ExecuteResponse](t, resp)
 	// Threshold 2 trips before the budget runs dry, so the typed reason is
 	// the open breaker shedding the retry.
 	if got.Degraded == nil || got.Degraded.Service != "b" || got.Degraded.Reason != exec.ReasonBreakerOpen {
@@ -144,8 +137,9 @@ func TestExecuteDegradedIsTypedAnd200(t *testing.T) {
 	}
 
 	// The breaker opened (threshold 2 < budget+1 failures) and the cooldown
-	// is an hour: /healthz reports the node degraded with the breaker named.
-	hz, err := http.Get(srv.URL + "/healthz")
+	// is an hour: /v1/healthz reports the node degraded with the breaker
+	// named.
+	hz, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +147,7 @@ func TestExecuteDegradedIsTypedAnd200(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status = %d, want 200 even when degraded", hz.StatusCode)
 	}
-	health := decodeBody[HealthzResponse](t, hz)
+	health := decodeData[HealthzResponse](t, hz)
 	if health.Status != "degraded" {
 		t.Fatalf("healthz = %+v, want degraded", health)
 	}
@@ -173,7 +167,7 @@ func TestExecuteRejectsBadTuples(t *testing.T) {
 	mock := exec.NewMockBackend(1)
 	mock.SetQuery(q)
 	srv, _ := newExecServer(t, mock, exec.Options{}, Options{})
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: -1})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400 for negative tuples", resp.StatusCode)
 	}
@@ -182,12 +176,12 @@ func TestExecuteRejectsBadTuples(t *testing.T) {
 func TestHealthzSnapshotRestoreFailed(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{SnapshotRestoreFailed: true}))
 	t.Cleanup(srv.Close)
-	hz, err := http.Get(srv.URL + "/healthz")
+	hz, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hz.Body.Close()
-	health := decodeBody[HealthzResponse](t, hz)
+	health := decodeData[HealthzResponse](t, hz)
 	if health.Status != "degraded" || len(health.Reasons) != 1 || health.Reasons[0] != "snapshot-restore-failed" {
 		t.Fatalf("healthz = %+v, want degraded with snapshot-restore-failed", health)
 	}
@@ -195,20 +189,20 @@ func TestHealthzSnapshotRestoreFailed(t *testing.T) {
 
 func TestHealthzOKJSON(t *testing.T) {
 	srv := newTestServer(t)
-	hz, err := http.Get(srv.URL + "/healthz")
+	hz, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hz.Body.Close()
-	health := decodeBody[HealthzResponse](t, hz)
+	health := decodeData[HealthzResponse](t, hz)
 	if health.Status != "ok" || len(health.Reasons) != 0 {
 		t.Fatalf("healthz = %+v, want ok with no reasons", health)
 	}
 }
 
 // TestExecuteRejectsMalformedRequests covers the request-validation
-// branches: broken JSON, a missing query, an invalid query, and an
-// oversized tuple count are all 400s.
+// branches: broken JSON, a missing query, an invalid query, an oversized
+// tuple count, and trailing data are all 400s.
 func TestExecuteRejectsMalformedRequests(t *testing.T) {
 	q := fixtureInstance(t).Query
 	mock := exec.NewMockBackend(7)
@@ -217,7 +211,7 @@ func TestExecuteRejectsMalformedRequests(t *testing.T) {
 
 	post := func(body string) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/execute", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/execute", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +223,7 @@ func TestExecuteRejectsMalformedRequests(t *testing.T) {
 		"missing query":   `{"tuples": 5}`,
 		"invalid query":   `{"query": {"services": [{"cost": -1, "selectivity": 0.5}], "transfer": [[0]]}, "tuples": 5}`,
 		"too many tuples": `{"tuples": 2097152}`,
+		"trailing data":   `{"query": ` + mustJSON(t, q) + `, "tuples": 5} {"tuples": 5}`,
 	}
 	for name, body := range cases {
 		if got := post(body); got != http.StatusBadRequest {
@@ -237,9 +232,9 @@ func TestExecuteRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// TestExecuteShedsUnderAdmission: /execute sits behind the same admission
-// gate as /optimize — with capacity pinned, the request is refused with
-// the 429 shed contract.
+// TestExecuteShedsUnderAdmission: /v1/execute sits behind the same
+// admission gate as /v1/optimize — with capacity pinned, the request is
+// refused with the 429 shed contract.
 func TestExecuteShedsUnderAdmission(t *testing.T) {
 	q := fixtureInstance(t).Query
 	mock := exec.NewMockBackend(7)
@@ -253,11 +248,14 @@ func TestExecuteShedsUnderAdmission(t *testing.T) {
 	}
 	defer ticket.Release()
 
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: 10})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: 10})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 with the slot held", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
+	}
+	if e := decodeError(t, resp); e.Code != string(codeOverloaded) || !typedReason(e.Reason) {
+		t.Fatalf("shed envelope %+v, want overloaded with a typed reason", e)
 	}
 }

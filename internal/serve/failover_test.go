@@ -33,11 +33,11 @@ func TestExecuteFailoverRescuedResponse(t *testing.T) {
 		BlockSize:           512,
 	}, Options{MaxBody: 1 << 20})
 
-	resp := postJSON(t, srv.URL+"/execute", executeBody{Query: q, Tuples: 300})
+	resp := postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Query: q, Tuples: 300})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[ExecuteResponse](t, resp)
+	got := decodeData[ExecuteResponse](t, resp)
 	if got.Degraded != nil {
 		t.Fatalf("degraded despite rescue: %+v", got.Degraded)
 	}
@@ -64,13 +64,13 @@ func TestExecuteFailoverRescuedResponse(t *testing.T) {
 		t.Fatalf("hedges reported without a replica backend: %+v", got.Hedges)
 	}
 
-	// /stats carries the failover counters.
-	st, err := http.Get(srv.URL + "/stats")
+	// /v1/stats carries the failover counters.
+	st, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Body.Close()
-	stats := decodeBody[StatsResponse](t, st)
+	stats := decodeData[StatsResponse](t, st)
 	if stats.Exec == nil || stats.Exec.Failovers.Attempted != 1 || stats.Exec.Failovers.Succeeded != 1 {
 		t.Fatalf("stats failovers = %+v", stats.Exec)
 	}
@@ -80,7 +80,7 @@ func TestExecuteFailoverRescuedResponse(t *testing.T) {
 }
 
 // gateBackend blocks the first call to one service until released — it
-// holds a rescue pipeline in flight so the test can scrape /healthz
+// holds a rescue pipeline in flight so the test can scrape /v1/healthz
 // mid-failover.
 type gateBackend struct {
 	base    exec.Backend
@@ -139,11 +139,11 @@ func TestHealthzFailoverActive(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("rescue never reached the gated service")
 	}
-	hz, err := http.Get(srv.URL + "/healthz")
+	hz, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := decodeBody[HealthzResponse](t, hz)
+	health := decodeData[HealthzResponse](t, hz)
 	hz.Body.Close()
 	found := false
 	for _, r := range health.Reasons {
@@ -162,11 +162,11 @@ func TestHealthzFailoverActive(t *testing.T) {
 	if res.Degraded == nil || res.Failover == nil {
 		t.Fatalf("result = degraded %+v failover %+v", res.Degraded, res.Failover)
 	}
-	hz2, err := http.Get(srv.URL + "/healthz")
+	hz2, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	health2 := decodeBody[HealthzResponse](t, hz2)
+	health2 := decodeData[HealthzResponse](t, hz2)
 	hz2.Body.Close()
 	for _, r := range health2.Reasons {
 		if r == "failover-active:b" {
@@ -203,7 +203,8 @@ func (s slowPrimary) CallReplica(ctx context.Context, service string, replica in
 }
 
 // TestHealthzHedgeRateSaturated: once the global hedge-rate cap blocks
-// hedges, /healthz carries hedge-rate-saturated until a launch clears it.
+// hedges, /v1/healthz carries hedge-rate-saturated until a launch clears
+// it.
 func TestHealthzHedgeRateSaturated(t *testing.T) {
 	q := fixtureInstance(t).Query
 	mock := exec.NewMockBackend(7)
@@ -226,11 +227,11 @@ func TestHealthzHedgeRateSaturated(t *testing.T) {
 	if !st.Hedges.Saturated || st.Hedges.Suppressed == 0 {
 		t.Fatalf("hedge stats = %+v, want saturated with suppressions", st.Hedges)
 	}
-	hz, err := http.Get(srv.URL + "/healthz")
+	hz, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := decodeBody[HealthzResponse](t, hz)
+	health := decodeData[HealthzResponse](t, hz)
 	hz.Body.Close()
 	found := false
 	for _, r := range health.Reasons {

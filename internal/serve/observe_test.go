@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -11,7 +13,7 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// The /observe endpoint and the HTTP-visible half of the adaptive
+// The /v1/observe endpoint and the HTTP-visible half of the adaptive
 // replanning loop: ingest reports, watch the generation move, and see
 // replanned responses reflect the drifted statistics.
 
@@ -61,26 +63,37 @@ func fixtureReport(t testing.TB, plan model.Plan, scale float64) *adapt.Report {
 func TestObserveDisabled(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(t)
-	resp := postJSON(t, srv.URL+"/observe", fixtureReport(t, model.Plan{0, 1, 2}, 1))
+	resp := postJSON(t, srv.URL+"/v1/observe", fixtureReport(t, model.Plan{0, 1, 2}, 1))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d without a registry, want 404", resp.StatusCode)
 	}
-	body := decodeBody[map[string]string](t, resp)
-	if body["error"] == "" {
-		t.Fatal("no error message in the disabled reply")
+	if e := decodeError(t, resp); e.Code != string(codeNotFound) || e.Message == "" {
+		t.Fatalf("disabled reply %+v, want a not_found error with a message", e)
 	}
 }
 
-// TestObserveRejectsMalformedReport: a bad report is a 400, not a
-// half-applied observation.
+// TestObserveRejectsMalformedReport: a bad report — invalid, or followed
+// by trailing data — is a 400, not a half-applied observation.
 func TestObserveRejectsMalformedReport(t *testing.T) {
 	t.Parallel()
 	srv, reg := newAdaptiveServer(t, adapt.Config{})
-	resp := postJSON(t, srv.URL+"/observe", map[string]any{
+	resp := postJSON(t, srv.URL+"/v1/observe", map[string]any{
 		"services": []map[string]any{{"name": "a", "tuplesIn": 0, "tuplesOut": 0, "busyProcessing": 1}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d for malformed report, want 400", resp.StatusCode)
+	}
+	valid, err := json.Marshal(fixtureReport(t, model.Plan{0, 1, 2}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/v1/observe", "application/json", bytes.NewReader(append(valid, " {}"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d for a report with trailing data, want 400", resp.StatusCode)
 	}
 	if st := reg.Stats(); st.Observations != 0 {
 		t.Fatalf("malformed report counted as an observation: %+v", st)
@@ -89,19 +102,19 @@ func TestObserveRejectsMalformedReport(t *testing.T) {
 
 // TestObserveDriftReplanOverHTTP is the end-to-end loop through the
 // production handler: warm a plan, drift the observed statistics, watch
-// /observe publish a generation, and verify the next /optimize response is
-// a replan whose cost reflects the fitted (drifted) parameters while
-// /stats exposes every counter along the way.
+// /v1/observe publish a generation, and verify the next /v1/optimize
+// response is a replan whose cost reflects the fitted (drifted) parameters
+// while /v1/stats exposes every counter along the way.
 func TestObserveDriftReplanOverHTTP(t *testing.T) {
 	t.Parallel()
 	srv, _ := newAdaptiveServer(t, adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
 	inst := fixtureInstance(t)
 
-	first := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	first := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if first.Cost != 2.5 {
 		t.Fatalf("fixture optimum %v, want 2.5", first.Cost)
 	}
-	warm := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	warm := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if !warm.Cached {
 		t.Fatal("second request not cached")
 	}
@@ -114,7 +127,7 @@ func TestObserveDriftReplanOverHTTP(t *testing.T) {
 	reports := 0
 	for round := 0; round < 2; round++ {
 		for _, plan := range calibrate.CoveringPlans(3) {
-			out := decodeBody[ObserveResponse](t, postJSON(t, srv.URL+"/observe", fixtureReport(t, plan, 3)))
+			out := decodeData[ObserveResponse](t, postJSON(t, srv.URL+"/v1/observe", fixtureReport(t, plan, 3)))
 			published = published || out.Published
 			lastGen = out.Generation
 			reports++
@@ -124,7 +137,7 @@ func TestObserveDriftReplanOverHTTP(t *testing.T) {
 		t.Fatalf("drifted reports never published (gen %d)", lastGen)
 	}
 
-	replanned := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	replanned := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if replanned.Cached || replanned.Shared {
 		t.Fatal("post-drift response served from the stale cache")
 	}
@@ -141,14 +154,14 @@ func TestObserveDriftReplanOverHTTP(t *testing.T) {
 		t.Fatalf("replanned plan invalid: %v", err)
 	}
 
-	recached := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	recached := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if !recached.Cached {
 		t.Fatal("replanned result not re-cached under the new generation")
 	}
 
-	st := decodeBody[StatsResponse](t, mustGet(t, srv.URL+"/stats"))
+	st := decodeData[StatsResponse](t, mustGet(t, srv.URL+"/v1/stats"))
 	if st.Adaptive == nil {
-		t.Fatal("/stats omits the adaptive block with a registry attached")
+		t.Fatal("/v1/stats omits the adaptive block with a registry attached")
 	}
 	if st.Adaptive.Generation == 0 || st.Adaptive.DriftEvents == 0 || st.Adaptive.Observations != int64(reports) {
 		t.Fatalf("adaptive counters %+v want generation, drift events, every observation counted", st.Adaptive)
@@ -157,20 +170,20 @@ func TestObserveDriftReplanOverHTTP(t *testing.T) {
 		t.Fatalf("planner generation %d != registry generation %d", st.Generation, st.Adaptive.Generation)
 	}
 	if st.Replans == 0 {
-		t.Fatal("/stats replans counter did not record the replan")
+		t.Fatal("/v1/stats replans counter did not record the replan")
 	}
 	if st.Adaptive.TrackedServices != 3 {
 		t.Fatalf("tracked services %d, want 3", st.Adaptive.TrackedServices)
 	}
 }
 
-// TestStatsOmitsAdaptiveWhenDisabled: the non-adaptive /stats document
+// TestStatsOmitsAdaptiveWhenDisabled: the non-adaptive /v1/stats document
 // must not grow an adaptive block (and generation/replans stay zero), so
 // dashboards can key on its presence.
 func TestStatsOmitsAdaptiveWhenDisabled(t *testing.T) {
 	t.Parallel()
 	srv := newTestServer(t)
-	raw := decodeBody[map[string]any](t, mustGet(t, srv.URL+"/stats"))
+	raw := decodeData[map[string]any](t, mustGet(t, srv.URL+"/v1/stats"))
 	if _, ok := raw["adaptive"]; ok {
 		t.Fatal("adaptive block present without a registry")
 	}

@@ -22,7 +22,17 @@ import (
 
 // The HTTP face of overload survival: classification-priced admission,
 // 429 + Retry-After with typed reasons, the stale-serve degraded mode
-// with its background replan, and the /stats overload block.
+// with its background replan, and the /v1/stats overload block.
+
+// typedReason reports whether r names one of the admission layer's typed
+// shed reasons.
+func typedReason(r string) bool {
+	switch admit.Reason(r) {
+	case admit.ReasonQueueFull, admit.ReasonColdShed, admit.ReasonTenantOverShare, admit.ReasonWaitTimeout:
+		return true
+	}
+	return false
+}
 
 // namedInstance builds an instance whose services carry unique names so
 // the adaptive registry can match drift reports to them.
@@ -76,8 +86,8 @@ func observeDrift(t testing.TB, reg *adapt.Registry, truth *model.Query) {
 
 // TestAdmissionShedsReturn429 drives the handler with admission capacity
 // zero-ish (one slot held by a stuck request) and checks the refusal
-// contract: status 429, a positive integer Retry-After header, and the
-// typed reason in the body.
+// contract: status 429, a positive integer Retry-After header, and an
+// overloaded error envelope carrying the typed reason.
 func TestAdmissionShedsReturn429(t *testing.T) {
 	ctl := admit.New(admit.Options{MaxConcurrent: 1, MaxQueue: 1, MaxWait: 20 * time.Millisecond})
 	h := NewHandler(planner.New(planner.Config{}), Options{Admission: ctl})
@@ -96,7 +106,7 @@ func TestAdmissionShedsReturn429(t *testing.T) {
 	// immediate shed, occupy the queue with a second in-flight request.
 	errs := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(5, 1)))
+		resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(5, 1)))
 		errs <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -107,7 +117,7 @@ func TestAdmissionShedsReturn429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp := postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(5, 2)))
+	resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(5, 2)))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
@@ -115,12 +125,14 @@ func TestAdmissionShedsReturn429(t *testing.T) {
 	if err != nil || retry < 1 {
 		t.Fatalf("Retry-After %q, want a positive integer", resp.Header.Get("Retry-After"))
 	}
-	body := decodeBody[map[string]any](t, resp)
-	reason, _ := body["reason"].(string)
-	switch admit.Reason(reason) {
+	e := decodeError(t, resp)
+	if e.Code != string(codeOverloaded) || e.RetryAfterSeconds != int64(retry) {
+		t.Fatalf("shed envelope %+v, want code %s and retryAfterSeconds matching the header %d", e, codeOverloaded, retry)
+	}
+	switch admit.Reason(e.Reason) {
 	case admit.ReasonQueueFull, admit.ReasonColdShed, admit.ReasonTenantOverShare:
 	default:
-		t.Fatalf("shed reason %q not a typed immediate-shed reason", reason)
+		t.Fatalf("shed reason %q not a typed immediate-shed reason", e.Reason)
 	}
 	if code := <-errs; code != http.StatusOK && code != http.StatusTooManyRequests {
 		t.Fatalf("queued request finished %d", code)
@@ -136,7 +148,7 @@ func TestAdmissionWarmBypassesColdShed(t *testing.T) {
 	defer srv.Close()
 
 	warm := genInstance(t, gen.Default(6, 42))
-	if resp := postJSON(t, srv.URL+"/optimize", warm); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, srv.URL+"/v1/optimize", warm); resp.StatusCode != http.StatusOK {
 		t.Fatalf("prime failed: %d", resp.StatusCode)
 	}
 
@@ -147,7 +159,7 @@ func TestAdmissionWarmBypassesColdShed(t *testing.T) {
 	// Fill the cold queue allowance (ceil(0.5*2) = 1).
 	coldDone := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(6, 43)))
+		resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(6, 43)))
 		coldDone <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -158,14 +170,14 @@ func TestAdmissionWarmBypassesColdShed(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Another cold arrival sheds...
-	if resp := postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(6, 44))); resp.StatusCode != http.StatusTooManyRequests {
+	if resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(6, 44))); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("cold over allowance: status %d, want 429", resp.StatusCode)
 	}
 	// ...but the warm (cached) query queues and is served once the slot
 	// frees.
 	warmDone := make(chan int, 1)
 	go func() {
-		resp := postJSON(t, srv.URL+"/optimize", warm)
+		resp := postJSON(t, srv.URL+"/v1/optimize", warm)
 		warmDone <- resp.StatusCode
 	}()
 	for ctl.Stats().Queued < 2 {
@@ -186,7 +198,7 @@ func TestAdmissionWarmBypassesColdShed(t *testing.T) {
 // TestStaleServeDegradedMode is the end-to-end degraded path: prime,
 // drift, saturate admission, and require the response to be 200 with
 // "stale":true, the old generation's plan, and a background replan
-// visible in /stats afterwards.
+// visible in /v1/stats afterwards.
 func TestStaleServeDegradedMode(t *testing.T) {
 	reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
 	p := planner.New(planner.Config{Adaptive: reg})
@@ -195,8 +207,8 @@ func TestStaleServeDegradedMode(t *testing.T) {
 	defer srv.Close()
 
 	inst := namedInstance(t, 8, 511)
-	resp := postJSON(t, srv.URL+"/optimize", inst)
-	first := decodeBody[OptimizeResponse](t, resp)
+	resp := postJSON(t, srv.URL+"/v1/optimize", inst)
+	first := decodeData[OptimizeResponse](t, resp)
 	if resp.StatusCode != http.StatusOK || first.Stale {
 		t.Fatalf("prime: status %d stale %v", resp.StatusCode, first.Stale)
 	}
@@ -218,7 +230,7 @@ func TestStaleServeDegradedMode(t *testing.T) {
 	qDone := make(chan struct{})
 	go func() {
 		defer close(qDone)
-		postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(6, 99)))
+		postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(6, 99)))
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for ctl.Stats().Queued == 0 {
@@ -229,7 +241,7 @@ func TestStaleServeDegradedMode(t *testing.T) {
 	}
 
 	// The drifted query would shed — instead it serves stale.
-	resp = postJSON(t, srv.URL+"/optimize", inst)
+	resp = postJSON(t, srv.URL+"/v1/optimize", inst)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale-serve: status %d, want 200", resp.StatusCode)
 	}
@@ -237,8 +249,12 @@ func TestStaleServeDegradedMode(t *testing.T) {
 	if !bytes.Contains(raw, []byte(`"stale":true`)) {
 		t.Fatalf("degraded response missing \"stale\":true: %s", raw)
 	}
+	var env v1Envelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error != nil {
+		t.Fatalf("degraded response is not a success envelope: %v %s", err, raw)
+	}
 	var degraded OptimizeResponse
-	if err := json.Unmarshal(raw, &degraded); err != nil {
+	if err := json.Unmarshal(env.Data, &degraded); err != nil {
 		t.Fatal(err)
 	}
 	if degraded.Cost != first.Cost {
@@ -248,17 +264,17 @@ func TestStaleServeDegradedMode(t *testing.T) {
 		t.Fatalf("stale plan invalid: %v", err)
 	}
 
-	// Free capacity; the background replan completes and /stats shows the
-	// full story.
+	// Free capacity; the background replan completes and /v1/stats shows
+	// the full story.
 	ticket.Release()
 	<-qDone
 	var overload *OverloadStats
 	for time.Now().Before(deadline) {
-		sresp, err := http.Get(srv.URL + "/stats")
+		sresp, err := http.Get(srv.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := decodeBody[StatsResponse](t, sresp)
+		st := decodeData[StatsResponse](t, sresp)
 		sresp.Body.Close()
 		overload = st.Overload
 		if overload != nil && overload.BackgroundReplans >= 1 {
@@ -267,7 +283,7 @@ func TestStaleServeDegradedMode(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if overload == nil {
-		t.Fatal("/stats has no overload block with admission enabled")
+		t.Fatal("/v1/stats has no overload block with admission enabled")
 	}
 	if overload.StaleServed < 1 {
 		t.Fatalf("staleServed = %d, want >= 1", overload.StaleServed)
@@ -282,8 +298,8 @@ func TestStaleServeDegradedMode(t *testing.T) {
 
 	// After the replan lands, the same query serves fresh again.
 	for time.Now().Before(deadline) {
-		resp := postJSON(t, srv.URL+"/optimize", inst)
-		fresh := decodeBody[OptimizeResponse](t, resp)
+		resp := postJSON(t, srv.URL+"/v1/optimize", inst)
+		fresh := decodeData[OptimizeResponse](t, resp)
 		if resp.StatusCode == http.StatusOK && fresh.Cached && !fresh.Stale {
 			return
 		}
@@ -292,8 +308,8 @@ func TestStaleServeDegradedMode(t *testing.T) {
 	t.Fatal("query never served fresh after the background replan")
 }
 
-// TestControlPlaneNeverGated: /stats and /healthz answer 200 while the
-// admission controller is fully saturated.
+// TestControlPlaneNeverGated: /v1/stats and /v1/healthz answer 200 while
+// the admission controller is fully saturated.
 func TestControlPlaneNeverGated(t *testing.T) {
 	ctl := admit.New(admit.Options{MaxConcurrent: 1, MaxQueue: 1, MaxWait: time.Millisecond})
 	srv := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{Admission: ctl}))
@@ -303,7 +319,7 @@ func TestControlPlaneNeverGated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ticket.Release()
-	for _, path := range []string{"/stats", "/healthz"} {
+	for _, path := range []string{"/v1/stats", "/v1/healthz"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +340,7 @@ func TestTenantHeaderFairness(t *testing.T) {
 	defer srv.Close()
 
 	warm := genInstance(t, gen.Default(6, 7))
-	if resp := postJSON(t, srv.URL+"/optimize", warm); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, srv.URL+"/v1/optimize", warm); resp.StatusCode != http.StatusOK {
 		t.Fatal("prime failed")
 	}
 	post := func(tenant string, inst *model.Instance) *http.Response {
@@ -332,7 +348,7 @@ func TestTenantHeaderFairness(t *testing.T) {
 		if err := json.NewEncoder(&buf).Encode(inst); err != nil {
 			t.Fatal(err)
 		}
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/optimize", &buf)
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/optimize", &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +391,7 @@ func TestTenantHeaderFairness(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("tenant a over share: %d, want 429", resp.StatusCode)
 	}
-	body := decodeBody[map[string]any](t, resp)
-	if reason, _ := body["reason"].(string); reason != string(admit.ReasonTenantOverShare) {
+	if reason := decodeError(t, resp).Reason; reason != string(admit.ReasonTenantOverShare) {
 		t.Fatalf("reason %q, want %q", reason, admit.ReasonTenantOverShare)
 	}
 	// A third tenant still gets the remaining queue spot: one tenant's
@@ -422,7 +437,7 @@ func TestClientDisconnectCancelsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	req := httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body)).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {

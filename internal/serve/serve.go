@@ -1,7 +1,8 @@
 // Package serve implements the dqserve HTTP layer over the planner
-// service: request decoding, the response fast path, and the route table.
-// It lives outside cmd/dqserve so the load generator (cmd/dqload) and the
-// handler tests can host the exact production handler in-process.
+// service: the versioned /v1 route table, request decoding, and the
+// response fast path. It lives outside cmd/dqserve so the load generator
+// (cmd/dqload) and the handler tests can host the exact production handler
+// in-process.
 //
 // The serving hot path is a warm plan-cache hit, and this package keeps it
 // allocation-lean end to end: the request's query is captured as raw bytes
@@ -11,9 +12,8 @@
 // index space and are permuted into the caller's numbering); and the
 // cost/optimal/signature/tier tail is spliced from the cache entry's
 // pre-serialized fragment (planner.Result.ResponseFragment). Responses are
-// assembled in pooled append-based buffers and written with a single
-// Write. The legacy encoding/json path survives behind Options.LegacyEncode
-// for differential tests and A/B load measurement.
+// assembled in pooled append-based buffers, wrapped in the /v1 envelope on
+// the same buffer, and written with a single Write.
 package serve
 
 import (
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -49,18 +50,6 @@ type Options struct {
 	// network policy).
 	Pprof bool
 
-	// LegacyEncode replays the pre-v4 response path: every response is
-	// built by encoding/json with two-space indentation, no raw-bytes
-	// echo, no fragment splicing, no query memo. Kept for the
-	// fast-vs-legacy encoder differential test and for A/B load
-	// measurement (cmd/dqload -legacy); production servers leave it
-	// false.
-	//
-	// Deprecated: set serviceordering.ServeOptions.Compat to
-	// CompatLegacy instead; this field remains the wire-level knob the
-	// facade maps onto.
-	LegacyEncode bool
-
 	// QueryMemoCapacity bounds the query memo: a bounded byte-exact
 	// cache from raw query JSON to its parsed, validated model.Query, so
 	// byte-identical resubmissions — the warm-hit workload — skip
@@ -69,14 +58,15 @@ type Options struct {
 	// DefaultQueryMemoCapacity; negative disables the memo.
 	QueryMemoCapacity int
 
-	// Admission, when non-nil, gates POST /optimize and /optimize/batch
-	// through the cost-aware admission controller: requests are
-	// classified (warm/cold) by probing the planner's resident state,
-	// cold work is shed first under overload, and refused requests get
-	// 429 with a Retry-After estimate and a typed reason. /observe,
-	// /stats and /healthz are never gated — the control plane must stay
-	// reachable precisely when the node is melting. Nil disables
-	// admission entirely (the pre-overload-survival behavior).
+	// Admission, when non-nil, gates POST /v1/optimize,
+	// /v1/optimize/batch and /v1/execute through the cost-aware admission
+	// controller: requests are classified (warm/cold) by probing the
+	// planner's resident state, cold work is shed first under overload,
+	// and refused requests get 429 with a Retry-After estimate and a
+	// typed reason. /v1/observe, /v1/stats and /v1/healthz are never
+	// gated — the control plane must stay reachable precisely when the
+	// node is melting. Nil disables admission entirely (the
+	// pre-overload-survival behavior).
 	Admission *admit.Controller
 
 	// StaleServe enables the degraded mode for admission sheds: a cold
@@ -91,7 +81,7 @@ type Options struct {
 	// stale-servable and a later shed re-enqueues it.
 	ReplanQueue int
 
-	// Executor, when non-nil, enables POST /execute: optimize (or reuse
+	// Executor, when non-nil, enables POST /v1/execute: optimize (or reuse
 	// the cached plan), run the plan through the fault-tolerant streaming
 	// executor, and — when the planner is adaptive — feed the execution
 	// report into the statistics registry, closing the optimize ->
@@ -100,7 +90,7 @@ type Options struct {
 	Executor *exec.Executor
 
 	// SnapshotRestoreFailed records that the warm-boot snapshot restore
-	// failed at startup. The server still works (cold caches); /healthz
+	// failed at startup. The server still works (cold caches); /v1/healthz
 	// reports degraded so operators notice the cold start.
 	SnapshotRestoreFailed bool
 
@@ -109,9 +99,6 @@ type Options struct {
 	// owns are forwarded there (unless a fresh replica is resident
 	// locally), fresh local searches replicate to the signature's replica
 	// set, and published adaptive generations gossip to every peer.
-	// Legacy unversioned paths always serve locally — only the versioned
-	// surface routes, so the peer wire format is the /v1 envelope from
-	// day one.
 	Fleet *fleet.Peer
 
 	// Backend, when non-nil, exposes POST /v1/call/{service}: the
@@ -125,10 +112,10 @@ type Options struct {
 // capacity, mirroring the canonicalization memo it sits in front of.
 const DefaultQueryMemoCapacity = 2 * planner.DefaultCacheCapacity
 
-// OptimizeResponse is the reply document of POST /optimize: the solved
+// OptimizeResponse is the data payload of POST /v1/optimize: the solved
 // instance plus planner provenance. The fast path emits this shape by hand
-// (appendSolved); the struct remains the schema of record, the legacy
-// encoder's input, and the decoding target for clients and tests.
+// (appendSolved); the struct remains the schema of record and the decoding
+// target for clients and tests.
 type OptimizeResponse struct {
 	model.Instance
 
@@ -166,28 +153,12 @@ type OptimizeResponse struct {
 	ElapsedMicros int64 `json:"elapsedMicros"`
 }
 
-// BatchRequest is the body of POST /optimize/batch.
+// BatchRequest is the body of POST /v1/optimize/batch.
 type BatchRequest struct {
 	Instances []json.RawMessage `json:"instances"`
 }
 
-// BatchResponse is the reply of POST /optimize/batch, results in input
-// order.
-type BatchResponse struct {
-	Results []BatchItem `json:"results"`
-}
-
-// BatchItem is one batch outcome: a solved instance or a per-instance
-// error (a bad instance fails alone, not the batch).
-type BatchItem struct {
-	*OptimizeResponse
-
-	// Error is the per-instance failure, when the instance was invalid
-	// or its search failed.
-	Error string `json:"error,omitempty"`
-}
-
-// StatsResponse is the GET /stats document.
+// StatsResponse is the GET /v1/stats data payload.
 type StatsResponse struct {
 	planner.Stats
 
@@ -211,7 +182,7 @@ type StatsResponse struct {
 	Overload *OverloadStats `json:"overload,omitempty"`
 
 	// Exec carries the streaming executor's counters and per-service
-	// circuit-breaker states when POST /execute is enabled; omitted when
+	// circuit-breaker states when POST /v1/execute is enabled; omitted when
 	// the server runs without an executor.
 	Exec *exec.Stats `json:"exec,omitempty"`
 
@@ -224,7 +195,7 @@ type StatsResponse struct {
 	Uptime float64 `json:"uptimeSeconds"`
 }
 
-// OverloadStats is the /stats overload block: every shed is accounted by
+// OverloadStats is the /v1/stats overload block: every shed is accounted by
 // its typed reason, and the stale-serve degraded mode reports how many
 // responses went out stale and how the background replan queue is doing.
 type OverloadStats struct {
@@ -243,7 +214,7 @@ type OverloadStats struct {
 	ReplanDropped     int64 `json:"replanDropped"`
 }
 
-// ObserveResponse is the reply document of POST /observe: the registry's
+// ObserveResponse is the data payload of POST /v1/observe: the registry's
 // outcome for the ingested execution report, serialized as-is —
 // generation (after this report), live drift (0 when it published), and
 // whether this observation published a new generation, lazily
@@ -366,7 +337,7 @@ func NewHandler(p *planner.Planner, opts Options) http.Handler {
 		h.replanSet = make(map[planner.Signature]struct{}, depth)
 		go h.replanWorker()
 	}
-	if cap := opts.QueryMemoCapacity; cap >= 0 && !opts.LegacyEncode {
+	if cap := opts.QueryMemoCapacity; cap >= 0 {
 		if cap == 0 {
 			cap = DefaultQueryMemoCapacity
 		}
@@ -375,16 +346,16 @@ func NewHandler(p *planner.Planner, opts Options) http.Handler {
 	}
 
 	mux := http.NewServeMux()
-	// The versioned surface is primary; the unversioned paths are thin
-	// deprecation aliases onto the same handlers (identical bodies, plus
-	// Deprecation/Link headers steering clients to the successor).
-	h.registerV1(mux)
-	mux.HandleFunc("POST /optimize", deprecated("/v1/optimize", h.optimize))
-	mux.HandleFunc("POST /optimize/batch", deprecated("/v1/optimize/batch", h.optimizeBatch))
-	mux.HandleFunc("POST /observe", deprecated("/v1/observe", h.observe))
-	mux.HandleFunc("POST /execute", deprecated("/v1/execute", h.execute))
-	mux.HandleFunc("GET /stats", deprecated("/v1/stats", h.stats))
-	mux.HandleFunc("GET /healthz", deprecated("/v1/healthz", h.healthz))
+	mux.HandleFunc("POST /v1/optimize", h.v1Optimize)
+	mux.HandleFunc("POST /v1/optimize/batch", h.v1OptimizeBatch)
+	mux.HandleFunc("POST /v1/observe", h.v1Observe)
+	mux.HandleFunc("POST /v1/execute", h.v1Execute)
+	mux.HandleFunc("GET /v1/stats", h.v1Stats)
+	mux.HandleFunc("GET /v1/healthz", h.v1Healthz)
+	mux.HandleFunc("POST /v1/call/{service}", h.v1Call)
+	// Catch-all: an unknown /v1 path gets the envelope, not the mux's
+	// plain-text 404.
+	mux.HandleFunc("/v1/", h.v1NotFound)
 	if opts.Pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -393,85 +364,6 @@ func NewHandler(p *planner.Planner, opts Options) http.Handler {
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-func (h *handler) optimize(w http.ResponseWriter, r *http.Request) {
-	var req optimizeRequest
-	if err := h.decodeOptimizeRequest(w, r, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	if h.admission != nil {
-		// Classification happens after the decode (it needs the query) but
-		// before any planning work: a shed request has cost one JSON parse
-		// and two cache probes, nothing more.
-		temp := h.p.Classify(req.query)
-		class := admit.Cold
-		if temp == planner.TempWarm {
-			class = admit.Warm
-		}
-		ticket, err := h.admission.Acquire(r.Context(), class, r.Header.Get("X-Tenant"))
-		if err != nil {
-			var se *admit.ShedError
-			if !errors.As(err, &se) {
-				httpError(w, statusFor(err), err) // the caller's context ended
-				return
-			}
-			// Degraded mode: a shed-worthy cold request whose structure has
-			// a previous generation's plan resident is answered stale
-			// instead of refused, and the replan happens off-request.
-			if h.opts.StaleServe && temp == planner.TempStale {
-				if res, ok := h.p.ServeStale(req.query); ok {
-					if res.Stale {
-						h.staleServed.Add(1)
-						h.enqueueReplan(req.query, res.Signature)
-					}
-					h.writeSolved(w, &req, res)
-					return
-				}
-			}
-			writeShed(w, se)
-			return
-		}
-		defer ticket.Release()
-	}
-
-	res, err := h.p.Optimize(r.Context(), req.query)
-	if err != nil {
-		httpError(w, statusFor(err), err)
-		return
-	}
-	h.writeSolved(w, &req, res)
-}
-
-// writeSolved emits one solved-instance response on the configured
-// encoding path.
-func (h *handler) writeSolved(w http.ResponseWriter, req *optimizeRequest, res planner.Result) {
-	if h.opts.LegacyEncode {
-		writeJSON(w, http.StatusOK, legacySolved(req, res))
-		return
-	}
-	bufp := h.getBuf()
-	b := appendSolved((*bufp)[:0], req, res)
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-	h.putBuf(bufp, b)
-}
-
-// writeShed emits the 429 refusal: Retry-After in whole seconds (the
-// header's unit, rounded up so clients never come back early) and a JSON
-// body carrying the typed reason.
-func writeShed(w http.ResponseWriter, se *admit.ShedError) {
-	retry := int64((se.RetryAfter + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
-	writeJSON(w, http.StatusTooManyRequests, map[string]any{
-		"error":             "overloaded: request shed",
-		"reason":            string(se.Reason),
-		"retryAfterSeconds": retry,
-	})
 }
 
 // enqueueReplan schedules a background re-optimize for a stale-served
@@ -511,108 +403,6 @@ func (h *handler) replanWorker() {
 	}
 }
 
-func (h *handler) optimizeBatch(w http.ResponseWriter, r *http.Request) {
-	var batch BatchRequest
-	if err := decodeJSON(w, r, h.opts.MaxBody, &batch); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	reqs := make([]optimizeRequest, len(batch.Instances))
-	qs := make([]*model.Query, len(batch.Instances))
-	for i, raw := range batch.Instances {
-		if len(raw) == 0 || string(raw) == "null" {
-			continue // nil query rejected by the planner, fails alone
-		}
-		if err := h.decodeInstanceBytes(raw, &reqs[i]); err != nil {
-			// Malformed JSON inside an instance fails the whole request,
-			// matching the legacy whole-document decode.
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: instance %d: %w", i, err))
-			return
-		}
-		qs[i] = reqs[i].query
-	}
-
-	if h.admission != nil {
-		// A batch is cold by construction: it fans searches across the
-		// planner's worker pool, so it takes one Cold-class ticket (the
-		// concurrency inside the batch is the planner's own bounded pool,
-		// not the admission controller's concern).
-		ticket, err := h.admission.Acquire(r.Context(), admit.Cold, r.Header.Get("X-Tenant"))
-		if err != nil {
-			var se *admit.ShedError
-			if errors.As(err, &se) {
-				writeShed(w, se)
-			} else {
-				httpError(w, statusFor(err), err)
-			}
-			return
-		}
-		defer ticket.Release()
-	}
-
-	results := h.p.OptimizeBatch(r.Context(), qs)
-
-	if h.opts.LegacyEncode {
-		resp := BatchResponse{Results: make([]BatchItem, len(results))}
-		for i, br := range results {
-			if br.Err != nil {
-				resp.Results[i] = BatchItem{Error: br.Err.Error()}
-				continue
-			}
-			resp.Results[i] = BatchItem{OptimizeResponse: legacySolved(&reqs[i], br.Result)}
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	bufp := h.getBuf()
-	b := append((*bufp)[:0], `{"results":[`...)
-	for i, br := range results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if br.Err != nil {
-			b = append(b, `{"error":`...)
-			b = appendJSONString(b, br.Err.Error())
-			b = append(b, '}')
-			continue
-		}
-		b = appendSolved(b, &reqs[i], br.Result)
-	}
-	b = append(b, `]}`...)
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-	h.putBuf(bufp, b)
-}
-
-// observe ingests one execution report into the adaptive statistics
-// registry. This is the feedback half of the adaptive replanning loop:
-// execution layers (or the dqload -drift harness) POST what their services
-// actually did, the registry refits its EWMA estimates through calibrate's
-// formulas, and a drift past the threshold publishes a new generation —
-// the response says whether this report was the one that tipped it.
-func (h *handler) observe(w http.ResponseWriter, r *http.Request) {
-	reg := h.p.Adaptive()
-	if reg == nil {
-		httpError(w, http.StatusNotFound, errors.New("adaptive replanning disabled (start the server with -adaptive)"))
-		return
-	}
-	var rep adapt.Report
-	if err := decodeJSON(w, r, h.opts.MaxBody, &rep); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	out, err := reg.Observe(&rep)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	h.afterObserve(out)
-	writeJSON(w, http.StatusOK, out)
-}
-
 // afterObserve runs the fleet side effect of an ingested report: a
 // published generation carries a new anchor snapshot, and every peer must
 // replan off it — broadcast before the response is written, so a client
@@ -626,12 +416,7 @@ func (h *handler) afterObserve(out adapt.Outcome) {
 	}
 }
 
-func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.buildStats())
-}
-
-// buildStats assembles the stats document served by both /stats and
-// /v1/stats.
+// buildStats assembles the /v1/stats document.
 func (h *handler) buildStats() StatsResponse {
 	st := h.p.Stats()
 	resp := StatsResponse{
@@ -674,19 +459,69 @@ func (h *handler) putBuf(p *[]byte, b []byte) {
 	h.bufs.Put(p)
 }
 
+// errTrailingData rejects a request body that continues past its one JSON
+// document.
+var errTrailingData = errors.New("unexpected data after the request document")
+
+// decodeStrict decodes exactly one JSON document into v: unknown fields
+// are errors, and so is anything but whitespace after the document.
+func decodeStrict(dec *json.Decoder, v any) error {
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
+}
+
+// decodeJSON strictly decodes the request body into v.
+func decodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
+	if err := decodeStrict(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)), v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
+}
+
 // decodeOptimizeRequest reads and validates one instance document,
-// capturing comment and query as raw bytes for verbatim echo. Both
-// malformed JSON and an invalid query are request errors (400) on the
-// single-instance path.
+// capturing comment and query as raw bytes for verbatim echo. Malformed
+// JSON, trailing data and an invalid query are all request errors (400).
 func (h *handler) decodeOptimizeRequest(w http.ResponseWriter, r *http.Request, req *optimizeRequest) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	if err := decodeStrict(dec, req); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	if err := h.finishInstanceDecode(req); err != nil {
 		return err
 	}
+	return h.finishOptimizeDecode(req)
+}
+
+// decodeOptimizeBytes is decodeOptimizeRequest over a body already read
+// into memory — the fleet paths keep the bytes to relay them.
+func (h *handler) decodeOptimizeBytes(body []byte, req *optimizeRequest) error {
+	if err := h.decodeInstanceBytes(body, req); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return h.finishOptimizeDecode(req)
+}
+
+// decodeInstanceBytes decodes one instance from its raw bytes with the
+// same strictness as the streamed path. Semantic validation of the query
+// is deliberately left to the caller: a batch leaves it to the planner so
+// an invalid instance fails alone, not the batch.
+func (h *handler) decodeInstanceBytes(raw []byte, req *optimizeRequest) error {
+	if err := decodeStrict(json.NewDecoder(bytes.NewReader(raw)), req); err != nil {
+		return err
+	}
+	return h.finishInstanceDecode(req)
+}
+
+// finishOptimizeDecode applies the single-instance requirements on top of
+// finishInstanceDecode: a query must be present and (unless the memo
+// already proved it) valid.
+func (h *handler) finishOptimizeDecode(req *optimizeRequest) error {
 	if req.query == nil {
 		return errors.New("instance has no query")
 	}
@@ -696,24 +531,11 @@ func (h *handler) decodeOptimizeRequest(w http.ResponseWriter, r *http.Request, 
 	return req.query.Validate()
 }
 
-// decodeInstanceBytes decodes one batch instance from its raw bytes with
-// the same strictness as the single-instance path. Semantic validation of
-// the query is deliberately left to the planner so an invalid instance
-// fails alone, not the batch.
-func (h *handler) decodeInstanceBytes(raw []byte, req *optimizeRequest) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return err
-	}
-	return h.finishInstanceDecode(req)
-}
-
 // finishInstanceDecode type-checks the raw envelope fields and parses the
 // query (without semantic validation on the fresh-parse path). The
 // envelope decode captured comment/plan/cost as raw bytes for speed; they
-// are still checked against their declared types so a request the legacy
-// decoder would have rejected stays rejected.
+// are still checked against their declared types (model.Instance's), so a
+// mistyped field is rejected as if the whole document were decoded.
 //
 // The query parse itself consults the query memo first: byte-identical
 // query JSON deterministically decodes to the same query, so a verified
@@ -786,7 +608,7 @@ func jsonNull(raw json.RawMessage) bool {
 func appendSolved(b []byte, req *optimizeRequest, res planner.Result) []byte {
 	b = append(b, '{')
 	// An explicit empty comment is omitted like an absent one, matching
-	// the legacy encoder (Instance.Comment carries omitempty).
+	// encoding/json (Instance.Comment carries omitempty).
 	if len(req.Comment) > 0 && string(req.Comment) != `""` {
 		b = append(b, `"comment":`...)
 		b = append(b, req.Comment...)
@@ -836,8 +658,7 @@ func appendSolved(b []byte, req *optimizeRequest, res planner.Result) []byte {
 // appendJSONString appends s as a JSON string. Plain ASCII without
 // escapes — the overwhelmingly common case for comments and error
 // messages — is a straight copy; anything else defers to encoding/json
-// for exact escaping semantics (including HTML escaping, matching the
-// legacy encoder).
+// for exact escaping semantics (including HTML escaping).
 func appendJSONString(b []byte, s string) []byte {
 	clean := true
 	for i := 0; i < len(s); i++ {
@@ -857,50 +678,4 @@ func appendJSONString(b []byte, s string) []byte {
 		return append(b, `""`...)
 	}
 	return append(b, out...)
-}
-
-// legacySolved rebuilds the pre-v4 response struct for the encoding/json
-// path.
-func legacySolved(req *optimizeRequest, res planner.Result) *OptimizeResponse {
-	var comment string
-	if len(req.Comment) > 0 {
-		_ = json.Unmarshal(req.Comment, &comment)
-	}
-	return &OptimizeResponse{
-		Instance: model.Instance{
-			Comment: comment,
-			Query:   req.query,
-			Plan:    res.Plan,
-		},
-		Cost:          res.Cost,
-		Optimal:       res.Optimal,
-		Cached:        res.Cached,
-		Shared:        res.Shared,
-		Stale:         res.Stale,
-		Signature:     res.Signature.String(),
-		Tier:          res.Tier,
-		NodesExpanded: res.Stats.NodesExpanded,
-		ElapsedMicros: res.Stats.Elapsed.Microseconds(),
-	}
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

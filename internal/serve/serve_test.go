@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"serviceordering/internal/admit"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
 )
@@ -55,27 +58,54 @@ func postJSON(t testing.TB, url string, body any) *http.Response {
 	return resp
 }
 
-func decodeBody[T any](t testing.TB, resp *http.Response) T {
+// decodeEnvelope decodes one /v1 response body.
+func decodeEnvelope(t testing.TB, resp *http.Response) v1Envelope {
 	t.Helper()
+	var env v1Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("decode envelope: %v", err)
+	}
+	return env
+}
+
+// decodeData returns a /v1 success envelope's data payload as a T; an
+// error envelope fails the test.
+func decodeData[T any](t testing.TB, resp *http.Response) T {
+	t.Helper()
+	env := decodeEnvelope(t, resp)
+	if env.Error != nil {
+		t.Fatalf("status %d: error envelope %+v", resp.StatusCode, *env.Error)
+	}
 	var v T
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode response: %v", err)
+	if err := json.Unmarshal(env.Data, &v); err != nil {
+		t.Fatalf("decode data: %v\n%s", err, env.Data)
 	}
 	return v
+}
+
+// decodeError returns a /v1 failure envelope's error half; a success
+// envelope fails the test.
+func decodeError(t testing.TB, resp *http.Response) v1ErrorBody {
+	t.Helper()
+	env := decodeEnvelope(t, resp)
+	if env.Error == nil || string(env.Data) != "null" {
+		t.Fatalf("status %d: want an error envelope, got data %s", resp.StatusCode, env.Data)
+	}
+	return *env.Error
 }
 
 func TestOptimizeEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	inst := fixtureInstance(t)
 
-	resp := postJSON(t, srv.URL+"/optimize", inst)
+	resp := postJSON(t, srv.URL+"/v1/optimize", inst)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
-	got := decodeBody[OptimizeResponse](t, resp)
+	got := decodeData[OptimizeResponse](t, resp)
 	if !got.Plan.Equal(model.Plan{0, 1, 2}) {
 		t.Errorf("plan = %v, want [0 1 2]", got.Plan)
 	}
@@ -102,8 +132,8 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// Second identical request: cache hit, zero search work.
-	resp2 := postJSON(t, srv.URL+"/optimize", inst)
-	got2 := decodeBody[OptimizeResponse](t, resp2)
+	resp2 := postJSON(t, srv.URL+"/v1/optimize", inst)
+	got2 := decodeData[OptimizeResponse](t, resp2)
 	if !got2.Cached {
 		t.Error("second request not served from cache")
 	}
@@ -115,38 +145,70 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 }
 
-// TestFastVsLegacyEncodeDifferential drives the same request sequence
-// through the fast append-based encoder and the legacy encoding/json
-// path: after JSON decoding, every field must agree on every request
-// (miss, hit, relabeled hit, batch).
-func TestFastVsLegacyEncodeDifferential(t *testing.T) {
-	fast := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{}))
-	defer fast.Close()
-	legacy := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{LegacyEncode: true}))
-	defer legacy.Close()
-
-	inst := fixtureInstance(t)
-	for round := 0; round < 3; round++ { // miss, then hits
-		fr := decodeBody[OptimizeResponse](t, postJSON(t, fast.URL+"/optimize", inst))
-		lr := decodeBody[OptimizeResponse](t, postJSON(t, legacy.URL+"/optimize", inst))
-		fr.ElapsedMicros, lr.ElapsedMicros = 0, 0 // wall clock, legitimately differs
-		if !reflect.DeepEqual(fr, lr) {
-			t.Fatalf("round %d: fast and legacy responses diverge:\nfast:   %+v\nlegacy: %+v", round, fr, lr)
+// TestFastEncoderMatchesEncodingJSON holds the hand-rolled encoder to
+// encoding/json: for every comment shape — plain, one needing escapes, an
+// explicit empty one, none — and for both a fresh search and a cache hit,
+// appendSolved's document must decode to exactly what encoding/json makes
+// of the OptimizeResponse the test builds from the same request and
+// planner result.
+func TestFastEncoderMatchesEncodingJSON(t *testing.T) {
+	query := mustJSON(t, fixtureInstance(t).Query)
+	for _, comment := range []string{
+		`"fixture"`,
+		mustJSON(t, "tabs\tand \"quotes\" and <html> & ünïcode"),
+		`""`,
+		"", // no comment key at all
+	} {
+		p := planner.New(planner.Config{})
+		h := &handler{p: p}
+		body := `{"query":` + query + `}`
+		if comment != "" {
+			body = `{"comment":` + comment + `,"query":` + query + `}`
 		}
-	}
-
-	req := BatchRequest{Instances: mustRawInstances(t, inst, inst)}
-	fb := decodeBody[BatchResponse](t, postJSON(t, fast.URL+"/optimize/batch", req))
-	lb := decodeBody[BatchResponse](t, postJSON(t, legacy.URL+"/optimize/batch", req))
-	for _, resp := range [][]BatchItem{fb.Results, lb.Results} {
-		for i := range resp {
-			if resp[i].OptimizeResponse != nil {
-				resp[i].ElapsedMicros = 0
+		for round := 0; round < 2; round++ { // miss, then hit
+			var req optimizeRequest
+			if err := h.decodeInstanceBytes([]byte(body), &req); err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Optimize(context.Background(), req.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached != (round == 1) {
+				t.Fatalf("comment %s round %d: cached=%v", comment, round, res.Cached)
+			}
+			inst := model.Instance{Query: req.query, Plan: res.Plan}
+			if comment != "" {
+				if err := json.Unmarshal([]byte(comment), &inst.Comment); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := json.Marshal(&OptimizeResponse{
+				Instance:      inst,
+				Cost:          res.Cost,
+				Optimal:       res.Optimal,
+				Cached:        res.Cached,
+				Shared:        res.Shared,
+				Stale:         res.Stale,
+				Signature:     res.Signature.String(),
+				Tier:          res.Tier,
+				NodesExpanded: res.Stats.NodesExpanded,
+				ElapsedMicros: res.Stats.Elapsed.Microseconds(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fastDoc, jsonDoc map[string]any
+			if err := json.Unmarshal(appendSolved(nil, &req, res), &fastDoc); err != nil {
+				t.Fatalf("comment %s: fast encoder produced invalid JSON: %v", comment, err)
+			}
+			if err := json.Unmarshal(want, &jsonDoc); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fastDoc, jsonDoc) {
+				t.Fatalf("comment %s round %d: encoders diverge:\nfast:          %v\nencoding/json: %v", comment, round, fastDoc, jsonDoc)
 			}
 		}
-	}
-	if !reflect.DeepEqual(fb, lb) {
-		t.Fatalf("batch responses diverge:\nfast:   %+v\nlegacy: %+v", fb, lb)
 	}
 }
 
@@ -169,26 +231,26 @@ func TestOptimizeEchoesUnusualComments(t *testing.T) {
 	srv := newTestServer(t)
 	inst := fixtureInstance(t)
 	inst.Comment = "tabs\tand \"quotes\" and <html> & ünïcode"
-	got := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	got := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if got.Comment != inst.Comment {
 		t.Errorf("comment round trip: got %q, want %q", got.Comment, inst.Comment)
 	}
 
 	inst.Comment = ""
-	got = decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	got = decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if got.Comment != "" {
 		t.Errorf("empty comment came back as %q", got.Comment)
 	}
 
 	// An EXPLICIT empty comment (omitempty strips it from marshaled
 	// instances, so build the body by hand) must be omitted from the
-	// response like the legacy encoder does — not echoed as "".
+	// response like encoding/json does — not echoed as "".
 	q, err := json.Marshal(inst.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := []byte(`{"comment":"","query":` + string(q) + `}`)
-	resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/optimize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,39 +266,56 @@ func TestOptimizeEchoesUnusualComments(t *testing.T) {
 
 func TestOptimizeRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t)
+	instance := mustJSON(t, fixtureInstance(t))
 
-	resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewBufferString("{not json"))
+	for name, body := range map[string]string{
+		"malformed JSON":         "{not json",
+		"trailing garbage":       instance + " garbage",
+		"trailing document":      instance + `{"query":null}`,
+		"trailing on a bad body": "{} x",
+	} {
+		resp, err := http.Post(srv.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := decodeError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != string(codeBadRequest) {
+			t.Errorf("%s: status %d code %q, want 400 bad_request", name, resp.StatusCode, e.Code)
+		}
+		resp.Body.Close()
+	}
+	// Trailing whitespace is not data.
+	resp, err := http.Post(srv.URL+"/v1/optimize", "application/json", strings.NewReader(instance+" \n\t "))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200", resp.StatusCode)
 	}
 
-	resp = postJSON(t, srv.URL+"/optimize", map[string]any{"comment": "no query"})
+	resp = postJSON(t, srv.URL+"/v1/optimize", map[string]any{"comment": "no query"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing query: status %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, srv.URL+"/optimize", map[string]any{"comment": 42, "query": fixtureInstance(t).Query})
+	resp = postJSON(t, srv.URL+"/v1/optimize", map[string]any{"comment": 42, "query": fixtureInstance(t).Query})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("non-string comment: status %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, srv.URL+"/optimize", map[string]any{"unknown": 1, "query": fixtureInstance(t).Query})
+	resp = postJSON(t, srv.URL+"/v1/optimize", map[string]any{"unknown": 1, "query": fixtureInstance(t).Query})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, srv.URL+"/optimize", map[string]any{"cost": "not a number", "query": fixtureInstance(t).Query})
+	resp = postJSON(t, srv.URL+"/v1/optimize", map[string]any{"cost": "not a number", "query": fixtureInstance(t).Query})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("mistyped cost: status %d, want 400", resp.StatusCode)
 	}
 
 	bad := fixtureInstance(t)
 	bad.Query.Transfer[0][0] = 7 // non-zero diagonal
-	resp = postJSON(t, srv.URL+"/optimize", bad)
+	resp = postJSON(t, srv.URL+"/v1/optimize", bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid query: status %d, want 400", resp.StatusCode)
 	}
@@ -250,48 +329,61 @@ func TestBatchEndpoint(t *testing.T) {
 	bad.Query.Transfer[1][0] = -3 // invalid; must fail alone, not the batch
 
 	req := BatchRequest{Instances: mustRawInstances(t, good, bad, good)}
-	resp := postJSON(t, srv.URL+"/optimize/batch", req)
+	resp := postJSON(t, srv.URL+"/v1/optimize/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[BatchResponse](t, resp)
+	got := decodeData[batchData](t, resp)
 	if len(got.Results) != 3 {
 		t.Fatalf("results = %d, want 3", len(got.Results))
 	}
 	for _, i := range []int{0, 2} {
 		r := got.Results[i]
-		if r.Error != "" {
-			t.Fatalf("instance %d failed: %s", i, r.Error)
+		if r.Error != nil {
+			t.Fatalf("instance %d failed: %+v", i, *r.Error)
 		}
 		if !r.Plan.Equal(model.Plan{0, 1, 2}) || r.Cost != 2.5 {
 			t.Errorf("instance %d: plan %v cost %v, want [0 1 2] / 2.5", i, r.Plan, r.Cost)
 		}
 	}
-	if got.Results[1].Error == "" {
-		t.Error("invalid instance did not report an error")
+	if e := got.Results[1].Error; e == nil || e.Code != string(codeUnprocessable) || e.Message == "" {
+		t.Errorf("invalid instance reported %+v, want an unprocessable {code,message}", e)
 	}
+}
+
+// batchData is the /v1/optimize/batch payload: per instance, a solved
+// document or a {code,message} error.
+type batchData struct {
+	Results []struct {
+		OptimizeResponse
+		Error *v1ErrorBody `json:"error"`
+	} `json:"results"`
 }
 
 func TestBatchRejectsMalformedInstance(t *testing.T) {
 	srv := newTestServer(t)
-	body := `{"instances":[{"query":{"services":`
-	resp, err := http.Post(srv.URL+"/optimize/batch", "application/json", bytes.NewBufferString(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed batch: status %d, want 400", resp.StatusCode)
+	for name, body := range map[string]string{
+		"truncated instance": `{"instances":[{"query":{"services":`,
+		"trailing data":      `{"instances":[]} trailing`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/optimize/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	inst := fixtureInstance(t)
-	postJSON(t, srv.URL+"/optimize", inst)
-	postJSON(t, srv.URL+"/optimize", inst)
+	postJSON(t, srv.URL+"/v1/optimize", inst)
+	postJSON(t, srv.URL+"/v1/optimize", inst)
 
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +391,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	got := decodeBody[StatsResponse](t, resp)
+	got := decodeData[StatsResponse](t, resp)
 	if got.Hits != 1 || got.Misses != 1 || got.Searches != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 search", got.Stats)
 	}
@@ -327,14 +419,14 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestStatsEndpointFresh is the zero-denominator regression test: scraping
-// /stats before the first planner lookup must return decodable JSON with a
-// hit rate (and latency quantiles) of exactly 0. A NaN here would not
-// surface as a number — Go's encoding/json refuses NaN, so the handler
-// would emit an empty body and the first scrape of every fresh deployment
-// would break.
+// /v1/stats before the first planner lookup must return decodable JSON
+// with a hit rate (and latency quantiles) of exactly 0. A NaN here would
+// not surface as a number — Go's encoding/json refuses NaN, so the handler
+// would answer with an internal error instead of the stats and the first
+// scrape of every fresh deployment would break.
 func TestStatsEndpointFresh(t *testing.T) {
 	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +438,13 @@ func TestStatsEndpointFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) == 0 {
-		t.Fatal("/stats returned an empty body on a fresh server (NaN smuggled into the encoder?)")
+	var env v1Envelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error != nil {
+		t.Fatalf("fresh /v1/stats is not a success envelope (NaN smuggled into the encoder?): %v\n%s", err, raw)
 	}
 	var got StatsResponse
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("fresh /stats is not valid JSON: %v\n%s", err, raw)
+	if err := json.Unmarshal(env.Data, &got); err != nil {
+		t.Fatalf("fresh /v1/stats data is not a stats document: %v\n%s", err, raw)
 	}
 	if got.HitRate != 0 {
 		t.Errorf("fresh hitRate = %v, want exactly 0", got.HitRate)
@@ -392,7 +485,7 @@ func TestPprofEndpointBehindFlag(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	srv := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,12 +498,11 @@ func TestHealthz(t *testing.T) {
 // handlerAllocBudget pins the full warm-hit handler cost in allocations
 // per request, measured through ServeHTTP with httptest scaffolding. With
 // the query memo skipping the reflection JSON decode, the budget is
-// dominated by the envelope scan (RawMessage captures) and the httptest
+// dominated by the request scan (RawMessage captures) and the httptest
 // request/recorder themselves; the response side contributes ~zero
-// (pooled buffer, verbatim echo, fragment splice). Losing the memo fast
-// path roughly doubles this number, and falling back to encoding/json
-// marshaling doubles it again — those are the regressions this guards
-// (measured: ~36 with both fast paths, ~65 without the memo, ~79 legacy).
+// (pooled buffer, verbatim echo, fragment splice, envelope on the same
+// buffer). Losing the memo fast path roughly doubles this number — the
+// regression this guards (measured: ~36 with the memo, ~65 without).
 const handlerAllocBudget = 45
 
 // TestQueryMemo pins the byte-exact parse memo: identical query bytes hit
@@ -427,7 +519,7 @@ func TestQueryMemo(t *testing.T) {
 	bodyA := bufA.Bytes()
 	post := func(body []byte) OptimizeResponse {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/optimize", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,20 +527,16 @@ func TestQueryMemo(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		var out OptimizeResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return decodeData[OptimizeResponse](t, resp)
 	}
 	scrape := func() StatsResponse {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/stats")
+		resp, err := http.Get(srv.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return decodeBody[StatsResponse](t, resp)
+		return decodeData[StatsResponse](t, resp)
 	}
 
 	first := post(bodyA)
@@ -488,21 +576,26 @@ func TestQueryMemoDoesNotCacheInvalidQueries(t *testing.T) {
 	bad := fixtureInstance(t)
 	bad.Query.Transfer[0][0] = 7
 	for i := 0; i < 2; i++ {
-		resp := postJSON(t, srv.URL+"/optimize", bad)
+		resp := postJSON(t, srv.URL+"/v1/optimize", bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("submission %d: status %d, want 400", i, resp.StatusCode)
 		}
 	}
 }
 
+// TestHandlerWarmHitAllocs pins the warm hit through the admission gate —
+// the serving configuration under load — to the same budget: classifying
+// the query and taking and releasing a warm ticket must fit in the
+// headroom the budget leaves.
 func TestHandlerWarmHitAllocs(t *testing.T) {
-	h := NewHandler(planner.New(planner.Config{}), Options{})
+	ctl := admit.New(admit.Options{MaxConcurrent: 2})
+	h := NewHandler(planner.New(planner.Config{}), Options{Admission: ctl})
 	body, err := json.Marshal(fixtureInstance(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	do := func() int {
-		req := httptest.NewRequest(http.MethodPost, "/optimize", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		return w.Code
@@ -516,6 +609,9 @@ func TestHandlerWarmHitAllocs(t *testing.T) {
 		}
 	})
 	if allocs > handlerAllocBudget {
-		t.Errorf("warm-hit handler allocates %.1f/op, budget %d", allocs, handlerAllocBudget)
+		t.Errorf("admitted warm-hit handler allocates %.1f/op, budget %d", allocs, handlerAllocBudget)
+	}
+	if st := ctl.Stats(); st.Admitted < 300 || st.Inflight != 0 {
+		t.Fatalf("admission stats %+v: the measured requests did not pass the gate", st)
 	}
 }

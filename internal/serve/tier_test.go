@@ -31,7 +31,7 @@ func TestLargeInstanceServed(t *testing.T) {
 	srv := newTestServer(t)
 	inst := genInstance(t, gen.Default(70, 2026))
 
-	first := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	first := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if !strings.HasPrefix(first.Tier, "heuristic/") {
 		t.Fatalf("tier = %q, want heuristic/*", first.Tier)
 	}
@@ -45,7 +45,7 @@ func TestLargeInstanceServed(t *testing.T) {
 		t.Errorf("reported cost %v != recomputed %v", first.Cost, got)
 	}
 
-	second := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", inst))
+	second := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", inst))
 	if !second.Cached {
 		t.Error("identical large-n request not served from cache")
 	}
@@ -55,37 +55,29 @@ func TestLargeInstanceServed(t *testing.T) {
 	}
 }
 
-// TestExactTierReported: small instances keep the exact tier, on both the
-// fast and the legacy encoder.
+// TestExactTierReported: small instances keep the exact tier.
 func TestExactTierReported(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		srv := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{LegacyEncode: legacy}))
-		got := decodeBody[OptimizeResponse](t, postJSON(t, srv.URL+"/optimize", fixtureInstance(t)))
-		srv.Close()
-		if got.Tier != planner.TierExact {
-			t.Errorf("legacy=%v: tier = %q, want %q", legacy, got.Tier, planner.TierExact)
-		}
+	srv := newTestServer(t)
+	got := decodeData[OptimizeResponse](t, postJSON(t, srv.URL+"/v1/optimize", fixtureInstance(t)))
+	if got.Tier != planner.TierExact {
+		t.Errorf("tier = %q, want %q", got.Tier, planner.TierExact)
 	}
 }
 
 // TestQueryTooLargeMapsTo422: with the heuristic tier disabled, an
-// oversized query gets the typed planner rejection as a 422 JSON error —
-// not a 400 (the query itself is well-formed) and not a panic.
+// oversized query gets the typed planner rejection as a 422 error
+// envelope — not a 400 (the query itself is well-formed) and not a panic.
 func TestQueryTooLargeMapsTo422(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(
 		planner.New(planner.Config{HeuristicThreshold: -1}), Options{}))
 	defer srv.Close()
 
-	resp := postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(65, 7)))
+	resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(65, 7)))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422", resp.StatusCode)
 	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("422 body is not JSON: %v", err)
-	}
-	if body["error"] == "" {
-		t.Fatal("422 body has no error field")
+	if e := decodeError(t, resp); e.Code != string(codeQueryTooLarge) || e.Message == "" {
+		t.Fatalf("422 envelope %+v, want query_too_large with a message", e)
 	}
 }
 
@@ -113,7 +105,7 @@ func TestQueryMemoAdmitsLargeQueries(t *testing.T) {
 
 	post := func() OptimizeResponse {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/optimize", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/optimize", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +113,16 @@ func TestQueryMemoAdmitsLargeQueries(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status = %d, want 200", resp.StatusCode)
 		}
-		return decodeBody[OptimizeResponse](t, resp)
+		return decodeData[OptimizeResponse](t, resp)
 	}
 	scrapeHits := func() int64 {
 		t.Helper()
-		resp, err := http.Get(srv.URL + "/stats")
+		resp, err := http.Get(srv.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return decodeBody[StatsResponse](t, resp).QueryMemoHits
+		return decodeData[StatsResponse](t, resp).QueryMemoHits
 	}
 
 	first := post()
@@ -146,19 +138,19 @@ func TestQueryMemoAdmitsLargeQueries(t *testing.T) {
 	}
 }
 
-// TestStatsReportsTierCounts: /stats surfaces the per-tier execution
+// TestStatsReportsTierCounts: /v1/stats surfaces the per-tier execution
 // counters from the planner.
 func TestStatsReportsTierCounts(t *testing.T) {
 	srv := newTestServer(t)
-	postJSON(t, srv.URL+"/optimize", fixtureInstance(t))
-	postJSON(t, srv.URL+"/optimize", genInstance(t, gen.Default(70, 11)))
+	postJSON(t, srv.URL+"/v1/optimize", fixtureInstance(t))
+	postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(70, 11)))
 
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	got := decodeBody[StatsResponse](t, resp)
+	got := decodeData[StatsResponse](t, resp)
 	if got.TierCounts[planner.TierExact] != 1 {
 		t.Errorf("tierCounts[exact] = %d, want 1 (%v)", got.TierCounts[planner.TierExact], got.TierCounts)
 	}

@@ -1,26 +1,22 @@
 package serve
 
-// The /v1 surface: every endpoint under /v1/ speaks one envelope —
+// The /v1 surface: every endpoint speaks one envelope —
 //
 //	success: {"data":<payload>,"error":null}
-//	failure: {"data":null,"error":{"code":"...","message":"...","retryAfterSeconds":N}}
+//	failure: {"data":null,"error":{"code":"...","message":"...","reason":"...","retryAfterSeconds":N}}
 //
-// — newline-terminated compact JSON, replacing the legacy mix of indented
-// 422 documents, 429 shed bodies, and bare 400s. The unversioned paths
-// remain as deprecation aliases (identical legacy bodies plus a
-// Deprecation header); new clients and the fleet peer protocol speak only
-// this surface.
+// — newline-terminated compact JSON. reason and retryAfterSeconds appear
+// only on admission sheds.
 //
 // The warm hit path stays zero-extra-alloc: the envelope prefix/suffix are
-// appended around appendSolved in the same pooled buffer the legacy fast
-// path uses, and the response goes out in one Write.
+// appended around appendSolved in one pooled buffer, and the response goes
+// out in one Write.
 //
 // Fleet routing happens here and only here. A /v1/optimize request whose
 // canonical signature another peer owns is forwarded (owner's status,
 // Retry-After, and envelope relayed verbatim — errors stay single-wrapped
 // because the owner already wrote the one true envelope) unless a fresh
-// replica is resident locally. Legacy paths always serve locally, keeping
-// their byte-exact contract with existing clients and tests.
+// replica is resident locally.
 
 import (
 	"context"
@@ -40,61 +36,37 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// registerV1 installs the versioned route table.
-func (h *handler) registerV1(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/optimize", h.v1Optimize)
-	mux.HandleFunc("POST /v1/optimize/batch", h.v1OptimizeBatch)
-	mux.HandleFunc("POST /v1/observe", h.v1Observe)
-	mux.HandleFunc("POST /v1/execute", h.v1Execute)
-	mux.HandleFunc("GET /v1/stats", h.v1Stats)
-	mux.HandleFunc("GET /v1/healthz", h.v1Healthz)
-	mux.HandleFunc("POST /v1/call/{service}", h.v1Call)
-	// Catch-all: an unknown /v1 path gets the envelope, not the mux's
-	// plain-text 404.
-	mux.HandleFunc("/v1/", h.v1NotFound)
-}
-
-// deprecated wraps a legacy handler with the successor-steering headers.
-// Bodies are untouched — existing clients and the differential tests see
-// the exact pre-v1 payloads.
-func deprecated(successor string, next http.HandlerFunc) http.HandlerFunc {
-	link := "<" + successor + `>; rel="successor-version"`
-	return func(w http.ResponseWriter, r *http.Request) {
-		hd := w.Header()
-		hd.Set("Deprecation", "true")
-		hd.Set("Link", link)
-		next(w, r)
-	}
-}
-
 func (h *handler) v1NotFound(w http.ResponseWriter, r *http.Request) {
-	h.v1Error(w, codeNotFound, "no such endpoint: "+r.URL.Path, 0)
+	h.v1Error(w, codeNotFound, "no such endpoint: "+r.URL.Path, nil)
 }
 
 // writeV1Data writes {"data":<v>,"error":null} with v marshaled by
 // encoding/json — the non-hot-path envelope writer (stats, healthz,
 // observe, execute, call).
-func (h *handler) writeV1Data(w http.ResponseWriter, status int, v any) {
-	bufp := h.getBuf()
-	b := append((*bufp)[:0], `{"data":`...)
+func (h *handler) writeV1Data(w http.ResponseWriter, v any) {
 	data, err := json.Marshal(v)
 	if err != nil { // unreachable: every response type marshals
-		h.putBuf(bufp, b)
-		h.v1Error(w, codeInternal, err.Error(), 0)
+		h.v1Error(w, codeInternal, err.Error(), nil)
 		return
 	}
+	bufp := h.getBuf()
+	b := append((*bufp)[:0], `{"data":`...)
 	b = append(b, data...)
 	b = append(b, `,"error":null}`...)
 	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(b)
+	writeResponse(w, http.StatusOK, 0, b)
 	h.putBuf(bufp, b)
 }
 
-// writeV1Failure writes a classified failure in the envelope.
-func (h *handler) writeV1Failure(w http.ResponseWriter, f *apiFailure) {
-	h.v1Error(w, f.code, f.err.Error(), f.retryAfter)
+// writeResponse sends one complete response body: the status, the
+// Retry-After header (sheds only), the JSON content type, and one Write.
+func writeResponse(w http.ResponseWriter, status int, retryAfter int64, body []byte) {
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // v1Optimize serves POST /v1/optimize: decode, (fleet-route,) admit,
@@ -106,22 +78,18 @@ func (h *handler) v1Optimize(w http.ResponseWriter, r *http.Request) {
 		// relayed byte-identically to its owner.
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.opts.MaxBody))
 		if err != nil {
-			h.v1Error(w, codeBadRequest, "reading request: "+err.Error(), 0)
+			h.v1Error(w, codeBadRequest, "reading request: "+err.Error(), nil)
 			return
 		}
-		if err := h.decodeInstanceBytes(body, &req); err != nil {
-			h.v1Error(w, codeBadRequest, "decoding request: "+err.Error(), 0)
-			return
-		}
-		if err := h.finishOptimizeDecode(&req); err != nil {
-			h.v1Error(w, codeBadRequest, err.Error(), 0)
+		if err := h.decodeOptimizeBytes(body, &req); err != nil {
+			h.v1Error(w, codeBadRequest, err.Error(), nil)
 			return
 		}
 		if sig, ok := h.p.SignatureFor(req.query); ok {
 			if decision, owner := h.fleet.Route(sig); decision == fleet.Forward {
 				status, retryAfter, resp, err := h.fleet.Forward(owner, "/v1/optimize", body)
 				if err == nil {
-					writeRelayed(w, status, retryAfter, resp)
+					writeResponse(w, status, retryAfter, resp)
 					return
 				}
 				// Peer death: the owner is unreachable, so serve locally —
@@ -130,32 +98,36 @@ func (h *handler) v1Optimize(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	} else if err := h.decodeOptimizeRequest(w, r, &req); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), 0)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
 
 	bufp := h.getBuf()
 	b, status, retryAfter, _ := h.solveV1(r.Context(), r.Header.Get("X-Tenant"), &req, (*bufp)[:0])
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(b)
+	writeResponse(w, status, retryAfter, b)
 	h.putBuf(bufp, b)
 }
 
-// finishOptimizeDecode applies the single-instance requirements on top of
-// decodeInstanceBytes: a query must be present and (unless the memo
-// already proved it) valid.
-func (h *handler) finishOptimizeDecode(req *optimizeRequest) error {
-	if req.query == nil {
-		return errors.New("instance has no query")
+// admitQuery is the one admission step of /v1/optimize and /v1/execute:
+// classify q against the planner's resident state, then take a ticket of
+// the matching class — warm for a fresh resident plan, cold for anything
+// that needs a search. A shed caller gets the temperature back to decide
+// on stale-serve. Without admission every request is admitted on a nil
+// ticket, whose Release is a no-op.
+func (h *handler) admitQuery(ctx context.Context, q *model.Query, tenant string) (*admit.Ticket, planner.Temperature, error) {
+	if h.admission == nil {
+		return nil, planner.TempCold, nil
 	}
-	if req.validated {
-		return nil
+	// Classification happens after the decode (it needs the query) but
+	// before any planning work: a shed request has cost one JSON parse
+	// and two cache probes, nothing more.
+	temp := h.p.Classify(q)
+	class := admit.Cold
+	if temp == planner.TempWarm {
+		class = admit.Warm
 	}
-	return req.query.Validate()
+	ticket, err := h.admission.Acquire(ctx, class, tenant)
+	return ticket, temp, err
 }
 
 // solveV1 runs admission and planning for one decoded request and appends
@@ -165,37 +137,28 @@ func (h *handler) finishOptimizeDecode(req *optimizeRequest) error {
 // signal). Both the HTTP handler above and the forwarded-frame path go
 // through here, so the two are the same code path by construction.
 func (h *handler) solveV1(ctx context.Context, tenant string, req *optimizeRequest, b []byte) (out []byte, status int, retryAfter int64, warm bool) {
-	if h.admission != nil {
-		temp := h.p.Classify(req.query)
-		class := admit.Cold
-		if temp == planner.TempWarm {
-			class = admit.Warm
-		}
-		ticket, err := h.admission.Acquire(ctx, class, tenant)
-		if err != nil {
-			var se *admit.ShedError
-			if errors.As(err, &se) && h.opts.StaleServe && temp == planner.TempStale {
-				// Degraded mode, same policy as the legacy path: answer
-				// from the resident previous-generation plan and replan
-				// off-request.
-				if res, ok := h.p.ServeStale(req.query); ok {
-					if res.Stale {
-						h.staleServed.Add(1)
-						h.enqueueReplan(req.query, res.Signature)
-					}
-					return h.appendV1Solved(b, req, res), http.StatusOK, 0, res.Cached && !res.Stale
+	ticket, temp, err := h.admitQuery(ctx, req.query, tenant)
+	if err != nil {
+		var se *admit.ShedError
+		if errors.As(err, &se) && h.opts.StaleServe && temp == planner.TempStale {
+			// Degraded mode: a shed-worthy cold request whose structure has
+			// a previous generation's plan resident is answered stale
+			// instead of refused, and the replan happens off-request.
+			if res, ok := h.p.ServeStale(req.query); ok {
+				if res.Stale {
+					h.staleServed.Add(1)
+					h.enqueueReplan(req.query, res.Signature)
 				}
+				return h.appendV1Solved(b, req, res), http.StatusOK, 0, res.Cached && !res.Stale
 			}
-			code, ra := classifyError(err)
-			return appendV1Error(b, code, err.Error(), ra), codeStatus[code], ra, false
 		}
-		defer ticket.Release()
+		return appendV1Failure(b, err)
 	}
+	defer ticket.Release()
 
 	res, err := h.p.Optimize(ctx, req.query)
 	if err != nil {
-		code, ra := classifyError(err)
-		return appendV1Error(b, code, err.Error(), ra), codeStatus[code], ra, false
+		return appendV1Failure(b, err)
 	}
 	if h.fleet != nil && !res.Cached && !res.Shared && !res.Stale {
 		// A fresh search on this node is new warmth: push it to the
@@ -204,6 +167,13 @@ func (h *handler) solveV1(ctx context.Context, tenant string, req *optimizeReque
 		h.fleet.ReplicateAsync(res.Signature)
 	}
 	return h.appendV1Solved(b, req, res), http.StatusOK, 0, res.Cached && !res.Stale
+}
+
+// appendV1Failure appends err's envelope, classified through the table,
+// and returns solveV1's results for it.
+func appendV1Failure(b []byte, err error) (out []byte, status int, retryAfter int64, warm bool) {
+	code, shed := classifyError(err)
+	return appendV1Error(b, code, err.Error(), shed), codeStatus[code], retryAfterSeconds(shed), false
 }
 
 // appendV1Solved wraps appendSolved in the success envelope on the same
@@ -215,17 +185,6 @@ func (h *handler) appendV1Solved(b []byte, req *optimizeRequest, res planner.Res
 	return append(b, '\n')
 }
 
-// writeRelayed emits a forwarded peer's answer verbatim: its status, its
-// Retry-After, its envelope bytes. No re-encoding, no double wrap.
-func writeRelayed(w http.ResponseWriter, status int, retryAfter int64, body []byte) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
 // serveForwarded is the fleet's LocalHandler: it answers a peer-forwarded
 // request body exactly as the local /v1 path would, minus the routing
 // step (a forwarded request is never re-forwarded — the single-hop loop
@@ -234,16 +193,11 @@ func writeRelayed(w http.ResponseWriter, status int, retryAfter int64, body []by
 func (h *handler) serveForwarded(path string, body []byte) (status int, retryAfter int64, warm bool, resp []byte) {
 	if path != "/v1/optimize" {
 		return http.StatusNotFound, 0, false,
-			appendV1Error(nil, codeNotFound, "fleet: path not forwardable: "+path, 0)
+			appendV1Error(nil, codeNotFound, "fleet: path not forwardable: "+path, nil)
 	}
 	var req optimizeRequest
-	if err := h.decodeInstanceBytes(body, &req); err != nil {
-		return http.StatusBadRequest, 0, false,
-			appendV1Error(nil, codeBadRequest, "decoding request: "+err.Error(), 0)
-	}
-	if err := h.finishOptimizeDecode(&req); err != nil {
-		return http.StatusBadRequest, 0, false,
-			appendV1Error(nil, codeBadRequest, err.Error(), 0)
+	if err := h.decodeOptimizeBytes(body, &req); err != nil {
+		return http.StatusBadRequest, 0, false, appendV1Error(nil, codeBadRequest, err.Error(), nil)
 	}
 	// The response escapes into a peer frame, so it gets its own buffer
 	// rather than a pooled one.
@@ -258,7 +212,7 @@ func (h *handler) serveForwarded(path string, body []byte) (status int, retryAft
 func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
 	if err := decodeJSON(w, r, h.opts.MaxBody, &batch); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), 0)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
 	reqs := make([]optimizeRequest, len(batch.Instances))
@@ -268,16 +222,22 @@ func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			continue // nil query rejected by the planner, fails alone
 		}
 		if err := h.decodeInstanceBytes(raw, &reqs[i]); err != nil {
-			h.v1Error(w, codeBadRequest, fmt.Sprintf("decoding request: instance %d: %v", i, err), 0)
+			// Malformed JSON inside an instance fails the whole request,
+			// like any malformed request document.
+			h.v1Error(w, codeBadRequest, fmt.Sprintf("decoding request: instance %d: %v", i, err), nil)
 			return
 		}
 		qs[i] = reqs[i].query
 	}
 
 	if h.admission != nil {
+		// A batch is cold by construction: it fans searches across the
+		// planner's worker pool, so it takes one Cold-class ticket (the
+		// concurrency inside the batch is the planner's own bounded pool,
+		// not the admission controller's concern).
 		ticket, err := h.admission.Acquire(r.Context(), admit.Cold, r.Header.Get("X-Tenant"))
 		if err != nil {
-			h.writeV1Failure(w, classifiedFailure(err))
+			h.v1Fail(w, err)
 			return
 		}
 		defer ticket.Release()
@@ -307,55 +267,49 @@ func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	b = append(b, `]},"error":null}`...)
 	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	writeResponse(w, http.StatusOK, 0, b)
 	h.putBuf(bufp, b)
 }
 
-// v1Observe serves POST /v1/observe: the legacy semantics in the
-// envelope, plus the fleet gossip hook on published generations.
+// v1Observe serves POST /v1/observe: it ingests one execution report into
+// the adaptive statistics registry. This is the feedback half of the
+// adaptive replanning loop: execution layers (or the dqload -drift
+// harness) POST what their services actually did, the registry refits its
+// EWMA estimates through calibrate's formulas, and a drift past the
+// threshold publishes a new generation — the response says whether this
+// report was the one that tipped it, and a published generation gossips to
+// the fleet.
 func (h *handler) v1Observe(w http.ResponseWriter, r *http.Request) {
 	reg := h.p.Adaptive()
 	if reg == nil {
-		h.v1Error(w, codeNotFound, "adaptive replanning disabled (start the server with -adaptive)", 0)
+		h.v1Error(w, codeNotFound, "adaptive replanning disabled (start the server with -adaptive)", nil)
 		return
 	}
 	var rep adapt.Report
 	if err := decodeJSON(w, r, h.opts.MaxBody, &rep); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), 0)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
 	out, err := reg.Observe(&rep)
 	if err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), 0)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
 	h.afterObserve(out)
-	h.writeV1Data(w, http.StatusOK, out)
-}
-
-// v1Execute serves POST /v1/execute via the shared core.
-func (h *handler) v1Execute(w http.ResponseWriter, r *http.Request) {
-	resp, fail := h.executeCore(w, r)
-	if fail != nil {
-		h.writeV1Failure(w, fail)
-		return
-	}
-	h.writeV1Data(w, http.StatusOK, resp)
+	h.writeV1Data(w, out)
 }
 
 func (h *handler) v1Stats(w http.ResponseWriter, r *http.Request) {
-	h.writeV1Data(w, http.StatusOK, h.buildStats())
+	h.writeV1Data(w, h.buildStats())
 }
 
 func (h *handler) v1Healthz(w http.ResponseWriter, r *http.Request) {
-	h.writeV1Data(w, http.StatusOK, h.buildHealthz())
+	h.writeV1Data(w, h.buildHealthz())
 }
 
 // CallDocument is the /v1/call/{service} payload in both directions: a
 // tuple block in, the survivors (plus the backend's own processing-time
-// measure) out. It mirrors the unversioned exec wire document.
+// measure) out. It mirrors the exec backend wire document.
 type CallDocument struct {
 	Tuples           []exec.Tuple `json:"tuples"`
 	ProcessingMicros int64        `json:"processingMicros,omitempty"`
@@ -366,27 +320,27 @@ type CallDocument struct {
 func (h *handler) v1Call(w http.ResponseWriter, r *http.Request) {
 	b := h.opts.Backend
 	if b == nil {
-		h.v1Error(w, codeNotFound, "service calls disabled (no backend configured)", 0)
+		h.v1Error(w, codeNotFound, "service calls disabled (no backend configured)", nil)
 		return
 	}
 	service, err := url.PathUnescape(r.PathValue("service"))
 	if err != nil || service == "" {
-		h.v1Error(w, codeBadRequest, "bad service name", 0)
+		h.v1Error(w, codeBadRequest, "bad service name", nil)
 		return
 	}
 	var doc CallDocument
 	if err := decodeJSON(w, r, h.opts.MaxBody, &doc); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), 0)
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
 	res, err := b.Call(r.Context(), service, doc.Tuples)
 	if err != nil {
-		h.v1Error(w, codeBackendFailed, err.Error(), 0)
+		h.v1Error(w, codeBackendFailed, err.Error(), nil)
 		return
 	}
 	out := CallDocument{Tuples: res.Tuples, ProcessingMicros: res.Processing.Microseconds()}
 	if out.Tuples == nil {
 		out.Tuples = []exec.Tuple{} // an empty block is data, not null
 	}
-	h.writeV1Data(w, http.StatusOK, out)
+	h.writeV1Data(w, out)
 }

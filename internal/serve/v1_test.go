@@ -31,6 +31,7 @@ import (
 type v1ErrorBody struct {
 	Code              string `json:"code"`
 	Message           string `json:"message"`
+	Reason            string `json:"reason"`
 	RetryAfterSeconds int64  `json:"retryAfterSeconds"`
 }
 
@@ -356,8 +357,8 @@ func (failingBackend) Call(context.Context, string, []exec.Tuple) (exec.CallResu
 }
 
 // TestErrorTable enumerates the one error-mapping table: every typed error
-// class, its code, and its status — the single source both surfaces
-// consult.
+// class, its code, and its status — the single source every path
+// consults.
 func TestErrorTable(t *testing.T) {
 	t.Parallel()
 	want := map[apiCode]int{
@@ -380,144 +381,67 @@ func TestErrorTable(t *testing.T) {
 	}
 
 	cases := []struct {
-		name      string
-		err       error
-		code      apiCode
-		retryMin  int64
-		wantRetry bool
+		name   string
+		err    error
+		code   apiCode
+		reason admit.Reason // sheds only
+		retry  int64        // sheds only: Retry-After seconds, rounded up
 	}{
-		{"shed", &admit.ShedError{Reason: admit.ReasonColdShed, RetryAfter: 1500 * time.Millisecond}, codeOverloaded, 2, true},
-		{"wrapped_shed", fmt.Errorf("gate: %w", &admit.ShedError{Reason: admit.ReasonQueueFull, RetryAfter: time.Second}), codeOverloaded, 1, true},
-		{"canceled", context.Canceled, codeTimeout, 0, false},
-		{"deadline", context.DeadlineExceeded, codeTimeout, 0, false},
-		{"wrapped_deadline", fmt.Errorf("solve: %w", context.DeadlineExceeded), codeTimeout, 0, false},
-		{"too_large", planner.ErrQueryTooLarge, codeQueryTooLarge, 0, false},
-		{"wrapped_too_large", fmt.Errorf("planner: %w", planner.ErrQueryTooLarge), codeQueryTooLarge, 0, false},
-		{"generic", errors.New("whatever"), codeUnprocessable, 0, false},
+		{"shed", &admit.ShedError{Reason: admit.ReasonColdShed, RetryAfter: 1500 * time.Millisecond}, codeOverloaded, admit.ReasonColdShed, 2},
+		{"wrapped_shed", fmt.Errorf("gate: %w", &admit.ShedError{Reason: admit.ReasonQueueFull, RetryAfter: time.Second}), codeOverloaded, admit.ReasonQueueFull, 1},
+		{"canceled", context.Canceled, codeTimeout, "", 0},
+		{"deadline", context.DeadlineExceeded, codeTimeout, "", 0},
+		{"wrapped_deadline", fmt.Errorf("solve: %w", context.DeadlineExceeded), codeTimeout, "", 0},
+		{"too_large", planner.ErrQueryTooLarge, codeQueryTooLarge, "", 0},
+		{"wrapped_too_large", fmt.Errorf("planner: %w", planner.ErrQueryTooLarge), codeQueryTooLarge, "", 0},
+		{"generic", errors.New("whatever"), codeUnprocessable, "", 0},
 	}
 	for _, tc := range cases {
-		code, retry := classifyError(tc.err)
+		code, shed := classifyError(tc.err)
 		if code != tc.code {
 			t.Errorf("%s: classified %s, want %s", tc.name, code, tc.code)
 		}
-		if tc.wantRetry && retry < tc.retryMin {
-			t.Errorf("%s: retryAfter %d, want >= %d (ceil rounding)", tc.name, retry, tc.retryMin)
+		if (shed != nil) != (tc.reason != "") || (shed != nil && shed.Reason != tc.reason) {
+			t.Errorf("%s: shed %+v, want reason %q", tc.name, shed, tc.reason)
 		}
-		if !tc.wantRetry && retry != 0 {
-			t.Errorf("%s: retryAfter %d, want 0", tc.name, retry)
-		}
-		// statusFor is the same table seen from the legacy surface.
-		if got := statusFor(tc.err); got != codeStatus[tc.code] {
-			t.Errorf("%s: statusFor %d != codeStatus[%s] %d", tc.name, got, tc.code, codeStatus[tc.code])
+		if got := retryAfterSeconds(shed); got != tc.retry {
+			t.Errorf("%s: retryAfter %d, want %d (ceil rounding)", tc.name, got, tc.retry)
 		}
 	}
 }
 
-// TestLegacyVsV1Differential drives the same request sequence through the
-// legacy and versioned optimize surfaces on identically configured servers
-// and requires: equal status codes, the v1 "data" payload semantically
-// equal to the legacy body, the legacy error string as the v1 error
-// message, and the deprecation steering headers on the legacy responses
-// only.
-func TestLegacyVsV1Differential(t *testing.T) {
-	legacy := newTestServer(t)
-	v1 := newTestServer(t)
+// TestRemovedRoutes404: the unversioned aliases are gone. Each answers
+// 404 and reaches nothing behind the mux — the planner sees no lookup.
+func TestRemovedRoutes404(t *testing.T) {
+	p := planner.New(planner.Config{})
+	srv := httptest.NewServer(NewHandler(p, Options{}))
+	t.Cleanup(srv.Close)
 	fixture := mustJSON(t, fixtureInstance(t))
-	invalid := fixtureInstance(t)
-	invalid.Query.Transfer[0][0] = 7
-
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"cold", fixture},
-		{"warm", fixture},
-		{"bad_json", `{"query":`},
-		{"no_query", `{}`},
-		{"invalid_query", mustJSON(t, invalid)},
+	if resp, body := v1Request(t, srv, "POST", "/v1/optimize", fixture); resp.StatusCode != 200 {
+		t.Fatalf("warmup: %d %s", resp.StatusCode, body)
 	}
-	for _, tc := range cases {
-		lResp, lBody := v1Request(t, legacy, "POST", "/optimize", tc.body)
-		vResp, vBody := v1Request(t, v1, "POST", "/v1/optimize", tc.body)
-		if lResp.StatusCode != vResp.StatusCode {
-			t.Fatalf("%s: legacy %d vs v1 %d", tc.name, lResp.StatusCode, vResp.StatusCode)
-		}
-		if lResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy response missing Deprecation header", tc.name)
-		}
-		if !strings.Contains(lResp.Header.Get("Link"), `rel="successor-version"`) {
-			t.Errorf("%s: legacy response missing successor Link", tc.name)
-		}
-		if vResp.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: v1 response carries a Deprecation header", tc.name)
-		}
-
-		var env v1Envelope
-		if err := json.Unmarshal(vBody, &env); err != nil {
-			t.Fatalf("%s: v1 body is not an envelope: %v\n%s", tc.name, err, vBody)
-		}
-		if lResp.StatusCode == 200 {
-			if env.Error != nil {
-				t.Fatalf("%s: success envelope carries an error: %+v", tc.name, env.Error)
-			}
-			var lDoc, vDoc map[string]any
-			if err := json.Unmarshal(lBody, &lDoc); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(env.Data, &vDoc); err != nil {
-				t.Fatal(err)
-			}
-			lDoc["elapsedMicros"], vDoc["elapsedMicros"] = 0, 0
-			if !reflect.DeepEqual(lDoc, vDoc) {
-				t.Fatalf("%s: payloads diverged\nlegacy: %v\nv1:     %v", tc.name, lDoc, vDoc)
-			}
-		} else {
-			if string(env.Data) != "null" {
-				t.Fatalf("%s: error envelope carries data: %s", tc.name, env.Data)
-			}
-			var lErr struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(lBody, &lErr); err != nil {
-				t.Fatal(err)
-			}
-			if env.Error == nil || env.Error.Message != lErr.Error {
-				t.Fatalf("%s: v1 message %+v, legacy error %q", tc.name, env.Error, lErr.Error)
-			}
-		}
-	}
-}
-
-// TestDeprecationHeaders: every legacy route steers to its successor.
-func TestDeprecationHeaders(t *testing.T) {
-	srv := newTestServer(t)
-	fixture := mustJSON(t, fixtureInstance(t))
-	cases := []struct {
-		method, path, body, successor string
-	}{
-		{"POST", "/optimize", fixture, "/v1/optimize"},
-		{"POST", "/optimize/batch", `{"instances":[]}`, "/v1/optimize/batch"},
-		{"POST", "/observe", `{}`, "/v1/observe"},
-		{"POST", "/execute", fixture, "/v1/execute"},
-		{"GET", "/stats", "", "/v1/stats"},
-		{"GET", "/healthz", "", "/v1/healthz"},
-	}
-	for _, tc := range cases {
+	before := p.Stats()
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/optimize", fixture},
+		{"POST", "/optimize/batch", `{"instances":[` + fixture + `]}`},
+		{"POST", "/observe", `{"services":[]}`},
+		{"POST", "/execute", `{"query":` + mustJSON(t, fixtureInstance(t).Query) + `,"tuples":1}`},
+		{"GET", "/stats", ""},
+		{"GET", "/healthz", ""},
+	} {
 		resp, _ := v1Request(t, srv, tc.method, tc.path, tc.body)
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: no Deprecation header", tc.method, tc.path)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
 		}
-		want := "<" + tc.successor + `>; rel="successor-version"`
-		if got := resp.Header.Get("Link"); got != want {
-			t.Errorf("%s %s: Link %q, want %q", tc.method, tc.path, got, want)
-		}
+	}
+	if after := p.Stats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("planner stats moved across removed routes:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 
-// TestV1WarmHitAllocs pins the /v1/optimize warm path to the same
-// allocation budget as the legacy fast path: the envelope is appended
-// around the solved document on the same pooled buffer, so versioning the
-// surface costs zero extra allocations.
+// TestV1WarmHitAllocs pins the /v1/optimize warm path to the handler
+// allocation budget: the envelope is appended around the solved document
+// on the same pooled buffer, so it costs zero extra allocations.
 func TestV1WarmHitAllocs(t *testing.T) {
 	h := NewHandler(planner.New(planner.Config{}), Options{})
 	body, err := json.Marshal(fixtureInstance(t))
@@ -613,7 +537,7 @@ func instanceOwnedBy(t *testing.T, peers []*servePeer, owner int) *model.Instanc
 // TestV1FleetRoutedServe is the serve-level fleet integration test:
 // wrong-owner /v1/optimize requests forward to the owner, the owner's
 // fresh search replicates back, and the repeat request is a cross-node
-// warm hit served locally. Legacy paths never route.
+// warm hit served locally.
 func TestV1FleetRoutedServe(t *testing.T) {
 	peers := startServeFleet(t, 2, nil)
 	inst := instanceOwnedBy(t, peers, 1)
@@ -671,17 +595,27 @@ func TestV1FleetRoutedServe(t *testing.T) {
 	if s.ReplicaHits != 1 || s.Forwarded != 1 {
 		t.Fatalf("peer0 stats %+v, want 1 replica hit and still 1 forward", s)
 	}
+}
 
-	// Legacy surface: always local, no new fleet traffic.
-	respL, _ := v1Request(t, peers[0].srv, "POST", "/optimize", body)
-	if respL.StatusCode != 200 {
-		t.Fatalf("legacy status %d", respL.StatusCode)
+// TestV1FleetRejectsTrailingData: the fleet paths decode as strictly as
+// the local one — trailing bytes after the document are a 400 on the
+// entry peer (never forwarded) and on a forwarded frame.
+func TestV1FleetRejectsTrailingData(t *testing.T) {
+	peers := startServeFleet(t, 2, nil)
+	body := mustJSON(t, instanceOwnedBy(t, peers, 1))
+	for _, trailing := range []string{" garbage", `{"query":null}`} {
+		resp, got := v1Request(t, peers[0].srv, "POST", "/v1/optimize", body+trailing)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trailing %q: status %d: %s", trailing, resp.StatusCode, got)
+		}
 	}
-	if respL.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy path lost its Deprecation header under fleet routing")
+	if s := peers[0].fp.Stats(); s.Forwarded != 0 {
+		t.Fatalf("a rejected body was forwarded: %+v", s)
 	}
-	if s := peers[0].fp.Stats(); s.Forwarded != 1 {
-		t.Fatalf("legacy request routed through the fleet: %+v", s)
+	h := &handler{p: peers[1].pl}
+	status, _, _, resp := h.serveForwarded("/v1/optimize", []byte(body+" garbage"))
+	if status != http.StatusBadRequest || !bytes.Contains(resp, []byte(codeBadRequest)) {
+		t.Fatalf("forwarded frame with trailing data: status %d: %s", status, resp)
 	}
 }
 
@@ -741,6 +675,9 @@ func TestV1ForwardedShedSingleWrap(t *testing.T) {
 	}
 	if env.Error.RetryAfterSeconds < 1 {
 		t.Fatalf("relayed retryAfterSeconds %d, want >= 1", env.Error.RetryAfterSeconds)
+	}
+	if !typedReason(env.Error.Reason) {
+		t.Fatalf("relayed shed reason %q is not a typed admit reason", env.Error.Reason)
 	}
 	// Single wrap, by bytes: exactly one data key, one error key, one
 	// trailing newline — the owner's envelope, untouched.
