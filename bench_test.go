@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the evaluation
-// (DESIGN.md section 4). Each BenchmarkXX corresponds to one experiment
-// id; custom metrics (nodes/op, cost ratios, relative errors) carry the
+// (the experiments of exper.All()). Each BenchmarkXX corresponds to one
+// experiment id; custom metrics (nodes/op, cost ratios, relative errors) carry the
 // figure's y-axis. Run with:
 //
 //	go test -bench=. -benchmem
@@ -20,8 +20,8 @@ import (
 	"serviceordering/internal/baseline"
 	"serviceordering/internal/btsp"
 	"serviceordering/internal/calibrate"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/core"
+	"serviceordering/internal/exec"
 	"serviceordering/internal/exper"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
@@ -315,8 +315,9 @@ func BenchmarkF7Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkF8Choreography executes plans on the concurrent runtime; the
-// figure contrasts optimal vs worst wall-clock makespan.
+// BenchmarkF8Choreography executes plans on the production executor with
+// modeled costs slept (exec.RunWallClock); the figure contrasts optimal vs
+// worst wall-clock makespan.
 func BenchmarkF8Choreography(b *testing.B) {
 	q := benchQuery(b, 5, 808)
 	opt, err := core.Optimize(q)
@@ -327,10 +328,7 @@ func BenchmarkF8Choreography(b *testing.B) {
 	for i, s := range opt.Plan {
 		bad[len(opt.Plan)-1-i] = s
 	}
-	cfg := choreo.DefaultConfig()
-	cfg.Tuples = 64
-	cfg.BlockSize = 8
-	cfg.UnitDuration = 20 * time.Microsecond
+	cfg := exec.WallClockConfig{Tuples: 64, BlockSize: 8, QueueBlocks: exec.DefaultQueueBlocks, UnitDuration: 20 * time.Microsecond}
 
 	for _, entry := range []struct {
 		name string
@@ -342,7 +340,7 @@ func BenchmarkF8Choreography(b *testing.B) {
 		b.Run(entry.name, func(b *testing.B) {
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				if _, err := choreo.Run(ctx, q, entry.plan, cfg); err != nil {
+				if _, err := exec.RunWallClock(ctx, q, entry.plan, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,13 +1,13 @@
-// Command dqbench runs the evaluation suite: every table and figure
-// listed in DESIGN.md, printed as plain text or markdown (the source of
-// EXPERIMENTS.md).
+// Command dqbench runs the evaluation suite: every table and figure of
+// exper.All() (documented in internal/exper/README.md), printed as plain
+// text or markdown.
 //
 // Usage:
 //
 //	dqbench                  # full suite (minutes)
 //	dqbench -quick           # CI-sized sweeps (seconds)
 //	dqbench -run F3,F7       # selected experiments
-//	dqbench -markdown        # markdown tables for EXPERIMENTS.md
+//	dqbench -markdown        # markdown tables
 //
 // Search benchmark baseline (see BENCH_search.json at the repo root):
 //

@@ -1,11 +1,12 @@
-// Command dqchoreo executes a plan on the real concurrent choreography
-// runtime: one goroutine per service, tuple blocks streamed directly
-// between services over in-process channels or loopback TCP, with
-// processing/transfer costs realized as wall-clock delays.
+// Command dqchoreo executes a plan as the paper's decentralized pipeline on
+// the production executor (exec.RunWallClock): one stage per service,
+// tuple blocks streamed from stage to stage, every service call sleeping
+// its modeled processing and transfer cost. Calls stay in-process or cross
+// the executor's HTTP service wire on a loopback listener.
 //
 // Usage:
 //
-//	dqchoreo -in solved.json -tuples 400 -unit 100us -transport tcp
+//	dqchoreo -in solved.json -tuples 400 -unit 100us -transport http
 package main
 
 import (
@@ -15,8 +16,8 @@ import (
 	"os"
 	"time"
 
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/core"
+	"serviceordering/internal/exec"
 	"serviceordering/internal/model"
 )
 
@@ -34,7 +35,7 @@ func run(args []string) error {
 		tuples    = fs.Int("tuples", 400, "input tuples to stream")
 		block     = fs.Int("block", 16, "tuples per transfer block")
 		unit      = fs.Duration("unit", 100*time.Microsecond, "wall-clock duration of one cost unit")
-		transport = fs.String("transport", "inproc", "transport: inproc|tcp")
+		transport = fs.String("transport", "inproc", "transport: inproc|http")
 		timeout   = fs.Duration("timeout", 5*time.Minute, "run timeout")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -60,22 +61,18 @@ func run(args []string) error {
 		fmt.Printf("no stored plan; optimized to %s (cost %g)\n", plan.Render(q), res.Cost)
 	}
 
-	cfg := choreo.DefaultConfig()
-	cfg.Tuples = *tuples
-	cfg.BlockSize = *block
-	cfg.UnitDuration = *unit
+	cfg := exec.WallClockConfig{Tuples: *tuples, BlockSize: *block, QueueBlocks: exec.DefaultQueueBlocks, UnitDuration: *unit}
 	switch *transport {
 	case "inproc":
-		cfg.Transport = choreo.TransportInProc
-	case "tcp":
-		cfg.Transport = choreo.TransportTCP
+	case "http":
+		cfg.HTTP = true
 	default:
 		return fmt.Errorf("unknown transport %q", *transport)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	rep, err := choreo.Run(ctx, q, plan, cfg)
+	rep, err := exec.RunWallClock(ctx, q, plan, cfg)
 	if err != nil {
 		return err
 	}

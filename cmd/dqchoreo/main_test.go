@@ -32,9 +32,9 @@ func TestRunInProc(t *testing.T) {
 	}
 }
 
-func TestRunTCP(t *testing.T) {
+func TestRunHTTP(t *testing.T) {
 	in := writeFixture(t)
-	if err := run([]string{"-in", in, "-tuples", "48", "-block", "8", "-unit", "10us", "-transport", "tcp"}); err != nil {
+	if err := run([]string{"-in", in, "-tuples", "48", "-block", "8", "-unit", "10us", "-transport", "http"}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }

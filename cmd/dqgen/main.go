@@ -1,5 +1,6 @@
 // Command dqgen generates random decentralized-query instances as JSON
-// documents consumable by dqopt, dqsim and dqchoreo.
+// documents consumable by dqopt, dqsim, dqchoreo (wall-clock runs on the
+// executor) and dqserve's /v1/optimize.
 //
 // Usage:
 //

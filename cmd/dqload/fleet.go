@@ -43,7 +43,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/calibrate"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/fleet"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
@@ -142,7 +141,7 @@ type fleetNode struct {
 
 // startFleetNodes brings up n dqserve peers on loopback, sharing one fleet.
 func startFleetNodes(n, replication int, adaptive adapt.Config) ([]*fleetNode, func(), error) {
-	servers := make([]*choreo.PeerServer, 0, n)
+	servers := make([]*fleet.PeerServer, 0, n)
 	httpSrvs := make([]*http.Server, 0, n)
 	cleanup := func() {
 		for _, s := range httpSrvs {
@@ -154,7 +153,7 @@ func startFleetNodes(n, replication int, adaptive adapt.Config) ([]*fleetNode, f
 	}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		ps, err := choreo.ListenPeer("127.0.0.1:0", "dqload-fleet")
+		ps, err := fleet.ListenPeer("127.0.0.1:0", "dqload-fleet")
 		if err != nil {
 			cleanup()
 			return nil, nil, err

@@ -114,7 +114,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/core"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/fleet"
@@ -314,7 +313,7 @@ func run(args []string, ready chan<- string) error {
 		for i := range members {
 			members[i] = strings.TrimSpace(members[i])
 		}
-		ps, err := choreo.ListenPeer(*fleetAddr, *fleetID)
+		ps, err := fleet.ListenPeer(*fleetAddr, *fleetID)
 		if err != nil {
 			return err
 		}

@@ -336,10 +336,10 @@
 // same WL-refinement signature the cache is keyed by, 64 virtual nodes
 // per peer — so every node independently computes the same owner for
 // every query with no coordinator and no routing state to reconcile.
-// The peer wire protocol runs over internal/choreo's length-prefixed
-// TCP frames with a fleet-ID handshake (a staging node dialing prod is
-// refused at hello), and all forwarded requests speak only the /v1
-// envelope.
+// Peers speak newline-delimited JSON frames over one TCP connection per
+// peer pair (internal/fleet's peer protocol) with a fleet-ID handshake (a
+// staging node dialing prod is refused at hello), and all forwarded
+// requests speak only the /v1 envelope.
 //
 // A /v1/optimize request landing on the wrong node is forwarded to the
 // owner and the owner's response — status, Retry-After, envelope bytes
@@ -436,8 +436,10 @@
 // of the paper's experiments: baseline algorithms (exhaustive, greedy,
 // the Srivastava et al. uniform-communication optimum, local search,
 // simulated annealing), a discrete-event simulator that validates the
-// cost model (Simulate), a real concurrent choreography runtime over
-// channels or loopback TCP (Execute), workload generators, and a
-// bottleneck-TSP solver. See DESIGN.md for the system inventory and
-// EXPERIMENTS.md for reproduced results.
+// cost model (Simulate), wall-clock runs of a plan on the production
+// executor with every service call sleeping its modeled cost, in-process
+// or over loopback HTTP (Execute), workload generators, and a
+// bottleneck-TSP solver. exper.All() lists the reproduced experiments,
+// internal/exper/README.md documents them, and cmd/dqbench -markdown
+// prints their tables.
 package serviceordering

@@ -1,7 +1,8 @@
-// Choreography: execute a query plan as a real decentralized pipeline —
-// one goroutine per service, streaming tuple blocks to its successor over
-// loopback TCP with JSON framing, processing costs realized as wall-clock
-// delays. The optimized ordering visibly outperforms a poor one.
+// Choreography: execute a query plan as the paper's decentralized
+// pipeline on the production executor — one stage per service, tuple
+// blocks streamed from stage to stage, every service call crossing a
+// loopback HTTP wire and sleeping its modeled cost. The optimized ordering
+// visibly outperforms a poor one.
 //
 //	go run ./examples/choreography
 package main
@@ -31,18 +32,20 @@ func main() {
 		bad[len(res.Plan)-1-i] = s
 	}
 
-	cfg := serviceordering.DefaultChoreoConfig()
-	cfg.Tuples = 120
-	cfg.BlockSize = 8
-	// One cost unit = 1ms keeps OS timer quantization small relative to
-	// the modeled service times.
-	cfg.UnitDuration = time.Millisecond
-	cfg.Transport = serviceordering.TransportTCP
+	cfg := serviceordering.WallClockConfig{
+		Tuples:      120,
+		BlockSize:   8,
+		QueueBlocks: 4,
+		// One cost unit = 1ms keeps OS timer quantization small relative
+		// to the modeled service times.
+		UnitDuration: time.Millisecond,
+		HTTP:         true,
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	fmt.Println("running both plans over loopback TCP (120 tuples each)...")
+	fmt.Println("running both plans over loopback HTTP (120 tuples each)...")
 	for _, entry := range []struct {
 		label string
 		plan  serviceordering.Plan

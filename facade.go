@@ -3,12 +3,10 @@ package serviceordering
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
 	"serviceordering/internal/baseline"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/core"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/faultinject"
@@ -56,8 +54,8 @@ type (
 	SearchStats = core.Stats
 )
 
-// Execution types, re-exported from the simulator and the choreography
-// runtime.
+// Execution types, re-exported from the simulator and the executor's
+// wall-clock runs.
 type (
 	// SimConfig parameterizes the discrete-event simulator.
 	SimConfig = sim.Config
@@ -66,16 +64,14 @@ type (
 	// per-stage metrics).
 	SimReport = sim.Report
 
-	// ChoreoConfig parameterizes the real concurrent choreography
-	// runtime.
-	ChoreoConfig = choreo.Config
+	// WallClockConfig parameterizes Execute: tuples, block size, queue
+	// depth, the wall-clock duration of one cost unit, and whether calls
+	// cross a loopback HTTP service wire.
+	WallClockConfig = exec.WallClockConfig
 
-	// ChoreoReport is a choreography run outcome (wall-clock makespan,
-	// per-node reports).
-	ChoreoReport = choreo.Report
-
-	// TransportKind selects the choreography link implementation.
-	TransportKind = choreo.TransportKind
+	// WallClockReport is an Execute outcome (wall-clock makespan, measured
+	// against predicted period, per-stage accounts).
+	WallClockReport = exec.WallClockReport
 
 	// GenParams describes a random instance distribution for workload
 	// generation.
@@ -224,15 +220,6 @@ type (
 	Faults = faultinject.Faults
 )
 
-// Choreography transports.
-const (
-	// TransportInProc connects service nodes with buffered channels.
-	TransportInProc = choreo.TransportInProc
-
-	// TransportTCP connects service nodes with loopback TCP sockets.
-	TransportTCP = choreo.TransportTCP
-)
-
 // NewQuery builds and validates a query from services and a transfer-cost
 // matrix.
 func NewQuery(services []Service, transfer [][]float64) (*Query, error) {
@@ -301,21 +288,17 @@ func Simulate(q *Query, p Plan, cfg SimConfig) (*SimReport, error) {
 // suite.
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
-// Execute runs plan p on the real concurrent choreography runtime (one
-// goroutine per service, blocks streamed over channels or loopback TCP).
-func Execute(ctx context.Context, q *Query, p Plan, cfg ChoreoConfig) (*ChoreoReport, error) {
-	return choreo.Run(ctx, q, p, cfg)
+// Execute runs plan p as the paper's decentralized pipeline on the
+// production executor, every service call sleeping its modeled cost, and
+// reports the wall-clock makespan against Eq. (1)'s prediction.
+func Execute(ctx context.Context, q *Query, p Plan, cfg WallClockConfig) (*WallClockReport, error) {
+	return exec.RunWallClock(ctx, q, p, cfg)
 }
 
-// DefaultChoreoConfig returns moderate choreography settings for examples
-// and tests.
-func DefaultChoreoConfig() ChoreoConfig { return choreo.DefaultConfig() }
-
-// NewExecutor builds the production streaming executor over a backend.
-// Unlike Execute (the choreography runtime, which demonstrates the
-// paper's decentralized pipelining on wall-clock delays), an Executor
-// serves real requests: per-call timeouts, budgeted retries, circuit
-// breakers, and typed partial-result degradation.
+// NewExecutor builds the production streaming executor over a backend:
+// per-call timeouts, budgeted retries, circuit breakers, and typed
+// partial-result degradation. Execute runs the same engine against
+// modeled costs.
 func NewExecutor(b ExecBackend, opts ExecOptions) *Executor { return exec.New(b, opts) }
 
 // NewMockBackend builds the deterministic in-process backend: tuples are
@@ -363,87 +346,20 @@ type (
 	// gossip counters (the "fleet" block of GET /v1/stats).
 	FleetStats = fleet.Stats
 
-	// PeerServer is a fleet peer's frame listener (the choreography TCP
-	// transport reused for peer-to-peer frames).
-	PeerServer = choreo.PeerServer
+	// PeerServer is a fleet peer's frame listener: newline-delimited JSON
+	// frames over TCP, behind a fleet-ID handshake.
+	PeerServer = fleet.PeerServer
+
+	// ServeOptions configures NewServeHandler: body limits, admission,
+	// stale-serve, execution, and fleet membership.
+	ServeOptions = serve.Options
+
+	// FleetOptions configures NewFleetPeer. Self must appear in Peers, and
+	// the same FleetID, Peers, Replication, and VirtualNodes must be
+	// passed on every node — the ring is computed independently and must
+	// agree.
+	FleetOptions = fleet.Options
 )
-
-// ServeOptions configures NewServeHandler: the production dqserve HTTP
-// handler hosted in-process. It groups the serving knobs that grew up as
-// loose fields — body limits, admission, stale-serve, execution, fleet
-// membership — into one document.
-type ServeOptions struct {
-	// MaxBody bounds request body size in bytes (0 = 8 MiB).
-	MaxBody int64
-
-	// Pprof exposes /debug/pprof endpoints.
-	Pprof bool
-
-	// QueryMemoCapacity bounds the byte-exact query memo (0 = default,
-	// negative disables).
-	QueryMemoCapacity int
-
-	// Admission, when non-nil, gates /v1/optimize, /v1/optimize/batch and
-	// /v1/execute through the admission controller.
-	Admission *AdmissionController
-
-	// StaleServe answers admission-shed requests from a resident
-	// previous-generation plan ("stale":true) and enqueues a background
-	// replan. Requires Admission.
-	StaleServe bool
-
-	// ReplanQueue bounds the stale-serve background replan queue (0 = 64).
-	ReplanQueue int
-
-	// Executor, when non-nil, enables POST /v1/execute.
-	Executor *Executor
-
-	// Backend, when non-nil, exposes POST /v1/call/{service}.
-	Backend ExecBackend
-
-	// Fleet, when non-nil, attaches this handler to a fleet peer:
-	// /v1/optimize routes by signature ownership.
-	Fleet *FleetPeer
-
-	// SnapshotRestoreFailed marks a failed warm-boot snapshot restore so
-	// /v1/healthz reports degraded.
-	SnapshotRestoreFailed bool
-}
-
-// FleetOptions configures NewFleetPeer. Self must appear in Peers, and the
-// same FleetID, Peers, Replication, and VirtualNodes must be passed on
-// every node — the ring is computed independently and must agree.
-type FleetOptions struct {
-	// FleetID names the fleet; peers refuse frames from another fleet.
-	FleetID string
-
-	// Self is this peer's fleet address (host:port of its PeerServer).
-	Self string
-
-	// Peers is the full static membership, Self included.
-	Peers []string
-
-	// Replication is the number of peers (owner included) holding each
-	// signature's plan entry; clamped to [1, len(Peers)], default 2.
-	Replication int
-
-	// VirtualNodes is the per-peer consistent-hash ring point count
-	// (default 64).
-	VirtualNodes int
-
-	// Planner is the local planner whose cache is sharded and replicated.
-	Planner *Planner
-
-	// Registry, when non-nil, receives gossiped anchor snapshots.
-	Registry *AdaptiveRegistry
-
-	// Server is this peer's already-listening frame listener (see
-	// ListenFleetPeer).
-	Server *PeerServer
-
-	// DialTimeout bounds peer dials (default 2s).
-	DialTimeout time.Duration
-}
 
 // NewAdmissionController builds the cost-aware admission gate. Attach it
 // via ServeOptions.Admission.
@@ -453,40 +369,15 @@ func NewAdmissionController(opts AdmissionOptions) *AdmissionController { return
 // planner: the versioned /v1 route table, the allocation-lean response
 // fast path, and — when configured — admission control, execution, and
 // fleet routing.
-func NewServeHandler(p *Planner, o ServeOptions) http.Handler {
-	return serve.NewHandler(p, serve.Options{
-		MaxBody:               o.MaxBody,
-		Pprof:                 o.Pprof,
-		QueryMemoCapacity:     o.QueryMemoCapacity,
-		Admission:             o.Admission,
-		StaleServe:            o.StaleServe,
-		ReplanQueue:           o.ReplanQueue,
-		Executor:              o.Executor,
-		SnapshotRestoreFailed: o.SnapshotRestoreFailed,
-		Fleet:                 o.Fleet,
-		Backend:               o.Backend,
-	})
-}
+func NewServeHandler(p *Planner, o ServeOptions) http.Handler { return serve.NewHandler(p, o) }
 
 // ListenFleetPeer opens a fleet peer's frame listener on addr (":0" picks
 // a free port; read it back with Addr). Pass the result as
 // FleetOptions.Server.
 func ListenFleetPeer(addr, fleetID string) (*PeerServer, error) {
-	return choreo.ListenPeer(addr, fleetID)
+	return fleet.ListenPeer(addr, fleetID)
 }
 
 // NewFleetPeer builds one fleet member's runtime. Call Run to start
 // serving peer frames and replicating, and Close on shutdown.
-func NewFleetPeer(o FleetOptions) (*FleetPeer, error) {
-	return fleet.New(fleet.Options{
-		FleetID:      o.FleetID,
-		Self:         o.Self,
-		Peers:        o.Peers,
-		Replication:  o.Replication,
-		VirtualNodes: o.VirtualNodes,
-		Planner:      o.Planner,
-		Registry:     o.Registry,
-		Server:       o.Server,
-		DialTimeout:  o.DialTimeout,
-	})
-}
+func NewFleetPeer(o FleetOptions) (*FleetPeer, error) { return fleet.New(o) }

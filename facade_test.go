@@ -58,15 +58,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("simulated period off by %.3f", rel)
 	}
 
-	chCfg := serviceordering.DefaultChoreoConfig()
-	chCfg.Tuples = 100
-	chCfg.UnitDuration = 0
-	chRep, err := serviceordering.Execute(context.Background(), q, res.Plan, chCfg)
+	wcCfg := serviceordering.WallClockConfig{Tuples: 5000, BlockSize: 16, QueueBlocks: 4}
+	wcRep, err := serviceordering.Execute(context.Background(), q, res.Plan, wcCfg)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if chRep.TuplesOut <= 0 {
-		t.Fatalf("choreography produced no tuples")
+	if wcRep.TuplesOut != simRep.TuplesOut {
+		t.Fatalf("Execute emitted %d tuples, the simulator %d", wcRep.TuplesOut, simRep.TuplesOut)
 	}
 }
 

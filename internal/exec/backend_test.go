@@ -3,9 +3,15 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"serviceordering/internal/model"
 )
 
 func TestMockBackendDeterministicFiltering(t *testing.T) {
@@ -133,6 +139,50 @@ func TestHTTPBackendContextCancel(t *testing.T) {
 	hb := &HTTPBackend{BaseURL: srv.URL}
 	if _, err := hb.Call(ctx, "s", Tuples(10)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// The default client keeps one connection per concurrently calling stage:
+// a 6-stage execution of 1000 tuples in 16-tuple blocks (378 calls) must
+// open at most 6 connections; net/http's default of 2 idle connections per
+// host opens dozens. The count is taken over a second execution: while the
+// first grows the pool, the transport may finish a dial it started for a
+// request that an idle connection served first, so it can open a few more.
+func TestHTTPBackendReusesConnections(t *testing.T) {
+	const stages, tuples, block = 6, 1000, 16
+	mock := NewMockBackend(3)
+	svcs := make([]model.Service, stages)
+	for i := range svcs {
+		svcs[i] = model.Service{Name: fmt.Sprintf("s%d", i), Cost: 0.001, Selectivity: 1}
+	}
+	q := testQuery(t, svcs...)
+	mock.SetQuery(q)
+
+	var opened atomic.Int64
+	srv := httptest.NewUnstartedServer(BackendHandler(mock))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	ex := New(&HTTPBackend{BaseURL: srv.URL}, Options{BlockSize: block})
+	execute := func() int64 {
+		before := opened.Load()
+		res, err := ex.Execute(context.Background(), q, identityPlan(stages), Tuples(tuples))
+		if err != nil || res.Degraded != nil {
+			t.Fatalf("Execute: err %v, degraded %v", err, res.Degraded)
+		}
+		return opened.Load() - before
+	}
+	execute()
+	if got := execute(); got > stages {
+		t.Fatalf("opened %d connections for %d stages", got, stages)
+	}
+	if calls, want := ex.Stats().Calls, int64(2*stages*((tuples+block-1)/block)); calls != want {
+		t.Fatalf("calls = %d, want %d", calls, want)
 	}
 }
 

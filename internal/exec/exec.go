@@ -1,13 +1,14 @@
-// Package exec is the production streaming executor: it runs an optimized
-// plan as a pipeline of real, per-service calls against a pluggable
-// Backend, with the fault tolerance a decentralized deployment needs.
-// Where internal/sim predicts a plan's behavior analytically and
-// internal/choreo demonstrates the paper's choreography on wall-clock
-// delays, this package is the layer a serving node actually executes
-// requests on: tuples flow through the plan's services in blocks over
-// bounded queues (credit-based backpressure, exactly the sim pipeline's
-// discipline), and every call is guarded by a timeout, a bounded retry
-// budget, and a per-service circuit breaker.
+// Package exec is the streaming executor: it runs an optimized plan as a
+// pipeline of real, per-service calls against a pluggable Backend, with
+// the fault tolerance a decentralized deployment needs. It is the one
+// execution engine: a serving node executes /v1/execute requests on it,
+// and RunWallClock runs the paper's pipeline on it against modeled costs
+// slept in wall-clock time (experiment F8, dqchoreo, the facade's
+// Execute), while internal/sim stays the independent discrete-event
+// oracle for Eq. (1). Tuples flow through the plan's services in blocks
+// over bounded queues (credit-based backpressure, exactly the sim
+// pipeline's discipline), and every call is guarded by a timeout, a
+// bounded retry budget, and a per-service circuit breaker.
 //
 // Failure semantics, in order of escalation:
 //

@@ -27,17 +27,31 @@ type HTTPBackend struct {
 	// BaseURL is the service host's root, without a trailing slash.
 	BaseURL string
 
-	// Client is the HTTP client to use (nil = a dedicated client with
-	// sane connection reuse). Per-call timeouts arrive via the context,
-	// not the client.
+	// Client is the HTTP client to use (nil = defaultClient, which keeps
+	// a connection per concurrently calling stage alive). Per-call
+	// timeouts arrive via the context, not the client.
 	Client *http.Client
 }
+
+// maxIdleConnsPerHost is how many idle connections defaultClient keeps per
+// service host. The executor calls every stage of a plan at once, so one
+// host sees as many concurrent calls as the plan has stages; net/http's
+// default of 2 would close and redial the rest after every call.
+const maxIdleConnsPerHost = 64
+
+// defaultClient serves every HTTPBackend without a Client. It is built once
+// over a clone of http.DefaultTransport and never mutated.
+var defaultClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return &http.Client{Transport: t}
+}()
 
 func (hb *HTTPBackend) client() *http.Client {
 	if hb.Client != nil {
 		return hb.Client
 	}
-	return http.DefaultClient
+	return defaultClient
 }
 
 // Call implements Backend.

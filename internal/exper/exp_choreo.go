@@ -6,17 +6,19 @@ import (
 	"time"
 
 	"serviceordering/internal/baseline"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/core"
+	"serviceordering/internal/exec"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 	"serviceordering/internal/stats"
 )
 
-// RunF8Choreography (figure F8) runs plans on the real concurrent
-// choreography runtime and shows that the modeled cost ordering carries
-// over to wall-clock time: the B&B plan beats greedy and trounces the
-// worst ordering, on both the in-process and the TCP transport.
+// RunF8Choreography (figure F8) runs plans as the paper's decentralized
+// pipeline on the production executor, every service call sleeping its
+// modeled cost (exec.RunWallClock), and shows that the modeled cost
+// ordering carries over to wall-clock time: the B&B plan beats greedy and
+// trounces the worst ordering, in-process and over the executor's HTTP
+// service wire.
 func RunF8Choreography(cfg Config) (*stats.Table, error) {
 	n := 6
 	p := gen.Default(n, cfg.Seed+808)
@@ -36,40 +38,37 @@ func RunF8Choreography(cfg Config) (*stats.Table, error) {
 	}
 	worstPlan, worstCost := worstOrdering(q)
 
-	runCfg := choreo.DefaultConfig()
-	runCfg.Tuples = 400
-	runCfg.BlockSize = 16
-	runCfg.UnitDuration = 150 * time.Microsecond
+	runCfg := exec.WallClockConfig{Tuples: 400, BlockSize: 16, QueueBlocks: exec.DefaultQueueBlocks, UnitDuration: 150 * time.Microsecond}
 	if cfg.Quick {
 		runCfg.Tuples = 150
 		runCfg.UnitDuration = 80 * time.Microsecond
 	}
 
 	type entry struct {
-		label     string
-		plan      model.Plan
-		cost      float64
-		transport choreo.TransportKind
+		label string
+		plan  model.Plan
+		cost  float64
+		http  bool
 	}
 	entries := []entry{
-		{label: "bnb-optimal / in-proc", plan: opt.Plan, cost: opt.Cost, transport: choreo.TransportInProc},
-		{label: "greedy-nn / in-proc", plan: greedy.Plan, cost: greedy.Cost, transport: choreo.TransportInProc},
-		{label: "worst / in-proc", plan: worstPlan, cost: worstCost, transport: choreo.TransportInProc},
-		{label: "bnb-optimal / tcp", plan: opt.Plan, cost: opt.Cost, transport: choreo.TransportTCP},
+		{label: "bnb-optimal / in-proc", plan: opt.Plan, cost: opt.Cost},
+		{label: "greedy-nn / in-proc", plan: greedy.Plan, cost: greedy.Cost},
+		{label: "worst / in-proc", plan: worstPlan, cost: worstCost},
+		{label: "bnb-optimal / http", plan: opt.Plan, cost: opt.Cost, http: true},
 	}
 	if cfg.Quick {
 		entries = entries[:3]
 	}
 
 	table := stats.NewTable(
-		"F8: wall-clock choreography execution (real goroutine pipeline)",
+		"F8: wall-clock choreography execution (production executor, modeled costs slept)",
 		"plan / transport", "modeled cost", "makespan (ms)", "per-tuple (us)", "vs optimal")
 	table.Note = fmt.Sprintf("%d tuples, %v per cost unit; 'vs optimal' is the makespan ratio", runCfg.Tuples, runCfg.UnitDuration)
 
 	var optimalMakespan time.Duration
 	for i, e := range entries {
-		runCfg.Transport = e.transport
-		rep, err := choreo.Run(context.Background(), q, e.plan, runCfg)
+		runCfg.HTTP = e.http
+		rep, err := exec.RunWallClock(context.Background(), q, e.plan, runCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,5 +1,6 @@
 // Package exper drives the evaluation suite: one experiment per table or
-// figure listed in DESIGN.md, each producing a plain-text/markdown table.
+// figure (All lists them; README.md documents them), each producing a
+// plain-text/markdown table.
 // The brief announcement itself contains no numeric evaluation — it claims
 // the algorithm "appears to be particularly efficient" based on the
 // companion technical report — so this suite reproduces those claims:
@@ -31,14 +32,14 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the full-suite configuration used to produce
-// EXPERIMENTS.md.
+// DefaultConfig returns the full-suite configuration (dqbench without
+// -quick).
 func DefaultConfig() Config { return Config{Seed: 1} }
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {
-	// ID matches DESIGN.md ("T1", "F3", ...); Title is the headline
-	// claim.
+	// ID names the table or figure ("T1", "F3", ...); Title is the
+	// headline claim.
 	ID    string
 	Title string
 
@@ -65,7 +66,7 @@ func All() []Experiment {
 }
 
 // RunAll executes every experiment, rendering tables to w as they finish.
-// When markdown is true the tables are rendered for EXPERIMENTS.md.
+// When markdown is true the tables are rendered as markdown.
 func RunAll(w io.Writer, cfg Config, markdown bool) error {
 	for _, e := range All() {
 		started := time.Now()

@@ -7,7 +7,7 @@ import (
 
 // TestAllExperimentsQuick runs every experiment in quick mode end-to-end:
 // each must produce a non-empty table without error. This is the CI guard
-// that EXPERIMENTS.md stays reproducible.
+// that every experiment of All() stays reproducible.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite skipped in -short mode")

@@ -8,7 +8,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/ccache"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/planner"
 )
 
@@ -33,7 +32,7 @@ type Options struct {
 	Registry *adapt.Registry
 	// Server is this peer's frame listener (already listening; Run serves
 	// it). Tests pass a :0-bound listener; dqserve binds its -fleet-addr.
-	Server *choreo.PeerServer
+	Server *PeerServer
 	// DialTimeout bounds peer dials (default 2s).
 	DialTimeout time.Duration
 }
@@ -90,7 +89,7 @@ type Peer struct {
 	local atomic.Pointer[LocalHandler]
 
 	connMu sync.Mutex
-	conns  map[string]*choreo.PeerConn
+	conns  map[string]*PeerConn
 
 	replCh    chan replTask
 	closeCh   chan struct{}
@@ -142,7 +141,7 @@ func New(opts Options) (*Peer, error) {
 		opts:    opts,
 		ring:    newRing(opts.FleetID, opts.Peers, opts.VirtualNodes),
 		repl:    repl,
-		conns:   make(map[string]*choreo.PeerConn),
+		conns:   make(map[string]*PeerConn),
 		replCh:  make(chan replTask, 256),
 		closeCh: make(chan struct{}),
 	}, nil
@@ -183,7 +182,7 @@ func (p *Peer) Close() {
 		for _, c := range p.conns {
 			c.Close()
 		}
-		p.conns = make(map[string]*choreo.PeerConn)
+		p.conns = make(map[string]*PeerConn)
 		p.connMu.Unlock()
 	})
 }
@@ -246,8 +245,8 @@ func (p *Peer) Forward(owner, path string, body []byte) (status int, retryAfter 
 		p.forwardFailed.Add(1)
 		return 0, 0, nil, err
 	}
-	fr, err := conn.Call(choreo.Frame{
-		Type:  choreo.FrameForward,
+	fr, err := conn.Call(Frame{
+		Type:  FrameForward,
 		Fleet: p.opts.FleetID,
 		From:  p.opts.Self,
 		Path:  path,
@@ -309,8 +308,8 @@ func (p *Peer) BroadcastAnchor() error {
 		if peer == p.opts.Self {
 			continue
 		}
-		if err := p.send(peer, choreo.Frame{
-			Type:  choreo.FrameGossip,
+		if err := p.send(peer, Frame{
+			Type:  FrameGossip,
 			Fleet: p.opts.FleetID,
 			From:  p.opts.Self,
 			Body:  data,
@@ -351,8 +350,8 @@ func (p *Peer) replicateOne(sig planner.Signature) {
 		if peer == p.opts.Self {
 			continue
 		}
-		if err := p.send(peer, choreo.Frame{
-			Type:  choreo.FrameReplicate,
+		if err := p.send(peer, Frame{
+			Type:  FrameReplicate,
 			Fleet: p.opts.FleetID,
 			From:  p.opts.Self,
 			Body:  doc,
@@ -365,7 +364,7 @@ func (p *Peer) replicateOne(sig planner.Signature) {
 }
 
 // send issues one fire-and-acknowledge frame to peer.
-func (p *Peer) send(peer string, fr choreo.Frame) error {
+func (p *Peer) send(peer string, fr Frame) error {
 	conn, err := p.conn(peer)
 	if err != nil {
 		return err
@@ -382,55 +381,55 @@ func (p *Peer) send(peer string, fr choreo.Frame) error {
 }
 
 // handleFrame serves one peer-protocol frame (hello and fleet mismatch are
-// handled below us in choreo).
-func (p *Peer) handleFrame(fr choreo.Frame) choreo.Frame {
+// handled by the PeerServer before the frame reaches here).
+func (p *Peer) handleFrame(fr Frame) Frame {
 	switch fr.Type {
-	case choreo.FrameForward:
+	case FrameForward:
 		hp := p.local.Load()
 		if hp == nil {
-			return choreo.Frame{Error: "fleet: no local handler registered"}
+			return Frame{Error: "fleet: no local handler registered"}
 		}
 		status, retryAfter, warm, resp := (*hp)(fr.Path, fr.Body)
 		p.forwardServed.Add(1)
 		if warm {
 			p.forwardServedWarm.Add(1)
 		}
-		return choreo.Frame{Status: status, RetryAfter: retryAfter, Body: resp}
-	case choreo.FrameReplicate:
+		return Frame{Status: status, RetryAfter: retryAfter, Body: resp}
+	case FrameReplicate:
 		restored, fresh, err := p.opts.Planner.ImportEntry(fr.Body)
 		if err != nil {
-			return choreo.Frame{Error: err.Error()}
+			return Frame{Error: err.Error()}
 		}
 		if restored > 0 && fresh {
 			p.replicasApplied.Add(1)
 		} else {
 			p.replicasStale.Add(1)
 		}
-		return choreo.Frame{Status: 200}
-	case choreo.FrameGossip:
+		return Frame{Status: 200}
+	case FrameGossip:
 		snap, err := adapt.DecodeSnapshot(fr.Body)
 		if err != nil {
-			return choreo.Frame{Error: err.Error()}
+			return Frame{Error: err.Error()}
 		}
 		if p.opts.Registry != nil && p.opts.Registry.Install(snap) {
 			p.gossipApplied.Add(1)
 		} else {
 			p.gossipIgnored.Add(1)
 		}
-		return choreo.Frame{Status: 200}
+		return Frame{Status: 200}
 	default:
-		return choreo.Frame{Error: fmt.Sprintf("fleet: unknown frame type %q", fr.Type)}
+		return Frame{Error: fmt.Sprintf("fleet: unknown frame type %q", fr.Type)}
 	}
 }
 
 // conn returns a pooled connection to peer, dialing on first use.
-func (p *Peer) conn(peer string) (*choreo.PeerConn, error) {
+func (p *Peer) conn(peer string) (*PeerConn, error) {
 	p.connMu.Lock()
 	defer p.connMu.Unlock()
 	if c, ok := p.conns[peer]; ok {
 		return c, nil
 	}
-	c, err := choreo.DialPeer(peer, p.opts.FleetID, p.opts.Self, p.opts.DialTimeout)
+	c, err := DialPeer(peer, p.opts.FleetID, p.opts.Self, p.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +438,7 @@ func (p *Peer) conn(peer string) (*choreo.PeerConn, error) {
 }
 
 // dropConn discards a poisoned connection so the next call redials.
-func (p *Peer) dropConn(peer string, c *choreo.PeerConn) {
+func (p *Peer) dropConn(peer string, c *PeerConn) {
 	p.connMu.Lock()
 	if p.conns[peer] == c {
 		delete(p.conns, peer)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"serviceordering/internal/adapt"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
@@ -28,10 +27,10 @@ type testPeer struct {
 // forwarded-request path.
 func startFleet(t *testing.T, n, replication int) []*testPeer {
 	t.Helper()
-	servers := make([]*choreo.PeerServer, n)
+	servers := make([]*PeerServer, n)
 	addrs := make([]string, n)
 	for i := range servers {
-		ps, err := choreo.ListenPeer("127.0.0.1:0", "testfleet")
+		ps, err := ListenPeer("127.0.0.1:0", "testfleet")
 		if err != nil {
 			t.Fatalf("listen peer %d: %v", i, err)
 		}
@@ -373,10 +372,10 @@ func TestFleetForwardConnDropAndErrorFrame(t *testing.T) {
 // A peer that never registered a local handler answers forwards with an
 // error frame; the forwarding side must report it as a failure.
 func TestFleetForwardNoLocalHandler(t *testing.T) {
-	servers := make([]*choreo.PeerServer, 2)
+	servers := make([]*PeerServer, 2)
 	addrs := make([]string, 2)
 	for i := range servers {
-		ps, err := choreo.ListenPeer("127.0.0.1:0", "nohandler")
+		ps, err := ListenPeer("127.0.0.1:0", "nohandler")
 		if err != nil {
 			t.Fatalf("listen peer %d: %v", i, err)
 		}

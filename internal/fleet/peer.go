@@ -1,15 +1,12 @@
-package choreo
+package fleet
 
-// Peer protocol frames for the dqserve fleet. The choreography transport
-// above moves tuple blocks between pipeline stages; the fleet needs a
-// second, much smaller conversation between whole nodes: forward a request
-// to its owner, push a replicated cache entry, gossip an adaptive anchor
-// snapshot. Frames are newline-delimited JSON over one TCP connection per
-// peer pair — the same encoder/bufio idiom as tcpLink — and every call is
-// strictly request/response, so a connection needs no framing beyond the
-// JSON stream itself.
+// Peer protocol frames: the conversation between whole dqserve nodes —
+// forward a request to its owner, push a replicated cache entry, gossip an
+// adaptive anchor snapshot. Frames are newline-delimited JSON over one TCP
+// connection per peer pair, and every call is strictly request/response,
+// so a connection needs no framing beyond the JSON stream itself.
 //
-// Bodies are opaque []byte (JSON base64s them): the fleet layer decides
+// Bodies are opaque []byte (JSON base64s them): the Peer above decides
 // what they mean. Forward bodies carry the /v1 envelope verbatim in both
 // directions — the peer wire format is versioned by the HTTP surface it
 // transports, not by a parallel schema here.
@@ -68,7 +65,7 @@ type Frame struct {
 // PeerConn is one established connection to a remote peer. Calls are
 // strictly serialized: one in-flight request per connection, which is all
 // the fleet needs (forwards are latency-bound, not bandwidth-bound, and
-// the fleet layer pools connections above this).
+// Peer pools connections above this).
 type PeerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -84,7 +81,7 @@ type PeerConn struct {
 func DialPeer(addr, fleet, self string, timeout time.Duration) (*PeerConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("choreo: dial peer %s: %w", addr, err)
+		return nil, fmt.Errorf("fleet: peer dial %s: %w", addr, err)
 	}
 	bw := bufio.NewWriter(conn)
 	pc := &PeerConn{
@@ -100,7 +97,7 @@ func DialPeer(addr, fleet, self string, timeout time.Duration) (*PeerConn, error
 	}
 	if resp.Error != "" {
 		conn.Close()
-		return nil, fmt.Errorf("choreo: peer %s refused hello: %s", addr, resp.Error)
+		return nil, fmt.Errorf("fleet: peer %s refused hello: %s", addr, resp.Error)
 	}
 	return pc, nil
 }
@@ -112,14 +109,14 @@ func (pc *PeerConn) Call(req Frame) (Frame, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if err := pc.enc.Encode(&req); err != nil {
-		return Frame{}, fmt.Errorf("choreo: peer send: %w", err)
+		return Frame{}, fmt.Errorf("fleet: peer send: %w", err)
 	}
 	if err := pc.bw.Flush(); err != nil {
-		return Frame{}, fmt.Errorf("choreo: peer flush: %w", err)
+		return Frame{}, fmt.Errorf("fleet: peer flush: %w", err)
 	}
 	var resp Frame
 	if err := pc.dec.Decode(&resp); err != nil {
-		return Frame{}, fmt.Errorf("choreo: peer recv: %w", err)
+		return Frame{}, fmt.Errorf("fleet: peer recv: %w", err)
 	}
 	return resp, nil
 }
@@ -128,7 +125,7 @@ func (pc *PeerConn) Call(req Frame) (Frame, error) {
 func (pc *PeerConn) Close() error { return pc.conn.Close() }
 
 // PeerServer accepts peer connections and serves frames with a
-// fleet-layer handler. One goroutine per connection; connections are
+// Peer's frame handler. One goroutine per connection; connections are
 // long-lived (the dialing side pools them).
 type PeerServer struct {
 	ln      net.Listener
@@ -146,7 +143,7 @@ type PeerServer struct {
 func ListenPeer(addr, fleet string) (*PeerServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("choreo: peer listen %s: %w", addr, err)
+		return nil, fmt.Errorf("fleet: peer listen %s: %w", addr, err)
 	}
 	return &PeerServer{ln: ln, fleet: fleet, conns: make(map[net.Conn]struct{})}, nil
 }
@@ -170,7 +167,7 @@ func (ps *PeerServer) Serve(handler func(Frame) Frame) error {
 			if closed || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("choreo: peer accept: %w", err)
+			return fmt.Errorf("fleet: peer accept: %w", err)
 		}
 		ps.mu.Lock()
 		if ps.closed {

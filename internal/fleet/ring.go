@@ -2,7 +2,8 @@
 // dqserve peers with a consistent-hash ring, forwards requests that land
 // on the wrong owner, replicates warm plan-cache entries owner→replica,
 // and gossips adaptive anchor snapshots so every peer replans off the same
-// generation.
+// generation. Peers talk over newline-delimited JSON frames (peer.go), one
+// TCP connection per peer pair, behind a fleet-ID handshake.
 package fleet
 
 import (

@@ -1,7 +1,7 @@
 // Package gen generates random problem instances for the experiment
 // suite. Generation is fully deterministic given Params (a seed plus
-// distribution parameters), so every table and figure in EXPERIMENTS.md is
-// reproducible bit-for-bit.
+// distribution parameters), so every table and figure of the experiment
+// suite (exper.All()) is reproducible bit-for-bit.
 //
 // Service populations follow the paper's model: per-tuple costs and
 // selectivities drawn uniformly from configurable ranges, with an optional

@@ -19,7 +19,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
-	"serviceordering/internal/choreo"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/fleet"
 	"serviceordering/internal/gen"
@@ -480,10 +479,10 @@ type servePeer struct {
 // optionally customizing each node's serve options.
 func startServeFleet(t *testing.T, n int, optsFor func(i int) Options) []*servePeer {
 	t.Helper()
-	servers := make([]*choreo.PeerServer, n)
+	servers := make([]*fleet.PeerServer, n)
 	addrs := make([]string, n)
 	for i := range servers {
-		ps, err := choreo.ListenPeer("127.0.0.1:0", "serve-fleet")
+		ps, err := fleet.ListenPeer("127.0.0.1:0", "serve-fleet")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}

@@ -156,7 +156,7 @@ func Run(q *model.Query, p model.Plan, cfg Config) (*Report, error) {
 	}
 	for i, svc := range q.Services {
 		if svc.Threads > 1 {
-			return nil, fmt.Errorf("sim: service %d has %d threads; the simulator models the paper's single-threaded stages (the choreography runtime supports the multi-threaded relaxation)", i, svc.Threads)
+			return nil, fmt.Errorf("sim: service %d has %d threads; the simulator models the paper's single-threaded stages (exec.RunWallClock runs the multi-threaded relaxation)", i, svc.Threads)
 		}
 	}
 

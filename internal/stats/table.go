@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table accumulates rows and renders them with aligned columns, matching
-// the tables in EXPERIMENTS.md.
+// Table accumulates rows and renders them with aligned columns: the
+// plain-text form of every experiment table cmd/dqbench prints.
 type Table struct {
 	// Title is printed above the table; Note, when non-empty, below it.
 	Title string
@@ -90,8 +90,8 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// Markdown renders the table as a GitHub-flavored markdown table, used to
-// refresh EXPERIMENTS.md.
+// Markdown renders the table as a GitHub-flavored markdown table (the
+// output of dqbench -markdown).
 func (t *Table) Markdown(w io.Writer) error {
 	var b strings.Builder
 	if t.Title != "" {
