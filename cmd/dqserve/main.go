@@ -52,9 +52,9 @@
 //	dqserve -addr :8080 -cache 4096 -batch-workers 8
 //	dqserve -pprof       # expose /debug/pprof for production profiling
 //	dqserve -adaptive    # online adaptive replanning: POST /v1/observe
-//	                     # feeds EWMA statistics; drift past -drift-delta
-//	                     # bumps the generation and lazily replans cached
-//	                     # plans
+//	                     # feeds decayed, sample-size-weighted statistics;
+//	                     # significant drift past -drift-delta bumps the
+//	                     # generation and lazily replans cached plans
 //	dqserve -heuristic-threshold 20   # route n >= 20 to the heuristic tier
 //	dqserve -heuristic-threshold -1   # exact only: n > 64 rejected with 422
 //	dqserve -admit-max-concurrent 8   # overload survival: bounded admission
@@ -190,8 +190,8 @@ func run(args []string, ready chan<- string) error {
 		replication = fs.Int("replication", 2, "peers (owner included) holding each warm plan entry")
 
 		adaptiveOn = fs.Bool("adaptive", false, "enable online adaptive replanning: ingest execution reports on POST /v1/observe, overlay fitted statistics onto queries, replan on drift")
-		driftDelta = fs.Float64("drift-delta", adapt.DefaultDriftDelta, "relative parameter drift that publishes a new statistics generation (derive from a regret budget with adapt.ThresholdFromRegret)")
-		ewmaAlpha  = fs.Float64("ewma-alpha", adapt.DefaultAlpha, "EWMA smoothing factor for observed statistics, in (0, 1]")
+		driftDelta = fs.Float64("drift-delta", adapt.DefaultDriftDelta, "relative parameter drift that publishes a new statistics generation, when it is also statistically significant at the parameter's sample size (derive from a regret budget with adapt.ThresholdFromRegret)")
+		ewmaAlpha  = fs.Float64("ewma-alpha", adapt.DefaultAlpha, "per-observation decay of the sums behind each observed statistic, in (0, 1]; 1 keeps only the latest report")
 		minObs     = fs.Int("min-obs", adapt.DefaultMinObservations, "observations per parameter before its estimate is trusted")
 
 		// Server hardening. ReadTimeout covers the whole request read —

@@ -156,18 +156,26 @@
 // closes this online, in four stages that never stop the serving path:
 //
 //   - Observe. Execution layers POST /v1/observe reports of what their
-//     services actually did — tuples in/out and busy times per service,
-//     tuples and sending time per transfer edge. The registry fits them
-//     with the exact formulas of the offline calibrator
-//     (internal/calibrate) and folds them into per-parameter EWMA
-//     estimates, matched by service name.
+//     services actually did — tuples in/out, busy times and call
+//     attempts/failures per service, tuples and sending time per transfer
+//     edge. The registry validates them with the offline calibrator's
+//     fits (internal/calibrate) and adds their raw totals, matched by
+//     service name, into exponentially decayed sums. Each parameter is a
+//     ratio of two sums — busy seconds over tuples in for a cost, tuples
+//     out over tuples in for a selectivity — so a report weighs in
+//     proportion to its tuple or attempt count: a late stage that saw 20
+//     tuples moves a selectivity a hundredth as far as a first stage that
+//     saw 2048.
 //   - Detect. Live estimates are compared against the anchor — the
-//     parameter snapshot plans are currently computed from. The drift
-//     threshold is a regret statement, not a guess:
-//     adapt.ThresholdFromRegret runs the internal/robust Monte Carlo
-//     analysis to find the largest perturbation the incumbent plan
-//     survives within a regret budget, so "under threshold" means "the
-//     plan we keep serving stays within budget of optimal".
+//     parameter snapshot plans are currently computed from. A parameter
+//     has drifted only when its deviation is both large and significant:
+//     beyond -drift-delta of the anchor, and beyond four standard errors
+//     at its effective sample size, the errors taken from the binomial
+//     spread of a count ratio and the scatter between reports. So the
+//     sampling noise of a stationary backend rarely republishes, and
+//     rarely flushes the plan cache. adapt.ThresholdFromRegret can derive the
+//     delta from a regret budget, by the internal/robust Monte Carlo scan
+//     of perturbations around the incumbent plan.
 //   - Invalidate. Crossing the threshold publishes a new generation: an
 //     immutable snapshot plus a monotone counter. Every plan-cache and
 //     canonicalization-memo entry is stamped with the generation it was

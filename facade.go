@@ -121,13 +121,14 @@ var ErrQueryTooLarge = planner.ErrQueryTooLarge
 // Adaptive replanning types, re-exported from internal/adapt: the online
 // statistics registry behind PlannerConfig.Adaptive and dqserve -adaptive.
 type (
-	// AdaptiveRegistry ingests execution reports, maintains EWMA
-	// parameter estimates, and publishes generation snapshots on drift —
+	// AdaptiveRegistry ingests execution reports, maintains decayed
+	// sample-size-weighted parameter estimates, and publishes generation
+	// snapshots on significant drift —
 	// attach one via PlannerConfig.Adaptive to close the observe ->
 	// detect -> invalidate -> re-optimize loop.
 	AdaptiveRegistry = adapt.Registry
 
-	// AdaptiveConfig tunes the registry (EWMA alpha, confidence floor,
+	// AdaptiveConfig tunes the registry (decay alpha, confidence floor,
 	// drift threshold). The zero value is production-ready.
 	AdaptiveConfig = adapt.Config
 

@@ -1,10 +1,12 @@
 // Package adapt closes the paper's constant-parameter assumption online:
-// it observes real executions of the deployed services, maintains EWMA
-// estimates of every cost, selectivity and transfer parameter (fitted with
-// the exact formulas of internal/calibrate, so the offline and online
-// loops can never disagree), detects when the estimates have drifted past
-// a regret-derived threshold, and publishes a new statistics *generation*
-// — an immutable parameter snapshot plus a monotone counter.
+// it observes real executions of the deployed services, estimates every
+// cost, selectivity and transfer parameter — and each service's error and
+// latency-spike rates — from exponentially decayed sums of the raw report
+// totals (the ratio-of-sums fits of internal/calibrate, so the offline
+// and online loops can never disagree), detects when an estimate has
+// drifted significantly from the parameters plans are computed from, and
+// publishes a new statistics *generation* — an immutable parameter
+// snapshot plus a monotone counter.
 //
 // The generation counter is the invalidation signal the serving stack
 // keys on: internal/planner stamps every plan-cache and
@@ -14,18 +16,24 @@
 // stop-the-world flush. See "The adaptive loop" in the package
 // documentation at the repository root.
 //
-// Two ideas keep the loop sound:
+// Three ideas keep the loop sound:
 //
 //   - Plans are computed against the published snapshot (the anchor), not
-//     the live EWMA: within one generation the effective parameters are
-//     frozen, so a cached plan is exactly the optimum of a well-defined
-//     instance. The live EWMA only feeds drift detection.
-//   - The drift threshold is a regret statement, not an arbitrary knob:
-//     ThresholdFromRegret runs the internal/robust Monte Carlo analysis to
-//     find the largest parameter perturbation the incumbent plan survives
-//     within a regret budget, so "drift below threshold" means "the plan
-//     we keep serving is provably (in the Monte Carlo sense) within budget
-//     of optimal".
+//     the live estimates: within one generation the effective parameters
+//     are frozen, so a cached plan is exactly the optimum of a
+//     well-defined instance. The live estimates only feed drift detection.
+//   - Every estimate is weighted by sample size. A parameter is the ratio
+//     of two decayed sums — busy seconds over tuples in for a cost, tuples
+//     out over tuples in for a selectivity, failures over attempts for an
+//     error rate — so a report that saw 20 tuples moves a selectivity a
+//     hundredth as far as one that saw 2048.
+//   - Publishing costs every cached plan, so a deviation counts as drift
+//     only when it is both large and significant: beyond Config.DriftDelta
+//     of the anchor, and beyond driftZ standard errors at the estimate's
+//     effective sample size. Sampling noise on a stationary backend
+//     therefore rarely republishes. ThresholdFromRegret can derive
+//     DriftDelta from a regret budget by a Monte Carlo scan of
+//     perturbations around the incumbent plan (internal/robust).
 package adapt
 
 import (
@@ -40,13 +48,17 @@ import (
 	"serviceordering/internal/sim"
 )
 
-// Config tunes a Registry. The zero value is production-ready: EWMA alpha
-// 0.3, three observations per parameter before it is trusted, 10% relative
-// drift before a new generation is published.
+// Config tunes a Registry. The zero value is production-ready: decay 0.3
+// per observation, three observations per parameter before it is
+// trusted, 10% significant relative drift before a new generation is
+// published.
 type Config struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]: each observation o
-	// moves an estimate v to (1-Alpha)*v + Alpha*o. Higher values adapt
-	// faster and smooth less. Zero means DefaultAlpha.
+	// Alpha is the decay in (0, 1] of the sums behind every estimate:
+	// each observation of a parameter multiplies its sums by (1-Alpha)
+	// before adding the report's raw totals, so at 0.3 an old report's
+	// weight halves about every two observations, and at 1 only the
+	// latest report counts. Higher values adapt faster and smooth less.
+	// Zero means DefaultAlpha.
 	Alpha float64
 
 	// MinObservations is how many times a parameter must be observed
@@ -55,10 +67,14 @@ type Config struct {
 	// drift. Zero means DefaultMinObservations.
 	MinObservations int
 
-	// DriftDelta is the relative deviation |ewma/anchor - 1| beyond which
-	// a confident parameter counts as drifted; any drifted parameter
-	// triggers a generation publish. Derive it from a regret budget with
-	// ThresholdFromRegret, or set it directly. Zero means
+	// DriftDelta is the relative deviation |live/anchor - 1| a confident
+	// parameter must exceed to count as drifted — reliability in
+	// inflation-factor space. The deviation must also be significant at
+	// the parameter's sample size (see Registry.Observe), so DriftDelta
+	// bounds how far an anchor may lag a well-measured parameter, not how
+	// far noise may move a poorly measured one. Any drifted parameter
+	// triggers a generation publish. Set it directly, or derive it from a
+	// regret budget with ThresholdFromRegret. Zero means
 	// DefaultDriftDelta.
 	DriftDelta float64
 }
@@ -175,19 +191,61 @@ func ReportFromSim(q *model.Query, plan model.Plan, rep *sim.Report) (*Report, e
 // Edge identifies one directed transfer edge by service names.
 type Edge struct{ From, To string }
 
-// ewma is one parameter's online estimate.
-type ewma struct {
-	value float64
-	count int
+// ratio is one parameter's online estimate, the ratio Σw·y / Σw·x of two
+// exponentially decayed sums: each report adds its raw totals x and y
+// (tuples in and busy seconds for a cost, tuples in and out for a
+// selectivity, attempts and failures for an error rate) after every
+// older report's weight w was multiplied by (1-Alpha). A report thus
+// counts in proportion to its sample size. The squared-weight sums carry
+// the estimate's spread: Σw²·x gives Kish's effective sample size, and
+// Σw²·x², Σw²·xy, Σw²·y² the residual scatter between reports.
+type ratio struct {
+	wx, wy           float64
+	w2x              float64
+	w2xx, w2xy, w2yy float64
+	count            int
 }
 
-func (e *ewma) observe(v, alpha float64) {
-	if e.count == 0 {
-		e.value = v
-	} else {
-		e.value = (1-alpha)*e.value + alpha*v
-	}
+func (e *ratio) observe(x, y, keep float64) {
+	k2 := keep * keep
+	e.wx = keep*e.wx + x
+	e.wy = keep*e.wy + y
+	e.w2x = k2*e.w2x + x
+	e.w2xx = k2*e.w2xx + x*x
+	e.w2xy = k2*e.w2xy + x*y
+	e.w2yy = k2*e.w2yy + y*y
 	e.count++
+}
+
+// value is the live estimate.
+func (e *ratio) value() float64 { return e.wy / e.wx }
+
+// size is Kish's effective sample size (Σw·x)² / Σw²·x, in units of x: the
+// latest report's count at Alpha 1, saturating near (2-Alpha)/Alpha
+// reports' worth under decay.
+func (e *ratio) size() float64 { return e.wx * e.wx / e.w2x }
+
+// scatter is the standard error the residual scatter between reports
+// implies, √(Σw²·(y - θx)²) / Σw·x with θ the live value: the sandwich
+// variance of a weighted ratio estimator. It is 0 when every report fits
+// θ exactly.
+func (e *ratio) scatter() float64 {
+	t := e.value()
+	ss := e.w2yy - 2*t*e.w2xy + t*t*e.w2xx
+	if ss <= 0 {
+		return 0
+	}
+	return math.Sqrt(ss) / e.wx
+}
+
+// binomialSE is the standard error of a count ratio p over n trials,
+// √(p(1-p)/n), or √(p/n) when p > 1 (a proliferative service emits more
+// tuples than it reads).
+func binomialSE(p, n float64) float64 {
+	if p > 1 {
+		return math.Sqrt(p / n)
+	}
+	return math.Sqrt(p * (1 - p) / n)
 }
 
 // svcState holds one service's live estimates. Performance (cost, sel)
@@ -195,11 +253,11 @@ func (e *ewma) observe(v, alpha float64) {
 // independently: a service observed only through failures can publish a
 // reliability anchor before its cost is ever fitted.
 type svcState struct {
-	cost ewma
-	sel  ewma
+	cost ratio
+	sel  ratio
 
-	errRate   ewma
-	spikeRate ewma
+	errRate   ratio
+	spikeRate ratio
 }
 
 // ServiceParams is one service's published (anchor) parameters.
@@ -210,8 +268,8 @@ type ServiceParams struct {
 
 // ReliabilityParams is one service's published reliability anchor.
 type ReliabilityParams struct {
-	// ErrorRate is the EWMA fraction of call attempts that failed;
-	// SpikeRate the fraction of successful calls slower than the hedge
+	// ErrorRate is the fraction of call attempts that failed; SpikeRate
+	// the fraction of attempts that succeeded slower than the hedge
 	// threshold.
 	ErrorRate float64 `json:"errorRate"`
 	SpikeRate float64 `json:"spikeRate"`
@@ -340,9 +398,11 @@ type Outcome struct {
 	// Generation is the current generation after the call.
 	Generation uint64 `json:"generation"`
 
-	// Drift is the maximum relative deviation of any confident live
-	// estimate from its anchor at return time (0 right after a publish —
-	// the anchors were just reset to the live values).
+	// Drift is the largest relative deviation from its anchor of any
+	// confident live estimate whose deviation is significant, at return
+	// time. A deviation beyond the threshold publishes within the call,
+	// so Drift is finite and at most Config.DriftDelta, and 0 right after
+	// a publish — the anchors were just reset to the live values.
 	Drift float64 `json:"drift"`
 
 	// Published reports that this observation crossed the drift threshold
@@ -351,22 +411,22 @@ type Outcome struct {
 }
 
 // Registry is the concurrent statistics registry: Observe folds execution
-// reports into live EWMA estimates and publishes generation snapshots on
-// drift; Current is the wait-free read side the planner consults once per
-// request. Safe for concurrent use.
+// reports into live decayed-sum estimates and publishes generation
+// snapshots on significant drift; Current is the wait-free read side the
+// planner consults once per request. Safe for concurrent use.
 type Registry struct {
 	cfg Config
 
-	mu   sync.Mutex
-	svc  map[string]*svcState
-	edge map[Edge]*ewma
+	mu           sync.Mutex
+	svc          map[string]*svcState
+	edge         map[Edge]*ratio
+	observations int64
+	driftEvents  int64
+	drift        float64 // the latest Outcome.Drift; a publish resets it
 
-	// snap is the published anchor snapshot; never nil after New.
+	// snap is the published anchor snapshot; never nil after New. It is
+	// stored under mu and loaded without it.
 	snap atomic.Pointer[Snapshot]
-
-	observations atomic.Int64
-	driftEvents  atomic.Int64
-	driftBits    atomic.Uint64 // Float64bits of the latest live drift
 }
 
 // New builds a Registry (zero Config = defaults).
@@ -377,7 +437,7 @@ func New(cfg Config) (*Registry, error) {
 	r := &Registry{
 		cfg:  cfg.withDefaults(),
 		svc:  make(map[string]*svcState),
-		edge: make(map[Edge]*ewma),
+		edge: make(map[Edge]*ratio),
 	}
 	r.snap.Store(&Snapshot{Gen: 0})
 	return r, nil
@@ -401,155 +461,196 @@ func (r *Registry) Current() *Snapshot { return r.snap.Load() }
 // Generation returns the current generation counter.
 func (r *Registry) Generation() uint64 { return r.snap.Load().Gen }
 
-// Observe folds one execution report into the live estimates, re-evaluates
-// drift against the published anchors, and publishes a new generation when
-// any confident parameter has drifted beyond the threshold. Malformed
-// observations (negative or non-finite values, a service observation with
-// neither performance nor reliability content) reject the whole report
-// without touching any estimate. A reliability-only observation — call
-// attempts with no surviving latency sample, e.g. a service that failed
-// every call — is valid and can bump the generation on its own.
+// Observe folds one execution report into the live estimates, re-tests
+// drift against the published anchors, and publishes a new generation
+// when any confident parameter has drifted. A confident parameter with no
+// anchor has drifted by definition. An anchored one has drifted when its
+// deviation |live - anchor| exceeds both Config.DriftDelta of the anchor
+// (reliability in inflation-factor space) and driftZ standard errors at
+// its effective sample size, plus one count of resolution for the count
+// ratios. The standard error depends on the parameter:
+//
+//   - selectivity: the larger of the binomial error at the live value and
+//     the residual scatter between reports. Repeated executions of one
+//     query stream the same tuples, so their reports are not independent
+//     samples, and the binomial error alone would overstate precision.
+//   - error and spike rates: the binomial error under the anchored rate
+//     (0 for a service with no reliability anchor). Failures arrive in
+//     bursts, so their scatter stays large enough to hide a real change
+//     for dozens of reports.
+//   - cost and transfer: the residual scatter alone. Busy time is
+//     proportional to tuples, so the scatter is 0 on a backend whose
+//     costs fit exactly, and the test reduces to DriftDelta.
+//
+// Malformed observations (negative or non-finite values, a service
+// observation with neither performance nor reliability content) reject
+// the whole report without touching any estimate. A reliability-only
+// observation — call attempts with no surviving latency sample, e.g. a
+// service that failed every call — is valid and can bump the generation
+// on its own.
 func (r *Registry) Observe(rep *Report) (Outcome, error) {
 	if rep == nil || (len(rep.Services) == 0 && len(rep.Transfers) == 0) {
 		return Outcome{}, fmt.Errorf("adapt: empty report")
 	}
 
-	// Fit first (calibrate's formulas validate the raw aggregates), so a
+	// Validate first (calibrate's fits check the raw aggregates), so a
 	// bad trailing observation cannot leave a half-applied report.
-	type svcFit struct {
-		name      string
-		hasPerf   bool
-		cost, sel float64
-
-		hasRel             bool
-		errRate, spikeRate float64
-	}
-	type edgeFit struct {
-		key Edge
-		t   float64
-	}
-	svcFits := make([]svcFit, 0, len(rep.Services))
 	for i, o := range rep.Services {
 		if o.Name == "" {
 			return Outcome{}, fmt.Errorf("adapt: service observation %d has no name", i)
 		}
-		f := svcFit{name: o.Name}
 		if o.TuplesIn > 0 {
-			cost, sel, err := calibrate.FitService(o.BusyProcessing, o.TuplesIn, o.TuplesOut)
-			if err != nil {
+			if _, _, err := calibrate.FitService(o.BusyProcessing, o.TuplesIn, o.TuplesOut); err != nil {
 				return Outcome{}, fmt.Errorf("adapt: service %q: %w", o.Name, err)
 			}
-			f.hasPerf, f.cost, f.sel = true, cost, sel
+			if o.BusyProcessing > maxValue {
+				return Outcome{}, fmt.Errorf("adapt: service %q: busyProcessing %v above %v", o.Name, o.BusyProcessing, maxValue)
+			}
 		}
 		if o.Attempts > 0 {
 			if o.Failures < 0 || o.Failures > o.Attempts || o.Spikes < 0 || o.Spikes > o.Attempts {
 				return Outcome{}, fmt.Errorf("adapt: service %q: failures %d / spikes %d outside attempts %d",
 					o.Name, o.Failures, o.Spikes, o.Attempts)
 			}
-			f.hasRel = true
-			f.errRate = float64(o.Failures) / float64(o.Attempts)
-			f.spikeRate = float64(o.Spikes) / float64(o.Attempts)
 		} else if o.Attempts < 0 || o.Failures != 0 || o.Spikes != 0 {
 			return Outcome{}, fmt.Errorf("adapt: service %q: failures/spikes without attempts", o.Name)
 		}
-		if !f.hasPerf && !f.hasRel {
+		if o.TuplesIn <= 0 && o.Attempts == 0 {
 			return Outcome{}, fmt.Errorf("adapt: service %q: observation has neither tuples nor attempts", o.Name)
 		}
-		svcFits = append(svcFits, f)
 	}
-	edgeFits := make([]edgeFit, 0, len(rep.Transfers))
 	for i, o := range rep.Transfers {
 		if o.From == "" || o.To == "" || o.From == o.To {
 			return Outcome{}, fmt.Errorf("adapt: transfer observation %d needs two distinct named endpoints", i)
 		}
-		t, err := calibrate.FitEdge(o.BusySending, o.Tuples)
-		if err != nil {
+		if _, err := calibrate.FitEdge(o.BusySending, o.Tuples); err != nil {
 			return Outcome{}, fmt.Errorf("adapt: edge %s->%s: %w", o.From, o.To, err)
 		}
-		edgeFits = append(edgeFits, edgeFit{Edge{o.From, o.To}, t})
+		if o.BusySending > maxValue {
+			return Outcome{}, fmt.Errorf("adapt: edge %s->%s: busySending %v above %v", o.From, o.To, o.BusySending, maxValue)
+		}
 	}
 
+	keep := 1 - r.cfg.Alpha
 	r.mu.Lock()
-	for _, f := range svcFits {
-		st := r.svc[f.name]
+	defer r.mu.Unlock()
+	for _, o := range rep.Services {
+		st := r.svc[o.Name]
 		if st == nil {
 			st = &svcState{}
-			r.svc[f.name] = st
+			r.svc[o.Name] = st
 		}
-		if f.hasPerf {
-			st.cost.observe(f.cost, r.cfg.Alpha)
-			st.sel.observe(f.sel, r.cfg.Alpha)
+		if in := float64(o.TuplesIn); in > 0 {
+			st.cost.observe(in, o.BusyProcessing, keep)
+			st.sel.observe(in, float64(o.TuplesOut), keep)
 		}
-		if f.hasRel {
-			st.errRate.observe(f.errRate, r.cfg.Alpha)
-			st.spikeRate.observe(f.spikeRate, r.cfg.Alpha)
+		if att := float64(o.Attempts); att > 0 {
+			st.errRate.observe(att, float64(o.Failures), keep)
+			st.spikeRate.observe(att, float64(o.Spikes), keep)
 		}
 	}
-	for _, f := range edgeFits {
-		e := r.edge[f.key]
+	for _, o := range rep.Transfers {
+		key := Edge{o.From, o.To}
+		e := r.edge[key]
 		if e == nil {
-			e = &ewma{}
-			r.edge[f.key] = e
+			e = &ratio{}
+			r.edge[key] = e
 		}
-		e.observe(f.t, r.cfg.Alpha)
+		e.observe(float64(o.Tuples), o.BusySending, keep)
 	}
+	r.observations++
 
 	anchor := r.snap.Load()
-	drift := r.driftLocked(anchor)
+	drift, publish := r.driftLocked(anchor)
 	out := Outcome{Generation: anchor.Gen, Drift: drift}
-	if drift > r.cfg.DriftDelta {
+	if publish {
 		next := r.publishLocked(anchor.Gen + 1)
 		r.snap.Store(next)
-		r.driftEvents.Add(1)
-		out = Outcome{Generation: next.Gen, Drift: 0, Published: true}
-		drift = 0
+		r.driftEvents++
+		out = Outcome{Generation: next.Gen, Published: true}
 	}
-	r.mu.Unlock()
-
-	r.observations.Add(1)
-	r.driftBits.Store(math.Float64bits(drift))
+	r.drift = out.Drift
 	return out, nil
 }
 
-// relDrift is the relative deviation of a live estimate from its anchor.
-// An unanchored confident estimate is infinitely drifted: the anchor
-// simply does not know the parameter yet, and serving plans that ignore a
-// confidently-measured parameter is exactly the staleness drift detection
-// exists to end.
-func relDrift(live float64, anchored bool, anchor float64) float64 {
-	if !anchored {
-		return math.Inf(1)
-	}
+// maxValue bounds a report's busy seconds and, through them, every cost
+// and transfer a snapshot may anchor. The squared-weight sums hold busy²,
+// which past about 1e154 would overflow to +Inf and poison the estimate
+// for good, and an anchored cost times InflationFactor must stay finite.
+// Real values are far below it.
+const maxValue = 1e100
+
+// driftZ is how many standard errors a deviation must clear to count as
+// drift. Every report re-tests every confident parameter — dozens when
+// many queries share service names — and each false alarm costs every
+// cached plan, so the test must stay quiet over thousands of repetitions.
+// A normal deviation clears 3 standard errors with probability 0.27%, 4
+// with 6e-5; and the error is itself estimated from a few reports' worth
+// of decayed data, so real tails are heavier than normal. A real step
+// drift still clears 4 within a few reports, because the decayed sums
+// forget the old regime at the rate Alpha sets.
+const driftZ = 4
+
+// significant reports whether live lies farther from anchor than driftZ
+// standard errors plus res, the resolution of a count ratio.
+func significant(live, anchor, se, res float64) bool {
+	return math.Abs(live-anchor) > driftZ*se+res
+}
+
+// relDev is the relative deviation |live/anchor - 1| of a significant
+// deviation, so live != anchor; infinite when the anchor is 0.
+func relDev(live, anchor float64) float64 {
 	if anchor == 0 {
-		if live == 0 {
-			return 0
-		}
 		return math.Inf(1)
 	}
 	return math.Abs(live/anchor - 1)
 }
 
-// driftLocked computes the maximum relative deviation of any confident
-// live estimate from the anchor snapshot. Reliability drifts in
-// inflation-factor space against an implicit anchor of 1.0 when
-// unanchored (gen 0 prices every service as perfectly reliable, and a
-// healthy service measuring factor 1.0 is zero drift, not churn).
-// Caller holds r.mu.
-func (r *Registry) driftLocked(anchor *Snapshot) float64 {
-	maxDrift := 0.0
+// driftLocked tests every confident live estimate against the anchor
+// snapshot (see Observe). It returns the largest relative deviation among
+// the significant ones within DriftDelta, and whether any parameter
+// drifted: significantly and beyond DriftDelta, or confident with no
+// anchor. Caller holds r.mu.
+func (r *Registry) driftLocked(anchor *Snapshot) (drift float64, publish bool) {
+	note := func(dev float64) {
+		if dev > r.cfg.DriftDelta {
+			publish = true
+		} else {
+			drift = math.Max(drift, dev)
+		}
+	}
+	perf := func(e *ratio, anchored float64, se, res float64) {
+		if live := e.value(); significant(live, anchored, se, res) {
+			note(relDev(live, anchored))
+		}
+	}
 	for name, st := range r.svc {
 		if st.cost.count >= r.cfg.MinObservations {
 			p, ok := anchor.Services[name]
-			maxDrift = math.Max(maxDrift, relDrift(st.cost.value, ok, p.Cost))
-			maxDrift = math.Max(maxDrift, relDrift(st.sel.value, ok, p.Selectivity))
+			if !ok {
+				return 0, true
+			}
+			perf(&st.cost, p.Cost, st.cost.scatter(), 0)
+			n := st.sel.size()
+			se := math.Max(binomialSE(st.sel.value(), n), st.sel.scatter())
+			perf(&st.sel, p.Selectivity, se, 1/n)
 		}
 		if st.errRate.count >= r.cfg.MinObservations {
-			live := ReliabilityParams{ErrorRate: st.errRate.value, SpikeRate: st.spikeRate.value}.InflationFactor()
-			anchorF := 1.0
-			if rp, ok := anchor.Reliability[name]; ok {
-				anchorF = rp.InflationFactor()
+			// Reliability deviates in inflation-factor space, against an
+			// implicit all-zero anchor when unanchored: gen 0 prices every
+			// service as perfectly reliable, so a healthy service is no
+			// drift, not churn. Each rate moves the live factor only when
+			// its own deviation is significant.
+			rp := anchor.Reliability[name]
+			live := rp
+			n := st.errRate.size()
+			if v := st.errRate.value(); significant(v, rp.ErrorRate, binomialSE(rp.ErrorRate, n), 1/n) {
+				live.ErrorRate = v
 			}
-			maxDrift = math.Max(maxDrift, relDrift(live, true, anchorF))
+			if v := st.spikeRate.value(); significant(v, rp.SpikeRate, binomialSE(rp.SpikeRate, n), 1/n) {
+				live.SpikeRate = v
+			}
+			note(relDev(live.InflationFactor(), rp.InflationFactor()))
 		}
 	}
 	for key, e := range r.edge {
@@ -557,9 +658,12 @@ func (r *Registry) driftLocked(anchor *Snapshot) float64 {
 			continue
 		}
 		t, ok := anchor.Edges[key]
-		maxDrift = math.Max(maxDrift, relDrift(e.value, ok, t))
+		if !ok {
+			return 0, true
+		}
+		perf(e, t, e.scatter(), 0)
 	}
-	return maxDrift
+	return drift, publish
 }
 
 // publishLocked builds the next snapshot from every confident live
@@ -573,15 +677,15 @@ func (r *Registry) publishLocked(gen uint64) *Snapshot {
 	}
 	for name, st := range r.svc {
 		if st.cost.count >= r.cfg.MinObservations {
-			next.Services[name] = ServiceParams{Cost: st.cost.value, Selectivity: st.sel.value}
+			next.Services[name] = ServiceParams{Cost: st.cost.value(), Selectivity: st.sel.value()}
 		}
 		if st.errRate.count >= r.cfg.MinObservations {
-			next.Reliability[name] = ReliabilityParams{ErrorRate: st.errRate.value, SpikeRate: st.spikeRate.value}
+			next.Reliability[name] = ReliabilityParams{ErrorRate: st.errRate.value(), SpikeRate: st.spikeRate.value()}
 		}
 	}
 	for key, e := range r.edge {
 		if e.count >= r.cfg.MinObservations {
-			next.Edges[key] = e.value
+			next.Edges[key] = e.value()
 		}
 	}
 	return next
@@ -599,12 +703,12 @@ type Stats struct {
 	// Observations counts accepted execution reports.
 	Observations int64 `json:"observations"`
 
-	// Drift is the live maximum relative deviation from the anchors as of
-	// the most recent report. Always finite and at most the drift
-	// threshold: any observation pushing drift beyond the threshold
-	// publishes within the same call and resets it to 0, so infinity
-	// (a confident parameter with no anchor) never survives to a
-	// snapshot here — /v1/stats can serialize it with encoding/json.
+	// Drift is the latest report's Outcome.Drift, measured against the
+	// anchors current when it was taken: the largest significant relative
+	// deviation, finite and at most the drift threshold. A publish, local
+	// or installed, resets it to 0, so it never reports drift against a
+	// superseded anchor, and /v1/stats can serialize it with
+	// encoding/json.
 	Drift float64 `json:"drift"`
 
 	// TrackedServices and TrackedEdges count parameters with at least one
@@ -616,15 +720,14 @@ type Stats struct {
 // Stats returns the registry counters.
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
-	svcs, edges := len(r.svc), len(r.edge)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	return Stats{
 		Generation:      r.Generation(),
-		DriftEvents:     r.driftEvents.Load(),
-		Observations:    r.observations.Load(),
-		Drift:           math.Float64frombits(r.driftBits.Load()),
-		TrackedServices: svcs,
-		TrackedEdges:    edges,
+		DriftEvents:     r.driftEvents,
+		Observations:    r.observations,
+		Drift:           r.drift,
+		TrackedServices: len(r.svc),
+		TrackedEdges:    len(r.edge),
 	}
 }
 

@@ -148,6 +148,8 @@ func TestObserveRejectsMalformed(t *testing.T) {
 			Services:  []ServiceObservation{{Name: "good", TuplesIn: 10, TuplesOut: 5, BusyProcessing: 1}},
 			Transfers: []TransferObservation{{From: "a", To: "b", Tuples: -1, BusySending: 1}},
 		},
+		{Services: []ServiceObservation{{Name: "a", TuplesIn: 10, TuplesOut: 5, BusyProcessing: 1e101}}},
+		{Transfers: []TransferObservation{{From: "a", To: "b", Tuples: 5, BusySending: 1e101}}},
 	}
 	for i, rep := range cases {
 		if _, err := r.Observe(rep); err == nil {
@@ -491,28 +493,133 @@ func TestOverlayInflatesUnreliableCost(t *testing.T) {
 
 // TestReliabilityDriftRepublishes: after a reliability anchor exists,
 // further error-rate movement re-triggers publication in inflation-factor
-// space.
+// space. Reports carry 100 attempts each: 80 failures against an anchored
+// 50 is a 6-sigma move, where 8 in 10 would be noise.
 func TestReliabilityDriftRepublishes(t *testing.T) {
 	r := MustNew(Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.2})
 	flaky := func(failures int64) *Report {
 		return &Report{Services: []ServiceObservation{
-			{Name: "s", Attempts: 10, Failures: failures},
+			{Name: "s", Attempts: 100, Failures: failures},
 		}}
 	}
-	out, err := r.Observe(flaky(5)) // factor 2 vs implicit 1.0: publish
+	out, err := r.Observe(flaky(50)) // factor 2 vs implicit 1.0: publish
 	if err != nil || !out.Published {
 		t.Fatalf("first publish: out=%+v err=%v", out, err)
 	}
-	out, err = r.Observe(flaky(5)) // unchanged: no churn
+	out, err = r.Observe(flaky(50)) // unchanged: no churn
 	if err != nil || out.Published {
 		t.Fatalf("steady state published: out=%+v err=%v", out, err)
 	}
-	out, err = r.Observe(flaky(8)) // factor 5 vs anchor 2: 150% drift
+	out, err = r.Observe(flaky(80)) // factor 5 vs anchor 2: 150% drift
 	if err != nil || !out.Published || out.Generation != 2 {
 		t.Fatalf("worsening reliability did not republish: out=%+v err=%v", out, err)
 	}
 	rp := r.Current().Reliability["s"]
 	if math.Abs(rp.ErrorRate-0.8) > 1e-12 {
 		t.Fatalf("anchored error rate = %v, want 0.8", rp.ErrorRate)
+	}
+}
+
+// TestStatsDriftUnderConcurrentPublishes: observers racing local and
+// installed publishes never leave Stats().Drift non-finite or beyond
+// DriftDelta, and a serial publish leaves it exactly 0 — the drift of a
+// report measured against a superseded anchor cannot overwrite the reset.
+func TestStatsDriftUnderConcurrentPublishes(t *testing.T) {
+	t.Parallel()
+	const delta = 0.1
+	q := twoService(t)
+	r := MustNew(Config{Alpha: 0.5, MinObservations: 1, DriftDelta: delta})
+	check := func() {
+		if d := r.Stats().Drift; !(d >= 0 && d <= delta) {
+			t.Errorf("Stats().Drift = %v, want finite in [0, %v]", d, delta)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			truth := q.Clone()
+			for i := 0; i < 200; i++ {
+				// Steps of 4% drift without publishing; larger ones publish.
+				truth.Services[0].Cost = 1 + 0.04*float64((i+w)%6)
+				if _, err := r.Observe(report(truth, model.Plan{0, 1}, 1000)); err != nil {
+					t.Errorf("observe: %v", err)
+					return
+				}
+				check()
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			cur := r.Current()
+			r.Install(&Snapshot{Gen: cur.Gen + 1, Services: cur.Services, Edges: cur.Edges})
+			check()
+		}
+	}()
+	wg.Wait()
+
+	// Serially, a newly confident service publishes at once, and a steady
+	// report's drift is what Stats reports.
+	for i := 0; i < 5; i++ {
+		out, err := r.Observe(&Report{Services: []ServiceObservation{
+			{Name: fmt.Sprint("fresh", i), TuplesIn: 100, TuplesOut: 50, BusyProcessing: 1},
+		}})
+		if err != nil || !out.Published {
+			t.Fatalf("new service: out=%+v err=%v, want a publish", out, err)
+		}
+		if got := r.Stats().Drift; got != 0 {
+			t.Fatalf("Stats().Drift = %v right after a publish, want 0", got)
+		}
+		out, err = r.Observe(report(q, model.Plan{0, 1}, 1000))
+		if err != nil {
+			t.Fatalf("observe: %v", err)
+		}
+		if got := r.Stats().Drift; !out.Published && got != out.Drift {
+			t.Fatalf("Stats().Drift = %v, want the last outcome's %v", got, out.Drift)
+		}
+	}
+	cur := r.Current()
+	if !r.Install(&Snapshot{Gen: cur.Gen + 1}) || r.Stats().Drift != 0 {
+		t.Fatalf("Stats().Drift = %v right after an install, want 0", r.Stats().Drift)
+	}
+}
+
+// TestDriftNeedsSignificance: a count ratio's deviation publishes only
+// when it is significant at the report's sample size — the same 30% move
+// is noise over 20 tuples and drift over 2000 — for filters, for
+// proliferative services (Poisson error), and away from a zero anchor.
+func TestDriftNeedsSignificance(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name          string
+		anchor, moved float64 // selectivities
+	}{
+		{"filter", 0.5, 0.65},
+		{"proliferative", 2, 2.6},
+		{"from-zero", 0, 0.1},
+	}
+	for _, c := range cases {
+		r := MustNew(Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.1})
+		sel := func(in int64, s float64) *Report {
+			return &Report{Services: []ServiceObservation{
+				{Name: "s", TuplesIn: in, TuplesOut: int64(math.Round(float64(in) * s)), BusyProcessing: float64(in)},
+			}}
+		}
+		if out, err := r.Observe(sel(1000, c.anchor)); err != nil || !out.Published {
+			t.Fatalf("%s: anchoring report: out=%+v err=%v", c.name, out, err)
+		}
+		if out, err := r.Observe(sel(20, c.moved)); err != nil || out.Published {
+			t.Fatalf("%s: 20-tuple report published: out=%+v err=%v", c.name, out, err)
+		}
+		if out, err := r.Observe(sel(2000, c.moved)); err != nil || !out.Published {
+			t.Fatalf("%s: 2000-tuple report did not publish: out=%+v err=%v", c.name, out, err)
+		}
+		if got := r.Current().Services["s"].Selectivity; math.Abs(got-c.moved) > 1e-9 {
+			t.Fatalf("%s: anchored selectivity %v, want %v", c.name, got, c.moved)
+		}
 	}
 }

@@ -52,7 +52,11 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 }
 
 // DecodeSnapshot parses a gossiped snapshot. The returned value is freshly
-// allocated and safe to Install.
+// allocated and safe to Install. A snapshot carrying a value no Registry
+// publishes — a non-finite number, a cost, selectivity or transfer outside
+// [0, maxValue], a rate outside [0, 1], an empty name — is refused whole:
+// installed, it would fail every query naming the service as if the
+// client had sent an invalid query.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var w wireSnapshot
 	if err := json.Unmarshal(data, &w); err != nil {
@@ -68,16 +72,28 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		Reliability: make(map[string]ReliabilityParams, len(w.Reliability)),
 	}
 	for name, p := range w.Services {
+		if name == "" || !inRange(p.Cost, maxValue) || !inRange(p.Selectivity, maxValue) {
+			return nil, fmt.Errorf("adapt: decode snapshot: service %q: cost %v, selectivity %v", name, p.Cost, p.Selectivity)
+		}
 		s.Services[name] = p
 	}
 	for name, p := range w.Reliability {
+		if name == "" || !inRange(p.ErrorRate, 1) || !inRange(p.SpikeRate, 1) {
+			return nil, fmt.Errorf("adapt: decode snapshot: service %q: error rate %v, spike rate %v", name, p.ErrorRate, p.SpikeRate)
+		}
 		s.Reliability[name] = p
 	}
 	for _, e := range w.Edges {
+		if e.From == "" || e.To == "" || !inRange(e.Transfer, maxValue) {
+			return nil, fmt.Errorf("adapt: decode snapshot: edge %q->%q: transfer %v", e.From, e.To, e.Transfer)
+		}
 		s.Edges[Edge{From: e.From, To: e.To}] = e.Transfer
 	}
 	return s, nil
 }
+
+// inRange reports whether v lies in [0, hi]; NaN does not.
+func inRange(v, hi float64) bool { return v >= 0 && v <= hi }
 
 // Install adopts a remotely fitted snapshot as this registry's published
 // anchor, but only when it is strictly newer than the current one —
@@ -97,5 +113,6 @@ func (r *Registry) Install(s *Snapshot) bool {
 		return false
 	}
 	r.snap.Store(s)
+	r.drift = 0
 	return true
 }

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"serviceordering/internal/model"
@@ -78,16 +79,103 @@ func TestSnapshotEncodeNil(t *testing.T) {
 	}
 }
 
-// TestSnapshotDecodeRejects: garbage and unknown formats are typed errors,
-// never a silently-empty snapshot.
+// TestSnapshotDecodeRejects: garbage, unknown formats and values no
+// registry publishes are typed errors, never a silently-empty or
+// poisoned snapshot.
 func TestSnapshotDecodeRejects(t *testing.T) {
 	t.Parallel()
-	if _, err := DecodeSnapshot([]byte("not json")); err == nil {
-		t.Fatal("garbage decoded without error")
+	for _, frame := range []string{
+		`not json`,
+		`{"format":99,"gen":1}`,
+		`{"format":1,"gen":2,"services":{"a":{"cost":-5,"selectivity":-1}}}`,
+		`{"format":1,"gen":2,"services":{"a":{"cost":1,"selectivity":-0.5}}}`,
+		`{"format":1,"gen":2,"services":{"a":{"cost":1e101,"selectivity":0.5}}}`,
+		`{"format":1,"gen":2,"services":{"":{"cost":1,"selectivity":0.5}}}`,
+		`{"format":1,"gen":2,"services":{"a":{"cost":1e999,"selectivity":0.5}}}`,
+		`{"format":1,"gen":2,"reliability":{"a":{"errorRate":1.5,"spikeRate":0}}}`,
+		`{"format":1,"gen":2,"reliability":{"a":{"errorRate":0.1,"spikeRate":-0.1}}}`,
+		`{"format":1,"gen":2,"reliability":{"":{"errorRate":0.1,"spikeRate":0}}}`,
+		`{"format":1,"gen":2,"edges":[{"from":"a","to":"b","transfer":-1}]}`,
+		`{"format":1,"gen":2,"edges":[{"from":"","to":"b","transfer":1}]}`,
+		`{"format":1,"gen":2,"edges":[{"from":"a","to":"","transfer":1}]}`,
+	} {
+		if s, err := DecodeSnapshot([]byte(frame)); err == nil {
+			t.Errorf("%s decoded without error as %+v", frame, s)
+		}
 	}
-	if _, err := DecodeSnapshot([]byte(`{"format":99,"gen":1}`)); err == nil {
-		t.Fatal("unknown format decoded without error")
+	// The bounds are inclusive: a certain failure and a free service are
+	// values a registry can publish.
+	ok := `{"format":1,"gen":2,"services":{"a":{"cost":0,"selectivity":0}},` +
+		`"reliability":{"a":{"errorRate":1,"spikeRate":0}},"edges":[{"from":"a","to":"b","transfer":0}]}`
+	if _, err := DecodeSnapshot([]byte(ok)); err != nil {
+		t.Fatalf("boundary values rejected: %v", err)
 	}
+}
+
+// FuzzDecodeSnapshot: a gossiped frame either fails to decode, or yields
+// a snapshot whose overlay keeps a valid query valid — a peer's anchors
+// never turn a client's query into one the planner rejects — and that
+// re-encodes to a frame that decodes again. The seed corpus lives in
+// testdata/fuzz/FuzzDecodeSnapshot.
+func FuzzDecodeSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if q := queryNaming(s); q != nil {
+			if err := q.Validate(); err != nil {
+				t.Fatalf("test query invalid: %v", err)
+			}
+			eff, _ := s.Overlay(q)
+			if err := eff.Validate(); err != nil {
+				t.Fatalf("snapshot %s overlays a valid query into an invalid one: %v", data, err)
+			}
+		}
+		again, err := EncodeSnapshot(s)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if _, err := DecodeSnapshot(again); err != nil {
+			t.Fatalf("re-encoded snapshot %s does not decode: %v", again, err)
+		}
+	})
+}
+
+// queryNaming builds a valid query with one service for each name the
+// snapshot anchors, up to 32 in sorted order, so the overlay exercises
+// the anchors; nil when the snapshot names none.
+func queryNaming(s *Snapshot) *model.Query {
+	seen := map[string]bool{}
+	for name := range s.Services {
+		seen[name] = true
+	}
+	for name := range s.Reliability {
+		seen[name] = true
+	}
+	for e := range s.Edges {
+		seen[e.From], seen[e.To] = true, true
+	}
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return nil
+	}
+	sort.Strings(names)
+	names = names[:min(len(names), 32)]
+	q := &model.Query{Transfer: make([][]float64, len(names))}
+	for i, name := range names {
+		q.Services = append(q.Services, model.Service{Name: name, Cost: 1, Selectivity: 0.5})
+		q.Transfer[i] = make([]float64, len(names))
+		for j := range q.Transfer[i] {
+			if j != i {
+				q.Transfer[i][j] = 0.1
+			}
+		}
+	}
+	return q
 }
 
 // TestInstallMonotonic: Install adopts only strictly newer generations —
