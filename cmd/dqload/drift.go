@@ -1,6 +1,6 @@
 package main
 
-// The -drift scenario: an end-to-end proof of the adaptive replanning
+// The drift scenario: an end-to-end proof of the adaptive replanning
 // loop against the production serving stack. A self-hosted adaptive
 // server keeps receiving the SAME client query (its parameters frozen at
 // the pre-drift truth — clients do not know the services drifted) while
@@ -11,11 +11,6 @@ package main
 // asserts the loop closes — served plans re-converge to within 1% regret
 // of the post-drift oracle optimum inside a fixed observation budget, and
 // never regress once the replan generation is published.
-//
-// The suite runs it as the "drift-replan" cell of BENCH_serve.json under
-// the standard -compare regression gate (throughput and p99; allocs are
-// left unset — a replan-heavy scenario's allocations measure search work,
-// not the serving path).
 
 import (
 	"context"
@@ -44,7 +39,7 @@ type driftSpec struct {
 	regretBudget   float64 // convergence target vs the post-drift optimum
 	obsBudget      int     // observation budget to reach convergence
 	stabilityProbe int     // post-convergence requests that must all stay within budget
-	measureReqs    int     // post-convergence warm requests behind the cell's rps/latency
+	measureReqs    int     // post-convergence warm requests behind the summary's rps/latency
 	robustSamples  int     // Monte Carlo samples behind the drift threshold
 }
 
@@ -69,7 +64,7 @@ func defaultDriftSpec(quick bool) driftSpec {
 	return s
 }
 
-// driftResult carries the scenario metrics beyond the serveEntry cell.
+// driftResult carries the scenario metrics beyond its traffic summary.
 type driftResult struct {
 	entry           serveEntry
 	driftDelta      float64 // regret-derived threshold the server ran with
@@ -163,8 +158,8 @@ func (d *driftHTTP) observe(rep *adapt.Report) error {
 	return err
 }
 
-// drain is optimize without decoding the answer — the measurement-phase
-// counterpart of the suite's unverified requests.
+// drain is optimize without decoding the answer — the measurement
+// window's unverified requests.
 func (d *driftHTTP) drain(body []byte) error {
 	t0 := time.Now()
 	err := drainV1Optimize(d.target.client, d.target.url, body)
@@ -326,19 +321,17 @@ func runDriftScenario(spec driftSpec, opts loadOpts) (*driftResult, error) {
 			res.staleServed, spec.stabilityProbe)
 	}
 
-	if target.planner != nil {
-		st := target.planner.Stats()
-		res.generations = st.Generation
-		res.replans = st.Replans
-		if st.Generation == 0 {
-			return nil, fmt.Errorf("drift: converged without ever publishing a generation")
-		}
-		if st.Replans == 0 {
-			return nil, fmt.Errorf("drift: converged without an incumbent-seeded replan")
-		}
+	st := target.planner.Stats()
+	res.generations = st.Generation
+	res.replans = st.Replans
+	if st.Generation == 0 {
+		return nil, fmt.Errorf("drift: converged without ever publishing a generation")
+	}
+	if st.Replans == 0 {
+		return nil, fmt.Errorf("drift: converged without an incumbent-seeded replan")
 	}
 	// Phase 4 — measurement. The convergence phases above are a handful
-	// of requests (their wall-clock is noise, not signal); the cell's
+	// of requests (their wall-clock is noise, not signal); the summary's
 	// throughput and latency instead come from a fixed-count window of
 	// settled post-replan traffic: warm hits against the replanned entry
 	// on a generation-stamped cache, with the usual 1-in-verifyEvery
@@ -365,9 +358,6 @@ func runDriftScenario(spec driftSpec, opts loadOpts) (*driftResult, error) {
 
 	sort.Slice(h.lats, func(a, b int) bool { return h.lats[a] < h.lats[b] })
 	res.entry = serveEntry{
-		Scenario:  "drift-replan",
-		Mode:      "drift",
-		Conc:      1,
 		Requests:  h.reqs,
 		ReqPerSec: float64(h.reqs) / measured.Seconds(),
 		P50Micros: quantileMicros(h.lats, 0.50),

@@ -1,9 +1,9 @@
 package main
 
-// The -execute and -chaos scenarios: end-to-end proofs of the
+// The execute and chaos scenarios: end-to-end proofs of the
 // fault-tolerant streaming executor behind POST /v1/execute.
 //
-// -execute closes the full production loop in one round trip per request:
+// execute closes the full production loop in one round trip per request:
 // optimize (or reuse the cached plan) -> execute against a deterministic
 // mock backend -> observe the execution report into the adaptive registry
 // -> replan on drift. Mid-run the backend's ground truth is perturbed
@@ -12,7 +12,7 @@ package main
 // to the post-drift optimum purely from execution feedback, with no
 // explicit /v1/observe traffic at all.
 //
-// -chaos wraps the same backend in a deterministic fault plan (error
+// chaos wraps the same backend in a deterministic fault plan (error
 // rates, latency spikes past the call timeout, a breaker-opening blackout,
 // a slow trickle) and asserts the executor's whole escalation ladder:
 // every response is a 200; complete responses processed every tuple;
@@ -20,9 +20,6 @@ package main
 // monotonicity invariant (partial, never wrong); breakers open and appear
 // in /v1/healthz; latency stays bounded; and no goroutines leak across the
 // run.
-//
-// The suite runs both as BENCH_serve.json cells ("execute-loop",
-// "exec-chaos") under the standard -compare regression gate.
 
 import (
 	"encoding/json"
@@ -42,7 +39,7 @@ import (
 	"serviceordering/internal/serve"
 )
 
-// execSpec fixes the -execute scenario shape; count-driven, so the
+// execSpec fixes the execute scenario shape; count-driven, so the
 // scenario is deterministic across machines.
 type execSpec struct {
 	n            int     // services in the query
@@ -53,7 +50,7 @@ type execSpec struct {
 	regretBudget float64 // convergence target vs the post-drift optimum
 	execBudget   int     // /v1/execute requests allowed to reach convergence
 	stability    int     // post-convergence requests that must stay within budget
-	measureReqs  int     // measurement-window requests behind the cell's rps/latency
+	measureReqs  int     // measurement-window requests behind the summary's rps/latency
 }
 
 func defaultExecSpec(quick bool) execSpec {
@@ -76,7 +73,7 @@ func defaultExecSpec(quick bool) execSpec {
 	return s
 }
 
-// execResult carries the -execute scenario metrics beyond the cell.
+// execResult carries the execute scenario metrics beyond its traffic summary.
 type execResult struct {
 	entry         serveEntry
 	preDriftCost  float64
@@ -175,7 +172,7 @@ func perturbServicesUntilPlanBreaks(truth *model.Query, oldPlan model.Plan, spec
 }
 
 // runExecuteScenario proves the optimize -> execute -> observe -> replan
-// loop end to end and returns the "execute-loop" cell.
+// loop end to end and returns its metrics.
 func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 	if opts.target != "" {
 		return nil, fmt.Errorf("execute: the scenario self-hosts its server; -target is not supported")
@@ -302,16 +299,14 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 			return nil, fmt.Errorf("execute: post-convergence request %d regressed to regret %v", i, r)
 		}
 	}
-	if target.planner != nil {
-		st := target.planner.Stats()
-		res.generations = st.Generation
-		res.replans = st.Replans
-		if st.Generation == 0 {
-			return nil, fmt.Errorf("execute: converged without publishing a statistics generation")
-		}
-		if st.Replans == 0 {
-			return nil, fmt.Errorf("execute: converged without an incumbent-seeded replan")
-		}
+	st := target.planner.Stats()
+	res.generations = st.Generation
+	res.replans = st.Replans
+	if st.Generation == 0 {
+		return nil, fmt.Errorf("execute: converged without publishing a statistics generation")
+	}
+	if st.Replans == 0 {
+		return nil, fmt.Errorf("execute: converged without an incumbent-seeded replan")
 	}
 
 	// Phase 4 — measurement: settled post-replan /v1/execute traffic.
@@ -337,9 +332,6 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	res.entry = serveEntry{
-		Scenario:  "execute-loop",
-		Mode:      "execute",
-		Conc:      1,
 		Requests:  int64(spec.measureReqs),
 		ReqPerSec: float64(spec.measureReqs) / measured.Seconds(),
 		P50Micros: quantileMicros(lats, 0.50),
@@ -349,7 +341,7 @@ func runExecuteScenario(spec execSpec, opts loadOpts) (*execResult, error) {
 	return res, nil
 }
 
-// chaosSpec fixes the -chaos scenario shape.
+// chaosSpec fixes the chaos scenario shape.
 type chaosSpec struct {
 	n          int
 	tuples     int64
@@ -374,7 +366,7 @@ func defaultChaosSpec(quick bool) chaosSpec {
 	return s
 }
 
-// chaosResult carries the -chaos scenario metrics beyond the cell.
+// chaosResult carries the chaos scenario metrics beyond its traffic summary.
 type chaosResult struct {
 	entry        serveEntry
 	complete     int64
@@ -548,9 +540,6 @@ func runChaosScenario(spec chaosSpec, opts loadOpts) (*chaosResult, error) {
 	}
 
 	res.entry = serveEntry{
-		Scenario:  "exec-chaos",
-		Mode:      "chaos",
-		Conc:      1,
 		Requests:  int64(spec.requests),
 		ReqPerSec: float64(spec.requests) / sumDurations(lats).Seconds(),
 		P50Micros: quantileMicros(lats, 0.50),

@@ -1,6 +1,6 @@
 package main
 
-// The -failover scenario: hedged calls, plan-aware failover, and
+// The failover scenario: hedged calls, plan-aware failover, and
 // reliability-priced replanning proven end to end.
 //
 // Three phases share one query whose oracle optimum places the victim
@@ -20,9 +20,6 @@ package main
 //     victim; reliability-priced costs must bump a statistics generation
 //     and demote the victim in served plans, matching a fresh oracle run
 //     on the registry's own overlay.
-//
-// The suite runs the chaos phase's measurements as the "exec-failover"
-// BENCH_serve.json cell under the standard -compare regression gate.
 
 import (
 	"encoding/json"
@@ -39,7 +36,7 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// failoverSpec fixes the -failover scenario shape; count-driven, so runs
+// failoverSpec fixes the failover scenario shape; count-driven, so runs
 // are deterministic across machines.
 type failoverSpec struct {
 	n         int
@@ -88,7 +85,8 @@ func defaultFailoverSpec(quick bool) failoverSpec {
 	return s
 }
 
-// failoverResult carries the -failover scenario metrics beyond the cell.
+// failoverResult carries the failover scenario metrics beyond its traffic
+// summary.
 type failoverResult struct {
 	entry         serveEntry
 	victim, spiky string
@@ -172,8 +170,7 @@ func pickFailoverQuery(spec failoverSpec, seed int64) (*model.Query, model.Plan,
 	return nil, nil, 0, 0, fmt.Errorf("failover: no instance with a mid-plan, inflation-demotable victim within 64 seeds")
 }
 
-// runFailoverScenario drives all three phases and returns the
-// "exec-failover" cell.
+// runFailoverScenario drives all three phases and returns their metrics.
 func runFailoverScenario(spec failoverSpec, opts loadOpts) (*failoverResult, error) {
 	if opts.target != "" {
 		return nil, fmt.Errorf("failover: the scenario self-hosts its server; -target is not supported")
@@ -461,9 +458,6 @@ func runFailoverScenario(spec failoverSpec, opts loadOpts) (*failoverResult, err
 
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	res.entry = serveEntry{
-		Scenario:  "exec-failover",
-		Mode:      "failover",
-		Conc:      1,
 		Requests:  int64(spec.requests),
 		ReqPerSec: float64(spec.requests) / sumDurations(lats).Seconds(),
 		P50Micros: quantileMicros(lats, 0.50),

@@ -1,9 +1,9 @@
 package main
 
-// The -fleet scenario: the multi-node serving story end to end. Three
+// The fleet scenario: the multi-node serving story end to end. Three
 // dqserve peers are self-hosted in one process, joined by consistent-hash
 // plan sharding over the canonical signature space, and driven through the
-// versioned /v1 surface. The scenario produces two tracked cells:
+// versioned /v1 surface. The scenario runs two phases:
 //
 //   - fleet-3peer: the corpus is warmed through one entry peer (every
 //     request routed or forwarded to its owner, every warm entry
@@ -11,9 +11,10 @@ package main
 //     closed-loop window. The aggregate req/s is the sum of the per-peer
 //     windows — on a single box the peers would otherwise just split the
 //     CPU, so sequential windows are the honest approximation of one-peer-
-//     per-box capacity. The gate: aggregate >= 2x the warm-single cell,
-//     and the cross-node cache hit rate (requests answered from an entry
-//     that arrived over the wire) above a floor.
+//     per-box capacity. The gate: aggregate >= 2x a single-node reference
+//     window of the same shape, and the cross-node cache hit rate
+//     (requests answered from an entry that arrived over the wire) above
+//     a floor.
 //
 //   - fleet-drift: the adaptive loop with the observer and the replanner
 //     on DIFFERENT nodes. Execution reports of a drifted ground truth land
@@ -22,7 +23,7 @@ package main
 //     (moving) plan signature re-solves under the gossiped overlay; served
 //     plans must re-converge to within the regret budget of the post-drift
 //     optimum — every sampled response oracle-verified, exactly like the
-//     single-node drift cell.
+//     single-node drift scenario.
 //
 // With >= 2 comma-separated -target URLs the scenario instead drives an
 // externally hosted fleet: aggregate throughput plus hit rates scraped
@@ -32,13 +33,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"serviceordering/internal/adapt"
@@ -51,21 +49,20 @@ import (
 	"serviceordering/internal/serve"
 )
 
-// fleetSpec fixes both fleet cells' shapes.
+// fleetSpec fixes both fleet phases' shapes.
 type fleetSpec struct {
 	peers       int
 	replication int
 
-	// Warm aggregate cell.
+	// Warm aggregate phase.
 	corpus     int
 	n          int
-	zipf       float64
 	conc       int
 	window     time.Duration // per-peer measurement window
-	minAggMult float64       // aggregate must beat warm-single x this
+	minAggMult float64       // aggregate must beat the single-node reference x this
 	minHitRate float64       // cross-node hit-rate floor
 
-	// Drift cell (mirrors driftSpec, but across nodes).
+	// Drift phase (mirrors driftSpec, but across nodes).
 	driftN         int
 	tuples         int64
 	perturbScale   float64
@@ -83,7 +80,6 @@ func defaultFleetSpec(quick bool) fleetSpec {
 		replication: 3, // full replication: the read-heavy fleet shape
 		corpus:      64,
 		n:           12,
-		zipf:        1.2,
 		conc:        8,
 		window:      2500 * time.Millisecond,
 		minAggMult:  2.0,
@@ -109,7 +105,8 @@ func defaultFleetSpec(quick bool) fleetSpec {
 	return s
 }
 
-// fleetResult carries both cells plus the scenario metrics behind them.
+// fleetResult carries both phases' traffic summaries plus the scenario
+// metrics behind them.
 type fleetResult struct {
 	entry      serveEntry // fleet-3peer
 	driftEntry serveEntry // fleet-drift (self-hosted runs only)
@@ -117,7 +114,7 @@ type fleetResult struct {
 	perPeerRps []float64
 	aggregate  float64
 	hitRate    float64 // cross-node: replica hits + warm forward serves
-	warmRef    float64 // the single-node reference the aggregate is gated on
+	warmRef    float64 // the single-node reference the aggregate is gated on (self-hosted runs only)
 
 	// Drift metrics.
 	observer      string // peer the execution reports landed on
@@ -211,89 +208,15 @@ func startFleetNodes(n, replication int, adaptive adapt.Config) ([]*fleetNode, f
 	return nodes, closeAll, nil
 }
 
-// fleetWindow runs one closed-loop measurement window against a single
-// peer's /v1/optimize, zipf-picked over the warm corpus, with the standard
-// 1-in-verifyEvery responses oracle-verified.
-func fleetWindow(client *http.Client, baseURL string, corp *corpus, spec fleetSpec, seed int64) (measureResult, error) {
-	var (
-		wg       sync.WaitGroup
-		nextCold atomic.Int64
-		requests atomic.Int64
-		verified atomic.Int64
-		firstErr atomic.Pointer[error]
-	)
-	cell := cellSpec{Mode: "warm", Conc: spec.conc, Corpus: spec.corpus, N: spec.n, Zipf: spec.zipf}
-	lat := make([][]time.Duration, spec.conc)
-	deadline := time.Now().Add(spec.window)
-	start := time.Now()
-	for w := 0; w < spec.conc; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed*1031 + int64(w)))
-			pick := newPicker(rng, cell, &nextCold, len(corp.bodies))
-			local := make([]time.Duration, 0, 4096)
-			for n := 0; time.Now().Before(deadline); n++ {
-				idx, ok := pick()
-				if !ok {
-					break
-				}
-				verify := n%verifyEvery == 0
-				t0 := time.Now()
-				var err error
-				if verify {
-					var probe solvedProbe
-					if probe, err = postV1Optimize(client, baseURL, corp.bodies[idx]); err == nil {
-						err = verifySolved(corp, idx, probe)
-					}
-				} else {
-					err = drainV1Optimize(client, baseURL, corp.bodies[idx])
-				}
-				d := time.Since(t0)
-				if err != nil {
-					e := err
-					firstErr.CompareAndSwap(nil, &e)
-					return
-				}
-				local = append(local, d)
-				requests.Add(1)
-				if verify {
-					verified.Add(1)
-				}
-			}
-			lat[w] = local
-		}(w)
-	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return measureResult{}, *ep
-	}
-	res := measureResult{requests: requests.Load(), verified: verified.Load(), elapsed: time.Since(start)}
-	for _, l := range lat {
-		res.latencies = append(res.latencies, l...)
-	}
-	return res, nil
-}
-
 // crossNodeHits extracts the two counters that make a request a
 // cross-node cache hit: answered from a replicated entry, or forwarded and
 // answered from the owner's warm cache.
 func crossNodeHits(s fleet.Stats) int64 { return s.ReplicaHits + s.ForwardServedWarm }
 
-// runFleetScenario drives both fleet cells. warmRef is the single-node
-// warm-single req/s the aggregate is gated against; 0 means measure a
-// fresh single-node reference window first (standalone -fleet runs).
-func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetResult, error) {
-	if opts.duration > 0 {
-		spec.window = opts.duration
-	}
-	// Sub-quarter-second windows (the in-process test suites) measure
-	// scheduler and connection noise as much as throughput; keep a gate —
-	// sharding must still beat one node — but leave the full 2x bar to
-	// the quick (500ms) and full (2.5s) windows CI actually runs.
-	if spec.window < 250*time.Millisecond && spec.minAggMult > 1.4 {
-		spec.minAggMult = 1.4
-	}
+// runFleetScenario drives both fleet phases. Self-hosted runs first
+// measure a single-node reference window, which the fleet's aggregate is
+// gated against.
+func runFleetScenario(spec fleetSpec, opts loadOpts) (*fleetResult, error) {
 	if opts.target != "" {
 		return runFleetRemote(strings.Split(opts.target, ","), spec, opts)
 	}
@@ -301,37 +224,35 @@ func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetRes
 	client := &http.Client{Transport: transport, Timeout: 60 * time.Second}
 	defer transport.CloseIdleConnections()
 
-	res := &fleetResult{warmRef: warmRef}
+	res := &fleetResult{}
 
-	// The single-node reference, when the suite hasn't already measured it:
-	// the same corpus and window shape against a plain (fleet-less) server.
+	// The single-node reference: the same corpus and window shape against
+	// a plain (fleet-less) server.
 	corp, err := buildCorpus(spec.corpus, spec.n, opts.seed, true)
 	if err != nil {
 		return nil, err
 	}
-	if res.warmRef == 0 {
-		single, err := startTarget(loadOpts{seed: opts.seed})
+	single, err := startTarget(loadOpts{seed: opts.seed})
+	if err != nil {
+		return nil, err
+	}
+	for i := range corp.bodies {
+		probe, err := postV1Optimize(single.client, single.url, corp.bodies[i])
 		if err != nil {
+			single.close()
+			return nil, fmt.Errorf("reference warmup %d: %w", i, err)
+		}
+		if err := verifySolved(corp, i, probe); err != nil {
+			single.close()
 			return nil, err
 		}
-		for i := range corp.bodies {
-			probe, err := postV1Optimize(single.client, single.url, corp.bodies[i])
-			if err != nil {
-				single.close()
-				return nil, fmt.Errorf("reference warmup %d: %w", i, err)
-			}
-			if err := verifySolved(corp, i, probe); err != nil {
-				single.close()
-				return nil, err
-			}
-		}
-		ref, err := fleetWindow(client, single.url, corp, spec, opts.seed)
-		single.close()
-		if err != nil {
-			return nil, fmt.Errorf("reference window: %w", err)
-		}
-		res.warmRef = float64(ref.requests) / ref.elapsed.Seconds()
 	}
+	ref, err := warmWindow(client, single.url, corp, spec.conc, spec.window, opts.seed)
+	single.close()
+	if err != nil {
+		return nil, fmt.Errorf("reference window: %w", err)
+	}
+	res.warmRef = float64(ref.requests) / ref.elapsed.Seconds()
 
 	// ---- fleet-3peer: warm through one entry peer, replicate, measure. ----
 	nodes, closeNodes, err := startFleetNodes(spec.peers, spec.replication, adapt.Config{})
@@ -378,7 +299,7 @@ func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetRes
 			}
 		}
 		before := nd.peer.Stats()
-		win, err := fleetWindow(client, nd.url, corp, spec, opts.seed+int64(i)*977)
+		win, err := warmWindow(client, nd.url, corp, spec.conc, spec.window, opts.seed+int64(i)*977)
 		if err != nil {
 			return nil, fmt.Errorf("fleet window on peer %d: %w", i, err)
 		}
@@ -395,9 +316,6 @@ func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetRes
 	}
 	sort.Slice(allLats, func(a, b int) bool { return allLats[a] < allLats[b] })
 	res.entry = serveEntry{
-		Scenario:  "fleet-3peer",
-		Mode:      "fleet",
-		Conc:      spec.conc,
 		Requests:  requests,
 		ReqPerSec: res.aggregate,
 		P50Micros: quantileMicros(allLats, 0.50),
@@ -429,7 +347,7 @@ func runFleetScenario(spec fleetSpec, opts loadOpts, warmRef float64) (*fleetRes
 	return nil, fmt.Errorf("fleet drift: %w", lastErr)
 }
 
-// runFleetDrift executes the cross-node drift cell on a fresh adaptive
+// runFleetDrift executes the cross-node drift phase on a fresh adaptive
 // fleet, filling in res.driftEntry and the drift metrics.
 func runFleetDrift(spec fleetSpec, seed int64, client *http.Client, res *fleetResult) error {
 	truth, err := gen.Default(spec.driftN, seed).Generate()
@@ -620,9 +538,6 @@ func runFleetDrift(spec fleetSpec, seed int64, client *http.Client, res *fleetRe
 	measured := time.Since(measureStart)
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	res.driftEntry = serveEntry{
-		Scenario:  "fleet-drift",
-		Mode:      "drift",
-		Conc:      1,
 		Requests:  reqs,
 		ReqPerSec: float64(reqs) / measured.Seconds(),
 		P50Micros: quantileMicros(lats, 0.50),
@@ -646,7 +561,7 @@ func scrapeV1Fleet(client *http.Client, baseURL string) (fleet.Stats, error) {
 
 // runFleetRemote drives an externally hosted fleet: warm through the first
 // target, then one window per target; hit rates come from each peer's
-// /v1/stats. The drift cell is skipped — the scenario cannot control a
+// /v1/stats. The drift phase is skipped — the scenario cannot control a
 // remote fleet's ground truth.
 func runFleetRemote(targets []string, spec fleetSpec, opts loadOpts) (*fleetResult, error) {
 	if len(targets) < 2 {
@@ -698,7 +613,7 @@ func runFleetRemote(targets []string, spec fleetSpec, opts loadOpts) (*fleetResu
 		if err != nil {
 			return nil, err
 		}
-		win, err := fleetWindow(client, u, corp, spec, opts.seed+int64(i)*977)
+		win, err := warmWindow(client, u, corp, spec.conc, spec.window, opts.seed+int64(i)*977)
 		if err != nil {
 			return nil, fmt.Errorf("fleet window on %s: %w", u, err)
 		}
@@ -719,9 +634,6 @@ func runFleetRemote(targets []string, spec fleetSpec, opts loadOpts) (*fleetResu
 	}
 	sort.Slice(allLats, func(a, b int) bool { return allLats[a] < allLats[b] })
 	res.entry = serveEntry{
-		Scenario:  fmt.Sprintf("fleet-%dpeer", len(targets)),
-		Mode:      "fleet",
-		Conc:      spec.conc,
 		Requests:  requests,
 		ReqPerSec: res.aggregate,
 		P50Micros: quantileMicros(allLats, 0.50),

@@ -17,7 +17,7 @@ import (
 // fleet, and must be refused with a message that says so.
 func TestFleetRemoteNeedsTwoTargets(t *testing.T) {
 	t.Parallel()
-	_, err := runFleetScenario(defaultFleetSpec(true), loadOpts{seed: 1, target: "http://one"}, 0)
+	_, err := runFleetScenario(defaultFleetSpec(true), loadOpts{seed: 1, target: "http://one"})
 	if err == nil {
 		t.Fatal("single-target fleet run accepted")
 	}
@@ -45,7 +45,7 @@ func TestCrossNodeHits(t *testing.T) {
 
 // TestFleetRemoteEndToEnd drives runFleetRemote against a real
 // self-hosted 3-peer fleet, exactly as an operator would with
-// -fleet -target url1,url2,url3: warm through the first target, then one
+// -target url1,url2,url3 fleet: warm through the first target, then one
 // primed window per peer with cross-node hits scraped from /v1/stats.
 // Target URLs arrive with stray whitespace and a trailing slash to pin
 // the trimming. Remote mode has no aggregate gate (it cannot start its
@@ -64,17 +64,14 @@ func TestFleetRemoteEndToEnd(t *testing.T) {
 	spec.corpus = 6
 	spec.n = 6
 	spec.conc = 2
+	spec.window = 60 * time.Millisecond
 	opts := loadOpts{
-		seed:     7,
-		duration: 60 * time.Millisecond,
-		target:   " " + nodes[0].url + "/ ," + nodes[1].url + "," + nodes[2].url,
+		seed:   7,
+		target: " " + nodes[0].url + "/ ," + nodes[1].url + "," + nodes[2].url,
 	}
-	res, err := runFleetScenario(spec, opts, 0)
+	res, err := runFleetScenario(spec, opts)
 	if err != nil {
 		t.Fatalf("remote fleet run: %v", err)
-	}
-	if res.entry.Scenario != "fleet-3peer" || res.entry.Mode != "fleet" {
-		t.Fatalf("entry = %q/%q, want fleet-3peer/fleet", res.entry.Scenario, res.entry.Mode)
 	}
 	if len(res.perPeerRps) != 3 {
 		t.Fatalf("per-peer rps entries = %d, want 3", len(res.perPeerRps))
@@ -88,8 +85,8 @@ func TestFleetRemoteEndToEnd(t *testing.T) {
 	if res.aggregate <= 0 || res.entry.ReqPerSec != res.aggregate {
 		t.Fatalf("aggregate %v (entry %v) inconsistent", res.aggregate, res.entry.ReqPerSec)
 	}
-	if res.driftEntry.Scenario != "" {
-		t.Fatalf("remote run produced a drift cell %q; remote fleets' ground truth is not ours to perturb", res.driftEntry.Scenario)
+	if res.driftEntry.Requests != 0 {
+		t.Fatalf("remote run drove %d drift requests; remote fleets' ground truth is not ours to perturb", res.driftEntry.Requests)
 	}
 }
 
@@ -105,15 +102,14 @@ func TestScrapeV1FleetNoFleetBlock(t *testing.T) {
 	}
 }
 
-// TestFleetCLIFlag drives the real -fleet flag surface through run(),
-// mirroring TestScenarioCLIFlags for the other standalone scenarios: the
-// full quick self-hosted scenario, reference window, gates, and summary
-// printing included.
+// TestFleetCLIFlag drives the fleet scenario through run(), mirroring
+// TestScenarioCLIFlags for the other six: the full quick self-hosted
+// scenario, reference window, gates, and summary printing included.
 func TestFleetCLIFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real fleet scenario")
 	}
-	if err := run([]string{"-fleet", "-drift-quick"}); err != nil {
-		t.Fatalf("-fleet: %v", err)
+	if err := run([]string{"-quick", "fleet"}); err != nil {
+		t.Fatalf("fleet: %v", err)
 	}
 }

@@ -1,9 +1,9 @@
 package main
 
-// The -overload and -restart scenarios: overload survival end to end
+// The overload and restart scenarios: overload survival end to end
 // against the production serving stack.
 //
-// overload-shed drives a self-hosted admission-controlled server at a
+// overload drives a self-hosted admission-controlled server at a
 // multiple of its calibrated cold-path saturation rate with a mixed
 // warm/cold open-loop arrival stream, bumps the statistics generation
 // mid-run (so the warm working set goes stale), and holds the node to the
@@ -12,10 +12,9 @@ package main
 // but never wrong), stale-served responses carry "stale": true with the
 // previous generation's exact answer, and the background replan shows up
 // in /v1/stats. Admitted latency stays bounded by construction (the
-// admission queue is bounded); the cell records it so the -compare gate
-// catches regressions.
+// admission queue is bounded); the summary reports it.
 //
-// restart-warmboot primes a server, snapshots its plan cache, boots a
+// restart primes a server, snapshots its plan cache, boots a
 // fresh server from the snapshot, and requires the first measurement
 // window (one unique sweep of the working set) to be served ≥ 90% from
 // cache with every response matching the oracle.
@@ -38,7 +37,7 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// overloadSpec fixes the overload cell's shape.
+// overloadSpec fixes the overload scenario's shape.
 type overloadSpec struct {
 	n             int           // warm corpus base service count
 	corpus        int           // warm working-set size
@@ -74,7 +73,7 @@ func defaultOverloadSpec(quick bool) overloadSpec {
 	return s
 }
 
-// overloadResult carries the scenario metrics beyond the serveEntry cell.
+// overloadResult carries the scenario metrics beyond its traffic summary.
 type overloadResult struct {
 	entry       serveEntry
 	offeredRate float64 // arrivals per second actually scheduled
@@ -98,7 +97,7 @@ func typedShedReason(r string) bool {
 	return false
 }
 
-// runOverloadScenario executes the overload cell. Self-hosted only: the
+// runOverloadScenario executes the overload scenario. Self-hosted only: the
 // scenario must control the admission configuration and the statistics
 // generation.
 func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, error) {
@@ -109,7 +108,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 	// interleave. On a single-P runtime an admitted CPU-bound search
 	// (hundreds of microseconds — far below the async-preemption quantum)
 	// convoys every other goroutine: no request ever observes a busy slot,
-	// the queue never forms, and the cell would measure an idle server.
+	// the queue never forms, and the scenario would measure an idle server.
 	// Overcommitting Ps lets the OS timeslice client and server threads
 	// the way separate processes would be.
 	if runtime.GOMAXPROCS(0) < 4 {
@@ -217,9 +216,8 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 	rng := rand.New(rand.NewSource(opts.seed * 6007))
 	zipf := rand.NewZipf(rng, 1.2, 1, uint64(spec.corpus-1))
 	interval := time.Duration(float64(time.Second) / offered)
-	// A tighter outstanding cap than the generic open-loop cells: the point
-	// is sustained pressure on the admission queue, not an unbounded
-	// connection pile-up on the client side.
+	// The outstanding cap: the point is sustained pressure on the admission
+	// queue, not an unbounded connection pile-up on the client side.
 	sem := make(chan struct{}, 256)
 	start := time.Now()
 	deadline := start.Add(spec.window)
@@ -232,7 +230,7 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		// Two exits: the schedule ran out, or the wall clock did (the
 		// dispatcher fell behind the schedule — the achieved rate in the
 		// result exposes the shortfall). Without the second exit an
-		// infeasible schedule would stretch the cell far past its window.
+		// infeasible schedule would stretch the scenario far past its window.
 		if arrival.After(deadline) || time.Now().After(deadline) {
 			break
 		}
@@ -413,21 +411,17 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 
 	sort.Slice(admittedLat, func(a, b int) bool { return admittedLat[a] < admittedLat[b] })
 	res.entry = serveEntry{
-		Scenario:    "overload-shed",
-		Mode:        "overload",
-		Conc:        spec.maxConcurrent,
-		Requests:    res.admitted,
-		ReqPerSec:   float64(res.admitted) / elapsed.Seconds(),
-		P50Micros:   quantileMicros(admittedLat, 0.50),
-		P99Micros:   quantileMicros(admittedLat, 0.99),
-		Verified:    verified.Load(),
-		ShedRate:    float64(res.sheds) / float64(res.sheds+res.admitted),
-		StaleServed: res.staleServed,
+		Requests:  res.admitted,
+		ReqPerSec: float64(res.admitted) / elapsed.Seconds(),
+		P50Micros: quantileMicros(admittedLat, 0.50),
+		P99Micros: quantileMicros(admittedLat, 0.99),
+		Verified:  verified.Load(),
+		ShedRate:  float64(res.sheds) / float64(res.sheds+res.admitted),
 	}
 	return res, nil
 }
 
-// restartSpec fixes the restart cell's shape.
+// restartSpec fixes the restart scenario's shape.
 type restartSpec struct {
 	n      int
 	corpus int
@@ -442,7 +436,7 @@ func defaultRestartSpec(quick bool) restartSpec {
 	return s
 }
 
-// restartResult carries the scenario metrics beyond the serveEntry cell.
+// restartResult carries the scenario metrics beyond its traffic summary.
 type restartResult struct {
 	entry              serveEntry
 	snapshotBytes      int
@@ -517,12 +511,8 @@ func runRestartScenario(spec restartSpec, opts loadOpts) (*restartResult, error)
 			100*res.firstWindowHitRate, hits, misses)
 	}
 
-	// Steady-state warm traffic for the cell's throughput and latency.
-	measureOpts := opts
-	measureOpts.duration = spec.window
-	mres, err := measureClosedLoop(cellSpec{
-		Name: "restart-warmboot", Mode: "warm", Conc: 4, Corpus: spec.corpus, N: spec.n, Zipf: 1.2,
-	}, measureOpts, second, corp)
+	// Steady-state warm traffic for the summary's throughput and latency.
+	mres, err := warmWindow(second.client, second.url, corp, 4, spec.window, opts.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -531,9 +521,6 @@ func runRestartScenario(spec restartSpec, opts loadOpts) (*restartResult, error)
 	}
 	sort.Slice(mres.latencies, func(a, b int) bool { return mres.latencies[a] < mres.latencies[b] })
 	res.entry = serveEntry{
-		Scenario:  "restart-warmboot",
-		Mode:      "restart",
-		Conc:      4,
 		Requests:  mres.requests,
 		ReqPerSec: float64(mres.requests) / mres.elapsed.Seconds(),
 		P50Micros: quantileMicros(mres.latencies, 0.50),
@@ -544,7 +531,7 @@ func runRestartScenario(spec restartSpec, opts loadOpts) (*restartResult, error)
 	return res, nil
 }
 
-// writeCounter buffers a snapshot in memory (the suite's restart cell
+// writeCounter buffers a snapshot in memory (the restart scenario
 // round-trips the exact on-disk format without touching disk).
 type writeCounter struct{ buf []byte }
 

@@ -11,14 +11,14 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// TestRestartScenario drives the restart cell end to end with the quick
-// spec: prime, snapshot into memory, warm-boot a second server from the
+// TestRestartScenario drives the restart scenario end to end with the
+// quick spec: prime, snapshot into memory, warm-boot a second server from the
 // bytes, and require a >= 90% first-window hit rate with every response
 // oracle-verified (runRestartScenario fails internally on violations;
 // the assertions here pin the metrics it reports).
 func TestRestartScenario(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns real load cells")
+		t.Skip("spawns real servers")
 	}
 	res, err := runRestartScenario(defaultRestartSpec(true), loadOpts{seed: 1})
 	if err != nil {
@@ -31,20 +31,17 @@ func TestRestartScenario(t *testing.T) {
 		t.Fatalf("first-window hit rate %v, want >= 0.9", res.firstWindowHitRate)
 	}
 	e := res.entry
-	if e.Scenario != "restart-warmboot" || e.Mode != "restart" {
-		t.Fatalf("malformed cell identity: %+v", e)
-	}
 	if e.Requests <= 0 || e.ReqPerSec <= 0 || e.Verified <= 0 {
 		t.Fatalf("steady-state window made no verified progress: %+v", e)
 	}
 	if e.HitRate != res.firstWindowHitRate {
-		t.Fatalf("cell hit rate %v does not record the first window's %v", e.HitRate, res.firstWindowHitRate)
+		t.Fatalf("summary hit rate %v does not record the first window's %v", e.HitRate, res.firstWindowHitRate)
 	}
 }
 
-// Both scenarios control their servers' ground truth (the overload cell
-// installs its own adaptive registry and admission limits, the restart
-// cell needs the planner handle to snapshot) — an external -target must
+// Both scenarios control their servers' ground truth (the overload
+// scenario installs its own adaptive registry and admission limits, the
+// restart scenario needs the planner handle to snapshot) — an external -target must
 // be refused, not silently self-hosted.
 func TestOverloadScenarioRejectsExternalTarget(t *testing.T) {
 	if _, err := runOverloadScenario(defaultOverloadSpec(true), loadOpts{seed: 1, target: "http://127.0.0.1:1"}); err == nil {
@@ -58,34 +55,17 @@ func TestRestartScenarioRejectsExternalTarget(t *testing.T) {
 	}
 }
 
-// TestScenarioCLIFlags drives the real scenario flag surface through
-// run(), covering each dispatch and the scenario summaries main prints.
+// TestScenarioCLIFlags drives the real command line through run() for
+// six of the seven scenarios (TestFleetCLIFlag runs the seventh),
+// covering each dispatch and the scenario summaries main prints.
 func TestScenarioCLIFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real load scenarios")
 	}
-	for _, flag := range []string{"-overload", "-restart", "-drift", "-execute", "-chaos", "-failover"} {
-		if err := run([]string{flag, "-drift-quick"}); err != nil {
-			t.Fatalf("%s: %v", flag, err)
+	for _, name := range []string{"overload", "restart", "drift", "execute", "chaos", "failover"} {
+		if err := run([]string{"-quick", name}); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-}
-
-// TestAdhocCLIFlags drives the default (no scenario flag) single-cell
-// path: closed-loop warm, open-loop warm, and the mode validation.
-func TestAdhocCLIFlags(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real load cells")
-	}
-	common := []string{"-corpus", "4", "-n", "6", "-conc", "2", "-duration", "60ms"}
-	if err := run(append([]string{"-mode", "warm"}, common...)); err != nil {
-		t.Fatalf("ad-hoc closed-loop: %v", err)
-	}
-	if err := run(append([]string{"-mode", "warm", "-open", "-rate", "500"}, common...)); err != nil {
-		t.Fatalf("ad-hoc open-loop: %v", err)
-	}
-	if err := run([]string{"-mode", "tepid"}); err == nil || !strings.Contains(err.Error(), "want warm or cold") {
-		t.Fatalf("-mode tepid accepted: %v", err)
 	}
 }
 
@@ -117,7 +97,7 @@ func TestWriteCounterAccumulates(t *testing.T) {
 	}
 }
 
-// verifySolved is the oracle every cell leans on — it must reject every
+// verifySolved is the oracle every scenario leans on — it must reject every
 // kind of lie, not just wrong costs.
 func TestVerifySolvedCatchesLies(t *testing.T) {
 	corp, err := buildCorpus(2, 6, 1, true)
@@ -144,18 +124,6 @@ func TestVerifySolvedCatchesLies(t *testing.T) {
 	}
 }
 
-func TestDeltaF(t *testing.T) {
-	if got := deltaF(0, 5); got != "n/a" {
-		t.Errorf("deltaF(0, 5) = %q", got)
-	}
-	if got := deltaF(100, 150); got != "+50.0%" {
-		t.Errorf("deltaF(100, 150) = %q", got)
-	}
-	if got := deltaF(200, 100); got != "-50.0%" {
-		t.Errorf("deltaF(200, 100) = %q", got)
-	}
-}
-
 func TestQuantileMicrosEdges(t *testing.T) {
 	if got := quantileMicros(nil, 0.5); got != 0 {
 		t.Errorf("empty slice quantile = %v", got)
@@ -168,8 +136,8 @@ func TestQuantileMicrosEdges(t *testing.T) {
 
 // TestProbeHelpers exercises the /v1 client plumbing the scenarios stand
 // on: success and error envelopes, the drain path's non-200 handling, the
-// external-target stats scrape, and disabled endpoints (which must
-// surface their 404, not swallow it).
+// stats and health scrapes, and disabled endpoints (which must surface
+// their 404, not swallow it).
 func TestProbeHelpers(t *testing.T) {
 	target, err := startTarget(loadOpts{seed: 1})
 	if err != nil {
@@ -199,16 +167,6 @@ func TestProbeHelpers(t *testing.T) {
 		t.Errorf("unversioned path: %v, want a plain 404", err)
 	}
 
-	// The external-target scrape path reads /v1/stats over HTTP instead of
-	// the in-process planner handle.
-	ext := &loadTarget{url: u, client: c}
-	hc, ok := scrapeHitCounters(ext)
-	if !ok || hc.hits+hc.misses == 0 {
-		t.Errorf("external scrape = %+v, %v", hc, ok)
-	}
-	if _, ok := scrapeHitCounters(&loadTarget{url: "http://127.0.0.1:1", client: c}); ok {
-		t.Error("unreachable target scraped successfully")
-	}
 	st, err := getV1Stats(c, u)
 	if err != nil || st.Misses == 0 {
 		t.Errorf("getV1Stats = %+v, %v; want misses after a cold optimize", st.Stats, err)

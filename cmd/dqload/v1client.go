@@ -111,12 +111,6 @@ func drainV1Optimize(client *http.Client, baseURL string, body []byte) error {
 	return drainV1(client, baseURL, "/v1/optimize", body)
 }
 
-// postV1Batch posts a batch document to /v1/optimize/batch and decodes
-// the per-instance probes.
-func postV1Batch(client *http.Client, baseURL string, body []byte) (batchProbe, error) {
-	return postV1[batchProbe](client, baseURL, "/v1/optimize/batch", body)
-}
-
 // postV1Observe posts an execution report to /v1/observe; the registry's
 // outcome is checked for an error envelope and dropped.
 func postV1Observe(client *http.Client, baseURL string, rep *adapt.Report) error {

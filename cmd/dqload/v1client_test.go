@@ -56,7 +56,7 @@ func TestV1ClientRejectsMalformedAnswers(t *testing.T) {
 }
 
 // TestDriftHTTPRecordsOnlySuccesses: the drift scenario's timer counts a
-// request toward its cell only when the request succeeded.
+// request toward its traffic summary only when the request succeeded.
 func TestDriftHTTPRecordsOnlySuccesses(t *testing.T) {
 	target, err := startTarget(loadOpts{seed: 1})
 	if err != nil {

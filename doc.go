@@ -139,12 +139,12 @@
 //     headroom), and the full HTTP handler is pinned by its own
 //     AllocsPerRun budget.
 //
-// The serving baseline lives in BENCH_serve.json (regenerate with
-// cmd/dqload -json; the committed file embeds the baseline it was
-// compared against as its "previous"). cmd/dqload replays zipf-skewed
-// closed- and open-loop workloads with every sampled response
-// cross-checked against independently computed optima, and CI diffs
-// every push against the baseline.
+// Serving speed is measured by the perfbench module (sh
+// perfbench/run.sh): warm hits, cold searches and adaptive executions
+// against a standalone dqserve, every answer checked against the exact
+// oracle, timings scaled by a fixed reference work. The warm batch path
+// has its own handler allocation budget, and a concurrent test holds
+// single and batch answers to the oracle under -race.
 //
 // # The adaptive loop
 //
@@ -192,13 +192,12 @@
 //     re-cached under the new generation.
 //
 // GET /v1/stats exposes the loop end to end: generation, driftEvents,
-// observations, live drift, and replans. The dqload -drift scenario
+// observations, live drift, and replans. The dqload drift scenario
 // proves convergence against the production stack: it perturbs a hidden
 // ground truth mid-run, streams execution reports of the new reality, and
 // asserts served plans return to within 1% regret of the post-drift
 // optimum inside a fixed observation budget — and never regress after the
-// replan generation publishes. The same scenario runs as the
-// "drift-replan" cell of BENCH_serve.json under the CI regression gate.
+// replan generation publishes. CI runs it on every push.
 //
 // # Surviving overload
 //
@@ -242,13 +241,13 @@
 //     node answers its working set from cache in its first window
 //     instead of re-searching it at the worst possible moment.
 //
-// The dqload -overload scenario gates the whole stack: it calibrates
+// The dqload overload scenario gates the whole stack: it calibrates
 // the server's saturation rate, offers 4x that, and asserts the node
 // survives with every shed a typed 429, every admitted response
 // oracle-verified, and every stale response the exact previous-
-// generation optimum. dqload -restart proves a >= 90% first-window hit
-// rate across a snapshot round-trip. Both run as cells of
-// BENCH_serve.json under the CI regression gate.
+// generation optimum. The dqload restart scenario proves a >= 90%
+// first-window hit rate across a snapshot round-trip. CI runs both on
+// every push.
 //
 // # Executing plans
 //
@@ -322,19 +321,19 @@
 // (seed, service, call index), with independent per-replica streams so
 // hedges against healthy replicas replay identically — so failure
 // behavior is testable byte-for-byte reproducibly. Three dqload
-// scenarios gate the stack in CI: -execute drives POST /v1/execute traffic
+// scenarios gate the stack in CI: execute drives POST /v1/execute traffic
 // through a mock backend whose ground truth drifts mid-run and asserts
-// served plans re-converge on execution feedback alone; -chaos runs a
+// served plans re-converge on execution feedback alone; chaos runs a
 // fault plan (flaky, spiky, and blacked-out services at once) and
 // asserts every response is a 200, every degraded result is typed and
 // stage-consistent, breakers open and recover, /v1/healthz surfaces the
-// open breaker while it lasts, and no goroutines leak; and -failover
+// open breaker while it lasts, and no goroutines leak; and failover
 // blacks out a mid-plan service while spiking a replicated one and
 // asserts hedge decisions replay deterministically, every non-degraded
 // response is the exact full answer, at least half of the would-be-
 // degraded requests are rescued by plan-aware failover, and reliability
 // pricing demotes the flaky service to match an oracle re-solve of the
-// registry's own overlay. All run as cells of BENCH_serve.json.
+// registry's own overlay.
 //
 // # The fleet
 //
@@ -375,12 +374,11 @@
 // matching, exactly as on a single node. The observer and the
 // replanner can be different machines: reports land wherever the
 // executor runs, the re-solve happens wherever the signature hashes.
-// The dqload -fleet scenario gates this in CI as two BENCH_serve.json
-// cells: fleet-3peer (three self-hosted peers must aggregate >= 2x the
-// warm-single cell, with the cross-node hit rate reported) and
-// fleet-drift (post-drift convergence to <= 1% regret with observer
-// and replanner on different peers), every sampled response
-// oracle-verified.
+// The dqload fleet scenario gates this in CI in two phases: three
+// self-hosted peers must aggregate >= 2x a single-node reference and
+// clear a cross-node cache hit floor, and post-drift convergence must
+// reach <= 1% regret with observer and replanner on different peers,
+// every sampled response oracle-verified.
 //
 // The HTTP surface is versioned: every endpoint lives under /v1
 // (/v1/optimize, /v1/optimize/batch, /v1/execute, /v1/observe,
