@@ -416,9 +416,9 @@ func BenchmarkExperSuiteQuick(b *testing.B) {
 
 // BenchmarkSearchHotPath measures the exact-search engine on the pinned
 // hard instances of the BENCH_search.json suite (see cmd/dqbench -json),
-// cold (no warm start) and warm, so benchstat can track the dfs node loop
-// across commits. nodes/op makes the work explicit: ns/op divided by
-// nodes/op is the per-node cost of the hot path.
+// so benchstat can track the dfs node loop across commits. nodes/op makes
+// the work explicit: ns/op divided by nodes/op is the per-node cost of the
+// hot path.
 func BenchmarkSearchHotPath(b *testing.B) {
 	instances := []struct {
 		family string
@@ -433,25 +433,17 @@ func BenchmarkSearchHotPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name string
-			opts core.Options
-		}{
-			{"cold", core.Options{DisableWarmStart: true}},
-			{"warm", core.Options{}},
-		} {
-			b.Run(fmt.Sprintf("%s/%s/n=%d", mode.name, in.family, in.n), func(b *testing.B) {
-				var nodes int64
-				for i := 0; i < b.N; i++ {
-					res, err := core.OptimizeWithOptions(q, mode.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = res.Stats.NodesExpanded
+		b.Run(fmt.Sprintf("cold/%s/n=%d", in.family, in.n), func(b *testing.B) {
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				res, err := core.Optimize(q)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(nodes), "nodes/op")
-			})
-		}
+				nodes = res.Stats.NodesExpanded
+			}
+			b.ReportMetric(float64(nodes), "nodes/op")
+		})
 	}
 }
 

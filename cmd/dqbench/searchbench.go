@@ -1,11 +1,11 @@
 package main
 
 // The search benchmark baseline: a reproducible suite of hard exact-search
-// instances (per family and size), measured cold (no warm start) and warm,
-// sequentially and in parallel, and emitted as BENCH_search.json so every
-// PR has a perf trajectory to beat. The committed file at the repository
-// root is the current baseline; CI regenerates a fresh report on every
-// push and prints a benchstat-style comparison against it.
+// instances (per family and size), measured sequentially and in parallel,
+// and emitted as BENCH_search.json so every PR has a perf trajectory to
+// beat. The committed file at the repository root is the current baseline;
+// CI regenerates a fresh report on every push and prints a benchstat-style
+// comparison against it.
 
 import (
 	"encoding/json"
@@ -30,7 +30,7 @@ type benchEntry struct {
 	Family  string  `json:"family"`
 	N       int     `json:"n"`
 	Seed    int64   `json:"seed"`
-	Mode    string  `json:"mode"` // cold-seq | warm-seq | cold-par | warm-par
+	Mode    string  `json:"mode"` // cold-seq | cold-par | htier
 	Workers int     `json:"workers,omitempty"`
 	Ops     int     `json:"ops"`
 	NsPerOp int64   `json:"nsPerOp"`
@@ -70,7 +70,6 @@ type benchReport struct {
 type benchMode struct {
 	name     string
 	parallel bool
-	opts     core.Options
 }
 
 // maxHeuristicRegret gates the htier cells measured on instances with a
@@ -93,12 +92,13 @@ const maxHeuristicRegret = 0.05
 // better" dial.
 const regretBeamWidth = 32
 
+// searchBenchModes are the exact-search cells. The search always starts
+// cold (rho = +Inf); the names keep their "cold-" prefix so -compare still
+// aligns with baseline rows recorded while a warm-start mode existed.
 func searchBenchModes() []benchMode {
 	return []benchMode{
-		{name: "cold-seq", opts: core.Options{DisableWarmStart: true}},
-		{name: "warm-seq", opts: core.Options{}},
-		{name: "cold-par", parallel: true, opts: core.Options{DisableWarmStart: true}},
-		{name: "warm-par", parallel: true, opts: core.Options{}},
+		{name: "cold-seq"},
+		{name: "cold-par", parallel: true},
 	}
 }
 
@@ -152,11 +152,8 @@ func runSearchBench(quick bool, log io.Writer) (*benchReport, error) {
 			}
 			// Heuristic regret cell: same instance, portfolio constructions
 			// only (branch-and-bound disabled so the regret measures the
-			// heuristics; local search enabled at every size, as it would be
-			// for the large instances this tier exists for), gated against
-			// the exact optimum just proven.
+			// heuristics), gated against the exact optimum just proven.
 			hopts := htier.Options{BBNodeBudget: -1, BeamWidth: regretBeamWidth}
-			hopts.Search.WarmStartLocalSearchMin = 1
 			hent, err := measureHeuristic(q, hopts, minOps, minDur)
 			if err != nil {
 				return nil, fmt.Errorf("%s/n=%d/htier: %w", family, n, err)
@@ -272,9 +269,9 @@ func measureHeuristic(q *model.Query, opts htier.Options, minOps int, minDur tim
 func measureSearch(q *model.Query, mode benchMode, workers, minOps int, minDur time.Duration) (benchEntry, error) {
 	run := func() (core.Result, error) {
 		if mode.parallel {
-			return core.OptimizeParallel(q, mode.opts, workers)
+			return core.OptimizeParallel(q, core.Options{}, workers)
 		}
-		return core.OptimizeWithOptions(q, mode.opts)
+		return core.Optimize(q)
 	}
 	// One warmup run outside the timing window.
 	res, err := run()

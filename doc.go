@@ -394,15 +394,16 @@
 // The exact search is engineered so a dfs node costs tens of nanoseconds
 // and allocates nothing:
 //
-//   - Warm starts. Before the search begins, the greedy constructions
-//     (minimum-epsilon append, nearest-neighbor by transfer) — refined by
-//     bottleneck local search on instances of 13+ services — seed the
-//     incumbent rho, so Lemma 1 prunes from the first node instead of
-//     after the first complete descent. The seed is a feasible plan, so
-//     the optimum the search proves is unchanged (a property test holds
-//     warm and cold runs to the same cost on every instance family);
-//     Options.DisableWarmStart restores the cold search for ablations and
-//     benchmarks.
+//   - One cold start. The search starts from rho = +Inf. Nothing can
+//     prune its first descent, so that descent commits an incumbent
+//     within n-1 nodes, and dominance memoization recovers what a
+//     heuristic seed would save: a greedy-plus-local-search seed measured
+//     slower than the cold search on 14 of 15 sequential benchmark cells.
+//     Options.InitialIncumbent seeds rho where a plan comes for free —
+//     an adaptive replan passes the stale generation's plan, and the
+//     heuristic tier's branch-and-bound member the portfolio's best. A
+//     seed never changes the proven optimum (a property test holds seeded
+//     and cold runs to the same cost on every instance family).
 //   - Incremental tight bounds. The Lemma 2 closure bound epsilonBar and
 //     the optional completion lower bound need, per remaining service,
 //     its max/min transfer to the other remaining services. Instead of an

@@ -44,9 +44,7 @@ func TestFacadeTracing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTraceRecorder: %v", err)
 	}
-	// Cold search: a warm start can solve the fixture before any pair
-	// descent begins, leaving only the incumbent event in the trace.
-	if _, err := serviceordering.OptimizeWithOptions(q, serviceordering.Options{Tracer: rec, DisableWarmStart: true}); err != nil {
+	if _, err := serviceordering.OptimizeWithOptions(q, serviceordering.Options{Tracer: rec}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
 	if rec.Total() == 0 {

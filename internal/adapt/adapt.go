@@ -12,7 +12,7 @@
 // keys on: internal/planner stamps every plan-cache and
 // canonicalization-memo entry with the generation it was computed under,
 // so a publish lazily invalidates all stale plans (they read as misses and
-// seed the re-optimization as warm-start incumbents) without any
+// seed the re-optimization as incumbents) without any
 // stop-the-world flush. See "The adaptive loop" in the package
 // documentation at the repository root.
 //

@@ -177,7 +177,7 @@ func (s *clockShard[K, V]) len() int {
 // versions its key space (the planner stamps entries with the statistics
 // generation they were computed under) reads the stamp back from GetGen
 // and treats a mismatched entry as stale — typically a miss whose resident
-// value still serves as a warm-start incumbent. The store itself never
+// value still serves as a replan's incumbent seed. The store itself never
 // interprets the stamp: there is no stop-the-world flush on a generation
 // bump, stale entries simply stop matching and age out through the normal
 // eviction sweep (or are overwritten in place by their fresh-generation

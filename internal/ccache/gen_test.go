@@ -74,7 +74,7 @@ func TestGenerationOldStampReadsStale(t *testing.T) {
 			if gen != current { // stale: caller treats as miss
 				stale++
 				if v != k*10 {
-					t.Fatalf("stale key %d carries value %d, want %d (stale values feed warm starts)", k, v, k*10)
+					t.Fatalf("stale key %d carries value %d, want %d (stale values seed replans)", k, v, k*10)
 				}
 			}
 		}

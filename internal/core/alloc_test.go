@@ -28,7 +28,7 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 	for _, disableDom := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
 			run := func(nodeLimit int64) (allocs float64, nodes int64) {
-				opts := core.Options{DisableWarmStart: true, DisableDominance: disableDom, NodeLimit: nodeLimit}
+				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
 				allocs = testing.AllocsPerRun(10, func() {
 					res, err := core.OptimizeWithOptions(q, opts)
 					if err != nil {
@@ -77,7 +77,7 @@ func TestParallelSearchSteadyStateAllocs(t *testing.T) {
 	for _, disableDom := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
 			run := func(nodeLimit int64) (allocs float64) {
-				opts := core.Options{DisableWarmStart: true, DisableDominance: disableDom, NodeLimit: nodeLimit}
+				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
 				return testing.AllocsPerRun(10, func() {
 					if _, err := core.OptimizeParallel(q, opts, 1); err != nil {
 						t.Fatal(err)

@@ -121,9 +121,8 @@ func TestIncrementalBoundsBitwiseEqualReference(t *testing.T) {
 			states++
 		}
 
-		// Search-shaped prefixes: every prefix of the heuristic plans the
-		// warm-start pipeline produces, i.e. states an actual descent
-		// visits.
+		// Search-shaped prefixes: every prefix of the greedy
+		// minimum-epsilon plan, i.e. states an actual descent visits.
 		if g, err := baseline.GreedyMinEpsilon(q); err == nil {
 			for depth := 1; depth < len(g.Plan); depth++ {
 				ps := setPrefix(t, s, g.Plan, depth)

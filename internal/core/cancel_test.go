@@ -13,7 +13,6 @@ import (
 // search guaranteed to run long enough to cross many poll points.
 func ablationOpts() core.Options {
 	return core.Options{
-		DisableWarmStart:        true,
 		DisableIncumbentPruning: true,
 		DisableClosure:          true,
 		DisableDominance:        true,

@@ -47,9 +47,9 @@ import (
 // pruned against it lose completions no one explored. Proven optimality
 // is unaffected — any aborted run already reports Optimal == false — but
 // the ANYTIME incumbent of a budget-truncated run can be worse with
-// dominance on than off (the same caveat applies to warm-started Lemma 1
-// pruning under truncation; disable the respective rule when tuning
-// anytime behavior under hard budgets).
+// dominance on than off (the same caveat applies to Lemma 1 pruning
+// against an InitialIncumbent seed under truncation; disable dominance, or
+// pass no seed, when tuning anytime behavior under hard budgets).
 //
 // In the SEQUENTIAL search the rule is moreover plan-preserving, not just
 // cost-preserving: a pruned prefix B is always visited after the recorded

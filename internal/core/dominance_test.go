@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"serviceordering/internal/baseline"
 	"serviceordering/internal/gen"
 )
 
@@ -17,9 +18,10 @@ import (
 
 // TestDominanceDifferential is the tentpole's correctness gate: across the
 // full differential corpus (plain, sink/source, precedence-constrained,
-// proliferative, threaded, uniform, clustered), warm and cold, the
-// dominance-on sequential search returns the same cost AND plan as
-// dominance-off compared with ==, and the parallel search the same cost.
+// proliferative, threaded, uniform, clustered), cold and seeded with the
+// greedy minimum-epsilon plan through InitialIncumbent, the dominance-on
+// sequential search returns the same cost AND plan as dominance-off
+// compared with ==, and the parallel search the same cost.
 func TestDominanceDifferential(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -38,9 +40,16 @@ func TestDominanceDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d seed=%d: generate: %v", n, seed, err)
 					}
-					for _, warm := range []bool{false, true} {
-						label := fmt.Sprintf("n=%d seed=%d warm=%v", n, seed, warm)
-						base := Options{DisableWarmStart: !warm}
+					greedy, err := baseline.GreedyMinEpsilon(q)
+					if err != nil {
+						t.Fatalf("n=%d seed=%d: greedy: %v", n, seed, err)
+					}
+					for _, seeded := range []bool{false, true} {
+						label := fmt.Sprintf("n=%d seed=%d seeded=%v", n, seed, seeded)
+						var base Options
+						if seeded {
+							base.InitialIncumbent = greedy.Plan
+						}
 						offOpts := base
 						offOpts.DisableDominance = true
 
@@ -98,11 +107,11 @@ func TestDominanceActuallyPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := OptimizeWithOptions(q, Options{DisableWarmStart: true, DisableDominance: true})
+	off, err := OptimizeWithOptions(q, Options{DisableDominance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := OptimizeWithOptions(q, Options{DisableWarmStart: true})
+	on, err := OptimizeWithOptions(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestDominancePoisonedTableIsHarmless(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{DisableWarmStart: true}
+				opts := Options{}
 				ref, err := OptimizeWithOptions(q, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -223,7 +232,7 @@ func TestDominanceParallelStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := OptimizeWithOptions(q, Options{DisableWarmStart: true, DisableDominance: true})
+	off, err := OptimizeWithOptions(q, Options{DisableDominance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestDominanceParallelStress(t *testing.T) {
 	// clock hand under concurrency.
 	for _, capBytes := range []int64{0, 32 << 10} {
 		for rep := 0; rep < 4; rep++ {
-			res, err := OptimizeParallel(q, Options{DisableWarmStart: true, DominanceTableBytes: capBytes}, 8)
+			res, err := OptimizeParallel(q, Options{DominanceTableBytes: capBytes}, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,11 +263,11 @@ func TestDominanceMemoryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := OptimizeWithOptions(q, Options{DisableWarmStart: true, DisableDominance: true})
+	ref, err := OptimizeWithOptions(q, Options{DisableDominance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := OptimizeWithOptions(q, Options{DisableWarmStart: true, DominanceTableBytes: 16 << 10})
+	small, err := OptimizeWithOptions(q, Options{DominanceTableBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,21 +39,10 @@ type Options struct {
 	StrongLowerBound bool
 
 	// InitialIncumbent seeds rho with a known feasible plan (for example
-	// a greedy result), tightening Lemma 1 from the start. The plan must
-	// be valid for the query. Setting it replaces the default warm-start
-	// pipeline.
+	// a greedy result, or the plan an adaptive replan starts from),
+	// tightening Lemma 1 from the start. The plan must be valid for the
+	// query. Without it the search starts from rho = +Inf.
 	InitialIncumbent model.Plan
-
-	// DisableWarmStart skips the heuristic warm-start pipeline (greedy
-	// constructions refined by bottleneck local search) that otherwise
-	// seeds rho before the exact search begins. The pipeline runs in
-	// microseconds, never changes the optimum the search proves (its
-	// result is a feasible plan, so rho is a valid upper bound), and lets
-	// Lemma 1 prune from the first node instead of after the first
-	// complete descent. Disable it for ablations or when benchmarking the
-	// cold search. Warm starts are implicitly off when InitialIncumbent
-	// is set or incumbent pruning is disabled.
-	DisableWarmStart bool
 
 	// DisableDominance turns off the subset-dominance transposition table:
 	// for the bottleneck objective, two prefixes over the same placed set
@@ -75,15 +64,6 @@ type Options struct {
 	// shallow prefixes preferentially and recycles slots with a
 	// second-chance clock hand.
 	DominanceTableBytes int64
-
-	// WarmStartLocalSearchMin is the instance size (number of services)
-	// from which the warm-start pipeline refines its greedy seed with
-	// bottleneck local search. Zero selects
-	// DefaultWarmStartLocalSearchMin; -1 disables the refinement at every
-	// size (the greedy constructions still run). The heuristic planning
-	// tier resolves its own refinement threshold through the same field so
-	// both tiers share one tuned knob.
-	WarmStartLocalSearchMin int
 
 	// NodeLimit aborts the search after this many expanded nodes
 	// (0 = unlimited). An aborted search reports Optimal == false and
@@ -109,27 +89,7 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-// warmStartEligible reports whether the run should compute a heuristic
-// incumbent: warm starts are the default, but they are pointless without
-// incumbent pruning and redundant when the caller supplied a seed.
-func (o Options) warmStartEligible() bool {
-	return !o.DisableWarmStart && !o.DisableIncumbentPruning && o.InitialIncumbent == nil
-}
-
-// WarmStartLSMin resolves the effective local-search tier threshold: the
-// size from which warm starts (and the heuristic tier's refinement stage)
-// add bottleneck local search, or -1 for never.
-func (o Options) WarmStartLSMin() int {
-	if o.WarmStartLocalSearchMin == 0 {
-		return DefaultWarmStartLocalSearchMin
-	}
-	return o.WarmStartLocalSearchMin
-}
-
 func (o Options) validate() error {
-	if o.WarmStartLocalSearchMin < -1 {
-		return fmt.Errorf("core: WarmStartLocalSearchMin %d must be >= -1 (-1 disables the refinement, 0 selects the default)", o.WarmStartLocalSearchMin)
-	}
 	if o.NodeLimit < 0 {
 		return fmt.Errorf("core: NodeLimit %d must be >= 0", o.NodeLimit)
 	}
@@ -196,16 +156,9 @@ type Stats struct {
 	DominancePrunes    int64
 	DominanceOccupancy float64
 
-	// IncumbentUpdates counts improvements of rho, including the
-	// installation of a warm-start incumbent.
+	// IncumbentUpdates counts improvements of rho; OptimizeParallel also
+	// counts the installation of an InitialIncumbent.
 	IncumbentUpdates int64
-
-	// WarmStarted reports that the heuristic warm-start pipeline seeded
-	// the incumbent before the exact search began; WarmStartCost is the
-	// cost of that seed (an upper bound on — and frequently equal to —
-	// the optimum).
-	WarmStarted   bool
-	WarmStartCost float64
 
 	// Elapsed is the wall-clock duration of the search.
 	Elapsed time.Duration

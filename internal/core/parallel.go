@@ -22,7 +22,8 @@ import (
 //     rho") and the pair rule ("no plan sharing the pair prefix can beat
 //     rho") only ever skip tasks that come LATER in the sorted order than
 //     the closure that justified them, which is exactly the set the
-//     sequential search would skip;
+//     sequential search would skip (taskMarks keeps that order: tasks
+//     are claimed in order but finish in any order);
 //   - V-jumps deeper than the task root are entirely local to one worker.
 //
 // Two mechanisms keep workers busy and budgets honest:
@@ -42,6 +43,11 @@ import (
 //
 // The result cost is deterministic (the optimum); the identity of the
 // returned plan may differ across runs when multiple optimal plans exist.
+
+// testHookClaim, when non-nil, runs after a worker claims task i and, with
+// i = -1, as the worker leaves its claim loop. Tests use it to force
+// claim/check interleavings; it is nil in production.
+var testHookClaim func(i int64)
 
 // splitMinServices is the instance size at which the parallel search
 // decomposes root pairs into triple tasks. Below it, subtrees are small
@@ -85,6 +91,37 @@ func (si *sharedIncumbent) snapshot() (model.Plan, float64) {
 	si.mu.Lock()
 	defer si.mu.Unlock()
 	return si.plan, si.load()
+}
+
+// taskMarks holds, per service (the Lemma 3 root rule) or per root pair
+// (the pair rule), the smallest index of a task whose jump fired the rule,
+// or math.MaxInt64 while none has. A jump justifies skipping only the
+// tasks after its own, and a later task can fire between an earlier
+// task's claim and its check, so the check compares indices rather than
+// reading a flag.
+type taskMarks []atomic.Int64
+
+func newTaskMarks(n int) taskMarks {
+	m := make(taskMarks, n)
+	for k := range m {
+		m[k].Store(math.MaxInt64)
+	}
+	return m
+}
+
+// mark records that task i fired the rule for slot k.
+func (m taskMarks) mark(k int, i int64) {
+	for {
+		cur := m[k].Load()
+		if cur <= i || m[k].CompareAndSwap(cur, i) {
+			return
+		}
+	}
+}
+
+// skips reports whether a task before i fired the rule for slot k.
+func (m taskMarks) skips(k int, i int64) bool {
+	return m[k].Load() < i
 }
 
 // parTask is one unit of parallel work: the subtree of root pair
@@ -134,13 +171,6 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 		}
 		shared.tryUpdate(q.Cost(opts.InitialIncumbent), opts.InitialIncumbent)
 		total.IncumbentUpdates++
-	} else if opts.warmStartEligible() {
-		if plan, cost, ok := warmStart(q, opts.WarmStartLSMin()); ok {
-			shared.tryUpdate(cost, plan)
-			total.WarmStarted = true
-			total.WarmStartCost = cost
-			total.IncumbentUpdates++
-		}
 	}
 
 	var sharedBudget *atomic.Int64
@@ -186,8 +216,8 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	var (
 		nextTask  atomic.Int64
 		anyAbort  atomic.Bool
-		deadFirst = make([]atomic.Bool, q.N())
-		pairDead  = make([]atomic.Bool, len(pairs))
+		deadFirst = newTaskMarks(q.N())
+		pairDead  = newTaskMarks(len(pairs))
 		wg        sync.WaitGroup
 		statsMu   sync.Mutex
 	)
@@ -207,9 +237,12 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 				if i >= int64(len(tasks)) || s.aborted {
 					break
 				}
+				if testHookClaim != nil {
+					testHookClaim(i)
+				}
 				t := tasks[i]
 				p := pairs[t.pair]
-				if deadFirst[p.a].Load() || (t.child >= 0 && pairDead[t.pair].Load()) {
+				if deadFirst.skips(p.a, i) || (t.child >= 0 && pairDead.skips(int(t.pair), i)) {
 					continue
 				}
 				s.refreshRho()
@@ -221,7 +254,7 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 				if t.child < 0 {
 					s.stats.PairsTried++
 					if ret := s.runPair(p.a, p.b); ret == 1 {
-						deadFirst[p.a].Store(true)
+						deadFirst.mark(p.a, i)
 					}
 					continue
 				}
@@ -231,11 +264,14 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 					// (higher-transfer) triples of this pair are pruned,
 					// and with the bottleneck at position 0 so is every
 					// later pair starting with p.a.
-					pairDead[t.pair].Store(true)
+					pairDead.mark(int(t.pair), i)
 					if ret == 1 {
-						deadFirst[p.a].Store(true)
+						deadFirst.mark(p.a, i)
 					}
 				}
+			}
+			if testHookClaim != nil {
+				testHookClaim(-1)
 			}
 			if s.aborted {
 				anyAbort.Store(true)

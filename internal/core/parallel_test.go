@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"serviceordering/internal/baseline"
 	"serviceordering/internal/core"
+	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 )
 
@@ -240,5 +243,78 @@ func TestParallelPrecedence(t *testing.T) {
 	}
 	if !costsMatch(got.Cost, want.Cost) {
 		t.Fatalf("parallel %v != optimum %v", got.Cost, want.Cost)
+	}
+}
+
+// optimizeHoldingFirstTask runs OptimizeParallel on two workers, holding
+// the one that claims task 0 until the other has left the claim loop, so
+// every later task — and every Lemma 3 mark it sets — lands between task
+// 0's claim and its skip check.
+func optimizeHoldingFirstTask(q *model.Query) (core.Result, error) {
+	var left atomic.Int32
+	otherDone := make(chan struct{})
+	restore := core.SetTestHookClaim(func(i int64) {
+		switch {
+		case i == 0:
+			<-otherDone
+		case i < 0:
+			if left.Add(1) == 1 {
+				close(otherDone)
+			}
+		}
+	})
+	defer restore()
+	return core.OptimizeParallel(q, core.Options{}, 2)
+}
+
+// TestParallelLateClaimNotSkipped pins the parallel search's claim/check
+// order. A Lemma 3 jump in task k justifies skipping only the tasks after
+// k, yet a worker claims task i before it checks the marks, and a later
+// task can set them in between. Holding task 0 until the other worker is
+// done forces that interleaving on every instance; the search must still
+// run task 0 rather than return a worse plan marked optimal. (Not
+// parallel: the claim hook is package state.)
+func TestParallelLateClaimNotSkipped(t *testing.T) {
+	seeds := 40
+	if testing.Short() {
+		seeds = 8
+	}
+	type instance struct {
+		family string
+		n      int
+		seed   int64
+	}
+	// Skipping task 0 returns these two above the optimum, marked
+	// optimal: +21.7% and +2.8%.
+	cases := []instance{{"proliferative", 8, 182145}, {"plain", 11, 63363}}
+	tweaks := map[string]func(*gen.Params){}
+	for _, fam := range familyCorpus() {
+		tweaks[fam.name] = fam.tweak
+		for n := 6; n <= 12; n++ {
+			for s := 0; s < seeds; s++ {
+				cases = append(cases, instance{fam.name, n, int64(7919*s + n)})
+			}
+		}
+	}
+	for _, c := range cases {
+		label := fmt.Sprintf("%s n=%d seed=%d", c.family, c.n, c.seed)
+		p := gen.Default(c.n, c.seed)
+		tweaks[c.family](&p)
+		q, err := p.Generate()
+		if err != nil {
+			t.Fatalf("%s: generate: %v", label, err)
+		}
+		want, err := core.OptimizeWithOptions(q, core.Options{DisableDominance: true})
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", label, err)
+		}
+		got, err := optimizeHoldingFirstTask(q)
+		if err != nil {
+			t.Fatalf("%s: parallel: %v", label, err)
+		}
+		if !got.Optimal || got.Cost != want.Cost {
+			t.Fatalf("%s: parallel with task 0 held returned %v (optimal=%v), optimum %v",
+				label, got.Cost, got.Optimal, want.Cost)
+		}
 	}
 }

@@ -151,12 +151,6 @@ func (s *search) run() (Result, error) {
 		}
 		s.best = s.opts.InitialIncumbent.Clone()
 		s.rho = s.q.Cost(s.best)
-	} else if s.opts.warmStartEligible() {
-		if plan, cost, ok := warmStart(s.q, s.opts.WarmStartLSMin()); ok {
-			s.best = plan
-			s.rho = cost
-			s.noteWarmStart(cost)
-		}
 	}
 
 	for _, pr := range s.pairs {
@@ -197,16 +191,6 @@ func (s *search) run() (Result, error) {
 		Optimal: !s.aborted,
 		Stats:   s.stats,
 	}, nil
-}
-
-// noteWarmStart records the heuristic incumbent in the stats and trace.
-func (s *search) noteWarmStart(cost float64) {
-	s.stats.WarmStarted = true
-	s.stats.WarmStartCost = cost
-	s.stats.IncumbentUpdates++
-	if s.opts.Tracer != nil {
-		s.opts.Tracer.Record(trace.Event{Kind: trace.KindIncumbent, Depth: 0, Service: -1, Epsilon: cost})
-	}
 }
 
 // dfs explores the subtree rooted at the current prefix of length depth.

@@ -67,9 +67,7 @@ func TestTracerRenderReadable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRecorder: %v", err)
 	}
-	// Cold search: with a warm start, the fixture is solved before any
-	// pair descent starts and the trace would hold a lone incumbent event.
-	if _, err := core.OptimizeWithOptions(q, core.Options{Tracer: rec, DisableWarmStart: true}); err != nil {
+	if _, err := core.OptimizeWithOptions(q, core.Options{Tracer: rec}); err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
 	var b strings.Builder

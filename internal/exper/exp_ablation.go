@@ -32,17 +32,13 @@ func RunF7Ablation(cfg Config) (*stats.Table, error) {
 		// the whole prefix tree, so they only run at the smallest N.
 		skipLargest bool
 	}{
-		// Every row disables the default warm start so the table
-		// isolates one mechanism at a time against the cold search; the
-		// two seeding rows then measure incumbent seeding explicitly.
-		{name: "full algorithm (cold)", opts: core.Options{DisableWarmStart: true}},
-		{name: "no dominance memo", opts: core.Options{DisableWarmStart: true, DisableDominance: true}},
-		{name: "no Lemma 3 (V-pruning)", opts: core.Options{DisableWarmStart: true, DisableVPruning: true}},
-		{name: "no Lemma 2 (closure)", opts: core.Options{DisableWarmStart: true, DisableClosure: true}},
-		{name: "loose bounds", opts: core.Options{DisableWarmStart: true, LooseBounds: true}},
-		{name: "+ strong lower bound", opts: core.Options{DisableWarmStart: true, StrongLowerBound: true}},
-		{name: "+ greedy incumbent seed", opts: core.Options{DisableWarmStart: true}, seedGreedy: true},
-		{name: "+ warm start (default)"},
+		{name: "full algorithm (cold)", opts: core.Options{}},
+		{name: "no dominance memo", opts: core.Options{DisableDominance: true}},
+		{name: "no Lemma 3 (V-pruning)", opts: core.Options{DisableVPruning: true}},
+		{name: "no Lemma 2 (closure)", opts: core.Options{DisableClosure: true}},
+		{name: "loose bounds", opts: core.Options{LooseBounds: true}},
+		{name: "+ strong lower bound", opts: core.Options{StrongLowerBound: true}},
+		{name: "+ greedy incumbent seed", opts: core.Options{}, seedGreedy: true},
 		{name: "no Lemma 1 (incumbent)", opts: core.Options{DisableIncumbentPruning: true}, skipLargest: true},
 	}
 

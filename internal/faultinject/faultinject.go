@@ -1,7 +1,7 @@
 // Package faultinject wraps an exec.Backend in a deterministic, seedable
 // fault plan, so every retry, breaker, timeout, and degraded-result path
 // in the executor is exercised reproducibly — in unit tests, and in the
-// dqload chaos cell CI gates on.
+// dqload chaos scenario CI gates on.
 //
 // Determinism: every injection decision is a pure function of (plan seed,
 // service name, that service's call index). Call indices advance one per

@@ -2,8 +2,8 @@
 // exact optimizer's comfortable reach. It runs a deterministic portfolio
 // of cheap planners and returns the best plan any member found:
 //
-//   - the two greedy constructions the exact search uses as warm starts
-//     (minimum-epsilon append and nearest-neighbor by transfer cost);
+//   - the two greedy constructions (minimum-epsilon append and
+//     nearest-neighbor by transfer cost);
 //   - beam search over the prefix DAG, scored by the incremental
 //     bottleneck epsilon of model.PrefixState and deduplicated by
 //     (placed-set, last-service) — the same state identity the exact
@@ -80,9 +80,6 @@ type Options struct {
 
 	// LocalSearchEvals caps the refinement's candidate evaluations
 	// (0 = DefaultLocalSearchEvals, negative disables the refinement).
-	// The refinement triggers from the same instance size as the exact
-	// core's warm-start refinement — Search.WarmStartLocalSearchMin — so
-	// the two tiers share one tuned knob.
 	LocalSearchEvals int64
 
 	// BBNodeBudget is the anytime branch-and-bound member's node budget
@@ -104,9 +101,7 @@ type Options struct {
 
 	// Search is the base configuration of the branch-and-bound member;
 	// its NodeLimit, TimeLimit and InitialIncumbent are overridden by the
-	// budgets above and the portfolio's best plan. Its
-	// WarmStartLocalSearchMin doubles as the refinement threshold of the
-	// portfolio's local-search member.
+	// budgets above and the portfolio's best plan.
 	Search core.Options
 }
 
@@ -236,8 +231,7 @@ func Plan(q *model.Query, opts Options) (Result, error) {
 		}
 	}
 
-	lsMin := opts.Search.WarmStartLSMin()
-	if opts.localSearchEvals() > 0 && lsMin >= 0 && n >= lsMin && res.Plan != nil {
+	if opts.localSearchEvals() > 0 && res.Plan != nil {
 		if r, err := baseline.LocalSearchBudget(q, res.Plan, opts.localSearchEvals()); err == nil {
 			res.Stats.LocalSearchEvals = r.Evaluated
 			consider(MemberLocalSearch, r.Plan, r.Cost)

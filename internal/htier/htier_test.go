@@ -316,16 +316,6 @@ func TestMemberToggles(t *testing.T) {
 		t.Fatalf("local search ran with LocalSearchEvals -1")
 	}
 
-	// The refinement threshold is the shared warm-start knob: push it
-	// above n and the refinement stage must not run.
-	res, err = htier.Plan(q, htier.Options{Search: core.Options{WarmStartLocalSearchMin: 21}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if has(res, htier.MemberLocalSearch) {
-		t.Fatalf("local search ran below the shared warm-start threshold")
-	}
-
 	res, err = htier.Plan(q, htier.Options{BBNodeBudget: -1})
 	if err != nil {
 		t.Fatal(err)

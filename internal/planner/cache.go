@@ -131,7 +131,7 @@ func (c *planCache) probe(sig Signature) (e *cacheEntry, gen uint64, ok bool) {
 // peekAny returns whatever is resident under sig regardless of its
 // generation stamp, with no counter side effects beyond the touch bit.
 // It exists for one purpose: locating the previous generation's plan (via
-// a stale raw-memo mapping) to warm-start a replan.
+// a stale raw-memo mapping) to seed a replan.
 func (c *planCache) peekAny(sig Signature) (*cacheEntry, bool) {
 	e, _, ok, touched := c.store.GetGen(sig)
 	if ok && touched {
@@ -165,7 +165,7 @@ func newRawMemo(capacity int) *rawMemo {
 // miss (the overlay parameters — and therefore the effective signature and
 // permutation — may have changed) returned separately as stale, so the
 // caller can chase the previous generation's signature to its cached plan
-// and warm-start the replan.
+// and seed the replan with it.
 func (m *rawMemo) get(key uint64, raw []byte, gen uint64) (e *rawEntry, fresh bool, stale *rawEntry) {
 	e, egen, ok, _ := m.store.GetGen(key)
 	if !ok || !bytes.Equal(e.raw, raw) {

@@ -227,8 +227,8 @@ type Result struct {
 	// identical search via singleflight rather than running its own.
 	Shared bool
 
-	// Replanned reports that this request's search was warm-started from
-	// a previous statistics generation's plan — the adaptive loop's
+	// Replanned reports that this request's search was seeded with a
+	// previous statistics generation's plan — the adaptive loop's
 	// re-optimization path (Cached is then false: a real search ran).
 	Replanned bool
 
@@ -294,7 +294,7 @@ type Stats struct {
 	// the first drift publish).
 	Generation uint64 `json:"generation"`
 
-	// Replans counts searches warm-started from a stale generation's
+	// Replans counts searches seeded with a stale generation's
 	// plan — the adaptive loop's cache-invalidation re-optimizations.
 	Replans int64 `json:"replans"`
 
@@ -557,8 +557,7 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 // The recovered plan is validated against the effective query (it came
 // from a structurally identical instance, but a hash collision or an
 // evicted-and-repopulated entry must never poison a search) and dropped on
-// any mismatch — the search then falls back to its usual warm-start
-// pipeline.
+// any mismatch — the search then starts cold, as on a first sight.
 func (p *Planner) staleIncumbent(canon canonical, staleEntry *cacheEntry, staleMemo *rawEntry, effQuery func() *model.Query) model.Plan {
 	var plan model.Plan
 	switch {
@@ -733,10 +732,6 @@ func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, sig Signa
 		p.cfg.OnSearch(sig)
 	}
 	opts := p.cfg.Heuristic
-	if opts.Search.WarmStartLocalSearchMin == 0 {
-		// Share the exact tier's refinement knob unless explicitly tuned.
-		opts.Search.WarmStartLocalSearchMin = p.cfg.Search.WarmStartLocalSearchMin
-	}
 	// Abandoned requests abort the branch-and-bound member mid-search;
 	// the constructive members run in microseconds and finish regardless.
 	opts.Search.Cancel = ctx.Done()
@@ -788,8 +783,8 @@ func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, sig Signa
 // search runs one branch-and-bound: sequential below the parallel
 // threshold, core.OptimizeParallel at or above it. A context deadline
 // tightens the configured time limit. A non-nil incumbent (the previous
-// generation's plan, already validated for q) seeds the search in place of
-// the heuristic warm-start pipeline and counts as a replan.
+// generation's plan, already validated for q) seeds rho in place of the
+// cold start and counts as a replan.
 func (p *Planner) search(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, err

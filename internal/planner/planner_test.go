@@ -353,12 +353,11 @@ func TestFollowerDoesNotInheritTruncatedResult(t *testing.T) {
 }
 
 // TestSearchStatsAccumulate pins the production search counters: a cold
-// search (warm start disabled so nodes are guaranteed) adds its nodes to
-// SearchNodes, a cache hit adds nothing, and HitRate reflects the lookup
-// mix.
+// search adds its nodes to SearchNodes, a cache hit adds nothing, and
+// HitRate reflects the lookup mix.
 func TestSearchStatsAccumulate(t *testing.T) {
 	t.Parallel()
-	p := New(Config{Search: core.Options{DisableWarmStart: true}})
+	p := New(Config{Search: core.Options{}})
 	q := testQuery(t, gen.Default(8, 11))
 	ctx := context.Background()
 
@@ -450,7 +449,7 @@ func TestDominanceStatsSurface(t *testing.T) {
 	q := testQuery(t, params)
 	ctx := context.Background()
 
-	p := New(Config{Search: core.Options{DisableWarmStart: true}})
+	p := New(Config{Search: core.Options{}})
 	if _, err := p.Optimize(ctx, q); err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +461,7 @@ func TestDominanceStatsSurface(t *testing.T) {
 		t.Fatalf("DominanceOccupancy = %v, want in (0, 1]", st.DominanceOccupancy)
 	}
 
-	off := New(Config{Search: core.Options{DisableWarmStart: true, DisableDominance: true}})
+	off := New(Config{Search: core.Options{DisableDominance: true}})
 	if _, err := off.Optimize(ctx, q); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ import (
 // the snapshot's header generation is compared against the loading
 // planner's current registry generation, and unless they match, every
 // restored entry is restamped with StaleGenSentinel so it reads as stale
-// (warm-start incumbent for a replan, or stale-serve material) and NEVER
+// (the incumbent seed of a replan, or stale-serve material) and NEVER
 // as fresh. A restarted registry loses its drift history — serving a
 // possibly-drifted plan as current would be silent wrongness; serving it
 // as stale is bounded regret with an honest label.

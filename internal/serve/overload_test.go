@@ -422,7 +422,6 @@ func TestClientDisconnectCancelsSearch(t *testing.T) {
 		// millions of nodes — multiple seconds); a completed search would
 		// answer 200, so the 408 below proves mid-search abort.
 		Search: core.Options{
-			DisableWarmStart:        true,
 			DisableIncumbentPruning: true,
 			DisableClosure:          true,
 			DisableDominance:        true,

@@ -407,7 +407,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if got.OptimizeP50Micros <= 0 || got.OptimizeP99Micros < got.OptimizeP50Micros {
 		t.Errorf("latency quantiles malformed: p50=%v p99=%v", got.OptimizeP50Micros, got.OptimizeP99Micros)
 	}
-	// The 3-service fixture warm-starts to a zero-node proof in under a
+	// The 3-service fixture's proof takes one node and under a
 	// microsecond, so only decodability is asserted here; accumulation is
 	// pinned deterministically in the planner's own tests.
 	if got.SearchNodes < 0 || got.SearchMicros < 0 {

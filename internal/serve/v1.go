@@ -273,8 +273,8 @@ func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 
 // v1Observe serves POST /v1/observe: it ingests one execution report into
 // the adaptive statistics registry. This is the feedback half of the
-// adaptive replanning loop: execution layers (or the dqload -drift
-// harness) POST what their services actually did, the registry folds them
+// adaptive replanning loop: execution layers (or dqload's drift
+// scenario) POST what their services actually did, the registry folds them
 // into its decayed sums, and a significant drift past the threshold
 // publishes a new generation — the response says whether this
 // report was the one that tipped it, and a published generation gossips to
