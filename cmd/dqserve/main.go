@@ -2,8 +2,8 @@
 // optimizer process with a canonical plan cache, singleflight deduplication,
 // and batch fan-out, so many clients amortize branch-and-bound across
 // structurally identical queries. The handler itself lives in
-// internal/serve (shared with the cmd/dqload load generator); this command
-// binds it to a hardened http.Server.
+// internal/serve (shared with the dqload scenario gates); this command binds
+// it to a hardened http.Server.
 //
 // Endpoints, all under /v1 and all speaking one envelope — a newline-
 // terminated JSON document {"data":<payload>,"error":null} on success and
@@ -49,7 +49,7 @@
 //
 // Usage:
 //
-//	dqserve -addr :8080 -cache 4096 -batch-workers 8
+//	dqserve -addr :8080 -cache 4096
 //	dqserve -pprof       # expose /debug/pprof for production profiling
 //	dqserve -adaptive    # online adaptive replanning: POST /v1/observe
 //	                     # feeds decayed, sample-size-weighted statistics;
@@ -74,11 +74,11 @@
 //	                                  # instead to call real service hosts
 //	                                  # speaking the POST /call/{service}
 //	                                  # protocol (exec.BackendHandler)
-//	dqserve -exec-backend mock -exec-retry-budget 4 -exec-breaker-threshold 3 \
-//	        -exec-call-timeout 500ms -exec-deadline 30s
-//	                                  # fault-tolerance knobs: per-request
-//	                                  # retry budget, per-service breaker,
-//	                                  # per-call timeout, end-to-end deadline
+//	dqserve -exec-backend mock -exec-call-timeout 500ms -exec-deadline 30s
+//	                                  # per-call timeout and end-to-end
+//	                                  # deadline; retries, breakers and
+//	                                  # hedge budgets run at the exec
+//	                                  # package defaults
 //	dqserve -fleet-addr :9080 -peers host1:9080,host2:9080,host3:9080 \
 //	        -fleet-id prod -replication 2
 //	                                  # fleet member: the plan-signature
@@ -114,10 +114,8 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
-	"serviceordering/internal/core"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/fleet"
-	"serviceordering/internal/htier"
 	"serviceordering/internal/planner"
 	"serviceordering/internal/serve"
 )
@@ -129,238 +127,202 @@ func main() {
 	}
 }
 
+// config is dqserve's whole configuration: the option structs it hands to
+// planner, serve, admit, exec, fleet and adapt, plus its own listener,
+// snapshot and backend settings. parseFlags binds every flag straight onto
+// the field it sets; every field no flag sets keeps its package default.
+type config struct {
+	planner planner.Config
+	serve   serve.Options
+	admit   admit.Options
+	exec    exec.Options
+	fleet   fleet.Options
+	adapt   adapt.Config
+
+	addr         string
+	readTimeout  time.Duration
+	writeTimeout time.Duration
+	idleTimeout  time.Duration
+	maxHeader    int
+
+	snapshotPath     string
+	snapshotInterval time.Duration
+
+	adaptive     bool
+	execBackend  string
+	execReplicas int
+}
+
+// parseFlags binds dqserve's flags onto a config, parses args, and rejects
+// configurations that cannot serve.
+func parseFlags(args []string) (config, error) {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
+		return config{}, err
+	}
+	// A negative budget passes startup but fails every exact search, so
+	// refuse it here with the core's own rule.
+	if err := c.planner.Search.Validate(); err != nil {
+		return config{}, err
+	}
+	if c.serve.StaleServe && c.admit.MaxConcurrent <= 0 {
+		return config{}, fmt.Errorf("-stale-serve requires admission control (-admit-max-concurrent > 0): stale-serve is the degraded mode of a shed, and without shedding there is nothing to degrade")
+	}
+	if len(c.fleet.Peers) > 0 && c.fleet.Self == "" {
+		return config{}, fmt.Errorf("-peers requires -fleet-addr (this node's own peer address)")
+	}
+	return c, nil
+}
+
+// newFlagSet binds every dqserve flag onto the field of c it sets.
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("dqserve", flag.ContinueOnError)
+
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.planner.CacheCapacity, "cache", planner.DefaultCacheCapacity, "plan cache capacity (-1 disables)")
+	fs.IntVar(&c.planner.ParallelThreshold, "parallel-threshold", planner.DefaultParallelThreshold, "instance size switching to parallel search (-1 = always sequential)")
+	fs.DurationVar(&c.planner.Search.TimeLimit, "time-limit", 0, "per-search time budget (0 = none)")
+	fs.Int64Var(&c.planner.Search.NodeLimit, "node-limit", 0, "per-search node budget (0 = none)")
+	fs.IntVar(&c.planner.HeuristicThreshold, "heuristic-threshold", 0, "instance size routed to the heuristic tier (0 = default 15, -1 disables: queries past the 64-service exact limit are rejected)")
+	fs.Int64Var(&c.serve.MaxBody, "max-body", 0, "request body size limit in bytes (0 = 8 MiB)")
+	fs.BoolVar(&c.serve.Pprof, "pprof", false, "expose /debug/pprof endpoints for live profiling")
+
+	// Overload survival: admission control, stale-serve, warm-boot
+	// snapshots.
+	fs.IntVar(&c.admit.MaxConcurrent, "admit-max-concurrent", 0, "admission control: max concurrently served optimize requests (0 disables admission entirely)")
+	fs.BoolVar(&c.serve.StaleServe, "stale-serve", false, "serve the previous generation's cached plan (flagged \"stale\": true, background replan) instead of shedding a cold re-optimize; needs admission enabled")
+	fs.StringVar(&c.snapshotPath, "snapshot-path", "", "plan-cache snapshot file: restored at boot, dumped every -snapshot-interval and on shutdown (empty disables)")
+	fs.DurationVar(&c.snapshotInterval, "snapshot-interval", 5*time.Minute, "periodic snapshot dump interval (0 = dump only on shutdown)")
+
+	// Fault-tolerant streaming execution (POST /v1/execute), hedged calls
+	// and plan-aware failover.
+	fs.StringVar(&c.execBackend, "exec-backend", "", "execution backend enabling POST /v1/execute: \"mock\" (deterministic in-process, seeded by -exec-seed) or the base URL of a service host speaking POST /call/{service} (empty disables the route)")
+	fs.Int64Var(&c.exec.JitterSeed, "exec-seed", 1, "seed for the mock execution backend and the retry-jitter stream")
+	fs.DurationVar(&c.exec.CallTimeout, "exec-call-timeout", 0, "per-service call timeout; a timed-out call is retried like a failure (0 = 1s default)")
+	fs.DurationVar(&c.exec.Deadline, "exec-deadline", 0, "end-to-end execution deadline per /v1/execute request, propagated to every call (0 = none; the server write timeout still applies)")
+	fs.IntVar(&c.execReplicas, "exec-replicas", 0, "replica count the mock backend reports per service; >= 2 arms hedged calls (0 = 1, no hedging; ignored for HTTP backends)")
+	fs.DurationVar(&c.exec.HedgeDelay, "exec-hedge-delay", 0, "fixed delay before a slow call is hedged against a replica (0 = adapt per service to its 0.95-quantile latency, negative disables hedging)")
+	fs.BoolVar(&c.exec.Failover, "exec-failover", false, "enable plan-aware failover: re-solve the residual query around a failed stage and rescue the request instead of degrading")
+
+	// Fleet: consistent-hash sharding of the plan-signature space across
+	// several dqserve processes (see internal/fleet). All three peer flags
+	// must agree across the fleet.
+	fs.StringVar(&c.fleet.Self, "fleet-addr", "", "this node's peer-protocol listen address (host:port); required with -peers")
+	fs.Func("peers", "fleet membership: comma-separated `list` of every peer's -fleet-addr, including this node's (empty = single-node, no fleet)", func(v string) error {
+		c.fleet.Peers = nil
+		if v != "" {
+			for _, m := range strings.Split(v, ",") {
+				c.fleet.Peers = append(c.fleet.Peers, strings.TrimSpace(m))
+			}
+		}
+		return nil
+	})
+	fs.StringVar(&c.fleet.FleetID, "fleet-id", "dqfleet", "fleet name; peers refuse frames from another fleet")
+	fs.IntVar(&c.fleet.Replication, "replication", 0, "peers (owner included) holding each warm plan entry (0 = 2)")
+
+	fs.BoolVar(&c.adaptive, "adaptive", false, "enable online adaptive replanning: ingest execution reports on POST /v1/observe, overlay fitted statistics onto queries, replan on drift")
+	fs.Float64Var(&c.adapt.DriftDelta, "drift-delta", adapt.DefaultDriftDelta, "relative parameter drift that publishes a new statistics generation, when it is also statistically significant at the parameter's sample size (derive from a regret budget with adapt.ThresholdFromRegret)")
+
+	// Server hardening. ReadTimeout covers the whole request read —
+	// headers and body — so a client dribbling its body is cut off.
+	// WriteTimeout bounds handler-plus-response time, so it must
+	// comfortably exceed the search time limit or long optimizations are
+	// severed mid-write; with -time-limit defaulting to 0 (unbounded
+	// search) and batches running many searches per request, no finite
+	// default is safe, so it ships disabled — deployments that set
+	// -time-limit should set this alongside it.
+	fs.DurationVar(&c.readTimeout, "read-timeout", time.Minute, "max duration for reading an entire request, body included (0 = none)")
+	fs.DurationVar(&c.writeTimeout, "write-timeout", 0, "max duration from end of request read to end of response write (0 = none; pair with -time-limit)")
+	fs.DurationVar(&c.idleTimeout, "idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = none)")
+	fs.IntVar(&c.maxHeader, "max-header", http.DefaultMaxHeaderBytes, "request header size limit in bytes")
+	return fs
+}
+
 // run parses flags and serves until the process is signaled. When ready is
 // non-nil the bound address is sent on it once the listener is up (used by
 // tests to serve on :0).
 func run(args []string, ready chan<- string) error {
-	fs := flag.NewFlagSet("dqserve", flag.ContinueOnError)
-	var (
-		addr         = fs.String("addr", ":8080", "listen address")
-		cacheCap     = fs.Int("cache", planner.DefaultCacheCapacity, "plan cache capacity (-1 disables)")
-		searchState  = fs.Int("parallel-threshold", planner.DefaultParallelThreshold, "instance size switching to parallel search (-1 = always sequential)")
-		workers      = fs.Int("search-workers", 0, "parallel search workers (0 = GOMAXPROCS)")
-		batchWorkers = fs.Int("batch-workers", 0, "concurrent batch instances (0 = GOMAXPROCS)")
-		timeLimit    = fs.Duration("time-limit", 0, "per-search time budget (0 = none)")
-		nodeLimit    = fs.Int64("node-limit", 0, "per-search node budget (0 = none)")
-		maxBody      = fs.Int64("max-body", 8<<20, "request body size limit in bytes")
-		pprofOn      = fs.Bool("pprof", false, "expose /debug/pprof endpoints for live profiling")
-
-		// Heuristic planning tier (large n).
-		htThreshold = fs.Int("heuristic-threshold", 0, "instance size routed to the heuristic tier (0 = default 15, -1 disables: queries past the 64-service exact limit are rejected)")
-		htBeamWidth = fs.Int("beam-width", 0, "heuristic tier beam width (0 = default, -1 disables the beam member)")
-		htBBBudget  = fs.Int64("heuristic-bb-nodes", 0, "node budget for the heuristic tier's anytime branch-and-bound member on n <= 64 (0 = default, -1 disables)")
-
-		// Overload survival: admission control, stale-serve, warm-boot
-		// snapshots.
-		admitMax    = fs.Int("admit-max-concurrent", 0, "admission control: max concurrently served optimize requests (0 disables admission entirely)")
-		admitQueue  = fs.Int("admit-max-queue", 0, "admission queue length (0 = 4x admit-max-concurrent)")
-		admitWait   = fs.Duration("admit-max-wait", 0, "max time a request may wait in the admission queue before a 429 (0 = 250ms default)")
-		admitCold   = fs.Float64("admit-cold-frac", 0, "fraction of the admission queue cold (uncached) requests may occupy, in (0,1] (0 = 0.5 default)")
-		admitBurst  = fs.Int("admit-tenant-burst", 0, "per-tenant occupancy floor under the X-Tenant fair-share gate (0 = default 2)")
-		staleServe  = fs.Bool("stale-serve", false, "serve the previous generation's cached plan (flagged \"stale\": true, background replan) instead of shedding a cold re-optimize; needs admission enabled")
-		snapPath    = fs.String("snapshot-path", "", "plan-cache snapshot file: restored at boot, dumped every -snapshot-interval and on shutdown (empty disables)")
-		snapEvery   = fs.Duration("snapshot-interval", 5*time.Minute, "periodic snapshot dump interval (0 = dump only on shutdown)")
-		replanQueue = fs.Int("replan-queue", 0, "background replan queue depth for stale-served requests (0 = default 64)")
-
-		// Fault-tolerant streaming execution (POST /v1/execute).
-		execBackend = fs.String("exec-backend", "", "execution backend enabling POST /v1/execute: \"mock\" (deterministic in-process, seeded by -exec-seed) or the base URL of a service host speaking POST /call/{service} (empty disables the route)")
-		execSeed    = fs.Int64("exec-seed", 1, "seed for the mock execution backend and the retry-jitter stream")
-		execTimeout = fs.Duration("exec-call-timeout", 0, "per-service call timeout; a timed-out call is retried like a failure (0 = 1s default)")
-		execRetries = fs.Int("exec-retry-budget", 0, "retries one /v1/execute request may spend across all its services before degrading (0 = default 8, -1 disables retries)")
-		execBrkN    = fs.Int("exec-breaker-threshold", 0, "consecutive failures opening a service's circuit breaker (0 = default 5, -1 disables breakers)")
-		execBrkCool = fs.Duration("exec-breaker-cooldown", 0, "how long an open breaker sheds before admitting a half-open probe (0 = 1s default)")
-		execDeadln  = fs.Duration("exec-deadline", 0, "end-to-end execution deadline per /v1/execute request, propagated to every call (0 = none; the server write timeout still applies)")
-		execBlock   = fs.Int("exec-block", 0, "tuples per streamed block between pipeline stages (0 = 64 default)")
-
-		// Hedged calls and plan-aware failover.
-		execReplicas   = fs.Int("exec-replicas", 0, "replica count the mock backend reports per service; >= 2 arms hedged calls (0 = 1, no hedging; ignored for HTTP backends)")
-		execHedgeDelay = fs.Duration("exec-hedge-delay", 0, "fixed delay before a slow call is hedged against a replica (0 = adapt per service to the -exec-hedge-quantile latency, -1 disables hedging)")
-		execHedgeQ     = fs.Float64("exec-hedge-quantile", 0, "latency quantile the adaptive hedge delay tracks (0 = 0.95 default)")
-		execHedgeBudg  = fs.Int("exec-hedge-budget", 0, "hedged attempts one /v1/execute request may launch (0 = default 2, -1 disables)")
-		execHedgeCap   = fs.Float64("exec-hedge-cap", 0, "global cap on hedges as a fraction of all call attempts (0 = 0.25 default, -1 uncapped)")
-		execFailover   = fs.Bool("exec-failover", false, "enable plan-aware failover: re-solve the residual query around a failed stage and rescue the request instead of degrading")
-		execFailRetry  = fs.Int("exec-failover-retries", 0, "fresh retry budget a failover rescue pipeline runs under (0 = default 4, -1 disables rescue retries)")
-
-		// Fleet: consistent-hash sharding of the plan-signature space
-		// across several dqserve processes (see internal/fleet). All three
-		// peer flags must agree across the fleet.
-		fleetAddr   = fs.String("fleet-addr", "", "this node's peer-protocol listen address (host:port); required with -peers")
-		fleetPeers  = fs.String("peers", "", "comma-separated fleet membership: every peer's -fleet-addr, including this node's (empty = single-node, no fleet)")
-		fleetID     = fs.String("fleet-id", "dqfleet", "fleet name; peers refuse frames from another fleet")
-		replication = fs.Int("replication", 2, "peers (owner included) holding each warm plan entry")
-
-		adaptiveOn = fs.Bool("adaptive", false, "enable online adaptive replanning: ingest execution reports on POST /v1/observe, overlay fitted statistics onto queries, replan on drift")
-		driftDelta = fs.Float64("drift-delta", adapt.DefaultDriftDelta, "relative parameter drift that publishes a new statistics generation, when it is also statistically significant at the parameter's sample size (derive from a regret budget with adapt.ThresholdFromRegret)")
-		ewmaAlpha  = fs.Float64("ewma-alpha", adapt.DefaultAlpha, "per-observation decay of the sums behind each observed statistic, in (0, 1]; 1 keeps only the latest report")
-		minObs     = fs.Int("min-obs", adapt.DefaultMinObservations, "observations per parameter before its estimate is trusted")
-
-		// Server hardening. ReadTimeout covers the whole request read —
-		// headers and body — so a client dribbling its body is cut off.
-		// WriteTimeout bounds handler-plus-response time, so it must
-		// comfortably exceed the search time limit or long optimizations
-		// are severed mid-write; with -time-limit defaulting to 0
-		// (unbounded search) and batches running many searches per
-		// request, no finite default is safe, so it ships disabled —
-		// deployments that set -time-limit should set this alongside it.
-		readTimeout  = fs.Duration("read-timeout", time.Minute, "max duration for reading an entire request, body included (0 = none)")
-		writeTimeout = fs.Duration("write-timeout", 0, "max duration from end of request read to end of response write (0 = none; pair with -time-limit)")
-		idleTimeout  = fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = none)")
-		maxHeader    = fs.Int("max-header", 1<<20, "request header size limit in bytes")
-	)
-	if err := fs.Parse(args); err != nil {
+	c, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
-	var registry *adapt.Registry
-	if *adaptiveOn {
-		var err error
-		registry, err = adapt.New(adapt.Config{
-			Alpha:           *ewmaAlpha,
-			MinObservations: *minObs,
-			DriftDelta:      *driftDelta,
-		})
-		if err != nil {
+	if c.adaptive {
+		if c.planner.Adaptive, err = adapt.New(c.adapt); err != nil {
 			return err
 		}
 	}
-
-	p := planner.New(planner.Config{
-		CacheCapacity:      *cacheCap,
-		ParallelThreshold:  *searchState,
-		SearchWorkers:      *workers,
-		BatchWorkers:       *batchWorkers,
-		Search:             core.Options{TimeLimit: *timeLimit, NodeLimit: *nodeLimit},
-		Adaptive:           registry,
-		HeuristicThreshold: *htThreshold,
-		Heuristic: htier.Options{
-			BeamWidth:    *htBeamWidth,
-			BBNodeBudget: *htBBBudget,
-		},
-	})
+	p := planner.New(c.planner)
 
 	// Warm boot: replay the previous process's plan cache. A missing file
 	// is a normal first boot; a corrupt one is logged and ignored (the
 	// node just starts cold — a snapshot is an optimization, never a
 	// dependency), but /v1/healthz reports the cold start as degraded so
 	// operators notice.
-	snapRestoreFailed := false
-	if *snapPath != "" {
-		if n, err := restoreSnapshot(p, *snapPath); err != nil {
+	if c.snapshotPath != "" {
+		if n, err := restoreSnapshot(p, c.snapshotPath); err != nil {
 			if !os.IsNotExist(err) {
 				fmt.Fprintln(os.Stderr, "dqserve: snapshot restore:", err)
-				snapRestoreFailed = true
+				c.serve.SnapshotRestoreFailed = true
 			}
 		} else {
-			fmt.Fprintf(os.Stderr, "dqserve: restored %d cached plans from %s\n", n, *snapPath)
+			fmt.Fprintf(os.Stderr, "dqserve: restored %d cached plans from %s\n", n, c.snapshotPath)
 		}
 	}
 
-	var executor *exec.Executor
-	var backend exec.Backend
-	if *execBackend != "" {
-		if *execBackend == "mock" {
-			mb := exec.NewMockBackend(*execSeed)
-			// The server sees arbitrary queries, so the mock derives a
-			// deterministic profile for any service name it is asked for.
-			mb.DeriveUnknown = true
-			if *execReplicas > 1 {
-				mb.SetDefaultReplicas(*execReplicas)
-			}
-			backend = mb
-		} else {
-			backend = &exec.HTTPBackend{BaseURL: *execBackend}
+	if c.execBackend == "mock" {
+		mb := exec.NewMockBackend(c.exec.JitterSeed)
+		// The server sees arbitrary queries, so the mock derives a
+		// deterministic profile for any service name it is asked for.
+		mb.DeriveUnknown = true
+		if c.execReplicas > 1 {
+			mb.SetDefaultReplicas(c.execReplicas)
 		}
-		executor = exec.New(backend, exec.Options{
-			BlockSize:           *execBlock,
-			CallTimeout:         *execTimeout,
-			RetryBudget:         *execRetries,
-			BreakerThreshold:    *execBrkN,
-			BreakerCooldown:     *execBrkCool,
-			Deadline:            *execDeadln,
-			JitterSeed:          *execSeed,
-			HedgeDelay:          *execHedgeDelay,
-			HedgeQuantile:       *execHedgeQ,
-			HedgeBudget:         *execHedgeBudg,
-			HedgeRateCap:        *execHedgeCap,
-			Failover:            *execFailover,
-			FailoverRetryBudget: *execFailRetry,
-		})
+		c.serve.Backend = mb
+	} else if c.execBackend != "" {
+		c.serve.Backend = &exec.HTTPBackend{BaseURL: c.execBackend}
 	}
-
-	var admission *admit.Controller
-	if *admitMax > 0 {
-		admission = admit.New(admit.Options{
-			MaxConcurrent: *admitMax,
-			MaxQueue:      *admitQueue,
-			ColdQueueFrac: *admitCold,
-			MaxWait:       *admitWait,
-			TenantBurst:   *admitBurst,
-		})
-	} else if *staleServe {
-		return fmt.Errorf("-stale-serve requires admission control (-admit-max-concurrent > 0): stale-serve is the degraded mode of a shed, and without shedding there is nothing to degrade")
+	if c.serve.Backend != nil {
+		c.serve.Executor = exec.New(c.serve.Backend, c.exec)
+	}
+	if c.admit.MaxConcurrent > 0 {
+		c.serve.Admission = admit.New(c.admit)
 	}
 
 	// Fleet membership: a static peer list, this node identified by its
 	// own -fleet-addr appearing in it. The peer listener binds before the
 	// HTTP listener so a peer booting later can reach this one as soon as
 	// it serves traffic.
-	var fleetPeer *fleet.Peer
-	if *fleetPeers != "" {
-		if *fleetAddr == "" {
-			return fmt.Errorf("-peers requires -fleet-addr (this node's own peer address)")
-		}
-		members := strings.Split(*fleetPeers, ",")
-		for i := range members {
-			members[i] = strings.TrimSpace(members[i])
-		}
-		ps, err := fleet.ListenPeer(*fleetAddr, *fleetID)
+	if len(c.fleet.Peers) > 0 {
+		ps, err := fleet.ListenPeer(c.fleet.Self, c.fleet.FleetID)
 		if err != nil {
 			return err
 		}
-		fleetPeer, err = fleet.New(fleet.Options{
-			FleetID:     *fleetID,
-			Self:        *fleetAddr,
-			Peers:       members,
-			Replication: *replication,
-			Planner:     p,
-			Registry:    registry,
-			Server:      ps,
-		})
-		if err != nil {
+		c.fleet.Planner, c.fleet.Registry, c.fleet.Server = p, c.planner.Adaptive, ps
+		if c.serve.Fleet, err = fleet.New(c.fleet); err != nil {
 			ps.Close()
 			return err
 		}
-		fleetPeer.Run()
-		defer fleetPeer.Close()
+		c.serve.Fleet.Run()
+		defer c.serve.Fleet.Close()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	srv := &http.Server{
-		Handler: serve.NewHandler(p, serve.Options{
-			MaxBody:               *maxBody,
-			Pprof:                 *pprofOn,
-			Admission:             admission,
-			StaleServe:            *staleServe,
-			ReplanQueue:           *replanQueue,
-			Executor:              executor,
-			SnapshotRestoreFailed: snapRestoreFailed,
-			Fleet:                 fleetPeer,
-			Backend:               backend,
-		}),
+		Handler:           serve.NewHandler(p, c.serve),
 		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-		MaxHeaderBytes:    *maxHeader,
+		ReadTimeout:       c.readTimeout,
+		WriteTimeout:      c.writeTimeout,
+		IdleTimeout:       c.idleTimeout,
+		MaxHeaderBytes:    c.maxHeader,
 		// Every request context descends from the signal context, so a
 		// SIGTERM (or a client disconnect, which net/http layers on top)
 		// aborts in-flight branch-and-bound searches instead of letting
 		// them run to a completion nobody will read.
 		BaseContext: func(net.Listener) context.Context { return ctx },
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
@@ -369,16 +331,16 @@ func run(args []string, ready chan<- string) error {
 	}
 
 	// Periodic snapshot dumps bound how much warmth a crash loses.
-	if *snapPath != "" && *snapEvery > 0 {
+	if c.snapshotPath != "" && c.snapshotInterval > 0 {
 		go func() {
-			tick := time.NewTicker(*snapEvery)
+			tick := time.NewTicker(c.snapshotInterval)
 			defer tick.Stop()
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if _, err := dumpSnapshot(p, *snapPath); err != nil {
+					if _, err := dumpSnapshot(p, c.snapshotPath); err != nil {
 						fmt.Fprintln(os.Stderr, "dqserve: snapshot dump:", err)
 					}
 				}
@@ -397,11 +359,11 @@ func run(args []string, ready chan<- string) error {
 		err := srv.Shutdown(shutdownCtx)
 		// Dump after the drain: the final snapshot includes everything the
 		// last in-flight requests planned.
-		if *snapPath != "" {
-			if n, derr := dumpSnapshot(p, *snapPath); derr != nil {
+		if c.snapshotPath != "" {
+			if n, derr := dumpSnapshot(p, c.snapshotPath); derr != nil {
 				fmt.Fprintln(os.Stderr, "dqserve: final snapshot dump:", derr)
 			} else {
-				fmt.Fprintf(os.Stderr, "dqserve: dumped %d cached plans to %s\n", n, *snapPath)
+				fmt.Fprintf(os.Stderr, "dqserve: dumped %d cached plans to %s\n", n, c.snapshotPath)
 			}
 		}
 		return err

@@ -51,11 +51,7 @@ func postInstance(t *testing.T, url string, body []byte) serve.OptimizeResponse 
 // server answers normally under light load and /v1/stats carries the
 // overload block with admission counters.
 func TestAdmissionFlagsEndToEnd(t *testing.T) {
-	url, stop := startServer(t,
-		"-admit-max-concurrent", "2",
-		"-admit-max-queue", "4",
-		"-admit-max-wait", "500ms",
-		"-stale-serve", "-adaptive")
+	url, stop := startServer(t, "-admit-max-concurrent", "2", "-stale-serve", "-adaptive")
 	defer stop()
 
 	got := postInstance(t, url, seededBody(t, 8, 900))

@@ -185,7 +185,7 @@ type (
 	HedgeReport = exec.HedgeReport
 
 	// ExecResidualPlanner re-solves the residual query a failover builds
-	// around a failed stage; attach one via ExecOptions.ResidualPlanner
+	// around a failed stage; install one with Executor.SetResidualPlanner
 	// (defaults to a direct branch-and-bound solve).
 	ExecResidualPlanner = exec.ResidualPlanner
 
@@ -356,9 +356,8 @@ type (
 	ServeOptions = serve.Options
 
 	// FleetOptions configures NewFleetPeer. Self must appear in Peers, and
-	// the same FleetID, Peers, Replication, and VirtualNodes must be
-	// passed on every node — the ring is computed independently and must
-	// agree.
+	// the same FleetID, Peers, and Replication must be passed on every
+	// node — the ring is computed independently and must agree.
 	FleetOptions = fleet.Options
 )
 

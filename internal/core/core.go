@@ -66,7 +66,7 @@ func OptimizeWithOptions(q *model.Query, opts Options) (Result, error) {
 	if q.N() > MaxServices {
 		return Result{}, fmt.Errorf("core: exact optimization supports at most %d services, got %d (use the heuristic baselines)", MaxServices, q.N())
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	s := newSearch(newPrep(q), opts)

@@ -89,7 +89,11 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-func (o Options) validate() error {
+// Validate reports the first budget or table size no search can honor:
+// a negative NodeLimit, TimeLimit or DominanceTableBytes. The searches
+// reject such options per run; servers call Validate to refuse them at
+// startup instead.
+func (o Options) Validate() error {
 	if o.NodeLimit < 0 {
 		return fmt.Errorf("core: NodeLimit %d must be >= 0", o.NodeLimit)
 	}

@@ -144,7 +144,7 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	if q.N() > MaxServices {
 		return Result{}, fmt.Errorf("core: exact optimization supports at most %d services, got %d", MaxServices, q.N())
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	if workers < 0 {

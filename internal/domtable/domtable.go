@@ -72,8 +72,7 @@ const lockSpins = 8
 // DefaultTableBytes is the memory cap callers use when they have no
 // reason to pick another: it clamps the slot count only from n = 19 up
 // (below that the 1/8-of-state-space sizing is smaller). The exact-search
-// core and the btsp branch-and-bound solver both default to it, so the
-// two stay in lockstep.
+// core defaults to it.
 const DefaultTableBytes int64 = 16 << 20
 
 // entry is one table slot. ver is a sequence lock (odd while a writer owns

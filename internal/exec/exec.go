@@ -83,9 +83,9 @@ func Tuples(n int) []Tuple {
 // The sub-query holds only the unexecuted services (the failed one
 // precedence-constrained to the end); the returned plan must be a valid
 // ordering of sub's services. The serve layer installs a planner-backed
-// implementation so residual plans hit the plan cache and the adaptive
-// overlay; standalone executors default to a direct branch-and-bound
-// solve.
+// implementation (Executor.SetResidualPlanner) so residual plans hit the
+// plan cache and the adaptive overlay; standalone executors default to a
+// direct branch-and-bound solve.
 type ResidualPlanner func(ctx context.Context, sub *model.Query) (model.Plan, error)
 
 // Options configures an Executor. The zero value selects the defaults
@@ -134,15 +134,11 @@ type Options struct {
 
 	// HedgeDelay is how long a call may run before a hedged attempt is
 	// launched against a replica (negative disables hedging; 0 derives
-	// the delay per service from the observed latency quantile
-	// HedgeQuantile). Hedging additionally requires the backend to
-	// implement ReplicaBackend and report >= 2 replicas for the service.
+	// the delay per service from its observed 0.95-quantile latency, once
+	// at least 8 latency samples are in). Hedging additionally requires
+	// the backend to implement ReplicaBackend and report >= 2 replicas
+	// for the service.
 	HedgeDelay time.Duration
-
-	// HedgeQuantile is the latency quantile the adaptive hedge delay
-	// tracks when HedgeDelay is 0 (0 = 0.95). At least 8 latency samples
-	// per service are required before quantile hedging arms.
-	HedgeQuantile float64
 
 	// HedgeBudget is the number of hedged attempts one Execute request
 	// may launch (0 = 2, negative disables).
@@ -164,12 +160,6 @@ type Options struct {
 	// FailoverRetryBudget is the fresh retry budget a rescue pipeline
 	// runs under (0 = 4, negative = no rescue retries).
 	FailoverRetryBudget int
-
-	// ResidualPlanner, when non-nil, solves residual queries during
-	// failover; nil selects the built-in branch-and-bound solve. The
-	// serve layer overrides this with a plan-cache-backed planner via
-	// Executor.SetResidualPlanner.
-	ResidualPlanner ResidualPlanner
 }
 
 // Defaults for Options' zero fields.
@@ -182,11 +172,14 @@ const (
 	DefaultRetryMax            = 250 * time.Millisecond
 	DefaultBreakerThreshold    = 5
 	DefaultBreakerCooldown     = time.Second
-	DefaultHedgeQuantile       = 0.95
 	DefaultHedgeBudget         = 2
 	DefaultHedgeRateCap        = 0.25
 	DefaultFailoverRetryBudget = 4
 )
+
+// hedgeQuantile is the latency quantile the adaptive hedge delay tracks
+// when Options.HedgeDelay is 0.
+const hedgeQuantile = 0.95
 
 func (o Options) withDefaults() Options {
 	if o.BlockSize <= 0 {
@@ -221,9 +214,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JitterSeed == 0 {
 		o.JitterSeed = 1
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = DefaultHedgeQuantile
 	}
 	switch {
 	case o.HedgeBudget == 0:

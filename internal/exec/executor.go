@@ -21,8 +21,7 @@ type Executor struct {
 	rb      ReplicaBackend // non-nil when backend exposes replicas
 	opts    Options
 
-	residual       ResidualPlanner
-	customResidual bool // Options.ResidualPlanner was set; SetResidualPlanner defers
+	residual ResidualPlanner
 
 	executions   atomic.Int64
 	degraded     atomic.Int64
@@ -58,6 +57,7 @@ func New(backend Backend, opts Options) *Executor {
 	e := &Executor{
 		backend:        backend,
 		opts:           opts,
+		residual:       defaultResidualPlanner,
 		breakers:       make(map[string]*breaker),
 		lat:            make(map[string]*latWindow),
 		failoverActive: make(map[string]int),
@@ -65,25 +65,15 @@ func New(backend Backend, opts Options) *Executor {
 	if rb, ok := backend.(ReplicaBackend); ok {
 		e.rb = rb
 	}
-	if opts.ResidualPlanner != nil {
-		e.residual = opts.ResidualPlanner
-		e.customResidual = true
-	} else {
-		e.residual = defaultResidualPlanner
-	}
 	return e
 }
 
-// SetResidualPlanner installs the failover residual-query solver (the
-// serve layer wires a plan-cache-backed planner here, so residual plans
-// share the cache and the adaptive cost overlay). It is a no-op when the
-// Executor was constructed with an explicit Options.ResidualPlanner.
-func (e *Executor) SetResidualPlanner(fn ResidualPlanner) {
-	if e.customResidual || fn == nil {
-		return
-	}
-	e.residual = fn
-}
+// SetResidualPlanner installs the failover residual-query solver in place
+// of the built-in branch-and-bound solve (the serve layer wires a
+// plan-cache-backed planner here, so residual plans share the cache and
+// the adaptive cost overlay). Call it, with a non-nil fn, before the first
+// Execute.
+func (e *Executor) SetResidualPlanner(fn ResidualPlanner) { e.residual = fn }
 
 // callFailure is a permanent per-stage failure: the typed reason plus the
 // underlying error.
@@ -574,7 +564,7 @@ func (e *Executor) hedgeDelayFor(name string) time.Duration {
 	if e.opts.HedgeDelay > 0 {
 		return e.opts.HedgeDelay
 	}
-	d, ok := e.latQuantile(name, e.opts.HedgeQuantile)
+	d, ok := e.latQuantile(name, hedgeQuantile)
 	if !ok {
 		return -1
 	}

@@ -416,39 +416,21 @@ func TestResidualPlanIsOptimal(t *testing.T) {
 	}
 }
 
-// TestResidualPlannerOverride: an Options-supplied residual planner wins
-// over SetResidualPlanner, and SetResidualPlanner installs when none was
-// configured.
+// TestResidualPlannerOverride: SetResidualPlanner replaces the built-in
+// branch-and-bound solve.
 func TestResidualPlannerOverride(t *testing.T) {
-	calls := 0
-	custom := func(ctx context.Context, sub *model.Query) (model.Plan, error) {
-		calls++
-		return defaultResidualPlanner(ctx, sub)
-	}
-	ex := New(NewMockBackend(1), Options{ResidualPlanner: custom})
-	ex.SetResidualPlanner(func(ctx context.Context, sub *model.Query) (model.Plan, error) {
-		t.Error("SetResidualPlanner overrode an explicit Options.ResidualPlanner")
-		return nil, errors.New("unreachable")
-	})
 	q := testQuery(t,
 		model.Service{Name: "a", Cost: 1, Selectivity: 0.5},
 		model.Service{Name: "b", Cost: 2, Selectivity: 0.5},
 		model.Service{Name: "c", Cost: 3, Selectivity: 0.5},
 	)
-	if _, err := ex.residualPlan(context.Background(), q, identityPlan(3), 1); err != nil {
-		t.Fatalf("residualPlan: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("custom planner called %d times, want 1", calls)
-	}
-
 	installed := 0
-	ex2 := New(NewMockBackend(1), Options{})
-	ex2.SetResidualPlanner(func(ctx context.Context, sub *model.Query) (model.Plan, error) {
+	ex := New(NewMockBackend(1), Options{})
+	ex.SetResidualPlanner(func(ctx context.Context, sub *model.Query) (model.Plan, error) {
 		installed++
 		return defaultResidualPlanner(ctx, sub)
 	})
-	if _, err := ex2.residualPlan(context.Background(), q, identityPlan(3), 1); err != nil {
+	if _, err := ex.residualPlan(context.Background(), q, identityPlan(3), 1); err != nil {
 		t.Fatalf("residualPlan: %v", err)
 	}
 	if installed != 1 {

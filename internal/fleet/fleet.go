@@ -23,8 +23,6 @@ type Options struct {
 	// Replication is the number of peers (owner included) holding each
 	// signature's plan entry. Clamped to [1, len(Peers)]; default 2.
 	Replication int
-	// VirtualNodes is the per-peer ring point count (default 64).
-	VirtualNodes int
 
 	// Planner is the local planner whose cache is sharded and replicated.
 	Planner *planner.Planner
@@ -33,9 +31,10 @@ type Options struct {
 	// Server is this peer's frame listener (already listening; Run serves
 	// it). Tests pass a :0-bound listener; dqserve binds its -fleet-addr.
 	Server *PeerServer
-	// DialTimeout bounds peer dials (default 2s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds peer dials.
+const dialTimeout = 2 * time.Second
 
 // Decision is the routing outcome for one request signature.
 type Decision int
@@ -134,12 +133,9 @@ func New(opts Options) (*Peer, error) {
 	if repl > len(opts.Peers) {
 		repl = len(opts.Peers)
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
-	}
 	return &Peer{
 		opts:    opts,
-		ring:    newRing(opts.FleetID, opts.Peers, opts.VirtualNodes),
+		ring:    newRing(opts.FleetID, opts.Peers),
 		repl:    repl,
 		conns:   make(map[string]*PeerConn),
 		replCh:  make(chan replTask, 256),
@@ -429,7 +425,7 @@ func (p *Peer) conn(peer string) (*PeerConn, error) {
 	if c, ok := p.conns[peer]; ok {
 		return c, nil
 	}
-	c, err := DialPeer(peer, p.opts.FleetID, p.opts.Self, p.opts.DialTimeout)
+	c, err := DialPeer(peer, p.opts.FleetID, p.opts.Self, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,10 @@ import (
 	"serviceordering/internal/ccache"
 )
 
-// defaultVirtualNodes is the per-peer virtual-node count. 64 points per
-// peer keeps the expected ownership imbalance across 3–10 peers within a
-// few percent, and the whole ring under a kilobyte.
-const defaultVirtualNodes = 64
+// virtualNodes is the per-peer ring point count. 64 points per peer keeps
+// the expected ownership imbalance across 3–10 peers within a few percent,
+// and the whole ring under a kilobyte.
+const virtualNodes = 64
 
 type ringPoint struct {
 	hash uint64
@@ -33,10 +33,7 @@ type ring struct {
 	points []ringPoint
 }
 
-func newRing(fleetID string, peers []string, virtualNodes int) *ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
+func newRing(fleetID string, peers []string) *ring {
 	r := &ring{peers: append([]string(nil), peers...)}
 	r.points = make([]ringPoint, 0, len(peers)*virtualNodes)
 	for i, p := range r.peers {

@@ -11,8 +11,8 @@ import (
 func TestRingDeterministic(t *testing.T) {
 	t.Parallel()
 	peers := []string{"a:1", "b:2", "c:3"}
-	r1 := newRing("fleet", peers, 0)
-	r2 := newRing("fleet", peers, 0)
+	r1 := newRing("fleet", peers)
+	r2 := newRing("fleet", peers)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 4096; i++ {
 		h := rng.Uint64()
@@ -31,7 +31,7 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingReplicaSet(t *testing.T) {
 	t.Parallel()
 	peers := []string{"a:1", "b:2", "c:3"}
-	r := newRing("fleet", peers, 0)
+	r := newRing("fleet", peers)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 1024; i++ {
 		h := rng.Uint64()
@@ -60,7 +60,7 @@ func TestRingReplicaSet(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	t.Parallel()
 	peers := []string{"a:1", "b:2", "c:3"}
-	r := newRing("fleet", peers, 0)
+	r := newRing("fleet", peers)
 	counts := map[string]int{}
 	rng := rand.New(rand.NewSource(3))
 	const n = 20000
@@ -78,7 +78,7 @@ func TestRingBalance(t *testing.T) {
 // nowhere.
 func TestRingSinglePeer(t *testing.T) {
 	t.Parallel()
-	r := newRing("fleet", []string{"solo:1"}, 0)
+	r := newRing("fleet", []string{"solo:1"})
 	if got := r.owner(12345); got != "solo:1" {
 		t.Fatalf("owner %s", got)
 	}

@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"serviceordering/internal/model"
 )
@@ -68,27 +67,9 @@ func (p *Planner) ExportEntry(sig Signature) ([]byte, bool) {
 	if !ok || !e.shareable || len(e.plan) == 0 || len(e.plan) > snapshotMaxPlanLen {
 		return nil, false
 	}
-	buf := make([]byte, 0, 128)
-	buf = append(buf, snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, snapGen(p.adaptiveSnap()))
-	buf = binary.LittleEndian.AppendUint32(buf, 1)
-	buf = append(buf, sig[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint64(buf, floatBits(e.cost))
-	var flags byte
-	if e.optimal {
-		flags |= 1
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(e.tier)))
-	buf = append(buf, e.tier...)
-	buf = binary.AppendUvarint(buf, uint64(len(e.plan)))
-	for _, s := range e.plan {
-		buf = binary.AppendUvarint(buf, uint64(s))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapshotCRC))
-	return buf, true
+	buf := appendSnapshotHeader(make([]byte, 0, 128), snapGen(p.adaptiveSnap()), 1)
+	buf = appendSnapshotEntry(buf, sig, gen, e)
+	return appendSnapshotCRC(buf), true
 }
 
 // ImportEntry restores a replicated SOP1 document (typically a single

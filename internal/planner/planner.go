@@ -52,26 +52,19 @@ import (
 
 // Config tunes a Planner. The zero value is ready for production use:
 // 4096-entry plan cache, canonicalization memo of twice that, parallel
-// search for instances of 13+ services, GOMAXPROCS batch workers.
+// search on GOMAXPROCS workers for instances of 13+ services, GOMAXPROCS
+// batch workers.
 type Config struct {
 	// CacheCapacity bounds the plan cache (entries across all shards).
 	// Zero means DefaultCacheCapacity; negative disables caching
 	// entirely (every request searches, singleflight still applies).
 	CacheCapacity int
 
-	// MemoCapacity bounds the canonicalization memo. Zero means twice
-	// the (effective) cache capacity.
-	MemoCapacity int
-
 	// ParallelThreshold is the instance size at which Optimize switches
 	// from the sequential search to core.OptimizeParallel. Zero means
 	// DefaultParallelThreshold; negative forces sequential search at
 	// every size.
 	ParallelThreshold int
-
-	// SearchWorkers is the worker count handed to core.OptimizeParallel
-	// (0 = GOMAXPROCS).
-	SearchWorkers int
 
 	// BatchWorkers bounds the instances optimized concurrently by
 	// OptimizeBatch (0 = GOMAXPROCS).
@@ -198,13 +191,9 @@ func New(cfg Config) *Planner {
 	if capacity > 0 {
 		p.cache = newPlanCache(capacity)
 	}
-	memoCap := cfg.MemoCapacity
-	if memoCap <= 0 {
-		if capacity > 0 {
-			memoCap = 2 * capacity
-		} else {
-			memoCap = 2 * DefaultCacheCapacity
-		}
+	memoCap := 2 * DefaultCacheCapacity
+	if capacity > 0 {
+		memoCap = 2 * capacity
 	}
 	p.memo = newRawMemo(memoCap)
 	p.rawBufs.New = func() any { b := make([]byte, 0, 2048); return &b }
@@ -818,7 +807,7 @@ func (p *Planner) search(ctx context.Context, q *model.Query, sig Signature, inc
 	var res core.Result
 	var err error
 	if threshold > 0 && q.N() >= threshold {
-		res, err = core.OptimizeParallel(q, opts, p.cfg.SearchWorkers)
+		res, err = core.OptimizeParallel(q, opts, 0) // GOMAXPROCS workers
 	} else {
 		res, err = core.OptimizeWithOptions(q, opts)
 	}

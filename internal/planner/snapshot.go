@@ -46,6 +46,9 @@ import (
 
 const (
 	snapshotVersion = 1
+	// snapshotHeaderLen is the byte length of magic, version, generation
+	// and count.
+	snapshotHeaderLen = 4 + 2 + 8 + 4
 	// snapshotMaxEntries bounds what a restore will attempt to allocate;
 	// far above any configured cache capacity, it exists to fail fast on
 	// a corrupt or adversarial count field.
@@ -73,43 +76,57 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // or may not be included — a snapshot is a warm floor, not a transaction
 // log. With caching disabled it writes a valid empty snapshot.
 func (p *Planner) SaveSnapshot(w io.Writer) (int, error) {
-	buf := make([]byte, 0, 64<<10)
-	buf = append(buf, snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, snapGen(p.adaptiveSnap()))
-	countAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-
+	buf := appendSnapshotHeader(make([]byte, 0, 64<<10), snapGen(p.adaptiveSnap()), 0)
 	count := uint32(0)
 	if p.cache != nil {
 		p.cache.store.Range(func(sig Signature, e *cacheEntry, gen uint64) bool {
-			if !e.shareable || len(e.plan) > snapshotMaxPlanLen {
-				return true
+			if e.shareable && len(e.plan) <= snapshotMaxPlanLen {
+				buf = appendSnapshotEntry(buf, sig, gen, e)
+				count++
 			}
-			buf = append(buf, sig[:]...)
-			buf = binary.LittleEndian.AppendUint64(buf, gen)
-			buf = binary.LittleEndian.AppendUint64(buf, floatBits(e.cost))
-			var flags byte
-			if e.optimal {
-				flags |= 1
-			}
-			buf = append(buf, flags)
-			buf = binary.AppendUvarint(buf, uint64(len(e.tier)))
-			buf = append(buf, e.tier...)
-			buf = binary.AppendUvarint(buf, uint64(len(e.plan)))
-			for _, s := range e.plan {
-				buf = binary.AppendUvarint(buf, uint64(s))
-			}
-			count++
 			return true
 		})
 	}
-	binary.LittleEndian.PutUint32(buf[countAt:], count)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapshotCRC))
+	binary.LittleEndian.PutUint32(buf[snapshotHeaderLen-4:], count)
+	buf = appendSnapshotCRC(buf)
 	if _, err := w.Write(buf); err != nil {
 		return 0, fmt.Errorf("planner: snapshot write: %w", err)
 	}
 	return int(count), nil
+}
+
+// appendSnapshotHeader appends the SOP1 header announcing count entries
+// dumped at statistics generation gen.
+func appendSnapshotHeader(buf []byte, gen uint64, count uint32) []byte {
+	buf = append(buf, snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	return binary.LittleEndian.AppendUint32(buf, count)
+}
+
+// appendSnapshotEntry appends e, resident under sig with generation stamp
+// gen, as one SOP1 entry.
+func appendSnapshotEntry(buf []byte, sig Signature, gen uint64, e *cacheEntry) []byte {
+	buf = append(buf, sig[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	buf = binary.LittleEndian.AppendUint64(buf, floatBits(e.cost))
+	var flags byte
+	if e.optimal {
+		flags |= 1
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(len(e.tier)))
+	buf = append(buf, e.tier...)
+	buf = binary.AppendUvarint(buf, uint64(len(e.plan)))
+	for _, s := range e.plan {
+		buf = binary.AppendUvarint(buf, uint64(s))
+	}
+	return buf
+}
+
+// appendSnapshotCRC appends the SOP1 trailer: the checksum of buf.
+func appendSnapshotCRC(buf []byte) []byte {
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapshotCRC))
 }
 
 // LoadSnapshot restores a SaveSnapshot stream into the plan cache,
@@ -125,7 +142,7 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("planner: snapshot read: %w", err)
 	}
-	if len(buf) < len(snapshotMagic)+2+8+4+4 {
+	if len(buf) < snapshotHeaderLen+4 {
 		return 0, fmt.Errorf("planner: snapshot truncated (%d bytes)", len(buf))
 	}
 	body, trailer := buf[:len(buf)-4], buf[len(buf)-4:]
@@ -146,7 +163,7 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 	currentGen := snapGen(p.adaptiveSnap())
 	sameWorld := headerGen == currentGen
 
-	rd := body[18:]
+	rd := body[snapshotHeaderLen:]
 	need := func(n int) error {
 		if len(rd) < n {
 			return fmt.Errorf("planner: snapshot truncated inside entry")

@@ -1,7 +1,7 @@
 // Package serve implements the dqserve HTTP layer over the planner
 // service: the versioned /v1 route table, request decoding, and the
-// response fast path. It lives outside cmd/dqserve so the load generator
-// (cmd/dqload) and the handler tests can host the exact production handler
+// response fast path. It lives outside cmd/dqserve so the dqload scenario
+// gates and the handler tests can host the exact production handler
 // in-process.
 //
 // The serving hot path is a warm plan-cache hit, and this package keeps it
@@ -50,14 +50,6 @@ type Options struct {
 	// network policy).
 	Pprof bool
 
-	// QueryMemoCapacity bounds the query memo: a bounded byte-exact
-	// cache from raw query JSON to its parsed, validated model.Query, so
-	// byte-identical resubmissions — the warm-hit workload — skip
-	// reflection-driven JSON decoding of the services and transfer
-	// matrix, by far the dearest step left on the hit path. Zero means
-	// DefaultQueryMemoCapacity; negative disables the memo.
-	QueryMemoCapacity int
-
 	// Admission, when non-nil, gates POST /v1/optimize,
 	// /v1/optimize/batch and /v1/execute through the cost-aware admission
 	// controller: requests are classified (warm/cold) by probing the
@@ -75,11 +67,6 @@ type Options struct {
 	// (response carries "stale":true) and a background replan is
 	// enqueued. Requires Admission; ignored without it.
 	StaleServe bool
-
-	// ReplanQueue bounds the background replan queue behind stale-serve
-	// (0 = 64). Replans beyond the bound are dropped — the entry stays
-	// stale-servable and a later shed re-enqueues it.
-	ReplanQueue int
 
 	// Executor, when non-nil, enables POST /v1/execute: optimize (or reuse
 	// the cached plan), run the plan through the fault-tolerant streaming
@@ -108,7 +95,11 @@ type Options struct {
 	Backend exec.Backend
 }
 
-// DefaultQueryMemoCapacity matches twice the planner's default plan-cache
+// DefaultQueryMemoCapacity bounds the query memo: a byte-exact cache from
+// raw query JSON to its parsed, validated model.Query, so byte-identical
+// resubmissions — the warm-hit workload — skip reflection-driven JSON
+// decoding of the services and transfer matrix, by far the dearest step
+// left on the hit path. It matches twice the planner's default plan-cache
 // capacity, mirroring the canonicalization memo it sits in front of.
 const DefaultQueryMemoCapacity = 2 * planner.DefaultCacheCapacity
 
@@ -255,8 +246,8 @@ type handler struct {
 	// replication, and handed published anchors for gossip.
 	fleet *fleet.Peer
 
-	// qmemo maps FNV-64(raw query JSON) -> parsed query; nil when
-	// disabled. Read-lock-free (ccache clock store).
+	// qmemo maps FNV-64(raw query JSON) -> parsed query. Read-lock-free
+	// (ccache clock store).
 	qmemo     *ccache.Clock[uint64, *queryMemoEntry]
 	qmemoHits atomic.Int64
 
@@ -301,20 +292,23 @@ const (
 	// queryMemoShards: power of two, same sharding story as the planner
 	// caches.
 	queryMemoShards = 64
+
+	// replanQueueDepth bounds the background replan queue behind
+	// stale-serve. Replans beyond the bound are dropped — the entry stays
+	// stale-servable and a later shed re-enqueues it.
+	replanQueueDepth = 64
 )
 
-// NewHandler builds the dqserve route table around one shared planner.
-func NewHandler(p *planner.Planner, opts Options) http.Handler {
+// newHandler builds the state behind the route table: buffers, memo,
+// and the admission, stale-serve, execution and fleet wiring opts asks for.
+func newHandler(p *planner.Planner, opts Options) *handler {
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = defaultMaxBody
 	}
-	h := &handler{p: p, opts: opts, started: time.Now()}
+	h := &handler{p: p, opts: opts, started: time.Now(), admission: opts.Admission, fleet: opts.Fleet}
 	h.bufs.New = func() any { b := make([]byte, 0, 4096); return &b }
-	h.admission = opts.Admission
-	h.fleet = opts.Fleet
-	if h.fleet != nil {
-		h.fleet.SetLocalHandler(h.serveForwarded)
-	}
+	h.qmemo = ccache.NewClock[uint64, *queryMemoEntry](DefaultQueryMemoCapacity, queryMemoShards,
+		func(k uint64) int { return int(k & (queryMemoShards - 1)) })
 	if ex := opts.Executor; ex != nil {
 		// Failover residual queries route through the shared planner: they
 		// hit the plan cache like any request and are priced against the
@@ -329,22 +323,21 @@ func NewHandler(p *planner.Planner, opts Options) http.Handler {
 		})
 	}
 	if h.admission != nil && opts.StaleServe {
-		depth := opts.ReplanQueue
-		if depth <= 0 {
-			depth = 64
-		}
-		h.replanCh = make(chan replanJob, depth)
-		h.replanSet = make(map[planner.Signature]struct{}, depth)
+		h.replanCh = make(chan replanJob, replanQueueDepth)
+		h.replanSet = make(map[planner.Signature]struct{}, replanQueueDepth)
 		go h.replanWorker()
 	}
-	if cap := opts.QueryMemoCapacity; cap >= 0 {
-		if cap == 0 {
-			cap = DefaultQueryMemoCapacity
-		}
-		h.qmemo = ccache.NewClock[uint64, *queryMemoEntry](cap, queryMemoShards,
-			func(k uint64) int { return int(k & (queryMemoShards - 1)) })
+	// Registered last: a running peer may forward a request the moment the
+	// handler is visible to it.
+	if h.fleet != nil {
+		h.fleet.SetLocalHandler(h.serveForwarded)
 	}
+	return h
+}
 
+// NewHandler builds the dqserve route table around one shared planner.
+func NewHandler(p *planner.Planner, opts Options) http.Handler {
+	h := newHandler(p, opts)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", h.v1Optimize)
 	mux.HandleFunc("POST /v1/optimize/batch", h.v1OptimizeBatch)
@@ -565,7 +558,7 @@ func (h *handler) finishInstanceDecode(req *optimizeRequest) error {
 		return nil // no query: the planner reports it per request
 	}
 
-	memoable := h.qmemo != nil && len(req.Query) <= maxMemoQueryBytes
+	memoable := len(req.Query) <= maxMemoQueryBytes
 	var key uint64
 	if memoable {
 		key = ccache.FNV64(req.Query)

@@ -160,7 +160,7 @@ func TestFastEncoderMatchesEncodingJSON(t *testing.T) {
 		"", // no comment key at all
 	} {
 		p := planner.New(planner.Config{})
-		h := &handler{p: p}
+		h := newHandler(p, Options{})
 		body := `{"query":` + query + `}`
 		if comment != "" {
 			body = `{"comment":` + comment + `,"query":` + query + `}`

@@ -814,7 +814,7 @@ func TestV1FleetRejectsTrailingData(t *testing.T) {
 	if s := peers[0].fp.Stats(); s.Forwarded != 0 {
 		t.Fatalf("a rejected body was forwarded: %+v", s)
 	}
-	h := &handler{p: peers[1].pl}
+	h := newHandler(peers[1].pl, Options{})
 	status, _, _, resp := h.serveForwarded("/v1/optimize", []byte(body+" garbage"))
 	if status != http.StatusBadRequest || !bytes.Contains(resp, []byte(codeBadRequest)) {
 		t.Fatalf("forwarded frame with trailing data: status %d: %s", status, resp)
