@@ -397,9 +397,10 @@ func dumpSnapshot(p *planner.Planner, path string) (int, error) {
 }
 
 // restoreSnapshot loads path into the planner's plan cache. The planner
-// validates the checksum and restamps entry generations (stale, never
-// fresh) when the snapshot's statistics generation cannot be proven
-// current — see planner.LoadSnapshot.
+// validates the checksum and every entry, refusing the whole document when
+// any fails, and restamps entry generations (stale, never fresh) when the
+// snapshot's statistics generation cannot be proven current — see
+// planner.LoadSnapshot.
 func restoreSnapshot(p *planner.Planner, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {

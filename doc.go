@@ -45,7 +45,7 @@
 // queries hash equal even when callers number their services differently;
 // concurrent requests for the same signature are collapsed into a single
 // branch-and-bound by singleflight deduplication; and OptimizeBatch fans
-// many instances across a worker pool, streaming results in input order.
+// many instances across a worker pool, returning results in input order.
 //
 //	pl := serviceordering.NewPlanner(serviceordering.PlannerConfig{})
 //	res, err := pl.Optimize(ctx, q)   // cold: runs the search

@@ -108,11 +108,11 @@ func main() {
 		s.Hits, s.Misses, s.Searches, s.Evictions, s.Entries)
 
 	// The serving hot-path counters. Touches count clock touch bits
-	// freshly set by hits (an entry is touched at most once per eviction
-	// sweep, so touches far below hits means the cache is calm, not
-	// thrashing); the latency quantiles come from the planner's lock-free
-	// histogram and cover every request above — cold searches and
-	// microsecond cache hits alike.
+	// freshly set by cache reads (an entry is touched at most once per
+	// eviction sweep, so touches far below hits means the cache is calm,
+	// not thrashing); the latency quantiles come from the planner's
+	// lock-free histogram and cover every request above — cold searches
+	// and microsecond cache hits alike.
 	fmt.Printf("hot path:  touches=%d evictions=%d\n", s.Touches, s.Evictions)
 	fmt.Printf("latency:   p50=%.1fµs p90=%.1fµs p99=%.1fµs\n",
 		s.OptimizeP50Micros, s.OptimizeP90Micros, s.OptimizeP99Micros)

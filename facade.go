@@ -239,7 +239,7 @@ func OptimizeWithOptions(q *Query, opts Options) (Result, error) {
 
 // NewPlanner builds the planner service layer: a canonical plan cache in
 // front of the branch-and-bound core, with singleflight deduplication of
-// concurrent identical requests and OptimizeBatch/OptimizeStream fan-out.
+// concurrent identical requests and OptimizeBatch fan-out.
 // Use it instead of Optimize when the same (or structurally identical)
 // queries recur across requests.
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }

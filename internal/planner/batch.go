@@ -4,15 +4,16 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"serviceordering/internal/model"
 )
 
 // This file implements batch optimization: many instances fanned across a
-// worker pool, results streamed back in input order. Deduplication across
-// the batch is free — identical instances resolve to the same signature,
-// so the plan cache and the singleflight group collapse their searches
-// exactly as they do for concurrent single requests.
+// worker pool, each result written into its input position. Deduplication
+// across the batch is free — identical instances resolve to the same
+// signature, so the plan cache and the singleflight group collapse their
+// searches exactly as they do for concurrent single requests.
 
 // BatchResult pairs one instance's outcome with its position in the input
 // slice and, when the instance failed, its error (a failed instance never
@@ -27,91 +28,34 @@ type BatchResult struct {
 	Err error
 }
 
-// OptimizeBatch optimizes every query and returns the outcomes indexed as
-// the input. It blocks until all instances finish or ctx is canceled;
-// canceled instances report ctx's error.
+// OptimizeBatch optimizes every query on a pool of Config.BatchWorkers
+// workers and returns the outcomes indexed as the input. It blocks until
+// every instance is done. Instances not yet started when ctx is canceled
+// report ctx's error without running; running ones see the cancellation
+// as a single Optimize does.
 func (p *Planner) OptimizeBatch(ctx context.Context, qs []*model.Query) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	for r := range p.OptimizeStream(ctx, qs) {
-		out[r.Index] = r
-	}
-	return out
-}
-
-// OptimizeStream optimizes every query on a bounded worker pool and emits
-// results on the returned channel strictly in input order, each as soon as
-// it and all its predecessors are done. The channel closes after the last
-// result. Cancellation via ctx stops scheduling; already-started searches
-// run to their configured limits, and unstarted instances report ctx's
-// error. The caller must drain the channel; abandoning it mid-stream
-// strands the pool's goroutines on their sends.
-func (p *Planner) OptimizeStream(ctx context.Context, qs []*model.Query) <-chan BatchResult {
 	workers := p.cfg.BatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-
-	out := make(chan BatchResult, workers)
-	if len(qs) == 0 {
-		close(out)
-		return out
-	}
-
-	indices := make(chan int)
-	done := make(chan BatchResult, workers)
-
+	out := make([]BatchResult, len(qs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(qs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indices {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(qs) {
+					return
+				}
+				// Optimize reports a canceled ctx before doing any work.
 				res, err := p.Optimize(ctx, qs[i])
-				done <- BatchResult{Result: res, Index: i, Err: err}
+				out[i] = BatchResult{Result: res, Index: i, Err: err}
 			}
 		}()
 	}
-
-	// Feed indices until done or canceled; canceled leftovers are
-	// reported without being scheduled.
-	go func() {
-		next := 0
-	feed:
-		for ; next < len(qs); next++ {
-			select {
-			case indices <- next:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(indices)
-		for ; next < len(qs); next++ {
-			done <- BatchResult{Index: next, Err: ctx.Err()}
-		}
-		wg.Wait()
-		close(done)
-	}()
-
-	// Reorder: emit in input order as prefixes complete.
-	go func() {
-		defer close(out)
-		pending := make(map[int]BatchResult, workers)
-		next := 0
-		for r := range done {
-			pending[r.Index] = r
-			for {
-				buffered, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- buffered
-				next++
-			}
-		}
-	}()
+	wg.Wait()
 	return out
 }

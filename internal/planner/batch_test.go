@@ -45,25 +45,6 @@ func TestOptimizeBatchOrderAndCorrectness(t *testing.T) {
 	}
 }
 
-func TestOptimizeStreamEmitsInInputOrder(t *testing.T) {
-	t.Parallel()
-	p := New(Config{BatchWorkers: 8})
-	qs := make([]*model.Query, 32)
-	for i := range qs {
-		qs[i] = testQuery(t, gen.Default(4+i%5, 8000+int64(i)))
-	}
-	next := 0
-	for r := range p.OptimizeStream(context.Background(), qs) {
-		if r.Index != next {
-			t.Fatalf("stream emitted index %d, want %d", r.Index, next)
-		}
-		next++
-	}
-	if next != len(qs) {
-		t.Fatalf("stream emitted %d results, want %d", next, len(qs))
-	}
-}
-
 func TestOptimizeBatchDedupsIdenticalInstances(t *testing.T) {
 	t.Parallel()
 	var searches atomic.Int64

@@ -13,6 +13,14 @@ import (
 // atomic map load per warm hit, no mutex, no promotion. Counters are
 // atomics aggregated on read.
 //
+// The plan cache has two reads. get is a request's own lookup and counts
+// a hit or a miss; peek re-reads without counting either (the leader's
+// re-check, the previous generation's plan, Classify and the fleet
+// probes). Both set the entry's clock touch bit and count it in Touches
+// when they set it freshly, so Touches does not depend on which read came
+// first: an admission probe ahead of a request's own lookup moves the
+// count no more than the lookup alone would.
+//
 // Both caches are generation-versioned for adaptive replanning: every
 // entry is stamped (via ccache.PutGen) with the statistics generation it
 // was computed under, and a lookup is only a hit when the entry's stamp
@@ -56,10 +64,8 @@ type cacheEntry struct {
 
 // rawEntry memoizes the canonicalization of one exact byte serialization.
 type rawEntry struct {
-	raw  []byte // full key, verified on lookup (bucket hash may collide)
-	sig  Signature
-	perm []int
-	inv  []int
+	raw []byte // full key, verified on lookup (bucket hash may collide)
+	canonical
 }
 
 // cacheShardCount is the number of shards; a power of two so the shard
@@ -85,62 +91,43 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{store: ccache.NewClock[Signature, *cacheEntry](capacity, cacheShardCount, sigShard)}
 }
 
-// get looks sig up at the given generation. A resident entry stamped with
-// a different generation is a miss (counted as one) whose value is still
-// returned as stale: the caller seeds its re-optimization with the stale
-// plan instead of discarding the work it embodies.
-func (c *planCache) get(sig Signature, gen uint64) (e *cacheEntry, fresh bool, stale *cacheEntry) {
-	e, egen, ok, touched := c.store.GetGen(sig)
-	if ok && egen == gen {
+// get looks sig up at the given generation: a resident entry with that
+// stamp is a hit, returned as fresh. A resident entry stamped with another
+// generation is a miss (counted as one) whose value is still returned as
+// stale: the caller seeds its re-optimization with the stale plan instead
+// of discarding the work it embodies. A nil cache (caching disabled)
+// holds nothing and counts nothing.
+func (c *planCache) get(sig Signature, gen uint64) (fresh, stale *cacheEntry) {
+	if c == nil {
+		return nil, nil
+	}
+	e, egen := c.peek(sig)
+	if e != nil && egen == gen {
 		c.hits.Add(1)
-		if touched {
-			c.touches.Add(1)
-		}
-		return e, true, nil
+		return e, nil
 	}
 	c.misses.Add(1)
-	if ok {
-		return nil, false, e
-	}
-	return nil, false, nil
+	return nil, e
 }
 
-// peek looks up sig without touching the hit/miss counters (the touch bit
-// is still set, and counted). Used for the post-flight-join double-check,
-// which re-examines a lookup already accounted for.
-func (c *planCache) peek(sig Signature, gen uint64) (*cacheEntry, bool) {
-	e, egen, ok, touched := c.store.GetGen(sig)
-	if ok && touched {
+// peek returns whatever is resident under sig, of any generation, with
+// its generation stamp (nil when nothing is), without moving the hit and
+// miss counters.
+func (c *planCache) peek(sig Signature) (*cacheEntry, uint64) {
+	if c == nil {
+		return nil, 0
+	}
+	e, gen, _, touched := c.store.GetGen(sig)
+	if touched {
 		c.touches.Add(1)
 	}
-	if !ok || egen != gen {
-		return nil, false
-	}
-	return e, true
-}
-
-// probe reports residency and generation stamp with no counter side
-// effects at all (beyond the store's touch bit): the admission layer's
-// temperature classification, which must not perturb hit/miss/touch
-// statistics for requests that may then be shed.
-func (c *planCache) probe(sig Signature) (e *cacheEntry, gen uint64, ok bool) {
-	e, gen, ok, _ = c.store.GetGen(sig)
-	return e, gen, ok
-}
-
-// peekAny returns whatever is resident under sig regardless of its
-// generation stamp, with no counter side effects beyond the touch bit.
-// It exists for one purpose: locating the previous generation's plan (via
-// a stale raw-memo mapping) to seed a replan.
-func (c *planCache) peekAny(sig Signature) (*cacheEntry, bool) {
-	e, _, ok, touched := c.store.GetGen(sig)
-	if ok && touched {
-		c.touches.Add(1)
-	}
-	return e, ok
+	return e, gen
 }
 
 func (c *planCache) put(sig Signature, e *cacheEntry, gen uint64) {
+	if c == nil {
+		return
+	}
 	if n := c.store.PutGen(sig, e, gen); n > 0 {
 		c.evictions.Add(int64(n))
 	}
@@ -166,15 +153,15 @@ func newRawMemo(capacity int) *rawMemo {
 // permutation — may have changed) returned separately as stale, so the
 // caller can chase the previous generation's signature to its cached plan
 // and seed the replan with it.
-func (m *rawMemo) get(key uint64, raw []byte, gen uint64) (e *rawEntry, fresh bool, stale *rawEntry) {
+func (m *rawMemo) get(key uint64, raw []byte, gen uint64) (fresh, stale *rawEntry) {
 	e, egen, ok, _ := m.store.GetGen(key)
 	if !ok || !bytes.Equal(e.raw, raw) {
-		return nil, false, nil
+		return nil, nil
 	}
 	if egen != gen {
-		return nil, false, e
+		return nil, e
 	}
-	return e, true, nil
+	return e, nil
 }
 
 func (m *rawMemo) put(key uint64, e *rawEntry, gen uint64) {

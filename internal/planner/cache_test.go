@@ -53,22 +53,22 @@ func TestPlanCacheMatchesModelNoEviction(t *testing.T) {
 			model[sig] = modelEntry{e, gen}
 			continue
 		}
-		e, fresh, stale := c.get(sig, gen)
+		fresh, stale := c.get(sig, gen)
 		want, ok := model[sig]
 		switch {
 		case ok && want.gen == gen:
-			if !fresh || e != want.e {
-				t.Fatalf("op %d key %d: fresh=%v entry %p, model %p at gen %d", op, k, fresh, e, want.e, gen)
+			if fresh != want.e || stale != nil {
+				t.Fatalf("op %d key %d: fresh %p stale %p, model %p at gen %d", op, k, fresh, stale, want.e, gen)
 			}
 			hits++
 		case ok:
-			if fresh || stale != want.e {
-				t.Fatalf("op %d key %d: gen %d lookup of a gen-%d entry: fresh=%v stale %p, want stale %p", op, k, gen, want.gen, fresh, stale, want.e)
+			if fresh != nil || stale != want.e {
+				t.Fatalf("op %d key %d: gen %d lookup of a gen-%d entry: fresh %p stale %p, want stale %p", op, k, gen, want.gen, fresh, stale, want.e)
 			}
 			misses++
 		default:
-			if fresh || stale != nil {
-				t.Fatalf("op %d key %d: absent key returned fresh=%v stale %p", op, k, fresh, stale)
+			if fresh != nil || stale != nil {
+				t.Fatalf("op %d key %d: absent key returned fresh %p stale %p", op, k, fresh, stale)
 			}
 			misses++
 		}
@@ -108,10 +108,10 @@ func TestPlanCacheMatchesModelUnderEviction(t *testing.T) {
 			model[sig] = modelEntry{e, gen}
 			continue
 		}
-		e, fresh, stale := c.get(sig, gen)
+		fresh, stale := c.get(sig, gen)
 		want := model[sig]
-		if fresh && (e != want.e || want.gen != gen) {
-			t.Fatalf("op %d key %d: hit returned %p at gen %d, model holds %p at gen %d", op, k, e, gen, want.e, want.gen)
+		if fresh != nil && (fresh != want.e || want.gen != gen) {
+			t.Fatalf("op %d key %d: hit returned %p at gen %d, model holds %p at gen %d", op, k, fresh, gen, want.e, want.gen)
 		}
 		if stale != nil && (stale != want.e || want.gen == gen) {
 			t.Fatalf("op %d key %d: stale %p at gen %d, model holds %p at gen %d", op, k, stale, gen, want.e, want.gen)

@@ -1,15 +1,18 @@
 package planner
 
 import (
-	"serviceordering/internal/adapt"
+	"cmp"
+
 	"serviceordering/internal/core"
 	"serviceordering/internal/model"
 )
 
 // This file is the planner's contribution to overload survival: a
-// side-effect-light temperature probe the admission layer prices requests
-// with, and the stale-serve path that answers a shed-worthy cold request
-// from the previous generation's resident plan instead of refusing it.
+// temperature probe the admission layer prices requests with, which moves
+// no serving counter but Touches, and the stale-serve path that answers a
+// shed-worthy cold request from the previous generation's resident plan
+// instead of refusing it. Both read through the lookup path Optimize
+// takes (see the package comment).
 
 // Temperature classifies what resident state can answer a query without a
 // search. The admission controller maps it onto cost classes: Warm
@@ -46,11 +49,13 @@ func (t Temperature) String() string {
 }
 
 // Classify probes the canonicalization memo and plan cache for q without
-// running a search and without inserting anything. Its only side effects
-// are clock touch bits (the probed entries are about to be read for real
-// if the request is admitted) — no hit/miss/memoHits counters move, so
-// classification of a request that is then shed leaves the serving
-// statistics untouched.
+// running a search and without inserting anything. No hit, miss or
+// memoHits counter moves, so classification of a request that is then
+// shed leaves the serving statistics untouched. Its one side effect is
+// the probed entry's clock touch bit (the entry is about to be read for
+// real if the request is admitted), counted in Touches when freshly set
+// like any other read's; the admitted request's own lookup then finds
+// the bit already set, so Touches ends where it would without the probe.
 //
 // The probe is memo-first: a query whose exact bytes were never seen
 // resolves TempCold even when a structurally identical query is cached
@@ -58,7 +63,7 @@ func (t Temperature) String() string {
 // meaningful fraction of the warm hit it is trying to price. That
 // conservatism only ever sheds too eagerly, never admits too cheaply.
 func (p *Planner) Classify(q *model.Query) Temperature {
-	if q == nil || p.memo == nil {
+	if q == nil {
 		return TempCold
 	}
 	n := q.N()
@@ -66,67 +71,24 @@ func (p *Planner) Classify(q *model.Query) Temperature {
 		return TempCold
 	}
 	bufp := p.rawBufs.Get().(*[]byte)
-	raw := encodeRaw(q, (*bufp)[:0])
-	defer func() {
-		*bufp = raw
-		p.rawBufs.Put(bufp)
-	}()
-	if len(raw) > maxMemoRawBytes {
-		return TempCold
-	}
+	defer p.rawBufs.Put(bufp)
 	gen := snapGen(p.adaptiveSnap())
-	e, fresh, stale := p.memo.get(fnv64(raw), raw, gen)
+	_, fresh, stale := p.probeMemo(q, gen, bufp)
+	mapping := cmp.Or(fresh, stale)
+	if mapping == nil {
+		return TempCold
+	}
+	e, egen := p.cache.peek(mapping.sig)
 	switch {
-	case fresh:
-		if p.cache == nil {
-			return TempCold
-		}
-		if _, egen, ok := p.cache.probe(e.sig); ok {
-			// A fresh memo mapping with a resident entry of the same
-			// generation is warm; of another generation, stale-servable.
-			if egen == gen {
-				return TempWarm
-			}
-			return TempStale
-		}
+	case e == nil:
 		return TempCold
-	case stale != nil:
-		if p.cache == nil {
-			return TempCold
-		}
-		if _, _, ok := p.cache.probe(stale.sig); ok {
-			return TempStale
-		}
-		return TempCold
+	case fresh != nil && egen == gen:
+		// A fresh memo mapping with a resident entry of the same
+		// generation is warm; any other resident entry is stale-servable.
+		return TempWarm
 	default:
-		return TempCold
+		return TempStale
 	}
-}
-
-// canonicalPeek resolves q's canonical identity like canonicalFor but
-// never writes the memo. ServeStale depends on that: inserting the
-// fresh-generation mapping here would consume the stale-memo breadcrumb
-// the background replan needs to recover its incumbent seed (a fresh memo
-// hit returns no stale mapping), silently downgrading the replan from
-// incumbent-seeded to cold.
-func (p *Planner) canonicalPeek(q *model.Query, snap *adapt.Snapshot) (canonical, *model.Query, *rawEntry) {
-	bufp := p.rawBufs.Get().(*[]byte)
-	raw := encodeRaw(q, (*bufp)[:0])
-	defer func() {
-		*bufp = raw
-		p.rawBufs.Put(bufp)
-	}()
-	gen := snapGen(snap)
-	if len(raw) > maxMemoRawBytes {
-		eff := overlay(q, snap)
-		return canonicalize(eff), eff, nil
-	}
-	e, fresh, stale := p.memo.get(fnv64(raw), raw, gen)
-	if fresh {
-		return canonical{sig: e.sig, perm: e.perm, inv: e.inv}, nil, nil
-	}
-	eff := overlay(q, snap)
-	return canonicalize(eff), eff, stale
 }
 
 // ServeStale answers q from a resident previous-generation plan without
@@ -134,74 +96,32 @@ func (p *Planner) canonicalPeek(q *model.Query, snap *adapt.Snapshot) (canonical
 // re-optimize would otherwise be shed. The response is the old
 // generation's plan and cost verbatim (bounded regret, not current
 // optimality), flagged Stale; the caller is expected to enqueue a
-// background replan so the entry catches up.
+// background replan so the entry catches up. It never writes the memo
+// (see canonicalFor).
 //
 // The second return is false when nothing stale-servable is resident
 // (the caller sheds as it would have). A fresh entry that materialized
 // since classification is served fresh (Stale false) — never worse than
 // promised.
 func (p *Planner) ServeStale(q *model.Query) (Result, bool) {
-	if q == nil || p.cache == nil {
-		return Result{}, false
-	}
-	if err := q.Validate(); err != nil {
+	if q == nil || q.Validate() != nil {
 		return Result{}, false
 	}
 	snap := p.adaptiveSnap()
-	gen := snapGen(snap)
-	canon, eff, staleMemo := p.canonicalPeek(q, snap)
-	effQuery := func() *model.Query {
-		if eff == nil {
-			eff = overlay(q, snap)
-		}
-		return eff
+	canon, eff, staleMemo := p.canonicalFor(q, snap, false)
+	fresh, staleEntry := p.cache.get(canon.sig, snapGen(snap))
+	if res, ok := canon.answer(fresh); ok {
+		return res, true
 	}
-
-	entry, fresh, staleEntry := p.cache.get(canon.sig, gen)
-	if fresh {
-		return Result{
-			Result: core.Result{
-				Plan:    canon.fromCanonical(entry.plan),
-				Cost:    entry.cost,
-				Optimal: entry.optimal,
-			},
-			Signature:        canon.sig,
-			Cached:           true,
-			Tier:             entry.tier,
-			ResponseFragment: entry.frag,
-		}, true
+	if eff == nil {
+		eff = overlay(q, snap)
 	}
-
-	// Same two sources as staleIncumbent, but the recovered plan is the
-	// answer rather than a search seed.
-	var src *cacheEntry
-	var plan model.Plan
-	switch {
-	case staleEntry != nil && len(staleEntry.plan) == len(canon.perm):
-		src = staleEntry
-		plan = canon.fromCanonical(staleEntry.plan)
-	case staleMemo != nil:
-		old, ok := p.cache.peekAny(staleMemo.sig)
-		if !ok || len(old.plan) != len(staleMemo.perm) {
-			return Result{}, false
-		}
-		prev := canonical{sig: staleMemo.sig, perm: staleMemo.perm, inv: staleMemo.inv}
-		src = old
-		plan = prev.fromCanonical(old.plan)
-	default:
-		return Result{}, false
-	}
-	// A hash collision or an evicted-and-repopulated entry must never leak
-	// a foreign plan into a response.
-	if plan.Validate(effQuery()) != nil {
+	plan, src := p.stalePlan(canon, staleEntry, staleMemo, eff)
+	if plan == nil {
 		return Result{}, false
 	}
 	return Result{
-		Result: core.Result{
-			Plan:    plan,
-			Cost:    src.cost,
-			Optimal: src.optimal,
-		},
+		Result:           core.Result{Plan: plan, Cost: src.cost, Optimal: src.optimal},
 		Signature:        canon.sig,
 		Cached:           true,
 		Stale:            true,

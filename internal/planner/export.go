@@ -29,28 +29,28 @@ import (
 )
 
 // SignatureFor resolves q's canonical plan signature under the current
-// adaptive snapshot without touching planner counters or memo state. This
-// is the fleet's shard key: FNV64 over it places q on the ring. The
-// boolean is false for queries that cannot be canonicalized (nil or
-// empty), which callers should serve locally.
+// adaptive snapshot without touching planner counters or memo state (see
+// canonicalFor). This is the fleet's shard key: FNV64 over it places q on
+// the ring. The boolean is false for queries that cannot be canonicalized
+// (nil or empty), which callers should serve locally.
 func (p *Planner) SignatureFor(q *model.Query) (Signature, bool) {
 	if p == nil || q == nil || q.N() == 0 {
 		return Signature{}, false
 	}
-	canon, _, _ := p.canonicalPeek(q, p.adaptiveSnap())
+	canon, _, _ := p.canonicalFor(q, p.adaptiveSnap(), false)
 	return canon.sig, true
 }
 
 // ResidentFresh reports whether a shareable plan entry for sig is resident
 // under the current adaptive generation — the replica-warm test: answer
-// locally when true, forward to the owner when false. Counter-free apart
-// from clock touch maintenance.
+// locally when true, forward to the owner when false. Like Classify, it
+// moves no hit or miss counter; a touch bit it sets counts in Touches.
 func (p *Planner) ResidentFresh(sig Signature) bool {
-	if p == nil || p.cache == nil {
+	if p == nil {
 		return false
 	}
-	e, gen, ok := p.cache.probe(sig)
-	return ok && e.shareable && gen == snapGen(p.adaptiveSnap())
+	e, gen := p.cache.peek(sig)
+	return e != nil && e.shareable && gen == snapGen(p.adaptiveSnap())
 }
 
 // ExportEntry serializes the resident entry under sig as a single-entry
@@ -60,11 +60,11 @@ func (p *Planner) ResidentFresh(sig Signature) bool {
 // replication decision and the async push, which is fine: replication is
 // best-effort warmth, not durability.
 func (p *Planner) ExportEntry(sig Signature) ([]byte, bool) {
-	if p == nil || p.cache == nil {
+	if p == nil {
 		return nil, false
 	}
-	e, gen, ok := p.cache.probe(sig)
-	if !ok || !e.shareable || len(e.plan) == 0 || len(e.plan) > snapshotMaxPlanLen {
+	e, gen := p.cache.peek(sig)
+	if e == nil || !e.shareable || len(e.plan) == 0 || len(e.plan) > snapshotMaxPlanLen {
 		return nil, false
 	}
 	buf := appendSnapshotHeader(make([]byte, 0, 128), snapGen(p.adaptiveSnap()), 1)

@@ -15,8 +15,16 @@
 //   - singleflight deduplication, so N concurrent requests for the same
 //     signature trigger exactly one search and share its outcome.
 //
-// OptimizeBatch fans a slice of instances across a worker pool and streams
-// results back in input order; large instances escalate to the parallel
+// Every entry point that reads these caches — Optimize, Classify,
+// ServeStale, SignatureFor — takes one lookup path: one memo probe
+// (probeMemo, written only by Optimize: see canonicalFor), the plan
+// cache's two reads (get and peek), one recovery of the previous
+// generation's plan (stalePlan), and one step from a resident entry to an
+// answer (canonical.answer), which refuses a plan that does not fit the
+// query so that the request searches instead.
+//
+// OptimizeBatch fans a slice of instances across a worker pool and returns
+// their results in input order; large instances escalate to the parallel
 // branch-and-bound, small ones run the sequential search.
 //
 // Above the exact tier sits the heuristic tier (internal/htier): from
@@ -34,6 +42,7 @@
 package planner
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -266,12 +275,13 @@ type Stats struct {
 	// Evictions counts plan-cache entries displaced by capacity.
 	Evictions int64 `json:"evictions"`
 
-	// Touches counts plan-cache hits that freshly set an entry's clock
-	// touch bit (its second-chance reprieve from eviction). An entry is
-	// touched at most once per eviction sweep, so under a stable working
-	// set Touches grows far slower than Hits; a Touches rate approaching
-	// the Hits rate means the clock hand is sweeping constantly — the
-	// cache is thrashing.
+	// Touches counts plan-cache reads that freshly set an entry's clock
+	// touch bit (its second-chance reprieve from eviction), whichever read
+	// came first: a request's own lookup, Classify, a fleet probe or a
+	// stale-plan recovery. An entry is touched at most once per eviction
+	// sweep, so under a stable working set Touches grows far slower than
+	// Hits; a Touches rate approaching the Hits rate means the clock hand
+	// is sweeping constantly — the cache is thrashing.
 	Touches int64 `json:"touches"`
 
 	// MemoHits counts canonicalization-memo hits (byte-identical
@@ -415,6 +425,11 @@ func (p *Planner) Adaptive() *adapt.Registry { return p.cfg.Adaptive }
 // generation-stamp compare), one lock-free plan-cache probe, and one plan
 // permutation — a single allocation (the caller-owned plan), pinned by
 // TestOptimizeWarmHitAllocs with and without an adaptive registry.
+//
+// Every answer taken from a resident entry — the fresh hit, the leader's
+// re-check, the follower's share — goes through canonical.answer, which
+// refuses an entry whose plan does not fit the query; the request then
+// searches as on a miss.
 func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -425,43 +440,23 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 	if err := q.Validate(); err != nil {
 		return Result{}, fmt.Errorf("planner: invalid query: %w", err)
 	}
-	heuristic := p.useHeuristicTier(q.N())
-	if !heuristic && q.N() > core.MaxServices {
+	if !p.useHeuristicTier(q.N()) && q.N() > core.MaxServices {
 		return Result{}, fmt.Errorf("%w (%d services, exact limit %d)", ErrQueryTooLarge, q.N(), core.MaxServices)
 	}
 
 	snap := p.adaptiveSnap()
 	gen := snapGen(snap)
-	canon, eff, staleMemo := p.canonicalFor(q, snap)
-	// effQuery materializes the overlaid query lazily: the warm hit never
-	// needs it, and on the memo-hit-but-plan-miss path it is rebuilt just
-	// before the search.
-	effQuery := func() *model.Query {
-		if eff == nil {
-			eff = overlay(q, snap)
-		}
-		return eff
+	canon, eff, staleMemo := p.canonicalFor(q, snap, true)
+	fresh, staleEntry := p.cache.get(canon.sig, gen)
+	if res, ok := canon.answer(fresh); ok {
+		return res, nil
 	}
-
-	var staleEntry *cacheEntry
-	if p.cache != nil {
-		entry, fresh, stale := p.cache.get(canon.sig, gen)
-		if fresh {
-			return Result{
-				Result: core.Result{
-					Plan:    canon.fromCanonical(entry.plan),
-					Cost:    entry.cost,
-					Optimal: entry.optimal,
-				},
-				Signature:        canon.sig,
-				Cached:           true,
-				Tier:             entry.tier,
-				ResponseFragment: entry.frag,
-			}, nil
-		}
-		staleEntry = stale
+	// The warm hit never needs the overlaid query; on a memo hit it is
+	// built only now, for the search and the stale plan's validation.
+	if eff == nil {
+		eff = overlay(q, snap)
 	}
-	incumbent := p.staleIncumbent(canon, staleEntry, staleMemo, effQuery)
+	incumbent, _ := p.stalePlan(canon, staleEntry, staleMemo, eff)
 
 	// Miss: run (or join) the search for this signature. The leader
 	// keeps its own core result so the miss path returns the exact plan
@@ -472,32 +467,15 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 		// Re-check the cache: a previous leader may have completed (and
 		// cached) between our miss above and winning the flight, and a
 		// redundant search here would also flake dedup accounting.
-		if p.cache != nil {
-			if entry, ok := p.cache.peek(canon.sig, gen); ok {
-				p.flight.complete(canon.sig, c, entry, nil)
-				return Result{
-					Result: core.Result{
-						Plan:    canon.fromCanonical(entry.plan),
-						Cost:    entry.cost,
-						Optimal: entry.optimal,
-					},
-					Signature:        canon.sig,
-					Cached:           true,
-					Tier:             entry.tier,
-					ResponseFragment: entry.frag,
-				}, nil
+		if e, egen := p.cache.peek(canon.sig); egen == gen {
+			if res, ok := canon.answer(e); ok {
+				p.flight.complete(canon.sig, c, e, nil)
+				return res, nil
 			}
 		}
-		res, tier, shareable, err := p.searchTier(ctx, effQuery(), canon.sig, incumbent, heuristic)
-		var entry *cacheEntry
-		if err == nil {
-			entry = p.record(canon, res, gen, tier, shareable)
-		}
+		res, entry, err := p.searchAndRecord(ctx, eff, canon, gen, incumbent)
 		p.flight.complete(canon.sig, c, entry, err)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Result: res, Signature: canon.sig, Replanned: incumbent != nil, Tier: tier, ResponseFragment: entry.frag}, nil
+		return res, err
 	}
 
 	// Follower: wait under our own context, not the leader's.
@@ -507,33 +485,44 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 	case <-c.done:
 	}
 	if c.err == nil && c.entry.shareable {
-		p.sharedWaits.Add(1)
-		return Result{
-			Result: core.Result{
-				Plan:    canon.fromCanonical(c.entry.plan),
-				Cost:    c.entry.cost,
-				Optimal: c.entry.optimal,
-			},
-			Signature:        canon.sig,
-			Shared:           true,
-			Tier:             c.entry.tier,
-			ResponseFragment: c.entry.frag,
-		}, nil
+		if res, ok := canon.answer(c.entry); ok {
+			p.sharedWaits.Add(1)
+			res.Cached, res.Shared = false, true
+			return res, nil
+		}
 	}
 	// The leader failed or was truncated — an outcome of its budget and
 	// context, not ours. Run our own search rather than propagate it
 	// (followers on this rare path search independently of one another).
-	res, tier, shareable, err := p.searchTier(ctx, effQuery(), canon.sig, incumbent, heuristic)
-	if err != nil {
-		return Result{}, err
-	}
-	entry := p.record(canon, res, gen, tier, shareable)
-	return Result{Result: res, Signature: canon.sig, Replanned: incumbent != nil, Tier: tier, ResponseFragment: entry.frag}, nil
+	res, _, err := p.searchAndRecord(ctx, eff, canon, gen, incumbent)
+	return res, err
 }
 
-// staleIncumbent recovers the previous generation's plan for this request,
-// in the client's own index space, so the replan starts from the incumbent
-// instead of a heuristic guess. Two sources, tried in order:
+// answer turns a resident entry into the response for the query c
+// describes, relabeling the canonical plan into the query's own indices.
+// It refuses (false) a nil entry, and an entry whose plan does not hold
+// one position per service: a structurally identical query always fits,
+// so a misfit can only have arrived from outside — a SOP1 snapshot or a
+// fleet replica, whose signature does not carry the service count — and
+// would answer a partial plan or relabel out of range. The caller then
+// searches, and the search's entry replaces the misfit.
+func (c canonical) answer(e *cacheEntry) (Result, bool) {
+	if e == nil || len(e.plan) != len(c.perm) {
+		return Result{}, false
+	}
+	return Result{
+		Result:           core.Result{Plan: c.fromCanonical(e.plan), Cost: e.cost, Optimal: e.optimal},
+		Signature:        c.sig,
+		Cached:           true,
+		Tier:             e.tier,
+		ResponseFragment: e.frag,
+	}, true
+}
+
+// stalePlan recovers the previous generation's plan for this request, in
+// the client's own index space, together with the entry it came from: the
+// replan's incumbent seed, and ServeStale's degraded answer. Two sources,
+// tried in order:
 //
 //   - a stale entry resident under the current effective signature (the
 //     overlay left this query's parameters unchanged across the bump, or
@@ -545,46 +534,51 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 //
 // The recovered plan is validated against the effective query (it came
 // from a structurally identical instance, but a hash collision or an
-// evicted-and-repopulated entry must never poison a search) and dropped on
-// any mismatch — the search then starts cold, as on a first sight.
-func (p *Planner) staleIncumbent(canon canonical, staleEntry *cacheEntry, staleMemo *rawEntry, effQuery func() *model.Query) model.Plan {
-	var plan model.Plan
-	switch {
-	case staleEntry != nil && len(staleEntry.plan) == len(canon.perm):
-		plan = canon.fromCanonical(staleEntry.plan)
-	case staleMemo != nil && p.cache != nil:
-		old, ok := p.cache.peekAny(staleMemo.sig)
-		if !ok || len(old.plan) != len(staleMemo.perm) {
-			return nil
+// evicted-and-repopulated entry must never poison a search or leak into a
+// response) and dropped on any mismatch: the result is then nil, and a
+// search starts cold, as on a first sight.
+func (p *Planner) stalePlan(canon canonical, staleEntry *cacheEntry, staleMemo *rawEntry, eff *model.Query) (model.Plan, *cacheEntry) {
+	src, via := staleEntry, canon
+	if src == nil || len(src.plan) != len(canon.perm) {
+		if staleMemo == nil {
+			return nil, nil
 		}
-		prev := canonical{sig: staleMemo.sig, perm: staleMemo.perm, inv: staleMemo.inv}
-		plan = prev.fromCanonical(old.plan)
-	default:
-		return nil
+		src, _ = p.cache.peek(staleMemo.sig)
+		via = staleMemo.canonical
+		if src == nil || len(src.plan) != len(via.perm) {
+			return nil, nil
+		}
 	}
-	if plan.Validate(effQuery()) != nil {
-		return nil
+	plan := via.fromCanonical(src.plan)
+	if plan.Validate(eff) != nil {
+		return nil, nil
 	}
-	return plan
+	return plan, src
 }
 
-// record builds the canonical-space entry for a search outcome, caches it
-// when shareable under the generation the request resolved against, and
-// returns it with the response fragment pre-serialized once so every
-// future hit splices bytes instead of re-marshaling.
-func (p *Planner) record(canon canonical, res core.Result, gen uint64, tier string, shareable bool) *cacheEntry {
+// searchAndRecord runs this request's own search on its tier and records
+// the outcome: the canonical-space entry, with the response fragment
+// pre-serialized once so every future hit splices bytes instead of
+// re-marshaling, is cached when shareable under the generation the
+// request resolved against. The entry is returned for the leader to share
+// with its followers.
+func (p *Planner) searchAndRecord(ctx context.Context, eff *model.Query, canon canonical, gen uint64, incumbent model.Plan) (Result, *cacheEntry, error) {
+	res, tier, shareable, err := p.searchTier(ctx, eff, canon.sig, incumbent)
+	if err != nil {
+		return Result{}, nil, err
+	}
 	entry := &cacheEntry{
 		plan:      canon.toCanonical(res.Plan),
 		cost:      res.Cost,
 		optimal:   res.Optimal,
 		tier:      tier,
 		shareable: shareable,
+		frag:      appendResultFragment(make([]byte, 0, 128), res.Cost, res.Optimal, canon.sig, tier),
 	}
-	entry.frag = appendResultFragment(make([]byte, 0, 128), res.Cost, res.Optimal, canon.sig, tier)
-	if p.cache != nil && shareable {
+	if shareable {
 		p.cache.put(canon.sig, entry, gen)
 	}
-	return entry
+	return Result{Result: res, Signature: canon.sig, Replanned: incumbent != nil, Tier: tier, ResponseFragment: entry.frag}, entry, nil
 }
 
 // appendResultFragment serializes the canonical-space response fields
@@ -644,33 +638,46 @@ const maxMemoRawBytes = 16 << 10
 // previous plan. The second result is the effective query when this call
 // materialized it (miss paths), nil on a memo hit; the third is the stale
 // previous-generation mapping, if any.
-func (p *Planner) canonicalFor(q *model.Query, snap *adapt.Snapshot) (canonical, *model.Query, *rawEntry) {
+//
+// write is the memo's one write switch, and only optimize sets it: the
+// memo hit is counted and the miss memoized. Every other caller resolves
+// without writing, because storing the fresh-generation mapping would
+// consume the stale one — the breadcrumb Classify and ServeStale follow to
+// the previous generation's plan, and the background replan's incumbent
+// seed (a fresh memo hit returns no stale mapping).
+func (p *Planner) canonicalFor(q *model.Query, snap *adapt.Snapshot, write bool) (canonical, *model.Query, *rawEntry) {
 	bufp := p.rawBufs.Get().(*[]byte)
-	raw := encodeRaw(q, (*bufp)[:0])
-	defer func() {
-		*bufp = raw
-		p.rawBufs.Put(bufp)
-	}()
+	defer p.rawBufs.Put(bufp)
 	gen := snapGen(snap)
-	if len(raw) > maxMemoRawBytes {
-		eff := overlay(q, snap)
-		return canonicalize(eff), eff, nil
-	}
-	key := fnv64(raw)
-	e, fresh, stale := p.memo.get(key, raw, gen)
-	if fresh {
-		p.memoHits.Add(1)
-		return canonical{sig: e.sig, perm: e.perm, inv: e.inv}, nil, nil
+	key, fresh, stale := p.probeMemo(q, gen, bufp)
+	if fresh != nil {
+		if write {
+			p.memoHits.Add(1)
+		}
+		return fresh.canonical, nil, nil
 	}
 	eff := overlay(q, snap)
 	c := canonicalize(eff)
-	p.memo.put(key, &rawEntry{
-		raw:  append([]byte(nil), raw...),
-		sig:  c.sig,
-		perm: c.perm,
-		inv:  c.inv,
-	}, gen)
+	if write && len(*bufp) <= maxMemoRawBytes {
+		p.memo.put(key, &rawEntry{raw: bytes.Clone(*bufp), canonical: c}, gen)
+	}
 	return c, eff, stale
+}
+
+// probeMemo serializes q into *buf (the caller's pooled scratch) and
+// probes the canonicalization memo for those exact bytes at generation
+// gen: the one encode-hash-probe sequence every memo reader shares. It
+// returns the key a miss is memoized under, and the fresh mapping or the
+// stale previous-generation one (at most one is non-nil). Serializations
+// past maxMemoRawBytes are never memoized, so they always miss.
+func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64, fresh, stale *rawEntry) {
+	*buf = encodeRaw(q, (*buf)[:0])
+	if len(*buf) > maxMemoRawBytes {
+		return 0, nil, nil
+	}
+	key = fnv64(*buf)
+	fresh, stale = p.memo.get(key, *buf, gen)
+	return key, fresh, stale
 }
 
 // useHeuristicTier decides the planning tier for an n-service query: the
@@ -691,8 +698,8 @@ func (p *Planner) useHeuristicTier(n int) bool {
 // searchTier runs one optimization on the tier selected for this request
 // and reports the result, its tier label, and whether the outcome is
 // shareable (cacheable and adoptable by singleflight followers).
-func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan, heuristic bool) (core.Result, string, bool, error) {
-	if heuristic {
+func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, string, bool, error) {
+	if p.useHeuristicTier(q.N()) {
 		return p.searchHeuristic(ctx, q, sig, incumbent)
 	}
 	res, err := p.search(ctx, q, sig, incumbent)

@@ -6,6 +6,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"strings"
+
+	"serviceordering/internal/htier"
 )
 
 // Plan-cache snapshots: the warm-boot path. A restarted node replays its
@@ -27,6 +31,14 @@ import (
 //	  tier  uvarint length + bytes
 //	  plan  uvarint length + length × uvarint (canonical-space ordering)
 //	crc     uint32   trailer
+//
+// A restore is all or nothing. The whole document is decoded, and every
+// entry must pass the entry checks (checkRestored: a plan that is a
+// permutation, a finite non-negative cost, a tier the planner labels plans
+// with) before the first entry lands; any failure refuses the document and
+// leaves the cache as it was. The loader reads documents from disk at warm
+// boot and from any fleet peer (ImportEntry), and every response splices
+// a restored entry's bytes verbatim, so nothing it cannot serve may land.
 //
 // Only shareable entries are dumped — they are exactly the entries the
 // cache holds, and the only ones safe to serve to other requests. The
@@ -130,11 +142,14 @@ func appendSnapshotCRC(buf []byte) []byte {
 }
 
 // LoadSnapshot restores a SaveSnapshot stream into the plan cache,
-// returning the number of entries restored. Entries land through the
-// normal bounded put path, so a snapshot larger than the configured
-// capacity simply evicts down to it. Generation stamps are preserved
-// verbatim only when the snapshot's header generation equals the current
-// registry generation; otherwise every entry is restamped with
+// returning the number of entries restored. The restore is all or
+// nothing: the whole document is decoded and every entry checked (see
+// checkRestored) before the first one lands, so a refused document —
+// whatever the error — leaves the cache exactly as it was. Entries land
+// through the normal bounded put path, so a snapshot larger than the
+// configured capacity simply evicts down to it. Generation stamps are
+// preserved verbatim only when the snapshot's header generation equals the
+// current registry generation; otherwise every entry is restamped with
 // StaleGenSentinel (see the package comment above — restored plans from
 // an unprovable world serve as stale, never fresh).
 func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
@@ -160,8 +175,7 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 	if count > snapshotMaxEntries {
 		return 0, fmt.Errorf("planner: snapshot claims %d entries (max %d)", count, snapshotMaxEntries)
 	}
-	currentGen := snapGen(p.adaptiveSnap())
-	sameWorld := headerGen == currentGen
+	sameWorld := headerGen == snapGen(p.adaptiveSnap())
 
 	rd := body[snapshotHeaderLen:]
 	need := func(n int) error {
@@ -179,10 +193,15 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 		return v, nil
 	}
 
-	restored := 0
+	type restoredEntry struct {
+		sig   Signature
+		gen   uint64
+		entry *cacheEntry
+	}
+	var entries []restoredEntry
 	for i := uint32(0); i < count; i++ {
 		if err := need(32 + 8 + 8 + 1); err != nil {
-			return restored, err
+			return 0, err
 		}
 		var sig Signature
 		copy(sig[:], rd)
@@ -192,52 +211,38 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 		rd = rd[49:]
 		tierLen, err := uvarint()
 		if err != nil {
-			return restored, err
+			return 0, err
 		}
 		if tierLen > 256 {
-			return restored, fmt.Errorf("planner: snapshot tier length %d", tierLen)
+			return 0, fmt.Errorf("planner: snapshot tier length %d", tierLen)
 		}
 		if err := need(int(tierLen)); err != nil {
-			return restored, err
+			return 0, err
 		}
 		tier := string(rd[:tierLen])
 		rd = rd[tierLen:]
 		planLen, err := uvarint()
 		if err != nil {
-			return restored, err
+			return 0, err
 		}
 		if planLen > snapshotMaxPlanLen {
-			return restored, fmt.Errorf("planner: snapshot plan length %d (max %d)", planLen, snapshotMaxPlanLen)
+			return 0, fmt.Errorf("planner: snapshot plan length %d (max %d)", planLen, snapshotMaxPlanLen)
 		}
 		plan := make([]int, planLen)
-		seen := uint64(0)
-		valid := true
 		for j := range plan {
 			v, err := uvarint()
 			if err != nil {
-				return restored, err
+				return 0, err
 			}
-			plan[j] = int(v)
-			// Cheap structural check: a canonical-space ordering is a
-			// permutation of [0, n). Entries that aren't (corruption the
-			// CRC cannot see, e.g. a buggy writer) are skipped, not fatal.
-			if v >= planLen {
-				valid = false
-			} else if planLen <= 64 {
-				if seen&(1<<v) != 0 {
-					valid = false
-				}
-				seen |= 1 << v
-			}
+			// Clamped so an out-of-range service stays out of range as an
+			// int, for checkRestored to refuse.
+			plan[j] = int(min(v, planLen))
 		}
-		if !valid || planLen == 0 {
-			continue
+		if err := checkRestored(plan, cost, tier); err != nil {
+			return 0, fmt.Errorf("planner: snapshot entry %d: %w", i, err)
 		}
 		if !sameWorld {
 			gen = StaleGenSentinel
-		}
-		if p.cache == nil {
-			continue
 		}
 		entry := &cacheEntry{
 			plan:      plan,
@@ -247,14 +252,59 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 			shareable: true,
 		}
 		entry.frag = appendResultFragment(make([]byte, 0, 128), cost, entry.optimal, sig, tier)
-		p.cache.put(sig, entry, gen)
-		restored++
+		entries = append(entries, restoredEntry{sig, gen, entry})
 	}
 	if len(rd) != 0 {
-		return restored, fmt.Errorf("planner: snapshot has %d trailing bytes", len(rd))
+		return 0, fmt.Errorf("planner: snapshot has %d trailing bytes", len(rd))
 	}
-	return restored, nil
+	if p.cache == nil {
+		return 0, nil
+	}
+	for _, e := range entries {
+		p.cache.put(e.sig, e.entry, e.gen)
+	}
+	return len(entries), nil
 }
+
+// checkRestored is what every SOP1 entry must pass before anything is
+// restored. The CRC proves only that the bytes arrived as they were
+// written; these checks prove the writer wrote something a response can
+// carry: a plan that is a permutation of [0, len) (a canonical-space
+// ordering), a finite non-negative cost (encoding/json refuses NaN, so a
+// NaN cost would corrupt every response spliced from the entry), and a
+// tier the planner itself labels plans with (the tier is spliced into
+// responses verbatim). One check cannot be made here: whether the plan
+// holds one position per service of the queries the signature names, as
+// the signature does not carry the service count. canonical.answer
+// refuses such an entry at lookup instead.
+func checkRestored(plan []int, cost float64, tier string) error {
+	if len(plan) == 0 {
+		return fmt.Errorf("empty plan")
+	}
+	seen := make([]bool, len(plan))
+	for _, s := range plan {
+		if s < 0 || s >= len(plan) || seen[s] {
+			return fmt.Errorf("%d-service plan is not a permutation", len(plan))
+		}
+		seen[s] = true
+	}
+	if math.IsNaN(cost) || math.IsInf(cost, 0) || cost < 0 {
+		return fmt.Errorf("cost %v", cost)
+	}
+	member, heuristic := strings.CutPrefix(tier, tierHeuristicPrefix)
+	switch {
+	case tier == TierExact:
+	case heuristic && slices.Contains(heuristicMembers, member):
+	default:
+		return fmt.Errorf("tier %q", tier)
+	}
+	return nil
+}
+
+// heuristicMembers are the portfolio members whose plans the heuristic
+// tier labels "heuristic/<member>".
+var heuristicMembers = []string{htier.MemberSeed, htier.MemberGreedyEpsilon, htier.MemberGreedyTransfer,
+	htier.MemberBeam, htier.MemberLocalSearch, htier.MemberBB}
 
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -818,6 +820,50 @@ func TestV1FleetRejectsTrailingData(t *testing.T) {
 	status, _, _, resp := h.serveForwarded("/v1/optimize", []byte(body+" garbage"))
 	if status != http.StatusBadRequest || !bytes.Contains(resp, []byte(codeBadRequest)) {
 		t.Fatalf("forwarded frame with trailing data: status %d: %s", status, resp)
+	}
+}
+
+// TestForwardedMisfitReplicaSearches: a CRC-valid replica whose plan does
+// not fit its signature's queries (a 12-position plan under the signature
+// of a 10-service query, which the signature cannot reveal) must not
+// answer them. The forwarded request is served 200 from a fresh search.
+func TestForwardedMisfitReplicaSearches(t *testing.T) {
+	t.Parallel()
+	inst := genInstance(t, gen.Default(10, 42))
+	owner := planner.New(planner.Config{})
+	long, err := owner.Optimize(context.Background(), genInstance(t, gen.Default(12, 42)).Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, ok := owner.ExportEntry(long.Signature)
+	if !ok {
+		t.Fatal("export refused")
+	}
+	replica := planner.New(planner.Config{})
+	sig, _ := replica.SignatureFor(inst.Query)
+	// Re-sign the entry: its signature follows the 18-byte SOP1 header,
+	// and the CRC-32C of everything before it trails the document.
+	copy(doc[18:], sig[:])
+	binary.LittleEndian.PutUint32(doc[len(doc)-4:], crc32.Checksum(doc[:len(doc)-4], crc32.MakeTable(crc32.Castagnoli)))
+	if n, _, err := replica.ImportEntry(doc); err != nil || n != 1 {
+		t.Fatalf("import = (%d, %v), want the misfit resident", n, err)
+	}
+
+	status, _, _, resp := newHandler(replica, Options{}).serveForwarded("/v1/optimize", []byte(mustJSON(t, inst)))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, resp)
+	}
+	var env struct {
+		Data struct {
+			Plan   model.Plan `json:"plan"`
+			Cached bool       `json:"cached"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal(resp, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Data.Cached || env.Data.Plan.Validate(inst.Query) != nil {
+		t.Fatalf("answered plan %v cached=%v, want a valid plan from a fresh search", env.Data.Plan, env.Data.Cached)
 	}
 }
 
