@@ -103,9 +103,10 @@
 //
 // At scale the common request is not a search but a warm cache hit, so
 // the planner->HTTP read path is engineered to be contention-free and
-// allocation-lean end to end. A warm /v1/optimize hit is: hash the raw query
-// bytes, probe two lock-free caches, permute the cached plan's indices
-// into the caller's numbering, and copy pre-serialized buffers.
+// allocation-lean end to end. A warm /v1/optimize hit is: find the body in
+// a memo of decoded request documents (one seeded hash and one byte
+// comparison), probe two lock-free caches, permute the cached plan's
+// indices into the caller's numbering, and copy pre-serialized buffers.
 //
 //   - Read-lock-free caches. The plan cache and canonicalization memo
 //     (internal/ccache) take no lock on a lookup: it loads an atomically
@@ -129,11 +130,19 @@
 //     plans live in canonical index space, and two callers submitting
 //     relabelings of the same structure each get the plan expressed in
 //     their own service numbering.
-//   - A byte-exact query memo. The dearest remaining per-request cost is
-//     reflection-driven JSON decoding of the query; since byte-identical
-//     query JSON deterministically parses to the same query, the server
-//     memoizes raw-bytes -> parsed-and-validated query (bounded, verified
-//     by full byte comparison) and skips the decode for resubmissions.
+//   - A byte-exact request memo. The dearest per-request cost was
+//     encoding/json: two scans of the whole body and a reflection-driven
+//     decode of the query. Byte-identical bodies decode identically, so
+//     internal/serve memoizes whole body -> decoded document (its parsed,
+//     validated query, and the comment and query echoes as sub-slices of
+//     the one stored copy of the body) for /v1/optimize, each batch
+//     instance and /v1/execute. Entries are written only after the full
+//     strict decode and validation succeeded; a hit needs the same route
+//     and a full byte comparison, under a per-process seeded maphash key
+//     that crafted collisions cannot flood. The planner's
+//     canonicalization memo is keyed the same way; only hashes that must
+//     agree across processes (refinement colors, the fleet ring) keep
+//     FNV-1a.
 //   - Warm-hit budgets, enforced by tests: Planner.Optimize allocates at
 //     most twice per warm hit (the caller-owned plan plus pool-refill
 //     headroom), and the full HTTP handler is pinned by its own

@@ -2,16 +2,17 @@ package planner
 
 import (
 	"bytes"
+	"hash/maphash"
 	"sync/atomic"
 
 	"serviceordering/internal/ccache"
 )
 
 // This file binds the planner's two caches — the plan cache (Signature ->
-// cached plan) and the canonicalization memo (raw byte hash -> signature +
-// permutation) — to the read-lock-free clock store in internal/ccache: one
-// atomic map load per warm hit, no mutex, no promotion. Counters are
-// atomics aggregated on read.
+// cached plan) and the canonicalization memo (seeded hash of the raw
+// serialization -> signature + permutation) — to the read-lock-free clock
+// store in internal/ccache: one atomic map load per warm hit, no mutex, no
+// promotion. Counters are atomics aggregated on read.
 //
 // The plan cache has two reads. get is a request's own lookup and counts
 // a hit or a miss; peek re-reads without counting either (the leader's
@@ -135,17 +136,23 @@ func (c *planCache) put(sig Signature, e *cacheEntry, gen uint64) {
 
 func (c *planCache) len() int { return c.store.Len() }
 
-// rawMemo is the sharded canonicalization memo keyed by the FNV-64 hash of
-// the query's exact serialization. Bucket collisions are disambiguated by
-// comparing the stored bytes; a mismatch is treated as a miss and the
-// bucket is overwritten (the newer query is the hotter one).
+// rawMemo is the sharded canonicalization memo keyed by a seeded maphash
+// of the query's exact serialization. The seed is drawn per planner, so
+// the key never leaves the process and crafted collisions cannot flood a
+// bucket. Bucket collisions are disambiguated by comparing the stored
+// bytes; a mismatch is treated as a miss and the bucket is overwritten
+// (the newer query is the hotter one).
 type rawMemo struct {
+	seed  maphash.Seed
 	store *ccache.Clock[uint64, *rawEntry]
 }
 
 func newRawMemo(capacity int) *rawMemo {
-	return &rawMemo{store: ccache.NewClock[uint64, *rawEntry](capacity, cacheShardCount, keyShard)}
+	return &rawMemo{seed: maphash.MakeSeed(), store: ccache.NewClock[uint64, *rawEntry](capacity, cacheShardCount, keyShard)}
 }
+
+// key is raw's bucket key.
+func (m *rawMemo) key(raw []byte) uint64 { return maphash.Bytes(m.seed, raw) }
 
 // get resolves the memoized canonicalization of raw at the given
 // generation. A byte-verified entry stamped with another generation is a

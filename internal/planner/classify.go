@@ -120,12 +120,17 @@ func (p *Planner) ServeStale(q *model.Query) (Result, bool) {
 	if plan == nil {
 		return Result{}, false
 	}
+	// The answer names the current signature, the one the caller enqueues
+	// the background replan under. A plan recovered through the stale memo
+	// mapping comes from an entry whose fragment names the previous
+	// signature, so the fragment is rebuilt: one allocation, on the
+	// degraded path only.
 	return Result{
 		Result:           core.Result{Plan: plan, Cost: src.cost, Optimal: src.optimal},
 		Signature:        canon.sig,
 		Cached:           true,
 		Stale:            true,
 		Tier:             src.tier,
-		ResponseFragment: src.frag,
+		ResponseFragment: appendResultFragment(make([]byte, 0, 128), src.cost, src.optimal, canon.sig, src.tier),
 	}, true
 }

@@ -123,6 +123,42 @@ func TestServeStaleAfterDrift(t *testing.T) {
 	}
 }
 
+// TestServeStaleFragmentNamesCurrentSignature: a stale answer recovered
+// through the previous generation's memo mapping splices a fragment whose
+// signature is Result.Signature — the current one, under which the serve
+// layer enqueues the background replan — not the old entry's.
+func TestServeStaleFragmentNamesCurrentSignature(t *testing.T) {
+	reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
+	p := New(Config{Adaptive: reg})
+	q := namedQuery(t, 8, 511, "svc-")
+	first, err := p.Optimize(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := q.Clone()
+	for i := range truth.Services {
+		truth.Services[i].Cost *= 2
+	}
+	observeCovering(t, reg, truth, 1)
+	if reg.Generation() == 0 {
+		t.Fatal("no drift generation published")
+	}
+
+	res, ok := p.ServeStale(q)
+	if !ok || !res.Stale {
+		t.Fatalf("ServeStale after drift = (stale=%v, ok=%v), want a stale answer", res.Stale, ok)
+	}
+	if res.Signature == first.Signature {
+		t.Fatal("the drift left the signature unchanged, so the stale memo mapping was not exercised")
+	}
+	if want := `"signature":"` + res.Signature.String() + `"`; !bytes.Contains(res.ResponseFragment, []byte(want)) {
+		t.Fatalf("stale fragment %s does not carry Result.Signature %s", res.ResponseFragment, res.Signature)
+	}
+	if want := `"cost":` + string(appendJSONFloat(nil, first.Cost)) + `,`; !bytes.HasPrefix(res.ResponseFragment, []byte(want)) {
+		t.Fatalf("stale fragment %s does not carry the previous answer's cost %v", res.ResponseFragment, first.Cost)
+	}
+}
+
 func TestSnapshotRoundtripWarmBoot(t *testing.T) {
 	p := New(Config{})
 	ctx := context.Background()

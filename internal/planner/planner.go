@@ -421,7 +421,7 @@ func overlay(q *model.Query, snap *adapt.Snapshot) *model.Query {
 func (p *Planner) Adaptive() *adapt.Registry { return p.cfg.Adaptive }
 
 // optimize is the uninstrumented request path. The warm hit costs: one
-// pooled raw serialization + FNV hash, one lock-free memo probe (plus a
+// pooled raw serialization + seeded hash, one lock-free memo probe (plus a
 // generation-stamp compare), one lock-free plan-cache probe, and one plan
 // permutation — a single allocation (the caller-owned plan), pinned by
 // TestOptimizeWarmHitAllocs with and without an adaptive registry.
@@ -437,6 +437,9 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 	if q == nil {
 		return Result{}, fmt.Errorf("planner: nil query")
 	}
+	// Validation precedes the memo probe, hit or miss: encodeRaw writes
+	// ThreadCount(), which maps Threads -1, 0 and 1 to one value, so a
+	// memo match does not prove q valid.
 	if err := q.Validate(); err != nil {
 		return Result{}, fmt.Errorf("planner: invalid query: %w", err)
 	}
@@ -675,7 +678,7 @@ func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64
 	if len(*buf) > maxMemoRawBytes {
 		return 0, nil, nil
 	}
-	key = fnv64(*buf)
+	key = p.memo.key(*buf)
 	fresh, stale = p.memo.get(key, *buf, gen)
 	return key, fresh, stale
 }

@@ -385,10 +385,12 @@ func appendFloat(dst []byte, v float64) []byte {
 }
 
 // fnv64 is ccache.FNV64 (FNV-1a): cheap, allocation-free, and
-// deterministic across processes (unlike hash/maphash). It is used for
-// refinement colors and the raw-memo bucket key; both tolerate collisions
-// (colors merely coarsen the partition, the raw memo verifies full bytes
-// before trusting a bucket).
+// deterministic across processes (unlike hash/maphash). It hashes the
+// refinement colors, which must agree across processes because the
+// signature they refine into does (the fleet ring, SOP1 snapshots), and
+// which tolerate collisions (a collision merely coarsens the partition).
+// The raw memo's key stays in the process and uses a seeded maphash
+// instead (rawMemo.key).
 func fnv64(b []byte) uint64 { return ccache.FNV64(b) }
 
 // mix combines two words into one (used for (weight, color) profile

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"serviceordering/internal/exec"
@@ -57,16 +55,6 @@ type ExecuteResponse struct {
 	Observed bool `json:"observed"`
 }
 
-// executeRequest is the wire decode target: the query stays raw so the
-// memo path in finishInstanceDecode is shared with /v1/optimize.
-type executeRequest struct {
-	Comment json.RawMessage `json:"comment"`
-	Query   json.RawMessage `json:"query"`
-	Tuples  int64           `json:"tuples"`
-
-	inner optimizeRequest
-}
-
 // v1Execute serves POST /v1/execute: it runs one query end to end —
 // optimize (or reuse the cached plan), stream tuples through the plan
 // against the configured backend, and feed the execution report into the
@@ -79,25 +67,14 @@ func (h *handler) v1Execute(w http.ResponseWriter, r *http.Request) {
 		h.v1Error(w, codeNotFound, "execution disabled (start the server with -exec-backend)", nil)
 		return
 	}
-	var req executeRequest
-	if err := decodeJSON(w, r, h.opts.MaxBody, &req); err != nil {
+	bufp := h.getBuf()
+	body, doc, err := h.readSolvable(w, r, bufp, executeDoc)
+	h.putBuf(bufp, body)
+	if err != nil {
 		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
-	if req.Tuples < 0 || req.Tuples > maxExecuteTuples {
-		h.v1Error(w, codeBadRequest, fmt.Sprintf("tuples must be in [0, %d]", maxExecuteTuples), nil)
-		return
-	}
-	req.inner.Comment, req.inner.Query = req.Comment, req.Query
-	if err := h.finishInstanceDecode(&req.inner); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), nil)
-		return
-	}
-	if err := h.finishOptimizeDecode(&req.inner); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), nil)
-		return
-	}
-	q := req.inner.query
+	q := doc.q
 
 	// Same gate as /v1/optimize: the planning half is the admission-
 	// relevant cost and classifies identically; the execution half holds
@@ -114,7 +91,7 @@ func (h *handler) v1Execute(w http.ResponseWriter, r *http.Request) {
 		h.v1Fail(w, err)
 		return
 	}
-	result, err := ex.Execute(r.Context(), q, res.Plan, exec.Tuples(int(req.Tuples)))
+	result, err := ex.Execute(r.Context(), q, res.Plan, exec.Tuples(int(doc.tuples)))
 	if err != nil {
 		h.v1Fail(w, err)
 		return

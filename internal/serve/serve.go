@@ -5,24 +5,23 @@
 // in-process.
 //
 // The serving hot path is a warm plan-cache hit, and this package keeps it
-// allocation-lean end to end: the request's query is captured as raw bytes
-// (json.RawMessage) and echoed verbatim into the response instead of being
-// re-marshaled; the plan is appended integer by integer (it is the one
-// response field that differs per caller — cached plans live in canonical
-// index space and are permuted into the caller's numbering); and the
-// cost/optimal/signature/tier tail is spliced from the cache entry's
+// allocation-lean end to end. The body is read into a pooled buffer and
+// looked up whole in a memo of decoded request documents (decode.go): a
+// byte-identical resubmission — the warm-hit workload — gets its parsed,
+// validated query without running encoding/json at all. The request's
+// comment and query are echoed verbatim into the response instead of
+// being re-marshaled; the plan is appended integer by integer (it is the
+// one response field that differs per caller — cached plans live in
+// canonical index space and are permuted into the caller's numbering); and
+// the cost/optimal/signature/tier tail is spliced from the cache entry's
 // pre-serialized fragment (planner.Result.ResponseFragment). Responses are
 // assembled in pooled append-based buffers, wrapped in the /v1 envelope on
 // the same buffer, and written with a single Write.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -33,7 +32,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
-	"serviceordering/internal/ccache"
 	"serviceordering/internal/exec"
 	"serviceordering/internal/fleet"
 	"serviceordering/internal/model"
@@ -95,14 +93,6 @@ type Options struct {
 	Backend exec.Backend
 }
 
-// DefaultQueryMemoCapacity bounds the query memo: a byte-exact cache from
-// raw query JSON to its parsed, validated model.Query, so byte-identical
-// resubmissions — the warm-hit workload — skip reflection-driven JSON
-// decoding of the services and transfer matrix, by far the dearest step
-// left on the hit path. It matches twice the planner's default plan-cache
-// capacity, mirroring the canonicalization memo it sits in front of.
-const DefaultQueryMemoCapacity = 2 * planner.DefaultCacheCapacity
-
 // OptimizeResponse is the data payload of POST /v1/optimize: the solved
 // instance plus planner provenance. The fast path emits this shape by hand
 // (appendSolved); the struct remains the schema of record and the decoding
@@ -156,8 +146,10 @@ type StatsResponse struct {
 	// HitRate is the plan-cache hit fraction in [0, 1].
 	HitRate float64 `json:"hitRate"`
 
-	// QueryMemoHits counts requests whose query bytes were matched in the
-	// server's query memo, skipping the JSON parse entirely.
+	// QueryMemoHits counts instance documents (a /v1/optimize or
+	// /v1/execute body, or one /v1/optimize/batch instance) whose exact
+	// bytes were found in the server's memo of decoded documents, skipping
+	// the JSON parse entirely.
 	QueryMemoHits int64 `json:"queryMemoHits"`
 
 	// Adaptive carries the drift-loop counters (generation, drift events,
@@ -212,30 +204,6 @@ type OverloadStats struct {
 // invalidating every plan cached under the previous one.
 type ObserveResponse = adapt.Outcome
 
-// optimizeRequest mirrors model.Instance field for field but captures the
-// parts the response echoes (comment, query) as raw bytes, so the fast
-// path can splice them back verbatim instead of re-marshaling. plan and
-// cost are accepted (the interchange format carries them) but ignored —
-// the response always holds the freshly computed plan.
-type optimizeRequest struct {
-	Comment json.RawMessage `json:"comment"`
-	Query   json.RawMessage `json:"query"`
-	Plan    json.RawMessage `json:"plan"`
-	Cost    json.RawMessage `json:"cost"`
-
-	query     *model.Query // parsed Query (nil when the instance has none)
-	validated bool         // query came from the memo, already validated
-}
-
-// queryMemoEntry is one memoized parse: the exact query bytes (verified
-// on lookup — the memo key is a 64-bit hash) and the decoded, validated
-// query. The query is shared across requests and must be treated as
-// read-only; the planner only ever reads it.
-type queryMemoEntry struct {
-	raw []byte
-	q   *model.Query
-}
-
 type handler struct {
 	p       *planner.Planner
 	opts    Options
@@ -246,10 +214,9 @@ type handler struct {
 	// replication, and handed published anchors for gossip.
 	fleet *fleet.Peer
 
-	// qmemo maps FNV-64(raw query JSON) -> parsed query. Read-lock-free
-	// (ccache clock store).
-	qmemo     *ccache.Clock[uint64, *queryMemoEntry]
-	qmemoHits atomic.Int64
+	// memo holds decoded request documents by their whole body (see
+	// decode.go).
+	memo *docMemo
 
 	// bufs holds response-assembly scratch (*[]byte). Buffers that grew
 	// beyond maxPooledBuf are dropped rather than pooled, so one giant
@@ -280,19 +247,6 @@ const (
 	defaultMaxBody = 8 << 20
 	maxPooledBuf   = 1 << 20
 
-	// maxMemoQueryBytes bounds the per-entry footprint of the query memo,
-	// matching the planner's canonicalization memo bound so the two
-	// memos' worst-case resident bytes stay comparable (capacity x 16KiB;
-	// larger queries simply re-parse — they are search-dominated anyway).
-	// The byte bound is the only admission criterion: with the heuristic
-	// tier, queries past core.MaxServices are servable, and compactly
-	// encoded ones (sparse transfer matrices) fit well under 16KiB.
-	maxMemoQueryBytes = 16 << 10
-
-	// queryMemoShards: power of two, same sharding story as the planner
-	// caches.
-	queryMemoShards = 64
-
 	// replanQueueDepth bounds the background replan queue behind
 	// stale-serve. Replans beyond the bound are dropped — the entry stays
 	// stale-servable and a later shed re-enqueues it.
@@ -305,10 +259,8 @@ func newHandler(p *planner.Planner, opts Options) *handler {
 	if opts.MaxBody <= 0 {
 		opts.MaxBody = defaultMaxBody
 	}
-	h := &handler{p: p, opts: opts, started: time.Now(), admission: opts.Admission, fleet: opts.Fleet}
+	h := &handler{p: p, opts: opts, started: time.Now(), memo: newDocMemo(), admission: opts.Admission, fleet: opts.Fleet}
 	h.bufs.New = func() any { b := make([]byte, 0, 4096); return &b }
-	h.qmemo = ccache.NewClock[uint64, *queryMemoEntry](DefaultQueryMemoCapacity, queryMemoShards,
-		func(k uint64) int { return int(k & (queryMemoShards - 1)) })
 	if ex := opts.Executor; ex != nil {
 		// Failover residual queries route through the shared planner: they
 		// hit the plan cache like any request and are priced against the
@@ -415,7 +367,7 @@ func (h *handler) buildStats() StatsResponse {
 	resp := StatsResponse{
 		Stats:         st,
 		HitRate:       st.HitRate(),
-		QueryMemoHits: h.qmemoHits.Load(),
+		QueryMemoHits: h.memo.hits.Load(),
 		Uptime:        time.Since(h.started).Seconds(),
 	}
 	if reg := h.p.Adaptive(); reg != nil {
@@ -452,163 +404,21 @@ func (h *handler) putBuf(p *[]byte, b []byte) {
 	h.bufs.Put(p)
 }
 
-// errTrailingData rejects a request body that continues past its one JSON
-// document.
-var errTrailingData = errors.New("unexpected data after the request document")
-
-// decodeStrict decodes exactly one JSON document into v: unknown fields
-// are errors, and so is anything but whitespace after the document.
-func decodeStrict(dec *json.Decoder, v any) error {
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errTrailingData
-	}
-	return nil
-}
-
-// decodeJSON strictly decodes the request body into v.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBody int64, v any) error {
-	if err := decodeStrict(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)), v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
-}
-
-// decodeOptimizeRequest reads and validates one instance document,
-// capturing comment and query as raw bytes for verbatim echo. Malformed
-// JSON, trailing data and an invalid query are all request errors (400).
-func (h *handler) decodeOptimizeRequest(w http.ResponseWriter, r *http.Request, req *optimizeRequest) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, h.opts.MaxBody))
-	if err := decodeStrict(dec, req); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	if err := h.finishInstanceDecode(req); err != nil {
-		return err
-	}
-	return h.finishOptimizeDecode(req)
-}
-
-// decodeOptimizeBytes is decodeOptimizeRequest over a body already read
-// into memory — the fleet paths keep the bytes to relay them.
-func (h *handler) decodeOptimizeBytes(body []byte, req *optimizeRequest) error {
-	if err := h.decodeInstanceBytes(body, req); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return h.finishOptimizeDecode(req)
-}
-
-// decodeInstanceBytes decodes one instance from its raw bytes with the
-// same strictness as the streamed path. Semantic validation of the query
-// is deliberately left to the caller: a batch leaves it to the planner so
-// an invalid instance fails alone, not the batch.
-func (h *handler) decodeInstanceBytes(raw []byte, req *optimizeRequest) error {
-	if err := decodeStrict(json.NewDecoder(bytes.NewReader(raw)), req); err != nil {
-		return err
-	}
-	return h.finishInstanceDecode(req)
-}
-
-// finishOptimizeDecode applies the single-instance requirements on top of
-// finishInstanceDecode: a query must be present and (unless the memo
-// already proved it) valid.
-func (h *handler) finishOptimizeDecode(req *optimizeRequest) error {
-	if req.query == nil {
-		return errors.New("instance has no query")
-	}
-	if req.validated {
-		return nil // memo hit: these exact bytes validated before
-	}
-	return req.query.Validate()
-}
-
-// finishInstanceDecode type-checks the raw envelope fields and parses the
-// query (without semantic validation on the fresh-parse path). The
-// envelope decode captured comment/plan/cost as raw bytes for speed; they
-// are still checked against their declared types (model.Instance's), so a
-// mistyped field is rejected as if the whole document were decoded.
-//
-// The query parse itself consults the query memo first: byte-identical
-// query JSON deterministically decodes to the same query, so a verified
-// byte match (the hash is only a bucket key) reuses the previously
-// parsed, previously validated query and skips both the reflection-driven
-// decode and re-validation — the "hash" step of the warm hit path's
-// hash -> probe -> permute -> copy pipeline.
-func (h *handler) finishInstanceDecode(req *optimizeRequest) error {
-	if jsonNull(req.Comment) {
-		req.Comment = nil
-	} else if len(req.Comment) > 0 && req.Comment[0] != '"' {
-		return errors.New("decoding request: comment must be a string")
-	}
-	if len(req.Plan) > 0 && !jsonNull(req.Plan) {
-		var p model.Plan
-		if err := json.Unmarshal(req.Plan, &p); err != nil {
-			return fmt.Errorf("decoding request: %w", err)
-		}
-	}
-	if len(req.Cost) > 0 && !jsonNull(req.Cost) {
-		var c float64
-		if err := json.Unmarshal(req.Cost, &c); err != nil {
-			return fmt.Errorf("decoding request: %w", err)
-		}
-	}
-	if len(req.Query) == 0 || jsonNull(req.Query) {
-		return nil // no query: the planner reports it per request
-	}
-
-	memoable := len(req.Query) <= maxMemoQueryBytes
-	var key uint64
-	if memoable {
-		key = ccache.FNV64(req.Query)
-		if e, ok, _ := h.qmemo.Get(key); ok && bytes.Equal(e.raw, req.Query) {
-			h.qmemoHits.Add(1)
-			req.query = e.q
-			req.validated = true
-			return nil
-		}
-	}
-
-	dec := json.NewDecoder(bytes.NewReader(req.Query))
-	dec.DisallowUnknownFields()
-	var q model.Query
-	if err := dec.Decode(&q); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	req.query = &q
-	// Only queries that fully validate are memoized, so a memo hit can
-	// skip validation outright; invalid ones re-parse per request (they
-	// never reach a search anyway). Size is not a criterion: large-n
-	// queries are served by the heuristic tier and their (expensive)
-	// plans are exactly the ones worth skipping a re-parse for.
-	if memoable && q.Validate() == nil {
-		raw := append([]byte(nil), req.Query...)
-		h.qmemo.Put(key, &queryMemoEntry{raw: raw, q: &q})
-		req.validated = true
-	}
-	return nil
-}
-
-func jsonNull(raw json.RawMessage) bool {
-	return len(raw) == 4 && string(raw) == "null"
-}
-
 // appendSolved assembles one solved-instance response object. Field set
 // and shape match OptimizeResponse; comment and query are the request's
 // own bytes, the plan is appended per caller, and the
 // cost/optimal/signature tail comes pre-serialized from the planner.
-func appendSolved(b []byte, req *optimizeRequest, res planner.Result) []byte {
+func appendSolved(b []byte, doc *document, res planner.Result) []byte {
 	b = append(b, '{')
 	// An explicit empty comment is omitted like an absent one, matching
 	// encoding/json (Instance.Comment carries omitempty).
-	if len(req.Comment) > 0 && string(req.Comment) != `""` {
+	if len(doc.comment) > 0 && string(doc.comment) != `""` {
 		b = append(b, `"comment":`...)
-		b = append(b, req.Comment...)
+		b = append(b, doc.comment...)
 		b = append(b, ',')
 	}
 	b = append(b, `"query":`...)
-	b = append(b, req.Query...)
+	b = append(b, doc.query...)
 	b = append(b, `,"plan":[`...)
 	for i, s := range res.Plan {
 		if i > 0 {

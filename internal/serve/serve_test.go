@@ -166,18 +166,18 @@ func TestFastEncoderMatchesEncodingJSON(t *testing.T) {
 			body = `{"comment":` + comment + `,"query":` + query + `}`
 		}
 		for round := 0; round < 2; round++ { // miss, then hit
-			var req optimizeRequest
-			if err := h.decodeInstanceBytes([]byte(body), &req); err != nil {
+			doc, err := h.memo.decode([]byte(body), instanceDoc)
+			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.Optimize(context.Background(), req.query)
+			res, err := p.Optimize(context.Background(), doc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Cached != (round == 1) {
 				t.Fatalf("comment %s round %d: cached=%v", comment, round, res.Cached)
 			}
-			inst := model.Instance{Query: req.query, Plan: res.Plan}
+			inst := model.Instance{Query: doc.q, Plan: res.Plan}
 			if comment != "" {
 				if err := json.Unmarshal([]byte(comment), &inst.Comment); err != nil {
 					t.Fatal(err)
@@ -199,7 +199,7 @@ func TestFastEncoderMatchesEncodingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			var fastDoc, jsonDoc map[string]any
-			if err := json.Unmarshal(appendSolved(nil, &req, res), &fastDoc); err != nil {
+			if err := json.Unmarshal(appendSolved(nil, doc, res), &fastDoc); err != nil {
 				t.Fatalf("comment %s: fast encoder produced invalid JSON: %v", comment, err)
 			}
 			if err := json.Unmarshal(want, &jsonDoc); err != nil {
@@ -496,14 +496,16 @@ func TestHealthz(t *testing.T) {
 }
 
 // handlerAllocBudget pins the full warm-hit handler cost in allocations
-// per request, measured through ServeHTTP with httptest scaffolding. With
-// the query memo skipping the reflection JSON decode, the budget is
-// dominated by the request scan (RawMessage captures) and the httptest
-// request/recorder themselves; the response side contributes ~zero
+// per request, measured through ServeHTTP with httptest scaffolding. The
+// body lands in a pooled buffer and the memo of decoded documents answers
+// it without running encoding/json, so what remains is mostly the httptest
+// request and recorder themselves; the response side contributes ~zero
 // (pooled buffer, verbatim echo, fragment splice, envelope on the same
-// buffer). Losing the memo fast path roughly doubles this number — the
-// regression this guards (measured: ~36 with the memo, ~65 without).
-const handlerAllocBudget = 45
+// buffer). It measured 22 allocations without admission and 23 with it
+// when set (24 and 26 under -race, where sync.Pool drops some buffers);
+// the budget is 1.3x the admitted count, batchWarmAllocBudget's
+// convention. A decode that runs encoding/json again costs ~14 more.
+const handlerAllocBudget = 30
 
 // TestQueryMemo pins the byte-exact parse memo: identical query bytes hit
 // (skipping the decode), different bytes for the same query miss, and a

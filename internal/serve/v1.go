@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -72,21 +71,17 @@ func writeResponse(w http.ResponseWriter, status int, retryAfter int64, body []b
 // v1Optimize serves POST /v1/optimize: decode, (fleet-route,) admit,
 // solve, envelope.
 func (h *handler) v1Optimize(w http.ResponseWriter, r *http.Request) {
-	var req optimizeRequest
+	bodyp := h.getBuf()
+	body, doc, err := h.readSolvable(w, r, bodyp, instanceDoc)
+	defer h.putBuf(bodyp, body)
+	if err != nil {
+		h.v1Error(w, codeBadRequest, err.Error(), nil)
+		return
+	}
 	if h.fleet != nil {
-		// The body must survive the decode so a mis-owned request can be
-		// relayed byte-identically to its owner.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.opts.MaxBody))
-		if err != nil {
-			h.v1Error(w, codeBadRequest, "reading request: "+err.Error(), nil)
-			return
-		}
-		if err := h.decodeOptimizeBytes(body, &req); err != nil {
-			h.v1Error(w, codeBadRequest, err.Error(), nil)
-			return
-		}
-		if sig, ok := h.p.SignatureFor(req.query); ok {
+		if sig, ok := h.p.SignatureFor(doc.q); ok {
 			if decision, owner := h.fleet.Route(sig); decision == fleet.Forward {
+				// A mis-owned request is relayed to its owner byte for byte.
 				status, retryAfter, resp, err := h.fleet.Forward(owner, "/v1/optimize", body)
 				if err == nil {
 					writeResponse(w, status, retryAfter, resp)
@@ -97,13 +92,10 @@ func (h *handler) v1Optimize(w http.ResponseWriter, r *http.Request) {
 				// forward is counted in the fleet stats.
 			}
 		}
-	} else if err := h.decodeOptimizeRequest(w, r, &req); err != nil {
-		h.v1Error(w, codeBadRequest, err.Error(), nil)
-		return
 	}
 
 	bufp := h.getBuf()
-	b, status, retryAfter, _ := h.solveV1(r.Context(), r.Header.Get("X-Tenant"), &req, (*bufp)[:0])
+	b, status, retryAfter, _ := h.solveV1(r.Context(), r.Header.Get("X-Tenant"), doc, (*bufp)[:0])
 	writeResponse(w, status, retryAfter, b)
 	h.putBuf(bufp, b)
 }
@@ -119,8 +111,8 @@ func (h *handler) admitQuery(ctx context.Context, q *model.Query, tenant string)
 		return nil, planner.TempCold, nil
 	}
 	// Classification happens after the decode (it needs the query) but
-	// before any planning work: a shed request has cost one JSON parse
-	// and two cache probes, nothing more.
+	// before any planning work: a shed request has cost one decode (a memo
+	// probe on a resubmission) and two cache probes, nothing more.
 	temp := h.p.Classify(q)
 	class := admit.Cold
 	if temp == planner.TempWarm {
@@ -136,27 +128,27 @@ func (h *handler) admitQuery(ctx context.Context, q *model.Query, tenant string)
 // was a fresh-generation cache hit (the fleet's cross-node warmth
 // signal). Both the HTTP handler above and the forwarded-frame path go
 // through here, so the two are the same code path by construction.
-func (h *handler) solveV1(ctx context.Context, tenant string, req *optimizeRequest, b []byte) (out []byte, status int, retryAfter int64, warm bool) {
-	ticket, temp, err := h.admitQuery(ctx, req.query, tenant)
+func (h *handler) solveV1(ctx context.Context, tenant string, doc *document, b []byte) (out []byte, status int, retryAfter int64, warm bool) {
+	ticket, temp, err := h.admitQuery(ctx, doc.q, tenant)
 	if err != nil {
 		var se *admit.ShedError
 		if errors.As(err, &se) && h.opts.StaleServe && temp == planner.TempStale {
 			// Degraded mode: a shed-worthy cold request whose structure has
 			// a previous generation's plan resident is answered stale
 			// instead of refused, and the replan happens off-request.
-			if res, ok := h.p.ServeStale(req.query); ok {
+			if res, ok := h.p.ServeStale(doc.q); ok {
 				if res.Stale {
 					h.staleServed.Add(1)
-					h.enqueueReplan(req.query, res.Signature)
+					h.enqueueReplan(doc.q, res.Signature)
 				}
-				return h.appendV1Solved(b, req, res), http.StatusOK, 0, res.Cached && !res.Stale
+				return h.appendV1Solved(b, doc, res), http.StatusOK, 0, res.Cached && !res.Stale
 			}
 		}
 		return appendV1Failure(b, err)
 	}
 	defer ticket.Release()
 
-	res, err := h.p.Optimize(ctx, req.query)
+	res, err := h.p.Optimize(ctx, doc.q)
 	if err != nil {
 		return appendV1Failure(b, err)
 	}
@@ -166,7 +158,7 @@ func (h *handler) solveV1(ctx context.Context, tenant string, req *optimizeReque
 		// sorts it out) so replicas can answer without the forward hop.
 		h.fleet.ReplicateAsync(res.Signature)
 	}
-	return h.appendV1Solved(b, req, res), http.StatusOK, 0, res.Cached && !res.Stale
+	return h.appendV1Solved(b, doc, res), http.StatusOK, 0, res.Cached && !res.Stale
 }
 
 // appendV1Failure appends err's envelope, classified through the table,
@@ -178,9 +170,9 @@ func appendV1Failure(b []byte, err error) (out []byte, status int, retryAfter in
 
 // appendV1Solved wraps appendSolved in the success envelope on the same
 // buffer — the hot path stays a single pooled append chain.
-func (h *handler) appendV1Solved(b []byte, req *optimizeRequest, res planner.Result) []byte {
+func (h *handler) appendV1Solved(b []byte, doc *document, res planner.Result) []byte {
 	b = append(b, `{"data":`...)
-	b = appendSolved(b, req, res)
+	b = appendSolved(b, doc, res)
 	b = append(b, `,"error":null}`...)
 	return append(b, '\n')
 }
@@ -195,13 +187,13 @@ func (h *handler) serveForwarded(path string, body []byte) (status int, retryAft
 		return http.StatusNotFound, 0, false,
 			appendV1Error(nil, codeNotFound, "fleet: path not forwardable: "+path, nil)
 	}
-	var req optimizeRequest
-	if err := h.decodeOptimizeBytes(body, &req); err != nil {
+	doc, err := h.memo.decodeSolvable(body, instanceDoc)
+	if err != nil {
 		return http.StatusBadRequest, 0, false, appendV1Error(nil, codeBadRequest, err.Error(), nil)
 	}
 	// The response escapes into a peer frame, so it gets its own buffer
 	// rather than a pooled one.
-	b, status, retryAfter, warm := h.solveV1(context.Background(), "", &req, make([]byte, 0, 512))
+	b, status, retryAfter, warm := h.solveV1(context.Background(), "", doc, make([]byte, 0, 512))
 	return status, retryAfter, warm, b
 }
 
@@ -215,19 +207,21 @@ func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
-	reqs := make([]optimizeRequest, len(batch.Instances))
+	docs := make([]*document, len(batch.Instances))
 	qs := make([]*model.Query, len(batch.Instances))
 	for i, raw := range batch.Instances {
 		if len(raw) == 0 || string(raw) == "null" {
 			continue // nil query rejected by the planner, fails alone
 		}
-		if err := h.decodeInstanceBytes(raw, &reqs[i]); err != nil {
-			// Malformed JSON inside an instance fails the whole request,
-			// like any malformed request document.
+		// A missing or invalid query is left to the planner too; malformed
+		// JSON inside an instance fails the whole request, like any
+		// malformed request document.
+		d, err := h.memo.decode(raw, instanceDoc)
+		if err != nil {
 			h.v1Error(w, codeBadRequest, fmt.Sprintf("decoding request: instance %d: %v", i, err), nil)
 			return
 		}
-		qs[i] = reqs[i].query
+		docs[i], qs[i] = d, d.q
 	}
 
 	if h.admission != nil {
@@ -263,7 +257,7 @@ func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		if h.fleet != nil && !br.Result.Cached && !br.Result.Shared && !br.Result.Stale {
 			h.fleet.ReplicateAsync(br.Result.Signature)
 		}
-		b = appendSolved(b, &reqs[i], br.Result)
+		b = appendSolved(b, docs[i], br.Result)
 	}
 	b = append(b, `]},"error":null}`...)
 	b = append(b, '\n')
