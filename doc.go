@@ -433,7 +433,11 @@
 //     memory-capped with depth-banded admission and clock-hand eviction,
 //     parallel workers share prunes through lock-free probes and CAS
 //     publishes, and Options.DisableDominance restores the raw tree for
-//     ablations.
+//     ablations. Searches recycle tables of up to 5 MiB (n <= 17 by
+//     default) through a per-n pool, and a returned table is emptied in
+//     O(1) by advancing a generation stamped into every slot, so
+//     first-sight queries of that size no longer allocate and zero up to
+//     5 MiB of table each.
 //   - A zero-allocation node loop. Query data is flattened into dense
 //     per-service arrays shared read-only by all workers, the remaining
 //     set is iterated via bits.TrailingZeros64, and incumbent plans reuse

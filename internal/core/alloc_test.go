@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"serviceordering/internal/core"
+	"serviceordering/internal/domtable"
 	"serviceordering/internal/gen"
 )
 
@@ -17,6 +21,28 @@ import (
 // are covered: the table is probed and published on every expanded node,
 // so a single boxing or rehash on that path would fail the enabled case.
 
+// leastAllocs returns the fewest heap allocations and the fewest bytes any
+// of runs calls of f allocated, with GOMAXPROCS at 1 as
+// testing.AllocsPerRun holds it (a goroutine that moved to another
+// processor would miss the table its last run pooled on the first). A run
+// whose dominance table misses domtable's pool builds one, and the race
+// detector drops one pooled table in four on purpose; a miss only ever
+// adds allocations, so the least counts are those of a run that drew its
+// table, where an average would move with the number of misses.
+func leastAllocs(runs int, f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs, bytes = math.MaxUint64, math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return mallocs, bytes
+}
+
 func TestSearchZeroAllocsPerNode(t *testing.T) {
 	p := gen.Default(12, 20156)
 	p.SelMin = 0.85
@@ -27,16 +53,16 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 
 	for _, disableDom := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
-			run := func(nodeLimit int64) (allocs float64, nodes int64) {
+			run := func(nodeLimit int64) (allocs int64, nodes int64) {
 				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
-				allocs = testing.AllocsPerRun(10, func() {
+				mallocs, _ := leastAllocs(10, func() {
 					res, err := core.OptimizeWithOptions(q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					nodes = res.Stats.NodesExpanded
 				})
-				return allocs, nodes
+				return int64(mallocs), nodes
 			}
 
 			shortAllocs, shortNodes := run(64)
@@ -49,12 +75,13 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 			// The runs differ by thousands of expanded nodes; their
 			// allocation counts may differ only by noise (at most one count).
 			if diff := fullAllocs - shortAllocs; diff > 1 {
-				perNode := diff / float64(fullNodes-shortNodes)
+				perNode := float64(diff) / float64(fullNodes-shortNodes)
 				t.Fatalf("node loop allocates: full run %v allocs vs truncated %v (%.4f allocs/node over %d extra nodes)",
 					fullAllocs, shortAllocs, perNode, fullNodes-shortNodes)
 			}
 			// The per-run setup itself must stay bounded (prep + search +
-			// dominance table + result).
+			// result). The dominance table adds nothing once warm: it comes
+			// back from domtable's pool.
 			if fullAllocs > 96 {
 				t.Fatalf("per-run setup allocates %v times, want <= 96", fullAllocs)
 			}
@@ -76,13 +103,14 @@ func TestParallelSearchSteadyStateAllocs(t *testing.T) {
 
 	for _, disableDom := range []bool{false, true} {
 		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
-			run := func(nodeLimit int64) (allocs float64) {
+			run := func(nodeLimit int64) (allocs int64) {
 				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
-				return testing.AllocsPerRun(10, func() {
+				mallocs, _ := leastAllocs(10, func() {
 					if _, err := core.OptimizeParallel(q, opts, 1); err != nil {
 						t.Fatal(err)
 					}
 				})
+				return int64(mallocs)
 			}
 
 			shortAllocs := run(64)
@@ -95,5 +123,30 @@ func TestParallelSearchSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("parallel node loop allocates: full run %v vs truncated %v", fullAllocs, shortAllocs)
 			}
 		})
+	}
+}
+
+// A search must not pay for a fresh dominance table: once a search of
+// some size has returned its table to domtable's pool, the next search of
+// that size draws it back instead of allocating and zeroing one. At n = 16
+// the table is 2.5 MiB, which a search building its own would allocate
+// every run.
+func TestSearchRecyclesDominanceTable(t *testing.T) {
+	q, err := gen.Default(16, 1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableBytes := domtable.New(16, core.DefaultDominanceTableBytes).Bytes()
+
+	// A collection drains the pool; hold it off while measuring. The
+	// first run builds the table, the others draw it back.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, least := leastAllocs(10, func() {
+		if _, err := core.OptimizeWithOptions(q, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if least > uint64(tableBytes)/8 {
+		t.Fatalf("a repeated n=16 search allocates %d bytes, want well under its %d-byte dominance table", least, tableBytes)
 	}
 }

@@ -43,6 +43,7 @@ package core
 import (
 	"fmt"
 
+	"serviceordering/internal/domtable"
 	"serviceordering/internal/model"
 )
 
@@ -71,5 +72,9 @@ func OptimizeWithOptions(q *model.Query, opts Options) (Result, error) {
 	}
 	s := newSearch(newPrep(q), opts)
 	s.dom, s.domBand = newDomTable(q.N(), opts)
-	return s.run()
+	res, err := s.run()
+	// Not deferred: a search that panics must drop its table, not hand a
+	// half-written one back to the pool.
+	domtable.Put(s.dom)
+	return res, err
 }

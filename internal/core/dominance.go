@@ -64,6 +64,11 @@ import (
 // (searches publish far fewer states than the bound — see the sizing
 // policy there), so the cap only binds from n = 19 up, where it clamps
 // the table to 262,144 slots and clock-hand eviction recycles the rest.
+// Searches recycle tables of up to 5 MiB (n <= 17 under this cap)
+// through domtable's per-n pool, so an idle table of each recently
+// searched n stays resident between searches until the garbage collector
+// drains the pool; the 10 MiB tables of n = 18 up are allocated per
+// search.
 const DefaultDominanceTableBytes = domtable.DefaultTableBytes
 
 // domMinDepth is the shallowest prefix depth admitted to the table.
@@ -75,10 +80,12 @@ const domMinDepth = 3
 // it no depth lies strictly between domMinDepth and the complete plan.
 const domMinServices = 4
 
-// newDomTable builds the dominance table for an n-service run under opts,
-// returning nil (dominance off) when disabled, when the instance is
-// outside the packable range, or when the memory cap cannot hold a useful
-// table. The second result is the deepest admitted prefix depth.
+// newDomTable draws the dominance table for an n-service run under opts
+// from domtable's pool, returning nil (dominance off) when disabled, when
+// the instance is outside the packable range, or when the memory cap
+// cannot hold a useful table. The second result is the deepest admitted
+// prefix depth. The caller hands the table back with domtable.Put once
+// the last searcher using it has returned.
 func newDomTable(n int, opts Options) (*domtable.Table, int) {
 	if opts.DisableDominance || n < domMinServices {
 		return nil, 0
@@ -87,12 +94,13 @@ func newDomTable(n int, opts Options) (*domtable.Table, int) {
 	if capBytes == 0 {
 		capBytes = DefaultDominanceTableBytes
 	}
-	t := domtable.New(n, capBytes)
+	t := domtable.Get(n, capBytes)
 	if t == nil {
 		return nil, 0
 	}
 	band := t.AdmitBand(n)
 	if band < domMinDepth {
+		domtable.Put(t)
 		return nil, 0
 	}
 	return t, band

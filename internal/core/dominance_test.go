@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"serviceordering/internal/baseline"
+	"serviceordering/internal/domtable"
 	"serviceordering/internal/gen"
+	"serviceordering/internal/model"
 )
 
 // This file pins the subset-dominance layer the way PR 2 pinned its
@@ -282,5 +284,79 @@ func TestDominanceMemoryCap(t *testing.T) {
 	// degrading it.
 	if tab, band := newDomTable(q.N(), Options{DominanceTableBytes: 1}); tab != nil {
 		t.Fatalf("1-byte cap produced a table (band %d)", band)
+	}
+}
+
+// TestDominanceCrossQueryReuse proves that no dominance state crosses
+// queries through domtable's pool. A recycled table still holds the
+// entries another query published under its own costs, and one of them
+// read as current could prune this query's true optimum, so recycled
+// tables must behave exactly like fresh ones. Same-n instances of every
+// corpus family run back to back (the pool is per n, so each search draws
+// a table the previous query of its size used), first in one order and
+// then reversed with parallel runs interleaved: every sequential run must
+// reproduce a fresh-table run's plan, cost, node and prune counts and
+// occupancy exactly, and every parallel run the same proven optimum.
+func TestDominanceCrossQueryReuse(t *testing.T) {
+	t.Parallel()
+	type instance struct {
+		label string
+		q     *model.Query
+		fresh Result
+	}
+	var corpus []instance
+	for n := 8; n <= 14; n++ {
+		for fi, tc := range differentialCorpus() {
+			seed := int64(9_000_000 + 1000*n + fi)
+			p := gen.Default(n, seed)
+			tc.tweak(&p)
+			q, err := p.Generate()
+			if err != nil {
+				t.Fatalf("%s n=%d seed=%d: generate: %v", tc.name, n, seed, err)
+			}
+			s := newSearch(newPrep(q), Options{})
+			s.dom = domtable.New(n, DefaultDominanceTableBytes)
+			s.domBand = s.dom.AdmitBand(n)
+			fresh, err := s.run()
+			if err != nil {
+				t.Fatalf("%s n=%d seed=%d: fresh-table run: %v", tc.name, n, seed, err)
+			}
+			corpus = append(corpus, instance{fmt.Sprintf("%s n=%d seed=%d", tc.name, n, seed), q, fresh})
+		}
+	}
+
+	sequential := func(in instance) {
+		t.Helper()
+		res, err := OptimizeWithOptions(in.q, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.label, err)
+		}
+		want := in.fresh
+		if res.Cost != want.Cost || !res.Plan.Equal(want.Plan) || res.Optimal != want.Optimal {
+			t.Fatalf("%s: recycled table returned %v at %v (optimal=%v), fresh table %v at %v (optimal=%v)",
+				in.label, res.Plan, res.Cost, res.Optimal, want.Plan, want.Cost, want.Optimal)
+		}
+		got, ref := res.Stats, want.Stats
+		if got.NodesExpanded != ref.NodesExpanded || got.DominancePrunes != ref.DominancePrunes ||
+			got.DominanceOccupancy != ref.DominanceOccupancy {
+			t.Fatalf("%s: recycled table expanded %d nodes, %d prunes, occupancy %v; fresh table %d, %d, %v",
+				in.label, got.NodesExpanded, got.DominancePrunes, got.DominanceOccupancy,
+				ref.NodesExpanded, ref.DominancePrunes, ref.DominanceOccupancy)
+		}
+	}
+	for _, in := range corpus {
+		sequential(in)
+	}
+	for i := len(corpus) - 1; i >= 0; i-- {
+		in := corpus[i]
+		res, err := OptimizeParallel(in.q, Options{}, 2+i%3)
+		if err != nil {
+			t.Fatalf("%s: parallel: %v", in.label, err)
+		}
+		if !res.Optimal || res.Cost != in.fresh.Cost {
+			t.Fatalf("%s: parallel run on recycled tables returned %v (optimal=%v), want %v",
+				in.label, res.Cost, res.Optimal, in.fresh.Cost)
+		}
+		sequential(in)
 	}
 }

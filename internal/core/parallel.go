@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"serviceordering/internal/domtable"
 	"serviceordering/internal/model"
 )
 
@@ -287,6 +288,8 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	if dom != nil {
 		total.DominanceOccupancy = dom.Occupancy()
 	}
+	// Every worker has returned, so the table has no user left.
+	domtable.Put(dom)
 	plan, cost := shared.snapshot()
 	if plan == nil {
 		return Result{Optimal: false, Stats: total}, nil

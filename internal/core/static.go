@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"serviceordering/internal/model"
 )
@@ -195,14 +196,16 @@ func buildRootPairs(p *prep) []rootPair {
 			pairs = append(pairs, rootPair{a: a, b: b, cost: p.q.PairCost(a, b)})
 		}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if pairs[i].cost != pairs[j].cost {
-			return pairs[i].cost < pairs[j].cost
+	// (cost, a, b) totally orders distinct pairs, so any sort algorithm
+	// yields the same list.
+	slices.SortFunc(pairs, func(x, y rootPair) int {
+		if x.cost != y.cost {
+			return cmp.Compare(x.cost, y.cost)
 		}
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
 		}
-		return pairs[i].b < pairs[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	return pairs
 }

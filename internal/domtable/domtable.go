@@ -36,6 +36,19 @@
 //     second-chance clock hand over per-entry reference bits, so long runs
 //     on instances beyond the exact-table regime recycle space instead of
 //     growing.
+//   - One owner per search, recycled between searches. Entries are only
+//     valid for the costs of the query that published them: a bound left
+//     over from another query can prune that query's true optimum. A
+//     table therefore serves one search at a time, and Get hands out and
+//     Put takes back tables that are logically empty. Emptying is O(1):
+//     every slot carries the generation it was written under, Put
+//     advances the table's generation, and a slot from another generation
+//     counts as empty everywhere. Put also restarts the counters and the
+//     clock hands, so a recycled table answers every call exactly as a
+//     fresh one would. Only a wrapped generation counter clears the slots.
+//     Tables larger than maxPooledBytes are not recycled but go back to
+//     the collector, so one idle table of every pooled size comes to about
+//     10 MiB under DefaultTableBytes.
 //
 // Keys pack the placed-set bitmask and the last element into one word
 // (mask in the low n bits, last above it), which bounds supported
@@ -45,6 +58,7 @@ package domtable
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -80,14 +94,16 @@ const DefaultTableBytes int64 = 16 << 20
 // the bit pattern of the state's selectivity product; val is
 // math.Float64bits of the smallest published bottleneck (zero — the bits
 // of +0.0 — doubles as "unset", costing at most a lost prune for states
-// whose true bound is exactly zero); used is the clock-hand reference bit.
+// whose true bound is exactly zero); used is the clock-hand reference bit;
+// gen is the table generation the slot was written under (a slot of
+// another generation is empty, whatever its key).
 type entry struct {
 	ver  atomic.Uint64
 	key  atomic.Uint64
 	prod atomic.Uint64
 	val  atomic.Uint64
 	used atomic.Uint32
-	_    uint32
+	gen  atomic.Uint32
 }
 
 // shard is one independently evicting slice of the table.
@@ -99,21 +115,25 @@ type shard struct {
 }
 
 // Table is a sharded transposition table for subset-dominance bounds. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use; Put takes a table back only once no
+// call on it is in flight.
 type Table struct {
 	shards    []shard
 	shardMask uint64
 	nShift    uint // packed key: mask | last << nShift
 	entries   int
+	gen       uint32 // current generation; only reset writes it
 
 	filled    atomic.Int64
 	evictions atomic.Int64
 }
 
-// minEntries floors the slot count: small enough that the allocation and
-// zeroing cost stays negligible next to even sub-millisecond searches
-// (160 KiB), large enough to hold every state a pruning-heavy search
-// actually publishes at small n.
+// minEntries floors the slot count (160 KiB): large enough to hold every
+// state a pruning-heavy search actually publishes at small n. Allocating
+// and zeroing tables, this floor included, is far from negligible next to
+// sub-millisecond searches: on a first-sight serving load (n = 10–17) it
+// cost more than fifteen times the CPU of the searches themselves, which
+// is why searches draw tables from Get instead of New.
 const minEntries = 4096
 
 // New builds a table for instances of n elements under a memory cap of
@@ -127,12 +147,22 @@ const minEntries = 4096
 // hold even a minimal table; callers treat a nil table as "dominance
 // unavailable".
 func New(n int, capBytes int64) *Table {
-	if n < 2 || n > MaxN {
+	slots := slotCount(n, capBytes)
+	if slots == 0 {
 		return nil
+	}
+	return build(n, slots)
+}
+
+// slotCount returns the slot count New sizes a table for n elements under
+// capBytes to, or zero when New returns nil.
+func slotCount(n int, capBytes int64) int64 {
+	if n < 2 || n > MaxN {
+		return 0
 	}
 	maxEntries := capBytes / EntryBytes
 	if maxEntries < ways {
-		return nil
+		return 0
 	}
 
 	// Target n * 2^(n-1) / 8 slots, saturating well before overflow.
@@ -152,7 +182,11 @@ func New(n int, capBytes int64) *Table {
 	if slots < ways {
 		slots = ways
 	}
+	return slots
+}
 
+// build allocates an empty table of slots slots for n elements.
+func build(n int, slots int64) *Table {
 	shards := int64(maxShards)
 	for shards > 1 && slots/shards < 2*ways {
 		shards >>= 1
@@ -172,6 +206,68 @@ func New(n int, capBytes int64) *Table {
 	return t
 }
 
+// pools holds idle tables, one pool per element count, so a search reuses
+// a table of its own shape instead of allocating and zeroing one. Pooled
+// tables stay resident between searches until the garbage collector
+// drains the pools.
+var pools [MaxN + 1]sync.Pool
+
+// maxPooledBytes is the largest table the pools keep: 5 MiB, the n = 17
+// table under DefaultTableBytes. Each processor's pool can keep an idle
+// table for every n it has searched, so pooling the 10 MiB tables of
+// n = 18 up lets idle memory grow with the mix of large instances (on
+// first-sight n = 18–58 traffic it took dqserve's peak RSS from about
+// 90 MB past 1 GB); those tables are allocated per search instead.
+const maxPooledBytes = 5 << 20
+
+// Get returns a logically empty table shaped exactly as New(n, capBytes)
+// would build it, recycled from the pool when one of that shape is idle.
+// Like New it returns nil when no table can be built. The caller owns the
+// table until it hands it to Put.
+func Get(n int, capBytes int64) *Table {
+	slots := slotCount(n, capBytes)
+	if slots == 0 {
+		return nil
+	}
+	if t, _ := pools[n].Get().(*Table); t != nil && int64(t.entries) == slots {
+		return t
+	}
+	// A pooled table sized under another cap is dropped for the collector.
+	return build(n, slots)
+}
+
+// Put empties t and returns it to the pool, or leaves it to the collector
+// when it is larger than the pools keep. The caller must hold the only
+// reference in use: every searcher that probes or publishes through t must
+// have returned. Put(nil) is a no-op.
+func Put(t *Table) {
+	if t == nil || t.Bytes() > maxPooledBytes {
+		return
+	}
+	t.reset()
+	pools[t.nShift].Put(t)
+}
+
+// reset empties the table in O(1) by advancing its generation: every
+// resident state belongs to the old generation and reads as empty from
+// then on. It restarts the fill and eviction counters and every shard's
+// clock hand, so the emptied table makes the same admission and eviction
+// choices as a fresh one. When the generation counter wraps, reset clears
+// every slot instead, so a slot of the first generation cannot come back
+// to life. reset must not run concurrently with any other method.
+func (t *Table) reset() {
+	t.gen++
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.hand.Store(0)
+		if t.gen == 0 {
+			clear(sh.entries)
+		}
+	}
+	t.filled.Store(0)
+	t.evictions.Store(0)
+}
+
 // Entries returns the slot count the table was sized to.
 func (t *Table) Entries() int { return t.entries }
 
@@ -180,7 +276,7 @@ func (t *Table) Bytes() int64 { return int64(t.entries) * EntryBytes }
 
 // Occupancy returns the fraction of slots holding a state, in [0, 1].
 // Evictions replace states rather than empty slots, so occupancy is
-// monotone within a table's lifetime.
+// monotone between resets.
 func (t *Table) Occupancy() float64 {
 	if t == nil || t.entries == 0 {
 		return 0
@@ -188,7 +284,8 @@ func (t *Table) Occupancy() float64 {
 	return float64(t.filled.Load()) / float64(t.entries)
 }
 
-// Evictions returns the number of states displaced by the clock hand.
+// Evictions returns the number of states displaced by the clock hand since
+// the last reset.
 func (t *Table) Evictions() int64 { return t.evictions.Load() }
 
 // AdmitBand returns the deepest prefix depth worth admitting to the table:
@@ -260,7 +357,7 @@ func (t *Table) Probe(mask uint64, last int, prod uint64) (float64, bool) {
 	if t == nil {
 		return 0, false
 	}
-	key := t.Key(mask, last)
+	key, gen := t.Key(mask, last), t.gen
 	sh, base := t.locate(key, prod)
 	for i := 0; i < ways; i++ {
 		e := &sh.entries[base+i]
@@ -268,7 +365,7 @@ func (t *Table) Probe(mask uint64, last int, prod uint64) (float64, bool) {
 		if v1&1 != 0 {
 			continue
 		}
-		if e.key.Load() != key || e.prod.Load() != prod {
+		if e.key.Load() != key || e.gen.Load() != gen || e.prod.Load() != prod {
 			continue
 		}
 		b := e.val.Load()
@@ -324,6 +421,10 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 	for i := 0; i < ways; i++ {
 		e := &sh.entries[base+i]
 		switch k := e.key.Load(); {
+		case t.empty(e, k):
+			if emptyAt < 0 {
+				emptyAt = i
+			}
 		case k == key && e.prod.Load() == prod:
 			if !e.lock() {
 				return false
@@ -340,10 +441,6 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 			e.used.Store(1)
 			e.unlock()
 			return true
-		case k == 0:
-			if emptyAt < 0 {
-				emptyAt = i
-			}
 		}
 	}
 	if emptyAt >= 0 {
@@ -351,10 +448,8 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 		if !e.lock() {
 			return false
 		}
-		if e.key.Load() == 0 {
-			e.key.Store(key)
-			e.prod.Store(prod)
-			e.val.Store(bits64)
+		if t.empty(e, e.key.Load()) {
+			t.store(e, key, prod, bits64)
 			e.used.Store(1)
 			e.unlock()
 			t.filled.Add(1)
@@ -363,6 +458,23 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 		e.unlock()
 	}
 	return t.admit(sh, base, key, prod, bits64)
+}
+
+// empty reports whether slot e, whose key word reads k, holds no state of
+// the current generation. A slot stamped with the current generation keeps
+// it until the next reset, so once a slot reads as occupied only its key
+// and product need rechecking.
+func (t *Table) empty(e *entry, k uint64) bool {
+	return k == 0 || e.gen.Load() != t.gen
+}
+
+// store writes the state into slot e under the current generation; the
+// caller holds e's sequence lock.
+func (t *Table) store(e *entry, key, prod, bits64 uint64) {
+	e.key.Store(key)
+	e.gen.Store(t.gen)
+	e.prod.Store(prod)
+	e.val.Store(bits64)
 }
 
 // admit installs the state into a full (or contended) set by second-chance
@@ -387,21 +499,17 @@ func (t *Table) admit(sh *shard, base int, key, prod, bits64 uint64) bool {
 		return false
 	}
 	switch k := e.key.Load(); {
+	case t.empty(e, k):
+		t.filled.Add(1)
+		t.store(e, key, prod, bits64)
 	case k == key && e.prod.Load() == prod:
 		// Another publisher installed the state while we swept.
 		if cur := e.val.Load(); cur == 0 || bits64 < cur {
 			e.val.Store(bits64)
 		}
-	case k == 0:
-		t.filled.Add(1)
-		e.key.Store(key)
-		e.prod.Store(prod)
-		e.val.Store(bits64)
 	default:
 		t.evictions.Add(1)
-		e.key.Store(key)
-		e.prod.Store(prod)
-		e.val.Store(bits64)
+		t.store(e, key, prod, bits64)
 	}
 	e.used.Store(1)
 	e.unlock()
@@ -439,9 +547,10 @@ func (t *Table) Range(f func(mask uint64, last int, prod uint64, bound float64))
 				continue
 			}
 			k := e.key.Load()
+			g := e.gen.Load()
 			p := e.prod.Load()
 			b := e.val.Load()
-			if e.ver.Load() != v1 || k == 0 || b == 0 {
+			if e.ver.Load() != v1 || k == 0 || g != t.gen || b == 0 {
 				continue
 			}
 			f(k&maskBits, int(k>>lastShift), p, math.Float64frombits(b))

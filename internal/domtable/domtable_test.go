@@ -294,3 +294,217 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	})
 }
+
+// resetState is one (mask, last, prod) state of the reset tests'
+// population.
+type resetState struct {
+	mask uint64
+	last int
+	prod uint64
+}
+
+// resetPopulation draws count distinct-ish states over n elements; about
+// one in four shares its (mask, last) with the previous state under
+// product bits one ulp apart, so the product-bit variants compete for the
+// same sets too.
+func resetPopulation(n, count int, seed int64) []resetState {
+	rng := rand.New(rand.NewSource(seed))
+	pop := make([]resetState, count)
+	for i := range pop {
+		if i > 0 && rng.Intn(4) == 0 {
+			pop[i] = pop[i-1]
+			pop[i].prod++
+			continue
+		}
+		mask := uint64(rng.Intn(1<<n)) | 1
+		last := 0
+		for b := 0; b < n; b++ {
+			if mask&(1<<uint(b)) != 0 && rng.Intn(2) == 0 {
+				last = b
+			}
+		}
+		pop[i] = resetState{mask, last, math.Float64bits(0.5 + rng.Float64()/2)}
+	}
+	return pop
+}
+
+// tableTrace is everything a seeded operation sequence observes of a
+// table: every return value in order, then the counters and the resident
+// set.
+type tableTrace struct {
+	results   []float64
+	hits      int // probe hits and dominated visits
+	occupancy float64
+	evictions int64
+	resident  map[resetState]float64
+}
+
+// drive runs one seeded sequence of Visit, Update and Probe calls over pop
+// with bounds in [lo, lo+100) and records what the table answers.
+func drive(tab *Table, pop []resetState, ops int, seed int64, lo float64) tableTrace {
+	rng := rand.New(rand.NewSource(seed))
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	var tr tableTrace
+	for op := 0; op < ops; op++ {
+		s := pop[rng.Intn(len(pop))]
+		bound := lo + float64(rng.Intn(100))
+		switch rng.Intn(3) {
+		case 0:
+			dominated := tab.Visit(s.mask, s.last, s.prod, bound)
+			tr.results = append(tr.results, flag(dominated))
+			tr.hits += int(flag(dominated))
+		case 1:
+			tr.results = append(tr.results, flag(tab.Update(s.mask, s.last, s.prod, bound)))
+		default:
+			v, ok := tab.Probe(s.mask, s.last, s.prod)
+			tr.results = append(tr.results, v, flag(ok))
+			tr.hits += int(flag(ok))
+		}
+	}
+	tr.occupancy = tab.Occupancy()
+	tr.evictions = tab.Evictions()
+	tr.resident = map[resetState]float64{}
+	tab.Range(func(mask uint64, last int, prod uint64, bound float64) {
+		tr.resident[resetState{mask, last, prod}] = bound
+	})
+	return tr
+}
+
+// sameTrace fails t where got, the trace of a reused table, departs from
+// want, a fresh table's.
+func sameTrace(t *testing.T, got, want tableTrace) {
+	t.Helper()
+	for i := range want.results {
+		if got.results[i] != want.results[i] {
+			t.Fatalf("result %d: reused table answered %v, fresh table %v", i, got.results[i], want.results[i])
+		}
+	}
+	if got.occupancy != want.occupancy || got.evictions != want.evictions {
+		t.Fatalf("reused table occupancy %v, evictions %d; fresh table %v, %d",
+			got.occupancy, got.evictions, want.occupancy, want.evictions)
+	}
+	if len(got.resident) != len(want.resident) {
+		t.Fatalf("reused table holds %d states, fresh table %d", len(got.resident), len(want.resident))
+	}
+	for s, v := range want.resident {
+		if gv, ok := got.resident[s]; !ok || gv != v {
+			t.Fatalf("state %+v: reused table holds (%v, %v), fresh table %v", s, gv, ok, v)
+		}
+	}
+}
+
+// The sequence a reused table must replay exactly: 1024 states through 256
+// slots, so every set overflows and the clock hands choose victims
+// throughout.
+const (
+	resetN     = 16
+	resetSlots = 256
+	resetOps   = 30_000
+)
+
+// dirty runs a seeded sequence over pop and as many other states under
+// bounds below any the replayed sequence uses, so a leaked entry would
+// dominate arrivals a fresh table lets through.
+func dirty(tab *Table, pop []resetState, seed int64) {
+	others := resetPopulation(resetN, len(pop), seed)
+	drive(tab, append(append([]resetState(nil), pop...), others...), resetOps, seed, 1)
+}
+
+// TestResetTableReplaysFresh is the recycling property: a table filled
+// under other queries' bounds and then reset answers one seeded,
+// eviction-heavy operation sequence exactly as a freshly built table
+// does — every return value, the occupancy and eviction counters, and the
+// resident set.
+func TestResetTableReplaysFresh(t *testing.T) {
+	pop := resetPopulation(resetN, 1024, 11)
+	want := drive(New(resetN, resetSlots*EntryBytes), pop, resetOps, 12, 500)
+	if want.evictions == 0 {
+		t.Fatalf("sequence never evicts (occupancy %v); it cannot exercise the clock hands", want.occupancy)
+	}
+	if want.hits == 0 {
+		t.Fatal("sequence never hits; it cannot tell a leaked entry from a fresh miss")
+	}
+
+	reused := New(resetN, resetSlots*EntryBytes)
+	for round := 0; round < 3; round++ {
+		dirty(reused, pop, int64(100+round))
+		reused.reset()
+		sameTrace(t, drive(reused, pop, resetOps, 12, 500), want)
+	}
+}
+
+// TestResetGenerationWraparound covers the one reset that is not O(1):
+// when the generation counter wraps back to the generation a slot was
+// first written under, reset must clear the slots, or that slot's state
+// would read as current again.
+func TestResetGenerationWraparound(t *testing.T) {
+	pop := resetPopulation(resetN, 1024, 21)
+	want := drive(New(resetN, resetSlots*EntryBytes), pop, resetOps, 22, 500)
+
+	tab := New(resetN, resetSlots*EntryBytes)
+	dirty(tab, pop, 200)         // written under generation 0
+	tab.gen = math.MaxUint32     // stands in for 2^32 - 1 resets
+	for _, s := range pop[:32] { // a few slots of the last generation
+		tab.Update(s.mask, s.last, s.prod, 1)
+	}
+	tab.reset() // wraps to generation 0
+	sameTrace(t, drive(tab, pop, resetOps, 22, 500), want)
+}
+
+// TestGetPut pins the pool's contract: Get hands out tables of exactly
+// New's shape, empty whatever their history, refuses the element counts
+// New refuses (MaxServices-sized searches reach Get too), and never
+// recycles a table larger than maxPooledBytes.
+func TestGetPut(t *testing.T) {
+	for _, n := range []int{1, MaxN + 1, 64} {
+		if Get(n, DefaultTableBytes) != nil {
+			t.Errorf("Get(%d) returned a table", n)
+		}
+	}
+	if Get(10, 0) != nil {
+		t.Error("Get accepted a zero-byte cap")
+	}
+	Put(nil)
+
+	pop := resetPopulation(12, 512, 31)
+	for round := 0; round < 4; round++ {
+		tab := Get(12, DefaultTableBytes)
+		if want := New(12, DefaultTableBytes).Entries(); tab.Entries() != want {
+			t.Fatalf("round %d: Get built %d slots, New %d", round, tab.Entries(), want)
+		}
+		if tab.Occupancy() != 0 || tab.Evictions() != 0 {
+			t.Fatalf("round %d: Get returned occupancy %v, evictions %d", round, tab.Occupancy(), tab.Evictions())
+		}
+		tab.Range(func(uint64, int, uint64, float64) { t.Fatalf("round %d: Get returned a table holding states", round) })
+		for _, s := range pop {
+			if _, ok := tab.Probe(s.mask, s.last, s.prod); ok {
+				t.Fatalf("round %d: Get returned a table with a stale hit", round)
+			}
+			tab.Update(s.mask, s.last, s.prod, 1)
+		}
+		Put(tab)
+	}
+
+	// A pooled table sized under one cap never serves a request for
+	// another.
+	Put(Get(16, DefaultTableBytes))
+	small := Get(16, 64<<10)
+	if want := New(16, 64<<10).Entries(); small.Entries() != want {
+		t.Fatalf("Get under a 64 KiB cap built %d slots, New %d", small.Entries(), want)
+	}
+
+	// The 10 MiB tables of n = 18 up go back to the collector.
+	big := Get(18, DefaultTableBytes)
+	if big.Bytes() <= maxPooledBytes {
+		t.Fatalf("n=18 table is %d bytes, within the %d-byte pool bound", big.Bytes(), maxPooledBytes)
+	}
+	Put(big)
+	if Get(18, DefaultTableBytes) == big {
+		t.Fatal("Get recycled a table larger than the pool bound")
+	}
+}
