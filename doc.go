@@ -130,19 +130,26 @@
 //     plans live in canonical index space, and two callers submitting
 //     relabelings of the same structure each get the plan expressed in
 //     their own service numbering.
-//   - A byte-exact request memo. The dearest per-request cost was
-//     encoding/json: two scans of the whole body and a reflection-driven
-//     decode of the query. Byte-identical bodies decode identically, so
-//     internal/serve memoizes whole body -> decoded document (its parsed,
-//     validated query, and the comment and query echoes as sub-slices of
-//     the one stored copy of the body) for /v1/optimize, each batch
-//     instance and /v1/execute. Entries are written only after the full
-//     strict decode and validation succeeded; a hit needs the same route
-//     and a full byte comparison, under a per-process seeded maphash key
-//     that crafted collisions cannot flood. The planner's
-//     canonicalization memo is keyed the same way; only hashes that must
-//     agree across processes (refinement colors, the fleet ring) keep
-//     FNV-1a.
+//   - A byte-exact request memo. Byte-identical bodies decode
+//     identically, so internal/serve memoizes whole body -> decoded
+//     document (its parsed, validated query, and the comment and query
+//     echoes as sub-slices of the one stored copy of the body) for
+//     /v1/optimize, each batch instance and /v1/execute. Entries are
+//     written only after the full strict decode and validation succeeded;
+//     a hit needs the same route and a full byte comparison, under a
+//     per-process seeded maphash key that crafted collisions cannot
+//     flood. The planner's canonicalization memo is keyed the same way;
+//     only hashes that must agree across processes (refinement colors,
+//     the fleet ring) keep FNV-1a.
+//   - A one-pass first-sight decode. A body the memo does not hold is
+//     decoded by one reflection-free scanner that builds the query
+//     directly, where encoding/json scanned the body twice and decoded
+//     the query by reflection. It accepts only the common form of the
+//     documents (escape-free ASCII strings, exact keys, each at most
+//     once, no null, JSON-grammar numbers that fit their fields) and
+//     hands anything else to encoding/json, which decides it and words
+//     every error. The batch envelope is split the same way. Fuzz targets
+//     hold both to encoding/json, bit for bit.
 //   - Warm-hit budgets, enforced by tests: Planner.Optimize allocates at
 //     most twice per warm hit (the caller-owned plan plus pool-refill
 //     headroom), and the full HTTP handler is pinned by its own

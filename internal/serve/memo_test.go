@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,14 +173,16 @@ func postBody(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-// FuzzV1Decode holds the memo of decoded request documents to the strict
-// decode it fronts. Each input goes to one fresh memo twice on each route
-// kind, interleaved:
-//   - accept or reject, and the error, match a memo-free decode of that
-//     kind, so a body accepted on one route is never accepted on the other
-//     unless the memo-free decode accepts it there;
-//   - an accepted document's query (reflect.DeepEqual), validity, echoed
-//     comment and query bytes and tuple count match that decode's;
+// FuzzV1Decode holds the request decode — the memo of decoded documents
+// in front of the one-pass decoder — to the encoding/json decode the
+// one-pass decoder falls back to. Each input goes to one fresh memo twice
+// on each route kind, interleaved:
+//   - accept or reject, and the error text, match encoding/json's decode
+//     of that kind, so a body accepted on one route is never accepted on
+//     the other unless encoding/json accepts it there;
+//   - an accepted document's query (reflect.DeepEqual, and every float bit
+//     for bit, so -0 is not 0), validity, echoed comment and query bytes
+//     and tuple count match that decode's;
 //   - a resubmission that the memo may hold is a memo hit;
 //   - trailing data after an accepted body is rejected, memo or not.
 func FuzzV1Decode(f *testing.F) {
@@ -189,10 +192,10 @@ func FuzzV1Decode(f *testing.F) {
 		var wantHits int64
 		for round := 0; round < 2; round++ {
 			for _, kind := range kinds {
-				want, wantErr := decodeDocument(body, kind)
+				want, wantErr := decodeDocumentJSON(body, kind)
 				got, err := m.decode(body, kind)
 				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-					t.Fatalf("kind %d round %d: memo says %v, strict decode says %v", kind, round, err, wantErr)
+					t.Fatalf("kind %d round %d: memo says %v, encoding/json says %v", kind, round, err, wantErr)
 				}
 				if err != nil {
 					continue
@@ -207,7 +210,7 @@ func FuzzV1Decode(f *testing.F) {
 			t.Fatalf("%d memo hits, want %d", hits, wantHits)
 		}
 		for _, kind := range kinds {
-			if _, err := decodeDocument(body, kind); err != nil {
+			if _, err := decodeDocumentJSON(body, kind); err != nil {
 				continue
 			}
 			trailed := append(bytes.Clone(body), " {}"...)
@@ -225,6 +228,8 @@ func checkSameDocument(t *testing.T, got, want *document) {
 		t.Fatalf("kind %d, want %d", got.kind, want.kind)
 	case !reflect.DeepEqual(got.q, want.q):
 		t.Fatalf("query %+v, want %+v", got.q, want.q)
+	case !slices.Equal(floatBits(got.q), floatBits(want.q)):
+		t.Fatalf("float bits %x, want %x", floatBits(got.q), floatBits(want.q))
 	case (got.invalid == nil) != (want.invalid == nil):
 		t.Fatalf("validity %v, want %v", got.invalid, want.invalid)
 	case !bytes.Equal(got.comment, want.comment) || !bytes.Equal(got.query, want.query):

@@ -8,7 +8,8 @@
 // allocation-lean end to end. The body is read into a pooled buffer and
 // looked up whole in a memo of decoded request documents (decode.go): a
 // byte-identical resubmission — the warm-hit workload — gets its parsed,
-// validated query without running encoding/json at all. The request's
+// validated query without decoding at all, and a first-sight body is
+// decoded in one pass without reflection. The request's
 // comment and query are echoed verbatim into the response instead of
 // being re-marshaled; the plan is appended integer by integer (it is the
 // one response field that differs per caller — cached plans live in

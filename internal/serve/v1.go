@@ -202,14 +202,17 @@ func (h *handler) serveForwarded(path string, body []byte) (status int, retryAft
 // across the fleet would trade its one-round-trip contract for tail
 // latency. Fresh searches inside the batch still replicate.
 func (h *handler) v1OptimizeBatch(w http.ResponseWriter, r *http.Request) {
-	var batch BatchRequest
-	if err := decodeJSON(w, r, h.opts.MaxBody, &batch); err != nil {
+	bodyp := h.getBuf()
+	body, readErr := readBody(w, r, h.opts.MaxBody, (*bodyp)[:0])
+	defer h.putBuf(bodyp, body)
+	instances, err := decodeBatch(body, readErr)
+	if err != nil {
 		h.v1Error(w, codeBadRequest, err.Error(), nil)
 		return
 	}
-	docs := make([]*document, len(batch.Instances))
-	qs := make([]*model.Query, len(batch.Instances))
-	for i, raw := range batch.Instances {
+	docs := make([]*document, len(instances))
+	qs := make([]*model.Query, len(instances))
+	for i, raw := range instances {
 		if len(raw) == 0 || string(raw) == "null" {
 			continue // nil query rejected by the planner, fails alone
 		}
