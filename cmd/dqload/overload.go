@@ -34,7 +34,7 @@ import (
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
 	"serviceordering/internal/calibrate"
-	"serviceordering/internal/planner"
+	"serviceordering/internal/core"
 )
 
 // overloadSpec fixes the overload scenario's shape.
@@ -156,9 +156,10 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 	// times the saturation rate stays within what a single-process client
 	// can actually generate. A fast machine gets harder cold queries, not a
 	// silently-capped (and then not overloading) offered rate. Growth stops
-	// below the heuristic tier's threshold: past it queries get cheaper
-	// again, not more expensive.
-	maxColdN := planner.DefaultHeuristicThreshold - 1
+	// at core.MaxServices, the largest query the exact search takes: past
+	// it every query goes straight to the heuristic portfolio, a path the
+	// calibration does not measure.
+	maxColdN := core.MaxServices
 	coldN := spec.n + 2
 	var meanCold time.Duration
 	for {

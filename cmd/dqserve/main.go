@@ -55,8 +55,11 @@
 //	                     # feeds decayed, sample-size-weighted statistics;
 //	                     # significant drift past -drift-delta bumps the
 //	                     # generation and lazily replans cached plans
-//	dqserve -heuristic-threshold 20   # route n >= 20 to the heuristic tier
-//	dqserve -heuristic-threshold -1   # exact only: n > 64 rejected with 422
+//	dqserve -heuristic-threshold 20   # route n >= 20 straight to the
+//	                                  # heuristic tier, skipping the
+//	                                  # budgeted exact search
+//	dqserve -heuristic-threshold -1   # exact only, without a node budget:
+//	                                  # n > 64 rejected with 422
 //	dqserve -admit-max-concurrent 8   # overload survival: bounded admission
 //	                                  # queue, cold work shed first (429 +
 //	                                  # Retry-After), warm hits admitted
@@ -89,10 +92,12 @@
 //	                                  # owner->replica, adaptive generations
 //	                                  # gossip to every peer
 //
-// Instances with more services than the exact core's 64-service limit are
-// served by the heuristic planning tier (greedy + beam + local search, and
-// budgeted branch-and-bound where it still fits); every response reports
-// which tier produced its plan in the "tier" field.
+// Instances up to the exact core's 64-service limit take the exact search
+// first, under a node budget; one that spends it, and every instance past
+// the limit, is served by the heuristic planning tier (greedy + beam +
+// local search, and budgeted branch-and-bound where it still fits and
+// has not already run). Every response reports which tier produced its
+// plan in the "tier" field.
 //
 // Example:
 //
@@ -183,7 +188,7 @@ func newFlagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.planner.ParallelThreshold, "parallel-threshold", planner.DefaultParallelThreshold, "instance size switching to parallel search (-1 = always sequential)")
 	fs.DurationVar(&c.planner.Search.TimeLimit, "time-limit", 0, "per-search time budget (0 = none)")
 	fs.Int64Var(&c.planner.Search.NodeLimit, "node-limit", 0, "per-search node budget (0 = none)")
-	fs.IntVar(&c.planner.HeuristicThreshold, "heuristic-threshold", 0, "instance size routed to the heuristic tier (0 = default 15, -1 disables: queries past the 64-service exact limit are rejected)")
+	fs.IntVar(&c.planner.HeuristicThreshold, "heuristic-threshold", 0, "instance size routed straight to the heuristic tier (0 = default 65: smaller queries try the exact search under the branch-and-bound node budget first; -1 disables the tier and that budget: queries past the 64-service exact limit are rejected)")
 	fs.Int64Var(&c.serve.MaxBody, "max-body", 0, "request body size limit in bytes (0 = 8 MiB)")
 	fs.BoolVar(&c.serve.Pprof, "pprof", false, "expose /debug/pprof endpoints for live profiling")
 

@@ -60,38 +60,45 @@
 //
 // # The planning tiers
 //
-// The exact branch-and-bound is the right tool up to a few dozen
-// services; past that its uint64 placed-set masks stop at 64 services and
-// its runtime stops being interactive long before. The planner therefore
-// routes every request through one of two tiers:
+// The exact branch-and-bound proves most queries in a few nodes, but its
+// uint64 placed-set masks stop at 64 services, and a rare query up to 64
+// needs millions of nodes for its proof. The planner therefore routes a
+// request by the work its proof takes, not by its size:
 //
-//   - exact (the default below the threshold): the full branch-and-bound
-//     with its optimality proof. Responses report tier "exact" and
-//     optimal true.
-//   - heuristic (internal/htier, n >= PlannerConfig.HeuristicThreshold,
-//     default 15, and always past 64 services): a deterministic portfolio
-//     run on the same prefix-bottleneck machinery as the exact core —
-//     greedy constructions (minimum-epsilon append, nearest-neighbor by
+//   - exact (every query up to 64 services, unless a configured
+//     threshold sends it straight to the portfolio): the branch-and-bound
+//     runs under the node budget of the portfolio's branch-and-bound
+//     member (HeuristicOptions.BBNodeBudget, default 2^19). A proof
+//     answers with tier "exact" and optimal true.
+//   - heuristic (internal/htier): a deterministic portfolio run on the
+//     same prefix-bottleneck machinery as the exact core — greedy
+//     constructions (minimum-epsilon append, nearest-neighbor by
 //     transfer), beam search over the prefix DAG (width- and
 //     budget-bounded, precedence-feasible expansions only), bottleneck
 //     local search refining the incumbent under an evaluation budget,
 //     and, up to 64 services, an anytime budget-bounded branch-and-bound
-//     seeded with the portfolio's best plan. The winner is the cheapest
-//     member plan; responses report tier "heuristic/<member>" and
-//     optimal true only when the bounded branch-and-bound completed its
-//     proof within budget.
+//     seeded with the portfolio's best plan. It answers a request whose
+//     exact search spent its budget, seeded with that search's incumbent
+//     and without its own branch-and-bound member, whose budget is spent;
+//     it answers every query past 64 services, and from
+//     PlannerConfig.HeuristicThreshold services when that is set. The
+//     winner is the cheapest member plan; responses report tier
+//     "heuristic/<member>" ("heuristic/bb" when the exact search's
+//     incumbent stands) and optimal true only when the bounded
+//     branch-and-bound completed its proof within budget.
 //
 // Model-layer support goes past the mask width: precedence relations keep
 // their single-word fast path up to 64 services and switch to multi-word
 // bitsets above it, so 128- or 256-service constrained instances plan,
 // validate, and serve end to end. Heuristic results flow through the same
-// canonical signature cache as exact ones (they are deterministic given
-// the budgets, so byte-identical resubmissions hit warm); only a
-// wall-clock-truncated branch-and-bound member marks a result
-// non-shareable. GET /v1/stats reports executed searches per tier in
-// tierCounts. Setting HeuristicThreshold to -1 restores the exact-only
-// planner, whose oversized queries fail with ErrQueryTooLarge (HTTP 422
-// through dqserve).
+// canonical signature cache as exact ones, so byte-identical
+// resubmissions hit warm; only a wall-clock-truncated branch-and-bound
+// member marks a result non-shareable. GET /v1/stats reports executed searches per tier in
+// tierCounts; a request that falls back counts one search, under its
+// heuristic label, with the exact attempt's nodes. Setting
+// HeuristicThreshold to -1 restores the exact-only planner: its exact
+// search has no node budget, and its oversized queries fail with
+// ErrQueryTooLarge (HTTP 422 through dqserve).
 //
 // The heuristic tier is gated on quality, not vibes: dqbench measures
 // every exact-suite instance through the portfolio and fails if the

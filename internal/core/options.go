@@ -67,7 +67,7 @@ type Options struct {
 
 	// NodeLimit aborts the search after this many expanded nodes
 	// (0 = unlimited). An aborted search reports Optimal == false and
-	// returns the best incumbent found.
+	// Stats.NodeLimitReached, and returns the best incumbent found.
 	NodeLimit int64
 
 	// TimeLimit aborts the search after this wall-clock duration
@@ -163,6 +163,11 @@ type Stats struct {
 	// IncumbentUpdates counts improvements of rho; OptimizeParallel also
 	// counts the installation of an InitialIncumbent.
 	IncumbentUpdates int64
+
+	// NodeLimitReached reports that Options.NodeLimit stopped the run:
+	// the sequential count reached it, or in OptimizeParallel the shared
+	// pool ran dry. A run stopped by TimeLimit or Cancel leaves it false.
+	NodeLimitReached bool
 
 	// Elapsed is the wall-clock duration of the search.
 	Elapsed time.Duration

@@ -39,8 +39,8 @@ import (
 //     expanding children.
 //   - A shared node budget: Options.NodeLimit is a single atomic pool
 //     workers draw allowance from in budgetChunk blocks, so a parallel
-//     run expands ~NodeLimit nodes in total regardless of worker count;
-//     no worker aborts while budget remains unspent elsewhere.
+//     run expands at most NodeLimit nodes in total regardless of worker
+//     count; no worker aborts while budget remains unspent elsewhere.
 //
 // The result cost is deterministic (the optimum); the identity of the
 // returned plan may differ across runs when multiple optimal plans exist.
@@ -366,4 +366,5 @@ func mergeStats(total *Stats, st Stats) {
 	total.StrongLBPrunes += st.StrongLBPrunes
 	total.DominancePrunes += st.DominancePrunes
 	total.IncumbentUpdates += st.IncumbentUpdates
+	total.NodeLimitReached = total.NodeLimitReached || st.NodeLimitReached
 }

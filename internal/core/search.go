@@ -201,6 +201,7 @@ func (s *search) run() (Result, error) {
 func (s *search) dfs(depth int, ps pstate) int {
 	s.stats.NodesExpanded++
 	if !s.budgetOK() {
+		s.stats.NodesExpanded-- // a refused node is not expanded
 		return retNone
 	}
 
@@ -402,8 +403,9 @@ func (s *search) commitIncumbent(cost float64, plan model.Plan) {
 // budgetOK enforces the node and time budgets; once either trips, the
 // search unwinds returning the incumbent. With a shared budget, allowance
 // is drawn in budgetChunk blocks; a worker aborts only when the pool is
-// empty, so a parallel run expands ~NodeLimit nodes in total no matter how
-// the work is distributed across workers.
+// empty, so a parallel run expands at most NodeLimit nodes in total no
+// matter how the work is distributed across workers. Either way a run the
+// node budget stopped reports NodeLimitReached.
 func (s *search) budgetOK() bool {
 	if s.aborted {
 		return false
@@ -413,7 +415,7 @@ func (s *search) budgetOK() bool {
 			take := int64(budgetChunk)
 			rest := s.sharedBudget.Add(-take)
 			if rest <= -take {
-				s.aborted = true
+				s.aborted, s.stats.NodeLimitReached = true, true
 				return false
 			}
 			if rest < 0 {
@@ -423,7 +425,7 @@ func (s *search) budgetOK() bool {
 		}
 		s.allowance--
 	} else if s.opts.NodeLimit > 0 && s.stats.NodesExpanded > s.opts.NodeLimit {
-		s.aborted = true
+		s.aborted, s.stats.NodeLimitReached = true, true
 		return false
 	}
 	if s.stats.NodesExpanded&1023 == 0 {

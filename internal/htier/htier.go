@@ -1,6 +1,7 @@
-// Package htier is the heuristic planning tier for instances beyond the
-// exact optimizer's comfortable reach. It runs a deterministic portfolio
-// of cheap planners and returns the best plan any member found:
+// Package htier is the heuristic planning tier for instances the exact
+// optimizer cannot prove within its node budget, or cannot represent at
+// all (past core.MaxServices). It runs a deterministic portfolio of cheap
+// planners and returns the best plan any member found:
 //
 //   - the two greedy constructions (minimum-epsilon append and
 //     nearest-neighbor by transfer cost);
@@ -14,6 +15,13 @@
 //     anytime budget-bounded branch-and-bound run seeded with the
 //     portfolio's best plan, which can prove optimality outright and can
 //     never return anything worse than its seed.
+//
+// The planner runs the exact search first on every query up to
+// core.MaxServices, under DefaultBBNodeBudget (or Options.BBNodeBudget),
+// and calls Plan only when that budget runs out: it passes the search's
+// incumbent as Options.Seed and disables the branch-and-bound member,
+// whose budget the search has already spent. Past core.MaxServices, and
+// from a configured size threshold, it runs the whole portfolio.
 //
 // Every member is deterministic given (query, Options) — there is no
 // randomized restart — so identical requests produce identical plans, a
@@ -50,7 +58,8 @@ const (
 	DefaultLocalSearchEvals = 1 << 18
 
 	// DefaultBBNodeBudget is the node budget of the anytime
-	// branch-and-bound member when Options.BBNodeBudget is 0.
+	// branch-and-bound member when Options.BBNodeBudget is 0, and the
+	// planner's budget for the exact search it runs before the portfolio.
 	DefaultBBNodeBudget = 1 << 19
 )
 
@@ -94,9 +103,10 @@ type Options struct {
 	BBTimeBudget time.Duration
 
 	// Seed, when non-nil, joins the portfolio as a known-feasible
-	// incumbent (the planner passes a stale generation's plan here on
-	// adaptive replans). It must be a valid, precedence-feasible plan for
-	// the query.
+	// incumbent: the planner passes a stale generation's plan here on
+	// adaptive replans, and the exact search's incumbent when that search
+	// spent its node budget. It must be a valid, precedence-feasible plan
+	// for the query.
 	Seed model.Plan
 
 	// Search is the base configuration of the branch-and-bound member;

@@ -27,18 +27,31 @@
 // their results in input order; large instances escalate to the parallel
 // branch-and-bound, small ones run the sequential search.
 //
-// Above the exact tier sits the heuristic tier (internal/htier): from
-// Config.HeuristicThreshold services up — and always past
-// core.MaxServices — requests route to the deterministic planning
-// portfolio instead of the unbounded exact search, and Result.Tier
-// records which tier (and which portfolio member) produced each plan.
+// Above the exact tier sits the heuristic tier (internal/htier), and a
+// request's route depends on the work its proof takes, not on its size.
+// Every query up to core.MaxServices runs the exact search first, under
+// the node budget htier gives its branch-and-bound member; a proof
+// answers with TierExact. Only a search that spends that budget falls
+// back to the deterministic planning portfolio, seeded with the search's
+// incumbent and without the portfolio's own branch-and-bound member.
+// Queries past core.MaxServices, and from a positive
+// Config.HeuristicThreshold up, go straight to the whole portfolio.
+// Result.Tier records which tier (and which portfolio member) produced
+// each plan.
 //
 // Cacheability is per tier. Exact results are cached only when proven
-// optimal: a search truncated by a node or time budget returns its
-// incumbent but leaves the cache untouched, so a later uncapped request
-// can still establish the optimum. Heuristic results are cached whenever
-// the portfolio ran its full deterministic budgets — an identical request
-// would recompute the identical plan, so the entry is as good as a rerun.
+// optimal: a search truncated by the configured node or time budget, or
+// by the request deadline, returns its incumbent but leaves the cache
+// untouched, so a later uncapped request can still establish the optimum.
+// Heuristic results are cached whenever the portfolio ran its full work
+// budgets: an identical request would spend the same budgets again, so the
+// entry is as good as a rerun. A sequential search truncated by a node
+// budget is deterministic, so a fallback seeded by one recomputes the
+// identical plan; a fallback seeded by a truncated parallel search
+// (core.OptimizeParallel, from Config.ParallelThreshold services) is not
+// bit-reproducible, since which incumbent its workers reach within the
+// shared budget depends on scheduling, and its cached plan is one such
+// outcome.
 package planner
 
 import (
@@ -84,23 +97,30 @@ type Config struct {
 	// deadlines tighten Search.TimeLimit automatically.
 	Search core.Options
 
-	// HeuristicThreshold is the instance size at which requests route to
-	// the heuristic planning tier instead of the exact search. Zero means
-	// DefaultHeuristicThreshold; negative disables the tier, restoring
-	// the pre-v6 behavior of rejecting queries past core.MaxServices
-	// (with ErrQueryTooLarge). Regardless of the threshold, queries past
-	// core.MaxServices always use the heuristic tier when it is enabled —
-	// the exact core cannot represent them.
+	// HeuristicThreshold is the instance size from which requests go
+	// straight to the heuristic portfolio, skipping the exact search.
+	// Zero means DefaultHeuristicThreshold: every query the exact core
+	// can represent tries the exact search first, and falls back to the
+	// portfolio only when Heuristic.BBNodeBudget runs out. Negative
+	// disables the tier: the exact search runs without that budget, and
+	// queries past core.MaxServices fail with ErrQueryTooLarge.
+	// Regardless of the threshold, queries past core.MaxServices always
+	// use the heuristic tier when it is enabled — the exact core cannot
+	// represent them.
 	HeuristicThreshold int
 
 	// Heuristic tunes the heuristic tier's portfolio (beam width, member
 	// budgets, the branch-and-bound member's base search options). The
-	// zero value runs every member with htier's default budgets.
+	// zero value runs every member with htier's default budgets. Its
+	// BBNodeBudget is also the exact search's node budget before a
+	// request falls back to the portfolio; a negative BBNodeBudget leaves
+	// the exact search unbudgeted.
 	Heuristic htier.Options
 
-	// OnSearch, when non-nil, is invoked once per branch-and-bound run
-	// actually executed (i.e. not served by cache or singleflight), with
-	// the signature being searched. Used by tests and metrics exporters
+	// OnSearch, when non-nil, is invoked once per search actually
+	// executed (i.e. not served by cache or singleflight) — an exact
+	// search and its portfolio fallback count once — with the signature
+	// being searched. Used by tests and metrics exporters
 	// to observe dedup behavior. It may be called from multiple
 	// goroutines concurrently.
 	OnSearch func(Signature)
@@ -128,12 +148,13 @@ const DefaultCacheCapacity = 4096
 // subtree fan-out dominates.
 const DefaultParallelThreshold = 13
 
-// DefaultHeuristicThreshold is the instance size at which requests route
-// to the heuristic tier when Config.HeuristicThreshold is zero. Up to 14
-// services the exact search is benchmarked at interactive latency; beyond
-// that its worst case grows factorially while the portfolio stays
-// polynomial, so 15 is where serving traffic stops paying for proofs.
-const DefaultHeuristicThreshold = 15
+// DefaultHeuristicThreshold is the instance size from which requests go
+// straight to the heuristic tier when Config.HeuristicThreshold is zero:
+// the first size past core.MaxServices, which the exact core cannot
+// represent. Below it a request's route depends on its work, not its
+// size: the exact search runs under the branch-and-bound member's node
+// budget, and only a search that spends it falls back to the portfolio.
+const DefaultHeuristicThreshold = core.MaxServices + 1
 
 // TierExact is the Result.Tier of plans proven by the exact
 // branch-and-bound; heuristic plans report "heuristic/<member>" (see
@@ -241,8 +262,9 @@ type Result struct {
 	// Tier records which planning tier produced the plan: TierExact for
 	// the branch-and-bound search, or "heuristic/<member>" naming the
 	// portfolio member whose plan won (e.g. "heuristic/bb",
-	// "heuristic/local-search"). Cached and shared results report the
-	// tier that originally computed the entry.
+	// "heuristic/local-search"; a fallback that keeps the exact search's
+	// incumbent reads "heuristic/bb"). Cached and shared results report
+	// the tier that originally computed the entry.
 	Tier string
 
 	// ResponseFragment is the pre-serialized JSON fragment
@@ -260,8 +282,9 @@ type Stats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 
-	// Searches counts optimization runs actually executed (both tiers;
-	// cache hits and singleflight followers excluded).
+	// Searches counts optimization runs actually executed (both tiers,
+	// an exact search and its portfolio fallback once; cache hits and
+	// singleflight followers excluded).
 	Searches int64 `json:"searches"`
 
 	// TierCounts breaks Searches down by Result.Tier label ("exact",
@@ -683,10 +706,11 @@ func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64
 	return key, fresh, stale
 }
 
-// useHeuristicTier decides the planning tier for an n-service query: the
-// heuristic portfolio from the configured threshold up, and always past
-// the exact core's representational limit (unless the tier is disabled,
-// in which case such queries are rejected upstream).
+// useHeuristicTier reports whether an n-service query goes straight to
+// the heuristic portfolio: from a positive configured threshold up, and
+// always past the exact core's representational limit (unless the tier is
+// disabled, in which case such queries are rejected upstream). Every other
+// query takes the exact search first (searchExact).
 func (p *Planner) useHeuristicTier(n int) bool {
 	threshold := p.cfg.HeuristicThreshold
 	if threshold == 0 {
@@ -698,31 +722,26 @@ func (p *Planner) useHeuristicTier(n int) bool {
 	return n >= threshold || n > core.MaxServices
 }
 
-// searchTier runs one optimization on the tier selected for this request
-// and reports the result, its tier label, and whether the outcome is
-// shareable (cacheable and adoptable by singleflight followers).
-func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, string, bool, error) {
-	if p.useHeuristicTier(q.N()) {
-		return p.searchHeuristic(ctx, q, sig, incumbent)
+// routingBudget is the node budget of the exact attempt before a request
+// falls back to the portfolio: the one htier gives its branch-and-bound
+// member. It is 0 — no budget, and no fallback — in the exact-only mode
+// (a negative HeuristicThreshold) and when that member is disabled.
+func (p *Planner) routingBudget() int64 {
+	if p.cfg.HeuristicThreshold < 0 {
+		return 0
 	}
-	res, err := p.search(ctx, q, sig, incumbent)
-	if err != nil {
-		return core.Result{}, "", false, err
+	budget := p.cfg.Heuristic.BBNodeBudget
+	if budget == 0 {
+		budget = htier.DefaultBBNodeBudget
 	}
-	p.countTier(TierExact)
-	// Exact results are shareable only when proven: a truncated incumbent
-	// in the cache would mask a later uncapped request's proof.
-	return res, TierExact, res.Optimal, nil
+	return max(budget, 0)
 }
 
-// searchHeuristic runs the heuristic portfolio. A context deadline
-// tightens the branch-and-bound member's time budget (the other members
-// are budgeted in work units, not time, and always run to their budgets).
-// The outcome is shareable unless that member was cut off by wall clock —
-// a machine-speed-dependent truncation that must not be frozen into the
-// cache — as witnessed by a non-optimal result that stopped short of its
-// node budget.
-func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, string, bool, error) {
+// searchTier runs this request's search and reports the result, its tier
+// label, and whether the outcome is shareable (cacheable and adoptable by
+// singleflight followers). Whatever runs — the exact search, the
+// portfolio, or both — counts as one search.
+func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, string, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Result{}, "", false, err
 	}
@@ -730,14 +749,73 @@ func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, sig Signa
 	if p.cfg.OnSearch != nil {
 		p.cfg.OnSearch(sig)
 	}
-	opts := p.cfg.Heuristic
-	// Abandoned requests abort the branch-and-bound member mid-search;
-	// the constructive members run in microseconds and finish regardless.
-	opts.Search.Cancel = ctx.Done()
 	if incumbent != nil {
-		opts.Seed = incumbent
 		p.replans.Add(1)
 	}
+	run := p.searchExact
+	if p.useHeuristicTier(q.N()) {
+		run = p.searchHeuristic
+	}
+	res, tier, shareable, err := run(ctx, q, incumbent)
+	if err != nil {
+		return core.Result{}, "", false, err
+	}
+	p.countTier(tier)
+	p.searchNodes.Add(res.Stats.NodesExpanded)
+	p.searchMicros.Add(res.Stats.Elapsed.Microseconds())
+	p.domPrunes.Add(res.Stats.DominancePrunes)
+	return res, tier, shareable, nil
+}
+
+// searchExact runs the exact search under the routing budget. A proof
+// answers with TierExact. So does a run stopped by anything else — the
+// configured NodeLimit when it is the tighter budget, TimeLimit, or the
+// request deadline — with its incumbent, optimal false and unshareable:
+// a truncated incumbent in the cache would mask a later uncapped request's
+// proof. Only when the routing budget itself runs out does the portfolio
+// finish the request, seeded with the search's incumbent and without its
+// own branch-and-bound member, since the budget that member would spend is
+// spent.
+func (p *Planner) searchExact(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, string, bool, error) {
+	opts := p.cfg.Search
+	budget := p.routingBudget()
+	routed := budget > 0 && (opts.NodeLimit == 0 || budget < opts.NodeLimit)
+	if routed {
+		opts.NodeLimit = budget
+	}
+	res, err := p.search(ctx, q, opts, incumbent)
+	if err != nil {
+		return core.Result{}, "", false, err
+	}
+	if !routed || !res.Stats.NodeLimitReached {
+		return res, TierExact, res.Optimal, nil
+	}
+	hopts := p.cfg.Heuristic
+	hopts.BBNodeBudget = -1
+	hopts.Seed = res.Plan // nil when the budget ran out before a first plan
+	hres, tier, err := p.portfolio(ctx, q, hopts)
+	if err != nil {
+		return core.Result{}, "", false, err
+	}
+	if tier == tierHeuristicPrefix+htier.MemberSeed {
+		// The seed is the exact attempt's incumbent, not a stale
+		// generation's plan.
+		tier = tierHeuristicPrefix + htier.MemberBB
+	}
+	res.Plan, res.Cost, res.Optimal = hres.Plan, hres.Cost, false
+	res.Stats.Elapsed += hres.Stats.Elapsed
+	return res, tier, true, nil
+}
+
+// searchHeuristic runs the whole portfolio, seeded with the replan
+// incumbent. A context deadline tightens the branch-and-bound member's
+// time budget (the other members are budgeted in work units, not time, and
+// always run to their budgets). The outcome is shareable unless that
+// member was cut off by wall clock — a machine-speed-dependent truncation
+// that must not be frozen into the cache.
+func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, string, bool, error) {
+	opts := p.cfg.Heuristic
+	opts.Seed = incumbent
 	if deadline, ok := ctx.Deadline(); ok {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -747,59 +825,47 @@ func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, sig Signa
 			opts.BBTimeBudget = remaining
 		}
 	}
-	hres, err := htier.Plan(q, opts)
+	res, tier, err := p.portfolio(ctx, q, opts)
 	if err != nil {
 		return core.Result{}, "", false, err
 	}
-	if ctx.Err() == context.Canceled {
-		// The requester vanished mid-portfolio (the cancel channel aborted
-		// the branch-and-bound member); nobody is listening for the plan.
-		return core.Result{}, "", false, context.Canceled
-	}
-
-	nodeBudget := opts.BBNodeBudget
-	if nodeBudget == 0 {
-		nodeBudget = htier.DefaultBBNodeBudget
-	}
-	bbRan := hres.Stats.BB.NodesExpanded > 0
-	timeTruncated := bbRan && !hres.Optimal && hres.Stats.BB.NodesExpanded < nodeBudget
-
-	res := core.Result{
-		Plan:    hres.Plan,
-		Cost:    hres.Cost,
-		Optimal: hres.Optimal,
-		Stats:   hres.Stats.BB,
-	}
-	res.Stats.Elapsed = hres.Stats.Elapsed
-	tier := tierHeuristicPrefix + hres.Source
-	p.countTier(tier)
-	p.searchNodes.Add(res.Stats.NodesExpanded)
-	p.searchMicros.Add(res.Stats.Elapsed.Microseconds())
-	p.domPrunes.Add(res.Stats.DominancePrunes)
+	bbRan := res.Stats.NodesExpanded > 0
+	timeTruncated := bbRan && !res.Optimal && !res.Stats.NodeLimitReached
 	return res, tier, !timeTruncated, nil
 }
 
-// search runs one branch-and-bound: sequential below the parallel
-// threshold, core.OptimizeParallel at or above it. A context deadline
-// tightens the configured time limit. A non-nil incumbent (the previous
+// portfolio runs htier.Plan and reports its plan as a core result whose
+// Stats are the branch-and-bound member's, timed over the whole portfolio.
+func (p *Planner) portfolio(ctx context.Context, q *model.Query, opts htier.Options) (core.Result, string, error) {
+	// Abandoned requests abort the branch-and-bound member mid-search;
+	// the constructive members run in microseconds and finish regardless.
+	opts.Search.Cancel = ctx.Done()
+	hres, err := htier.Plan(q, opts)
+	if err != nil {
+		return core.Result{}, "", err
+	}
+	if ctx.Err() == context.Canceled {
+		// The requester vanished mid-portfolio; nobody is listening for
+		// the plan.
+		return core.Result{}, "", context.Canceled
+	}
+	res := core.Result{Plan: hres.Plan, Cost: hres.Cost, Optimal: hres.Optimal, Stats: hres.Stats.BB}
+	res.Stats.Elapsed = hres.Stats.Elapsed
+	return res, tierHeuristicPrefix + hres.Source, nil
+}
+
+// search runs one branch-and-bound under opts: sequential below the
+// parallel threshold, core.OptimizeParallel at or above it. A context
+// deadline tightens the time limit. A non-nil incumbent (the previous
 // generation's plan, already validated for q) seeds rho in place of the
-// cold start and counts as a replan.
-func (p *Planner) search(ctx context.Context, q *model.Query, sig Signature, incumbent model.Plan) (core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Result{}, err
-	}
-	p.searches.Add(1)
-	if p.cfg.OnSearch != nil {
-		p.cfg.OnSearch(sig)
-	}
-	opts := p.cfg.Search
+// cold start.
+func (p *Planner) search(ctx context.Context, q *model.Query, opts core.Options, incumbent model.Plan) (core.Result, error) {
 	// Propagate request-context cancellation into the node loop: a client
 	// that disconnects mid-search stops burning cold-optimize CPU at the
 	// next budget poll instead of running the search to completion.
 	opts.Cancel = ctx.Done()
 	if incumbent != nil {
 		opts.InitialIncumbent = incumbent
-		p.replans.Add(1)
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		remaining := time.Until(deadline)
@@ -821,20 +887,18 @@ func (p *Planner) search(ctx context.Context, q *model.Query, sig Signature, inc
 	} else {
 		res, err = core.OptimizeWithOptions(q, opts)
 	}
-	if err == nil {
-		// A search aborted because the requester vanished has no audience:
-		// surface the cancellation instead of a partial result. Deadline
-		// expiry is deliberately NOT remapped — the search already honors
-		// deadlines through TimeLimit and returns its truncated incumbent,
-		// and a search finishing right at its tightened limit would
-		// otherwise flip nondeterministically between the two outcomes.
-		if ctx.Err() == context.Canceled {
-			return core.Result{}, context.Canceled
-		}
-		p.searchNodes.Add(res.Stats.NodesExpanded)
-		p.searchMicros.Add(res.Stats.Elapsed.Microseconds())
-		p.domPrunes.Add(res.Stats.DominancePrunes)
-		p.domOccBits.Store(math.Float64bits(res.Stats.DominanceOccupancy))
+	if err != nil {
+		return core.Result{}, err
 	}
-	return res, err
+	// A search aborted because the requester vanished has no audience:
+	// surface the cancellation instead of a partial result. Deadline
+	// expiry is deliberately NOT remapped — the search already honors
+	// deadlines through TimeLimit and returns its truncated incumbent, and
+	// a search finishing right at its tightened limit would otherwise flip
+	// nondeterministically between the two outcomes.
+	if ctx.Err() == context.Canceled {
+		return core.Result{}, context.Canceled
+	}
+	p.domOccBits.Store(math.Float64bits(res.Stats.DominanceOccupancy))
+	return res, nil
 }

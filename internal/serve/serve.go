@@ -126,7 +126,8 @@ type OptimizeResponse struct {
 	// Tier names the planning tier that produced the plan: "exact" for
 	// the proof-carrying branch-and-bound core, or "heuristic/<member>"
 	// naming the winning portfolio member for instances routed to the
-	// heuristic tier (large n, or past the configured threshold).
+	// heuristic tier (an exact search that spent its node budget, n past
+	// 64, or n past the configured threshold).
 	Tier string `json:"tier"`
 
 	// NodesExpanded and ElapsedMicros describe the search that produced
