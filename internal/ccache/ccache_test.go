@@ -2,8 +2,10 @@ package ccache
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestClockSecondChance pins the eviction policy on one shard: a touched
@@ -126,15 +128,72 @@ func TestClockConcurrentStress(t *testing.T) {
 	if n := s.len(); n > 8 {
 		t.Fatalf("population %d exceeds capacity 8", n)
 	}
-	// The published map and the ring must agree after the dust settles.
-	m := *s.live.Load()
-	if len(m) != s.len() {
-		t.Fatalf("map holds %d entries, ring %d", len(m), s.len())
+	// The shard map and the ring must agree after the dust settles.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.m) != len(s.ring) {
+		t.Fatalf("map holds %d entries, ring %d", len(s.m), len(s.ring))
 	}
-	for k, e := range m {
+	for k, e := range s.m {
 		if e.key != k {
 			t.Fatalf("map key %d points at entry for key %d", k, e.key)
 		}
+		if s.ring[e.pos] != e {
+			t.Fatalf("map entry for key %d is not in its ring slot %d", k, e.pos)
+		}
+	}
+}
+
+// TestEvictingPutAllocatesOnlyItsEntry pins the O(1) insert: a Put that
+// evicts from a full shard changes the shard map in place, so its one
+// allocation is the new entry. A copy-on-write shard that publishes a
+// fresh map per insert pays six allocations and about 5 KB here.
+func TestEvictingPutAllocatesOnlyItsEntry(t *testing.T) {
+	const capacity = 128
+	s := newClockShard[uint64, uint64](capacity)
+	k := uint64(0)
+	put := func() {
+		k++
+		s.put(k, k, 0)
+	}
+	// Fill the shard, then churn it past the few growths the map takes
+	// while deleted slots accumulate.
+	for i := 0; i < 64*capacity; i++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(1000, put); allocs > 1 {
+		t.Fatalf("an evicting put allocates %v times, want at most 1 (the entry)", allocs)
+	}
+	var before, after runtime.MemStats
+	const runs = 1000
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		put()
+	}
+	runtime.ReadMemStats(&after)
+	entry := uint64(unsafe.Sizeof(clockEntry[uint64, uint64]{}))
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / runs; perPut > 2*entry {
+		t.Fatalf("an evicting put allocates %d bytes, want about one %d-byte entry", perPut, entry)
+	}
+}
+
+// TestNewClockSizesNoMaps: building a store allocates its shard rings,
+// but no shard map sized to its capacity. Presized maps would sit mostly
+// empty in a store that never fills; unsized ones grow with the
+// population.
+func TestNewClockSizesNoMaps(t *testing.T) {
+	const capacity, shards = 4096, 64
+	var c *Clock[uint64, uint64]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c = NewClock[uint64, uint64](capacity, shards, func(k uint64) int { return int(k & (shards - 1)) })
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	rings := uint64(capacity * unsafe.Sizeof((*clockEntry[uint64, uint64])(nil)))
+	// Each shard adds its struct and an empty map header to its ring; a
+	// presized 64-entry map adds over 2 KB.
+	if got, want := after.TotalAlloc-before.TotalAlloc, rings+shards*256; got > want {
+		t.Fatalf("NewClock(%d, %d) allocates %d bytes, want at most %d (%d of rings)", capacity, shards, got, want, rings)
 	}
 }
 

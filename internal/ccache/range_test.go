@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Snapshot-iteration semantics. Range is the substrate of the planner's
@@ -161,4 +162,55 @@ func TestRangeSeesReplacementAtomically(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	})
+}
+
+// TestRangeCallbackPutsIntoWalkedShard: Range calls f outside the shard
+// lock, so a callback that re-puts and evicts on the very shard being
+// walked neither deadlocks nor tears what the walk sees. Every triple the
+// walk hands out is one a Put published together, and a shard is walked
+// as it stood when its walk began: what the callbacks put into it does
+// not appear in the same walk.
+func TestRangeCallbackPutsIntoWalkedShard(t *testing.T) {
+	const capacity, shards = 32, 4
+	c := newGenStore(capacity, shards)
+	encode := func(key, gen uint64) uint64 { return key<<32 | gen&0xffffffff }
+	for k := uint64(0); k < capacity; k++ {
+		c.PutGen(k, encode(k, 1), 1)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		next := uint64(1000)
+		for walk := uint64(2); walk < 50; walk++ {
+			seen := 0
+			c.Range(func(k, v, gen uint64) bool {
+				seen++
+				if v != encode(k, gen) {
+					t.Errorf("walk %d saw key %d -> %#x under stamp %d", walk, k, v, gen)
+					return false
+				}
+				if gen == walk {
+					// Put by this walk's callbacks, all into shards
+					// already copied.
+					t.Errorf("walk %d saw key %d, which it put itself", walk, k)
+				}
+				// Restamp the key just seen, and evict from its shard
+				// with a fresh key that maps onto the same shard.
+				c.PutGen(k, encode(k, walk), walk)
+				fresh := next<<2 | k&(shards-1)
+				next++
+				c.PutGen(fresh, encode(fresh, walk), walk)
+				return true
+			})
+			if seen == 0 || seen > capacity {
+				t.Errorf("walk %d saw %d entries, want 1..%d", walk, seen, capacity)
+				return
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Range with a callback that puts into the walked shard did not finish: deadlock")
+	}
 }

@@ -25,10 +25,13 @@ import (
 // of runs calls of f allocated, with GOMAXPROCS at 1 as
 // testing.AllocsPerRun holds it (a goroutine that moved to another
 // processor would miss the table its last run pooled on the first). A run
-// whose dominance table misses domtable's pool builds one, and the race
-// detector drops one pooled table in four on purpose; a miss only ever
-// adds allocations, so the least counts are those of a run that drew its
-// table, where an average would move with the number of misses.
+// whose dominance table or prep misses its pool builds one, and the race
+// detector drops one pooled object in four on purpose; a miss only ever
+// adds allocations, so the least counts are those of a run that drew from
+// both pools, where an average would move with the number of misses. A
+// run hits both with probability 9/16 under the race detector, so the
+// tests whose bound one prep miss would break take 20 runs: all 20 miss
+// about once in 10^7.
 func leastAllocs(runs int, f func()) (mallocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mallocs, bytes = math.MaxUint64, math.MaxUint64
@@ -55,7 +58,7 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
 			run := func(nodeLimit int64) (allocs int64, nodes int64) {
 				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
-				mallocs, _ := leastAllocs(10, func() {
+				mallocs, _ := leastAllocs(20, func() {
 					res, err := core.OptimizeWithOptions(q, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -79,11 +82,12 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 				t.Fatalf("node loop allocates: full run %v allocs vs truncated %v (%.4f allocs/node over %d extra nodes)",
 					fullAllocs, shortAllocs, perNode, fullNodes-shortNodes)
 			}
-			// The per-run setup itself must stay bounded (prep + search +
-			// result). The dominance table adds nothing once warm: it comes
-			// back from domtable's pool.
-			if fullAllocs > 96 {
-				t.Fatalf("per-run setup allocates %v times, want <= 96", fullAllocs)
+			// The per-run setup itself must stay bounded: the search state,
+			// the returned plan and the compiled precedence, 7 allocations
+			// here. The prep and the dominance table add nothing once warm:
+			// they come back from their pools.
+			if fullAllocs > 12 {
+				t.Fatalf("per-run setup allocates %v times, want <= 12", fullAllocs)
 			}
 		})
 	}
@@ -148,5 +152,44 @@ func TestSearchRecyclesDominanceTable(t *testing.T) {
 	})
 	if least > uint64(tableBytes)/8 {
 		t.Fatalf("a repeated n=16 search allocates %d bytes, want well under its %d-byte dominance table", least, tableBytes)
+	}
+}
+
+// A search's setup must cost what the search takes, not what the instance
+// could offer: the root pairs come off a heap as the search takes them
+// (most searches take one or two of n(n-1)), and the prep's buffers and
+// the parallel task list come back from a pool. What a repeated n = 17
+// search still allocates is its own search state (per-worker scratch,
+// the returned plan), the compiled precedence and, in parallel, the
+// goroutines' shared bookkeeping. Fresh prep buffers and a full sort of
+// all 272 pairs cost 19112 bytes in 26 allocations per sequential search,
+// and 56384 bytes in 52 with two workers.
+func TestSearchSetupAllocs(t *testing.T) {
+	q, err := gen.Default(17, 1).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name     string
+		optimize func() (core.Result, error)
+		bytes    uint64
+		mallocs  uint64
+	}{
+		// Measured: 824 bytes in 7 allocations, and 3080 in 31.
+		{"sequential", func() (core.Result, error) { return core.OptimizeWithOptions(q, core.Options{}) }, 1024, 10},
+		{"parallel", func() (core.Result, error) { return core.OptimizeParallel(q, core.Options{}, 2) }, 4096, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mallocs, bytes := leastAllocs(20, func() {
+				if _, err := tc.optimize(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if bytes > tc.bytes || mallocs > tc.mallocs {
+				t.Fatalf("a repeated n=17 search allocates %d bytes in %d allocations, want at most %d bytes in %d",
+					bytes, mallocs, tc.bytes, tc.mallocs)
+			}
+		})
 	}
 }

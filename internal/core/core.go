@@ -70,11 +70,13 @@ func OptimizeWithOptions(q *model.Query, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	s := newSearch(newPrep(q), opts)
+	pr := newPrep(q)
+	s := newSearch(pr, opts)
 	s.dom, s.domBand = newDomTable(q.N(), opts)
 	res, err := s.run()
-	// Not deferred: a search that panics must drop its table, not hand a
-	// half-written one back to the pool.
+	// Not deferred: a search that panics must drop its table and prep, not
+	// hand half-written ones back to their pools.
 	domtable.Put(s.dom)
+	pr.release()
 	return res, err
 }

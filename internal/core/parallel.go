@@ -190,7 +190,6 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	}
 
 	pr := newPrep(q)
-	pairs := pr.pairs
 	split := workers > 1 && q.N() >= splitMinServices
 
 	// One dominance table serves the whole run: workers publish their
@@ -199,20 +198,23 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	// worker with no locks on the probe path.
 	dom, domBand := newDomTable(q.N(), opts)
 
-	var tasks []parTask
+	// Tasks index pr.taken, the pairs popped off the heap in cost order.
+	// Every pop happens here, before any worker starts, so the workers
+	// share the prep read-only.
 	if split {
 		gen := newSearch(pr, opts)
 		gen.shared = shared
 		gen.dom, gen.domBand = dom, domBand
 		gen.rho = shared.load()
-		tasks = gen.buildTripleTasks()
+		gen.buildTripleTasks()
 		mergeStats(&total, gen.stats)
 	} else {
-		tasks = make([]parTask, len(pairs))
-		for i := range pairs {
-			tasks[i] = parTask{pair: int32(i), child: -1}
+		for p, ok := pr.popPair(); ok; p, ok = pr.popPair() {
+			pr.tasks = append(pr.tasks, parTask{pair: int32(len(pr.taken)), child: -1})
+			pr.taken = append(pr.taken, p)
 		}
 	}
+	pairs, tasks := pr.taken, pr.tasks
 
 	var (
 		nextTask  atomic.Int64
@@ -288,8 +290,10 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	if dom != nil {
 		total.DominanceOccupancy = dom.Occupancy()
 	}
-	// Every worker has returned, so the table has no user left.
+	// Every worker has returned, so the table and the prep have no user
+	// left.
 	domtable.Put(dom)
+	pr.release()
 	plan, cost := shared.snapshot()
 	if plan == nil {
 		return Result{Optimal: false, Stats: total}, nil
@@ -297,27 +301,27 @@ func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error)
 	return Result{Plan: plan, Cost: cost, Optimal: !anyAbort.Load(), Stats: total}, nil
 }
 
-// buildTripleTasks evaluates each root pair's depth-2 node in cost order
-// and emits one task per feasible third service, in the expansion-policy
-// order dfs would use. Pairs closed by Lemma 2 at depth 2 contribute their
-// incumbent (and Lemma 3 root prune) here and produce no tasks; the
-// strong-lower-bound extension prunes whole pairs the same way the
-// sequential search would before expanding children. The receiver is a
-// throwaway search whose stats the caller merges.
-func (s *search) buildTripleTasks() []parTask {
-	pairs := s.pairs
-	tasks := make([]parTask, 0, len(pairs)*(s.n-2))
-	for pi := range pairs {
-		p := pairs[pi]
-		if s.deadFirst[p.a] {
-			continue
-		}
-		// Lemma 1 over sorted pairs: everything from here on starts at or
-		// above the incumbent. (rho can still improve while workers run;
-		// the claim loop re-checks.)
+// buildTripleTasks pops root pairs in cost order, appends each live one to
+// s.taken, evaluates its depth-2 node and appends to s.tasks one task per
+// feasible third service, in the expansion-policy order dfs would
+// use. Pairs closed by Lemma 2 at depth 2 contribute their incumbent (and
+// Lemma 3 root prune) here and produce no tasks; the strong-lower-bound
+// extension prunes whole pairs the same way the sequential search would
+// before expanding children. The receiver is a throwaway search whose
+// stats the caller merges.
+func (s *search) buildTripleTasks() {
+	for p, ok := s.popPair(); ok; p, ok = s.popPair() {
+		// Lemma 1 over pairs in ascending cost: everything from here on
+		// starts at or above the incumbent, so it stays in the heap. (rho
+		// can still improve while workers run; the claim loop re-checks.)
 		if !s.opts.DisableIncumbentPruning && p.cost >= s.rho {
 			break
 		}
+		if s.deadFirst[p.a] {
+			continue
+		}
+		pi := int32(len(s.taken))
+		s.taken = append(s.taken, p)
 		s.stats.PairsTried++
 		s.prefix = append(s.prefix[:0], p.a, p.b)
 		s.placed = 1<<uint(p.a) | 1<<uint(p.b)
@@ -349,10 +353,9 @@ func (s *search) buildTripleTasks() []parTask {
 			if c == p.a || !s.prec.CanPlace(c, s.placed) {
 				continue
 			}
-			tasks = append(tasks, parTask{pair: int32(pi), child: int32(c)})
+			s.tasks = append(s.tasks, parTask{pair: pi, child: int32(c)})
 		}
 	}
-	return tasks
 }
 
 // mergeStats accumulates worker-local counters into the run total.

@@ -153,12 +153,14 @@ func (s *search) run() (Result, error) {
 		s.rho = s.q.Cost(s.best)
 	}
 
-	for _, pr := range s.pairs {
-		if s.aborted {
+	for !s.aborted {
+		pr, ok := s.popPair()
+		if !ok {
 			break
 		}
-		// Lemma 1 termination: pairs are sorted by cost, and every plan
-		// costs at least its two-service prefix. No cheaper plan exists.
+		// Lemma 1 termination: pairs come off in ascending cost, and every
+		// plan costs at least its two-service prefix. No cheaper plan
+		// exists, so the pairs left in the heap are never sorted out.
 		if !s.opts.DisableIncumbentPruning && pr.cost >= s.rho {
 			break
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
-	"slices"
+	"sync"
 
 	"serviceordering/internal/model"
 )
@@ -12,11 +12,18 @@ import (
 // flattened into dense arrays so the per-node hot path touches contiguous
 // float64 slices instead of chasing Service structs and nested slices:
 // per-service cost/selectivity/thread-count vectors, the row-major
-// transfer matrix, presorted per-service transfer orders (indices and
-// values side by side), and the cost-sorted root pairs. It is computed
-// once per optimization and shared read-only across
-// all parallel workers, so the O(n^2 log n) setup is paid once instead of
-// once per worker.
+// transfer matrix, and presorted per-service transfer orders (indices and
+// values side by side). It is computed once per optimization and shared
+// read-only across all parallel workers, so the O(n^2 log n) setup is paid
+// once instead of once per worker.
+//
+// The root pairs are the exception: they sit in a min-heap that the search
+// pops in ascending cost only as it takes them. Lemma 1 stops the search at
+// the first pair whose cost reaches the incumbent, so most searches take
+// one to three of the n(n-1) pairs, and sorting them all cost more than
+// the search itself. The parallel path pops its pairs before any worker
+// starts. A prep and its buffers come from prepPool and go back through
+// release once the search is done with them.
 //
 // Every derived value is produced by the same expression the model package
 // uses (for example gmax[i] = math.Max(Selectivity, 1)), so arithmetic on
@@ -55,9 +62,18 @@ type prep struct {
 	ascVal  []float64
 	descVal []float64
 
-	// pairs is the feasible root-pair list in increasing cost order.
+	// pairs holds the feasible root pairs not yet taken, as a min-heap in
+	// increasing cost order (see popPair).
 	pairs []rootPair
+
+	// The parallel path's popped pairs and task list, recycled with the
+	// prep.
+	taken []rootPair
+	tasks []parTask
 }
+
+// prepPool recycles preps and their buffers across searches.
+var prepPool sync.Pool
 
 // order returns the ascending expansion order for service l.
 func (p *prep) order(l int) []int32 {
@@ -68,18 +84,22 @@ func (p *prep) order(l int) []int32 {
 // be validated.
 func newPrep(q *model.Query) *prep {
 	n := q.N()
-	p := &prep{q: q, prec: q.CompiledPrecedence(), n: n}
+	p, _ := prepPool.Get().(*prep)
+	if p == nil {
+		p = new(prep)
+	}
+	p.q, p.prec, p.n = q, q.CompiledPrecedence(), n
 	if n >= 64 {
 		p.allMask = ^uint64(0)
 	} else {
 		p.allMask = 1<<uint(n) - 1
 	}
 
-	p.cost = make([]float64, n)
-	p.sel = make([]float64, n)
-	p.tc = make([]float64, n)
-	p.gmax = make([]float64, n)
-	p.gmin = make([]float64, n)
+	p.cost = resize(p.cost, n)
+	p.sel = resize(p.sel, n)
+	p.tc = resize(p.tc, n)
+	p.gmax = resize(p.gmax, n)
+	p.gmin = resize(p.gmin, n)
 	for i := range q.Services {
 		svc := &q.Services[i]
 		p.cost[i] = svc.Cost
@@ -88,23 +108,25 @@ func newPrep(q *model.Query) *prep {
 		p.gmax[i] = math.Max(svc.Selectivity, 1)
 		p.gmin[i] = math.Min(svc.Selectivity, 1)
 	}
-	p.tr = make([]float64, n*n)
+	p.tr = resize(p.tr, n*n)
 	for i, row := range q.Transfer {
 		copy(p.tr[i*n:(i+1)*n], row)
 	}
-	p.src = make([]float64, n)
+	p.src = resize(p.src, n)
+	clear(p.src)
 	if q.SourceTransfer != nil {
 		copy(p.src, q.SourceTransfer)
 	}
-	p.sink = make([]float64, n)
+	p.sink = resize(p.sink, n)
+	clear(p.sink)
 	if q.SinkTransfer != nil {
 		copy(p.sink, q.SinkTransfer)
 	}
 
-	p.maxTransferAll = make([]float64, n)
-	p.minTransferAll = make([]float64, n)
-	p.maxOutAll = make([]float64, n)
-	p.minOutAll = make([]float64, n)
+	p.maxTransferAll = resize(p.maxTransferAll, n)
+	p.minTransferAll = resize(p.minTransferAll, n)
+	p.maxOutAll = resize(p.maxOutAll, n)
+	p.minOutAll = resize(p.minOutAll, n)
 	for i := 0; i < n; i++ {
 		maxT, minT := 0.0, math.Inf(1)
 		for j := 0; j < n; j++ {
@@ -128,39 +150,54 @@ func newPrep(q *model.Query) *prep {
 		p.minOutAll[i] = math.Min(minT, p.sink[i])
 	}
 
-	if n > 1 {
-		w := n - 1
-		p.ascIdx = make([]int32, n*w)
-		p.descIdx = make([]int32, n*w)
-		p.ascVal = make([]float64, n*w)
-		p.descVal = make([]float64, n*w)
-		scratch := make([]int, w)
-		for l := 0; l < n; l++ {
-			k := 0
-			for j := 0; j < n; j++ {
-				if j != l {
-					scratch[k] = j
-					k++
-				}
+	w := n - 1
+	p.ascIdx = resize(p.ascIdx, n*w)
+	p.descIdx = resize(p.descIdx, n*w)
+	p.ascVal = resize(p.ascVal, n*w)
+	p.descVal = resize(p.descVal, n*w)
+	for l := 0; l < n; l++ {
+		asc := p.ascIdx[l*w : (l+1)*w]
+		k := 0
+		for j := 0; j < n; j++ {
+			if j != l {
+				asc[k] = int32(j)
+				k++
 			}
-			sortIdxByKey(scratch, q.Transfer[l])
-			for i, j := range scratch {
-				p.ascIdx[l*w+i] = int32(j)
-				p.ascVal[l*w+i] = q.Transfer[l][j]
-				p.descIdx[l*w+(w-1-i)] = int32(j)
-				p.descVal[l*w+(w-1-i)] = q.Transfer[l][j]
-			}
+		}
+		sortIdxByKey(asc, q.Transfer[l])
+		for i, j := range asc {
+			p.ascVal[l*w+i] = q.Transfer[l][j]
+			p.descIdx[l*w+(w-1-i)] = j
+			p.descVal[l*w+(w-1-i)] = q.Transfer[l][j]
 		}
 	}
 
-	p.pairs = buildRootPairs(p)
+	p.buildRootPairs()
+	p.taken = p.taken[:0]
+	p.tasks = p.tasks[:0]
 	return p
+}
+
+// release hands p and its buffers back to prepPool. Nothing may use p
+// afterwards: no search built on it, no slice taken from it.
+func (p *prep) release() {
+	p.q, p.prec = nil, nil
+	prepPool.Put(p)
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+// The contents are unspecified; callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // sortIdxByKey stably sorts idx in increasing key[idx[i]] order using
 // insertion sort: allocation- and reflection-free, and n is at most
 // MaxServices so the quadratic worst case is tiny.
-func sortIdxByKey(idx []int, key []float64) {
+func sortIdxByKey(idx []int32, key []float64) {
 	for i := 1; i < len(idx); i++ {
 		v := idx[i]
 		k := key[v]
@@ -180,11 +217,24 @@ type rootPair struct {
 	cost float64
 }
 
-// buildRootPairs enumerates the feasible ordered pairs sorted by pair
-// cost, ties broken by indices for determinism.
-func buildRootPairs(p *prep) []rootPair {
+// pairLess orders root pairs by cost, ties broken by indices for
+// determinism. (cost, a, b) totally orders distinct pairs, so the pop
+// order is the one any sort of the whole list would give.
+func pairLess(x, y rootPair) bool {
+	if c := cmp.Compare(x.cost, y.cost); c != 0 {
+		return c < 0
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
+
+// buildRootPairs fills p.pairs with the feasible ordered pairs and orders
+// them into a heap, in O(n^2) with no sort.
+func (p *prep) buildRootPairs() {
 	n := p.n
-	pairs := make([]rootPair, 0, n*(n-1))
+	pairs := resize(p.pairs, n*(n-1))[:0]
 	for a := 0; a < n; a++ {
 		if !p.prec.CanPlace(a, 0) {
 			continue
@@ -196,16 +246,41 @@ func buildRootPairs(p *prep) []rootPair {
 			pairs = append(pairs, rootPair{a: a, b: b, cost: p.q.PairCost(a, b)})
 		}
 	}
-	// (cost, a, b) totally orders distinct pairs, so any sort algorithm
-	// yields the same list.
-	slices.SortFunc(pairs, func(x, y rootPair) int {
-		if x.cost != y.cost {
-			return cmp.Compare(x.cost, y.cost)
+	for i := len(pairs)/2 - 1; i >= 0; i-- {
+		siftDown(pairs, i)
+	}
+	p.pairs = pairs
+}
+
+// popPair removes and returns the least root pair not yet taken; ok is
+// false once every pair has been taken.
+func (p *prep) popPair() (pr rootPair, ok bool) {
+	h := p.pairs
+	if len(h) == 0 {
+		return rootPair{}, false
+	}
+	pr = h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	p.pairs = h[:last]
+	siftDown(p.pairs, 0)
+	return pr, true
+}
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []rootPair, i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
 		}
-		if x.a != y.a {
-			return cmp.Compare(x.a, y.a)
+		if r := j + 1; r < len(h) && pairLess(h[r], h[j]) {
+			j = r
 		}
-		return cmp.Compare(x.b, y.b)
-	})
-	return pairs
+		if !pairLess(h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

@@ -10,9 +10,9 @@ import (
 
 // This file binds the planner's two caches — the plan cache (Signature ->
 // cached plan) and the canonicalization memo (seeded hash of the raw
-// serialization -> signature + permutation) — to the read-lock-free clock
-// store in internal/ccache: one atomic map load per warm hit, no mutex, no
-// promotion. Counters are atomics aggregated on read.
+// serialization -> signature + permutation) — to the clock store in
+// internal/ccache: one map lookup under a shard's read lock per warm hit,
+// no promotion. Counters are atomics aggregated on read.
 //
 // The plan cache has two reads. get is a request's own lookup and counts
 // a hit or a miss; peek re-reads without counting either (the leader's
@@ -70,8 +70,10 @@ type rawEntry struct {
 }
 
 // cacheShardCount is the number of shards; a power of two so the shard
-// index is a mask. 64 keeps both read-side contention and the clock
-// store's copy-on-write insert cost (O(capacity/shards)) low.
+// index is a mask. 64 keeps writers from contending on one shard's lock.
+// Inserts cost O(1) whatever the shard size, and each shard's map grows
+// with its own population, so the count adds little memory to a store
+// that never fills.
 const cacheShardCount = 64
 
 func sigShard(s Signature) int { return s.shardIndex(cacheShardCount) }

@@ -444,10 +444,10 @@ func overlay(q *model.Query, snap *adapt.Snapshot) *model.Query {
 func (p *Planner) Adaptive() *adapt.Registry { return p.cfg.Adaptive }
 
 // optimize is the uninstrumented request path. The warm hit costs: one
-// pooled raw serialization + seeded hash, one lock-free memo probe (plus a
-// generation-stamp compare), one lock-free plan-cache probe, and one plan
-// permutation — a single allocation (the caller-owned plan), pinned by
-// TestOptimizeWarmHitAllocs with and without an adaptive registry.
+// pooled raw serialization + seeded hash, one read-locked memo probe (plus
+// a generation-stamp compare), one read-locked plan-cache probe, and one
+// plan permutation — a single allocation (the caller-owned plan), pinned
+// by TestOptimizeWarmHitAllocs with and without an adaptive registry.
 //
 // Every answer taken from a resident entry — the fresh hit, the leader's
 // re-check, the follower's share — goes through canonical.answer, which

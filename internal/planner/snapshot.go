@@ -84,8 +84,10 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveSnapshot writes the resident plan cache to w, returning the number
 // of entries dumped. Concurrent serving continues: the iteration is the
-// store's lock-free point-in-time walk, so entries inserted mid-dump may
-// or may not be included — a snapshot is a warm floor, not a transaction
+// store's Range, which copies one shard at a time under that shard's read
+// lock and encodes outside it, so writers wait only for a copy. Each shard
+// is dumped as it stood at one instant; entries inserted mid-dump may or
+// may not be included — a snapshot is a warm floor, not a transaction
 // log. With caching disabled it writes a valid empty snapshot.
 func (p *Planner) SaveSnapshot(w io.Writer) (int, error) {
 	buf := appendSnapshotHeader(make([]byte, 0, 64<<10), snapGen(p.adaptiveSnap()), 0)
