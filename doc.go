@@ -451,11 +451,14 @@
 //     memory-capped with depth-banded admission and clock-hand eviction,
 //     parallel workers share prunes through lock-free probes and CAS
 //     publishes, and Options.DisableDominance restores the raw tree for
-//     ablations. Searches recycle tables of up to 5 MiB (n <= 17 by
-//     default) through a per-n pool, and a returned table is emptied in
+//     ablations. Every search draws a 160 KiB table from one pool,
+//     whatever its n, and the table grows four times larger (up to its
+//     cap-bound size, 10 MiB from n = 18) only when a full set would
+//     otherwise evict, so the search prunes exactly as with the full
+//     table. A returned table drops what it grew into and is emptied in
 //     O(1) by advancing a generation stamped into every slot, so
-//     first-sight queries of that size no longer allocate and zero up to
-//     5 MiB of table each.
+//     first-sight queries no longer allocate and zero a table sized by
+//     their state space.
 //   - A zero-allocation node loop. Query data is flattened into dense
 //     per-service arrays shared read-only by all workers, the remaining
 //     set is iterated via bits.TrailingZeros64, and incumbent plans reuse

@@ -60,15 +60,16 @@ import (
 
 // DefaultDominanceTableBytes is the dominance-table memory cap used when
 // Options.DominanceTableBytes is zero. It is a ceiling, not the usual
-// size: domtable.New targets an eighth of the combinatorial state space
-// (searches publish far fewer states than the bound — see the sizing
+// size: domtable sizes a table to an eighth of the combinatorial state
+// space (searches publish far fewer states than the bound — see the sizing
 // policy there), so the cap only binds from n = 19 up, where it clamps
 // the table to 262,144 slots and clock-hand eviction recycles the rest.
-// Searches recycle tables of up to 5 MiB (n <= 17 under this cap)
-// through domtable's per-n pool, so an idle table of each recently
-// searched n stays resident between searches until the garbage collector
-// drains the pool; the 10 MiB tables of n = 18 up are allocated per
-// search.
+// Nor is that size allocated up front: every search draws a 160 KiB table
+// from domtable's one pool, whatever its n, and the table grows four times
+// larger, up to that size, only when a full set would otherwise evict. An
+// idle floor table stays resident between searches until the garbage
+// collector drains the pool; what a table grew into goes back to the
+// collector when the search ends.
 const DefaultDominanceTableBytes = domtable.DefaultTableBytes
 
 // domMinDepth is the shallowest prefix depth admitted to the table.
@@ -81,7 +82,8 @@ const domMinDepth = 3
 const domMinServices = 4
 
 // newDomTable draws the dominance table for an n-service run under opts
-// from domtable's pool, returning nil (dominance off) when disabled, when
+// from domtable's pool (at its floor size, growing on demand to the size
+// the cap allows), returning nil (dominance off) when disabled, when
 // the instance is outside the packable range, or when the memory cap
 // cannot hold a useful table. The second result is the deepest admitted
 // prefix depth. The caller hands the table back with domtable.Put once

@@ -291,12 +291,13 @@ func TestDominanceMemoryCap(t *testing.T) {
 // queries through domtable's pool. A recycled table still holds the
 // entries another query published under its own costs, and one of them
 // read as current could prune this query's true optimum, so recycled
-// tables must behave exactly like fresh ones. Same-n instances of every
-// corpus family run back to back (the pool is per n, so each search draws
-// a table the previous query of its size used), first in one order and
-// then reversed with parallel runs interleaved: every sequential run must
-// reproduce a fresh-table run's plan, cost, node and prune counts and
-// occupancy exactly, and every parallel run the same proven optimum.
+// tables must behave exactly like fresh ones. Instances of every corpus
+// family at n = 8–14 run back to back (one pool serves every n, so each
+// search draws a table the previous query used, whatever its size), first
+// in one order and then reversed with parallel runs interleaved: every
+// sequential run must reproduce the plan, cost, node and prune counts and
+// occupancy of a run on a fresh cap-sized table exactly, and every
+// parallel run the same proven optimum.
 func TestDominanceCrossQueryReuse(t *testing.T) {
 	t.Parallel()
 	type instance struct {
@@ -358,5 +359,76 @@ func TestDominanceCrossQueryReuse(t *testing.T) {
 				in.label, res.Cost, res.Optimal, in.fresh.Cost)
 		}
 		sequential(in)
+	}
+}
+
+// TestDominanceGrowthDifferential pins the growable table's exactness in
+// the search: on every differentialCorpus family, cold and greedy-seeded,
+// a sequential search with the table newDomTable draws (at the pool's
+// floor, growing on demand) returns the same plan, cost, optimality and
+// Stats as one with domtable.New's table built at the cap. Below n = 14
+// the cap is the floor, so the instances are n = 14–16 with weak filters:
+// deep trees whose tables grow once, twice or three times, and some evict
+// at the cap. A node budget bounds the few that would search for seconds;
+// a sequential search stops at the same node on both tables.
+func TestDominanceGrowthDifferential(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("differential corpus is not -short")
+	}
+	floorBytes := domtable.Get(8, DefaultDominanceTableBytes).Bytes()
+	for _, tc := range differentialCorpus() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			grew := 0
+			for _, n := range []int{14, 15, 16} {
+				for rep := 0; rep < 2; rep++ {
+					seed := int64(7_000_000 + 1000*n + rep)
+					p := gen.Default(n, seed)
+					tc.tweak(&p)
+					p.SelMin = 0.85
+					q, err := p.Generate()
+					if err != nil {
+						t.Fatalf("n=%d seed=%d: generate: %v", n, seed, err)
+					}
+					greedy, err := baseline.GreedyMinEpsilon(q)
+					if err != nil {
+						t.Fatalf("n=%d seed=%d: greedy: %v", n, seed, err)
+					}
+					for _, seed0 := range []model.Plan{nil, greedy.Plan} {
+						label := fmt.Sprintf("n=%d seed=%d seeded=%v", n, seed, seed0 != nil)
+						opts := Options{InitialIncumbent: seed0, NodeLimit: 100_000}
+
+						s := newSearch(newPrep(q), opts)
+						s.dom, s.domBand = newDomTable(n, opts)
+						got, err := s.run()
+						if err != nil {
+							t.Fatalf("%s: growable table: %v", label, err)
+						}
+						if s.dom.Bytes() > floorBytes {
+							grew++
+						}
+						domtable.Put(s.dom)
+
+						ref := newSearch(newPrep(q), opts)
+						ref.dom = domtable.New(n, DefaultDominanceTableBytes)
+						ref.domBand = ref.dom.AdmitBand(n)
+						want, err := ref.run()
+						if err != nil {
+							t.Fatalf("%s: cap-sized table: %v", label, err)
+						}
+						got.Stats.Elapsed, want.Stats.Elapsed = 0, 0
+						if got.Cost != want.Cost || !got.Plan.Equal(want.Plan) || got.Optimal != want.Optimal || got.Stats != want.Stats {
+							t.Fatalf("%s: growable table returned %v at %v (optimal=%v, %+v); cap-sized %v at %v (optimal=%v, %+v)",
+								label, got.Plan, got.Cost, got.Optimal, got.Stats, want.Plan, want.Cost, want.Optimal, want.Stats)
+						}
+					}
+				}
+			}
+			if grew == 0 {
+				t.Fatal("no run grew its table; the corpus never left the floor")
+			}
+		})
 	}
 }

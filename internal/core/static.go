@@ -231,7 +231,9 @@ func pairLess(x, y rootPair) bool {
 }
 
 // buildRootPairs fills p.pairs with the feasible ordered pairs and orders
-// them into a heap, in O(n^2) with no sort.
+// them into a heap, in O(n^2) with no sort. A pair's cost is
+// model.Query.PairCost's, computed from the prep's arrays with the same
+// expressions.
 func (p *prep) buildRootPairs() {
 	n := p.n
 	pairs := resize(p.pairs, n*(n-1))[:0]
@@ -239,11 +241,20 @@ func (p *prep) buildRootPairs() {
 		if !p.prec.CanPlace(a, 0) {
 			continue
 		}
+		costA, selA, tcA, srcA := p.cost[a], p.sel[a], p.tc[a], p.src[a]
+		row := p.tr[a*n : (a+1)*n]
 		for b := 0; b < n; b++ {
 			if b == a || !p.prec.CanPlace(b, 1<<uint(a)) {
 				continue
 			}
-			pairs = append(pairs, rootPair{a: a, b: b, cost: p.q.PairCost(a, b)})
+			cost := (costA + selA*row[b]) / tcA
+			if srcA > cost {
+				cost = srcA
+			}
+			if termB := selA * p.cost[b] / p.tc[b]; termB > cost {
+				cost = termB
+			}
+			pairs = append(pairs, rootPair{a: a, b: b, cost: cost})
 		}
 	}
 	for i := len(pairs)/2 - 1; i >= 0; i-- {

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -60,10 +61,11 @@ func allTiesQuery(n, edges int) *model.Query {
 }
 
 // TestRootPairsPopInSortedOrder: popping every root pair off the prep's
-// heap yields exactly the full (cost, a, b) sort, on every differential
-// corpus family and on all-ties instances, with and without precedence,
-// at n = 2..20. Each prep goes back to the pool, so later ones reuse
-// buffers sized for other n.
+// heap yields exactly the full (cost, a, b) sort, each cost bit for bit
+// model.Query.PairCost's though the prep computes it from its own arrays,
+// on every differential corpus family and on all-ties instances, with and
+// without precedence, at n = 2..20. Each prep goes back to the pool, so
+// later ones reuse buffers sized for other n.
 func TestRootPairsPopInSortedOrder(t *testing.T) {
 	t.Parallel()
 	check := func(label string, q *model.Query) {
@@ -80,6 +82,12 @@ func TestRootPairsPopInSortedOrder(t *testing.T) {
 		pr.release()
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: popped %d pairs %v, want the sorted %d %v", label, len(got), got, len(want), want)
+		}
+		for i, p := range got {
+			if math.Float64bits(p.cost) != math.Float64bits(want[i].cost) {
+				t.Fatalf("%s: pair (%d, %d) costs %x, PairCost %x", label, p.a, p.b,
+					math.Float64bits(p.cost), math.Float64bits(want[i].cost))
+			}
 		}
 	}
 	for n := 2; n <= 20; n++ {

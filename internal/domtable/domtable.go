@@ -35,7 +35,7 @@
 //     as sharded set-associative buckets; full sets evict with a
 //     second-chance clock hand over per-entry reference bits, so long runs
 //     on instances beyond the exact-table regime recycle space instead of
-//     growing.
+//     growing past the cap.
 //   - One owner per search, recycled between searches. Entries are only
 //     valid for the costs of the query that published them: a bound left
 //     over from another query can prune that query's true optimum. A
@@ -46,9 +46,18 @@
 //     counts as empty everywhere. Put also restarts the counters and the
 //     clock hands, so a recycled table answers every call exactly as a
 //     fresh one would. Only a wrapped generation counter clears the slots.
-//     Tables larger than maxPooledBytes are not recycled but go back to
-//     the collector, so one idle table of every pooled size comes to about
-//     10 MiB under DefaultTableBytes.
+//   - Memory that follows the search. A table from Get starts at the
+//     minEntries floor whatever its cap, and grows four times larger (at
+//     most to the cap) only when an admission would otherwise evict.
+//     Growth copies every resident state into the larger slots, keeping
+//     its set's way order and its reference bit: the larger table's sets
+//     split each smaller set, so a sequential caller sees the same hits,
+//     evictions and counters as from a table built at the cap (New).
+//     Under concurrent callers growth seals the old slots before copying
+//     them, so a write that reaches them afterwards is refused (a lost
+//     admission) instead of lost after the copy, and a value never rises.
+//     Put keeps only the floor slots, so one pool serves every n and an
+//     idle table costs 160 KiB.
 //
 // Keys pack the placed-set bitmask and the last element into one word
 // (mask in the low n bits, last above it), which bounds supported
@@ -58,6 +67,7 @@ package domtable
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -106,7 +116,7 @@ type entry struct {
 	gen  atomic.Uint32
 }
 
-// shard is one independently evicting slice of the table.
+// shard is one independently evicting slice of a table's slots.
 type shard struct {
 	entries []entry
 	setMask uint64 // number of sets - 1 (sets are a power of two)
@@ -114,44 +124,62 @@ type shard struct {
 	_       [28]byte // keep neighboring shards' hands off one cache line
 }
 
+// slots is the memory a table's states live in: the shards and their clock
+// hands. A growing table replaces its slots with larger ones (see grow),
+// after sealing the old ones against writes.
+type slots struct {
+	shards    []shard
+	shardMask uint64
+	entries   int
+	sealed    atomic.Bool
+}
+
 // Table is a sharded transposition table for subset-dominance bounds. All
 // methods are safe for concurrent use; Put takes a table back only once no
 // call on it is in flight.
 type Table struct {
-	shards    []shard
-	shardMask uint64
-	nShift    uint // packed key: mask | last << nShift
-	entries   int
-	gen       uint32 // current generation; only reset writes it
+	cur     atomic.Pointer[slots] // the slots every call reads and writes
+	floor   *slots                // the slots the table was built with
+	nShift  uint                  // packed key: mask | last << nShift
+	entries int                   // slot count at the cap, which cur grows toward
+	gen     uint32                // current generation; only reset writes it
+	growing atomic.Bool           // held by the one caller growing the table
 
 	filled    atomic.Int64
 	evictions atomic.Int64
 }
 
-// minEntries floors the slot count (160 KiB): large enough to hold every
-// state a pruning-heavy search actually publishes at small n. Allocating
-// and zeroing tables, this floor included, is far from negligible next to
-// sub-millisecond searches: on a first-sight serving load (n = 10–17) it
-// cost more than fifteen times the CPU of the searches themselves, which
-// is why searches draw tables from Get instead of New.
+// minEntries is the slot count (160 KiB) every table from Get starts at,
+// whatever its n and cap, and the one size the pool keeps. It holds every
+// state a pruning-heavy search publishes at small n, and most searches at
+// any n publish far fewer; a search that publishes more grows its table.
+// Allocating and zeroing a table, this floor included, is far from
+// negligible next to sub-millisecond searches: on a first-sight serving
+// load (n = 10–17) it cost more than fifteen times the CPU of the searches
+// themselves, which is why searches draw tables from Get instead of New.
 const minEntries = 4096
 
+// growFactor is how many times larger each growth makes a table's slots.
+const growFactor = 4
+
 // New builds a table for instances of n elements under a memory cap of
-// capBytes. The slot count targets an eighth of the n·2^(n-1) distinct
-// (mask, last) states — incumbent pruning keeps the states a search
-// actually publishes one to two orders of magnitude below the
-// combinatorial bound (measured occupancy on the hard bench instances is
-// 1–7% even at that sizing), and the clock hand recycles gracefully if an
-// adversarial instance overshoots — clamped between minEntries and the
+// capBytes, at its full size. The slot count targets an eighth of the
+// n·2^(n-1) distinct (mask, last) states — incumbent pruning keeps the
+// states a search actually publishes one to two orders of magnitude below
+// the combinatorial bound (measured occupancy on the hard bench instances
+// is 1–7% even at that sizing), and the clock hand recycles gracefully if
+// an adversarial instance overshoots — clamped between minEntries and the
 // byte cap. New returns nil when n is outside [2, MaxN] or the cap cannot
 // hold even a minimal table; callers treat a nil table as "dominance
-// unavailable".
+// unavailable". Searches draw their tables from Get, which starts at the
+// floor and grows to this size only as the search needs it; New's table is
+// the reference those answer like.
 func New(n int, capBytes int64) *Table {
-	slots := slotCount(n, capBytes)
-	if slots == 0 {
+	size := slotCount(n, capBytes)
+	if size == 0 {
 		return nil
 	}
-	return build(n, slots)
+	return build(n, size, size)
 }
 
 // slotCount returns the slot count New sizes a table for n elements under
@@ -178,87 +206,94 @@ func slotCount(n int, capBytes int64) int64 {
 		want = maxEntries
 	}
 	// Round down to a power of two, floor at one set.
-	slots := int64(1) << uint(63-bits.LeadingZeros64(uint64(want)))
-	if slots < ways {
-		slots = ways
+	size := int64(1) << uint(63-bits.LeadingZeros64(uint64(want)))
+	if size < ways {
+		size = ways
 	}
-	return slots
+	return size
 }
 
-// build allocates an empty table of slots slots for n elements.
-func build(n int, slots int64) *Table {
-	shards := int64(maxShards)
-	for shards > 1 && slots/shards < 2*ways {
-		shards >>= 1
-	}
-	perShard := slots / shards
-
-	t := &Table{
-		shards:    make([]shard, shards),
-		shardMask: uint64(shards - 1),
-		nShift:    uint(n),
-		entries:   int(slots),
-	}
-	for i := range t.shards {
-		t.shards[i].entries = make([]entry, perShard)
-		t.shards[i].setMask = uint64(perShard/ways) - 1
-	}
+// build allocates an empty table for n elements whose slots start at size
+// and may grow to capSlots.
+func build(n int, size, capSlots int64) *Table {
+	t := &Table{floor: newSlots(size), nShift: uint(n), entries: int(capSlots)}
+	t.cur.Store(t.floor)
 	return t
 }
 
-// pools holds idle tables, one pool per element count, so a search reuses
-// a table of its own shape instead of allocating and zeroing one. Pooled
-// tables stay resident between searches until the garbage collector
-// drains the pools.
-var pools [MaxN + 1]sync.Pool
-
-// maxPooledBytes is the largest table the pools keep: 5 MiB, the n = 17
-// table under DefaultTableBytes. Each processor's pool can keep an idle
-// table for every n it has searched, so pooling the 10 MiB tables of
-// n = 18 up lets idle memory grow with the mix of large instances (on
-// first-sight n = 18–58 traffic it took dqserve's peak RSS from about
-// 90 MB past 1 GB); those tables are allocated per search instead.
-const maxPooledBytes = 5 << 20
-
-// Get returns a logically empty table shaped exactly as New(n, capBytes)
-// would build it, recycled from the pool when one of that shape is idle.
-// Like New it returns nil when no table can be built. The caller owns the
-// table until it hands it to Put.
-func Get(n int, capBytes int64) *Table {
-	slots := slotCount(n, capBytes)
-	if slots == 0 {
-		return nil
+// newSlots allocates size empty slots. Every size from 128 up has
+// maxShards shards, so a table keeps its shard count as it grows.
+func newSlots(size int64) *slots {
+	shards := int64(maxShards)
+	for shards > 1 && size/shards < 2*ways {
+		shards >>= 1
 	}
-	if t, _ := pools[n].Get().(*Table); t != nil && int64(t.entries) == slots {
-		return t
+	perShard := size / shards
+	s := &slots{shards: make([]shard, shards), shardMask: uint64(shards - 1), entries: int(size)}
+	for i := range s.shards {
+		s.shards[i].entries = make([]entry, perShard)
+		s.shards[i].setMask = uint64(perShard/ways) - 1
 	}
-	// A pooled table sized under another cap is dropped for the collector.
-	return build(n, slots)
+	return s
 }
 
-// Put empties t and returns it to the pool, or leaves it to the collector
-// when it is larger than the pools keep. The caller must hold the only
-// reference in use: every searcher that probes or publishes through t must
-// have returned. Put(nil) is a no-op.
+// pool holds idle tables at the floor size. Every table from Get starts
+// there and Put drops whatever it grew into, so one pool serves every
+// element count and cap. Pooled tables stay resident between searches
+// until the garbage collector drains the pool.
+var pool sync.Pool
+
+// Get returns a logically empty table for n elements under capBytes,
+// recycled from the pool when one is idle. It starts at the minEntries
+// floor and grows on demand to the size New would build; its Entries,
+// AdmitBand and Occupancy are those of New's table from the start. A cap
+// below the floor gets a table built at the cap, which never returns to
+// the pool. Like New, Get returns nil when no table can be built. The
+// caller owns the table until it hands it to Put.
+func Get(n int, capBytes int64) *Table {
+	capSlots := slotCount(n, capBytes)
+	if capSlots == 0 {
+		return nil
+	}
+	if capSlots < minEntries {
+		return build(n, capSlots, capSlots)
+	}
+	t, _ := pool.Get().(*Table)
+	if t == nil {
+		return build(n, minEntries, capSlots)
+	}
+	t.nShift, t.entries = uint(n), int(capSlots)
+	return t
+}
+
+// Put empties t and returns it to the pool with its floor slots; any
+// slots it grew into, and a table built at another size, go to the
+// collector. The caller must hold the only reference in use: every
+// searcher that probes or publishes through t must have returned. Put(nil)
+// is a no-op.
 func Put(t *Table) {
-	if t == nil || t.Bytes() > maxPooledBytes {
+	if t == nil || t.floor.entries != minEntries {
 		return
 	}
 	t.reset()
-	pools[t.nShift].Put(t)
+	pool.Put(t)
 }
 
 // reset empties the table in O(1) by advancing its generation: every
 // resident state belongs to the old generation and reads as empty from
-// then on. It restarts the fill and eviction counters and every shard's
-// clock hand, so the emptied table makes the same admission and eviction
-// choices as a fresh one. When the generation counter wraps, reset clears
-// every slot instead, so a slot of the first generation cannot come back
-// to life. reset must not run concurrently with any other method.
+// then on. It returns the table to its floor slots and restarts the fill
+// and eviction counters and every shard's clock hand, so the emptied table
+// makes the same admission, growth and eviction choices as a fresh one.
+// When the generation counter wraps, reset clears every slot instead, so a
+// slot of the first generation cannot come back to life. reset must not
+// run concurrently with any other method.
 func (t *Table) reset() {
 	t.gen++
-	for i := range t.shards {
-		sh := &t.shards[i]
+	s := t.floor
+	t.cur.Store(s)
+	s.sealed.Store(false)
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.hand.Store(0)
 		if t.gen == 0 {
 			clear(sh.entries)
@@ -268,15 +303,16 @@ func (t *Table) reset() {
 	t.evictions.Store(0)
 }
 
-// Entries returns the slot count the table was sized to.
+// Entries returns the slot count the table is sized to: New's for its n
+// and cap, which a table from Get grows toward on demand.
 func (t *Table) Entries() int { return t.entries }
 
-// Bytes returns the table's slot memory footprint.
-func (t *Table) Bytes() int64 { return int64(t.entries) * EntryBytes }
+// Bytes returns the memory the table's slots occupy now.
+func (t *Table) Bytes() int64 { return int64(t.cur.Load().entries) * EntryBytes }
 
-// Occupancy returns the fraction of slots holding a state, in [0, 1].
-// Evictions replace states rather than empty slots, so occupancy is
-// monotone between resets.
+// Occupancy returns the fraction of the table's Entries holding a state,
+// in [0, 1]. Evictions replace states rather than empty slots, so
+// occupancy is monotone between resets.
 func (t *Table) Occupancy() float64 {
 	if t == nil || t.entries == 0 {
 		return 0
@@ -297,7 +333,8 @@ func (t *Table) Evictions() int64 { return t.evictions.Load() }
 // truly dwarfs the table — memory-capped runs at large n, where shallow
 // prefixes (each standing in for a large subtree) keep their slots and
 // the deep tail is left unmemoized rather than thrashing the clock hand.
-// A band below 3 means the table is too small to be useful at this n.
+// The slot count is Entries, the cap's, not the size the table has grown
+// to. A band below 3 means the table is too small to be useful at this n.
 func (t *Table) AdmitBand(n int) int {
 	if t == nil {
 		return 0
@@ -330,10 +367,12 @@ func mix(x uint64) uint64 {
 // locate resolves a logical (key, prod) state to its shard and the first
 // slot index of its set. prod participates in the hash so the product
 // variants of one (mask, last) spread across sets instead of competing
-// for one.
-func (t *Table) locate(key, prod uint64) (*shard, int) {
+// for one. The shard comes from the hash's low bits and the set from the
+// bits above them, so a set of larger slots lies inside one set of
+// smaller ones: the one growth splits.
+func (s *slots) locate(key, prod uint64) (*shard, int) {
 	h := mix(key ^ prod*0x9e3779b97f4a7c15)
-	sh := &t.shards[h&t.shardMask]
+	sh := &s.shards[h&s.shardMask]
 	set := (h >> 4) & sh.setMask
 	return sh, int(set) * ways
 }
@@ -358,7 +397,7 @@ func (t *Table) Probe(mask uint64, last int, prod uint64) (float64, bool) {
 		return 0, false
 	}
 	key, gen := t.Key(mask, last), t.gen
-	sh, base := t.locate(key, prod)
+	sh, base := t.cur.Load().locate(key, prod)
 	for i := 0; i < ways; i++ {
 		e := &sh.entries[base+i]
 		v1 := e.ver.Load()
@@ -396,9 +435,23 @@ func (e *entry) lock() bool {
 // unlock releases the sequence lock, making the slot readable again.
 func (e *entry) unlock() { e.ver.Add(1) }
 
+// writeLock acquires the sequence lock of e, a slot of s, for a write. It
+// returns false, leaving e as it was, when contention exhausts the spin
+// budget or when grow has sealed s and may already have copied e out.
+func (s *slots) writeLock(e *entry) bool {
+	if !e.lock() {
+		return false
+	}
+	if s.sealed.Load() {
+		e.unlock()
+		return false
+	}
+	return true
+}
+
 // Update publishes bound for the state, keeping the per-state minimum. It
 // reports whether the table now holds an entry for the state with a value
-// <= bound; false means the admission was abandoned under lock contention
+// <= bound; false means the admission was abandoned under contention
 // (harmless — admission is best-effort) or bound was unusable (negative
 // or NaN).
 func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
@@ -406,7 +459,6 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 		return false
 	}
 	key := t.Key(mask, last)
-	sh, base := t.locate(key, prod)
 	bits64 := math.Float64bits(bound)
 	if bits64 == 0 {
 		// +0.0 collides with the "unset" sentinel: publishing it would
@@ -416,48 +468,121 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 		return false
 	}
 
-	// Pass 1: the state may already be resident.
-	emptyAt := -1
-	for i := 0; i < ways; i++ {
-		e := &sh.entries[base+i]
-		switch k := e.key.Load(); {
-		case t.empty(e, k):
-			if emptyAt < 0 {
-				emptyAt = i
+	for {
+		s := t.cur.Load()
+		sh, base := s.locate(key, prod)
+
+		// Pass 1: the state may already be resident.
+		emptyAt := -1
+		for i := 0; i < ways; i++ {
+			e := &sh.entries[base+i]
+			switch k := e.key.Load(); {
+			case t.empty(e, k):
+				if emptyAt < 0 {
+					emptyAt = i
+				}
+			case k == key && e.prod.Load() == prod:
+				if !s.writeLock(e) {
+					return false
+				}
+				if e.key.Load() != key || e.prod.Load() != prod { // re-keyed while we raced the lock
+					e.unlock()
+					return t.admit(s, sh, base, key, prod, bits64)
+				}
+				if cur := e.val.Load(); cur == 0 || bits64 < cur {
+					// Non-negative floats order identically to their bit
+					// patterns, so the integer comparison is the float min.
+					e.val.Store(bits64)
+				}
+				e.used.Store(1)
+				e.unlock()
+				return true
 			}
-		case k == key && e.prod.Load() == prod:
-			if !e.lock() {
+		}
+		if emptyAt >= 0 {
+			e := &sh.entries[base+emptyAt]
+			if !s.writeLock(e) {
 				return false
 			}
-			if e.key.Load() != key || e.prod.Load() != prod { // re-keyed while we raced the lock
+			if t.empty(e, e.key.Load()) {
+				t.store(e, key, prod, bits64)
+				e.used.Store(1)
 				e.unlock()
-				return t.admit(sh, base, key, prod, bits64)
+				t.filled.Add(1)
+				return true
 			}
-			if cur := e.val.Load(); cur == 0 || bits64 < cur {
-				// Non-negative floats order identically to their bit
-				// patterns, so the integer comparison is the float min.
-				e.val.Store(bits64)
-			}
-			e.used.Store(1)
+			// Another publisher took the way first; look at the set again.
 			e.unlock()
-			return true
+			continue
+		}
+		if s.entries < t.entries {
+			// The set is full and the cap allows more slots: grow rather
+			// than evict, and retry in the larger slots.
+			if !t.grow(s) {
+				return false
+			}
+			continue
+		}
+		return t.admit(s, sh, base, key, prod, bits64)
+	}
+}
+
+// grow replaces the table's slots s with slots growFactor times larger, at
+// most Entries, and reports whether the caller may retry its admission in
+// the table's current slots. It refuses while another caller is growing
+// the table, and copies nothing when another caller already replaced s.
+//
+// Growth keeps a sequential caller's view exact. Both slot sizes have the
+// same shards and take the set from the same hash bits (locate), so every
+// set of the larger slots lies inside one set of s. Copying each set's
+// ways in order therefore puts every state at the way it holds in a table
+// built at the larger size, where states fill a set's ways in arrival
+// order; the reference bits and clock hands come along. A set of the
+// larger table can only fill where the set of s containing it already has,
+// and growth runs before s ever evicts, so up to the cap the table holds,
+// hits and evicts exactly what New's table does.
+//
+// Concurrent callers may still hold s. grow seals s before copying it: a
+// writer that locks an entry of s afterwards backs off (a lost admission),
+// and one that locked it before finishes its write before grow reads the
+// entry. So every value is copied as last published, and the value held
+// for a state never rises across the swap. Probes of s stay sound: every
+// value they return was published.
+func (t *Table) grow(s *slots) bool {
+	if !t.growing.CompareAndSwap(false, true) {
+		return false
+	}
+	defer t.growing.Store(false)
+	if t.cur.Load() != s {
+		return true
+	}
+	next := newSlots(min(int64(s.entries)*growFactor, int64(t.entries)))
+	s.sealed.Store(true)
+	for si := range s.shards {
+		sh := &s.shards[si]
+		next.shards[si].hand.Store(sh.hand.Load())
+		for i := range sh.entries {
+			e := &sh.entries[i]
+			for e.ver.Load()&1 != 0 {
+				runtime.Gosched() // a writer that locked e before the seal is finishing
+			}
+			k := e.key.Load()
+			if t.empty(e, k) {
+				continue
+			}
+			prod := e.prod.Load()
+			dsh, base := next.locate(k, prod)
+			for w := 0; w < ways; w++ {
+				if d := &dsh.entries[base+w]; d.key.Load() == 0 {
+					t.store(d, k, prod, e.val.Load())
+					d.used.Store(e.used.Load())
+					break
+				}
+			}
 		}
 	}
-	if emptyAt >= 0 {
-		e := &sh.entries[base+emptyAt]
-		if !e.lock() {
-			return false
-		}
-		if t.empty(e, e.key.Load()) {
-			t.store(e, key, prod, bits64)
-			e.used.Store(1)
-			e.unlock()
-			t.filled.Add(1)
-			return true
-		}
-		e.unlock()
-	}
-	return t.admit(sh, base, key, prod, bits64)
+	t.cur.Store(next)
+	return true
 }
 
 // empty reports whether slot e, whose key word reads k, holds no state of
@@ -469,7 +594,7 @@ func (t *Table) empty(e *entry, k uint64) bool {
 }
 
 // store writes the state into slot e under the current generation; the
-// caller holds e's sequence lock.
+// caller holds e's sequence lock, or e is in slots no other caller sees.
 func (t *Table) store(e *entry, key, prod, bits64 uint64) {
 	e.key.Store(key)
 	e.gen.Store(t.gen)
@@ -477,11 +602,12 @@ func (t *Table) store(e *entry, key, prod, bits64 uint64) {
 	e.val.Store(bits64)
 }
 
-// admit installs the state into a full (or contended) set by second-chance
-// clock eviction: sweep the set from the shard's hand, clearing reference
-// bits, and take the first unreferenced way (falling back to the sweep's
-// start). Best-effort: contention aborts the admission.
-func (t *Table) admit(sh *shard, base int, key, prod, bits64 uint64) bool {
+// admit installs the state into a full set of s (or one whose resident
+// state was re-keyed under the caller) by second-chance clock eviction:
+// sweep the set from the shard's hand, clearing reference bits, and take
+// the first unreferenced way (falling back to the sweep's start).
+// Best-effort: contention aborts the admission.
+func (t *Table) admit(s *slots, sh *shard, base int, key, prod, bits64 uint64) bool {
 	start := int(sh.hand.Add(1)) & (ways - 1)
 	victim := start
 	for i := 0; i < 2*ways; i++ {
@@ -495,7 +621,7 @@ func (t *Table) admit(sh *shard, base int, key, prod, bits64 uint64) bool {
 		break
 	}
 	e := &sh.entries[base+victim]
-	if !e.lock() {
+	if !s.writeLock(e) {
 		return false
 	}
 	switch k := e.key.Load(); {
@@ -538,8 +664,9 @@ func (t *Table) Range(f func(mask uint64, last int, prod uint64, bound float64))
 	}
 	lastShift := t.nShift
 	maskBits := uint64(1)<<lastShift - 1
-	for si := range t.shards {
-		sh := &t.shards[si]
+	s := t.cur.Load()
+	for si := range s.shards {
+		sh := &s.shards[si]
 		for i := range sh.entries {
 			e := &sh.entries[i]
 			v1 := e.ver.Load()

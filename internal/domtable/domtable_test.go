@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// TestNewSizing pins the two sizes a table has: Entries, the slot count
+// its n and cap size it to, which New allocates up front; and the floor,
+// where a table from Get starts.
 func TestNewSizing(t *testing.T) {
 	if New(1, 1<<20) != nil {
 		t.Errorf("New accepted n=1")
@@ -24,13 +27,13 @@ func TestNewSizing(t *testing.T) {
 	if tab == nil {
 		t.Fatal("New(10) = nil")
 	}
-	if tab.Entries() < minEntries || tab.Bytes() > 16<<20 {
-		t.Errorf("entries = %d (bytes %d), want >= %d under the cap", tab.Entries(), tab.Bytes(), minEntries)
+	if tab.Entries() != minEntries || tab.Bytes() != minEntries*EntryBytes {
+		t.Errorf("entries = %d (bytes %d), want the %d-slot floor", tab.Entries(), tab.Bytes(), minEntries)
 	}
 	// Mid n: the 1/8 target takes over and scales with the state space.
 	mid := New(16, 64<<20)
-	if want := 16 * (1 << 15) / 8; mid.Entries() < want/2 {
-		t.Errorf("n=16 entries = %d, want >= %d", mid.Entries(), want/2)
+	if want := 16 * (1 << 15) / 8; mid.Entries() != want || mid.Bytes() != int64(want)*EntryBytes {
+		t.Errorf("n=16 entries = %d (bytes %d), want %d allocated", mid.Entries(), mid.Bytes(), want)
 	}
 
 	// Large n: the cap binds.
@@ -43,6 +46,23 @@ func TestNewSizing(t *testing.T) {
 	}
 	if capped.Entries()&(capped.Entries()-1) != 0 {
 		t.Errorf("entries %d not a power of two", capped.Entries())
+	}
+
+	// Get sizes a table as New does but allocates only the floor, at
+	// every n; a cap below the floor is allocated whole.
+	for _, tc := range []struct {
+		n        int
+		capBytes int64
+	}{{10, 16 << 20}, {16, 64 << 20}, {30, 1 << 20}, {MaxN, DefaultTableBytes}, {24, 64 << 10}} {
+		want := New(tc.n, tc.capBytes)
+		got := Get(tc.n, tc.capBytes)
+		if got.Entries() != want.Entries() || got.AdmitBand(tc.n) != want.AdmitBand(tc.n) {
+			t.Errorf("n=%d cap=%d: Get sized %d slots (band %d), New %d (band %d)",
+				tc.n, tc.capBytes, got.Entries(), got.AdmitBand(tc.n), want.Entries(), want.AdmitBand(tc.n))
+		}
+		if floor := min(want.Bytes(), minEntries*EntryBytes); got.Bytes() != floor {
+			t.Errorf("n=%d cap=%d: Get allocated %d bytes, want %d", tc.n, tc.capBytes, got.Bytes(), floor)
+		}
 	}
 }
 
@@ -456,10 +476,11 @@ func TestResetGenerationWraparound(t *testing.T) {
 	sameTrace(t, drive(tab, pop, resetOps, 22, 500), want)
 }
 
-// TestGetPut pins the pool's contract: Get hands out tables of exactly
-// New's shape, empty whatever their history, refuses the element counts
-// New refuses (MaxServices-sized searches reach Get too), and never
-// recycles a table larger than maxPooledBytes.
+// TestGetPut pins the pool's contract: Get hands out tables of New's size
+// at the floor, empty whatever their history and whatever n they last
+// served, and refuses the element counts New refuses (MaxServices-sized
+// searches reach Get too); Put keeps the floor slots and drops what a
+// table grew into, and never pools a table built at another size.
 func TestGetPut(t *testing.T) {
 	for _, n := range []int{1, MaxN + 1, 64} {
 		if Get(n, DefaultTableBytes) != nil {
@@ -471,11 +492,16 @@ func TestGetPut(t *testing.T) {
 	}
 	Put(nil)
 
-	pop := resetPopulation(12, 512, 31)
-	for round := 0; round < 4; round++ {
-		tab := Get(12, DefaultTableBytes)
-		if want := New(12, DefaultTableBytes).Entries(); tab.Entries() != want {
-			t.Fatalf("round %d: Get built %d slots, New %d", round, tab.Entries(), want)
+	// Rounds alternate n, and the 2000 states of each round overflow the
+	// floor's sets, so most rounds hand back a table that grew.
+	for round, n := range []int{12, 18, 16, 40, 12, 18} {
+		pop := resetPopulation(min(n, 20), 2000, int64(31+round))
+		tab := Get(n, DefaultTableBytes)
+		if want := New(n, DefaultTableBytes).Entries(); tab.Entries() != want {
+			t.Fatalf("round %d: Get sized %d slots, New %d", round, tab.Entries(), want)
+		}
+		if tab.Bytes() != minEntries*EntryBytes {
+			t.Fatalf("round %d: Get returned %d bytes of slots, want the floor's %d", round, tab.Bytes(), minEntries*EntryBytes)
 		}
 		if tab.Occupancy() != 0 || tab.Evictions() != 0 {
 			t.Fatalf("round %d: Get returned occupancy %v, evictions %d", round, tab.Occupancy(), tab.Evictions())
@@ -487,24 +513,152 @@ func TestGetPut(t *testing.T) {
 			}
 			tab.Update(s.mask, s.last, s.prod, 1)
 		}
+		grew := tab.Bytes() > minEntries*EntryBytes
 		Put(tab)
+		if tab.cur.Load() != tab.floor || tab.Bytes() != minEntries*EntryBytes {
+			t.Fatalf("round %d: Put kept %d bytes of slots (grew: %v), want the floor's %d",
+				round, tab.Bytes(), grew, minEntries*EntryBytes)
+		}
 	}
 
-	// A pooled table sized under one cap never serves a request for
-	// another.
-	Put(Get(16, DefaultTableBytes))
+	// A table allocated at another size, below the floor or at a cap, never
+	// reaches the pool.
 	small := Get(16, 64<<10)
-	if want := New(16, 64<<10).Entries(); small.Entries() != want {
-		t.Fatalf("Get under a 64 KiB cap built %d slots, New %d", small.Entries(), want)
+	if want := New(16, 64<<10); small.Entries() != want.Entries() || small.Bytes() != want.Bytes() {
+		t.Fatalf("Get under a 64 KiB cap built %d slots (%d bytes), New %d (%d)",
+			small.Entries(), small.Bytes(), want.Entries(), want.Bytes())
 	}
-
-	// The 10 MiB tables of n = 18 up go back to the collector.
-	big := Get(18, DefaultTableBytes)
-	if big.Bytes() <= maxPooledBytes {
-		t.Fatalf("n=18 table is %d bytes, within the %d-byte pool bound", big.Bytes(), maxPooledBytes)
-	}
+	big := New(16, DefaultTableBytes)
+	Put(small)
 	Put(big)
-	if Get(18, DefaultTableBytes) == big {
-		t.Fatal("Get recycled a table larger than the pool bound")
+	for i := 0; i < 8; i++ {
+		if got, _ := pool.Get().(*Table); got == small || got == big {
+			t.Fatalf("the pool holds a table of %d slots", got.floor.entries)
+		}
 	}
+}
+
+// TestGrowthReplaysCapSized is the exactness of growth: a table from Get,
+// which starts at the floor and grows as sets fill, answers one seeded,
+// eviction-heavy operation sequence exactly as New's table built at the
+// cap does — every return value, the occupancy and eviction counters, and
+// the resident set — and so does the same table once Put and Get have
+// recycled it. One cap grows once before its sets fill, the other twice.
+func TestGrowthReplaysCapSized(t *testing.T) {
+	for _, tc := range []struct {
+		capSlots int64
+		states   int
+		ops      int
+	}{
+		{4 * minEntries, 12_000, 40_000},
+		{16 * minEntries, 40_000, 80_000},
+	} {
+		capBytes := tc.capSlots * EntryBytes
+		pop := resetPopulation(resetN, tc.states, 41)
+		want := drive(New(resetN, capBytes), pop, tc.ops, 42, 500)
+		if want.evictions == 0 || want.hits == 0 {
+			t.Fatalf("cap %d: sequence evicts %d times and hits %d times; it must do both",
+				tc.capSlots, want.evictions, want.hits)
+		}
+		for round := 0; round < 2; round++ {
+			tab := Get(resetN, capBytes)
+			if tab.Bytes() != minEntries*EntryBytes {
+				t.Fatalf("cap %d round %d: Get started at %d bytes", tc.capSlots, round, tab.Bytes())
+			}
+			sameTrace(t, drive(tab, pop, tc.ops, 42, 500), want)
+			if tab.Bytes() != capBytes {
+				t.Fatalf("cap %d round %d: table ended at %d bytes, want the cap's %d", tc.capSlots, round, tab.Bytes(), capBytes)
+			}
+			Put(tab)
+		}
+	}
+}
+
+// TestGrowthConcurrentStress races goroutines through a table's growth
+// (run under -race): they visit, update and probe a population too large
+// for the floor, so the table grows twice or more while they run. Every
+// value published for key i lies in i's band, so a torn or cross-key read
+// shows as a value outside it. The population fits the cap without a set
+// overflowing, so nothing is evicted, and each goroutine must see each
+// key's value only fall: a copy that missed a write made before it, or
+// lost one made after it, would show a value rising.
+func TestGrowthConcurrentStress(t *testing.T) {
+	const (
+		n          = 20
+		goroutines = 8
+		opsPer     = 20_000
+	)
+	var pop []resetState
+	index := map[resetState]int{}
+	for _, s := range resetPopulation(n, 3500, 51) {
+		if _, dup := index[s]; !dup {
+			index[s] = len(pop)
+			pop = append(pop, s)
+		}
+	}
+	ref := New(n, DefaultTableBytes)
+	for _, s := range pop {
+		ref.Update(s.mask, s.last, s.prod, 1)
+	}
+	if ref.Evictions() != 0 {
+		t.Fatalf("the population overflows a set of the cap-sized table (%d evictions)", ref.Evictions())
+	}
+	band := func(i int) (lo, hi float64) { return float64(i+1) * 1000, float64(i+2) * 1000 }
+
+	tab := Get(n, DefaultTableBytes)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			seen := make([]float64, len(pop))
+			for i := range seen {
+				seen[i] = math.Inf(1)
+			}
+			for op := 0; op < opsPer; op++ {
+				i := rng.Intn(len(pop))
+				s := pop[i]
+				lo, hi := band(i)
+				switch op % 3 {
+				case 0:
+					tab.Visit(s.mask, s.last, s.prod, lo+float64(rng.Intn(1000)))
+				case 1:
+					tab.Update(s.mask, s.last, s.prod, lo+float64(rng.Intn(1000)))
+				default:
+					v, ok := tab.Probe(s.mask, s.last, s.prod)
+					if !ok {
+						continue
+					}
+					if v < lo || v >= hi {
+						t.Errorf("key %d: probe returned %v outside [%v, %v)", i, v, lo, hi)
+						return
+					}
+					if v > seen[i] {
+						t.Errorf("key %d: value rose from %v to %v", i, seen[i], v)
+						return
+					}
+					seen[i] = v
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if tab.Bytes() < 16*minEntries*EntryBytes {
+		t.Fatalf("table ended at %d bytes; the stress never crossed two growths", tab.Bytes())
+	}
+	if tab.Evictions() != 0 {
+		t.Fatalf("%d evictions under a population that fits the cap", tab.Evictions())
+	}
+	tab.Range(func(mask uint64, last int, prod uint64, v float64) {
+		i, ok := index[resetState{mask, last, prod}]
+		if !ok {
+			t.Fatalf("resident state (mask=%b last=%d) was never published", mask, last)
+		}
+		if lo, hi := band(i); v < lo || v >= hi {
+			t.Fatalf("key %d holds %v outside [%v, %v)", i, v, lo, hi)
+		}
+	})
+	Put(tab)
 }

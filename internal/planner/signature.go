@@ -126,8 +126,9 @@ func canonicalize(q *model.Query) canonical {
 	}
 
 	best := append([]int(nil), order...)
+	buf := make([]byte, 0, canonicalSize(q))
 	if len(groups) > 0 && candidates <= maxCanonCandidates {
-		bestBytes := encodeCanonical(q, best, nil)
+		bestBytes := encodeCanonical(q, best, buf)
 		perm := append([]int(nil), order...)
 		scratch := make([]byte, 0, len(bestBytes))
 		var walk func(g int)
@@ -147,7 +148,7 @@ func canonicalize(q *model.Query) canonical {
 		return canonical{sig: sha256.Sum256(bestBytes), perm: best, inv: invert(best)}
 	}
 
-	bytes := encodeCanonical(q, best, nil)
+	bytes := encodeCanonical(q, best, buf)
 	return canonical{sig: sha256.Sum256(bytes), perm: best, inv: invert(best)}
 }
 
@@ -224,10 +225,12 @@ func refineColors(q *model.Query, colors []uint64) {
 		pred[e[1]] = append(pred[e[1]], e[0])
 	}
 
+	// next also serves countDistinct as scratch: each round overwrites
+	// every element before reading any.
 	next := make([]uint64, n)
 	profile := make([]uint64, 0, 4*n)
 	buf := make([]byte, 0, 64*n)
-	prev := countDistinct(colors)
+	prev := countDistinct(colors, next)
 	for round := 0; round < n; round++ {
 		for i := 0; i < n; i++ {
 			profile = profile[:0]
@@ -265,7 +268,7 @@ func refineColors(q *model.Query, colors []uint64) {
 			next[i] = fnv64(buf)
 		}
 		copy(colors, next)
-		cur := countDistinct(colors)
+		cur := countDistinct(colors, next)
 		if cur == prev || cur == n {
 			return
 		}
@@ -273,15 +276,34 @@ func refineColors(q *model.Query, colors []uint64) {
 	}
 }
 
-func countDistinct(colors []uint64) int {
-	seen := make(map[uint64]struct{}, len(colors))
-	for _, c := range colors {
-		seen[c] = struct{}{}
+// countDistinct returns the number of distinct colors, counting runs in a
+// sorted copy of them in scratch (at least as long as colors) instead of
+// building a set.
+func countDistinct(colors, scratch []uint64) int {
+	sorted := scratch[:len(colors)]
+	copy(sorted, colors)
+	sortUint64(sorted)
+	distinct := 0
+	for i, c := range sorted {
+		if i == 0 || c != sorted[i-1] {
+			distinct++
+		}
 	}
-	return len(seen)
+	return distinct
 }
 
 func sortUint64(v []uint64) { slices.Sort(v) }
+
+// canonicalSize returns the length of encodeCanonical's serialization of
+// q, whatever the permutation.
+func canonicalSize(q *model.Query) int {
+	n := q.N()
+	size := 8 + n*5*8 + n*n*8
+	if len(q.Precedence) > 0 {
+		size += 8 + len(q.Precedence)*16
+	}
+	return size
+}
 
 // encodeCanonical serializes q under the given permutation (perm[c] = the
 // original index at canonical slot c) into dst, reusing its capacity.
