@@ -145,13 +145,16 @@
 //     identically, so internal/serve memoizes whole body -> decoded
 //     document (its parsed, validated query, and the comment and query
 //     echoes as sub-slices of the one stored copy of the body) for
-//     /v1/optimize, each batch instance and /v1/execute. Entries are
-//     written only after the full strict decode and validation succeeded;
-//     a hit needs the same route and a full byte comparison, under a
-//     per-process seeded maphash key that crafted collisions cannot
-//     flood. The planner's canonicalization memo is keyed the same way;
-//     only hashes that must agree across processes (refinement colors,
-//     the fleet ring) keep FNV-1a.
+//     /v1/optimize, each batch instance and /v1/execute. A body is
+//     admitted on its second sighting, the CDN rule "cache on second
+//     hit": its first valid decode leaves only a key-only ghost, so
+//     first-sight traffic, which is never resubmitted, retains no body
+//     copy. Entries are written only after the full strict decode and
+//     validation succeeded; a hit needs a full entry, the same route and
+//     a full byte comparison, under a per-process seeded maphash key that
+//     crafted collisions cannot flood. The planner's canonicalization
+//     memo is keyed the same way; only hashes that must agree across
+//     processes (refinement colors, the fleet ring) keep FNV-1a.
 //   - A one-pass first-sight decode. A body the memo does not hold is
 //     decoded by one reflection-free scanner that builds the query
 //     directly, where encoding/json scanned the body twice and decoded

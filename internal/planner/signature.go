@@ -1,12 +1,12 @@
 package planner
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"slices"
-	"sort"
 
 	"serviceordering/internal/ccache"
 	"serviceordering/internal/model"
@@ -96,12 +96,11 @@ func canonicalize(q *model.Query) canonical {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if colors[ia] != colors[ib] {
-			return colors[ia] < colors[ib]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
+			return c
 		}
-		return ia < ib
+		return cmp.Compare(a, b)
 	})
 
 	// Group maximal runs of equal colors; singletons are fully determined.
@@ -125,16 +124,20 @@ func canonicalize(q *model.Query) canonical {
 		lo = hi
 	}
 
-	best := append([]int(nil), order...)
+	// best and its inverse share one allocation; the result keeps both.
+	bestInv := make([]int, 2*n)
+	best, inv := bestInv[:n:n], bestInv[n:]
+	copy(best, order)
 	buf := make([]byte, 0, canonicalSize(q))
+	sc := newEncodeScratch(q)
 	if len(groups) > 0 && candidates <= maxCanonCandidates {
-		bestBytes := encodeCanonical(q, best, buf)
+		bestBytes := encodeCanonical(q, best, buf, sc)
 		perm := append([]int(nil), order...)
 		scratch := make([]byte, 0, len(bestBytes))
 		var walk func(g int)
 		walk = func(g int) {
 			if g == len(groups) {
-				scratch = encodeCanonical(q, perm, scratch[:0])
+				scratch = encodeCanonical(q, perm, scratch[:0], sc)
 				if string(scratch) < string(bestBytes) {
 					bestBytes = append(bestBytes[:0], scratch...)
 					copy(best, perm)
@@ -145,15 +148,15 @@ func canonicalize(q *model.Query) canonical {
 			permuteRange(perm, gr.lo, gr.hi, func() { walk(g + 1) })
 		}
 		walk(0)
-		return canonical{sig: sha256.Sum256(bestBytes), perm: best, inv: invert(best)}
+		return canonical{sig: sha256.Sum256(bestBytes), perm: best, inv: invert(best, inv)}
 	}
 
-	bytes := encodeCanonical(q, best, buf)
-	return canonical{sig: sha256.Sum256(bytes), perm: best, inv: invert(best)}
+	bytes := encodeCanonical(q, best, buf, sc)
+	return canonical{sig: sha256.Sum256(bytes), perm: best, inv: invert(best, inv)}
 }
 
-func invert(perm []int) []int {
-	inv := make([]int, len(perm))
+// invert writes perm's inverse into inv (inv[perm[c]] = c) and returns it.
+func invert(perm, inv []int) []int {
 	for c, o := range perm {
 		inv[o] = c
 	}
@@ -218,12 +221,7 @@ func initialColors(q *model.Query) []uint64 {
 // edges and the sorted neighbor colors across precedence edges.
 func refineColors(q *model.Query, colors []uint64) {
 	n := q.N()
-	succ := make([][]int, n)
-	pred := make([][]int, n)
-	for _, e := range q.Precedence {
-		succ[e[0]] = append(succ[e[0]], e[1])
-		pred[e[1]] = append(pred[e[1]], e[0])
-	}
+	succ, pred := precedenceCSR(q)
 
 	// next also serves countDistinct as scratch: each round overwrites
 	// every element before reading any.
@@ -250,12 +248,12 @@ func refineColors(q *model.Query, colors []uint64) {
 			}
 			sortUint64(profile[out:])
 			in := len(profile)
-			for _, j := range succ[i] {
+			for _, j := range succ.of(i) {
 				profile = append(profile, colors[j])
 			}
 			sortUint64(profile[in:])
 			ps := len(profile)
-			for _, j := range pred[i] {
+			for _, j := range pred.of(i) {
 				profile = append(profile, colors[j])
 			}
 			sortUint64(profile[ps:])
@@ -274,6 +272,51 @@ func refineColors(q *model.Query, colors []uint64) {
 		}
 		prev = cur
 	}
+}
+
+// csr is a precedence adjacency in compressed sparse row form: the
+// neighbours of service i are adj[at[i]:at[i+1]], in edge order. The zero
+// csr has no edges.
+type csr struct{ at, adj []int }
+
+func (c csr) of(i int) []int {
+	if c.at == nil {
+		return nil
+	}
+	return c.adj[c.at[i]:c.at[i+1]]
+}
+
+// precedenceCSR builds q's successor and predecessor adjacencies in one
+// allocation, or none when q has no precedence edges.
+func precedenceCSR(q *model.Query) (succ, pred csr) {
+	n, m := q.N(), len(q.Precedence)
+	if m == 0 {
+		return csr{}, csr{}
+	}
+	buf := make([]int, 2*(n+1+m))
+	succ = csr{at: buf[:n+1], adj: buf[n+1 : n+1+m]}
+	pred = csr{at: buf[n+1+m : 2*(n+1)+m], adj: buf[2*(n+1)+m:]}
+	succ.fill(q.Precedence, 0)
+	pred.fill(q.Precedence, 1)
+	return succ, pred
+}
+
+// fill sorts edges into c by their endpoint e[from], listing the other
+// endpoint: a counting sort whose row starts double as fill cursors.
+func (c csr) fill(edges [][2]int, from int) {
+	for _, e := range edges {
+		c.at[e[from]+1]++
+	}
+	for i := 1; i < len(c.at); i++ {
+		c.at[i] += c.at[i-1]
+	}
+	for _, e := range edges {
+		c.adj[c.at[e[from]]] = e[1-from]
+		c.at[e[from]]++
+	}
+	// Each cursor now sits at its row's end, the next row's start.
+	copy(c.at[1:], c.at)
+	c.at[0] = 0
 }
 
 // countDistinct returns the number of distinct colors, counting runs in a
@@ -305,9 +348,26 @@ func canonicalSize(q *model.Query) int {
 	return size
 }
 
+// encodeScratch is encodeCanonical's working memory for precedence edges,
+// allocated once per canonicalize call and rewritten by every encoding
+// under it: perm's inverse and the relabeled edge list. Nil when the
+// query has no precedence edges.
+type encodeScratch struct {
+	inv   []int
+	edges [][2]int
+}
+
+func newEncodeScratch(q *model.Query) *encodeScratch {
+	if len(q.Precedence) == 0 {
+		return nil
+	}
+	return &encodeScratch{inv: make([]int, q.N()), edges: make([][2]int, len(q.Precedence))}
+}
+
 // encodeCanonical serializes q under the given permutation (perm[c] = the
-// original index at canonical slot c) into dst, reusing its capacity.
-func encodeCanonical(q *model.Query, perm []int, dst []byte) []byte {
+// original index at canonical slot c) into dst, reusing its capacity. sc
+// is newEncodeScratch(q).
+func encodeCanonical(q *model.Query, perm []int, dst []byte, sc *encodeScratch) []byte {
 	n := q.N()
 	dst = appendUint64(dst, uint64(n))
 	for c := 0; c < n; c++ {
@@ -325,16 +385,15 @@ func encodeCanonical(q *model.Query, perm []int, dst []byte) []byte {
 		}
 	}
 	if len(q.Precedence) > 0 {
-		inv := invert(perm)
-		edges := make([][2]int, len(q.Precedence))
+		inv, edges := invert(perm, sc.inv), sc.edges
 		for k, e := range q.Precedence {
 			edges[k] = [2]int{inv[e[0]], inv[e[1]]}
 		}
-		sort.Slice(edges, func(a, b int) bool {
-			if edges[a][0] != edges[b][0] {
-				return edges[a][0] < edges[b][0]
+		slices.SortFunc(edges, func(a, b [2]int) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
 			}
-			return edges[a][1] < edges[b][1]
+			return cmp.Compare(a[1], b[1])
 		})
 		dst = appendUint64(dst, uint64(len(edges)))
 		for _, e := range edges {

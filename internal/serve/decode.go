@@ -10,9 +10,16 @@ package serve
 //   - a hit needs the same kind and the same bytes (bytes.Equal), so a body
 //     accepted on one route is never accepted on the other through the
 //     memo;
-//   - an entry is written only after the full strict decode succeeded and
-//     its query validated. Byte-identical bodies decode identically, so a
-//     hit is exactly what a fresh decode would return, without decoding.
+//   - a body is admitted on its second sighting (cache on second hit):
+//     the first strict decode that succeeds and validates stores only a
+//     key-only ghost, one shared sentinel holding no bytes and no query,
+//     and the next decode of that key stores the full document in its
+//     place. Most first-sight bodies are never seen again, so they leave
+//     nothing but a key behind. A ghost never answers a request;
+//   - a full entry is written only after the full strict decode succeeded
+//     and its query validated. Byte-identical bodies decode identically,
+//     so a hit is exactly what a fresh decode would return, without
+//     decoding.
 //
 // A body the memo does not hold is decoded from the document's own copy of
 // it, in one pass and without reflection (decodeOnePass): one scanner walks
@@ -48,9 +55,10 @@ import (
 	"serviceordering/internal/planner"
 )
 
-// DefaultQueryMemoCapacity bounds the memo of decoded request documents.
-// It matches twice the planner's default plan-cache capacity, mirroring
-// the canonicalization memo it sits in front of.
+// DefaultQueryMemoCapacity bounds the memo of decoded request documents,
+// ghosts and full documents together. It matches twice the planner's
+// default plan-cache capacity, mirroring the canonicalization memo it sits
+// in front of.
 const DefaultQueryMemoCapacity = 2 * planner.DefaultCacheCapacity
 
 const (
@@ -144,18 +152,27 @@ func newDocMemo() *docMemo {
 	}
 }
 
+// ghost is the memo's key-only entry: it marks a key whose body was
+// decoded once, and holds nothing.
+var ghost = &document{}
+
 // decode returns body's document of the given kind: the memo entry holding
-// these exact bytes as that kind, else a fresh strict decode — memoized
-// when the body is within the per-entry bound and its query validated.
+// these exact bytes as that kind, else a fresh strict decode. A fresh
+// decode within the per-entry bound whose query validated leaves a ghost
+// under a key that holds nothing, and is memoized under a key already
+// resident (its ghost, or a colliding body's entry).
 func (m *docMemo) decode(body []byte, kind docKind) (*document, error) {
 	memoable := len(body) <= maxMemoQueryBytes
 	var key uint64
+	var resident bool
 	if memoable {
 		key = maphash.Bytes(m.seed, body) ^ uint64(kind)
-		if d, ok, _ := m.store.Get(key); ok && d.kind == kind && bytes.Equal(d.body, body) {
+		d, ok, _ := m.store.Get(key)
+		if ok && d != ghost && d.kind == kind && bytes.Equal(d.body, body) {
 			m.hits.Add(1)
 			return d, nil
 		}
+		resident = ok
 	}
 	// The echoes point into the document's own copy of the body, which a
 	// memo entry keeps as its key.
@@ -163,6 +180,10 @@ func (m *docMemo) decode(body []byte, kind docKind) (*document, error) {
 	d, err := decodeDocument(own, kind)
 	if err != nil || !memoable || d.q == nil || d.invalid != nil {
 		return d, err
+	}
+	if !resident {
+		m.store.Put(key, ghost)
+		return d, nil
 	}
 	d.body = own
 	m.store.Put(key, d)

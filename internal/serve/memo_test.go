@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"serviceordering/internal/adapt"
@@ -39,6 +41,11 @@ func TestMemoKeepsRoutesApart(t *testing.T) {
 		{`{"query":` + query + `,"tuples":10}`, "/v1/execute", "/v1/optimize"},
 		{`{"query":` + query + `,"plan":[0,1,2],"cost":2.5}`, "/v1/optimize", "/v1/execute"},
 	} {
+		// The first sighting leaves only a ghost; the memo admits the body
+		// on the next one.
+		if resp, got := v1Request(t, srv, "POST", tc.home, tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on %s, first sighting: status %d: %s", tc.body, tc.home, resp.StatusCode, got)
+		}
 		before := memoHits()
 		for i := 0; i < 2; i++ {
 			if resp, got := v1Request(t, srv, "POST", tc.home, tc.body); resp.StatusCode != http.StatusOK {
@@ -80,9 +87,12 @@ func TestMemoRespectsMaxBody(t *testing.T) {
 		{"/v1/optimize", instanceDoc, optimizeBody, h.v1Optimize},
 		{"/v1/execute", executeDoc, executeBody, h.v1Execute},
 	} {
-		// Memoize the body as an earlier, larger limit would have.
-		if _, err := h.memo.decodeSolvable(tc.body, tc.kind); err != nil {
-			t.Fatal(err)
+		// Memoize the body as an earlier, larger limit would have: its
+		// second sighting stores its bytes.
+		for i := 0; i < 2; i++ {
+			if _, err := h.memo.decodeSolvable(tc.body, tc.kind); err != nil {
+				t.Fatal(err)
+			}
 		}
 		hits := h.memo.hits.Load()
 		for i := 0; i < 2; i++ {
@@ -112,6 +122,7 @@ func TestMemoHitAnswersCurrentGeneration(t *testing.T) {
 		return res, decodeData[StatsResponse](t, mustGet(t, srv.URL+"/v1/stats")).QueryMemoHits
 	}
 	first, _ := optimize()
+	optimize() // the second sighting admits the body to the memo
 	if warm, hits := optimize(); !warm.Cached || hits != 1 {
 		t.Fatalf("resubmission cached=%v with %d memo hits, want a cached memo hit", warm.Cached, hits)
 	}
@@ -162,6 +173,138 @@ func TestMemoMatchDoesNotProveValidity(t *testing.T) {
 	}
 }
 
+// firstSightBodies returns count distinct valid bodies, alternating the
+// two route kinds, all carrying the fixture query under their own
+// comment.
+func firstSightBodies(t *testing.T, count int) ([][]byte, []docKind) {
+	t.Helper()
+	query := mustJSON(t, fixtureInstance(t).Query)
+	bodies := make([][]byte, count)
+	kinds := make([]docKind, count)
+	for i := range bodies {
+		if i%2 == 0 {
+			bodies[i] = []byte(fmt.Sprintf(`{"comment":"sighting %d","query":%s}`, i, query))
+			kinds[i] = instanceDoc
+		} else {
+			bodies[i] = []byte(fmt.Sprintf(`{"comment":"sighting %d","query":%s,"tuples":%d}`, i, query, i))
+			kinds[i] = executeDoc
+		}
+	}
+	return bodies, kinds
+}
+
+// TestFirstSightRetainsNoDocument: bodies seen once leave only ghosts —
+// after more distinct valid bodies than the memo's capacity, each decoded
+// once, every resident entry is the one shared ghost, holding no bytes and
+// no query. A body's second sighting admits its full document, and its
+// third is a hit on that document.
+func TestFirstSightRetainsNoDocument(t *testing.T) {
+	t.Parallel()
+	bodies, kinds := firstSightBodies(t, DefaultQueryMemoCapacity+512)
+	m := newDocMemo()
+	for i, body := range bodies {
+		if d, err := m.decodeSolvable(body, kinds[i]); err != nil || d == ghost {
+			t.Fatalf("body %d: document %p (ghost %p), error %v", i, d, ghost, err)
+		}
+	}
+	if ghost.body != nil || ghost.q != nil || ghost.comment != nil || ghost.query != nil {
+		t.Fatalf("the ghost holds a document: %+v", ghost)
+	}
+	resident := 0
+	m.store.Range(func(_ uint64, d *document, _ uint64) bool {
+		if d != ghost {
+			t.Fatalf("first sightings left a document holding %d body bytes", len(d.body))
+		}
+		resident++
+		return true
+	})
+	if resident == 0 || resident > DefaultQueryMemoCapacity {
+		t.Fatalf("%d resident ghosts, want 1..%d", resident, DefaultQueryMemoCapacity)
+	}
+	if hits := m.hits.Load(); hits != 0 {
+		t.Fatalf("first sightings made %d memo hits", hits)
+	}
+
+	last := len(bodies) - 1 // the latest insert is resident
+	body, kind := bodies[last], kinds[last]
+	second, err := m.decodeSolvable(body, kind)
+	if err != nil || m.hits.Load() != 0 {
+		t.Fatalf("second sighting: error %v, %d hits, want an admission", err, m.hits.Load())
+	}
+	admitted := 0
+	m.store.Range(func(_ uint64, d *document, _ uint64) bool {
+		if d != ghost {
+			if d != second || !bytes.Equal(d.body, body) || &d.body[0] == &body[0] {
+				t.Fatalf("admitted %p holding %q, want the returned %p holding a copy of %q", d, d.body, second, body)
+			}
+			admitted++
+		}
+		return true
+	})
+	if admitted != 1 {
+		t.Fatalf("the second sighting admitted %d documents, want 1", admitted)
+	}
+	third, err := m.decodeSolvable(body, kind)
+	if err != nil || m.hits.Load() != 1 || third != second {
+		t.Fatalf("third sighting: error %v, %d hits, document %p; want a hit on %p", err, m.hits.Load(), third, second)
+	}
+}
+
+// TestDocMemoAdmissionConcurrent races first, second and later sightings
+// of a shared set of bodies, both route kinds, on one memo: every
+// document returned equals the encoding/json decode, none is the ghost,
+// and after the race each body is a hit by its second sequential
+// submission. The nightly workflow runs it twenty times under -race.
+func TestDocMemoAdmissionConcurrent(t *testing.T) {
+	t.Parallel()
+	bodies, kinds := firstSightBodies(t, 32)
+	want := make([]*document, len(bodies))
+	for i, body := range bodies {
+		d, err := decodeDocumentJSON(body, kinds[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+	m := newDocMemo()
+	const workers, rounds = 8, 4
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				for k := range bodies {
+					i := (k*(2*w+1) + r) % len(bodies) // each worker its own order
+					got, err := m.decode(bodies[i], kinds[i])
+					switch {
+					case err != nil:
+						t.Errorf("worker %d, body %d: %v", w, i, err)
+						return
+					case got == ghost:
+						t.Errorf("worker %d, body %d: the memo returned its ghost", w, i)
+						return
+					}
+					if diff := documentDiff(got, want[i]); diff != "" {
+						t.Errorf("worker %d, body %d: %s", w, i, diff)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, body := range bodies {
+		if _, err := m.decode(body, kinds[i]); err != nil {
+			t.Fatal(err)
+		}
+		before := m.hits.Load()
+		if _, err := m.decode(body, kinds[i]); err != nil || m.hits.Load() != before+1 {
+			t.Fatalf("body %d after the race: error %v, not a hit", i, err)
+		}
+	}
+}
+
 // postBody posts body's exact bytes to url.
 func postBody(t *testing.T, url, body string) *http.Response {
 	t.Helper()
@@ -175,22 +318,25 @@ func postBody(t *testing.T, url, body string) *http.Response {
 
 // FuzzV1Decode holds the request decode — the memo of decoded documents
 // in front of the one-pass decoder — to the encoding/json decode the
-// one-pass decoder falls back to. Each input goes to one fresh memo twice
-// on each route kind, interleaved:
+// one-pass decoder falls back to. Each input goes to one fresh memo three
+// times on each route kind, interleaved, so every round of the memo's
+// life is fuzzed: the first sighting (a ghost), the second (admission)
+// and the third (a hit):
 //   - accept or reject, and the error text, match encoding/json's decode
 //     of that kind, so a body accepted on one route is never accepted on
 //     the other unless encoding/json accepts it there;
 //   - an accepted document's query (reflect.DeepEqual, and every float bit
 //     for bit, so -0 is not 0), validity, echoed comment and query bytes
-//     and tuple count match that decode's;
-//   - a resubmission that the memo may hold is a memo hit;
+//     and tuple count match that decode's, on every round;
+//   - the third submission of a body the memo may hold is a memo hit, and
+//     no earlier one is;
 //   - trailing data after an accepted body is rejected, memo or not.
 func FuzzV1Decode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		m := newDocMemo()
 		kinds := []docKind{instanceDoc, executeDoc}
 		var wantHits int64
-		for round := 0; round < 2; round++ {
+		for round := 0; round < 3; round++ {
 			for _, kind := range kinds {
 				want, wantErr := decodeDocumentJSON(body, kind)
 				got, err := m.decode(body, kind)
@@ -201,7 +347,10 @@ func FuzzV1Decode(f *testing.F) {
 					continue
 				}
 				checkSameDocument(t, got, want)
-				if round == 1 && want.q != nil && want.invalid == nil && len(body) <= maxMemoQueryBytes {
+				if got == ghost {
+					t.Fatalf("kind %d round %d: the memo returned its ghost", kind, round)
+				}
+				if round == 2 && want.q != nil && want.invalid == nil && len(body) <= maxMemoQueryBytes {
 					wantHits++
 				}
 			}
@@ -223,18 +372,27 @@ func FuzzV1Decode(f *testing.F) {
 
 func checkSameDocument(t *testing.T, got, want *document) {
 	t.Helper()
+	if diff := documentDiff(got, want); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// documentDiff describes the first difference between two decoded
+// documents, or returns "" when they are the same.
+func documentDiff(got, want *document) string {
 	switch {
 	case got.kind != want.kind:
-		t.Fatalf("kind %d, want %d", got.kind, want.kind)
+		return fmt.Sprintf("kind %d, want %d", got.kind, want.kind)
 	case !reflect.DeepEqual(got.q, want.q):
-		t.Fatalf("query %+v, want %+v", got.q, want.q)
+		return fmt.Sprintf("query %+v, want %+v", got.q, want.q)
 	case !slices.Equal(floatBits(got.q), floatBits(want.q)):
-		t.Fatalf("float bits %x, want %x", floatBits(got.q), floatBits(want.q))
+		return fmt.Sprintf("float bits %x, want %x", floatBits(got.q), floatBits(want.q))
 	case (got.invalid == nil) != (want.invalid == nil):
-		t.Fatalf("validity %v, want %v", got.invalid, want.invalid)
+		return fmt.Sprintf("validity %v, want %v", got.invalid, want.invalid)
 	case !bytes.Equal(got.comment, want.comment) || !bytes.Equal(got.query, want.query):
-		t.Fatalf("echo %q/%q, want %q/%q", got.comment, got.query, want.comment, want.query)
+		return fmt.Sprintf("echo %q/%q, want %q/%q", got.comment, got.query, want.comment, want.query)
 	case got.tuples != want.tuples:
-		t.Fatalf("tuples %d, want %d", got.tuples, want.tuples)
+		return fmt.Sprintf("tuples %d, want %d", got.tuples, want.tuples)
 	}
+	return ""
 }

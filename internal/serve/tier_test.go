@@ -83,7 +83,8 @@ func TestQueryTooLargeMapsTo422(t *testing.T) {
 
 // TestQueryMemoAdmitsLargeQueries: the memo's only admission criterion is
 // the byte bound — a compactly encoded query past 64 services is
-// memoized, so its byte-identical resubmission skips the parse.
+// memoized on its second sighting, so its byte-identical resubmissions
+// skip the parse.
 func TestQueryMemoAdmitsLargeQueries(t *testing.T) {
 	h := NewHandler(planner.New(planner.Config{}), Options{})
 	srv := httptest.NewServer(h)
@@ -129,6 +130,7 @@ func TestQueryMemoAdmitsLargeQueries(t *testing.T) {
 	if hits := scrapeHits(); hits != 0 {
 		t.Fatalf("queryMemoHits = %d after first sight, want 0", hits)
 	}
+	post() // the second sighting admits the body to the memo
 	second := post()
 	if hits := scrapeHits(); hits != 1 {
 		t.Fatalf("queryMemoHits = %d after byte-identical large-n resubmission, want 1", hits)

@@ -58,12 +58,16 @@ func (h *handler) writeV1Data(w http.ResponseWriter, v any) {
 }
 
 // writeResponse sends one complete response body: the status, the
-// Retry-After header (sheds only), the JSON content type, and one Write.
+// Retry-After header (sheds only), the JSON content type, the body's
+// length, and one Write. Without the length, net/http would send any body
+// past its 2048-byte buffer chunked.
 func writeResponse(w http.ResponseWriter, status int, retryAfter int64, body []byte) {
+	h := w.Header()
 	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
+		h.Set("Retry-After", strconv.FormatInt(retryAfter, 10))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
