@@ -86,34 +86,39 @@ func TestSearchBenchJSONRoundTrip(t *testing.T) {
 }
 
 // TestCompareDetectsRegressions pins the -compare failure semantics on
-// synthetic reports: cells past a threshold produce one diff line each and
-// make the run fail, improvements and in-tolerance noise do not, and
-// zeroed thresholds (-regress-ok) silence everything.
+// synthetic reports: cells past a threshold, and cells whose cost moved
+// either way, produce one diff line each and make the run fail,
+// improvements and in-tolerance noise do not, and zeroed thresholds
+// (-regress-ok) silence everything.
 func TestCompareDetectsRegressions(t *testing.T) {
-	entry := func(family string, ns, nodes int64) benchEntry {
-		return benchEntry{Family: family, N: 12, Mode: "cold-seq", NsPerOp: ns, Nodes: nodes}
+	entry := func(family string, ns, nodes int64, cost float64) benchEntry {
+		return benchEntry{Family: family, N: 12, Mode: "cold-seq", NsPerOp: ns, Nodes: nodes, Cost: cost}
 	}
 	old := &benchReport{Schema: searchBenchSchema, Entries: []benchEntry{
-		entry("steady", 1000, 500),
-		entry("slower", 1000, 500),
-		entry("bushier", 1000, 500),
-		entry("faster", 1000, 500),
+		entry("steady", 1000, 500, 1),
+		entry("slower", 1000, 500, 1),
+		entry("bushier", 1000, 500, 1),
+		entry("faster", 1000, 500, 1),
+		entry("cheaper", 1000, 500, 1),
+		entry("dearer", 1000, 500, 1),
 	}}
 	cur := &benchReport{Schema: searchBenchSchema, Entries: []benchEntry{
-		entry("steady", 1040, 500),  // noise: within both thresholds
-		entry("slower", 2000, 500),  // time regression
-		entry("bushier", 1000, 900), // node regression
-		entry("faster", 400, 100),   // improvement
+		entry("steady", 1040, 500, 1),         // noise: within both thresholds
+		entry("slower", 2000, 500, 1),         // time regression
+		entry("bushier", 1000, 900, 1),        // node regression
+		entry("faster", 400, 100, 1),          // improvement
+		entry("cheaper", 1000, 500, 0.999999), // cost moved down
+		entry("dearer", 1000, 500, 1.000001),  // cost moved up
 	}}
-	thr := regressThresholds{time: 1.5, nodes: 1.05}
+	thr := regressThresholds{time: 1.5, nodes: 1.05, cost: true}
 	regressions, err := compareBenchReports(old, cur, thr, io.Discard)
 	if err != nil {
 		t.Fatalf("compareBenchReports: %v", err)
 	}
-	if len(regressions) != 2 {
-		t.Fatalf("got %d regressions, want 2: %v", len(regressions), regressions)
+	if len(regressions) != 4 {
+		t.Fatalf("got %d regressions, want 4: %v", len(regressions), regressions)
 	}
-	for _, want := range []string{"slower", "bushier"} {
+	for _, want := range []string{"slower", "bushier", "cheaper", "dearer"} {
 		found := false
 		for _, r := range regressions {
 			if strings.Contains(r, want) {

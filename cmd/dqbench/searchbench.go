@@ -73,13 +73,12 @@ type benchMode struct {
 }
 
 // maxHeuristicRegret gates the htier cells measured on instances with a
-// known optimum: the portfolio's constructions (greedy + beam + bounded
-// local search, branch-and-bound disabled so the gate measures the
-// heuristics) must land within 5% of the exact cost on every pinned
-// instance. The measured configuration is pinned by regretBeamWidth and
-// local search at every size — at the production default width of 8, the
-// proliferative family (selectivity > 1 breaks the beam score's
-// flow-shrinks assumption) lands in local optima 25-48% off the optimum.
+// known optimum: the portfolio (greedy + beam + bounded local search)
+// must land within 5% of the exact cost on every pinned instance. The
+// measured configuration is pinned by regretBeamWidth and local search at
+// every size — at the production default width of 8, the proliferative
+// family (selectivity > 1 breaks the beam score's flow-shrinks
+// assumption) lands in local optima 25-48% off the optimum.
 // The htier package's own differential suite separately pins per-member
 // bounds on its own seeds.
 const maxHeuristicRegret = 0.05
@@ -150,11 +149,9 @@ func runSearchBench(quick bool, log io.Writer) (*benchReport, error) {
 				fmt.Fprintf(log, "search-bench %-13s n=%d %-8s %12d ns/op %9d nodes\n",
 					family, n, mode.name, entry.NsPerOp, entry.Nodes)
 			}
-			// Heuristic regret cell: same instance, portfolio constructions
-			// only (branch-and-bound disabled so the regret measures the
-			// heuristics), gated against the exact optimum just proven.
-			hopts := htier.Options{BBNodeBudget: -1, BeamWidth: regretBeamWidth}
-			hent, err := measureHeuristic(q, hopts, minOps, minDur)
+			// Heuristic regret cell: same instance, the portfolio gated
+			// against the exact optimum just proven.
+			hent, err := measureHeuristic(q, htier.Options{BeamWidth: regretBeamWidth}, minOps, minDur)
 			if err != nil {
 				return nil, fmt.Errorf("%s/n=%d/htier: %w", family, n, err)
 			}
@@ -197,8 +194,8 @@ func runSearchBench(quick bool, log io.Writer) (*benchReport, error) {
 			}
 			entry.Family, entry.N, entry.Seed = family, n, seed
 			rep.Entries = append(rep.Entries, entry)
-			fmt.Fprintf(log, "search-bench %-13s n=%d %-8s %12d ns/op %9d nodes (%s)\n",
-				family, n, entry.Mode, entry.NsPerOp, entry.Nodes, entry.Source)
+			fmt.Fprintf(log, "search-bench %-13s n=%d %-8s %12d ns/op (%s)\n",
+				family, n, entry.Mode, entry.NsPerOp, entry.Source)
 		}
 	}
 	return rep, nil
@@ -257,9 +254,7 @@ func measureHeuristic(q *model.Query, opts htier.Options, minOps int, minDur tim
 		Mode:    "htier",
 		Ops:     ops,
 		NsPerOp: elapsed.Nanoseconds() / int64(ops),
-		Nodes:   res.Stats.BB.NodesExpanded,
 		Cost:    res.Cost,
-		Optimal: res.Optimal,
 		Source:  res.Source,
 	}, nil
 }
@@ -334,10 +329,14 @@ func writeBenchReport(rep *benchReport, path string) error {
 // the new measurement must exceed old * threshold. Time is wall clock on
 // shared CI runners and gets a generous multiplier; node counts are
 // deterministic per engine version, so their tolerance only absorbs
-// parallel-mode scheduling wiggle.
+// parallel-mode scheduling wiggle. With cost set, a cell whose cost
+// differs from the baseline's at all, in either direction, regresses:
+// every cell's instance and planner are deterministic, so a moved cost is
+// a changed answer, not noise.
 type regressThresholds struct {
 	time  float64
 	nodes float64
+	cost  bool
 }
 
 // compareBenchReports prints a benchstat-style old-vs-new table for the
@@ -368,6 +367,9 @@ func compareBenchReports(old, cur *benchReport, thr regressThresholds, w io.Writ
 		if thr.nodes > 0 && float64(e.Nodes) > float64(o.Nodes)*thr.nodes {
 			regressions = append(regressions, fmt.Sprintf("%s: nodes %d -> %d (%s, threshold %+.0f%%)",
 				e.key(), o.Nodes, e.Nodes, delta(o.Nodes, e.Nodes), 100*(thr.nodes-1)))
+		}
+		if thr.cost && e.Cost != o.Cost {
+			regressions = append(regressions, fmt.Sprintf("%s: cost %v -> %v (must not change)", e.key(), o.Cost, e.Cost))
 		}
 	}
 	if matched == 0 {

@@ -19,9 +19,9 @@ import (
 // must change this list.
 var keptFlags = []string{
 	"adaptive", "addr", "admit-max-concurrent", "cache", "drift-delta",
-	"exec-backend", "exec-call-timeout", "exec-deadline", "exec-failover",
-	"exec-hedge-delay", "exec-replicas", "exec-seed", "fleet-addr",
-	"fleet-id", "heuristic-threshold", "idle-timeout", "max-body",
+	"exact-only", "exec-backend", "exec-call-timeout", "exec-deadline",
+	"exec-failover", "exec-hedge-delay", "exec-replicas", "exec-seed",
+	"fleet-addr", "fleet-id", "idle-timeout", "max-body",
 	"max-header", "node-limit", "parallel-threshold", "peers", "pprof",
 	"read-timeout", "replication", "snapshot-interval", "snapshot-path",
 	"stale-serve", "time-limit", "write-timeout",
@@ -40,7 +40,7 @@ func TestFlagSet(t *testing.T) {
 // being silently ignored.
 func TestRetiredFlagsFail(t *testing.T) {
 	for _, name := range []string{
-		"search-workers", "batch-workers", "beam-width", "heuristic-bb-nodes",
+		"search-workers", "batch-workers", "beam-width", "heuristic-bb-nodes", "heuristic-threshold",
 		"admit-max-queue", "admit-max-wait", "admit-cold-frac", "admit-tenant-burst", "replan-queue",
 		"exec-retry-budget", "exec-breaker-threshold", "exec-breaker-cooldown", "exec-block",
 		"exec-hedge-quantile", "exec-hedge-budget", "exec-hedge-cap", "exec-failover-retries",
@@ -73,7 +73,7 @@ func TestFlagsLandInConfig(t *testing.T) {
 		{[]string{"-parallel-threshold", "-1"}, func(c config) any { return c.planner.ParallelThreshold }, -1, planner.DefaultParallelThreshold},
 		{[]string{"-time-limit", "3s"}, func(c config) any { return c.planner.Search.TimeLimit }, 3 * time.Second, time.Duration(0)},
 		{[]string{"-node-limit", "500"}, func(c config) any { return c.planner.Search.NodeLimit }, int64(500), int64(0)},
-		{[]string{"-heuristic-threshold", "20"}, func(c config) any { return c.planner.HeuristicThreshold }, 20, 0},
+		{[]string{"-exact-only"}, func(c config) any { return c.planner.ExactOnly }, true, false},
 		{[]string{"-max-body", "1024"}, func(c config) any { return c.serve.MaxBody }, int64(1024), int64(0)},
 		{[]string{"-pprof"}, func(c config) any { return c.serve.Pprof }, true, false},
 		{[]string{"-admit-max-concurrent", "3"}, func(c config) any { return c.admit.MaxConcurrent }, 3, 0},

@@ -55,11 +55,10 @@
 //	                     # feeds decayed, sample-size-weighted statistics;
 //	                     # significant drift past -drift-delta bumps the
 //	                     # generation and lazily replans cached plans
-//	dqserve -heuristic-threshold 20   # route n >= 20 straight to the
-//	                                  # heuristic tier, skipping the
-//	                                  # budgeted exact search
-//	dqserve -heuristic-threshold -1   # exact only, without a node budget:
-//	                                  # n > 64 rejected with 422
+//	dqserve -exact-only               # no heuristic tier: the exact search
+//	                                  # runs without its 2^19-node routing
+//	                                  # budget, and n > 64 is rejected
+//	                                  # with 422
 //	dqserve -admit-max-concurrent 8   # overload survival: bounded admission
 //	                                  # queue, cold work shed first (429 +
 //	                                  # Retry-After), warm hits admitted
@@ -188,7 +187,7 @@ func newFlagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.planner.ParallelThreshold, "parallel-threshold", planner.DefaultParallelThreshold, "instance size switching to parallel search (-1 = always sequential)")
 	fs.DurationVar(&c.planner.Search.TimeLimit, "time-limit", 0, "per-search time budget (0 = none)")
 	fs.Int64Var(&c.planner.Search.NodeLimit, "node-limit", 0, "per-search node budget (0 = none)")
-	fs.IntVar(&c.planner.HeuristicThreshold, "heuristic-threshold", 0, "instance size routed straight to the heuristic tier (0 = default 65: smaller queries try the exact search under the branch-and-bound node budget first; -1 disables the tier and that budget: queries past the 64-service exact limit are rejected)")
+	fs.BoolVar(&c.planner.ExactOnly, "exact-only", false, "disable the heuristic tier: the exact search runs without its 2^19-node routing budget, and queries past the 64-service exact limit are rejected (by default they, and searches that spend the budget, get a heuristic plan)")
 	fs.Int64Var(&c.serve.MaxBody, "max-body", 0, "request body size limit in bytes (0 = 8 MiB)")
 	fs.BoolVar(&c.serve.Pprof, "pprof", false, "expose /debug/pprof endpoints for live profiling")
 

@@ -156,11 +156,11 @@ func TestLargeInstancesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestExactOnlyModeRejectsLargeInstances: -heuristic-threshold -1 restores
-// the exact-only server, which answers oversized queries with the typed
-// 422 rejection instead of serving a heuristic plan.
+// TestExactOnlyModeRejectsLargeInstances: -exact-only restores the
+// exact-only server, which answers oversized queries with the typed 422
+// rejection instead of serving a heuristic plan.
 func TestExactOnlyModeRejectsLargeInstances(t *testing.T) {
-	url, stop := startServer(t, "-heuristic-threshold", "-1")
+	url, stop := startServer(t, "-exact-only")
 	defer stop()
 
 	q, err := gen.Default(80, 5).Generate()

@@ -65,40 +65,34 @@
 // needs millions of nodes for its proof. The planner therefore routes a
 // request by the work its proof takes, not by its size:
 //
-//   - exact (every query up to 64 services, unless a configured
-//     threshold sends it straight to the portfolio): the branch-and-bound
-//     runs under the node budget of the portfolio's branch-and-bound
-//     member (HeuristicOptions.BBNodeBudget, default 2^19). A proof
-//     answers with tier "exact" and optimal true.
+//   - exact (every query up to 64 services): the branch-and-bound runs
+//     under a 2^19-node routing budget. A proof answers with tier "exact"
+//     and optimal true.
 //   - heuristic (internal/htier): a deterministic portfolio run on the
 //     same prefix-bottleneck machinery as the exact core — greedy
 //     constructions (minimum-epsilon append, nearest-neighbor by
 //     transfer), beam search over the prefix DAG (width- and
-//     budget-bounded, precedence-feasible expansions only), bottleneck
-//     local search refining the incumbent under an evaluation budget,
-//     and, up to 64 services, an anytime budget-bounded branch-and-bound
-//     seeded with the portfolio's best plan. It answers a request whose
-//     exact search spent its budget, seeded with that search's incumbent
-//     and without its own branch-and-bound member, whose budget is spent;
-//     it answers every query past 64 services, and from
-//     PlannerConfig.HeuristicThreshold services when that is set. The
-//     winner is the cheapest member plan; responses report tier
-//     "heuristic/<member>" ("heuristic/bb" when the exact search's
-//     incumbent stands) and optimal true only when the bounded
-//     branch-and-bound completed its proof within budget.
+//     budget-bounded, precedence-feasible expansions only), and
+//     bottleneck local search refining the incumbent under an evaluation
+//     budget. It answers a request whose exact search spent the routing
+//     budget, seeded with that search's incumbent, and every query past
+//     64 services. The winner is the cheapest member plan; responses
+//     report tier "heuristic/<member>" ("heuristic/bb" when the exact
+//     search's incumbent stands) and optimal false, since no member
+//     proves anything.
 //
 // Model-layer support goes past the mask width: precedence relations keep
 // their single-word fast path up to 64 services and switch to multi-word
 // bitsets above it, so 128- or 256-service constrained instances plan,
 // validate, and serve end to end. Heuristic results flow through the same
 // canonical signature cache as exact ones, so byte-identical
-// resubmissions hit warm; only a wall-clock-truncated branch-and-bound
-// member marks a result non-shareable. GET /v1/stats reports executed searches per tier in
-// tierCounts; a request that falls back counts one search, under its
-// heuristic label, with the exact attempt's nodes. Setting
-// HeuristicThreshold to -1 restores the exact-only planner: its exact
-// search has no node budget, and its oversized queries fail with
-// ErrQueryTooLarge (HTTP 422 through dqserve).
+// resubmissions hit warm: every member is budgeted in work, not time, so a
+// heuristic result is always shareable. GET /v1/stats reports executed
+// searches per tier in tierCounts; a request that falls back counts one
+// search, under its heuristic label, with the exact attempt's nodes.
+// PlannerConfig.ExactOnly (dqserve -exact-only) restores the exact-only
+// planner: its exact search has no node budget, and its oversized queries
+// fail with ErrQueryTooLarge (HTTP 422 through dqserve).
 //
 // The heuristic tier is gated on quality, not vibes: dqbench measures
 // every exact-suite instance through the portfolio and fails if the
@@ -429,11 +423,10 @@
 //     within n-1 nodes, and dominance memoization recovers what a
 //     heuristic seed would save: a greedy-plus-local-search seed measured
 //     slower than the cold search on 14 of 15 sequential benchmark cells.
-//     Options.InitialIncumbent seeds rho where a plan comes for free —
-//     an adaptive replan passes the stale generation's plan, and the
-//     heuristic tier's branch-and-bound member the portfolio's best. A
-//     seed never changes the proven optimum (a property test holds seeded
-//     and cold runs to the same cost on every instance family).
+//     Options.InitialIncumbent seeds rho where a plan comes for free: an
+//     adaptive replan passes the stale generation's plan. A seed never
+//     changes the proven optimum (a property test holds seeded and cold
+//     runs to the same cost on every instance family).
 //   - Incremental tight bounds. The Lemma 2 closure bound epsilonBar and
 //     the optional completion lower bound need, per remaining service,
 //     its max/min transfer to the other remaining services. Instead of an

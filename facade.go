@@ -12,7 +12,6 @@ import (
 	"serviceordering/internal/faultinject"
 	"serviceordering/internal/fleet"
 	"serviceordering/internal/gen"
-	"serviceordering/internal/htier"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
 	"serviceordering/internal/serve"
@@ -104,17 +103,11 @@ type (
 	// BatchResult pairs one batch instance's outcome with its input
 	// position and per-instance error.
 	BatchResult = planner.BatchResult
-
-	// HeuristicOptions tunes the heuristic planning tier's portfolio
-	// (beam width and budget, local-search and branch-and-bound budgets,
-	// optional seed plan) behind PlannerConfig.Heuristic. The zero value
-	// is production-ready.
-	HeuristicOptions = htier.Options
 )
 
 // ErrQueryTooLarge is returned by a planner whose heuristic tier is
-// disabled (PlannerConfig.HeuristicThreshold < 0) for queries past the
-// exact optimizer's 64-service limit. With the tier enabled — the default
+// disabled (PlannerConfig.ExactOnly) for queries past the exact
+// optimizer's 64-service limit. With the tier enabled — the default
 // — queries of any size are admitted and it is never returned.
 var ErrQueryTooLarge = planner.ErrQueryTooLarge
 

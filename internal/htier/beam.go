@@ -34,10 +34,10 @@ type beamCand struct {
 	eps    float64
 }
 
-// beamSearch returns the cheapest complete plan the beam reaches, its
-// cost, and the number of candidate extensions scored. The effective
-// width is reduced (never below 1) when width · n² would exceed budget.
-func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64) (model.Plan, float64, int64) {
+// beamSearch returns the cheapest complete plan the beam reaches and its
+// cost. The effective width is reduced (never below 1) when width · n²
+// would exceed budget.
+func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64) (model.Plan, float64) {
 	n := q.N()
 	if budget > 0 {
 		if maxW := budget / (int64(n) * int64(n)); maxW < int64(width) {
@@ -48,7 +48,6 @@ func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64)
 		}
 	}
 
-	var scored int64
 	empty := model.NewBitset(n)
 
 	// Level 0: rank the feasible first services.
@@ -57,12 +56,11 @@ func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64)
 		if !prec.CanPlaceBits(s, empty) {
 			continue
 		}
-		scored++
 		eps := model.EmptyPrefix().Append(q, s).Epsilon(q)
 		cands = append(cands, beamCand{parent: -1, svc: s, eps: eps})
 	}
 	if len(cands) == 0 {
-		return nil, 0, scored
+		return nil, 0
 	}
 	sortCands(cands)
 	if len(cands) > width {
@@ -91,7 +89,6 @@ func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64)
 				if st.placed.Test(s) || !prec.CanPlaceBits(s, st.placed) {
 					continue
 				}
-				scored++
 				eps := st.st.Append(q, s).Epsilon(q)
 				cands = append(cands, beamCand{parent: pi, svc: s, eps: eps})
 			}
@@ -130,9 +127,9 @@ func beamSearch(q *model.Query, prec *model.Precedence, width int, budget int64)
 		}
 	}
 	if best < 0 {
-		return nil, 0, scored
+		return nil, 0
 	}
-	return states[best].plan, bestCost, scored
+	return states[best].plan, bestCost
 }
 
 // sortCands orders candidates by (epsilon, parent rank, service index);

@@ -1,5 +1,5 @@
 // Package htier is the heuristic planning tier for instances the exact
-// optimizer cannot prove within its node budget, or cannot represent at
+// optimizer does not prove within its node budget, or cannot represent at
 // all (past core.MaxServices). It runs a deterministic portfolio of cheap
 // planners and returns the best plan any member found:
 //
@@ -10,18 +10,13 @@
 //     (placed-set, last-service) — the same state identity the exact
 //     core's dominance table exploits;
 //   - bottleneck local search (swap + relocate steepest descent) refining
-//     the best construction, budget-bounded so large n stays cheap;
-//   - for instances still inside the exact core's 64-service band, an
-//     anytime budget-bounded branch-and-bound run seeded with the
-//     portfolio's best plan, which can prove optimality outright and can
-//     never return anything worse than its seed.
+//     the best construction, budget-bounded so large n stays cheap.
 //
 // The planner runs the exact search first on every query up to
-// core.MaxServices, under DefaultBBNodeBudget (or Options.BBNodeBudget),
-// and calls Plan only when that budget runs out: it passes the search's
-// incumbent as Options.Seed and disables the branch-and-bound member,
-// whose budget the search has already spent. Past core.MaxServices, and
-// from a configured size threshold, it runs the whole portfolio.
+// core.MaxServices, under its own node budget, and calls Plan only when
+// that budget runs out, passing the search's incumbent as Options.Seed.
+// Past core.MaxServices it calls Plan directly. The portfolio proves
+// nothing: its plans are never reported optimal.
 //
 // Every member is deterministic given (query, Options) — there is no
 // randomized restart — so identical requests produce identical plans, a
@@ -37,7 +32,6 @@ import (
 	"time"
 
 	"serviceordering/internal/baseline"
-	"serviceordering/internal/core"
 	"serviceordering/internal/model"
 )
 
@@ -56,11 +50,6 @@ const (
 	// refinement evaluates. A full round costs about 2·n² evaluations, so
 	// the default allows many rounds at n ≤ 64 and a couple at n = 256.
 	DefaultLocalSearchEvals = 1 << 18
-
-	// DefaultBBNodeBudget is the node budget of the anytime
-	// branch-and-bound member when Options.BBNodeBudget is 0, and the
-	// planner's budget for the exact search it runs before the portfolio.
-	DefaultBBNodeBudget = 1 << 19
 )
 
 // Member names reported in Result.Source and Result.Members.
@@ -70,7 +59,6 @@ const (
 	MemberGreedyTransfer = "greedy-transfer"
 	MemberBeam           = "beam"
 	MemberLocalSearch    = "local-search"
-	MemberBB             = "bb"
 )
 
 // Options tunes the portfolio. The zero value runs every member with the
@@ -91,28 +79,12 @@ type Options struct {
 	// (0 = DefaultLocalSearchEvals, negative disables the refinement).
 	LocalSearchEvals int64
 
-	// BBNodeBudget is the anytime branch-and-bound member's node budget
-	// (0 = DefaultBBNodeBudget, negative disables the member). The member
-	// only runs when n <= core.MaxServices.
-	BBNodeBudget int64
-
-	// BBTimeBudget additionally bounds the branch-and-bound member's wall
-	// clock (0 = none). A time-truncated run is still never worse than
-	// its seed, but where exactly it stops depends on machine speed, so
-	// plans are only deterministic across runs when this is unset.
-	BBTimeBudget time.Duration
-
 	// Seed, when non-nil, joins the portfolio as a known-feasible
 	// incumbent: the planner passes a stale generation's plan here on
 	// adaptive replans, and the exact search's incumbent when that search
 	// spent its node budget. It must be a valid, precedence-feasible plan
 	// for the query.
 	Seed model.Plan
-
-	// Search is the base configuration of the branch-and-bound member;
-	// its NodeLimit, TimeLimit and InitialIncumbent are overridden by the
-	// budgets above and the portfolio's best plan.
-	Search core.Options
 }
 
 func (o Options) beamWidth() int {
@@ -136,13 +108,6 @@ func (o Options) localSearchEvals() int64 {
 	return o.LocalSearchEvals
 }
 
-func (o Options) bbNodeBudget() int64 {
-	if o.BBNodeBudget == 0 {
-		return DefaultBBNodeBudget
-	}
-	return o.BBNodeBudget
-}
-
 // Member is one portfolio member's outcome.
 type Member struct {
 	// Name identifies the member (Member* constants).
@@ -157,16 +122,6 @@ type Member struct {
 
 // Stats describes the work the portfolio performed.
 type Stats struct {
-	// BeamScored counts candidate extensions the beam evaluated.
-	BeamScored int64
-
-	// LocalSearchEvals counts candidate plans the refinement evaluated.
-	LocalSearchEvals int64
-
-	// BB holds the anytime branch-and-bound member's search statistics
-	// (zero when the member did not run).
-	BB core.Stats
-
 	// Elapsed is the portfolio's total wall-clock duration.
 	Elapsed time.Duration
 }
@@ -178,10 +133,6 @@ type Result struct {
 
 	// Cost is Plan's bottleneck cost under Eq. (1).
 	Cost float64
-
-	// Optimal reports that the branch-and-bound member ran to completion
-	// within its budgets, proving Plan optimal.
-	Optimal bool
 
 	// Source names the member that produced Plan (ties go to the member
 	// that ran first).
@@ -205,7 +156,6 @@ func Plan(q *model.Query, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("htier: invalid query: %w", err)
 	}
 	prec := q.CompiledPrecedence()
-	n := q.N()
 
 	res := Result{Cost: math.Inf(1)}
 	consider := func(name string, plan model.Plan, cost float64) {
@@ -233,36 +183,15 @@ func Plan(q *model.Query, opts Options) (Result, error) {
 		consider(MemberGreedyTransfer, r.Plan, r.Cost)
 	}
 
-	if opts.beamWidth() > 0 && n >= 2 {
-		plan, cost, scored := beamSearch(q, prec, opts.beamWidth(), opts.beamBudget())
-		res.Stats.BeamScored = scored
-		if plan != nil {
+	if opts.beamWidth() > 0 && q.N() >= 2 {
+		if plan, cost := beamSearch(q, prec, opts.beamWidth(), opts.beamBudget()); plan != nil {
 			consider(MemberBeam, plan, cost)
 		}
 	}
 
 	if opts.localSearchEvals() > 0 && res.Plan != nil {
 		if r, err := baseline.LocalSearchBudget(q, res.Plan, opts.localSearchEvals()); err == nil {
-			res.Stats.LocalSearchEvals = r.Evaluated
 			consider(MemberLocalSearch, r.Plan, r.Cost)
-		}
-	}
-
-	if opts.bbNodeBudget() > 0 && n <= core.MaxServices && res.Plan != nil {
-		so := opts.Search
-		so.InitialIncumbent = res.Plan
-		so.NodeLimit = opts.bbNodeBudget()
-		if opts.BBTimeBudget > 0 && (so.TimeLimit == 0 || opts.BBTimeBudget < so.TimeLimit) {
-			so.TimeLimit = opts.BBTimeBudget
-		}
-		// Sequential search: anytime truncation stays deterministic under
-		// a pure node budget, and the incumbent seed makes the dominance
-		// table safe on truncated runs (the result is never worse than
-		// the seed).
-		if r, err := core.OptimizeWithOptions(q, so); err == nil {
-			res.Stats.BB = r.Stats
-			res.Optimal = r.Optimal
-			consider(MemberBB, r.Plan, r.Cost)
 		}
 	}
 

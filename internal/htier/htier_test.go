@@ -108,17 +108,11 @@ func TestRegretVsExactOnPinnedSeeds(t *testing.T) {
 						t.Fatalf("%s: exact: %v", label, err)
 					}
 
-					// Disable the branch-and-bound member: with the oracle
-					// in reach it would solve the instance outright and the
-					// regret measurement would be vacuous.
-					res, err := htier.Plan(q, htier.Options{BBNodeBudget: -1})
+					res, err := htier.Plan(q, htier.Options{})
 					if err != nil {
 						t.Fatalf("%s: htier: %v", label, err)
 					}
 					checkMembers(t, q, res, label)
-					if res.Optimal {
-						t.Fatalf("%s: Optimal set without the branch-and-bound member", label)
-					}
 
 					cost := map[string]float64{}
 					for _, m := range res.Members {
@@ -148,54 +142,6 @@ func TestRegretVsExactOnPinnedSeeds(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestBBMemberProvesOptimality(t *testing.T) {
-	t.Parallel()
-	q := pinnedQuery(t, families()[0], 12, 7012000)
-	exact, err := core.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := htier.Plan(q, htier.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMembers(t, q, res, "bb-band")
-	if !res.Optimal {
-		t.Fatalf("default budgets failed to prove optimality at n=12")
-	}
-	if res.Cost != exact.Cost {
-		t.Fatalf("portfolio cost %v != exact optimum %v", res.Cost, exact.Cost)
-	}
-	if res.Stats.BB.NodesExpanded == 0 {
-		t.Fatalf("branch-and-bound member reported no work")
-	}
-}
-
-func TestBBMemberAnytimeTruncation(t *testing.T) {
-	t.Parallel()
-	p := gen.Default(14, 7014004)
-	p.SelMin = 0.95
-	q, err := p.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	noBB, err := htier.Plan(q, htier.Options{BBNodeBudget: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := htier.Plan(q, htier.Options{BBNodeBudget: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Optimal {
-		t.Fatalf("a 16-node budget claimed a proof on a hard n=14 instance")
-	}
-	if tiny.Cost > noBB.Cost {
-		t.Fatalf("truncated branch-and-bound returned %v, worse than its seed %v", tiny.Cost, noBB.Cost)
-	}
-	checkMembers(t, q, tiny, "anytime")
 }
 
 func TestLargeNDominanceAndDeterminism(t *testing.T) {
@@ -228,12 +174,6 @@ func TestLargeNDominanceAndDeterminism(t *testing.T) {
 				if !names[want] {
 					t.Fatalf("member %s missing at n=%d (got %v)", want, n, names)
 				}
-			}
-			if names[htier.MemberBB] {
-				t.Fatalf("branch-and-bound member ran past MaxServices at n=%d", n)
-			}
-			if res.Optimal {
-				t.Fatalf("Optimal claimed without an exact proof at n=%d", n)
 			}
 
 			again, err := htier.Plan(q, htier.Options{})
@@ -314,14 +254,6 @@ func TestMemberToggles(t *testing.T) {
 	}
 	if has(res, htier.MemberLocalSearch) {
 		t.Fatalf("local search ran with LocalSearchEvals -1")
-	}
-
-	res, err = htier.Plan(q, htier.Options{BBNodeBudget: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if has(res, htier.MemberBB) {
-		t.Fatalf("branch-and-bound ran with BBNodeBudget -1")
 	}
 
 	// A width-1 beam with a tiny budget must still return a valid result.

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -45,10 +46,11 @@ func ledgerDrift(t *testing.T, reg *adapt.Registry, q *model.Query) {
 }
 
 // optimizeWithFollower runs one leader and one singleflight follower for q
-// and reports whether the follower shared the leader's search. The leader
-// is held inside its search until the follower has counted its miss; a
-// follower that still loses the race to the flight reports false.
-func optimizeWithFollower(t *testing.T, p *Planner, release chan struct{}, q *model.Query) bool {
+// and returns the follower's result, whose Shared reports whether it shared
+// the leader's search. The leader is held inside its search until the
+// follower has counted its miss; a follower that still loses the race to
+// the flight reports Shared false.
+func optimizeWithFollower(t *testing.T, p *Planner, release chan struct{}, q *model.Query) Result {
 	t.Helper()
 	ctx := context.Background()
 	leader := make(chan error, 1)
@@ -72,7 +74,7 @@ func optimizeWithFollower(t *testing.T, p *Planner, release chan struct{}, q *mo
 	if err := <-leader; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	return (<-follower).Shared
+	return <-follower
 }
 
 func TestLookupCounterLedger(t *testing.T) {
@@ -183,7 +185,7 @@ func TestLookupCounterLedger(t *testing.T) {
 		for attempt := 0; attempt < 20; attempt++ {
 			release := make(chan struct{})
 			p := New(Config{OnSearch: func(Signature) { <-release }})
-			if !optimizeWithFollower(t, p, release, q) {
+			if !optimizeWithFollower(t, p, release, q).Shared {
 				continue
 			}
 			want := ledger{Misses: 2, MemoHits: 1, Searches: 1, SharedWaits: 1}
@@ -194,6 +196,68 @@ func TestLookupCounterLedger(t *testing.T) {
 		}
 		t.Fatal("no follower shared the leader's search in 20 attempts")
 	})
+}
+
+// TestEveryResultCarriesItsFragment: every way a successful Result is
+// made — a miss, a hit, a singleflight follower, a stale serve, and a hit
+// on a snapshot-restored entry — carries the response fragment of its own
+// cost, proof, signature and tier, so the serve layer splices it without a
+// fallback encoding.
+func TestEveryResultCarriesItsFragment(t *testing.T) {
+	ctx := context.Background()
+	q := namedQuery(t, 8, 511, "fragment-")
+	check := func(name string, res Result) {
+		t.Helper()
+		want := appendResultFragment(nil, res.Cost, res.Optimal, res.Signature, res.Tier)
+		if string(res.ResponseFragment) != string(want) {
+			t.Errorf("%s: fragment %s, want %s", name, res.ResponseFragment, want)
+		}
+	}
+	optimize := func(p *Planner) Result {
+		t.Helper()
+		res, err := p.Optimize(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
+	p := New(Config{Adaptive: reg})
+	check("miss", optimize(p))
+	check("hit", optimize(p))
+
+	var snap bytes.Buffer
+	if _, err := p.SaveSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{})
+	if _, err := restored.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if res := optimize(restored); !res.Cached {
+		t.Error("restored entry did not answer")
+	} else {
+		check("restored", res)
+	}
+
+	ledgerDrift(t, reg, q)
+	if res, ok := p.ServeStale(q); !ok || !res.Stale {
+		t.Errorf("ServeStale = (stale=%v, ok=%v), want a stale answer", res.Stale, ok)
+	} else {
+		check("stale", res)
+	}
+
+	for attempt := 0; ; attempt++ {
+		if attempt == 20 {
+			t.Fatal("no follower shared the leader's search in 20 attempts")
+		}
+		release := make(chan struct{})
+		if res := optimizeWithFollower(t, New(Config{OnSearch: func(Signature) { <-release }}), release, q); res.Shared {
+			check("follower", res)
+			break
+		}
+	}
 }
 
 func expectTemp(t *testing.T, got, want Temperature) {

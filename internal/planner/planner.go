@@ -29,15 +29,13 @@
 //
 // Above the exact tier sits the heuristic tier (internal/htier), and a
 // request's route depends on the work its proof takes, not on its size.
-// Every query up to core.MaxServices runs the exact search first, under
-// the node budget htier gives its branch-and-bound member; a proof
-// answers with TierExact. Only a search that spends that budget falls
-// back to the deterministic planning portfolio, seeded with the search's
-// incumbent and without the portfolio's own branch-and-bound member.
-// Queries past core.MaxServices, and from a positive
-// Config.HeuristicThreshold up, go straight to the whole portfolio.
-// Result.Tier records which tier (and which portfolio member) produced
-// each plan.
+// Every query up to core.MaxServices runs the exact search first, under a
+// 2^19-node routing budget; a proof answers with TierExact. Only a search
+// that spends that budget falls back to the deterministic planning
+// portfolio, seeded with the search's incumbent. Queries past
+// core.MaxServices go straight to the portfolio. Config.ExactOnly switches
+// the heuristic tier off. Result.Tier records which tier (and which
+// portfolio member) produced each plan.
 //
 // Cacheability is per tier. Exact results are cached only when proven
 // optimal: a search truncated by the configured node or time budget, or
@@ -74,7 +72,8 @@ import (
 
 // Config tunes a Planner. The zero value is ready for production use:
 // 4096-entry plan cache, canonicalization memo of twice that, parallel
-// search on GOMAXPROCS workers for instances of 13+ services, GOMAXPROCS
+// search on GOMAXPROCS workers for instances of 13+ services, the
+// heuristic tier behind the exact search's routing budget, GOMAXPROCS
 // batch workers.
 type Config struct {
 	// CacheCapacity bounds the plan cache (entries across all shards).
@@ -97,32 +96,20 @@ type Config struct {
 	// deadlines tighten Search.TimeLimit automatically.
 	Search core.Options
 
-	// HeuristicThreshold is the instance size from which requests go
-	// straight to the heuristic portfolio, skipping the exact search.
-	// Zero means DefaultHeuristicThreshold: every query the exact core
-	// can represent tries the exact search first, and falls back to the
-	// portfolio only when Heuristic.BBNodeBudget runs out. Negative
-	// disables the tier: the exact search runs without that budget, and
-	// queries past core.MaxServices fail with ErrQueryTooLarge.
-	// Regardless of the threshold, queries past core.MaxServices always
-	// use the heuristic tier when it is enabled — the exact core cannot
-	// represent them.
-	HeuristicThreshold int
-
-	// Heuristic tunes the heuristic tier's portfolio (beam width, member
-	// budgets, the branch-and-bound member's base search options). The
-	// zero value runs every member with htier's default budgets. Its
-	// BBNodeBudget is also the exact search's node budget before a
-	// request falls back to the portfolio; a negative BBNodeBudget leaves
-	// the exact search unbudgeted.
-	Heuristic htier.Options
+	// ExactOnly switches the heuristic tier off: the exact search runs
+	// without the routing budget, so no request falls back to the
+	// portfolio, and queries past core.MaxServices fail with
+	// ErrQueryTooLarge. By default every query up to core.MaxServices
+	// tries the exact search first and falls back to the portfolio only
+	// when the routing budget runs out; larger queries go straight to the
+	// portfolio, which is the only planner that can represent them.
+	ExactOnly bool
 
 	// OnSearch, when non-nil, is invoked once per search actually
 	// executed (i.e. not served by cache or singleflight) — an exact
 	// search and its portfolio fallback count once — with the signature
-	// being searched. Used by tests and metrics exporters
-	// to observe dedup behavior. It may be called from multiple
-	// goroutines concurrently.
+	// being searched, so a caller can observe dedup behavior (the tests
+	// do). It may be called from multiple goroutines concurrently.
 	OnSearch func(Signature)
 
 	// Adaptive attaches the online statistics registry (internal/adapt)
@@ -149,12 +136,16 @@ const DefaultCacheCapacity = 4096
 const DefaultParallelThreshold = 13
 
 // DefaultHeuristicThreshold is the instance size from which requests go
-// straight to the heuristic tier when Config.HeuristicThreshold is zero:
-// the first size past core.MaxServices, which the exact core cannot
-// represent. Below it a request's route depends on its work, not its
-// size: the exact search runs under the branch-and-bound member's node
-// budget, and only a search that spends it falls back to the portfolio.
+// straight to the heuristic tier: the first size past core.MaxServices,
+// which the exact core cannot represent. Below it a request's route
+// depends on its work, not its size: the exact search runs under the
+// routing budget, and only a search that spends it falls back to the
+// portfolio.
 const DefaultHeuristicThreshold = core.MaxServices + 1
+
+// routingBudget is the exact attempt's node budget: a search that spends
+// it falls back to the heuristic portfolio.
+const routingBudget = 1 << 19
 
 // TierExact is the Result.Tier of plans proven by the exact
 // branch-and-bound; heuristic plans report "heuristic/<member>" (see
@@ -165,10 +156,14 @@ const TierExact = "exact"
 // label of heuristic results.
 const tierHeuristicPrefix = "heuristic/"
 
+// tierIncumbent labels a fallback whose answer is the spent exact
+// search's own incumbent: no portfolio member found a cheaper plan.
+const tierIncumbent = tierHeuristicPrefix + "bb"
+
 // ErrQueryTooLarge reports a query past core.MaxServices submitted while
-// the heuristic tier is disabled (Config.HeuristicThreshold < 0). The
-// serve layer maps it to HTTP 422. With the tier enabled — the default —
-// no query is too large and this error is never returned.
+// the heuristic tier is disabled (Config.ExactOnly). The serve layer maps
+// it to HTTP 422. With the tier enabled — the default — no query is too
+// large and this error is never returned.
 var ErrQueryTooLarge = errors.New("planner: query exceeds the exact optimizer's service limit and the heuristic tier is disabled")
 
 // Planner serves optimization requests through the plan cache. It is safe
@@ -178,6 +173,11 @@ type Planner struct {
 	cache  *planCache // nil when caching is disabled
 	memo   *rawMemo
 	flight flightGroup
+
+	// routingBudget is the exact attempt's node budget before a request
+	// falls back to the portfolio, the constant of that name; tests in
+	// this package lower it to reach the fallback in a few nodes.
+	routingBudget int64
 
 	searches     atomic.Int64
 	sharedWaits  atomic.Int64
@@ -217,7 +217,7 @@ func New(cfg Config) *Planner {
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
 	}
-	p := &Planner{cfg: cfg}
+	p := &Planner{cfg: cfg, routingBudget: routingBudget}
 	if capacity > 0 {
 		p.cache = newPlanCache(capacity)
 	}
@@ -261,18 +261,19 @@ type Result struct {
 
 	// Tier records which planning tier produced the plan: TierExact for
 	// the branch-and-bound search, or "heuristic/<member>" naming the
-	// portfolio member whose plan won (e.g. "heuristic/bb",
-	// "heuristic/local-search"; a fallback that keeps the exact search's
-	// incumbent reads "heuristic/bb"). Cached and shared results report
-	// the tier that originally computed the entry.
+	// portfolio member whose plan won (e.g. "heuristic/local-search"; a
+	// fallback that keeps the exact search's incumbent reads
+	// "heuristic/bb"). Cached and shared results report the tier that
+	// originally computed the entry.
 	Tier string
 
 	// ResponseFragment is the pre-serialized JSON fragment
 	// `"cost":<num>,"optimal":<bool>,"signature":"<hex>","tier":"<tier>"`
 	// for this outcome, built once when the result was recorded and
-	// shared by every request resolving to the same cache entry. HTTP
-	// servers splice it into responses instead of re-marshaling; it is
-	// read-only and must not be mutated or appended to in place.
+	// shared by every request resolving to the same cache entry. Every
+	// successful result carries it, so HTTP servers splice it into
+	// responses instead of re-marshaling; it is read-only and must not be
+	// mutated or appended to in place.
 	ResponseFragment []byte
 }
 
@@ -466,7 +467,7 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 	if err := q.Validate(); err != nil {
 		return Result{}, fmt.Errorf("planner: invalid query: %w", err)
 	}
-	if !p.useHeuristicTier(q.N()) && q.N() > core.MaxServices {
+	if p.cfg.ExactOnly && q.N() > core.MaxServices {
 		return Result{}, fmt.Errorf("%w (%d services, exact limit %d)", ErrQueryTooLarge, q.N(), core.MaxServices)
 	}
 
@@ -707,34 +708,11 @@ func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64
 }
 
 // useHeuristicTier reports whether an n-service query goes straight to
-// the heuristic portfolio: from a positive configured threshold up, and
-// always past the exact core's representational limit (unless the tier is
-// disabled, in which case such queries are rejected upstream). Every other
-// query takes the exact search first (searchExact).
+// the heuristic portfolio: past the exact core's representational limit,
+// unless the tier is off (such queries are then rejected upstream). Every
+// other query takes the exact search first (searchExact).
 func (p *Planner) useHeuristicTier(n int) bool {
-	threshold := p.cfg.HeuristicThreshold
-	if threshold == 0 {
-		threshold = DefaultHeuristicThreshold
-	}
-	if threshold < 0 {
-		return false
-	}
-	return n >= threshold || n > core.MaxServices
-}
-
-// routingBudget is the node budget of the exact attempt before a request
-// falls back to the portfolio: the one htier gives its branch-and-bound
-// member. It is 0 — no budget, and no fallback — in the exact-only mode
-// (a negative HeuristicThreshold) and when that member is disabled.
-func (p *Planner) routingBudget() int64 {
-	if p.cfg.HeuristicThreshold < 0 {
-		return 0
-	}
-	budget := p.cfg.Heuristic.BBNodeBudget
-	if budget == 0 {
-		budget = htier.DefaultBBNodeBudget
-	}
-	return max(budget, 0)
+	return !p.cfg.ExactOnly && n >= DefaultHeuristicThreshold
 }
 
 // searchTier runs this request's search and reports the result, its tier
@@ -773,15 +751,13 @@ func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature,
 // request deadline — with its incumbent, optimal false and unshareable:
 // a truncated incumbent in the cache would mask a later uncapped request's
 // proof. Only when the routing budget itself runs out does the portfolio
-// finish the request, seeded with the search's incumbent and without its
-// own branch-and-bound member, since the budget that member would spend is
-// spent.
+// finish the request, seeded with the search's incumbent. Config.ExactOnly
+// runs the search without the routing budget.
 func (p *Planner) searchExact(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, string, bool, error) {
 	opts := p.cfg.Search
-	budget := p.routingBudget()
-	routed := budget > 0 && (opts.NodeLimit == 0 || budget < opts.NodeLimit)
+	routed := !p.cfg.ExactOnly && (opts.NodeLimit == 0 || p.routingBudget < opts.NodeLimit)
 	if routed {
-		opts.NodeLimit = budget
+		opts.NodeLimit = p.routingBudget
 	}
 	res, err := p.search(ctx, q, opts, incumbent)
 	if err != nil {
@@ -790,17 +766,15 @@ func (p *Planner) searchExact(ctx context.Context, q *model.Query, incumbent mod
 	if !routed || !res.Stats.NodeLimitReached {
 		return res, TierExact, res.Optimal, nil
 	}
-	hopts := p.cfg.Heuristic
-	hopts.BBNodeBudget = -1
-	hopts.Seed = res.Plan // nil when the budget ran out before a first plan
-	hres, tier, err := p.portfolio(ctx, q, hopts)
+	// The seed is nil when the budget ran out before a first plan.
+	hres, tier, err := p.portfolio(ctx, q, res.Plan)
 	if err != nil {
 		return core.Result{}, "", false, err
 	}
 	if tier == tierHeuristicPrefix+htier.MemberSeed {
 		// The seed is the exact attempt's incumbent, not a stale
 		// generation's plan.
-		tier = tierHeuristicPrefix + htier.MemberBB
+		tier = tierIncumbent
 	}
 	res.Plan, res.Cost, res.Optimal = hres.Plan, hres.Cost, false
 	res.Stats.Elapsed += hres.Stats.Elapsed
@@ -808,39 +782,17 @@ func (p *Planner) searchExact(ctx context.Context, q *model.Query, incumbent mod
 }
 
 // searchHeuristic runs the whole portfolio, seeded with the replan
-// incumbent. A context deadline tightens the branch-and-bound member's
-// time budget (the other members are budgeted in work units, not time, and
-// always run to their budgets). The outcome is shareable unless that
-// member was cut off by wall clock — a machine-speed-dependent truncation
-// that must not be frozen into the cache.
+// incumbent. Its members are budgeted in work, not time, so the outcome
+// is deterministic and always shareable.
 func (p *Planner) searchHeuristic(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, string, bool, error) {
-	opts := p.cfg.Heuristic
-	opts.Seed = incumbent
-	if deadline, ok := ctx.Deadline(); ok {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return core.Result{}, "", false, context.DeadlineExceeded
-		}
-		if opts.BBTimeBudget == 0 || remaining < opts.BBTimeBudget {
-			opts.BBTimeBudget = remaining
-		}
-	}
-	res, tier, err := p.portfolio(ctx, q, opts)
-	if err != nil {
-		return core.Result{}, "", false, err
-	}
-	bbRan := res.Stats.NodesExpanded > 0
-	timeTruncated := bbRan && !res.Optimal && !res.Stats.NodeLimitReached
-	return res, tier, !timeTruncated, nil
+	res, tier, err := p.portfolio(ctx, q, incumbent)
+	return res, tier, err == nil, err
 }
 
-// portfolio runs htier.Plan and reports its plan as a core result whose
-// Stats are the branch-and-bound member's, timed over the whole portfolio.
-func (p *Planner) portfolio(ctx context.Context, q *model.Query, opts htier.Options) (core.Result, string, error) {
-	// Abandoned requests abort the branch-and-bound member mid-search;
-	// the constructive members run in microseconds and finish regardless.
-	opts.Search.Cancel = ctx.Done()
-	hres, err := htier.Plan(q, opts)
+// portfolio runs htier.Plan seeded with seed (nil for none) and reports
+// its plan as an unproven core result timed over the whole portfolio.
+func (p *Planner) portfolio(ctx context.Context, q *model.Query, seed model.Plan) (core.Result, string, error) {
+	hres, err := htier.Plan(q, htier.Options{Seed: seed})
 	if err != nil {
 		return core.Result{}, "", err
 	}
@@ -849,9 +801,7 @@ func (p *Planner) portfolio(ctx context.Context, q *model.Query, opts htier.Opti
 		// the plan.
 		return core.Result{}, "", context.Canceled
 	}
-	res := core.Result{Plan: hres.Plan, Cost: hres.Cost, Optimal: hres.Optimal, Stats: hres.Stats.BB}
-	res.Stats.Elapsed = hres.Stats.Elapsed
-	return res, tierHeuristicPrefix + hres.Source, nil
+	return core.Result{Plan: hres.Plan, Cost: hres.Cost, Stats: core.Stats{Elapsed: hres.Stats.Elapsed}}, tierHeuristicPrefix + hres.Source, nil
 }
 
 // search runs one branch-and-bound under opts: sequential below the

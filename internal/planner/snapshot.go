@@ -295,7 +295,7 @@ func checkRestored(plan []int, cost float64, tier string) error {
 	}
 	member, heuristic := strings.CutPrefix(tier, tierHeuristicPrefix)
 	switch {
-	case tier == TierExact:
+	case tier == TierExact, tier == tierIncumbent:
 	case heuristic && slices.Contains(heuristicMembers, member):
 	default:
 		return fmt.Errorf("tier %q", tier)
@@ -306,7 +306,7 @@ func checkRestored(plan []int, cost float64, tier string) error {
 // heuristicMembers are the portfolio members whose plans the heuristic
 // tier labels "heuristic/<member>".
 var heuristicMembers = []string{htier.MemberSeed, htier.MemberGreedyEpsilon, htier.MemberGreedyTransfer,
-	htier.MemberBeam, htier.MemberLocalSearch, htier.MemberBB}
+	htier.MemberBeam, htier.MemberLocalSearch}
 
 func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -3,6 +3,8 @@ package planner
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,15 +14,14 @@ import (
 	"serviceordering/internal/baseline"
 	"serviceordering/internal/core"
 	"serviceordering/internal/gen"
-	"serviceordering/internal/htier"
 	"serviceordering/internal/model"
 )
 
 // Tier routing: every query the exact core can represent takes the exact
-// search first, under the branch-and-bound member's node budget; a search
-// that spends it, sizes at or above a configured threshold, and everything
-// past core.MaxServices take the heuristic portfolio. Both tiers flow
-// through the cache, the singleflight group, and the tier counters.
+// search first, under the routing budget; a search that spends it, and
+// everything past core.MaxServices, take the heuristic portfolio. Both
+// tiers flow through the cache, the singleflight group, and the tier
+// counters.
 
 func TestTierRouting(t *testing.T) {
 	t.Parallel()
@@ -83,43 +84,10 @@ func TestTierRouting(t *testing.T) {
 	}
 }
 
-func TestTierThresholdOverrides(t *testing.T) {
-	t.Parallel()
-	ctx := context.Background()
-
-	// A raised threshold keeps mid sizes on the exact tier.
-	raised := New(Config{HeuristicThreshold: 40})
-	res, err := raised.Optimize(ctx, testQuery(t, gen.Default(15, 104)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != TierExact {
-		t.Fatalf("n=15 with threshold 40: tier %q, want exact", res.Tier)
-	}
-	// ...but past MaxServices the heuristic tier still applies.
-	res, err = raised.Optimize(ctx, testQuery(t, gen.Default(core.MaxServices+1, 105)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(res.Tier, "heuristic/") {
-		t.Fatalf("n=%d with threshold 40: tier %q, want heuristic/*", core.MaxServices+1, res.Tier)
-	}
-
-	// A lowered threshold routes small sizes to the portfolio.
-	lowered := New(Config{HeuristicThreshold: 5})
-	res, err = lowered.Optimize(ctx, testQuery(t, gen.Default(6, 106)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(res.Tier, "heuristic/") {
-		t.Fatalf("n=6 with threshold 5: tier %q, want heuristic/*", res.Tier)
-	}
-}
-
 func TestQueryTooLargeSentinel(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	p := New(Config{HeuristicThreshold: -1})
+	p := New(Config{ExactOnly: true})
 
 	// Disabled tier: sizes in the exact band still work...
 	res, err := p.Optimize(ctx, testQuery(t, gen.Default(10, 107)))
@@ -181,36 +149,11 @@ func TestHeuristicResultsCached(t *testing.T) {
 	}
 }
 
-func TestHeuristicTierHonorsPortfolioOptions(t *testing.T) {
-	t.Parallel()
-	ctx := context.Background()
-	// Forcing every member but greedy off pins the winning member label.
-	p := New(Config{
-		HeuristicThreshold: 5,
-		Heuristic: htier.Options{
-			BeamWidth:        -1,
-			LocalSearchEvals: -1,
-			BBNodeBudget:     -1,
-		},
-	})
-	res, err := p.Optimize(ctx, testQuery(t, gen.Default(12, 110)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != "heuristic/"+htier.MemberGreedyEpsilon && res.Tier != "heuristic/"+htier.MemberGreedyTransfer {
-		t.Fatalf("tier %q, want a greedy member", res.Tier)
-	}
-	if res.Optimal {
-		t.Fatalf("greedy-only portfolio claimed optimality")
-	}
-}
-
 // TestRoutingBudgetBoundsTheTail sends the tail instance the unbudgeted
 // exact search cannot prove in millions of nodes (proliferative n=14, seed
 // 7919·28+14) through the default planner: the exact attempt stops at the
-// branch-and-bound member's budget and the portfolio answers, no worse
-// than either greedy construction. The answer is cached like any
-// heuristic answer.
+// routing budget and the portfolio answers, no worse than either greedy
+// construction. The answer is cached like any heuristic answer.
 func TestRoutingBudgetBoundsTheTail(t *testing.T) {
 	t.Parallel()
 	params := gen.Default(14, 7919*28+14)
@@ -244,8 +187,8 @@ func TestRoutingBudgetBoundsTheTail(t *testing.T) {
 			t.Errorf("cost %v worse than %s's %v", res.Cost, name, g.Cost)
 		}
 	}
-	if nodes := res.Stats.NodesExpanded; nodes <= 0 || nodes > htier.DefaultBBNodeBudget {
-		t.Fatalf("exact attempt expanded %d nodes, want within (0, %d]", nodes, htier.DefaultBBNodeBudget)
+	if nodes := res.Stats.NodesExpanded; nodes <= 0 || nodes > routingBudget {
+		t.Fatalf("exact attempt expanded %d nodes, want within (0, %d]", nodes, routingBudget)
 	}
 
 	again, err := p.Optimize(ctx, q)
@@ -286,10 +229,10 @@ func TestBudgetFallbackCountsOneSearch(t *testing.T) {
 	reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
 	var onSearch atomic.Int64
 	p := New(Config{
-		Adaptive:  reg,
-		Heuristic: htier.Options{BBNodeBudget: budget},
-		OnSearch:  func(Signature) { onSearch.Add(1) },
+		Adaptive: reg,
+		OnSearch: func(Signature) { onSearch.Add(1) },
 	})
+	p.routingBudget = budget
 
 	check := func(name string, want ledger, replanned bool) {
 		t.Helper()
@@ -305,7 +248,7 @@ func TestBudgetFallbackCountsOneSearch(t *testing.T) {
 		if res.Replanned != replanned {
 			t.Errorf("%s: Replanned %v, want %v", name, res.Replanned, replanned)
 		}
-		if res.Tier != tierHeuristicPrefix+htier.MemberBB || res.Optimal {
+		if res.Tier != tierIncumbent || res.Optimal {
 			t.Errorf("%s: tier %q optimal %v, want an unproven heuristic/bb answer", name, res.Tier, res.Optimal)
 		}
 		if got := onSearch.Load() - beforeSearches; got != 1 {
@@ -326,10 +269,11 @@ func TestBudgetFallbackCountsOneSearch(t *testing.T) {
 	check("replan", ledger{Misses: 1, Touches: 1, Searches: 1, Replans: 1}, true)
 }
 
-// TestOnlyTheRoutingBudgetFallsBack: the configured NodeLimit keeps
-// today's outcome when it is the tighter budget — an uncached exact
-// answer with optimal false — and the routing budget falls back when it
-// is. With the heuristic tier disabled there is no routing budget.
+// TestOnlyTheRoutingBudgetFallsBack: under a 64-node routing budget, the
+// configured NodeLimit keeps today's outcome when it is the tighter budget
+// — an uncached exact answer with optimal false — and the routing budget
+// falls back when it is. With the heuristic tier disabled there is no
+// routing budget.
 func TestOnlyTheRoutingBudgetFallsBack(t *testing.T) {
 	t.Parallel()
 	q := fallbackQuery(t)
@@ -339,14 +283,14 @@ func TestOnlyTheRoutingBudgetFallsBack(t *testing.T) {
 		wantTier  string
 		wantProof bool
 	}{
-		{"node-limit tighter", Config{Search: core.Options{NodeLimit: 32}, Heuristic: htier.Options{BBNodeBudget: 64}}, TierExact, false},
-		{"node-limit equal", Config{Search: core.Options{NodeLimit: 64}, Heuristic: htier.Options{BBNodeBudget: 64}}, TierExact, false},
-		{"routing budget tighter", Config{Search: core.Options{NodeLimit: 1 << 20}, Heuristic: htier.Options{BBNodeBudget: 64}}, tierHeuristicPrefix + htier.MemberBB, false},
-		{"exact-only", Config{HeuristicThreshold: -1, Heuristic: htier.Options{BBNodeBudget: 64}}, TierExact, true},
-		{"member disabled", Config{Heuristic: htier.Options{BBNodeBudget: -1}}, TierExact, true},
+		{"node-limit tighter", Config{Search: core.Options{NodeLimit: 32}}, TierExact, false},
+		{"node-limit equal", Config{Search: core.Options{NodeLimit: 64}}, TierExact, false},
+		{"routing budget tighter", Config{Search: core.Options{NodeLimit: 1 << 20}}, tierIncumbent, false},
+		{"exact-only", Config{ExactOnly: true}, TierExact, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(tc.cfg)
+			p.routingBudget = 64
 			res, err := p.Optimize(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
@@ -380,10 +324,8 @@ func TestBudgetFallbackConcurrent(t *testing.T) {
 		qs[i] = testQuery(t, params)
 	}
 	var onSearch atomic.Int64
-	p := New(Config{
-		Heuristic: htier.Options{BBNodeBudget: budget},
-		OnSearch:  func(Signature) { onSearch.Add(1) },
-	})
+	p := New(Config{OnSearch: func(Signature) { onSearch.Add(1) }})
+	p.routingBudget = budget
 	const workers, perWorker = 4, 9
 	results := make([][]Result, workers)
 	var wg sync.WaitGroup
@@ -442,5 +384,49 @@ func TestBudgetFallbackConcurrent(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Errorf("no request fell back to the portfolio (tiers %v)", st.TierCounts)
+	}
+}
+
+// TestHeuristicRouteGoldens pins the default planner's answers on the
+// heuristic route, recorded with the sequential search so they reproduce
+// bit for bit: the tail instance and fallbackQuery (under a 64-node
+// routing budget) fall back from a spent exact attempt, and n=65 and
+// n=128 go straight to the portfolio.
+func TestHeuristicRouteGoldens(t *testing.T) {
+	t.Parallel()
+	tail := gen.Default(14, 7919*28+14)
+	tail.ProliferativeFraction = 0.3
+	for _, tc := range []struct {
+		name     string
+		q        *model.Query
+		budget   int64 // routing budget; 0 keeps the default
+		tier     string
+		costBits uint64
+		plan     model.Plan
+	}{
+		{"tail", testQuery(t, tail), 0, "heuristic/local-search", 0x3ff075b870a17eac,
+			model.Plan{2, 8, 1, 7, 4, 0, 11, 5, 3, 10, 13, 12, 6, 9}},
+		{"fallback", fallbackQuery(t), 64, "heuristic/bb", 0x3fe1da17ee68cb9d,
+			model.Plan{2, 7, 11, 5, 4, 1, 6, 10, 9, 0, 3, 8}},
+		{"n=65", testQuery(t, gen.Default(65, 65)), 0, "heuristic/greedy-epsilon", 0x3fb7d251c1b87e6e,
+			model.Plan{16, 60, 4, 0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 61, 62, 63, 64}},
+		{"n=128", testQuery(t, gen.Default(128, 128)), 0, "heuristic/greedy-epsilon", 0x3fb6289e8a40d7fa,
+			model.Plan{1, 14, 58, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115, 116, 117, 118, 119, 120, 121, 122, 123, 124, 125, 126, 127}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			p := New(Config{ParallelThreshold: -1})
+			if tc.budget > 0 {
+				p.routingBudget = tc.budget
+			}
+			res, err := p.Optimize(context.Background(), tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tier != tc.tier || math.Float64bits(res.Cost) != tc.costBits || !slices.Equal(res.Plan, tc.plan) || res.Optimal {
+				t.Fatalf("tier %q cost bits %#x optimal %v plan %v, want %q %#x false %v",
+					res.Tier, math.Float64bits(res.Cost), res.Optimal, res.Plan, tc.tier, tc.costBits, tc.plan)
+			}
+		})
 	}
 }

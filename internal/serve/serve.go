@@ -409,7 +409,8 @@ func (h *handler) putBuf(p *[]byte, b []byte) {
 // appendSolved assembles one solved-instance response object. Field set
 // and shape match OptimizeResponse; comment and query are the request's
 // own bytes, the plan is appended per caller, and the
-// cost/optimal/signature tail comes pre-serialized from the planner.
+// cost/optimal/signature/tier tail is the planner's pre-serialized
+// ResponseFragment, which every successful planner result carries.
 func appendSolved(b []byte, doc *document, res planner.Result) []byte {
 	b = append(b, '{')
 	// An explicit empty comment is omitted like an absent one, matching
@@ -429,20 +430,7 @@ func appendSolved(b []byte, doc *document, res planner.Result) []byte {
 		b = strconv.AppendInt(b, int64(s), 10)
 	}
 	b = append(b, `],`...)
-	if len(res.ResponseFragment) > 0 {
-		b = append(b, res.ResponseFragment...)
-	} else {
-		// Defensive: every successful planner result carries a fragment
-		// today; keep the response well-formed if that ever changes.
-		b = append(b, `"cost":`...)
-		b = strconv.AppendFloat(b, res.Cost, 'g', -1, 64)
-		b = append(b, `,"optimal":`...)
-		b = strconv.AppendBool(b, res.Optimal)
-		b = append(b, `,"signature":`...)
-		b = appendJSONString(b, res.Signature.String())
-		b = append(b, `,"tier":`...)
-		b = appendJSONString(b, res.Tier)
-	}
+	b = append(b, res.ResponseFragment...)
 	b = append(b, `,"cached":`...)
 	b = strconv.AppendBool(b, res.Cached)
 	b = append(b, `,"shared":`...)

@@ -69,7 +69,7 @@ func TestExactTierReported(t *testing.T) {
 // envelope — not a 400 (the query itself is well-formed) and not a panic.
 func TestQueryTooLargeMapsTo422(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(
-		planner.New(planner.Config{HeuristicThreshold: -1}), Options{}))
+		planner.New(planner.Config{ExactOnly: true}), Options{}))
 	defer srv.Close()
 
 	resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(65, 7)))

@@ -169,7 +169,7 @@ func TestV1Golden(t *testing.T) {
 	})
 
 	t.Run("optimize_too_large", func(t *testing.T) {
-		p := planner.New(planner.Config{HeuristicThreshold: -1})
+		p := planner.New(planner.Config{ExactOnly: true})
 		srv := httptest.NewServer(NewHandler(p, Options{}))
 		t.Cleanup(srv.Close)
 		resp, body := v1Request(t, srv, "POST", "/v1/optimize", mustJSON(t, genInstance(t, gen.Default(65, 5))))
