@@ -349,26 +349,6 @@ func BenchmarkF8Choreography(b *testing.B) {
 	}
 }
 
-// BenchmarkF9Parallel measures the parallel optimizer against the
-// sequential one on a hard instance (extension figure F9).
-func BenchmarkF9Parallel(b *testing.B) {
-	p := gen.Default(12, 900)
-	p.SelMin = 0.85
-	q, err := p.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.OptimizeParallel(q, core.Options{}, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkF10Robustness measures the stability analysis (extension
 // figure F10); one op re-optimizes `samples` perturbed instances.
 func BenchmarkF10Robustness(b *testing.B) {
@@ -500,9 +480,9 @@ func BenchmarkPlannerColdVsWarm(b *testing.B) {
 }
 
 // BenchmarkPlannerBatch compares a 64-instance workload optimized by a
-// sequential core.Optimize loop against planner.OptimizeBatch on worker
-// pools of increasing width (caching disabled throughout, so the
-// comparison isolates the fan-out). Wall-clock gains scale with available
+// sequential core.Optimize loop against planner.OptimizeBatch on its
+// GOMAXPROCS worker pool (caching disabled throughout, so the comparison
+// isolates the fan-out). Wall-clock gains scale with available
 // cores; on a single-CPU runner the pool ties the loop.
 func BenchmarkPlannerBatch(b *testing.B) {
 	const instances = 64
@@ -522,17 +502,15 @@ func BenchmarkPlannerBatch(b *testing.B) {
 		}
 	})
 
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("batch/workers=%d", workers), func(b *testing.B) {
-			p := planner.New(planner.Config{CacheCapacity: -1, BatchWorkers: workers})
-			for i := 0; i < b.N; i++ {
-				out := p.OptimizeBatch(ctx, qs)
-				for _, r := range out {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
+	b.Run("batch", func(b *testing.B) {
+		p := planner.New(planner.Config{CacheCapacity: -1})
+		for i := 0; i < b.N; i++ {
+			out := p.OptimizeBatch(ctx, qs)
+			for _, r := range out {
+				if r.Err != nil {
+					b.Fatal(r.Err)
 				}
 			}
-		})
-	}
+		}
+	})
 }

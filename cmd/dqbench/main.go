@@ -42,9 +42,8 @@ func run(args []string) error {
 		runList  = fs.String("run", "", "comma-separated experiment ids (default: all)")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		jsonOut  = fs.String("json", "", "run the search benchmark suite and write the report to this path (skips the experiment tables)")
-		compare  = fs.String("compare", "", "previous search-bench report to diff against (implies the search benchmark suite); cells regressing beyond the thresholds, or whose cost changed, fail the run")
+		compare  = fs.String("compare", "", "previous search-bench report to diff against (implies the search benchmark suite); cells slower than -time-regress allows, whose node count rose, or whose cost changed fail the run")
 		timeReg  = fs.Float64("time-regress", 1.5, "-compare fails when a cell's ns/op exceeds baseline times this factor (0 disables)")
-		nodeReg  = fs.Float64("node-regress", 1.05, "-compare fails when a cell's node count exceeds baseline times this factor (0 disables)")
 		regOk    = fs.Bool("regress-ok", false, "report regressions without failing (baseline refreshes)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -52,7 +51,7 @@ func run(args []string) error {
 	}
 
 	if *jsonOut != "" || *compare != "" {
-		thr := regressThresholds{time: *timeReg, nodes: *nodeReg, cost: true}
+		thr := regressThresholds{time: *timeReg, exact: true}
 		if *regOk {
 			thr = regressThresholds{}
 		}

@@ -48,10 +48,9 @@ func TestSearchBenchJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loadBenchReport: %v", err)
 	}
-	// Every exact family yields one entry per mode plus an htier regret
-	// cell; the large-n heuristic families add one htier cell per quick
-	// size.
-	want := len(exper.SearchBenchFamilies)*(len(searchBenchModes())+1) +
+	// Every exact family yields an exact cell plus an htier regret cell;
+	// the large-n heuristic families add one htier cell per quick size.
+	want := len(exper.SearchBenchFamilies)*2 +
 		len(exper.HeuristicBenchFamilies)*len(exper.HeuristicBenchQuickSizes)
 	if len(rep.Entries) != want {
 		t.Fatalf("report holds %d entries, want %d", len(rep.Entries), want)
@@ -86,10 +85,10 @@ func TestSearchBenchJSONRoundTrip(t *testing.T) {
 }
 
 // TestCompareDetectsRegressions pins the -compare failure semantics on
-// synthetic reports: cells past a threshold, and cells whose cost moved
-// either way, produce one diff line each and make the run fail,
-// improvements and in-tolerance noise do not, and zeroed thresholds
-// (-regress-ok) silence everything.
+// synthetic reports: cells past the time threshold, cells whose node count
+// rose by even one, and cells whose cost moved either way produce one diff
+// line each and make the run fail; improvements and in-tolerance timing
+// noise do not, and zeroed thresholds (-regress-ok) silence everything.
 func TestCompareDetectsRegressions(t *testing.T) {
 	entry := func(family string, ns, nodes int64, cost float64) benchEntry {
 		return benchEntry{Family: family, N: 12, Mode: "cold-seq", NsPerOp: ns, Nodes: nodes, Cost: cost}
@@ -98,27 +97,29 @@ func TestCompareDetectsRegressions(t *testing.T) {
 		entry("steady", 1000, 500, 1),
 		entry("slower", 1000, 500, 1),
 		entry("bushier", 1000, 500, 1),
+		entry("onemore", 1000, 500, 1),
 		entry("faster", 1000, 500, 1),
 		entry("cheaper", 1000, 500, 1),
 		entry("dearer", 1000, 500, 1),
 	}}
 	cur := &benchReport{Schema: searchBenchSchema, Entries: []benchEntry{
-		entry("steady", 1040, 500, 1),         // noise: within both thresholds
+		entry("steady", 1040, 500, 1),         // timing noise, same nodes and cost
 		entry("slower", 2000, 500, 1),         // time regression
 		entry("bushier", 1000, 900, 1),        // node regression
+		entry("onemore", 1000, 501, 1),        // one node more is a changed search
 		entry("faster", 400, 100, 1),          // improvement
 		entry("cheaper", 1000, 500, 0.999999), // cost moved down
 		entry("dearer", 1000, 500, 1.000001),  // cost moved up
 	}}
-	thr := regressThresholds{time: 1.5, nodes: 1.05, cost: true}
+	thr := regressThresholds{time: 1.5, exact: true}
 	regressions, err := compareBenchReports(old, cur, thr, io.Discard)
 	if err != nil {
 		t.Fatalf("compareBenchReports: %v", err)
 	}
-	if len(regressions) != 4 {
-		t.Fatalf("got %d regressions, want 4: %v", len(regressions), regressions)
+	if len(regressions) != 5 {
+		t.Fatalf("got %d regressions, want 5: %v", len(regressions), regressions)
 	}
-	for _, want := range []string{"slower", "bushier", "cheaper", "dearer"} {
+	for _, want := range []string{"slower", "bushier", "onemore", "cheaper", "dearer"} {
 		found := false
 		for _, r := range regressions {
 			if strings.Contains(r, want) {
@@ -139,11 +140,9 @@ func TestCompareDetectsRegressions(t *testing.T) {
 	// non-zero.
 	fast := &benchReport{Schema: searchBenchSchema}
 	for _, family := range exper.SearchBenchFamilies {
-		for _, mode := range searchBenchModes() {
-			fast.Entries = append(fast.Entries, benchEntry{
-				Family: family, N: 12, Mode: mode.name, NsPerOp: 1, Nodes: 1,
-			})
-		}
+		fast.Entries = append(fast.Entries, benchEntry{
+			Family: family, N: 12, Mode: exactMode, NsPerOp: 1, Nodes: 1,
+		})
 	}
 	fastPath := filepath.Join(t.TempDir(), "fast.json")
 	if err := writeBenchReport(fast, fastPath); err != nil {

@@ -1,9 +1,9 @@
 package main
 
 // The search benchmark baseline: a reproducible suite of hard exact-search
-// instances (per family and size), measured sequentially and in parallel,
-// and emitted as BENCH_search.json so every PR has a perf trajectory to
-// beat. The committed file at the repository root is the current baseline;
+// instances (per family and size), each measured with the exact search and
+// the heuristic portfolio, and emitted as BENCH_search.json so every PR
+// has a perf trajectory to beat. The committed file at the repository root is the current baseline;
 // CI regenerates a fresh report on every push and prints a benchstat-style
 // comparison against it.
 
@@ -30,8 +30,7 @@ type benchEntry struct {
 	Family  string  `json:"family"`
 	N       int     `json:"n"`
 	Seed    int64   `json:"seed"`
-	Mode    string  `json:"mode"` // cold-seq | cold-par | htier
-	Workers int     `json:"workers,omitempty"`
+	Mode    string  `json:"mode"` // exactMode | htier
 	Ops     int     `json:"ops"`
 	NsPerOp int64   `json:"nsPerOp"`
 	Nodes   int64   `json:"nodes"`
@@ -66,12 +65,6 @@ type benchReport struct {
 	PreviousNote string       `json:"previousNote,omitempty"`
 }
 
-// benchMode is one measurement configuration.
-type benchMode struct {
-	name     string
-	parallel bool
-}
-
 // maxHeuristicRegret gates the htier cells measured on instances with a
 // known optimum: the portfolio (greedy + beam + bounded local search)
 // must land within 5% of the exact cost on every pinned instance. The
@@ -91,15 +84,11 @@ const maxHeuristicRegret = 0.05
 // better" dial.
 const regretBeamWidth = 32
 
-// searchBenchModes are the exact-search cells. The search always starts
-// cold (rho = +Inf); the names keep their "cold-" prefix so -compare still
-// aligns with baseline rows recorded while a warm-start mode existed.
-func searchBenchModes() []benchMode {
-	return []benchMode{
-		{name: "cold-seq"},
-		{name: "cold-par", parallel: true},
-	}
-}
+// exactMode names the exact-search cells. The search always starts cold
+// (rho = +Inf) and is sequential; the name keeps its "cold-seq" form so
+// -compare still aligns with baseline rows recorded while warm-start and
+// parallel modes existed.
+const exactMode = "cold-seq"
 
 // runSearchBench measures the whole suite. Quick mode restricts to n=12
 // and shorter measurement windows (CI-sized); the full suite is the one to
@@ -110,10 +99,6 @@ func runSearchBench(quick bool, log io.Writer) (*benchReport, error) {
 	if quick {
 		sizes = []int{12}
 		minOps, minDur = 2, 50*time.Millisecond
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
 	}
 
 	rep := &benchReport{
@@ -130,25 +115,15 @@ func runSearchBench(quick bool, log io.Writer) (*benchReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/n=%d: %w", family, n, err)
 			}
-			var wantCost float64
-			for mi, mode := range searchBenchModes() {
-				entry, err := measureSearch(q, mode, workers, minOps, minDur)
-				if err != nil {
-					return nil, fmt.Errorf("%s/n=%d/%s: %w", family, n, mode.name, err)
-				}
-				entry.Family, entry.N, entry.Seed = family, n, seed
-				// Built-in differential check: every mode must prove the
-				// same optimum on the same instance.
-				if mi == 0 {
-					wantCost = entry.Cost
-				} else if entry.Cost != wantCost {
-					return nil, fmt.Errorf("%s/n=%d: %s cost %v != cold-seq cost %v",
-						family, n, mode.name, entry.Cost, wantCost)
-				}
-				rep.Entries = append(rep.Entries, entry)
-				fmt.Fprintf(log, "search-bench %-13s n=%d %-8s %12d ns/op %9d nodes\n",
-					family, n, mode.name, entry.NsPerOp, entry.Nodes)
+			entry, err := measureSearch(q, minOps, minDur)
+			if err != nil {
+				return nil, fmt.Errorf("%s/n=%d/%s: %w", family, n, exactMode, err)
 			}
+			entry.Family, entry.N, entry.Seed = family, n, seed
+			wantCost := entry.Cost
+			rep.Entries = append(rep.Entries, entry)
+			fmt.Fprintf(log, "search-bench %-13s n=%d %-8s %12d ns/op %9d nodes\n",
+				family, n, exactMode, entry.NsPerOp, entry.Nodes)
 			// Heuristic regret cell: same instance, the portfolio gated
 			// against the exact optimum just proven.
 			hent, err := measureHeuristic(q, htier.Options{BeamWidth: regretBeamWidth}, minOps, minDur)
@@ -259,17 +234,11 @@ func measureHeuristic(q *model.Query, opts htier.Options, minOps int, minDur tim
 	}, nil
 }
 
-// measureSearch times one (instance, mode) cell: at least minOps runs and
-// at least minDur of accumulated wall clock, reporting the mean.
-func measureSearch(q *model.Query, mode benchMode, workers, minOps int, minDur time.Duration) (benchEntry, error) {
-	run := func() (core.Result, error) {
-		if mode.parallel {
-			return core.OptimizeParallel(q, core.Options{}, workers)
-		}
-		return core.Optimize(q)
-	}
+// measureSearch times one exact-search cell: at least minOps runs and at
+// least minDur of accumulated wall clock, reporting the mean.
+func measureSearch(q *model.Query, minOps int, minDur time.Duration) (benchEntry, error) {
 	// One warmup run outside the timing window.
-	res, err := run()
+	res, err := core.Optimize(q)
 	if err != nil {
 		return benchEntry{}, err
 	}
@@ -279,25 +248,21 @@ func measureSearch(q *model.Query, mode benchMode, workers, minOps int, minDur t
 	)
 	for ops < minOps || elapsed < minDur {
 		start := time.Now()
-		res, err = run()
+		res, err = core.Optimize(q)
 		elapsed += time.Since(start)
 		if err != nil {
 			return benchEntry{}, err
 		}
 		ops++
 	}
-	e := benchEntry{
-		Mode:    mode.name,
+	return benchEntry{
+		Mode:    exactMode,
 		Ops:     ops,
 		NsPerOp: elapsed.Nanoseconds() / int64(ops),
 		Nodes:   res.Stats.NodesExpanded,
 		Cost:    res.Cost,
 		Optimal: res.Optimal,
-	}
-	if mode.parallel {
-		e.Workers = workers
-	}
-	return e, nil
+	}, nil
 }
 
 // loadBenchReport reads a previous BENCH_search.json.
@@ -325,18 +290,16 @@ func writeBenchReport(rep *benchReport, path string) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// regressThresholds define when a compared cell counts as a regression:
-// the new measurement must exceed old * threshold. Time is wall clock on
-// shared CI runners and gets a generous multiplier; node counts are
-// deterministic per engine version, so their tolerance only absorbs
-// parallel-mode scheduling wiggle. With cost set, a cell whose cost
-// differs from the baseline's at all, in either direction, regresses:
-// every cell's instance and planner are deterministic, so a moved cost is
-// a changed answer, not noise.
+// regressThresholds define when a compared cell counts as a regression.
+// Time is wall clock on shared CI runners: a cell regresses when its new
+// ns/op exceeds old * time, a generous multiplier. With exact set, a cell
+// whose node count rose at all, or whose cost differs from the baseline's
+// at all, in either direction, regresses: every cell's instance and
+// search are deterministic, so more nodes are a changed search and a
+// moved cost is a changed answer, not noise.
 type regressThresholds struct {
 	time  float64
-	nodes float64
-	cost  bool
+	exact bool
 }
 
 // compareBenchReports prints a benchstat-style old-vs-new table for the
@@ -364,11 +327,11 @@ func compareBenchReports(old, cur *benchReport, thr regressThresholds, w io.Writ
 			regressions = append(regressions, fmt.Sprintf("%s: time %d -> %d ns/op (%s, threshold %+.0f%%)",
 				e.key(), o.NsPerOp, e.NsPerOp, delta(o.NsPerOp, e.NsPerOp), 100*(thr.time-1)))
 		}
-		if thr.nodes > 0 && float64(e.Nodes) > float64(o.Nodes)*thr.nodes {
-			regressions = append(regressions, fmt.Sprintf("%s: nodes %d -> %d (%s, threshold %+.0f%%)",
-				e.key(), o.Nodes, e.Nodes, delta(o.Nodes, e.Nodes), 100*(thr.nodes-1)))
+		if thr.exact && e.Nodes > o.Nodes {
+			regressions = append(regressions, fmt.Sprintf("%s: nodes %d -> %d (%s, must not rise)",
+				e.key(), o.Nodes, e.Nodes, delta(o.Nodes, e.Nodes)))
 		}
-		if thr.cost && e.Cost != o.Cost {
+		if thr.exact && e.Cost != o.Cost {
 			regressions = append(regressions, fmt.Sprintf("%s: cost %v -> %v (must not change)", e.key(), o.Cost, e.Cost))
 		}
 	}

@@ -45,7 +45,6 @@ type loadOpts struct {
 	staleServe bool           // with admission: serve stale plans instead of shedding
 	snapshot   []byte         // non-nil: restore this plan-cache snapshot into the self-hosted planner before serving
 	executor   *exec.Executor // non-nil: self-host with POST /v1/execute over this executor
-	sequential bool           // self-host with parallel search disabled (deterministic service times)
 }
 
 // loadTarget is a self-hosted server under test plus the client used to
@@ -70,11 +69,7 @@ func startTarget(opts loadOpts) (*loadTarget, error) {
 			return nil, err
 		}
 	}
-	cfg := planner.Config{Adaptive: registry}
-	if opts.sequential {
-		cfg.ParallelThreshold = -1
-	}
-	p := planner.New(cfg)
+	p := planner.New(planner.Config{Adaptive: registry})
 	if opts.snapshot != nil {
 		if _, err := p.LoadSnapshot(bytes.NewReader(opts.snapshot)); err != nil {
 			return nil, fmt.Errorf("restoring snapshot into self-hosted planner: %w", err)

@@ -123,10 +123,6 @@ func runOverloadScenario(spec overloadSpec, opts loadOpts) (*overloadResult, err
 		MaxWait:       spec.maxWait,
 	}
 	hostOpts.staleServe = true
-	// Sequential search keeps cold service times deterministic (a parallel
-	// search would spread one admitted request across every core, competing
-	// with the in-process client and making "saturation" load-dependent).
-	hostOpts.sequential = true
 	target, err := startTarget(hostOpts)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@
 //
 //	dqopt -in query.json                    # branch-and-bound, prove optimality
 //	dqopt -in query.json -algo srivastava   # uniform-communication baseline
-//	dqopt -in query.json -parallel 4        # parallel B&B with 4 workers
 //	dqopt -in query.json -explain -trace 20 # cost breakdown + search trace
 //	dqopt -in query.json -o solved.json     # write the plan back as JSON
 package main
@@ -40,7 +39,6 @@ func run(args []string) error {
 		timeout    = fs.Duration("timeout", 0, "optimization time budget (bnb only, 0 = none)")
 		nodeLimit  = fs.Int64("node-limit", 0, "node budget (bnb only, 0 = none)")
 		seedGreedy = fs.Bool("seed-greedy", false, "seed bnb with the greedy incumbent")
-		parallel   = fs.Int("parallel", 0, "parallel bnb workers (0 = sequential)")
 		explain    = fs.Bool("explain", false, "print the per-stage cost analysis")
 		traceLast  = fs.Int("trace", 0, "record the search and print the last N events (bnb only)")
 		out        = fs.String("o", "", "write instance+plan JSON here")
@@ -74,19 +72,14 @@ func run(args []string) error {
 			}
 			opts.InitialIncumbent = greedy.Plan
 		}
-		if *traceLast > 0 && *parallel == 0 {
+		if *traceLast > 0 {
 			rec, err = trace.NewRecorder(*traceLast)
 			if err != nil {
 				return err
 			}
 			opts.Tracer = rec
 		}
-		var res core.Result
-		if *parallel > 0 {
-			res, err = core.OptimizeParallel(q, opts, *parallel)
-		} else {
-			res, err = core.OptimizeWithOptions(q, opts)
-		}
+		res, err := core.OptimizeWithOptions(q, opts)
 		if err != nil {
 			return err
 		}

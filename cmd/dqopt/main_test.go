@@ -67,21 +67,6 @@ func TestRunSeedGreedyAndBudgets(t *testing.T) {
 	}
 }
 
-func TestRunParallel(t *testing.T) {
-	in := writeFixture(t)
-	out := filepath.Join(t.TempDir(), "par.json")
-	if err := run([]string{"-in", in, "-parallel", "3", "-o", out}); err != nil {
-		t.Fatalf("run -parallel: %v", err)
-	}
-	inst, err := model.LoadInstance(out)
-	if err != nil {
-		t.Fatalf("LoadInstance: %v", err)
-	}
-	if inst.Cost != 2.5 {
-		t.Errorf("parallel cost = %v, want 2.5", inst.Cost)
-	}
-}
-
 func TestRunExplainAndTrace(t *testing.T) {
 	in := writeFixture(t)
 	if err := run([]string{"-in", in, "-explain", "-trace", "50"}); err != nil {
@@ -96,6 +81,7 @@ func TestRunErrors(t *testing.T) {
 		{"-in", "does-not-exist.json"},   // missing file
 		{"-in", in, "-algo", "quantum"},  // unknown algorithm
 		{"-in", in, "-node-limit", "-5"}, // invalid budget
+		{"-in", in, "-parallel", "3"},    // retired: the search is sequential
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {

@@ -22,7 +22,7 @@ var keptFlags = []string{
 	"exact-only", "exec-backend", "exec-call-timeout", "exec-deadline",
 	"exec-failover", "exec-hedge-delay", "exec-replicas", "exec-seed",
 	"fleet-addr", "fleet-id", "idle-timeout", "max-body",
-	"max-header", "node-limit", "parallel-threshold", "peers", "pprof",
+	"max-header", "node-limit", "peers", "pprof",
 	"read-timeout", "replication", "snapshot-interval", "snapshot-path",
 	"stale-serve", "time-limit", "write-timeout",
 }
@@ -40,7 +40,7 @@ func TestFlagSet(t *testing.T) {
 // being silently ignored.
 func TestRetiredFlagsFail(t *testing.T) {
 	for _, name := range []string{
-		"search-workers", "batch-workers", "beam-width", "heuristic-bb-nodes", "heuristic-threshold",
+		"search-workers", "batch-workers", "parallel-threshold", "beam-width", "heuristic-bb-nodes", "heuristic-threshold",
 		"admit-max-queue", "admit-max-wait", "admit-cold-frac", "admit-tenant-burst", "replan-queue",
 		"exec-retry-budget", "exec-breaker-threshold", "exec-breaker-cooldown", "exec-block",
 		"exec-hedge-quantile", "exec-hedge-budget", "exec-hedge-cap", "exec-failover-retries",
@@ -70,7 +70,6 @@ func TestFlagsLandInConfig(t *testing.T) {
 	}{
 		{[]string{"-addr", "127.0.0.1:9"}, func(c config) any { return c.addr }, "127.0.0.1:9", ":8080"},
 		{[]string{"-cache", "16"}, func(c config) any { return c.planner.CacheCapacity }, 16, planner.DefaultCacheCapacity},
-		{[]string{"-parallel-threshold", "-1"}, func(c config) any { return c.planner.ParallelThreshold }, -1, planner.DefaultParallelThreshold},
 		{[]string{"-time-limit", "3s"}, func(c config) any { return c.planner.Search.TimeLimit }, 3 * time.Second, time.Duration(0)},
 		{[]string{"-node-limit", "500"}, func(c config) any { return c.planner.Search.NodeLimit }, int64(500), int64(0)},
 		{[]string{"-exact-only"}, func(c config) any { return c.planner.ExactOnly }, true, false},

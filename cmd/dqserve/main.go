@@ -94,9 +94,8 @@
 // Instances up to the exact core's 64-service limit take the exact search
 // first, under a node budget; one that spends it, and every instance past
 // the limit, is served by the heuristic planning tier (greedy + beam +
-// local search, and budgeted branch-and-bound where it still fits and
-// has not already run). Every response reports which tier produced its
-// plan in the "tier" field.
+// local search, seeded with the spent search's incumbent). Every response
+// reports which tier produced its plan in the "tier" field.
 //
 // Example:
 //
@@ -184,7 +183,6 @@ func newFlagSet(c *config) *flag.FlagSet {
 
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.planner.CacheCapacity, "cache", planner.DefaultCacheCapacity, "plan cache capacity (-1 disables)")
-	fs.IntVar(&c.planner.ParallelThreshold, "parallel-threshold", planner.DefaultParallelThreshold, "instance size switching to parallel search (-1 = always sequential)")
 	fs.DurationVar(&c.planner.Search.TimeLimit, "time-limit", 0, "per-search time budget (0 = none)")
 	fs.Int64Var(&c.planner.Search.NodeLimit, "node-limit", 0, "per-search node budget (0 = none)")
 	fs.BoolVar(&c.planner.ExactOnly, "exact-only", false, "disable the heuristic tier: the exact search runs without its 2^19-node routing budget, and queries past the 64-service exact limit are rejected (by default they, and searches that spend the budget, get a heuristic plan)")

@@ -436,35 +436,28 @@
 //     against the retained naive implementations with ==), at ~O(R) per
 //     node. The closure test additionally short-circuits at the first
 //     bound term exceeding epsilon.
-//   - Dominance memoization. A shared transposition table prunes the
-//     tree itself: for the bottleneck objective two prefixes over the
+//   - Dominance memoization. A transposition table prunes the tree
+//     itself: for the bottleneck objective two prefixes over the
 //     same placed set, same last service, and bitwise-equal selectivity
 //     product have identical futures, so only the arrival with the
 //     smallest finalized bottleneck is ever extended — later arrivals are
 //     cut with their whole subtrees (6–26x fewer nodes on the hard
-//     benchmark cells, at bit-identical optima and, sequentially,
-//     bit-identical plans; a differential test pins both). The table is
-//     memory-capped with depth-banded admission and clock-hand eviction,
-//     parallel workers share prunes through lock-free probes and CAS
-//     publishes, and Options.DisableDominance restores the raw tree for
-//     ablations. Every search draws a 160 KiB table from one pool,
-//     whatever its n, and the table grows four times larger (up to its
-//     cap-bound size, 10 MiB from n = 18) only when a full set would
+//     benchmark cells, at bit-identical optima and bit-identical plans; a
+//     differential test pins both). The table is memory-capped with
+//     depth-banded admission and clock-hand eviction, belongs to one
+//     search at a time, and Options.DisableDominance restores the raw
+//     tree for ablations. Every search draws a 128 KiB table from one
+//     pool, whatever its n, and the table grows four times larger (up to
+//     its cap-bound size, 8 MiB from n = 18) only when a full set would
 //     otherwise evict, so the search prunes exactly as with the full
 //     table. A returned table drops what it grew into and is emptied in
 //     O(1) by advancing a generation stamped into every slot, so
 //     first-sight queries no longer allocate and zero a table sized by
 //     their state space.
 //   - A zero-allocation node loop. Query data is flattened into dense
-//     per-service arrays shared read-only by all workers, the remaining
-//     set is iterated via bits.TrailingZeros64, and incumbent plans reuse
-//     a per-search buffer (cloned only when published to the cross-worker
-//     incumbent). testing.AllocsPerRun pins allocations per node at zero.
-//   - Adaptive parallel search. Parallel workers claim three-service
-//     subtree tasks (not whole root pairs) on instances large enough for
-//     subtree skew to matter, and draw node budget from one shared atomic
-//     pool, so NodeLimit bounds the total work of a parallel run no
-//     matter how unevenly the tree splits.
+//     per-service arrays, the remaining set is iterated via
+//     bits.TrailingZeros64, and incumbent plans reuse a per-search
+//     buffer. testing.AllocsPerRun pins allocations per node at zero.
 //
 // The benchmark baseline lives in BENCH_search.json (regenerate with
 // cmd/dqbench -json); CI diffs every push against it.

@@ -2,15 +2,14 @@ package serviceordering
 
 import (
 	"serviceordering/internal/calibrate"
-	"serviceordering/internal/core"
 	"serviceordering/internal/model"
 	"serviceordering/internal/robust"
 	"serviceordering/internal/trace"
 )
 
 // This file exposes the library's extensions beyond the paper's core
-// algorithm: parallel search, search tracing, parameter calibration from
-// observed executions, plan-stability analysis, and plan explanation.
+// algorithm: search tracing, parameter calibration from observed
+// executions, plan-stability analysis, and plan explanation.
 
 // Extension types, re-exported from their internal packages.
 type (
@@ -31,13 +30,6 @@ type (
 	// PlanAnalysis is the per-stage explanation of a plan's cost.
 	PlanAnalysis = model.Analysis
 )
-
-// OptimizeParallel runs the branch-and-bound with the given number of
-// workers (0 = GOMAXPROCS), sharing the incumbent bound across workers.
-// The returned cost is the same optimum the sequential search proves.
-func OptimizeParallel(q *Query, opts Options, workers int) (Result, error) {
-	return core.OptimizeParallel(q, opts, workers)
-}
 
 // NewTraceRecorder builds a ring-buffer recorder for Options.Tracer,
 // keeping the most recent capacity events.

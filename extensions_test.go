@@ -27,17 +27,6 @@ func fixtureQuery(t *testing.T) *serviceordering.Query {
 	return q
 }
 
-func TestFacadeOptimizeParallel(t *testing.T) {
-	q := fixtureQuery(t)
-	res, err := serviceordering.OptimizeParallel(q, serviceordering.Options{}, 2)
-	if err != nil {
-		t.Fatalf("OptimizeParallel: %v", err)
-	}
-	if math.Abs(res.Cost-2.5) > 1e-9 || !res.Optimal {
-		t.Fatalf("parallel result = (%v, optimal %v)", res.Cost, res.Optimal)
-	}
-}
-
 func TestFacadeTracing(t *testing.T) {
 	q := fixtureQuery(t)
 	rec, err := serviceordering.NewTraceRecorder(128)

@@ -84,8 +84,8 @@ type (
 	// concurrent use.
 	Planner = planner.Planner
 
-	// PlannerConfig tunes a Planner (cache capacity, worker counts,
-	// base search options). The zero value is production-ready.
+	// PlannerConfig tunes a Planner (cache capacity, base search
+	// options, the heuristic tier). The zero value is production-ready.
 	PlannerConfig = planner.Config
 
 	// PlannerResult is a planner outcome: the optimization result plus

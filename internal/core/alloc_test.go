@@ -94,45 +94,8 @@ func TestSearchZeroAllocsPerNode(t *testing.T) {
 	}
 }
 
-// The parallel path shares the prep and the dominance table across
-// workers; per-worker setup may allocate, but the node loop itself must
-// not. Guarded the same way, with the worker count held at 1 so node
-// counts are deterministic.
-func TestParallelSearchSteadyStateAllocs(t *testing.T) {
-	p := gen.Default(12, 20156)
-	p.SelMin = 0.85
-	q, err := p.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, disableDom := range []bool{false, true} {
-		t.Run(fmt.Sprintf("dominance=%v", !disableDom), func(t *testing.T) {
-			run := func(nodeLimit int64) (allocs int64) {
-				opts := core.Options{DisableDominance: disableDom, NodeLimit: nodeLimit}
-				mallocs, _ := leastAllocs(10, func() {
-					if _, err := core.OptimizeParallel(q, opts, 1); err != nil {
-						t.Fatal(err)
-					}
-				})
-				return int64(mallocs)
-			}
-
-			shortAllocs := run(64)
-			fullAllocs := run(0)
-			// Parallel incumbent publication clones the plan under the
-			// shared lock, so allow a handful of improvement-driven
-			// allocations — but nothing scaling with the thousands of extra
-			// nodes.
-			if diff := fullAllocs - shortAllocs; diff > 32 {
-				t.Fatalf("parallel node loop allocates: full run %v vs truncated %v", fullAllocs, shortAllocs)
-			}
-		})
-	}
-}
-
 // A search must not pay for a fresh dominance table: every search draws
-// its table at domtable's 160 KiB floor from one pool, whatever its n, and
+// its table at domtable's 128 KiB floor from one pool, whatever its n, and
 // a search that stays within the floor hands it back unchanged. So
 // searches of different sizes in turn each draw the table another size
 // returned. Before the pool served every n, each n >= 18 search allocated
@@ -180,15 +143,13 @@ func TestSearchRecyclesDominanceTable(t *testing.T) {
 
 // A search's setup must cost what the search takes, not what the instance
 // could offer: the root pairs come off a heap as the search takes them
-// (most searches take one or two of n(n-1)), the prep's buffers and the
-// parallel task list come back from a pool, and so does the dominance
-// table, at its floor size whatever n is. What a repeated search still
-// allocates is its own search state (per-worker scratch, the returned
-// plan), the compiled precedence and, in parallel, the goroutines' shared
-// bookkeeping. At n = 17, fresh prep buffers and a full sort of all 272
-// pairs cost 19112 bytes in 26 allocations per sequential search, and
-// 56384 bytes in 52 with two workers; from n = 18, a fresh 10 MiB
-// dominance table came on top.
+// (most searches take one or two of n(n-1)), the prep's buffers come back
+// from a pool, and so does the dominance table, at its floor size whatever
+// n is. What a repeated search still allocates is its own search state
+// (scratch and the returned plan) and the compiled precedence. At n = 17,
+// fresh prep buffers and a full sort of all 272 pairs cost 19112 bytes in
+// 26 allocations per search; from n = 18, a fresh 10 MiB dominance table
+// came on top.
 func TestSearchSetupAllocs(t *testing.T) {
 	var qs []*model.Query
 	for _, n := range []int{17, 18, 32, 48} {
@@ -203,15 +164,14 @@ func TestSearchSetupAllocs(t *testing.T) {
 		name     string
 		optimize func(*model.Query) (core.Result, error)
 		// bytes and mallocs bound the n = 17 search; larger searches may
-		// allocate up to largeBytes, well under the 160 KiB floor table a
+		// allocate up to largeBytes, well under the 128 KiB floor table a
 		// pool miss would allocate, in as many allocations.
 		bytes, largeBytes uint64
 		mallocs           uint64
 	}{
 		// Measured: 824 bytes in 7 allocations at n = 17 and 1840 at
-		// n = 48; in parallel 3080 bytes in 31 and 6672 in 31.
+		// n = 48.
 		{"sequential", func(q *model.Query) (core.Result, error) { return core.OptimizeWithOptions(q, core.Options{}) }, 1024, 4096, 10},
-		{"parallel", func(q *model.Query) (core.Result, error) { return core.OptimizeParallel(q, core.Options{}, 2) }, 4096, 10240, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, q := range qs {

@@ -83,39 +83,3 @@ func TestCancelMidSearchSequential(t *testing.T) {
 		t.Fatal("sequential search did not honor cancellation")
 	}
 }
-
-// TestCancelMidSearchParallel is the same contract for the parallel
-// optimizer: every worker polls the shared channel, so one close stops
-// the whole pool.
-func TestCancelMidSearchParallel(t *testing.T) {
-	t.Parallel()
-	q, err := gen.Default(11, 424).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel := make(chan struct{})
-	opts := ablationOpts()
-	opts.Cancel = cancel
-	type outcome struct {
-		res core.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := core.OptimizeParallel(q, opts, 4)
-		done <- outcome{res, err}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	close(cancel)
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.res.Optimal {
-			t.Fatal("canceled parallel search claimed an optimality proof")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("parallel search did not honor cancellation")
-	}
-}

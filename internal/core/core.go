@@ -80,3 +80,13 @@ func OptimizeWithOptions(q *model.Query, opts Options) (Result, error) {
 	pr.release()
 	return res, err
 }
+
+// OptimizeParallel returns OptimizeWithOptions(q, opts); workers is
+// ignored. The exact search is sequential: a depth-first walk that keeps
+// the ascending pair and child order Lemma 3 relies on.
+//
+// Deprecated: use OptimizeWithOptions. perfbench/trace.go is the last
+// caller, and the benchmark change that stops calling it deletes this.
+func OptimizeParallel(q *model.Query, opts Options, workers int) (Result, error) {
+	return OptimizeWithOptions(q, opts)
+}

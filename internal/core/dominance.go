@@ -28,8 +28,8 @@ import (
 // Feasibility is preserved because precedence admissibility depends only
 // on the placed set.
 //
-// Exactness under the other rules and under concurrency, by strong
-// induction on the remaining-set size: a table value always traces to a
+// Exactness under the other rules, by strong induction on the
+// remaining-set size: a table value always traces to a
 // node that was NOT pruned and therefore committed to searching its
 // subtree; within that subtree every prune is sound (Lemma 1 against a
 // bound that never undercuts the optimum, exact Lemma 2 closures, Lemma 3
@@ -41,22 +41,23 @@ import (
 // pre-existing entry, and entries are only written by nodes that did not
 // prune.
 //
-// The induction assumes published commitments are honored, which a node
-// or time budget can break: a worker that publishes a state and then
-// aborts mid-subtree leaves a commitment nothing searched, and arrivals
-// pruned against it lose completions no one explored. Proven optimality
-// is unaffected — any aborted run already reports Optimal == false — but
-// the ANYTIME incumbent of a budget-truncated run can be worse with
-// dominance on than off (the same caveat applies to Lemma 1 pruning
-// against an InitialIncumbent seed under truncation; disable dominance, or
-// pass no seed, when tuning anytime behavior under hard budgets).
+// The induction assumes published commitments are honored. A node or time
+// budget that stops the run does not break it: a pruned arrival B always
+// comes after the recorded prefix A's subtree completed (the walk is
+// depth-first), so a budget that trips inside A's subtree stops the run
+// before B is reached. Proven optimality is unaffected either way — any
+// aborted run reports Optimal == false — but the ANYTIME incumbent of a
+// budget-truncated run can still differ from a dominance-off run's, since
+// the two spend the same node budget on different trees (the same holds
+// for Lemma 1 pruning against an InitialIncumbent seed; disable dominance,
+// or pass no seed, when tuning anytime behavior under hard budgets).
 //
-// In the SEQUENTIAL search the rule is moreover plan-preserving, not just
-// cost-preserving: a pruned prefix B is always visited after the recorded
-// prefix A's subtree completed, whose incumbent updates already undercut
-// everything B's subtree contains, so the incumbent stream — and with it
-// the returned plan — is bit-for-bit the one the dominance-off search
-// produces. The differential tests pin both properties.
+// The rule is moreover plan-preserving, not just cost-preserving: a
+// pruned prefix B is always visited after the recorded prefix A's subtree
+// completed, whose incumbent updates already undercut everything B's
+// subtree contains, so the incumbent stream — and with it the returned
+// plan — is bit-for-bit the one the dominance-off search produces. The
+// differential tests pin both properties.
 
 // DefaultDominanceTableBytes is the dominance-table memory cap used when
 // Options.DominanceTableBytes is zero. It is a ceiling, not the usual
@@ -64,7 +65,7 @@ import (
 // space (searches publish far fewer states than the bound — see the sizing
 // policy there), so the cap only binds from n = 19 up, where it clamps
 // the table to 262,144 slots and clock-hand eviction recycles the rest.
-// Nor is that size allocated up front: every search draws a 160 KiB table
+// Nor is that size allocated up front: every search draws a 128 KiB table
 // from domtable's one pool, whatever its n, and the table grows four times
 // larger, up to that size, only when a full set would otherwise evict. An
 // idle floor table stays resident between searches until the garbage
@@ -87,7 +88,7 @@ const domMinServices = 4
 // the instance is outside the packable range, or when the memory cap
 // cannot hold a useful table. The second result is the deepest admitted
 // prefix depth. The caller hands the table back with domtable.Put once
-// the last searcher using it has returned.
+// the search has returned.
 func newDomTable(n int, opts Options) (*domtable.Table, int) {
 	if opts.DisableDominance || n < domMinServices {
 		return nil, 0

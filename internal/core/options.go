@@ -48,14 +48,10 @@ type Options struct {
 	// for the bottleneck objective, two prefixes over the same placed set
 	// with the same last service have identical futures, so only the one
 	// with the smallest finalized bottleneck needs extension. The rule is
-	// exact (it never changes the optimum the search proves, nor — in the
-	// sequential search — the plan that proves it); disabling it is for
-	// ablations, for measuring the raw tree, and for anytime tuning: on
-	// budget-truncated runs (NodeLimit/TimeLimit tripped, Optimal ==
-	// false) pruning against a commitment published by a worker the
-	// budget later aborted can cost incumbent quality. Dominance is
-	// implicitly unavailable on instances too large to pack a
-	// (mask, last) key into one word (n > 58).
+	// exact (it never changes the optimum the search proves, nor the plan
+	// that proves it); disabling it is for ablations and for measuring the
+	// raw tree. Dominance is implicitly unavailable on instances too large
+	// to pack a (mask, last) key into one word (n > 58).
 	DisableDominance bool
 
 	// DominanceTableBytes caps the memory of the dominance table
@@ -160,13 +156,12 @@ type Stats struct {
 	DominancePrunes    int64
 	DominanceOccupancy float64
 
-	// IncumbentUpdates counts improvements of rho; OptimizeParallel also
-	// counts the installation of an InitialIncumbent.
+	// IncumbentUpdates counts improvements of rho found by the search
+	// (an InitialIncumbent is not counted).
 	IncumbentUpdates int64
 
-	// NodeLimitReached reports that Options.NodeLimit stopped the run:
-	// the sequential count reached it, or in OptimizeParallel the shared
-	// pool ran dry. A run stopped by TimeLimit or Cancel leaves it false.
+	// NodeLimitReached reports that Options.NodeLimit stopped the run. A
+	// run stopped by TimeLimit or Cancel leaves it false.
 	NodeLimitReached bool
 
 	// Elapsed is the wall-clock duration of the search.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"serviceordering/internal/domtable"
@@ -13,8 +12,7 @@ import (
 )
 
 // search holds the mutable state of one branch-and-bound run. All static
-// per-query data lives in the embedded prep, which parallel workers share
-// read-only; everything here is worker-local.
+// per-query data lives in the embedded prep.
 type search struct {
 	*prep
 	opts Options
@@ -28,21 +26,11 @@ type search struct {
 	aborted   bool
 	stats     Stats
 
-	// shared, when non-nil, coordinates the incumbent across parallel
-	// workers; rho is then a worker-local cache of the global bound.
-	shared *sharedIncumbent
-
-	// dom, when non-nil, is the subset-dominance transposition table
-	// (shared across parallel workers); domBand is the deepest prefix
-	// depth admitted to it. See dominance.go.
+	// dom, when non-nil, is the subset-dominance transposition table;
+	// domBand is the deepest prefix depth admitted to it. See
+	// dominance.go.
 	dom     *domtable.Table
 	domBand int
-
-	// sharedBudget, when non-nil, is the cross-worker node budget; the
-	// worker draws allowance from it in budgetChunk blocks so the shared
-	// atomic is touched once per chunk, not once per node.
-	sharedBudget *atomic.Int64
-	allowance    int64
 
 	deadline    time.Time
 	hasDeadline bool
@@ -50,7 +38,7 @@ type search struct {
 	// Scratch buffers (allocated once per search, reused by every node).
 	remScratch    []int
 	growthScratch []float64
-	planBuf       model.Plan // incumbent plan buffer; cloned only when published to a shared incumbent
+	planBuf       model.Plan // incumbent plan buffer, handed to the caller as the result
 }
 
 // pstate mirrors model.PrefixState over the prep's flattened arrays: the
@@ -112,10 +100,6 @@ func (s *search) completeCost(ps pstate) float64 {
 // retNone is the "no jump" return value of dfs; any value larger than the
 // deepest possible depth works.
 const retNone = int(^uint(0) >> 1)
-
-// budgetChunk is the number of node expansions a worker draws from a
-// shared node budget per acquisition.
-const budgetChunk = 64
 
 func newSearch(pr *prep, opts Options) *search {
 	n := pr.n
@@ -210,7 +194,6 @@ func (s *search) dfs(depth int, ps pstate) int {
 	if s.opts.Tracer != nil && depth > 2 {
 		s.opts.Tracer.Record(trace.Event{Kind: trace.KindExpand, Depth: depth, Service: ps.last})
 	}
-	s.refreshRho()
 
 	if depth == s.n {
 		if cost := s.completeCost(ps); cost < s.rho {
@@ -238,10 +221,10 @@ func (s *search) dfs(depth int, ps pstate) int {
 	// bottleneck <= ours has the bitwise-identical future (same remaining
 	// set, same outgoing transfer row, same product feeding every term)
 	// and was already committed to extension, so every completion of this
-	// prefix is matched or beaten there. Visit atomically publishes our
-	// own maxDone when we are the best-known arrival — that publish is
-	// this node's commitment to soundly search its subtree, which is what
-	// makes pruning later arrivals exact (see dominance.go and
+	// prefix is matched or beaten there. Visit publishes our own maxDone
+	// when we are the best-known arrival — that publish is this node's
+	// commitment to soundly search its subtree, which is what makes
+	// pruning later arrivals exact (see dominance.go and
 	// internal/domtable).
 	if s.dom != nil && depth >= domMinDepth && depth <= s.domBand {
 		if s.dom.Visit(s.placed, ps.last, math.Float64bits(ps.prodBefore), ps.maxDone) {
@@ -327,15 +310,6 @@ func (s *search) runPair(a, b int) int {
 	return s.dfs(2, s.pairState(a, b))
 }
 
-// runTriple descends into the subtree rooted at the three-service prefix
-// [a, b, c]; the parallel work-splitting path uses it to explore one pair
-// subtree from several workers at once.
-func (s *search) runTriple(a, b, c int) int {
-	s.prefix = append(s.prefix[:0], a, b, c)
-	s.placed = 1<<uint(a) | 1<<uint(b) | 1<<uint(c)
-	return s.dfs(3, s.childState(s.pairState(a, b), 2, c))
-}
-
 // remaining collects the unplaced service indices into the shared scratch
 // slice (invalidated by the next call), iterating set bits instead of
 // scanning all n indices.
@@ -371,62 +345,22 @@ func (s *search) completePlan() model.Plan {
 	return plan
 }
 
-// refreshRho pulls the global bound into the worker-local cache when the
-// search is part of a parallel run.
-func (s *search) refreshRho() {
-	if s.shared == nil {
-		return
-	}
-	if r := s.shared.load(); r < s.rho {
-		s.rho = r
-	}
-}
-
-// commitIncumbent records an improved complete plan, locally or through
-// the shared incumbent. plan may alias the reusable planBuf: the shared
-// incumbent copies it under its lock, and the sequential path hands the
-// buffer itself to the caller only after the run ends.
+// commitIncumbent records an improved complete plan. plan may alias the
+// reusable planBuf, which is handed to the caller only after the run ends.
 func (s *search) commitIncumbent(cost float64, plan model.Plan) {
-	if s.shared != nil {
-		if s.shared.tryUpdate(cost, plan) {
-			s.stats.IncumbentUpdates++
-		}
-		s.refreshRho()
-		if cost < s.rho {
-			s.rho = cost
-		}
-		return
-	}
 	s.rho = cost
 	s.best = plan
 	s.stats.IncumbentUpdates++
 }
 
-// budgetOK enforces the node and time budgets; once either trips, the
-// search unwinds returning the incumbent. With a shared budget, allowance
-// is drawn in budgetChunk blocks; a worker aborts only when the pool is
-// empty, so a parallel run expands at most NodeLimit nodes in total no
-// matter how the work is distributed across workers. Either way a run the
-// node budget stopped reports NodeLimitReached.
+// budgetOK enforces the node and time budgets and cancellation; once one
+// trips, the search unwinds returning the incumbent. A run the node budget
+// stopped reports NodeLimitReached.
 func (s *search) budgetOK() bool {
 	if s.aborted {
 		return false
 	}
-	if s.sharedBudget != nil {
-		if s.allowance == 0 {
-			take := int64(budgetChunk)
-			rest := s.sharedBudget.Add(-take)
-			if rest <= -take {
-				s.aborted, s.stats.NodeLimitReached = true, true
-				return false
-			}
-			if rest < 0 {
-				take += rest
-			}
-			s.allowance = take
-		}
-		s.allowance--
-	} else if s.opts.NodeLimit > 0 && s.stats.NodesExpanded > s.opts.NodeLimit {
+	if s.opts.NodeLimit > 0 && s.stats.NodesExpanded > s.opts.NodeLimit {
 		s.aborted, s.stats.NodeLimitReached = true, true
 		return false
 	}

@@ -305,8 +305,7 @@ func TestOptimizeNodeLimit(t *testing.T) {
 }
 
 // TestNodeLimitReached pins which stops report Stats.NodeLimitReached: the
-// node budget, counted sequentially or drawn from the parallel workers'
-// shared pool, with exactly NodeLimit nodes expanded; not a time limit, a
+// node budget, with exactly NodeLimit nodes expanded; not a time limit, a
 // cancel, or a run that finishes inside its budget.
 func TestNodeLimitReached(t *testing.T) {
 	q := randInstance(rand.New(rand.NewSource(8)), 14, instanceKind{})
@@ -321,26 +320,16 @@ func TestNodeLimitReached(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		opts     core.Options
-		workers  int // 0 = sequential
 		reached  bool
 		finishes bool
 	}{
-		{"sequential node limit", with(func(o *core.Options) { o.NodeLimit = 500 }), 0, true, false},
-		{"parallel node limit", with(func(o *core.Options) { o.NodeLimit = 500 }), 2, true, false},
-		{"time limit", with(func(o *core.Options) { o.TimeLimit = 5 * time.Millisecond }), 0, false, false},
-		{"parallel time limit", with(func(o *core.Options) { o.TimeLimit = 5 * time.Millisecond }), 2, false, false},
-		{"cancel", with(func(o *core.Options) { o.Cancel = canceled }), 0, false, false},
-		{"finished inside the limit", core.Options{NodeLimit: 1 << 30}, 0, false, true},
-		{"parallel finished inside the limit", core.Options{NodeLimit: 1 << 30}, 2, false, true},
+		{"sequential node limit", with(func(o *core.Options) { o.NodeLimit = 500 }), true, false},
+		{"time limit", with(func(o *core.Options) { o.TimeLimit = 5 * time.Millisecond }), false, false},
+		{"cancel", with(func(o *core.Options) { o.Cancel = canceled }), false, false},
+		{"finished inside the limit", core.Options{NodeLimit: 1 << 30}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var res core.Result
-			var err error
-			if tc.workers > 0 {
-				res, err = core.OptimizeParallel(q, tc.opts, tc.workers)
-			} else {
-				res, err = core.OptimizeWithOptions(q, tc.opts)
-			}
+			res, err := core.OptimizeWithOptions(q, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

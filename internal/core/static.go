@@ -13,17 +13,14 @@ import (
 // float64 slices instead of chasing Service structs and nested slices:
 // per-service cost/selectivity/thread-count vectors, the row-major
 // transfer matrix, and presorted per-service transfer orders (indices and
-// values side by side). It is computed once per optimization and shared
-// read-only across all parallel workers, so the O(n^2 log n) setup is paid
-// once instead of once per worker.
+// values side by side). It is computed once per optimization.
 //
 // The root pairs are the exception: they sit in a min-heap that the search
 // pops in ascending cost only as it takes them. Lemma 1 stops the search at
 // the first pair whose cost reaches the incumbent, so most searches take
 // one to three of the n(n-1) pairs, and sorting them all cost more than
-// the search itself. The parallel path pops its pairs before any worker
-// starts. A prep and its buffers come from prepPool and go back through
-// release once the search is done with them.
+// the search itself. A prep and its buffers come from prepPool and go back
+// through release once the search is done with them.
 //
 // Every derived value is produced by the same expression the model package
 // uses (for example gmax[i] = math.Max(Selectivity, 1)), so arithmetic on
@@ -65,11 +62,6 @@ type prep struct {
 	// pairs holds the feasible root pairs not yet taken, as a min-heap in
 	// increasing cost order (see popPair).
 	pairs []rootPair
-
-	// The parallel path's popped pairs and task list, recycled with the
-	// prep.
-	taken []rootPair
-	tasks []parTask
 }
 
 // prepPool recycles preps and their buffers across searches.
@@ -173,8 +165,6 @@ func newPrep(q *model.Query) *prep {
 	}
 
 	p.buildRootPairs()
-	p.taken = p.taken[:0]
-	p.tasks = p.tasks[:0]
 	return p
 }
 

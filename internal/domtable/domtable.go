@@ -1,12 +1,12 @@
-// Package domtable implements the shared transposition table behind the
-// exact subset-dominance rule: for a bottleneck objective, two prefixes
-// over the same placed set with the same last element have identical
-// futures (same remaining set, same selectivity product over the placed
-// set minus the last element, same outgoing transfer row), so only the
-// prefix with the smallest finalized bottleneck ever needs extension. The
-// table records, per state, the smallest finalized bottleneck any searcher
-// has committed to extending; later arrivals at the same state with an
-// equal-or-worse bottleneck are pruned.
+// Package domtable implements the transposition table behind the exact
+// subset-dominance rule: for a bottleneck objective, two prefixes over the
+// same placed set with the same last element have identical futures (same
+// remaining set, same selectivity product over the placed set minus the
+// last element, same outgoing transfer row), so only the prefix with the
+// smallest finalized bottleneck ever needs extension. The table records,
+// per state, the smallest finalized bottleneck the search has committed to
+// extending; later arrivals at the same state with an equal-or-worse
+// bottleneck are pruned.
 //
 // A state is (mask, last, prodBits): the placed set, the last element, and
 // the exact BIT PATTERN of the selectivity product over mask minus last.
@@ -22,42 +22,34 @@
 //
 //   - Exactness. A pruned state must provably contain no plan improving on
 //     the one the recorded state's subtree (soundly searched) can reach.
-//     The table therefore never lets a torn or stale read surface as a
-//     bound: entries are guarded by a per-entry sequence lock, readers
-//     discard inconsistent snapshots, and values only ever decrease
-//     (CAS-min under the entry lock). A lost update or a discarded read
-//     merely forfeits a prune.
-//   - Lock-free hot path. Probes (the per-node dominance check) are plain
-//     atomic loads; only publishes (once per expanded node at most) touch
-//     the entry's version word with a CAS, and a contended publish gives
-//     up rather than spins — admission is best-effort.
+//     The table therefore only ever returns a bound that was published for
+//     that exact state, and the bound held for a state only ever
+//     decreases.
 //   - Bounded memory. The table is sized from a hard byte cap, organized
 //     as sharded set-associative buckets; full sets evict with a
-//     second-chance clock hand over per-entry reference bits, so long runs
-//     on instances beyond the exact-table regime recycle space instead of
-//     growing past the cap.
+//     second-chance clock hand per shard over per-entry reference bits, so
+//     long runs on instances beyond the exact-table regime recycle space
+//     instead of growing past the cap.
 //   - One owner per search, recycled between searches. Entries are only
 //     valid for the costs of the query that published them: a bound left
 //     over from another query can prune that query's true optimum. A
-//     table therefore serves one search at a time, and Get hands out and
-//     Put takes back tables that are logically empty. Emptying is O(1):
-//     every slot carries the generation it was written under, Put
-//     advances the table's generation, and a slot from another generation
-//     counts as empty everywhere. Put also restarts the counters and the
-//     clock hands, so a recycled table answers every call exactly as a
-//     fresh one would. Only a wrapped generation counter clears the slots.
+//     table therefore belongs to one search from Get to Put, and no
+//     method is safe for concurrent use. Get hands out and Put takes back
+//     tables that are logically empty. Emptying is O(1): every slot
+//     carries the generation it was written under, Put advances the
+//     table's generation, and a slot from another generation counts as
+//     empty everywhere. Put also restarts the counters and the clock
+//     hands, so a recycled table answers every call exactly as a fresh
+//     one would. Only a wrapped generation counter clears the slots.
 //   - Memory that follows the search. A table from Get starts at the
 //     minEntries floor whatever its cap, and grows four times larger (at
 //     most to the cap) only when an admission would otherwise evict.
 //     Growth copies every resident state into the larger slots, keeping
 //     its set's way order and its reference bit: the larger table's sets
-//     split each smaller set, so a sequential caller sees the same hits,
-//     evictions and counters as from a table built at the cap (New).
-//     Under concurrent callers growth seals the old slots before copying
-//     them, so a write that reaches them afterwards is refused (a lost
-//     admission) instead of lost after the copy, and a value never rises.
-//     Put keeps only the floor slots, so one pool serves every n and an
-//     idle table costs 160 KiB.
+//     split each smaller set, so the caller sees the same hits, evictions
+//     and counters as from a table built at the cap (New). Put keeps only
+//     the floor slots, so one pool serves every n and an idle table costs
+//     128 KiB.
 //
 // Keys pack the placed-set bitmask and the last element into one word
 // (mask in the low n bits, last above it), which bounds supported
@@ -67,9 +59,7 @@ package domtable
 import (
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxN is the largest element count whose (mask, last) key fits one packed
@@ -78,78 +68,66 @@ const MaxN = 58
 
 // EntryBytes is the memory footprint of one table slot; New derives the
 // slot count from the byte cap with it.
-const EntryBytes = 40
+const EntryBytes = 32
 
 // ways is the set associativity: a key hashes to one set and may live in
 // any of its ways.
 const ways = 4
 
-// maxShards bounds the shard count; shards only exist to spread the clock
-// hands and the eviction traffic, so a small power of two suffices.
+// maxShards bounds the shard count. Each shard keeps its own clock hand,
+// and the shard layout fixes which hash bits choose a set (see locate).
 const maxShards = 16
 
-// lockSpins bounds the publish-side acquisition attempts of an entry's
-// sequence lock before the publish is abandoned (admission is optional,
-// correctness never depends on it).
-const lockSpins = 8
-
 // DefaultTableBytes is the memory cap callers use when they have no
-// reason to pick another: it clamps the slot count only from n = 19 up
-// (below that the 1/8-of-state-space sizing is smaller). The exact-search
-// core defaults to it.
-const DefaultTableBytes int64 = 16 << 20
+// reason to pick another: it clamps the slot count at 2^18, which changes
+// the slot count only from n = 19 up (below that the 1/8-of-state-space
+// sizing is no larger). The exact-search core defaults to it.
+const DefaultTableBytes int64 = 8 << 20
 
-// entry is one table slot. ver is a sequence lock (odd while a writer owns
-// the slot); key is the packed (mask, last) pair, zero when empty; prod is
-// the bit pattern of the state's selectivity product; val is
-// math.Float64bits of the smallest published bottleneck (zero — the bits
-// of +0.0 — doubles as "unset", costing at most a lost prune for states
-// whose true bound is exactly zero); used is the clock-hand reference bit;
-// gen is the table generation the slot was written under (a slot of
-// another generation is empty, whatever its key).
+// entry is one table slot. key is the packed (mask, last) pair, zero when
+// empty; prod is the bit pattern of the state's selectivity product; val
+// is math.Float64bits of the smallest published bottleneck (zero — the
+// bits of +0.0 — doubles as "unset", costing at most a lost prune for
+// states whose true bound is exactly zero); used is the clock-hand
+// reference bit; gen is the table generation the slot was written under
+// (a slot of another generation is empty, whatever its key).
 type entry struct {
-	ver  atomic.Uint64
-	key  atomic.Uint64
-	prod atomic.Uint64
-	val  atomic.Uint64
-	used atomic.Uint32
-	gen  atomic.Uint32
+	key  uint64
+	prod uint64
+	val  uint64
+	used uint32
+	gen  uint32
 }
 
 // shard is one independently evicting slice of a table's slots.
 type shard struct {
 	entries []entry
 	setMask uint64 // number of sets - 1 (sets are a power of two)
-	hand    atomic.Uint32
-	_       [28]byte // keep neighboring shards' hands off one cache line
+	hand    uint32
 }
 
 // slots is the memory a table's states live in: the shards and their clock
-// hands. A growing table replaces its slots with larger ones (see grow),
-// after sealing the old ones against writes.
+// hands. A growing table replaces its slots with larger ones (see grow).
 type slots struct {
 	shards    []shard
 	shardMask uint64
 	entries   int
-	sealed    atomic.Bool
 }
 
-// Table is a sharded transposition table for subset-dominance bounds. All
-// methods are safe for concurrent use; Put takes a table back only once no
-// call on it is in flight.
+// Table is a sharded transposition table for subset-dominance bounds. It
+// belongs to one caller at a time: no method is safe for concurrent use.
 type Table struct {
-	cur     atomic.Pointer[slots] // the slots every call reads and writes
-	floor   *slots                // the slots the table was built with
-	nShift  uint                  // packed key: mask | last << nShift
-	entries int                   // slot count at the cap, which cur grows toward
-	gen     uint32                // current generation; only reset writes it
-	growing atomic.Bool           // held by the one caller growing the table
+	cur     *slots // the slots every call reads and writes
+	floor   *slots // the slots the table was built with
+	nShift  uint   // packed key: mask | last << nShift
+	entries int    // slot count at the cap, which cur grows toward
+	gen     uint32 // current generation; only reset writes it
 
-	filled    atomic.Int64
-	evictions atomic.Int64
+	filled    int64
+	evictions int64
 }
 
-// minEntries is the slot count (160 KiB) every table from Get starts at,
+// minEntries is the slot count (128 KiB) every table from Get starts at,
 // whatever its n and cap, and the one size the pool keeps. It holds every
 // state a pruning-heavy search publishes at small n, and most searches at
 // any n publish far fewer; a search that publishes more grows its table.
@@ -216,9 +194,8 @@ func slotCount(n int, capBytes int64) int64 {
 // build allocates an empty table for n elements whose slots start at size
 // and may grow to capSlots.
 func build(n int, size, capSlots int64) *Table {
-	t := &Table{floor: newSlots(size), nShift: uint(n), entries: int(capSlots)}
-	t.cur.Store(t.floor)
-	return t
+	floor := newSlots(size)
+	return &Table{cur: floor, floor: floor, nShift: uint(n), entries: int(capSlots)}
 }
 
 // newSlots allocates size empty slots. Every size from 128 up has
@@ -268,9 +245,7 @@ func Get(n int, capBytes int64) *Table {
 
 // Put empties t and returns it to the pool with its floor slots; any
 // slots it grew into, and a table built at another size, go to the
-// collector. The caller must hold the only reference in use: every
-// searcher that probes or publishes through t must have returned. Put(nil)
-// is a no-op.
+// collector. The caller must be done with t. Put(nil) is a no-op.
 func Put(t *Table) {
 	if t == nil || t.floor.entries != minEntries {
 		return
@@ -285,22 +260,18 @@ func Put(t *Table) {
 // and eviction counters and every shard's clock hand, so the emptied table
 // makes the same admission, growth and eviction choices as a fresh one.
 // When the generation counter wraps, reset clears every slot instead, so a
-// slot of the first generation cannot come back to life. reset must not
-// run concurrently with any other method.
+// slot of the first generation cannot come back to life.
 func (t *Table) reset() {
 	t.gen++
-	s := t.floor
-	t.cur.Store(s)
-	s.sealed.Store(false)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.hand.Store(0)
+	t.cur = t.floor
+	for i := range t.floor.shards {
+		sh := &t.floor.shards[i]
+		sh.hand = 0
 		if t.gen == 0 {
 			clear(sh.entries)
 		}
 	}
-	t.filled.Store(0)
-	t.evictions.Store(0)
+	t.filled, t.evictions = 0, 0
 }
 
 // Entries returns the slot count the table is sized to: New's for its n
@@ -308,7 +279,7 @@ func (t *Table) reset() {
 func (t *Table) Entries() int { return t.entries }
 
 // Bytes returns the memory the table's slots occupy now.
-func (t *Table) Bytes() int64 { return int64(t.cur.Load().entries) * EntryBytes }
+func (t *Table) Bytes() int64 { return int64(t.cur.entries) * EntryBytes }
 
 // Occupancy returns the fraction of the table's Entries holding a state,
 // in [0, 1]. Evictions replace states rather than empty slots, so
@@ -317,12 +288,12 @@ func (t *Table) Occupancy() float64 {
 	if t == nil || t.entries == 0 {
 		return 0
 	}
-	return float64(t.filled.Load()) / float64(t.entries)
+	return float64(t.filled) / float64(t.entries)
 }
 
 // Evictions returns the number of states displaced by the clock hand since
 // the last reset.
-func (t *Table) Evictions() int64 { return t.evictions.Load() }
+func (t *Table) Evictions() int64 { return t.evictions }
 
 // AdmitBand returns the deepest prefix depth worth admitting to the table:
 // the largest d <= n-1 such that the combinatorial state count at depths
@@ -389,76 +360,50 @@ func (t *Table) Key(mask uint64, last int) uint64 {
 // which is what keeps dominance exact under floating point — with equal
 // product bits every future computation of the two prefixes is bitwise
 // identical, so the comparison of their finalized bottlenecks decides
-// dominance with no rounding slack. The read side is lock-free: a
-// snapshot torn by a concurrent writer is discarded (reported as absent),
-// never surfaced.
+// dominance with no rounding slack.
 func (t *Table) Probe(mask uint64, last int, prod uint64) (float64, bool) {
 	if t == nil {
 		return 0, false
 	}
-	key, gen := t.Key(mask, last), t.gen
-	sh, base := t.cur.Load().locate(key, prod)
-	for i := 0; i < ways; i++ {
-		e := &sh.entries[base+i]
-		v1 := e.ver.Load()
-		if v1&1 != 0 {
-			continue
-		}
-		if e.key.Load() != key || e.gen.Load() != gen || e.prod.Load() != prod {
-			continue
-		}
-		b := e.val.Load()
-		if e.ver.Load() != v1 || b == 0 {
-			continue
-		}
-		e.used.Store(1)
-		return math.Float64frombits(b), true
+	key := t.Key(mask, last)
+	sh, base := t.cur.locate(key, prod)
+	if e := t.find(sh, base, key, prod); e != nil {
+		e.used = 1
+		return math.Float64frombits(e.val), true
 	}
 	return 0, false
 }
 
-// lock acquires e's sequence lock, returning false when contention
-// exhausts the spin budget.
-func (e *entry) lock() bool {
-	for i := 0; i < lockSpins; i++ {
-		v := e.ver.Load()
-		if v&1 != 0 {
-			continue
-		}
-		if e.ver.CompareAndSwap(v, v+1) {
-			return true
+// find returns the slot of the set at sh's base that holds the state
+// (key, prod) in the current generation, or nil.
+func (t *Table) find(sh *shard, base int, key, prod uint64) *entry {
+	for i := 0; i < ways; i++ {
+		e := &sh.entries[base+i]
+		if e.key == key && e.gen == t.gen && e.prod == prod && e.val != 0 {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
-// unlock releases the sequence lock, making the slot readable again.
-func (e *entry) unlock() { e.ver.Add(1) }
-
-// writeLock acquires the sequence lock of e, a slot of s, for a write. It
-// returns false, leaving e as it was, when contention exhausts the spin
-// budget or when grow has sealed s and may already have copied e out.
-func (s *slots) writeLock(e *entry) bool {
-	if !e.lock() {
-		return false
+// freeWay returns the first way of the set at sh's base that holds no
+// state of the current generation, or -1 when the set is full.
+func (t *Table) freeWay(sh *shard, base int) int {
+	for i := 0; i < ways; i++ {
+		if t.empty(&sh.entries[base+i]) {
+			return i
+		}
 	}
-	if s.sealed.Load() {
-		e.unlock()
-		return false
-	}
-	return true
+	return -1
 }
 
 // Update publishes bound for the state, keeping the per-state minimum. It
 // reports whether the table now holds an entry for the state with a value
-// <= bound; false means the admission was abandoned under contention
-// (harmless — admission is best-effort) or bound was unusable (negative
-// or NaN).
+// <= bound; false means bound was unusable (negative, NaN or zero).
 func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 	if t == nil || !(bound >= 0) {
 		return false
 	}
-	key := t.Key(mask, last)
 	bits64 := math.Float64bits(bound)
 	if bits64 == 0 {
 		// +0.0 collides with the "unset" sentinel: publishing it would
@@ -467,187 +412,94 @@ func (t *Table) Update(mask uint64, last int, prod uint64, bound float64) bool {
 		// bound is unrepresentable here; skip it (lost prune only).
 		return false
 	}
-
-	for {
-		s := t.cur.Load()
-		sh, base := s.locate(key, prod)
-
-		// Pass 1: the state may already be resident.
-		emptyAt := -1
-		for i := 0; i < ways; i++ {
-			e := &sh.entries[base+i]
-			switch k := e.key.Load(); {
-			case t.empty(e, k):
-				if emptyAt < 0 {
-					emptyAt = i
-				}
-			case k == key && e.prod.Load() == prod:
-				if !s.writeLock(e) {
-					return false
-				}
-				if e.key.Load() != key || e.prod.Load() != prod { // re-keyed while we raced the lock
-					e.unlock()
-					return t.admit(s, sh, base, key, prod, bits64)
-				}
-				if cur := e.val.Load(); cur == 0 || bits64 < cur {
-					// Non-negative floats order identically to their bit
-					// patterns, so the integer comparison is the float min.
-					e.val.Store(bits64)
-				}
-				e.used.Store(1)
-				e.unlock()
-				return true
-			}
-		}
-		if emptyAt >= 0 {
-			e := &sh.entries[base+emptyAt]
-			if !s.writeLock(e) {
-				return false
-			}
-			if t.empty(e, e.key.Load()) {
-				t.store(e, key, prod, bits64)
-				e.used.Store(1)
-				e.unlock()
-				t.filled.Add(1)
-				return true
-			}
-			// Another publisher took the way first; look at the set again.
-			e.unlock()
-			continue
-		}
-		if s.entries < t.entries {
-			// The set is full and the cap allows more slots: grow rather
-			// than evict, and retry in the larger slots.
-			if !t.grow(s) {
-				return false
-			}
-			continue
-		}
-		return t.admit(s, sh, base, key, prod, bits64)
-	}
-}
-
-// grow replaces the table's slots s with slots growFactor times larger, at
-// most Entries, and reports whether the caller may retry its admission in
-// the table's current slots. It refuses while another caller is growing
-// the table, and copies nothing when another caller already replaced s.
-//
-// Growth keeps a sequential caller's view exact. Both slot sizes have the
-// same shards and take the set from the same hash bits (locate), so every
-// set of the larger slots lies inside one set of s. Copying each set's
-// ways in order therefore puts every state at the way it holds in a table
-// built at the larger size, where states fill a set's ways in arrival
-// order; the reference bits and clock hands come along. A set of the
-// larger table can only fill where the set of s containing it already has,
-// and growth runs before s ever evicts, so up to the cap the table holds,
-// hits and evicts exactly what New's table does.
-//
-// Concurrent callers may still hold s. grow seals s before copying it: a
-// writer that locks an entry of s afterwards backs off (a lost admission),
-// and one that locked it before finishes its write before grow reads the
-// entry. So every value is copied as last published, and the value held
-// for a state never rises across the swap. Probes of s stay sound: every
-// value they return was published.
-func (t *Table) grow(s *slots) bool {
-	if !t.growing.CompareAndSwap(false, true) {
-		return false
-	}
-	defer t.growing.Store(false)
-	if t.cur.Load() != s {
+	key := t.Key(mask, last)
+	sh, base := t.cur.locate(key, prod)
+	if e := t.find(sh, base, key, prod); e != nil {
+		// Non-negative floats order identically to their bit patterns,
+		// so the integer comparison is the float min.
+		e.val = min(e.val, bits64)
+		e.used = 1
 		return true
 	}
-	next := newSlots(min(int64(s.entries)*growFactor, int64(t.entries)))
-	s.sealed.Store(true)
-	for si := range s.shards {
-		sh := &s.shards[si]
-		next.shards[si].hand.Store(sh.hand.Load())
-		for i := range sh.entries {
-			e := &sh.entries[i]
-			for e.ver.Load()&1 != 0 {
-				runtime.Gosched() // a writer that locked e before the seal is finishing
-			}
-			k := e.key.Load()
-			if t.empty(e, k) {
-				continue
-			}
-			prod := e.prod.Load()
-			dsh, base := next.locate(k, prod)
-			for w := 0; w < ways; w++ {
-				if d := &dsh.entries[base+w]; d.key.Load() == 0 {
-					t.store(d, k, prod, e.val.Load())
-					d.used.Store(e.used.Load())
-					break
-				}
-			}
-		}
+	way := t.freeWay(sh, base)
+	for way < 0 && t.cur.entries < t.entries {
+		// The set is full and the cap allows more slots: grow rather than
+		// evict. The state was not resident, so growth did not copy it.
+		t.grow()
+		sh, base = t.cur.locate(key, prod)
+		way = t.freeWay(sh, base)
 	}
-	t.cur.Store(next)
+	if way < 0 {
+		way = t.victim(sh, base)
+		t.evictions++
+	} else {
+		t.filled++
+	}
+	sh.entries[base+way] = entry{key: key, prod: prod, val: bits64, used: 1, gen: t.gen}
 	return true
 }
 
-// empty reports whether slot e, whose key word reads k, holds no state of
-// the current generation. A slot stamped with the current generation keeps
-// it until the next reset, so once a slot reads as occupied only its key
-// and product need rechecking.
-func (t *Table) empty(e *entry, k uint64) bool {
-	return k == 0 || e.gen.Load() != t.gen
+// grow replaces the table's slots with slots growFactor times larger, at
+// most Entries.
+//
+// Growth keeps the caller's view exact. Both slot sizes have the same
+// shards and take the set from the same hash bits (locate), so every set
+// of the larger slots lies inside one set of the smaller. Copying each
+// set's ways in order therefore puts every state at the way it holds in a
+// table built at the larger size, where states fill a set's ways in
+// arrival order; the reference bits and clock hands come along. A set of
+// the larger table can only fill where the smaller set containing it
+// already has, and growth runs before the smaller slots ever evict, so up
+// to the cap the table holds, hits and evicts exactly what New's table
+// does.
+func (t *Table) grow() {
+	s := t.cur
+	next := newSlots(min(int64(s.entries)*growFactor, int64(t.entries)))
+	for si := range s.shards {
+		sh := &s.shards[si]
+		next.shards[si].hand = sh.hand
+		for i := range sh.entries {
+			e := &sh.entries[i]
+			if t.empty(e) {
+				continue
+			}
+			// The larger set's states all come from this one set of at
+			// most ways states, so it always has a free way.
+			dsh, base := next.locate(e.key, e.prod)
+			dsh.entries[base+t.freeWay(dsh, base)] = *e
+		}
+	}
+	t.cur = next
 }
 
-// store writes the state into slot e under the current generation; the
-// caller holds e's sequence lock, or e is in slots no other caller sees.
-func (t *Table) store(e *entry, key, prod, bits64 uint64) {
-	e.key.Store(key)
-	e.gen.Store(t.gen)
-	e.prod.Store(prod)
-	e.val.Store(bits64)
+// empty reports whether slot e holds no state of the current generation.
+func (t *Table) empty(e *entry) bool {
+	return e.key == 0 || e.gen != t.gen
 }
 
-// admit installs the state into a full set of s (or one whose resident
-// state was re-keyed under the caller) by second-chance clock eviction:
+// victim picks the way of a full set to evict by second-chance clock:
 // sweep the set from the shard's hand, clearing reference bits, and take
 // the first unreferenced way (falling back to the sweep's start).
-// Best-effort: contention aborts the admission.
-func (t *Table) admit(s *slots, sh *shard, base int, key, prod, bits64 uint64) bool {
-	start := int(sh.hand.Add(1)) & (ways - 1)
-	victim := start
+func (t *Table) victim(sh *shard, base int) int {
+	sh.hand++
+	start := int(sh.hand) & (ways - 1)
 	for i := 0; i < 2*ways; i++ {
 		w := (start + i) & (ways - 1)
 		e := &sh.entries[base+w]
-		if e.used.Load() != 0 {
-			e.used.Store(0)
-			continue
+		if e.used == 0 {
+			return w
 		}
-		victim = w
-		break
+		e.used = 0
 	}
-	e := &sh.entries[base+victim]
-	if !s.writeLock(e) {
-		return false
-	}
-	switch k := e.key.Load(); {
-	case t.empty(e, k):
-		t.filled.Add(1)
-		t.store(e, key, prod, bits64)
-	case k == key && e.prod.Load() == prod:
-		// Another publisher installed the state while we swept.
-		if cur := e.val.Load(); cur == 0 || bits64 < cur {
-			e.val.Store(bits64)
-		}
-	default:
-		t.evictions.Add(1)
-		t.store(e, key, prod, bits64)
-	}
-	e.used.Store(1)
-	e.unlock()
-	return true
+	return start
 }
 
 // Visit is the search hot-path operation: it reports whether the state is
-// dominated (some searcher already committed to extending this state with
-// a finalized bottleneck <= bound, so the caller must prune), and
-// publishes bound otherwise. A Visit that returns false is the caller's
-// commitment to soundly search the state's subtree — that commitment is
-// what makes pruning later arrivals exact.
+// dominated (the search already committed to extending this state with a
+// finalized bottleneck <= bound, so the caller must prune), and publishes
+// bound otherwise. A Visit that returns false is the caller's commitment
+// to soundly search the state's subtree — that commitment is what makes
+// pruning later arrivals exact.
 func (t *Table) Visit(mask uint64, last int, prod uint64, bound float64) bool {
 	if v, ok := t.Probe(mask, last, prod); ok && v <= bound {
 		return true
@@ -656,31 +508,22 @@ func (t *Table) Visit(mask uint64, last int, prod uint64, bound float64) bool {
 	return false
 }
 
-// Range calls f for every resident state under a consistent per-entry
-// snapshot (tests and diagnostics; the iteration order is unspecified).
+// Range calls f for every resident state (tests and diagnostics; the
+// iteration order is unspecified).
 func (t *Table) Range(f func(mask uint64, last int, prod uint64, bound float64)) {
 	if t == nil {
 		return
 	}
 	lastShift := t.nShift
 	maskBits := uint64(1)<<lastShift - 1
-	s := t.cur.Load()
-	for si := range s.shards {
-		sh := &s.shards[si]
+	for si := range t.cur.shards {
+		sh := &t.cur.shards[si]
 		for i := range sh.entries {
 			e := &sh.entries[i]
-			v1 := e.ver.Load()
-			if v1&1 != 0 {
+			if t.empty(e) || e.val == 0 {
 				continue
 			}
-			k := e.key.Load()
-			g := e.gen.Load()
-			p := e.prod.Load()
-			b := e.val.Load()
-			if e.ver.Load() != v1 || k == 0 || g != t.gen || b == 0 {
-				continue
-			}
-			f(k&maskBits, int(k>>lastShift), p, math.Float64frombits(b))
+			f(e.key&maskBits, int(e.key>>lastShift), e.prod, math.Float64frombits(e.val))
 		}
 	}
 }

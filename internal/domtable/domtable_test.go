@@ -3,7 +3,6 @@ package domtable
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -62,6 +61,29 @@ func TestNewSizing(t *testing.T) {
 		}
 		if floor := min(want.Bytes(), minEntries*EntryBytes); got.Bytes() != floor {
 			t.Errorf("n=%d cap=%d: Get allocated %d bytes, want %d", tc.n, tc.capBytes, got.Bytes(), floor)
+		}
+	}
+}
+
+// TestDefaultSlotCounts pins the slot count DefaultTableBytes gives every
+// n: the 4096-slot floor through n = 13, an eighth of the state space
+// rounded down to a power of two at n = 14–17, and 2^18 at the cap from
+// n = 18 up. These are the counts a 16 MiB cap gave 40-byte slots, so
+// the 32-byte slot under the halved cap leaves every search's table, and
+// with it every node count, as it was.
+func TestDefaultSlotCounts(t *testing.T) {
+	mid := map[int]int64{14: 8192, 15: 16384, 16: 65536, 17: 131072}
+	for n := 2; n <= MaxN; n++ {
+		want, ok := mid[n]
+		switch {
+		case ok:
+		case n <= 13:
+			want = 4096
+		default:
+			want = 1 << 18
+		}
+		if got := slotCount(n, DefaultTableBytes); got != want {
+			t.Errorf("n=%d: %d slots at DefaultTableBytes, want %d", n, got, want)
 		}
 	}
 }
@@ -223,96 +245,6 @@ func TestAdmitBand(t *testing.T) {
 	if band := tight.AdmitBand(24); band >= 23 || band < 2 {
 		t.Errorf("capped band = %d, want in [2, 22]", band)
 	}
-}
-
-// TestConcurrentStress is the shared-table race test (run under -race):
-// goroutines hammer a small, eviction-heavy table with interleaved visits,
-// updates, and probes over a fixed key population whose values encode the
-// key they belong to. Any torn read, cross-key leak, or min violation is
-// detected; the race detector checks the memory model side.
-func TestConcurrentStress(t *testing.T) {
-	const (
-		n          = 16
-		keys       = 512
-		goroutines = 8
-		opsPer     = 20_000
-	)
-	tab := New(n, 96*EntryBytes) // tiny: constant eviction pressure
-	if tab == nil {
-		t.Fatal("New = nil")
-	}
-
-	type ks struct {
-		mask uint64
-		last int
-		prod uint64
-	}
-	pop := make([]ks, keys)
-	rng := rand.New(rand.NewSource(42))
-	seen := map[uint64]bool{}
-	for i := range pop {
-		for {
-			mask := uint64(rng.Intn(1<<n)) | 3
-			last := 0
-			for b := n - 1; b >= 0; b-- {
-				if mask&(1<<uint(b)) != 0 {
-					last = b
-					break
-				}
-			}
-			k := tab.Key(mask, last)
-			if !seen[k] {
-				seen[k] = true
-				pop[i] = ks{mask, last, math.Float64bits(0.5 + float64(i)/float64(2*keys))}
-				break
-			}
-		}
-	}
-	// value published for key i is always i*1000 + delta, delta in [0,1000):
-	// reading any value outside key i's band is a cross-key leak.
-	band := func(i int) (lo, hi float64) { return float64(i) * 1000, float64(i+1) * 1000 }
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + g)))
-			for op := 0; op < opsPer; op++ {
-				i := rng.Intn(keys)
-				k := pop[i]
-				lo, hi := band(i)
-				switch op % 3 {
-				case 0:
-					tab.Update(k.mask, k.last, k.prod, lo+float64(rng.Intn(1000)))
-				case 1:
-					v := lo + float64(rng.Intn(1000))
-					tab.Visit(k.mask, k.last, k.prod, v)
-				default:
-					if v, ok := tab.Probe(k.mask, k.last, k.prod); ok && (v < lo || v >= hi) {
-						t.Errorf("key %d: probe returned %v outside [%v, %v) — cross-key leak", i, v, lo, hi)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Post-quiescence: every resident state's value must sit in its band.
-	byKey := map[uint64]int{}
-	for i, k := range pop {
-		byKey[tab.Key(k.mask, k.last)] = i
-	}
-	tab.Range(func(mask uint64, last int, prod uint64, v float64) {
-		i, ok := byKey[tab.Key(mask, last)]
-		if !ok {
-			t.Fatalf("resident state (mask=%b last=%d) was never part of the population", mask, last)
-		}
-		if lo, hi := band(i); v < lo || v >= hi || prod != pop[i].prod {
-			t.Fatalf("key %d holds (%v, prod %x) outside its band [%v, %v) / prod %x", i, v, prod, lo, hi, pop[i].prod)
-		}
-	})
 }
 
 // resetState is one (mask, last, prod) state of the reset tests'
@@ -515,7 +447,7 @@ func TestGetPut(t *testing.T) {
 		}
 		grew := tab.Bytes() > minEntries*EntryBytes
 		Put(tab)
-		if tab.cur.Load() != tab.floor || tab.Bytes() != minEntries*EntryBytes {
+		if tab.cur != tab.floor || tab.Bytes() != minEntries*EntryBytes {
 			t.Fatalf("round %d: Put kept %d bytes of slots (grew: %v), want the floor's %d",
 				round, tab.Bytes(), grew, minEntries*EntryBytes)
 		}
@@ -572,93 +504,4 @@ func TestGrowthReplaysCapSized(t *testing.T) {
 			Put(tab)
 		}
 	}
-}
-
-// TestGrowthConcurrentStress races goroutines through a table's growth
-// (run under -race): they visit, update and probe a population too large
-// for the floor, so the table grows twice or more while they run. Every
-// value published for key i lies in i's band, so a torn or cross-key read
-// shows as a value outside it. The population fits the cap without a set
-// overflowing, so nothing is evicted, and each goroutine must see each
-// key's value only fall: a copy that missed a write made before it, or
-// lost one made after it, would show a value rising.
-func TestGrowthConcurrentStress(t *testing.T) {
-	const (
-		n          = 20
-		goroutines = 8
-		opsPer     = 20_000
-	)
-	var pop []resetState
-	index := map[resetState]int{}
-	for _, s := range resetPopulation(n, 3500, 51) {
-		if _, dup := index[s]; !dup {
-			index[s] = len(pop)
-			pop = append(pop, s)
-		}
-	}
-	ref := New(n, DefaultTableBytes)
-	for _, s := range pop {
-		ref.Update(s.mask, s.last, s.prod, 1)
-	}
-	if ref.Evictions() != 0 {
-		t.Fatalf("the population overflows a set of the cap-sized table (%d evictions)", ref.Evictions())
-	}
-	band := func(i int) (lo, hi float64) { return float64(i+1) * 1000, float64(i+2) * 1000 }
-
-	tab := Get(n, DefaultTableBytes)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + g)))
-			seen := make([]float64, len(pop))
-			for i := range seen {
-				seen[i] = math.Inf(1)
-			}
-			for op := 0; op < opsPer; op++ {
-				i := rng.Intn(len(pop))
-				s := pop[i]
-				lo, hi := band(i)
-				switch op % 3 {
-				case 0:
-					tab.Visit(s.mask, s.last, s.prod, lo+float64(rng.Intn(1000)))
-				case 1:
-					tab.Update(s.mask, s.last, s.prod, lo+float64(rng.Intn(1000)))
-				default:
-					v, ok := tab.Probe(s.mask, s.last, s.prod)
-					if !ok {
-						continue
-					}
-					if v < lo || v >= hi {
-						t.Errorf("key %d: probe returned %v outside [%v, %v)", i, v, lo, hi)
-						return
-					}
-					if v > seen[i] {
-						t.Errorf("key %d: value rose from %v to %v", i, seen[i], v)
-						return
-					}
-					seen[i] = v
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if tab.Bytes() < 16*minEntries*EntryBytes {
-		t.Fatalf("table ended at %d bytes; the stress never crossed two growths", tab.Bytes())
-	}
-	if tab.Evictions() != 0 {
-		t.Fatalf("%d evictions under a population that fits the cap", tab.Evictions())
-	}
-	tab.Range(func(mask uint64, last int, prod uint64, v float64) {
-		i, ok := index[resetState{mask, last, prod}]
-		if !ok {
-			t.Fatalf("resident state (mask=%b last=%d) was never published", mask, last)
-		}
-		if lo, hi := band(i); v < lo || v >= hi {
-			t.Fatalf("key %d holds %v outside [%v, %v)", i, v, lo, hi)
-		}
-	})
-	Put(tab)
 }

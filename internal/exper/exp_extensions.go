@@ -2,85 +2,12 @@ package exper
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"serviceordering/internal/core"
 	"serviceordering/internal/gen"
-	"serviceordering/internal/model"
 	"serviceordering/internal/robust"
 	"serviceordering/internal/stats"
 )
-
-// RunF9Parallel (figure F9, extension — not in the paper) measures the
-// parallel branch-and-bound's speedup over the sequential search on hard
-// instances (weak filters, where the search tree is large enough to
-// parallelize). Costs must agree exactly.
-func RunF9Parallel(cfg Config) (*stats.Table, error) {
-	n := 12
-	trials := 5
-	workerCounts := []int{1, 2, 4}
-	if cfg.Quick {
-		n = 10
-		trials = 3
-		workerCounts = []int{1, 2}
-	}
-	table := stats.NewTable(
-		"F9 (extension): parallel B&B speedup on hard instances",
-		"N", "workers", "time (ms, mean)", "speedup vs 1 worker", "nodes (mean)", "costs match")
-	table.Note = "selectivities in [0.85, 1]; parallel explores extra nodes (stale bounds) but shares incumbents"
-
-	queries := make([]*qp, 0, trials)
-	for trial := 0; trial < trials; trial++ {
-		p := gen.Default(n, cfg.Seed+int64(900+trial))
-		p.SelMin = 0.85
-		q, err := p.Generate()
-		if err != nil {
-			return nil, err
-		}
-		seq, err := core.Optimize(q)
-		if err != nil {
-			return nil, err
-		}
-		queries = append(queries, &qp{q: q, optCost: seq.Cost})
-	}
-
-	var baselineTime time.Duration
-	for _, workers := range workerCounts {
-		var elapsed time.Duration
-		var nodes []float64
-		matches := 0
-		for _, e := range queries {
-			start := time.Now()
-			res, err := core.OptimizeParallel(e.q, core.Options{}, workers)
-			if err != nil {
-				return nil, err
-			}
-			elapsed += time.Since(start)
-			nodes = append(nodes, float64(res.Stats.NodesExpanded))
-			if math.Abs(res.Cost-e.optCost) <= 1e-9*math.Max(1, e.optCost) {
-				matches++
-			}
-		}
-		if workers == workerCounts[0] {
-			baselineTime = elapsed
-		}
-		table.MustAddRow(
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", workers),
-			msString(elapsed/time.Duration(len(queries))),
-			fmt.Sprintf("%.2f", float64(baselineTime)/float64(elapsed)),
-			stats.Fmt(stats.Mean(nodes)),
-			fmt.Sprintf("%d/%d", matches, len(queries)),
-		)
-	}
-	return table, nil
-}
-
-type qp struct {
-	q       *model.Query
-	optCost float64
-}
 
 // RunF10Robustness (figure F10, extension — not in the paper) measures
 // how far the optimal plan survives parameter drift: the fraction of

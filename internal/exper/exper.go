@@ -60,7 +60,6 @@ func All() []Experiment {
 		{ID: "F6", Title: "heuristic scalability beyond exact reach", Run: RunF6Heuristics},
 		{ID: "F7", Title: "ablation: contribution of each pruning rule", Run: RunF7Ablation},
 		{ID: "F8", Title: "decentralized wall-clock: optimized vs naive plans", Run: RunF8Choreography},
-		{ID: "F9", Title: "extension: parallel B&B speedup", Run: RunF9Parallel},
 		{ID: "F10", Title: "extension: optimal-plan stability under drift", Run: RunF10Robustness},
 	}
 }

@@ -45,7 +45,7 @@ func TestOptimizeWarmHitAllocs(t *testing.T) {
 }
 
 // TestOptimizeWarmHitAllocsLargerInstance guards the budget where slices
-// are bigger (n = 14, parallel-threshold sized): the warm path must not
+// are bigger (n = 14): the warm path must not
 // pick up size-dependent allocations.
 func TestOptimizeWarmHitAllocsLargerInstance(t *testing.T) {
 	p := New(Config{})

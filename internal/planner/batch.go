@@ -28,16 +28,13 @@ type BatchResult struct {
 	Err error
 }
 
-// OptimizeBatch optimizes every query on a pool of Config.BatchWorkers
-// workers and returns the outcomes indexed as the input. It blocks until
+// OptimizeBatch optimizes every query on a pool of GOMAXPROCS workers and
+// returns the outcomes indexed as the input. It blocks until
 // every instance is done. Instances not yet started when ctx is canceled
 // report ctx's error without running; running ones see the cancellation
 // as a single Optimize does.
 func (p *Planner) OptimizeBatch(ctx context.Context, qs []*model.Query) []BatchResult {
-	workers := p.cfg.BatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	out := make([]BatchResult, len(qs))
 	var next atomic.Int64
 	var wg sync.WaitGroup

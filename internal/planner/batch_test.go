@@ -12,7 +12,7 @@ import (
 
 func TestOptimizeBatchOrderAndCorrectness(t *testing.T) {
 	t.Parallel()
-	p := New(Config{BatchWorkers: 4})
+	p := New(Config{})
 	const n = 24
 	qs := make([]*model.Query, n)
 	want := make([]float64, n)
@@ -48,10 +48,7 @@ func TestOptimizeBatchOrderAndCorrectness(t *testing.T) {
 func TestOptimizeBatchDedupsIdenticalInstances(t *testing.T) {
 	t.Parallel()
 	var searches atomic.Int64
-	p := New(Config{
-		BatchWorkers: 8,
-		OnSearch:     func(Signature) { searches.Add(1) },
-	})
+	p := New(Config{OnSearch: func(Signature) { searches.Add(1) }})
 	q := testQuery(t, gen.Default(7, 1234))
 	qs := make([]*model.Query, 40)
 	for i := range qs {
@@ -76,7 +73,7 @@ func TestOptimizeBatchDedupsIdenticalInstances(t *testing.T) {
 
 func TestOptimizeBatchPerInstanceErrors(t *testing.T) {
 	t.Parallel()
-	p := New(Config{BatchWorkers: 2})
+	p := New(Config{})
 	good := testQuery(t, gen.Default(4, 9))
 	bad := good.Clone()
 	bad.Transfer[0][1] = -1 // invalid
@@ -99,7 +96,7 @@ func TestOptimizeBatchEmpty(t *testing.T) {
 
 func TestOptimizeBatchCanceledContext(t *testing.T) {
 	t.Parallel()
-	p := New(Config{BatchWorkers: 2})
+	p := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qs := make([]*model.Query, 8)

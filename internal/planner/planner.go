@@ -23,9 +23,9 @@
 // answer (canonical.answer), which refuses a plan that does not fit the
 // query so that the request searches instead.
 //
-// OptimizeBatch fans a slice of instances across a worker pool and returns
-// their results in input order; large instances escalate to the parallel
-// branch-and-bound, small ones run the sequential search.
+// OptimizeBatch fans a slice of instances across GOMAXPROCS workers and
+// returns their results in input order. Every exact search, batched or
+// not, is the one sequential branch-and-bound (core.OptimizeWithOptions).
 //
 // Above the exact tier sits the heuristic tier (internal/htier), and a
 // request's route depends on the work its proof takes, not on its size.
@@ -43,13 +43,9 @@
 // untouched, so a later uncapped request can still establish the optimum.
 // Heuristic results are cached whenever the portfolio ran its full work
 // budgets: an identical request would spend the same budgets again, so the
-// entry is as good as a rerun. A sequential search truncated by a node
-// budget is deterministic, so a fallback seeded by one recomputes the
-// identical plan; a fallback seeded by a truncated parallel search
-// (core.OptimizeParallel, from Config.ParallelThreshold services) is not
-// bit-reproducible, since which incumbent its workers reach within the
-// shared budget depends on scheduling, and its cached plan is one such
-// outcome.
+// entry is as good as a rerun. A search truncated by a node budget is
+// deterministic, so a fallback seeded by one recomputes the identical
+// plan.
 package planner
 
 import (
@@ -71,25 +67,19 @@ import (
 )
 
 // Config tunes a Planner. The zero value is ready for production use:
-// 4096-entry plan cache, canonicalization memo of twice that, parallel
-// search on GOMAXPROCS workers for instances of 13+ services, the
-// heuristic tier behind the exact search's routing budget, GOMAXPROCS
-// batch workers.
+// 4096-entry plan cache, canonicalization memo of twice that, and the
+// heuristic tier behind the exact search's routing budget.
 type Config struct {
 	// CacheCapacity bounds the plan cache (entries across all shards).
 	// Zero means DefaultCacheCapacity; negative disables caching
 	// entirely (every request searches, singleflight still applies).
 	CacheCapacity int
 
-	// ParallelThreshold is the instance size at which Optimize switches
-	// from the sequential search to core.OptimizeParallel. Zero means
-	// DefaultParallelThreshold; negative forces sequential search at
-	// every size.
+	// ParallelThreshold is ignored: every exact search is sequential.
+	//
+	// Deprecated: perfbench/trace.go is its last user; the benchmark
+	// change that stops setting it deletes the field.
 	ParallelThreshold int
-
-	// BatchWorkers bounds the instances optimized concurrently by
-	// OptimizeBatch (0 = GOMAXPROCS).
-	BatchWorkers int
 
 	// Search is the base search configuration applied to every
 	// optimization (pruning toggles, budgets). Per-request contexts with
@@ -129,10 +119,11 @@ type Config struct {
 // is zero.
 const DefaultCacheCapacity = 4096
 
-// DefaultParallelThreshold is the instance size at which the planner
-// escalates to the parallel search when Config.ParallelThreshold is zero.
-// Below it the sequential search's lower constant wins; at and above it the
-// subtree fan-out dominates.
+// DefaultParallelThreshold is the instance size from which the planner
+// once ran a parallel search. The planner no longer reads it.
+//
+// Deprecated: perfbench/trace.go is its last user; the benchmark change
+// that stops naming it deletes the constant.
 const DefaultParallelThreshold = 13
 
 // DefaultHeuristicThreshold is the instance size from which requests go
@@ -804,11 +795,9 @@ func (p *Planner) portfolio(ctx context.Context, q *model.Query, seed model.Plan
 	return core.Result{Plan: hres.Plan, Cost: hres.Cost, Stats: core.Stats{Elapsed: hres.Stats.Elapsed}}, tierHeuristicPrefix + hres.Source, nil
 }
 
-// search runs one branch-and-bound under opts: sequential below the
-// parallel threshold, core.OptimizeParallel at or above it. A context
-// deadline tightens the time limit. A non-nil incumbent (the previous
-// generation's plan, already validated for q) seeds rho in place of the
-// cold start.
+// search runs one branch-and-bound under opts. A context deadline
+// tightens the time limit. A non-nil incumbent (the previous generation's
+// plan, already validated for q) seeds rho in place of the cold start.
 func (p *Planner) search(ctx context.Context, q *model.Query, opts core.Options, incumbent model.Plan) (core.Result, error) {
 	// Propagate request-context cancellation into the node loop: a client
 	// that disconnects mid-search stops burning cold-optimize CPU at the
@@ -826,17 +815,7 @@ func (p *Planner) search(ctx context.Context, q *model.Query, opts core.Options,
 			opts.TimeLimit = remaining
 		}
 	}
-	threshold := p.cfg.ParallelThreshold
-	if threshold == 0 {
-		threshold = DefaultParallelThreshold
-	}
-	var res core.Result
-	var err error
-	if threshold > 0 && q.N() >= threshold {
-		res, err = core.OptimizeParallel(q, opts, 0) // GOMAXPROCS workers
-	} else {
-		res, err = core.OptimizeWithOptions(q, opts)
-	}
+	res, err := core.OptimizeWithOptions(q, opts)
 	if err != nil {
 		return core.Result{}, err
 	}

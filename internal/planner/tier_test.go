@@ -309,17 +309,16 @@ func TestOnlyTheRoutingBudgetFallsBack(t *testing.T) {
 	}
 }
 
-// TestBudgetFallbackConcurrent fires concurrent requests whose parallel
-// exact searches (n >= DefaultParallelThreshold) spend a small shared node
-// budget, some of them for the same query so singleflight and the cache
-// take part. Every answer must be a valid plan at its reported cost within
+// TestBudgetFallbackConcurrent fires concurrent requests whose exact
+// searches (n = 13–16) spend a small node budget, some of them for the
+// same query so singleflight and the cache take part. Every answer must be a valid plan at its reported cost within
 // the budget, and the counters must agree with the answers.
 func TestBudgetFallbackConcurrent(t *testing.T) {
 	t.Parallel()
 	const budget = 256
 	qs := make([]*model.Query, 6)
 	for i := range qs {
-		params := gen.Default(DefaultParallelThreshold+i%4, 9300+int64(i))
+		params := gen.Default(13+i%4, 9300+int64(i))
 		params.ProliferativeFraction = 0.3
 		qs[i] = testQuery(t, params)
 	}
@@ -388,8 +387,9 @@ func TestBudgetFallbackConcurrent(t *testing.T) {
 }
 
 // TestHeuristicRouteGoldens pins the default planner's answers on the
-// heuristic route, recorded with the sequential search so they reproduce
-// bit for bit: the tail instance and fallbackQuery (under a 64-node
+// heuristic route. Its exact search is sequential, and a node budget stops
+// a sequential search at the same node every run, so they reproduce bit
+// for bit: the tail instance and fallbackQuery (under a 64-node
 // routing budget) fall back from a spent exact attempt, and n=65 and
 // n=128 go straight to the portfolio.
 func TestHeuristicRouteGoldens(t *testing.T) {
@@ -415,7 +415,7 @@ func TestHeuristicRouteGoldens(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			p := New(Config{ParallelThreshold: -1})
+			p := New(Config{})
 			if tc.budget > 0 {
 				p.routingBudget = tc.budget
 			}

@@ -426,8 +426,7 @@ func TestClientDisconnectCancelsSearch(t *testing.T) {
 			DisableClosure:          true,
 			DisableDominance:        true,
 		},
-		ParallelThreshold: -1,
-		OnSearch:          func(planner.Signature) { close(started) },
+		OnSearch: func(planner.Signature) { close(started) },
 	})
 	h := NewHandler(p, Options{})
 
