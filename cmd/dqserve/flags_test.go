@@ -19,7 +19,7 @@ import (
 // must change this list.
 var keptFlags = []string{
 	"adaptive", "addr", "admit-max-concurrent", "cache", "drift-delta",
-	"exact-only", "exec-backend", "exec-call-timeout", "exec-deadline",
+	"exec-backend", "exec-call-timeout", "exec-deadline",
 	"exec-failover", "exec-hedge-delay", "exec-replicas", "exec-seed",
 	"fleet-addr", "fleet-id", "idle-timeout", "max-body",
 	"max-header", "node-limit", "peers", "pprof",
@@ -40,7 +40,7 @@ func TestFlagSet(t *testing.T) {
 // being silently ignored.
 func TestRetiredFlagsFail(t *testing.T) {
 	for _, name := range []string{
-		"search-workers", "batch-workers", "parallel-threshold", "beam-width", "heuristic-bb-nodes", "heuristic-threshold",
+		"search-workers", "batch-workers", "parallel-threshold", "beam-width", "heuristic-bb-nodes", "heuristic-threshold", "exact-only",
 		"admit-max-queue", "admit-max-wait", "admit-cold-frac", "admit-tenant-burst", "replan-queue",
 		"exec-retry-budget", "exec-breaker-threshold", "exec-breaker-cooldown", "exec-block",
 		"exec-hedge-quantile", "exec-hedge-budget", "exec-hedge-cap", "exec-failover-retries",
@@ -70,9 +70,8 @@ func TestFlagsLandInConfig(t *testing.T) {
 	}{
 		{[]string{"-addr", "127.0.0.1:9"}, func(c config) any { return c.addr }, "127.0.0.1:9", ":8080"},
 		{[]string{"-cache", "16"}, func(c config) any { return c.planner.CacheCapacity }, 16, planner.DefaultCacheCapacity},
-		{[]string{"-time-limit", "3s"}, func(c config) any { return c.planner.Search.TimeLimit }, 3 * time.Second, time.Duration(0)},
-		{[]string{"-node-limit", "500"}, func(c config) any { return c.planner.Search.NodeLimit }, int64(500), int64(0)},
-		{[]string{"-exact-only"}, func(c config) any { return c.planner.ExactOnly }, true, false},
+		{[]string{"-time-limit", "3s"}, func(c config) any { return c.planner.TimeLimit }, 3 * time.Second, time.Duration(0)},
+		{[]string{"-node-limit", "-1"}, func(c config) any { return c.planner.NodeLimit }, int64(-1), int64(0)},
 		{[]string{"-max-body", "1024"}, func(c config) any { return c.serve.MaxBody }, int64(1024), int64(0)},
 		{[]string{"-pprof"}, func(c config) any { return c.serve.Pprof }, true, false},
 		{[]string{"-admit-max-concurrent", "3"}, func(c config) any { return c.admit.MaxConcurrent }, 3, 0},
@@ -119,16 +118,16 @@ func TestFlagsLandInConfig(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnservableConfig: a negative search budget, or a fleet
+// TestRunRejectsUnservableConfig: a negative time budget, or a fleet
 // member without its own peer address, fails startup before the listener
-// opens; a negative budget would otherwise serve 422 on every exact query.
+// opens; a negative time budget would otherwise serve 422 on every exact
+// query. (A negative -node-limit is valid: no node budget.)
 func TestRunRejectsUnservableConfig(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-node-limit", "-1"}, "NodeLimit -1 must be >= 0"},
-		{[]string{"-time-limit", "-1s"}, "TimeLimit -1s must be >= 0"},
+		{[]string{"-time-limit", "-1s"}, "-time-limit -1s must be >= 0"},
 		{[]string{"-peers", "a:1,b:2"}, "-peers requires -fleet-addr"},
 	} {
 		ready := make(chan string, 1)

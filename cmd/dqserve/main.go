@@ -55,10 +55,9 @@
 //	                     # feeds decayed, sample-size-weighted statistics;
 //	                     # significant drift past -drift-delta bumps the
 //	                     # generation and lazily replans cached plans
-//	dqserve -exact-only               # no heuristic tier: the exact search
-//	                                  # runs without its 2^19-node routing
-//	                                  # budget, and n > 64 is rejected
-//	                                  # with 422
+//	dqserve -node-limit -1            # no node budget: every query up to
+//	                                  # 64 services is proven (larger ones
+//	                                  # still get a heuristic plan)
 //	dqserve -admit-max-concurrent 8   # overload survival: bounded admission
 //	                                  # queue, cold work shed first (429 +
 //	                                  # Retry-After), warm hits admitted
@@ -163,10 +162,10 @@ func parseFlags(args []string) (config, error) {
 	if err := newFlagSet(&c).Parse(args); err != nil {
 		return config{}, err
 	}
-	// A negative budget passes startup but fails every exact search, so
-	// refuse it here with the core's own rule.
-	if err := c.planner.Search.Validate(); err != nil {
-		return config{}, err
+	// A negative time budget passes startup but fails every exact search,
+	// so refuse it here.
+	if c.planner.TimeLimit < 0 {
+		return config{}, fmt.Errorf("-time-limit %v must be >= 0", c.planner.TimeLimit)
 	}
 	if c.serve.StaleServe && c.admit.MaxConcurrent <= 0 {
 		return config{}, fmt.Errorf("-stale-serve requires admission control (-admit-max-concurrent > 0): stale-serve is the degraded mode of a shed, and without shedding there is nothing to degrade")
@@ -183,9 +182,8 @@ func newFlagSet(c *config) *flag.FlagSet {
 
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.planner.CacheCapacity, "cache", planner.DefaultCacheCapacity, "plan cache capacity (-1 disables)")
-	fs.DurationVar(&c.planner.Search.TimeLimit, "time-limit", 0, "per-search time budget (0 = none)")
-	fs.Int64Var(&c.planner.Search.NodeLimit, "node-limit", 0, "per-search node budget (0 = none)")
-	fs.BoolVar(&c.planner.ExactOnly, "exact-only", false, "disable the heuristic tier: the exact search runs without its 2^19-node routing budget, and queries past the 64-service exact limit are rejected (by default they, and searches that spend the budget, get a heuristic plan)")
+	fs.DurationVar(&c.planner.TimeLimit, "time-limit", 0, "per-search time budget; a search it stops answers its unproven incumbent, uncached (0 = none)")
+	fs.Int64Var(&c.planner.NodeLimit, "node-limit", 0, "per-search node budget; a search that spends it gets a cached heuristic plan seeded with its incumbent (0 = 2^19, -1 = none)")
 	fs.Int64Var(&c.serve.MaxBody, "max-body", 0, "request body size limit in bytes (0 = 8 MiB)")
 	fs.BoolVar(&c.serve.Pprof, "pprof", false, "expose /debug/pprof endpoints for live profiling")
 

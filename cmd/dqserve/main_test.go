@@ -156,31 +156,6 @@ func TestLargeInstancesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestExactOnlyModeRejectsLargeInstances: -exact-only restores the
-// exact-only server, which answers oversized queries with the typed 422
-// rejection instead of serving a heuristic plan.
-func TestExactOnlyModeRejectsLargeInstances(t *testing.T) {
-	url, stop := startServer(t, "-exact-only")
-	defer stop()
-
-	q, err := gen.Default(80, 5).Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(&model.Instance{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/optimize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
-	}
-}
-
 // TestSlowBodyRequestsAreCutOff pins the ReadTimeout hardening: a client
 // that sends headers and then dribbles its body must have the connection
 // severed once the read timeout expires — it cannot hold a server

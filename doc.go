@@ -66,15 +66,16 @@
 // request by the work its proof takes, not by its size:
 //
 //   - exact (every query up to 64 services): the branch-and-bound runs
-//     under a 2^19-node routing budget. A proof answers with tier "exact"
-//     and optimal true.
+//     under a node budget, PlannerConfig.NodeLimit (2^19 nodes unless
+//     set; negative for none). A proof answers with tier "exact" and
+//     optimal true.
 //   - heuristic (internal/htier): a deterministic portfolio run on the
 //     same prefix-bottleneck machinery as the exact core — greedy
 //     constructions (minimum-epsilon append, nearest-neighbor by
 //     transfer), beam search over the prefix DAG (width- and
 //     budget-bounded, precedence-feasible expansions only), and
 //     bottleneck local search refining the incumbent under an evaluation
-//     budget. It answers a request whose exact search spent the routing
+//     budget. It answers a request whose exact search spent the node
 //     budget, seeded with that search's incumbent, and every query past
 //     64 services. The winner is the cheapest member plan; responses
 //     report tier "heuristic/<member>" ("heuristic/bb" when the exact
@@ -90,9 +91,9 @@
 // heuristic result is always shareable. GET /v1/stats reports executed
 // searches per tier in tierCounts; a request that falls back counts one
 // search, under its heuristic label, with the exact attempt's nodes.
-// PlannerConfig.ExactOnly (dqserve -exact-only) restores the exact-only
-// planner: its exact search has no node budget, and its oversized queries
-// fail with ErrQueryTooLarge (HTTP 422 through dqserve).
+// PlannerConfig.TimeLimit (dqserve -time-limit) and a request deadline
+// bound the exact search in time instead: a search they stop answers its
+// incumbent with tier "exact", optimal false, and is not cached.
 //
 // The heuristic tier is gated on quality, not vibes: dqbench measures
 // every exact-suite instance through the portfolio and fails if the

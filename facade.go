@@ -84,8 +84,8 @@ type (
 	// concurrent use.
 	Planner = planner.Planner
 
-	// PlannerConfig tunes a Planner (cache capacity, base search
-	// options, the heuristic tier). The zero value is production-ready.
+	// PlannerConfig tunes a Planner (cache capacity, the exact search's
+	// node and time budgets). The zero value is production-ready.
 	PlannerConfig = planner.Config
 
 	// PlannerResult is a planner outcome: the optimization result plus
@@ -104,12 +104,6 @@ type (
 	// position and per-instance error.
 	BatchResult = planner.BatchResult
 )
-
-// ErrQueryTooLarge is returned by a planner whose heuristic tier is
-// disabled (PlannerConfig.ExactOnly) for queries past the exact
-// optimizer's 64-service limit. With the tier enabled — the default
-// — queries of any size are admitted and it is never returned.
-var ErrQueryTooLarge = planner.ErrQueryTooLarge
 
 // Adaptive replanning types, re-exported from internal/adapt: the online
 // statistics registry behind PlannerConfig.Adaptive and dqserve -adaptive.

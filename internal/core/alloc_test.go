@@ -109,7 +109,7 @@ func TestSearchRecyclesDominanceTable(t *testing.T) {
 		}
 		qs = append(qs, q)
 	}
-	floorBytes := domtable.Get(12, core.DefaultDominanceTableBytes).Bytes()
+	floorBytes := domtable.Get(12, domtable.DefaultTableBytes).Bytes()
 
 	// A collection drains the pool; hold it off while measuring. The
 	// first round builds the table, later ones draw it back. Each search

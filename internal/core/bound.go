@@ -30,24 +30,27 @@ import (
 // value is only materialized when the prefix actually closes, which is
 // when the trace wants it.
 //
-// Loose bounds use maxima/minima precomputed over all services
-// (Options.LooseBounds): O(R) per node but weaker closure.
+// Loose bounds use maxima/minima over all services, the ends of each
+// presorted order (Options.LooseBounds): O(R) per node but weaker
+// closure.
 
 // maxToRemaining returns the largest Transfer[l][j] over the unplaced
-// services j != l, by walking l's descending presorted order to the first
-// unplaced entry. ok is false when every other service is placed.
+// services j != l, by walking l's ascending presorted order backwards to
+// the first unplaced entry. ok is false when every other service is
+// placed.
 func (s *search) maxToRemaining(l int) (float64, bool) {
 	base := l * (s.n - 1)
-	idx := s.descIdx[base : base+s.n-1]
-	for k, j := range idx {
-		if s.placed&(1<<uint(j)) == 0 {
-			return s.descVal[base+k], true
+	idx := s.ascIdx[base : base+s.n-1]
+	val := s.ascVal[base : base+len(idx)]
+	for k := len(idx) - 1; k >= 0; k-- {
+		if s.placed&(1<<uint(idx[k])) == 0 {
+			return val[k], true
 		}
 	}
 	return 0, false
 }
 
-// minToRemaining is maxToRemaining's mirror over the ascending order.
+// minToRemaining is maxToRemaining's mirror, walking forwards.
 func (s *search) minToRemaining(l int) (float64, bool) {
 	base := l * (s.n - 1)
 	idx := s.ascIdx[base : base+s.n-1]
@@ -72,7 +75,7 @@ func (s *search) closureBar(eps float64, ps pstate, rem []int) (bar float64, clo
 	// services.
 	var lastOut float64
 	if s.opts.LooseBounds {
-		lastOut = s.maxTransferAll[last]
+		_, lastOut = s.transferRange(last)
 	} else if t, ok := s.maxToRemaining(last); ok && t > lastOut {
 		lastOut = t
 	}
@@ -95,7 +98,8 @@ func (s *search) closureBar(eps float64, ps pstate, rem []int) (bar float64, clo
 		r := rem[i]
 		var out float64
 		if s.opts.LooseBounds {
-			out = s.maxOutAll[r] // max transfer to any service, or to the sink
+			_, hi := s.transferRange(r)
+			out = math.Max(hi, s.sink[r]) // max transfer to any service, or to the sink
 		} else {
 			out = s.sink[r]
 			if t, ok := s.maxToRemaining(r); ok && t > out {
@@ -136,7 +140,7 @@ func (s *search) completionLB(ps pstate, rem []int) float64 {
 
 	lastOut := math.Inf(1)
 	if s.opts.LooseBounds {
-		lastOut = s.minTransferAll[last]
+		lastOut, _ = s.transferRange(last)
 	} else if t, ok := s.minToRemaining(last); ok && t < lastOut {
 		lastOut = t
 	}
@@ -152,7 +156,8 @@ func (s *search) completionLB(ps pstate, rem []int) float64 {
 	for _, r := range rem {
 		var out float64
 		if s.opts.LooseBounds {
-			out = s.minOutAll[r]
+			lo, _ := s.transferRange(r)
+			out = math.Min(lo, s.sink[r])
 		} else {
 			out = s.sink[r]
 			if t, ok := s.minToRemaining(r); ok && t < out {

@@ -59,20 +59,6 @@ import (
 // plan — is bit-for-bit the one the dominance-off search produces. The
 // differential tests pin both properties.
 
-// DefaultDominanceTableBytes is the dominance-table memory cap used when
-// Options.DominanceTableBytes is zero. It is a ceiling, not the usual
-// size: domtable sizes a table to an eighth of the combinatorial state
-// space (searches publish far fewer states than the bound — see the sizing
-// policy there), so the cap only binds from n = 19 up, where it clamps
-// the table to 262,144 slots and clock-hand eviction recycles the rest.
-// Nor is that size allocated up front: every search draws a 128 KiB table
-// from domtable's one pool, whatever its n, and the table grows four times
-// larger, up to that size, only when a full set would otherwise evict. An
-// idle floor table stays resident between searches until the garbage
-// collector drains the pool; what a table grew into goes back to the
-// collector when the search ends.
-const DefaultDominanceTableBytes = domtable.DefaultTableBytes
-
 // domMinDepth is the shallowest prefix depth admitted to the table.
 // Depth-2 states are in bijection with root pairs (each visited at most
 // once from the sorted pair list), so memoizing them buys nothing.
@@ -83,28 +69,27 @@ const domMinDepth = 3
 const domMinServices = 4
 
 // newDomTable draws the dominance table for an n-service run under opts
-// from domtable's pool (at its floor size, growing on demand to the size
-// the cap allows), returning nil (dominance off) when disabled, when
-// the instance is outside the packable range, or when the memory cap
-// cannot hold a useful table. The second result is the deepest admitted
-// prefix depth. The caller hands the table back with domtable.Put once
-// the search has returned.
+// from domtable's pool, returning nil (dominance off) when disabled or
+// when the instance is outside the packable range (n > 58). The second
+// result is the deepest admitted prefix depth, at least domMinDepth for
+// every n the table serves. The caller hands the table back with
+// domtable.Put once the search has returned.
+//
+// The table's memory cap, domtable.DefaultTableBytes, is a ceiling, not
+// the usual size: domtable sizes a table to an eighth of the
+// combinatorial state space (searches publish far fewer states than the
+// bound — see the sizing policy there), so the cap only binds from n = 19
+// up, where it clamps the table to 262,144 slots and clock-hand eviction
+// recycles the rest. Nor is that size allocated up front: every search
+// draws a 128 KiB table from domtable's one pool, whatever its n, and the
+// table grows four times larger, up to that size, only when a full set
+// would otherwise evict. An idle floor table stays resident between
+// searches until the garbage collector drains the pool; what a table grew
+// into goes back to the collector when the search ends.
 func newDomTable(n int, opts Options) (*domtable.Table, int) {
 	if opts.DisableDominance || n < domMinServices {
 		return nil, 0
 	}
-	capBytes := opts.DominanceTableBytes
-	if capBytes == 0 {
-		capBytes = DefaultDominanceTableBytes
-	}
-	t := domtable.Get(n, capBytes)
-	if t == nil {
-		return nil, 0
-	}
-	band := t.AdmitBand(n)
-	if band < domMinDepth {
-		domtable.Put(t)
-		return nil, 0
-	}
-	return t, band
+	t := domtable.Get(n, domtable.DefaultTableBytes)
+	return t, t.AdmitBand(n)
 }

@@ -206,9 +206,9 @@ func TestDominancePoisonedTableIsHarmless(t *testing.T) {
 	}
 }
 
-// TestDominanceMemoryCap pins the cap plumbing: a tiny explicit cap yields
-// a tiny table (visible through occupancy reaching high values and the
-// search still proving the exact optimum), and an invalid cap is rejected.
+// TestDominanceMemoryCap: a table capped at 16 KiB, far below the
+// default, still proves the exact optimum with the dominance-off search's
+// plan.
 func TestDominanceMemoryCap(t *testing.T) {
 	t.Parallel()
 	p := gen.Default(11, 20156)
@@ -221,21 +221,18 @@ func TestDominanceMemoryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := OptimizeWithOptions(q, Options{DominanceTableBytes: 16 << 10})
+	s := newSearch(newPrep(q), Options{})
+	s.dom = domtable.New(q.N(), 16<<10)
+	s.domBand = s.dom.AdmitBand(q.N())
+	small, err := s.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Cost != ref.Cost || !small.Plan.Equal(ref.Plan) {
-		t.Fatalf("capped table changed the outcome: %v/%v vs %v/%v", small.Cost, small.Plan, ref.Cost, ref.Plan)
+	if !small.Optimal || small.Cost != ref.Cost || !small.Plan.Equal(ref.Plan) {
+		t.Fatalf("capped table changed the outcome: %v/%v (optimal=%v) vs %v/%v", small.Cost, small.Plan, small.Optimal, ref.Cost, ref.Plan)
 	}
-	if _, err := OptimizeWithOptions(q, Options{DominanceTableBytes: -1}); err == nil {
-		t.Fatal("negative DominanceTableBytes accepted")
-	}
-
-	// A cap too small for any useful table disables dominance rather than
-	// degrading it.
-	if tab, band := newDomTable(q.N(), Options{DominanceTableBytes: 1}); tab != nil {
-		t.Fatalf("1-byte cap produced a table (band %d)", band)
+	if small.Stats.DominancePrunes == 0 {
+		t.Fatal("the capped table pruned nothing; the cap was never exercised")
 	}
 }
 
@@ -272,7 +269,7 @@ func TestDominanceCrossQueryReuse(t *testing.T) {
 				t.Fatalf("%s n=%d seed=%d: generate: %v", tc.name, n, seed, err)
 			}
 			s := newSearch(newPrep(q), Options{})
-			s.dom = domtable.New(n, DefaultDominanceTableBytes)
+			s.dom = domtable.New(n, domtable.DefaultTableBytes)
 			s.domBand = s.dom.AdmitBand(n)
 			fresh, err := s.run()
 			if err != nil {
@@ -348,7 +345,7 @@ func TestDominanceGrowthDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential corpus is not -short")
 	}
-	floorBytes := domtable.Get(8, DefaultDominanceTableBytes).Bytes()
+	floorBytes := domtable.Get(8, domtable.DefaultTableBytes).Bytes()
 	for _, tc := range differentialCorpus() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,7 +381,7 @@ func TestDominanceGrowthDifferential(t *testing.T) {
 						domtable.Put(s.dom)
 
 						ref := newSearch(newPrep(q), opts)
-						ref.dom = domtable.New(n, DefaultDominanceTableBytes)
+						ref.dom = domtable.New(n, domtable.DefaultTableBytes)
 						ref.domBand = ref.dom.AdmitBand(n)
 						want, err := ref.run()
 						if err != nil {

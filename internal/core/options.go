@@ -54,13 +54,6 @@ type Options struct {
 	// to pack a (mask, last) key into one word (n > 58).
 	DisableDominance bool
 
-	// DominanceTableBytes caps the memory of the dominance table
-	// (0 = DefaultDominanceTableBytes). The table sizes itself to the
-	// instance's state space under this cap; beyond the cap it admits
-	// shallow prefixes preferentially and recycles slots with a
-	// second-chance clock hand.
-	DominanceTableBytes int64
-
 	// NodeLimit aborts the search after this many expanded nodes
 	// (0 = unlimited). An aborted search reports Optimal == false and
 	// Stats.NodeLimitReached, and returns the best incumbent found.
@@ -85,16 +78,12 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-// Validate reports the first budget or table size no search can honor:
-// a negative NodeLimit, TimeLimit or DominanceTableBytes. The searches
-// reject such options per run; servers call Validate to refuse them at
-// startup instead.
+// Validate reports the first budget no search can honor: a negative
+// NodeLimit or TimeLimit. The searches reject such options per run;
+// servers call Validate to refuse them at startup instead.
 func (o Options) Validate() error {
 	if o.NodeLimit < 0 {
 		return fmt.Errorf("core: NodeLimit %d must be >= 0", o.NodeLimit)
-	}
-	if o.DominanceTableBytes < 0 {
-		return fmt.Errorf("core: DominanceTableBytes %d must be >= 0 (use DisableDominance to turn the table off)", o.DominanceTableBytes)
 	}
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: TimeLimit %v must be >= 0", o.TimeLimit)

@@ -43,21 +43,14 @@ type prep struct {
 	src  []float64 // source transfer per service (zeros when absent)
 	sink []float64 // sink transfer per service (zeros when absent)
 
-	maxTransferAll []float64 // max_j Transfer[i][j], j != i
-	minTransferAll []float64 // min_j Transfer[i][j], j != i
-	maxOutAll      []float64 // max(maxTransferAll[i], sink[i])
-	minOutAll      []float64 // min(minTransferAll[i], sink[i])
-
 	// ascIdx[l*(n-1)+k] lists the services j != l in increasing
-	// Transfer[l][j] (ties by index): the paper's expansion policy, and
-	// the first-unplaced walk for tight minimum bounds. descIdx is the
-	// same services in decreasing transfer order, the walk for tight
-	// maximum bounds; descVal carries the matching transfer values so the
-	// walk never gathers from the matrix.
-	ascIdx  []int32
-	descIdx []int32
-	ascVal  []float64
-	descVal []float64
+	// Transfer[l][j] (ties by index): the paper's expansion policy, the
+	// first-unplaced walk for tight minimum bounds and, walked backwards,
+	// the one for tight maximum bounds. ascVal carries the matching
+	// transfer values so the walks never gather from the matrix; its two
+	// ends per service are the loose bounds' extremes (transferRange).
+	ascIdx []int32
+	ascVal []float64
 
 	// pairs holds the feasible root pairs not yet taken, as a min-heap in
 	// increasing cost order (see popPair).
@@ -70,6 +63,14 @@ var prepPool sync.Pool
 // order returns the ascending expansion order for service l.
 func (p *prep) order(l int) []int32 {
 	return p.ascIdx[l*(p.n-1) : (l+1)*(p.n-1)]
+}
+
+// transferRange returns the least and the greatest Transfer[l][j] over
+// j != l: the two ends of l's ascending order. The query must have at
+// least two services.
+func (p *prep) transferRange(l int) (lo, hi float64) {
+	w := p.n - 1
+	return p.ascVal[l*w], p.ascVal[l*w+w-1]
 }
 
 // newPrep precomputes the static search data for q. The query must already
@@ -115,38 +116,9 @@ func newPrep(q *model.Query) *prep {
 		copy(p.sink, q.SinkTransfer)
 	}
 
-	p.maxTransferAll = resize(p.maxTransferAll, n)
-	p.minTransferAll = resize(p.minTransferAll, n)
-	p.maxOutAll = resize(p.maxOutAll, n)
-	p.minOutAll = resize(p.minOutAll, n)
-	for i := 0; i < n; i++ {
-		maxT, minT := 0.0, math.Inf(1)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			t := q.Transfer[i][j]
-			if t > maxT {
-				maxT = t
-			}
-			if t < minT {
-				minT = t
-			}
-		}
-		if n == 1 {
-			minT = 0
-		}
-		p.maxTransferAll[i] = maxT
-		p.minTransferAll[i] = minT
-		p.maxOutAll[i] = math.Max(maxT, p.sink[i])
-		p.minOutAll[i] = math.Min(minT, p.sink[i])
-	}
-
 	w := n - 1
 	p.ascIdx = resize(p.ascIdx, n*w)
-	p.descIdx = resize(p.descIdx, n*w)
 	p.ascVal = resize(p.ascVal, n*w)
-	p.descVal = resize(p.descVal, n*w)
 	for l := 0; l < n; l++ {
 		asc := p.ascIdx[l*w : (l+1)*w]
 		k := 0
@@ -159,8 +131,6 @@ func newPrep(q *model.Query) *prep {
 		sortIdxByKey(asc, q.Transfer[l])
 		for i, j := range asc {
 			p.ascVal[l*w+i] = q.Transfer[l][j]
-			p.descIdx[l*w+(w-1-i)] = j
-			p.descVal[l*w+(w-1-i)] = q.Transfer[l][j]
 		}
 	}
 

@@ -81,7 +81,7 @@ const maxShards = 16
 // DefaultTableBytes is the memory cap callers use when they have no
 // reason to pick another: it clamps the slot count at 2^18, which changes
 // the slot count only from n = 19 up (below that the 1/8-of-state-space
-// sizing is no larger). The exact-search core defaults to it.
+// sizing is no larger). The exact-search core always uses it.
 const DefaultTableBytes int64 = 8 << 20
 
 // entry is one table slot. key is the packed (mask, last) pair, zero when

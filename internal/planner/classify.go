@@ -66,8 +66,7 @@ func (p *Planner) Classify(q *model.Query) Temperature {
 	if q == nil {
 		return TempCold
 	}
-	n := q.N()
-	if n == 0 || (!p.useHeuristicTier(n) && n > core.MaxServices) {
+	if q.N() == 0 {
 		return TempCold
 	}
 	bufp := p.rawBufs.Get().(*[]byte)

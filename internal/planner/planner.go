@@ -29,21 +29,21 @@
 //
 // Above the exact tier sits the heuristic tier (internal/htier), and a
 // request's route depends on the work its proof takes, not on its size.
-// Every query up to core.MaxServices runs the exact search first, under a
-// 2^19-node routing budget; a proof answers with TierExact. Only a search
-// that spends that budget falls back to the deterministic planning
-// portfolio, seeded with the search's incumbent. Queries past
-// core.MaxServices go straight to the portfolio. Config.ExactOnly switches
-// the heuristic tier off. Result.Tier records which tier (and which
-// portfolio member) produced each plan.
+// Every query up to core.MaxServices runs the exact search first, under
+// the node budget Config.NodeLimit (DefaultNodeLimit unless set); a proof
+// answers with TierExact. A search that spends that budget falls back to
+// the deterministic planning portfolio, seeded with the search's
+// incumbent. Queries past core.MaxServices go straight to the portfolio.
+// Result.Tier records which tier (and which portfolio member) produced
+// each plan.
 //
 // Cacheability is per tier. Exact results are cached only when proven
-// optimal: a search truncated by the configured node or time budget, or
-// by the request deadline, returns its incumbent but leaves the cache
-// untouched, so a later uncapped request can still establish the optimum.
+// optimal: a search stopped by Config.TimeLimit, the request deadline or
+// a cancel returns its incumbent but leaves the cache untouched, so a
+// later request with more time can still establish the optimum.
 // Heuristic results are cached whenever the portfolio ran its full work
 // budgets: an identical request would spend the same budgets again, so the
-// entry is as good as a rerun. A search truncated by a node budget is
+// entry is as good as a rerun. A search stopped by the node budget is
 // deterministic, so a fallback seeded by one recomputes the identical
 // plan.
 package planner
@@ -52,7 +52,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -68,7 +67,7 @@ import (
 
 // Config tunes a Planner. The zero value is ready for production use:
 // 4096-entry plan cache, canonicalization memo of twice that, and the
-// heuristic tier behind the exact search's routing budget.
+// heuristic tier behind the exact search's DefaultNodeLimit budget.
 type Config struct {
 	// CacheCapacity bounds the plan cache (entries across all shards).
 	// Zero means DefaultCacheCapacity; negative disables caching
@@ -81,19 +80,19 @@ type Config struct {
 	// change that stops setting it deletes the field.
 	ParallelThreshold int
 
-	// Search is the base search configuration applied to every
-	// optimization (pruning toggles, budgets). Per-request contexts with
-	// deadlines tighten Search.TimeLimit automatically.
-	Search core.Options
+	// NodeLimit is each exact search's node budget: a search that spends
+	// it falls back to the heuristic portfolio, seeded with its incumbent,
+	// and the fallback's answer is cached. Zero means DefaultNodeLimit; a
+	// negative value means no limit, so every query up to
+	// core.MaxServices is proven (queries past it still go to the
+	// portfolio).
+	NodeLimit int64
 
-	// ExactOnly switches the heuristic tier off: the exact search runs
-	// without the routing budget, so no request falls back to the
-	// portfolio, and queries past core.MaxServices fail with
-	// ErrQueryTooLarge. By default every query up to core.MaxServices
-	// tries the exact search first and falls back to the portfolio only
-	// when the routing budget runs out; larger queries go straight to the
-	// portfolio, which is the only planner that can represent them.
-	ExactOnly bool
+	// TimeLimit bounds each exact search's wall-clock time (0 = none; a
+	// negative value fails every exact search). A request deadline
+	// tightens it. A search stopped by either answers its incumbent with
+	// TierExact, optimal false and uncached.
+	TimeLimit time.Duration
 
 	// OnSearch, when non-nil, is invoked once per search actually
 	// executed (i.e. not served by cache or singleflight) — an exact
@@ -129,14 +128,13 @@ const DefaultParallelThreshold = 13
 // DefaultHeuristicThreshold is the instance size from which requests go
 // straight to the heuristic tier: the first size past core.MaxServices,
 // which the exact core cannot represent. Below it a request's route
-// depends on its work, not its size: the exact search runs under the
-// routing budget, and only a search that spends it falls back to the
-// portfolio.
+// depends on its work, not its size: the exact search runs under the node
+// budget, and only a search that spends it falls back to the portfolio.
 const DefaultHeuristicThreshold = core.MaxServices + 1
 
-// routingBudget is the exact attempt's node budget: a search that spends
-// it falls back to the heuristic portfolio.
-const routingBudget = 1 << 19
+// DefaultNodeLimit is the exact search's node budget when
+// Config.NodeLimit is zero.
+const DefaultNodeLimit = 1 << 19
 
 // TierExact is the Result.Tier of plans proven by the exact
 // branch-and-bound; heuristic plans report "heuristic/<member>" (see
@@ -151,12 +149,6 @@ const tierHeuristicPrefix = "heuristic/"
 // search's own incumbent: no portfolio member found a cheaper plan.
 const tierIncumbent = tierHeuristicPrefix + "bb"
 
-// ErrQueryTooLarge reports a query past core.MaxServices submitted while
-// the heuristic tier is disabled (Config.ExactOnly). The serve layer maps
-// it to HTTP 422. With the tier enabled — the default — no query is too
-// large and this error is never returned.
-var ErrQueryTooLarge = errors.New("planner: query exceeds the exact optimizer's service limit and the heuristic tier is disabled")
-
 // Planner serves optimization requests through the plan cache. It is safe
 // for concurrent use by any number of goroutines.
 type Planner struct {
@@ -164,11 +156,6 @@ type Planner struct {
 	cache  *planCache // nil when caching is disabled
 	memo   *rawMemo
 	flight flightGroup
-
-	// routingBudget is the exact attempt's node budget before a request
-	// falls back to the portfolio, the constant of that name; tests in
-	// this package lower it to reach the fallback in a few nodes.
-	routingBudget int64
 
 	searches     atomic.Int64
 	sharedWaits  atomic.Int64
@@ -208,7 +195,7 @@ func New(cfg Config) *Planner {
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
 	}
-	p := &Planner{cfg: cfg, routingBudget: routingBudget}
+	p := &Planner{cfg: cfg}
 	if capacity > 0 {
 		p.cache = newPlanCache(capacity)
 	}
@@ -458,9 +445,6 @@ func (p *Planner) optimize(ctx context.Context, q *model.Query) (Result, error) 
 	if err := q.Validate(); err != nil {
 		return Result{}, fmt.Errorf("planner: invalid query: %w", err)
 	}
-	if p.cfg.ExactOnly && q.N() > core.MaxServices {
-		return Result{}, fmt.Errorf("%w (%d services, exact limit %d)", ErrQueryTooLarge, q.N(), core.MaxServices)
-	}
 
 	snap := p.adaptiveSnap()
 	gen := snapGen(snap)
@@ -698,14 +682,6 @@ func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64
 	return key, fresh, stale
 }
 
-// useHeuristicTier reports whether an n-service query goes straight to
-// the heuristic portfolio: past the exact core's representational limit,
-// unless the tier is off (such queries are then rejected upstream). Every
-// other query takes the exact search first (searchExact).
-func (p *Planner) useHeuristicTier(n int) bool {
-	return !p.cfg.ExactOnly && n >= DefaultHeuristicThreshold
-}
-
 // searchTier runs this request's search and reports the result, its tier
 // label, and whether the outcome is shareable (cacheable and adoptable by
 // singleflight followers). Whatever runs — the exact search, the
@@ -722,7 +698,7 @@ func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature,
 		p.replans.Add(1)
 	}
 	run := p.searchExact
-	if p.useHeuristicTier(q.N()) {
+	if q.N() >= DefaultHeuristicThreshold {
 		run = p.searchHeuristic
 	}
 	res, tier, shareable, err := run(ctx, q, incumbent)
@@ -736,25 +712,18 @@ func (p *Planner) searchTier(ctx context.Context, q *model.Query, sig Signature,
 	return res, tier, shareable, nil
 }
 
-// searchExact runs the exact search under the routing budget. A proof
-// answers with TierExact. So does a run stopped by anything else — the
-// configured NodeLimit when it is the tighter budget, TimeLimit, or the
-// request deadline — with its incumbent, optimal false and unshareable:
-// a truncated incumbent in the cache would mask a later uncapped request's
-// proof. Only when the routing budget itself runs out does the portfolio
-// finish the request, seeded with the search's incumbent. Config.ExactOnly
-// runs the search without the routing budget.
+// searchExact runs the exact search under the node budget. A proof
+// answers with TierExact. So does a run stopped by the time limit, the
+// request deadline or a cancel, with its incumbent, optimal false and
+// unshareable: a truncated incumbent in the cache would mask the proof a
+// request with more time could still reach. A run that spends the node
+// budget falls back to the portfolio, seeded with its incumbent.
 func (p *Planner) searchExact(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, string, bool, error) {
-	opts := p.cfg.Search
-	routed := !p.cfg.ExactOnly && (opts.NodeLimit == 0 || p.routingBudget < opts.NodeLimit)
-	if routed {
-		opts.NodeLimit = p.routingBudget
-	}
-	res, err := p.search(ctx, q, opts, incumbent)
+	res, err := p.search(ctx, q, incumbent)
 	if err != nil {
 		return core.Result{}, "", false, err
 	}
-	if !routed || !res.Stats.NodeLimitReached {
+	if !res.Stats.NodeLimitReached {
 		return res, TierExact, res.Optimal, nil
 	}
 	// The seed is nil when the budget ran out before a first plan.
@@ -795,16 +764,24 @@ func (p *Planner) portfolio(ctx context.Context, q *model.Query, seed model.Plan
 	return core.Result{Plan: hres.Plan, Cost: hres.Cost, Stats: core.Stats{Elapsed: hres.Stats.Elapsed}}, tierHeuristicPrefix + hres.Source, nil
 }
 
-// search runs one branch-and-bound under opts. A context deadline
-// tightens the time limit. A non-nil incumbent (the previous generation's
-// plan, already validated for q) seeds rho in place of the cold start.
-func (p *Planner) search(ctx context.Context, q *model.Query, opts core.Options, incumbent model.Plan) (core.Result, error) {
-	// Propagate request-context cancellation into the node loop: a client
-	// that disconnects mid-search stops burning cold-optimize CPU at the
-	// next budget poll instead of running the search to completion.
-	opts.Cancel = ctx.Done()
-	if incumbent != nil {
-		opts.InitialIncumbent = incumbent
+// search runs one branch-and-bound under the configured budgets. A
+// context deadline tightens the time limit. A non-nil incumbent (the
+// previous generation's plan, already validated for q) seeds rho in place
+// of the cold start.
+func (p *Planner) search(ctx context.Context, q *model.Query, incumbent model.Plan) (core.Result, error) {
+	nodes := p.cfg.NodeLimit
+	if nodes == 0 {
+		nodes = DefaultNodeLimit
+	}
+	opts := core.Options{
+		NodeLimit:        max(nodes, 0), // the core's 0 is "no limit"
+		TimeLimit:        p.cfg.TimeLimit,
+		InitialIncumbent: incumbent,
+		// Propagate request-context cancellation into the node loop: a
+		// client that disconnects mid-search stops burning cold-optimize
+		// CPU at the next budget poll instead of running the search to
+		// completion.
+		Cancel: ctx.Done(),
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		remaining := time.Until(deadline)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"serviceordering/internal/core"
 	"serviceordering/internal/gen"
 )
 
@@ -196,16 +195,16 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestNonOptimalResultsAreNotCached(t *testing.T) {
 	t.Parallel()
-	p := New(Config{Search: core.Options{NodeLimit: 1}})
-	q := testQuery(t, gen.Default(9, 77))
+	p := New(Config{TimeLimit: time.Nanosecond})
+	q := truncatedQuery(t)
 	ctx := context.Background()
 
 	res, err := p.Optimize(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Optimal {
-		t.Skip("instance solved within one node; cannot exercise truncation")
+	if res.Optimal || res.Tier != TierExact {
+		t.Fatalf("tier %q optimal %v, want an unproven exact answer from the time limit", res.Tier, res.Optimal)
 	}
 	again, err := p.Optimize(ctx, q)
 	if err != nil {
@@ -301,14 +300,14 @@ func TestFollowerHonorsOwnContext(t *testing.T) {
 
 func TestFollowerDoesNotInheritTruncatedResult(t *testing.T) {
 	t.Parallel()
-	// The leader runs under a node budget so tight its search truncates;
-	// the follower has no budget and must get a full, optimal search of
-	// its own rather than the leader's incumbent.
+	// The leader's search truncates under a time limit so tight it trips
+	// at the first clock poll; the follower must run a search of its own
+	// rather than adopt the leader's unproven incumbent.
 	searchStarted := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int64
 	p := New(Config{
-		Search: core.Options{NodeLimit: 1},
+		TimeLimit: time.Nanosecond,
 		OnSearch: func(Signature) {
 			if calls.Add(1) == 1 {
 				close(searchStarted)
@@ -316,7 +315,7 @@ func TestFollowerDoesNotInheritTruncatedResult(t *testing.T) {
 			}
 		},
 	})
-	q := testQuery(t, gen.Default(9, 77))
+	q := truncatedQuery(t)
 
 	leaderDone := make(chan Result, 1)
 	go func() {
@@ -342,7 +341,7 @@ func TestFollowerDoesNotInheritTruncatedResult(t *testing.T) {
 	leader := <-leaderDone
 	follower := <-followerDone
 	if leader.Optimal {
-		t.Skip("instance solved within one node; cannot exercise truncation")
+		t.Fatal("leader proved its query; the test needs a truncated search")
 	}
 	if follower.Shared {
 		t.Fatal("follower shared a truncated (non-optimal) leader result")
@@ -357,7 +356,7 @@ func TestFollowerDoesNotInheritTruncatedResult(t *testing.T) {
 // HitRate reflects the lookup mix.
 func TestSearchStatsAccumulate(t *testing.T) {
 	t.Parallel()
-	p := New(Config{Search: core.Options{}})
+	p := New(Config{})
 	q := testQuery(t, gen.Default(8, 11))
 	ctx := context.Background()
 
@@ -440,17 +439,11 @@ func TestLatencyQuantilesSurface(t *testing.T) {
 
 // TestDominanceStatsSurface pins the planner-level view of the dominance
 // table: a search hard enough for the table to fire accumulates
-// DominancePrunes and reports the run's occupancy; disabling dominance
-// through the base options zeroes both.
+// DominancePrunes and reports the run's occupancy.
 func TestDominanceStatsSurface(t *testing.T) {
 	t.Parallel()
-	params := gen.Default(12, 20156)
-	params.SelMin = 0.85
-	q := testQuery(t, params)
-	ctx := context.Background()
-
-	p := New(Config{Search: core.Options{}})
-	if _, err := p.Optimize(ctx, q); err != nil {
+	p := New(Config{})
+	if _, err := p.Optimize(context.Background(), truncatedQuery(t)); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -459,13 +452,5 @@ func TestDominanceStatsSurface(t *testing.T) {
 	}
 	if st.DominanceOccupancy <= 0 || st.DominanceOccupancy > 1 {
 		t.Fatalf("DominanceOccupancy = %v, want in (0, 1]", st.DominanceOccupancy)
-	}
-
-	off := New(Config{Search: core.Options{DisableDominance: true}})
-	if _, err := off.Optimize(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.Stats(); st.DominancePrunes != 0 || st.DominanceOccupancy != 0 {
-		t.Fatalf("dominance-off planner reported table activity: %+v", st)
 	}
 }

@@ -2,23 +2,22 @@ package planner
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/baseline"
-	"serviceordering/internal/core"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 )
 
 // Tier routing: every query the exact core can represent takes the exact
-// search first, under the routing budget; a search that spends it, and
+// search first, under the node budget; a search that spends it, and
 // everything past core.MaxServices, take the heuristic portfolio. Both
 // tiers flow through the cache, the singleflight group, and the tier
 // counters.
@@ -84,33 +83,6 @@ func TestTierRouting(t *testing.T) {
 	}
 }
 
-func TestQueryTooLargeSentinel(t *testing.T) {
-	t.Parallel()
-	ctx := context.Background()
-	p := New(Config{ExactOnly: true})
-
-	// Disabled tier: sizes in the exact band still work...
-	res, err := p.Optimize(ctx, testQuery(t, gen.Default(10, 107)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tier != TierExact {
-		t.Fatalf("tier %q, want exact", res.Tier)
-	}
-
-	// ...and past the limit the typed sentinel comes back.
-	_, err = p.Optimize(ctx, testQuery(t, gen.Default(core.MaxServices+1, 108)))
-	if !errors.Is(err, ErrQueryTooLarge) {
-		t.Fatalf("error = %v, want ErrQueryTooLarge", err)
-	}
-
-	// With the tier enabled (default), the sentinel never fires.
-	open := New(Config{})
-	if _, err := open.Optimize(ctx, testQuery(t, gen.Default(core.MaxServices+1, 108))); err != nil {
-		t.Fatalf("default config rejected n=%d: %v", core.MaxServices+1, err)
-	}
-}
-
 func TestHeuristicResultsCached(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -149,16 +121,13 @@ func TestHeuristicResultsCached(t *testing.T) {
 	}
 }
 
-// TestRoutingBudgetBoundsTheTail sends the tail instance the unbudgeted
-// exact search cannot prove in millions of nodes (proliferative n=14, seed
-// 7919·28+14) through the default planner: the exact attempt stops at the
-// routing budget and the portfolio answers, no worse than either greedy
-// construction. The answer is cached like any heuristic answer.
+// TestRoutingBudgetBoundsTheTail sends the tail instance through the
+// default planner: the exact attempt stops at DefaultNodeLimit and the
+// portfolio answers, no worse than either greedy construction. The answer
+// is cached like any heuristic answer.
 func TestRoutingBudgetBoundsTheTail(t *testing.T) {
 	t.Parallel()
-	params := gen.Default(14, 7919*28+14)
-	params.ProliferativeFraction = 0.3
-	q := testQuery(t, params)
+	q := tailQuery(t)
 	p := New(Config{})
 	ctx := context.Background()
 
@@ -187,8 +156,8 @@ func TestRoutingBudgetBoundsTheTail(t *testing.T) {
 			t.Errorf("cost %v worse than %s's %v", res.Cost, name, g.Cost)
 		}
 	}
-	if nodes := res.Stats.NodesExpanded; nodes <= 0 || nodes > routingBudget {
-		t.Fatalf("exact attempt expanded %d nodes, want within (0, %d]", nodes, routingBudget)
+	if nodes := res.Stats.NodesExpanded; nodes <= 0 || nodes > DefaultNodeLimit {
+		t.Fatalf("exact attempt expanded %d nodes, want within (0, %d]", nodes, DefaultNodeLimit)
 	}
 
 	again, err := p.Optimize(ctx, q)
@@ -201,9 +170,28 @@ func TestRoutingBudgetBoundsTheTail(t *testing.T) {
 	}
 }
 
-// fallbackQuery is a sequential-size instance whose exact search needs more
-// than 64 nodes, and whose portfolio fallback under a 64-node budget keeps
-// the exact attempt's incumbent, cold and after a drift replan.
+// tailQuery is the tail instance (proliferative n=14, seed 7919·28+14):
+// its exact search runs for seconds, millions of nodes, without a budget.
+func tailQuery(t *testing.T) *model.Query {
+	t.Helper()
+	params := gen.Default(14, 7919*28+14)
+	params.ProliferativeFraction = 0.3
+	return testQuery(t, params)
+}
+
+// truncatedQuery needs about 5000 nodes to prove, past the search's first
+// clock poll at node 1024, so a 1 ns time limit stops every search of it
+// unproven.
+func truncatedQuery(t *testing.T) *model.Query {
+	t.Helper()
+	params := gen.Default(12, 20156)
+	params.SelMin = 0.85
+	return testQuery(t, params)
+}
+
+// fallbackQuery is an instance whose exact search needs 459 nodes, and
+// whose portfolio fallback under a 64-node budget keeps the exact
+// attempt's incumbent, cold and after a drift replan.
 func fallbackQuery(t *testing.T) *model.Query {
 	t.Helper()
 	params := gen.Default(12, 11)
@@ -216,7 +204,7 @@ func fallbackQuery(t *testing.T) *model.Query {
 }
 
 // TestBudgetFallbackCountsOneSearch: a request whose exact attempt spends
-// the routing budget and falls back to the portfolio is one search — one
+// the node budget and falls back to the portfolio is one search — one
 // Searches, one OnSearch, one tier label, at most one Replans — and its
 // node counts include the exact attempt's. A fallback that keeps the
 // exact attempt's incumbent reads heuristic/bb: heuristic/seed names a
@@ -229,10 +217,10 @@ func TestBudgetFallbackCountsOneSearch(t *testing.T) {
 	reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
 	var onSearch atomic.Int64
 	p := New(Config{
-		Adaptive: reg,
-		OnSearch: func(Signature) { onSearch.Add(1) },
+		NodeLimit: budget,
+		Adaptive:  reg,
+		OnSearch:  func(Signature) { onSearch.Add(1) },
 	})
-	p.routingBudget = budget
 
 	check := func(name string, want ledger, replanned bool) {
 		t.Helper()
@@ -269,41 +257,55 @@ func TestBudgetFallbackCountsOneSearch(t *testing.T) {
 	check("replan", ledger{Misses: 1, Touches: 1, Searches: 1, Replans: 1}, true)
 }
 
-// TestOnlyTheRoutingBudgetFallsBack: under a 64-node routing budget, the
-// configured NodeLimit keeps today's outcome when it is the tighter budget
-// — an uncached exact answer with optimal false — and the routing budget
-// falls back when it is. With the heuristic tier disabled there is no
-// routing budget.
+// TestOnlyTheRoutingBudgetFallsBack: whatever Config.NodeLimit is, a
+// search that spends it falls back to the portfolio, and the fallback is
+// cached, so ten sends of one query run one search. No node limit proves.
+// A time limit answers the unproven exact incumbent, uncached, so every
+// send searches again.
 func TestOnlyTheRoutingBudgetFallsBack(t *testing.T) {
 	t.Parallel()
-	q := fallbackQuery(t)
+	const sends = 10
 	for _, tc := range []struct {
 		name      string
+		q         *model.Query
 		cfg       Config
-		wantTier  string
+		fallback  bool // heuristic/*, not exact
 		wantProof bool
 	}{
-		{"node-limit tighter", Config{Search: core.Options{NodeLimit: 32}}, TierExact, false},
-		{"node-limit equal", Config{Search: core.Options{NodeLimit: 64}}, TierExact, false},
-		{"routing budget tighter", Config{Search: core.Options{NodeLimit: 1 << 20}}, tierIncumbent, false},
-		{"exact-only", Config{ExactOnly: true}, TierExact, true},
+		{"node-limit 32", fallbackQuery(t), Config{NodeLimit: 32}, true, false},
+		{"node-limit 64", fallbackQuery(t), Config{NodeLimit: 64}, true, false},
+		{"tail node-limit 100000", tailQuery(t), Config{NodeLimit: 100000}, true, false},
+		{"tail node-limit 1048576", tailQuery(t), Config{NodeLimit: 1 << 20}, true, false},
+		{"no node limit", fallbackQuery(t), Config{NodeLimit: -1}, false, true},
+		{"time limit 1ns", truncatedQuery(t), Config{TimeLimit: time.Nanosecond}, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(tc.cfg)
-			p.routingBudget = 64
-			res, err := p.Optimize(context.Background(), q)
+			res, err := p.Optimize(context.Background(), tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Tier != tc.wantTier || res.Optimal != tc.wantProof {
-				t.Fatalf("tier %q optimal %v, want %q optimal %v", res.Tier, res.Optimal, tc.wantTier, tc.wantProof)
+			if strings.HasPrefix(res.Tier, tierHeuristicPrefix) != tc.fallback || res.Optimal != tc.wantProof {
+				t.Fatalf("tier %q optimal %v, want fallback %v optimal %v", res.Tier, res.Optimal, tc.fallback, tc.wantProof)
 			}
-			again, err := p.Optimize(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
+			if tc.cfg.NodeLimit > 0 && res.Stats.NodesExpanded != tc.cfg.NodeLimit {
+				t.Fatalf("exact attempt expanded %d nodes, want the whole %d budget", res.Stats.NodesExpanded, tc.cfg.NodeLimit)
 			}
-			if cacheable := res.Optimal || res.Tier != TierExact; again.Cached != cacheable {
-				t.Fatalf("resubmission cached %v, want %v", again.Cached, cacheable)
+			for i := 1; i < sends; i++ {
+				again, err := p.Optimize(context.Background(), tc.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.Tier != res.Tier || again.Cost != res.Cost {
+					t.Fatalf("send %d: tier %q cost %v, want %q at %v", i, again.Tier, again.Cost, res.Tier, res.Cost)
+				}
+			}
+			wantSearches, wantHits := int64(1), int64(sends-1)
+			if !tc.fallback && !tc.wantProof {
+				wantSearches, wantHits = sends, 0
+			}
+			if st := p.Stats(); st.Searches != wantSearches || st.Hits != wantHits {
+				t.Fatalf("%d sends: %d searches, %d hits, want %d and %d", sends, st.Searches, st.Hits, wantSearches, wantHits)
 			}
 		})
 	}
@@ -323,8 +325,7 @@ func TestBudgetFallbackConcurrent(t *testing.T) {
 		qs[i] = testQuery(t, params)
 	}
 	var onSearch atomic.Int64
-	p := New(Config{OnSearch: func(Signature) { onSearch.Add(1) }})
-	p.routingBudget = budget
+	p := New(Config{NodeLimit: budget, OnSearch: func(Signature) { onSearch.Add(1) }})
 	const workers, perWorker = 4, 9
 	results := make([][]Result, workers)
 	var wg sync.WaitGroup
@@ -386,25 +387,23 @@ func TestBudgetFallbackConcurrent(t *testing.T) {
 	}
 }
 
-// TestHeuristicRouteGoldens pins the default planner's answers on the
-// heuristic route. Its exact search is sequential, and a node budget stops
-// a sequential search at the same node every run, so they reproduce bit
-// for bit: the tail instance and fallbackQuery (under a 64-node
-// routing budget) fall back from a spent exact attempt, and n=65 and
-// n=128 go straight to the portfolio.
+// TestHeuristicRouteGoldens pins the planner's answers on the heuristic
+// route. Its exact search is sequential, and a node budget stops a
+// sequential search at the same node every run, so they reproduce bit
+// for bit: the tail instance (under the default budget) and fallbackQuery
+// (under a 64-node budget) fall back from a spent exact attempt, and n=65
+// and n=128 go straight to the portfolio.
 func TestHeuristicRouteGoldens(t *testing.T) {
 	t.Parallel()
-	tail := gen.Default(14, 7919*28+14)
-	tail.ProliferativeFraction = 0.3
 	for _, tc := range []struct {
 		name     string
 		q        *model.Query
-		budget   int64 // routing budget; 0 keeps the default
+		budget   int64 // Config.NodeLimit; 0 keeps the default
 		tier     string
 		costBits uint64
 		plan     model.Plan
 	}{
-		{"tail", testQuery(t, tail), 0, "heuristic/local-search", 0x3ff075b870a17eac,
+		{"tail", tailQuery(t), 0, "heuristic/local-search", 0x3ff075b870a17eac,
 			model.Plan{2, 8, 1, 7, 4, 0, 11, 5, 3, 10, 13, 12, 6, 9}},
 		{"fallback", fallbackQuery(t), 64, "heuristic/bb", 0x3fe1da17ee68cb9d,
 			model.Plan{2, 7, 11, 5, 4, 1, 6, 10, 9, 0, 3, 8}},
@@ -415,11 +414,7 @@ func TestHeuristicRouteGoldens(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			p := New(Config{})
-			if tc.budget > 0 {
-				p.routingBudget = tc.budget
-			}
-			res, err := p.Optimize(context.Background(), tc.q)
+			res, err := New(Config{NodeLimit: tc.budget}).Optimize(context.Background(), tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"serviceordering/internal/admit"
-	"serviceordering/internal/planner"
 )
 
 // apiCode is a stable machine-readable error class, carried in the /v1
@@ -24,14 +23,13 @@ import (
 type apiCode string
 
 const (
-	codeBadRequest    apiCode = "bad_request"     // malformed or invalid request document
-	codeNotFound      apiCode = "not_found"       // unknown endpoint or disabled subsystem
-	codeTimeout       apiCode = "timeout"         // caller's context ended mid-request
-	codeUnprocessable apiCode = "unprocessable"   // valid document the planner cannot serve
-	codeQueryTooLarge apiCode = "query_too_large" // exceeds the exact core with heuristics off
-	codeOverloaded    apiCode = "overloaded"      // admission shed; retryAfterSeconds set
-	codeBackendFailed apiCode = "backend_failed"  // service backend call failed
-	codeInternal      apiCode = "internal"        // unreachable today; the envelope's floor
+	codeBadRequest    apiCode = "bad_request"    // malformed or invalid request document
+	codeNotFound      apiCode = "not_found"      // unknown endpoint or disabled subsystem
+	codeTimeout       apiCode = "timeout"        // caller's context ended mid-request
+	codeUnprocessable apiCode = "unprocessable"  // valid document the planner cannot serve
+	codeOverloaded    apiCode = "overloaded"     // admission shed; retryAfterSeconds set
+	codeBackendFailed apiCode = "backend_failed" // service backend call failed
+	codeInternal      apiCode = "internal"       // unreachable today; the envelope's floor
 )
 
 // codeStatus is the single code → HTTP status mapping.
@@ -40,7 +38,6 @@ var codeStatus = map[apiCode]int{
 	codeNotFound:      http.StatusNotFound,
 	codeTimeout:       http.StatusRequestTimeout,
 	codeUnprocessable: http.StatusUnprocessableEntity,
-	codeQueryTooLarge: http.StatusUnprocessableEntity,
 	codeOverloaded:    http.StatusTooManyRequests,
 	codeBackendFailed: http.StatusBadGateway,
 	codeInternal:      http.StatusInternalServerError,
@@ -56,11 +53,6 @@ func classifyError(err error) (apiCode, *admit.ShedError) {
 		return codeOverloaded, se
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return codeTimeout, nil
-	case errors.Is(err, planner.ErrQueryTooLarge):
-		// Typed rejection: the query exceeds the exact core's service
-		// limit and the server was started with the heuristic tier
-		// disabled. Semantically valid, not servable here — 422.
-		return codeQueryTooLarge, nil
 	default:
 		return codeUnprocessable, nil
 	}

@@ -14,7 +14,6 @@ import (
 
 	"serviceordering/internal/adapt"
 	"serviceordering/internal/admit"
-	"serviceordering/internal/core"
 	"serviceordering/internal/gen"
 	"serviceordering/internal/model"
 	"serviceordering/internal/planner"
@@ -417,20 +416,18 @@ func TestTenantHeaderFairness(t *testing.T) {
 func TestClientDisconnectCancelsSearch(t *testing.T) {
 	started := make(chan struct{})
 	p := planner.New(planner.Config{
-		// Disable every pruning rule so the search is guaranteed to still
-		// be running when the disconnect lands (n=11 unpruned is tens of
-		// millions of nodes — multiple seconds); a completed search would
+		// No node budget, and the tail instance (proliferative n=14, seed
+		// 7919·28+14) needs seconds to prove, so the search is still
+		// running when the disconnect lands; a completed search would
 		// answer 200, so the 408 below proves mid-search abort.
-		Search: core.Options{
-			DisableIncumbentPruning: true,
-			DisableClosure:          true,
-			DisableDominance:        true,
-		},
-		OnSearch: func(planner.Signature) { close(started) },
+		NodeLimit: -1,
+		OnSearch:  func(planner.Signature) { close(started) },
 	})
 	h := NewHandler(p, Options{})
 
-	body, err := json.Marshal(genInstance(t, gen.Default(11, 424)))
+	tail := gen.Default(14, 7919*28+14)
+	tail.ProliferativeFraction = 0.3
+	body, err := json.Marshal(genInstance(t, tail))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,23 +64,6 @@ func TestExactTierReported(t *testing.T) {
 	}
 }
 
-// TestQueryTooLargeMapsTo422: with the heuristic tier disabled, an
-// oversized query gets the typed planner rejection as a 422 error
-// envelope — not a 400 (the query itself is well-formed) and not a panic.
-func TestQueryTooLargeMapsTo422(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(
-		planner.New(planner.Config{ExactOnly: true}), Options{}))
-	defer srv.Close()
-
-	resp := postJSON(t, srv.URL+"/v1/optimize", genInstance(t, gen.Default(65, 7)))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
-	}
-	if e := decodeError(t, resp); e.Code != string(codeQueryTooLarge) || e.Message == "" {
-		t.Fatalf("422 envelope %+v, want query_too_large with a message", e)
-	}
-}
-
 // TestQueryMemoAdmitsLargeQueries: the memo's only admission criterion is
 // the byte bound — a compactly encoded query past 64 services is
 // memoized on its second sighting, so its byte-identical resubmissions

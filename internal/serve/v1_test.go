@@ -168,17 +168,6 @@ func TestV1Golden(t *testing.T) {
 		checkGolden(t, "optimize_no_query", body)
 	})
 
-	t.Run("optimize_too_large", func(t *testing.T) {
-		p := planner.New(planner.Config{ExactOnly: true})
-		srv := httptest.NewServer(NewHandler(p, Options{}))
-		t.Cleanup(srv.Close)
-		resp, body := v1Request(t, srv, "POST", "/v1/optimize", mustJSON(t, genInstance(t, gen.Default(65, 5))))
-		if resp.StatusCode != 422 {
-			t.Fatalf("status %d: %s", resp.StatusCode, body)
-		}
-		checkGolden(t, "optimize_too_large", body)
-	})
-
 	t.Run("optimize_overloaded", func(t *testing.T) {
 		ctl := admit.New(admit.Options{MaxConcurrent: 1, MaxQueue: 1, MaxWait: 10 * time.Second})
 		srv := httptest.NewServer(NewHandler(planner.New(planner.Config{}), Options{Admission: ctl}))
@@ -371,7 +360,6 @@ func TestErrorTable(t *testing.T) {
 		codeNotFound:      404,
 		codeTimeout:       408,
 		codeUnprocessable: 422,
-		codeQueryTooLarge: 422,
 		codeOverloaded:    429,
 		codeBackendFailed: 502,
 		codeInternal:      500,
@@ -397,8 +385,6 @@ func TestErrorTable(t *testing.T) {
 		{"canceled", context.Canceled, codeTimeout, "", 0},
 		{"deadline", context.DeadlineExceeded, codeTimeout, "", 0},
 		{"wrapped_deadline", fmt.Errorf("solve: %w", context.DeadlineExceeded), codeTimeout, "", 0},
-		{"too_large", planner.ErrQueryTooLarge, codeQueryTooLarge, "", 0},
-		{"wrapped_too_large", fmt.Errorf("planner: %w", planner.ErrQueryTooLarge), codeQueryTooLarge, "", 0},
 		{"generic", errors.New("whatever"), codeUnprocessable, "", 0},
 	}
 	for _, tc := range cases {
