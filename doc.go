@@ -148,8 +148,10 @@
 //     validation succeeded; a hit needs a full entry, the same route and
 //     a full byte comparison, under a per-process seeded maphash key that
 //     crafted collisions cannot flood. The planner's canonicalization
-//     memo is keyed the same way; only hashes that must agree across
-//     processes (refinement colors, the fleet ring) keep FNV-1a.
+//     memo keeps no query bytes: it keys each query by the SHA-256
+//     digest of its serialization, service names included, bucketed
+//     under the same kind of seeded maphash. Only hashes that must agree
+//     across processes (refinement colors, the fleet ring) keep FNV-1a.
 //   - A one-pass first-sight decode. A body the memo does not hold is
 //     decoded by one reflection-free scanner that builds the query
 //     directly, where encoding/json scanned the body twice and decoded
@@ -259,12 +261,16 @@
 //     means older, never wrong.
 //   - Plan-cache snapshots (-snapshot-path). The cache is the node's
 //     warm-up capital; a deploy should not forfeit it. The planner
-//     serializes cache and canonicalization memo to a versioned,
-//     checksummed on-disk format ("SOP1"), dumped periodically and on
-//     SIGTERM, and restored on boot (a corrupt or mismatched snapshot
-//     logs and boots cold — never takes the node down). A restarted
-//     node answers its working set from cache in its first window
-//     instead of re-searching it at the worst possible moment.
+//     serializes its plan cache (not the canonicalization memo) to a
+//     versioned, checksummed on-disk format ("SOP1"), dumped
+//     periodically and on SIGTERM, and restored on boot (a corrupt or
+//     mismatched snapshot logs and boots cold — never takes the node
+//     down). The version names the signature scheme too, so a snapshot
+//     from a binary that canonicalizes differently is refused
+//     (planner.ErrSnapshotVersion) rather than restored under
+//     signatures no request computes. A restarted node answers its
+//     working set from cache in its first window instead of
+//     re-searching it at the worst possible moment.
 //
 // The dqload overload scenario gates the whole stack: it calibrates
 // the server's saturation rate, offers 4x that, and asserts the node

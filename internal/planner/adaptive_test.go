@@ -350,3 +350,60 @@ func TestAdaptiveZeroStaleAfterPublish(t *testing.T) {
 		t.Fatalf("generation moved (%d -> %d) without observations", gen, got)
 	}
 }
+
+// TestMemoKeyCoversNames: the adaptive overlay reprices services by name,
+// so two queries with equal numbers and different names can have
+// different effective queries, and the canonicalization memo must not
+// answer one with the other's mapping. After a drift publish for the svc-
+// services, the same numbers under the untracked zz- names are answered
+// with their own optimum, whichever query arrives first, and each then
+// hits its own entry.
+func TestMemoKeyCoversNames(t *testing.T) {
+	t.Parallel()
+	for _, trackedFirst := range []bool{true, false} {
+		reg := adapt.MustNew(adapt.Config{Alpha: 1, MinObservations: 1, DriftDelta: 0.05})
+		p := New(Config{Adaptive: reg})
+		tracked := namedQuery(t, 8, 511, "svc-")
+		renamed := namedQuery(t, 8, 511, "zz-")
+		truth := tracked.Clone()
+		for i := range truth.Services {
+			truth.Services[i].Cost *= 2
+		}
+		truth.Services[0].Selectivity *= 0.5
+		observeCovering(t, reg, truth, 1)
+		if reg.Generation() == 0 {
+			t.Fatal("drift observations did not publish a generation")
+		}
+
+		queries := []*model.Query{tracked, renamed}
+		if !trackedFirst {
+			queries[0], queries[1] = renamed, tracked
+		}
+		var sigs [2]Signature
+		for round := 0; round < 2; round++ {
+			for i, q := range queries {
+				res, err := p.Optimize(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eff, _ := reg.Current().Overlay(q)
+				want, err := core.Optimize(eff)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := q.Services[0].Name
+				if res.Cost != want.Cost || eff.Cost(res.Plan) != want.Cost {
+					t.Fatalf("trackedFirst=%v round %d, %s: cost %v, plan %v costs %v on its own query, optimum %v",
+						trackedFirst, round, name, res.Cost, res.Plan, eff.Cost(res.Plan), want.Cost)
+				}
+				if res.Cached != (round == 1) {
+					t.Fatalf("trackedFirst=%v round %d, %s: cached=%v", trackedFirst, round, name, res.Cached)
+				}
+				sigs[i] = res.Signature
+			}
+		}
+		if sigs[0] == sigs[1] {
+			t.Fatalf("trackedFirst=%v: the tracked and renamed queries share signature %s", trackedFirst, sigs[0])
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package planner
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"hash/maphash"
 	"sync/atomic"
 
@@ -9,10 +9,10 @@ import (
 )
 
 // This file binds the planner's two caches — the plan cache (Signature ->
-// cached plan) and the canonicalization memo (seeded hash of the raw
-// serialization -> signature + permutation) — to the clock store in
-// internal/ccache: one map lookup under a shard's read lock per warm hit,
-// no promotion. Counters are atomics aggregated on read.
+// cached plan) and the canonicalization memo (SHA-256 digest of the
+// query's serialization -> signature + permutation) — to the clock store
+// in internal/ccache: one map lookup under a shard's read lock per warm
+// hit, no promotion. Counters are atomics aggregated on read.
 //
 // The plan cache has two reads. get is a request's own lookup and counts
 // a hit or a miss; peek re-reads without counting either (the leader's
@@ -27,13 +27,12 @@ import (
 // was computed under, and a lookup is only a hit when the entry's stamp
 // matches the request's generation. A stale entry reads as a miss but is
 // handed back separately — the resident plan seeds the re-optimization as
-// its initial incumbent, and the stale raw-memo mapping locates the
-// previous generation's plan for byte-identical resubmissions whose
-// effective signature changed. There is no flush on a generation bump:
-// stale entries are overwritten by their replacements or age out through
-// the normal eviction sweep. Without an adaptive registry the generation
-// is always zero and every path below is byte-for-byte the pre-v5
-// behavior.
+// its initial incumbent, and the stale memo mapping locates the previous
+// generation's plan for identical resubmissions whose effective signature
+// changed. There is no flush on a generation bump: stale entries are
+// overwritten by their replacements or age out through the normal
+// eviction sweep. Without an adaptive registry the generation is always
+// zero and every path below is byte-for-byte the pre-v5 behavior.
 
 // cacheEntry is a cached optimization outcome in canonical index space.
 type cacheEntry struct {
@@ -63,10 +62,20 @@ type cacheEntry struct {
 	frag []byte
 }
 
-// rawEntry memoizes the canonicalization of one exact byte serialization.
+// rawEntry memoizes the canonicalization of one exact query serialization
+// (encodeRaw), identified by the SHA-256 digest of its bytes: the entry
+// holds 32 bytes of identity, not the O(n^2) serialization.
 type rawEntry struct {
-	raw []byte // full key, verified on lookup (bucket hash may collide)
+	digest [sha256.Size]byte // full key, verified on lookup (buckets may collide)
 	canonical
+}
+
+// memoKey is the memo's key for one query serialization: its SHA-256
+// digest. ok is false for a serialization past maxMemoRawBytes, which is
+// never memoized.
+type memoKey struct {
+	digest [sha256.Size]byte
+	ok     bool
 }
 
 // cacheShardCount is the number of shards; a power of two so the shard
@@ -138,12 +147,15 @@ func (c *planCache) put(sig Signature, e *cacheEntry, gen uint64) {
 
 func (c *planCache) len() int { return c.store.Len() }
 
-// rawMemo is the sharded canonicalization memo keyed by a seeded maphash
-// of the query's exact serialization. The seed is drawn per planner, so
-// the key never leaves the process and crafted collisions cannot flood a
-// bucket. Bucket collisions are disambiguated by comparing the stored
-// bytes; a mismatch is treated as a miss and the bucket is overwritten
-// (the newer query is the hotter one).
+// rawMemo is the sharded canonicalization memo keyed by the SHA-256
+// digest of the query's exact serialization — the hash the plan cache
+// already trusts for Signature, so two serializations that share a digest
+// are taken to be the same bytes. Entries live in buckets under a seeded
+// maphash of the digest; the seed is drawn per planner, so the bucket key
+// never leaves the process and crafted digests cannot flood a bucket.
+// Bucket collisions are disambiguated by comparing digests; a mismatch is
+// treated as a miss and the bucket is overwritten (the newer query is the
+// hotter one).
 type rawMemo struct {
 	seed  maphash.Seed
 	store *ccache.Clock[uint64, *rawEntry]
@@ -153,18 +165,18 @@ func newRawMemo(capacity int) *rawMemo {
 	return &rawMemo{seed: maphash.MakeSeed(), store: ccache.NewClock[uint64, *rawEntry](capacity, cacheShardCount, keyShard)}
 }
 
-// key is raw's bucket key.
-func (m *rawMemo) key(raw []byte) uint64 { return maphash.Bytes(m.seed, raw) }
+// bucket is the bucket key of a serialization's digest.
+func (m *rawMemo) bucket(digest *[sha256.Size]byte) uint64 { return maphash.Bytes(m.seed, digest[:]) }
 
-// get resolves the memoized canonicalization of raw at the given
-// generation. A byte-verified entry stamped with another generation is a
-// miss (the overlay parameters — and therefore the effective signature and
-// permutation — may have changed) returned separately as stale, so the
-// caller can chase the previous generation's signature to its cached plan
-// and seed the replan with it.
-func (m *rawMemo) get(key uint64, raw []byte, gen uint64) (fresh, stale *rawEntry) {
-	e, egen, ok, _ := m.store.GetGen(key)
-	if !ok || !bytes.Equal(e.raw, raw) {
+// get resolves the memoized canonicalization of key at the given
+// generation. An entry with key's digest stamped with another generation
+// is a miss (the overlay parameters — and therefore the effective
+// signature and permutation — may have changed) returned separately as
+// stale, so the caller can chase the previous generation's signature to
+// its cached plan and seed the replan with it.
+func (m *rawMemo) get(key memoKey, gen uint64) (fresh, stale *rawEntry) {
+	e, egen, ok, _ := m.store.GetGen(m.bucket(&key.digest))
+	if !ok || e.digest != key.digest {
 		return nil, nil
 	}
 	if egen != gen {
@@ -173,6 +185,7 @@ func (m *rawMemo) get(key uint64, raw []byte, gen uint64) (fresh, stale *rawEntr
 	return e, nil
 }
 
-func (m *rawMemo) put(key uint64, e *rawEntry, gen uint64) {
-	m.store.PutGen(key, e, gen)
+// put memoizes c, computed at generation gen, under key.
+func (m *rawMemo) put(key memoKey, c canonical, gen uint64) {
+	m.store.PutGen(m.bucket(&key.digest), &rawEntry{digest: key.digest, canonical: c}, gen)
 }

@@ -57,9 +57,9 @@ func (t Temperature) String() string {
 // like any other read's; the admitted request's own lookup then finds
 // the bit already set, so Touches ends where it would without the probe.
 //
-// The probe is memo-first: a query whose exact bytes were never seen
-// resolves TempCold even when a structurally identical query is cached
-// under another labeling — running color refinement here would cost a
+// The probe is memo-first: a query whose exact serialization was never
+// seen resolves TempCold even when a structurally identical query is
+// cached under another labeling — canonicalizing here would cost a
 // meaningful fraction of the warm hit it is trying to price. That
 // conservatism only ever sheds too eagerly, never admits too cheaply.
 func (p *Planner) Classify(q *model.Query) Temperature {
@@ -69,10 +69,8 @@ func (p *Planner) Classify(q *model.Query) Temperature {
 	if q.N() == 0 {
 		return TempCold
 	}
-	bufp := p.rawBufs.Get().(*[]byte)
-	defer p.rawBufs.Put(bufp)
 	gen := snapGen(p.adaptiveSnap())
-	_, fresh, stale := p.probeMemo(q, gen, bufp)
+	_, fresh, stale := p.probeMemo(q, gen)
 	mapping := cmp.Or(fresh, stale)
 	if mapping == nil {
 		return TempCold

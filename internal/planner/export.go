@@ -4,11 +4,12 @@ package planner
 // shard the signature space and replicate warm entries, without exposing
 // cache internals.
 //
-// Routing cannot use Classify: the raw-byte memo is per-process, so a
-// replica that has never parsed a query's exact bytes reports TempCold
-// even with the replicated plan entry resident under its signature. The
-// fleet layer therefore routes on the canonical signature itself
-// (SignatureFor) and probes entry residency by signature (ResidentFresh).
+// Routing cannot use Classify: the canonicalization memo is per-process,
+// so a replica that has never seen a query's exact serialization reports
+// TempCold even with the replicated plan entry resident under its
+// signature. The fleet layer therefore routes on the canonical signature
+// itself (SignatureFor) and probes entry residency by signature
+// (ResidentFresh).
 //
 // Entry replication reuses the SOP1 snapshot codec as single-entry
 // documents, so the owner→replica wire format inherits the CRC, the

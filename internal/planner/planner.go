@@ -10,7 +10,9 @@
 //     structurally identical queries hash equal regardless of how the
 //     caller happened to number their services;
 //   - a sharded, bounded LRU plan cache keyed by signature, fronted by a
-//     canonicalization memo so byte-identical resubmissions skip the
+//     canonicalization memo keyed by the SHA-256 digest of each query's
+//     exact serialization (service names included, since the adaptive
+//     overlay reprices by name), so identical resubmissions skip the
 //     refinement pass, with hit/miss/eviction counters; and
 //   - singleflight deduplication, so N concurrent requests for the same
 //     signature trigger exactly one search and share its outcome.
@@ -49,8 +51,8 @@
 package planner
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -176,7 +178,7 @@ type Planner struct {
 	tierMu     sync.Mutex
 	tierCounts map[string]int64
 
-	rawBufs sync.Pool // *[]byte scratch for encodeRaw
+	rawBufs sync.Pool // *[]byte scratch for encodeRaw, hashed by probeMemo
 }
 
 // countTier tallies one executed search under its tier label.
@@ -286,8 +288,8 @@ type Stats struct {
 	// is sweeping constantly — the cache is thrashing.
 	Touches int64 `json:"touches"`
 
-	// MemoHits counts canonicalization-memo hits (byte-identical
-	// resubmissions that skipped color refinement).
+	// MemoHits counts canonicalization-memo hits (identical resubmissions
+	// that skipped canonicalization).
 	MemoHits int64 `json:"memoHits"`
 
 	// Generation is the adaptive statistics generation requests are
@@ -423,10 +425,11 @@ func overlay(q *model.Query, snap *adapt.Snapshot) *model.Query {
 func (p *Planner) Adaptive() *adapt.Registry { return p.cfg.Adaptive }
 
 // optimize is the uninstrumented request path. The warm hit costs: one
-// pooled raw serialization + seeded hash, one read-locked memo probe (plus
-// a generation-stamp compare), one read-locked plan-cache probe, and one
-// plan permutation — a single allocation (the caller-owned plan), pinned
-// by TestOptimizeWarmHitAllocs with and without an adaptive registry.
+// pooled raw serialization + SHA-256 digest, one read-locked memo probe
+// (plus a generation-stamp compare), one read-locked plan-cache probe, and
+// one plan permutation — a single allocation (the caller-owned plan),
+// pinned by TestOptimizeWarmHitAllocs with and without an adaptive
+// registry.
 //
 // Every answer taken from a resident entry — the fresh hit, the leader's
 // re-check, the follower's share — goes through canonical.answer, which
@@ -530,7 +533,7 @@ func (c canonical) answer(e *cacheEntry) (Result, bool) {
 //     overlay left this query's parameters unchanged across the bump, or
 //     they drifted back): identical canonical structure, so the current
 //     permutation relabels it;
-//   - a stale raw-memo mapping for these exact query bytes: its old
+//   - a stale memo mapping for this exact query: its old
 //     signature locates the old plan-cache entry, and its old permutation
 //     relabels that plan out of the old canonical space.
 //
@@ -618,28 +621,29 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// maxMemoRawBytes bounds the per-entry footprint of the canonicalization
-// memo: the raw serialization is O(n^2), so memoizing huge instances would
-// let the memo dwarf the plan cache it fronts. Above the bound (n ≈ 45)
-// requests canonicalize from scratch — those instances are search-dominated
-// anyway.
+// maxMemoRawBytes bounds the serializations the canonicalization memo
+// keys. A memo entry holds only a digest whatever the query's size, but
+// the probe serializes and hashes the whole O(n^2) query, and past the
+// bound (n ≈ 45) that costs about what canonicalizing does, so larger
+// requests canonicalize from scratch — those instances are
+// search-dominated anyway.
 const maxMemoRawBytes = 16 << 10
 
 // canonicalFor resolves q's canonical identity under the given statistics
 // snapshot, consulting the memo first so repeat submissions of the same
-// bytes skip both the overlay and refinement. The memo-hit fast path is
-// allocation-free: the raw serialization lands in pooled scratch, and the
+// query skip both the overlay and refinement. The memo-hit fast path is
+// allocation-free: the serialization is hashed in pooled scratch, and the
 // returned value aliases the memo entry's perm/inv slices (read-only by
 // construction) instead of copying them.
 //
-// The memo key is the client's exact bytes, but the memoized signature and
-// permutation describe the *effective* (overlay-applied) query, so memo
-// entries are generation-stamped: after a drift publish the same bytes
-// resolve to a fresh canonicalization of the new effective query, and the
-// superseded mapping comes back as stale so the caller can chase it to the
-// previous plan. The second result is the effective query when this call
-// materialized it (miss paths), nil on a memo hit; the third is the stale
-// previous-generation mapping, if any.
+// The memo key is the digest of the client's exact query, names included,
+// but the memoized signature and permutation describe the *effective*
+// (overlay-applied) query, so memo entries are generation-stamped: after a
+// drift publish the same query resolves to a fresh canonicalization of the
+// new effective query, and the superseded mapping comes back as stale so
+// the caller can chase it to the previous plan. The second result is the
+// effective query when this call materialized it (miss paths), nil on a
+// memo hit; the third is the stale previous-generation mapping, if any.
 //
 // write is the memo's one write switch, and only optimize sets it: the
 // memo hit is counted and the miss memoized. Every other caller resolves
@@ -648,10 +652,8 @@ const maxMemoRawBytes = 16 << 10
 // the previous generation's plan, and the background replan's incumbent
 // seed (a fresh memo hit returns no stale mapping).
 func (p *Planner) canonicalFor(q *model.Query, snap *adapt.Snapshot, write bool) (canonical, *model.Query, *rawEntry) {
-	bufp := p.rawBufs.Get().(*[]byte)
-	defer p.rawBufs.Put(bufp)
 	gen := snapGen(snap)
-	key, fresh, stale := p.probeMemo(q, gen, bufp)
+	key, fresh, stale := p.probeMemo(q, gen)
 	if fresh != nil {
 		if write {
 			p.memoHits.Add(1)
@@ -660,25 +662,29 @@ func (p *Planner) canonicalFor(q *model.Query, snap *adapt.Snapshot, write bool)
 	}
 	eff := overlay(q, snap)
 	c := canonicalize(eff)
-	if write && len(*bufp) <= maxMemoRawBytes {
-		p.memo.put(key, &rawEntry{raw: bytes.Clone(*bufp), canonical: c}, gen)
+	if write && key.ok {
+		p.memo.put(key, c, gen)
 	}
 	return c, eff, stale
 }
 
-// probeMemo serializes q into *buf (the caller's pooled scratch) and
-// probes the canonicalization memo for those exact bytes at generation
-// gen: the one encode-hash-probe sequence every memo reader shares. It
-// returns the key a miss is memoized under, and the fresh mapping or the
-// stale previous-generation one (at most one is non-nil). Serializations
-// past maxMemoRawBytes are never memoized, so they always miss.
-func (p *Planner) probeMemo(q *model.Query, gen uint64, buf *[]byte) (key uint64, fresh, stale *rawEntry) {
-	*buf = encodeRaw(q, (*buf)[:0])
-	if len(*buf) > maxMemoRawBytes {
-		return 0, nil, nil
+// probeMemo serializes q (encodeRaw, in pooled scratch), hashes it, and
+// probes the canonicalization memo for that digest at generation gen: the
+// one encode-hash-probe sequence every memo reader shares. It returns the
+// key a miss is memoized under, and the fresh mapping or the stale
+// previous-generation one (at most one is non-nil). Serializations past
+// maxMemoRawBytes are never memoized, so they always miss.
+func (p *Planner) probeMemo(q *model.Query, gen uint64) (key memoKey, fresh, stale *rawEntry) {
+	bufp := p.rawBufs.Get().(*[]byte)
+	*bufp = encodeRaw(q, (*bufp)[:0])
+	if len(*bufp) <= maxMemoRawBytes {
+		key = memoKey{digest: sha256.Sum256(*bufp), ok: true}
 	}
-	key = p.memo.key(*buf)
-	fresh, stale = p.memo.get(key, *buf, gen)
+	p.rawBufs.Put(bufp)
+	if !key.ok {
+		return key, nil, nil
+	}
+	fresh, stale = p.memo.get(key, gen)
 	return key, fresh, stale
 }
 

@@ -35,7 +35,7 @@ func (s Signature) shardIndex(n int) int {
 // canonical holds the result of canonicalizing one query: the signature and
 // the permutation linking canonical positions to the query's own indices.
 // It is passed by value so the warm hit path never heap-allocates one: a
-// raw-memo hit hands back the memo entry's shared perm/inv slices inside a
+// memo hit hands back the memo entry's shared perm/inv slices inside a
 // stack-resident struct (the slices are read-only after construction).
 type canonical struct {
 	sig Signature
@@ -80,28 +80,28 @@ const maxCanonCandidates = 20160 // 8!/2, comfortably above realistic tie groups
 // The normalization is a color-refinement pass (Weisfeiler–Lehman style)
 // over the weighted transfer digraph: services start with a color derived
 // from their scalar parameters (cost, selectivity, threads, source and sink
-// transfer) and are iteratively refined by the multiset of
-// (edge-weight, neighbor-color) pairs on outgoing and incoming transfer
-// edges plus the colors across precedence edges. Real-valued costs almost
-// always yield a discrete partition in one or two rounds; residual ties are
-// resolved by enumerating orderings within tie groups and keeping the
-// lexicographically least serialization, so relabelings of the same
-// structure — including automorphic ones — converge to identical bytes.
+// transfer). When those colors are all distinct — real-valued scalars
+// almost always are — they order the services outright. Otherwise they are
+// iteratively refined by the multiset of (edge-weight, neighbor-color)
+// pairs on outgoing and incoming transfer edges plus the colors across
+// precedence edges; residual ties are resolved by enumerating orderings
+// within tie groups and keeping the lexicographically least serialization,
+// so relabelings of the same structure — including automorphic ones —
+// converge to identical bytes.
 func canonicalize(q *model.Query) canonical {
 	n := q.N()
 	colors := initialColors(q)
-	refineColors(q, colors)
-
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	sortByColor(order, colors)
+	// A discrete initial partition cannot refine further, and it is the
+	// common case: real-valued scalars rarely repeat.
+	if !discrete(order, colors) {
+		refineColors(q, colors)
+		sortByColor(order, colors)
+	}
 
 	// Group maximal runs of equal colors; singletons are fully determined.
 	type group struct{ lo, hi int } // half-open [lo, hi) into order
@@ -153,6 +153,28 @@ func canonicalize(q *model.Query) canonical {
 
 	bytes := encodeCanonical(q, best, buf, sc)
 	return canonical{sig: sha256.Sum256(bytes), perm: best, inv: invert(best, inv)}
+}
+
+// sortByColor sorts order by color, breaking ties by index so the result
+// does not depend on order's incoming arrangement.
+func sortByColor(order []int, colors []uint64) {
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(colors[a], colors[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
+// discrete reports whether no two services share a color, given order
+// sorted by color.
+func discrete(order []int, colors []uint64) bool {
+	for k := 1; k < len(order); k++ {
+		if colors[order[k]] == colors[order[k-1]] {
+			return false
+		}
+	}
+	return true
 }
 
 // invert writes perm's inverse into inv (inv[perm[c]] = c) and returns it.
@@ -404,11 +426,15 @@ func encodeCanonical(q *model.Query, perm []int, dst []byte, sc *encodeScratch) 
 	return dst
 }
 
-// encodeRaw serializes q exactly as given (no relabeling) into dst. It is
-// the key of the canonicalization memo: byte-identical resubmissions of a
-// query skip the refinement pass entirely. The layout mirrors
-// encodeCanonical with the identity permutation, plus explicit presence
-// markers so e.g. a nil and an all-zero sink vector cannot collide.
+// encodeRaw serializes q exactly as given (no relabeling) into dst. Its
+// SHA-256 digest is the key of the canonicalization memo: identical
+// resubmissions of a query skip the refinement pass entirely. The layout
+// mirrors encodeCanonical with the identity permutation, plus explicit
+// presence markers so e.g. a nil and an all-zero sink vector cannot
+// collide, and then every service name, length-prefixed: names do not
+// enter the signature, but the adaptive overlay reprices services by name,
+// so two queries that differ only in names can have different effective
+// queries.
 func encodeRaw(q *model.Query, dst []byte) []byte {
 	n := q.N()
 	dst = appendUint64(dst, uint64(n))
@@ -437,6 +463,10 @@ func encodeRaw(q *model.Query, dst []byte) []byte {
 	for _, e := range q.Precedence {
 		dst = appendUint64(dst, uint64(e[0]))
 		dst = appendUint64(dst, uint64(e[1]))
+	}
+	for _, s := range q.Services {
+		dst = appendUint64(dst, uint64(len(s.Name)))
+		dst = append(dst, s.Name...)
 	}
 	return dst
 }
@@ -470,8 +500,9 @@ func appendFloat(dst []byte, v float64) []byte {
 // refinement colors, which must agree across processes because the
 // signature they refine into does (the fleet ring, SOP1 snapshots), and
 // which tolerate collisions (a collision merely coarsens the partition).
-// The raw memo's key stays in the process and uses a seeded maphash
-// instead (rawMemo.key).
+// The memo identifies a serialization by its SHA-256 digest, and buckets
+// digests under a seeded maphash that stays in the process
+// (rawMemo.bucket).
 func fnv64(b []byte) uint64 { return ccache.FNV64(b) }
 
 // mix combines two words into one (used for (weight, color) profile

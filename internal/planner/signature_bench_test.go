@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"testing"
 
 	"serviceordering/internal/gen"
@@ -16,19 +17,25 @@ func benchInstance(b *testing.B, n int) *model.Query {
 	return q
 }
 
-// BenchmarkCanonicalize measures the full color-refinement pass — the cost
-// a request pays when the raw-bytes memo misses (first sight of a query
-// serialization).
+// BenchmarkCanonicalize measures canonicalization — the cost a request
+// pays when the memo misses (first sight of a query serialization) — from
+// the cold-search sizes to the largest exact one. gen.Default draws have
+// discrete initial colors, so this times the sort and the encoding, not
+// refinement.
 func BenchmarkCanonicalize(b *testing.B) {
-	q := benchInstance(b, 12)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		canonicalize(q)
+	for _, n := range []int{12, 17, 32, 64} {
+		q := benchInstance(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canonicalize(q)
+			}
+		})
 	}
 }
 
-// BenchmarkEncodeRaw measures the memo key computation — the per-request
-// serialization cost on the warm hit path.
+// BenchmarkEncodeRaw measures the serialization behind the memo key — the
+// per-request cost on the warm hit path, ahead of its SHA-256 digest.
 func BenchmarkEncodeRaw(b *testing.B) {
 	q := benchInstance(b, 12)
 	buf := make([]byte, 0, 2048)

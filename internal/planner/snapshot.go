@@ -2,6 +2,7 @@ package planner
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -20,7 +21,7 @@ import (
 // the trailer):
 //
 //	magic   [4]byte  "SOP1"
-//	version uint16   (1)
+//	version uint16   (2)
 //	gen     uint64   statistics generation at dump time
 //	count   uint32   entry count
 //	entries count ×:
@@ -40,12 +41,19 @@ import (
 // boot and from any fleet peer (ImportEntry), and every response splices
 // a restored entry's bytes verbatim, so nothing it cannot serve may land.
 //
+// The version names the signature scheme as well as the layout: entries
+// are keyed by signatures, and a binary that canonicalizes differently
+// computes signatures no restored entry is filed under. Version 2 orders a
+// discrete initial partition without refining it (see canonicalize), which
+// moved almost every signature, so a version-1 document is refused whole
+// (ErrSnapshotVersion) instead of restoring entries no request can hit.
+//
 // Only shareable entries are dumped — they are exactly the entries the
 // cache holds, and the only ones safe to serve to other requests. The
 // canonicalization memo is deliberately not snapshotted: a restored
-// request pays one color-refinement pass on its first arrival and then
-// hits the restored plan entry, which is the 1000× saving; the memo
-// rebuilds itself behind it.
+// request pays one canonicalization on its first arrival and then hits
+// the restored plan entry, which is the 1000× saving; the memo rebuilds
+// itself behind it.
 //
 // Generation validation on restore is what keeps a restored node honest:
 // the snapshot's header generation is compared against the loading
@@ -57,7 +65,7 @@ import (
 // as stale is bounded regret with an honest label.
 
 const (
-	snapshotVersion = 1
+	snapshotVersion = 2
 	// snapshotHeaderLen is the byte length of magic, version, generation
 	// and count.
 	snapshotHeaderLen = 4 + 2 + 8 + 4
@@ -65,14 +73,20 @@ const (
 	// far above any configured cache capacity, it exists to fail fast on
 	// a corrupt or adversarial count field.
 	snapshotMaxEntries = 1 << 22
-	// snapshotMaxPlanLen bounds one entry's plan length on restore. The
-	// heuristic tier accepts arbitrarily large instances, but anything
-	// past the memo's raw-byte bound is never cached with a plan this
-	// long in practice; 1<<16 services is comfortably past real use.
+	// snapshotMaxPlanLen bounds one entry's plan length on restore, so a
+	// corrupt or adversarial length field fails fast instead of
+	// allocating. A plan holds one position per service, and a query
+	// carries an O(n^2) transfer matrix (2^32 cells at this bound), so
+	// no query a planner answers in practice comes near it.
 	snapshotMaxPlanLen = 1 << 16
 )
 
 var snapshotMagic = [4]byte{'S', 'O', 'P', '1'}
+
+// ErrSnapshotVersion is wrapped by LoadSnapshot's (and ImportEntry's)
+// refusal of a document written under another snapshot version: another
+// layout, or another signature scheme whose entries no request would hit.
+var ErrSnapshotVersion = errors.New("planner: unsupported snapshot version")
 
 // StaleGenSentinel is the generation stamp LoadSnapshot rewrites entries
 // with when the snapshot's world cannot be proven current. No live
@@ -170,7 +184,7 @@ func (p *Planner) LoadSnapshot(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("planner: snapshot bad magic %q", body[:4])
 	}
 	if v := binary.LittleEndian.Uint16(body[4:]); v != snapshotVersion {
-		return 0, fmt.Errorf("planner: snapshot version %d, supported %d", v, snapshotVersion)
+		return 0, fmt.Errorf("%w: %d, supported %d", ErrSnapshotVersion, v, snapshotVersion)
 	}
 	headerGen := binary.LittleEndian.Uint64(body[6:])
 	count := binary.LittleEndian.Uint32(body[14:])

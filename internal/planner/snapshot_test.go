@@ -3,7 +3,12 @@ package planner
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"math"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"serviceordering/internal/core"
@@ -165,5 +170,56 @@ func TestRestoreAcceptsEveryPortfolioTier(t *testing.T) {
 		if err := checkRestored(identityPlan(3), 1, tier); err != nil {
 			t.Errorf("tier %s: %v", tier, err)
 		}
+	}
+}
+
+// TestSnapshotVersionGate: a document written under another snapshot
+// version — here version 1, whose signatures came from refining every
+// partition — is refused whole with ErrSnapshotVersion, from disk and as a
+// fleet push alike, and restores nothing, while the same document at the
+// current version restores every entry. The committed "valid" fuzz seed is
+// at the current version, so it still reaches the restore path.
+func TestSnapshotVersionGate(t *testing.T) {
+	t.Parallel()
+	src := New(Config{})
+	for seed := int64(0); seed < 3; seed++ {
+		if _, err := src.Optimize(context.Background(), testQuery(t, gen.Default(6, 100+seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if n, err := src.SaveSnapshot(&buf); err != nil || n != 3 {
+		t.Fatalf("SaveSnapshot = (%d, %v), want 3 entries", n, err)
+	}
+	doc := buf.Bytes()
+	v1 := bytes.Clone(doc[:len(doc)-4])
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	v1 = appendSnapshotCRC(v1)
+
+	p := New(Config{})
+	if n, err := p.LoadSnapshot(bytes.NewReader(v1)); !errors.Is(err, ErrSnapshotVersion) || n != 0 {
+		t.Errorf("LoadSnapshot(version 1) = (%d, %v), want a refusal wrapping ErrSnapshotVersion", n, err)
+	}
+	if n, _, err := p.ImportEntry(v1); !errors.Is(err, ErrSnapshotVersion) || n != 0 {
+		t.Errorf("ImportEntry(version 1) = (%d, %v), want a refusal wrapping ErrSnapshotVersion", n, err)
+	}
+	if entries := p.Stats().Entries; entries != 0 {
+		t.Fatalf("refused version-1 documents left %d entries resident", entries)
+	}
+	if n, err := p.LoadSnapshot(bytes.NewReader(doc)); err != nil || n != 3 {
+		t.Fatalf("LoadSnapshot(version %d) = (%d, %v), want 3 entries", snapshotVersion, n, err)
+	}
+
+	raw, err := os.ReadFile("testdata/fuzz/FuzzLoadSnapshot/valid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("fuzz seed: %v", err)
+	}
+	if n, err := New(Config{}).LoadSnapshot(strings.NewReader(seed)); err != nil || n != 4 {
+		t.Fatalf("the valid fuzz seed restored (%d, %v), want 4 entries", n, err)
 	}
 }

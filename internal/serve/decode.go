@@ -62,13 +62,15 @@ import (
 const DefaultQueryMemoCapacity = 2 * planner.DefaultCacheCapacity
 
 const (
-	// maxMemoQueryBytes bounds the body a memo entry may hold, matching
-	// the planner's canonicalization memo bound so the two memos'
-	// worst-case resident bytes stay comparable (capacity x 16KiB; larger
-	// bodies simply re-parse — they are search-dominated anyway). The byte
-	// bound is the only admission criterion: with the heuristic tier,
-	// queries past core.MaxServices are servable, and compactly encoded
-	// ones (sparse transfer matrices) fit well under 16KiB.
+	// maxMemoQueryBytes bounds the body a memo entry may hold, and with it
+	// the memo's worst-case resident bytes (capacity x 16KiB; larger
+	// bodies simply re-parse — they are search-dominated anyway). It
+	// equals the planner's bound on the serializations its
+	// canonicalization memo keys, though that memo keeps only a digest
+	// of each. The byte bound is the only admission criterion: with the
+	// heuristic tier, queries past core.MaxServices are servable, and
+	// compactly encoded ones (sparse transfer matrices) fit well under
+	// 16KiB.
 	maxMemoQueryBytes = 16 << 10
 
 	// docMemoShards: power of two, same sharding story as the planner
